@@ -1,0 +1,715 @@
+//! The control plane's wire side: the daemon's operation set as framed
+//! [`CtrlRequest`]/[`CtrlReply`] messages, their codec, the accept and
+//! per-connection loops that feed the event loop, and the client-side
+//! [`ctrl_roundtrip`].
+//!
+//! `CtrlRequest`/`CtrlReply` are the daemon's *one* operation set: the
+//! event loop's dispatcher (`serve.rs`) speaks nothing else, and the
+//! HTTP gateway reaches it through two adapter functions over the same
+//! types. This module is their framed-TCP codec.
+
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{RecvTimeoutError, Sender};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use moara_attributes::Value;
+use moara_core::DeliveryPolicy;
+use moara_trace::{SpanRecord, TraceSummary};
+use moara_wire::{read_frame, write_msg, Wire, WireError};
+
+use crate::health::{AlertWire, PeerHealthRow};
+use crate::recorder::EventWire;
+use crate::{resolve, Member};
+
+/// A control-plane request (from `moara-cli` or a joining daemon).
+#[derive(Clone, Debug, PartialEq)]
+pub enum CtrlRequest {
+    /// A new daemon asks the seed for an id and the member list.
+    Join {
+        /// The joiner's peer-plane listen address.
+        addr: String,
+        /// Crash-recovery: the node id this daemon previously held. The
+        /// seed revives that member under a higher incarnation (new
+        /// address, same ring id) instead of assigning a fresh id.
+        prev_node: Option<u32>,
+        /// The joiner's control-plane listen address (carried in the
+        /// member list so peers can scatter-gather traces).
+        ctrl: String,
+    },
+    /// Run a query from this daemon's front-end and return the aggregate.
+    Query {
+        /// Query text, either syntax of `moara_query::parse_query`.
+        text: String,
+    },
+    /// Set one local attribute (group churn from the outside).
+    SetAttr {
+        /// Attribute name.
+        attr: String,
+        /// New value.
+        value: Value,
+    },
+    /// Report node id and membership view.
+    Status,
+    /// Install a standing query and stream its updates back on this
+    /// control connection ([`CtrlReply::Update`] frames) until the
+    /// client disconnects.
+    Watch {
+        /// Query text, either syntax of `moara_query::parse_query`.
+        text: String,
+        /// When updates surface (on-change / periodic / threshold).
+        policy: DeliveryPolicy,
+        /// Subscription lease in microseconds (the daemon renews it for
+        /// as long as the watcher stays connected).
+        lease_us: u64,
+    },
+    /// Return the spans this daemon's local store holds for one trace
+    /// (the scatter-gather leaf request; `TraceGet` fans these out).
+    TraceFetch {
+        /// The trace to read.
+        trace_id: u64,
+    },
+    /// Return the cluster-merged span tree for one trace: the serving
+    /// daemon reads its own store and scatter-gathers every other alive
+    /// member's over the control plane, reporting unreachable members
+    /// instead of hanging.
+    TraceGet {
+        /// The trace to merge.
+        trace_id: u64,
+    },
+    /// Return summaries of the most recent traces in this daemon's
+    /// local store.
+    TraceList {
+        /// Maximum summaries to return.
+        limit: u32,
+    },
+    /// Return the merged cluster-health table: one row per member from
+    /// the gossiped digest store, plus this daemon's firing alerts.
+    /// Served entirely from passive local state — never blocks on
+    /// peers — so it works during partitions (`moara-cli top`).
+    ClusterHealth,
+    /// Return this daemon's Prometheus exposition (the metrics
+    /// federation leaf request; `GET /v1/cluster/metrics` fans these
+    /// out like `TraceGet` fans out `TraceFetch`).
+    MetricsFetch,
+    /// Return one metric's series from this daemon's flight-recorder
+    /// history rings (the history federation leaf request;
+    /// `GET /v1/cluster/history` fans these out).
+    HistoryFetch {
+        /// A health-sample key (`tick_p99_us`, `watches`, ...).
+        metric: String,
+        /// How far back, in seconds (picks the ring tier).
+        range_s: u32,
+    },
+    /// Return the cluster-merged series for one metric: the serving
+    /// daemon reads its own rings and scatter-gathers every other alive
+    /// member's, reporting unreachable members instead of hanging.
+    ClusterHistory {
+        /// A health-sample key.
+        metric: String,
+        /// How far back, in seconds.
+        range_s: u32,
+    },
+    /// Return the newest entries of this daemon's structured event
+    /// journal (`moara-cli events`, `GET /v1/events`).
+    EventsFetch {
+        /// Only events of this kind (`swim_confirm`, `slow_query`, ...);
+        /// `None` returns every kind.
+        kind: Option<String>,
+        /// Maximum events to return (newest win).
+        limit: u32,
+    },
+}
+
+/// A control-plane reply.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CtrlReply {
+    /// Join granted: your id, and the full member list (including you).
+    Joined {
+        /// The assigned transport-level id.
+        node: u32,
+        /// All members, joiner included.
+        members: Vec<Member>,
+    },
+    /// Query finished.
+    Answer {
+        /// The aggregate, rendered (`AggResult` display form).
+        result: String,
+        /// False if some branch timed out or failed.
+        complete: bool,
+    },
+    /// Generic success.
+    Ok,
+    /// Status report.
+    Status {
+        /// This daemon's node id.
+        node: u32,
+        /// Members this daemon currently knows (alive or dead).
+        members: u32,
+        /// How many of them are currently believed alive.
+        alive: u32,
+        /// Node ids of members whose failure was confirmed (kept in the
+        /// view for identity continuity, pruned from the overlay).
+        dead: Vec<u32>,
+        /// Standing watches fronted by this daemon (control-plane
+        /// `watch` streams plus gateway SSE streams).
+        watches: u32,
+        /// Standing-subscription entries hosted on this node's trees
+        /// (its own and other front-ends'; drains to zero after
+        /// cancellation or lease GC — the leak detector for tests).
+        sub_entries: u32,
+        /// A compact metrics snapshot (name → value) of the key
+        /// `/metrics` families, for `moara-cli status --json`.
+        metrics: Vec<(String, f64)>,
+        /// Latency-bucket trace exemplars (key → trace id, e.g.
+        /// `phase/fold/le/100000` → `0x...`): the most recent sampled
+        /// trace that landed in each slow bucket, linking a p99 spike
+        /// straight to a concrete waterfall.
+        exemplars: Vec<(String, String)>,
+    },
+    /// One update of a standing watch (streamed; many per request).
+    Update {
+        /// The merged result, rendered (`AggResult` display form).
+        result: String,
+        /// True for the first update of the watch.
+        initial: bool,
+        /// False when some pinned tree had not reported yet.
+        complete: bool,
+    },
+    /// Request failed.
+    Error(String),
+    /// This daemon's local spans for one trace (`TraceFetch` answer).
+    Spans(Vec<SpanRecord>),
+    /// The cluster-merged span tree for one trace (`TraceGet` answer).
+    Trace {
+        /// Spans from every daemon that answered, merged.
+        spans: Vec<SpanRecord>,
+        /// Node ids of alive members whose stores could not be reached
+        /// before the gather deadline (their subtrees show as orphans).
+        missing: Vec<u32>,
+    },
+    /// Recent trace summaries from this daemon (`TraceList` answer).
+    Traces(Vec<TraceSummary>),
+    /// The merged cluster-health table (`ClusterHealth` answer).
+    ClusterHealth {
+        /// The serving daemon.
+        node: u32,
+        /// One row per member (self included), digest freshness stamped.
+        rows: Vec<PeerHealthRow>,
+        /// Alert rules firing on the serving daemon right now.
+        alerts: Vec<AlertWire>,
+    },
+    /// One daemon's Prometheus exposition (`MetricsFetch` answer).
+    MetricsText(String),
+    /// One metric's series from one daemon's history rings
+    /// (`HistoryFetch` answer).
+    History {
+        /// The answering daemon.
+        node: u32,
+        /// Ring resolution of the points, in seconds.
+        res_s: u32,
+        /// `(unix_ms, value)` points, oldest first.
+        points: Vec<(u64, f64)>,
+    },
+    /// The cluster-merged series for one metric (`ClusterHistory`
+    /// answer).
+    ClusterHistory {
+        /// The queried metric.
+        metric: String,
+        /// Ring resolution of the points, in seconds.
+        res_s: u32,
+        /// Per-member series: `(node, points)`, self included.
+        series: Vec<(u32, Vec<(u64, f64)>)>,
+        /// Members that could not answer before the gather deadline.
+        missing: Vec<u32>,
+    },
+    /// The newest journal entries (`EventsFetch` answer).
+    Events(Vec<EventWire>),
+}
+
+impl Wire for CtrlRequest {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            CtrlRequest::Join {
+                addr,
+                prev_node,
+                ctrl,
+            } => {
+                out.push(0);
+                addr.encode(out);
+                prev_node.encode(out);
+                ctrl.encode(out);
+            }
+            CtrlRequest::Query { text } => {
+                out.push(1);
+                text.encode(out);
+            }
+            CtrlRequest::SetAttr { attr, value } => {
+                out.push(2);
+                attr.encode(out);
+                value.encode(out);
+            }
+            CtrlRequest::Status => out.push(3),
+            CtrlRequest::Watch {
+                text,
+                policy,
+                lease_us,
+            } => {
+                out.push(4);
+                text.encode(out);
+                policy.encode(out);
+                lease_us.encode(out);
+            }
+            CtrlRequest::TraceFetch { trace_id } => {
+                out.push(5);
+                trace_id.encode(out);
+            }
+            CtrlRequest::TraceGet { trace_id } => {
+                out.push(6);
+                trace_id.encode(out);
+            }
+            CtrlRequest::TraceList { limit } => {
+                out.push(7);
+                limit.encode(out);
+            }
+            CtrlRequest::ClusterHealth => out.push(8),
+            CtrlRequest::MetricsFetch => out.push(9),
+            CtrlRequest::HistoryFetch { metric, range_s } => {
+                out.push(10);
+                metric.encode(out);
+                range_s.encode(out);
+            }
+            CtrlRequest::ClusterHistory { metric, range_s } => {
+                out.push(11);
+                metric.encode(out);
+                range_s.encode(out);
+            }
+            CtrlRequest::EventsFetch { kind, limit } => {
+                out.push(12);
+                kind.encode(out);
+                limit.encode(out);
+            }
+        }
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(match u8::decode(buf)? {
+            0 => CtrlRequest::Join {
+                addr: Wire::decode(buf)?,
+                prev_node: Wire::decode(buf)?,
+                ctrl: Wire::decode(buf)?,
+            },
+            1 => CtrlRequest::Query {
+                text: Wire::decode(buf)?,
+            },
+            2 => CtrlRequest::SetAttr {
+                attr: Wire::decode(buf)?,
+                value: Wire::decode(buf)?,
+            },
+            3 => CtrlRequest::Status,
+            4 => CtrlRequest::Watch {
+                text: Wire::decode(buf)?,
+                policy: Wire::decode(buf)?,
+                lease_us: Wire::decode(buf)?,
+            },
+            5 => CtrlRequest::TraceFetch {
+                trace_id: Wire::decode(buf)?,
+            },
+            6 => CtrlRequest::TraceGet {
+                trace_id: Wire::decode(buf)?,
+            },
+            7 => CtrlRequest::TraceList {
+                limit: Wire::decode(buf)?,
+            },
+            8 => CtrlRequest::ClusterHealth,
+            9 => CtrlRequest::MetricsFetch,
+            10 => CtrlRequest::HistoryFetch {
+                metric: Wire::decode(buf)?,
+                range_s: Wire::decode(buf)?,
+            },
+            11 => CtrlRequest::ClusterHistory {
+                metric: Wire::decode(buf)?,
+                range_s: Wire::decode(buf)?,
+            },
+            12 => CtrlRequest::EventsFetch {
+                kind: Wire::decode(buf)?,
+                limit: Wire::decode(buf)?,
+            },
+            _ => return Err(WireError::Invalid("CtrlRequest tag")),
+        })
+    }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            CtrlRequest::Join {
+                addr,
+                prev_node,
+                ctrl,
+            } => addr.encoded_len() + prev_node.encoded_len() + ctrl.encoded_len(),
+            CtrlRequest::Query { text } => text.encoded_len(),
+            CtrlRequest::SetAttr { attr, value } => attr.encoded_len() + value.encoded_len(),
+            CtrlRequest::Status => 0,
+            CtrlRequest::Watch { text, policy, .. } => {
+                text.encoded_len() + policy.encoded_len() + 8
+            }
+            CtrlRequest::TraceFetch { .. } | CtrlRequest::TraceGet { .. } => 8,
+            CtrlRequest::TraceList { .. } => 4,
+            CtrlRequest::ClusterHealth | CtrlRequest::MetricsFetch => 0,
+            CtrlRequest::HistoryFetch { metric, .. }
+            | CtrlRequest::ClusterHistory { metric, .. } => metric.encoded_len() + 4,
+            CtrlRequest::EventsFetch { kind, .. } => kind.encoded_len() + 4,
+        }
+    }
+}
+
+impl Wire for CtrlReply {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            CtrlReply::Joined { node, members } => {
+                out.push(0);
+                node.encode(out);
+                members.encode(out);
+            }
+            CtrlReply::Answer { result, complete } => {
+                out.push(1);
+                result.encode(out);
+                complete.encode(out);
+            }
+            CtrlReply::Ok => out.push(2),
+            CtrlReply::Status {
+                node,
+                members,
+                alive,
+                dead,
+                watches,
+                sub_entries,
+                metrics,
+                exemplars,
+            } => {
+                out.push(3);
+                node.encode(out);
+                members.encode(out);
+                alive.encode(out);
+                dead.encode(out);
+                watches.encode(out);
+                sub_entries.encode(out);
+                metrics.encode(out);
+                exemplars.encode(out);
+            }
+            CtrlReply::Error(e) => {
+                out.push(4);
+                e.encode(out);
+            }
+            CtrlReply::Update {
+                result,
+                initial,
+                complete,
+            } => {
+                out.push(5);
+                result.encode(out);
+                initial.encode(out);
+                complete.encode(out);
+            }
+            CtrlReply::Spans(spans) => {
+                out.push(6);
+                spans.encode(out);
+            }
+            CtrlReply::Trace { spans, missing } => {
+                out.push(7);
+                spans.encode(out);
+                missing.encode(out);
+            }
+            CtrlReply::Traces(ts) => {
+                out.push(8);
+                ts.encode(out);
+            }
+            CtrlReply::ClusterHealth { node, rows, alerts } => {
+                out.push(9);
+                node.encode(out);
+                rows.encode(out);
+                alerts.encode(out);
+            }
+            CtrlReply::MetricsText(text) => {
+                out.push(10);
+                text.encode(out);
+            }
+            CtrlReply::History {
+                node,
+                res_s,
+                points,
+            } => {
+                out.push(11);
+                node.encode(out);
+                res_s.encode(out);
+                points.encode(out);
+            }
+            CtrlReply::ClusterHistory {
+                metric,
+                res_s,
+                series,
+                missing,
+            } => {
+                out.push(12);
+                metric.encode(out);
+                res_s.encode(out);
+                series.encode(out);
+                missing.encode(out);
+            }
+            CtrlReply::Events(events) => {
+                out.push(13);
+                events.encode(out);
+            }
+        }
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(match u8::decode(buf)? {
+            0 => CtrlReply::Joined {
+                node: Wire::decode(buf)?,
+                members: Wire::decode(buf)?,
+            },
+            1 => CtrlReply::Answer {
+                result: Wire::decode(buf)?,
+                complete: Wire::decode(buf)?,
+            },
+            2 => CtrlReply::Ok,
+            3 => CtrlReply::Status {
+                node: Wire::decode(buf)?,
+                members: Wire::decode(buf)?,
+                alive: Wire::decode(buf)?,
+                dead: Wire::decode(buf)?,
+                watches: Wire::decode(buf)?,
+                sub_entries: Wire::decode(buf)?,
+                metrics: Wire::decode(buf)?,
+                exemplars: Wire::decode(buf)?,
+            },
+            4 => CtrlReply::Error(Wire::decode(buf)?),
+            5 => CtrlReply::Update {
+                result: Wire::decode(buf)?,
+                initial: Wire::decode(buf)?,
+                complete: Wire::decode(buf)?,
+            },
+            6 => CtrlReply::Spans(Wire::decode(buf)?),
+            7 => CtrlReply::Trace {
+                spans: Wire::decode(buf)?,
+                missing: Wire::decode(buf)?,
+            },
+            8 => CtrlReply::Traces(Wire::decode(buf)?),
+            9 => CtrlReply::ClusterHealth {
+                node: Wire::decode(buf)?,
+                rows: Wire::decode(buf)?,
+                alerts: Wire::decode(buf)?,
+            },
+            10 => CtrlReply::MetricsText(Wire::decode(buf)?),
+            11 => CtrlReply::History {
+                node: Wire::decode(buf)?,
+                res_s: Wire::decode(buf)?,
+                points: Wire::decode(buf)?,
+            },
+            12 => CtrlReply::ClusterHistory {
+                metric: Wire::decode(buf)?,
+                res_s: Wire::decode(buf)?,
+                series: Wire::decode(buf)?,
+                missing: Wire::decode(buf)?,
+            },
+            13 => CtrlReply::Events(Wire::decode(buf)?),
+            _ => return Err(WireError::Invalid("CtrlReply tag")),
+        })
+    }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            CtrlReply::Joined { members, .. } => 4 + members.encoded_len(),
+            CtrlReply::Answer { result, .. } => result.encoded_len() + 1,
+            CtrlReply::Ok => 0,
+            CtrlReply::Status {
+                dead,
+                metrics,
+                exemplars,
+                ..
+            } => 20 + dead.encoded_len() + metrics.encoded_len() + exemplars.encoded_len(),
+            CtrlReply::Error(e) => e.encoded_len(),
+            CtrlReply::Update { result, .. } => result.encoded_len() + 2,
+            CtrlReply::Spans(spans) => spans.encoded_len(),
+            CtrlReply::Trace { spans, missing } => spans.encoded_len() + missing.encoded_len(),
+            CtrlReply::Traces(ts) => ts.encoded_len(),
+            CtrlReply::ClusterHealth { rows, alerts, .. } => {
+                4 + rows.encoded_len() + alerts.encoded_len()
+            }
+            CtrlReply::MetricsText(text) => text.encoded_len(),
+            CtrlReply::History { points, .. } => 8 + points.encoded_len(),
+            CtrlReply::ClusterHistory {
+                metric,
+                series,
+                missing,
+                ..
+            } => metric.encoded_len() + 4 + series.encoded_len() + missing.encoded_len(),
+            CtrlReply::Events(events) => events.encoded_len(),
+        }
+    }
+}
+
+/// What the event loop sends down a control connection's channel.
+pub(crate) enum CtrlOut {
+    /// A reply frame to write to the socket.
+    Reply(CtrlReply),
+    /// Liveness probe for a quiescent watch stream: never written to the
+    /// socket — it only fails (telling the loop to unsubscribe) once
+    /// this connection's thread has noticed the hang-up and gone.
+    Keepalive,
+}
+
+/// One in-flight control request: the parsed request plus the channel the
+/// control thread blocks on for the reply.
+pub(crate) struct CtrlJob {
+    pub(crate) req: CtrlRequest,
+    pub(crate) reply: Sender<CtrlOut>,
+}
+
+pub(crate) fn spawn_accept_loop(listener: TcpListener, tx: Sender<CtrlJob>, stop: Arc<AtomicBool>) {
+    std::thread::Builder::new()
+        .name("moarad-ctrl-accept".into())
+        .spawn(move || {
+            for conn in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = conn else { continue };
+                let tx = tx.clone();
+                let _ = std::thread::Builder::new()
+                    .name("moarad-ctrl-conn".into())
+                    .spawn(move || ctrl_conn_loop(stream, tx));
+            }
+        })
+        .expect("spawn ctrl accept thread");
+}
+
+/// Serves one control connection: framed request in, framed reply out,
+/// repeated until the client hangs up. A `Watch` request flips the
+/// connection into streaming mode: update frames flow until the client
+/// disconnects (detected by a failed write) or the daemon drops the
+/// stream.
+fn ctrl_conn_loop(mut stream: TcpStream, tx: Sender<CtrlJob>) {
+    let _ = stream.set_nodelay(true);
+    let error = |msg: &str| CtrlReply::Error(msg.into());
+    loop {
+        let Ok(Some(payload)) = read_frame(&mut stream) else {
+            return;
+        };
+        let Ok(req) = CtrlRequest::from_bytes(&payload) else {
+            let _ = write_msg(&mut stream, &error("bad request frame"));
+            return;
+        };
+        // Queries can legitimately take a while (front timeout bounds
+        // them); everything else answers within one loop iteration. A
+        // quiescent watch emits nothing for long stretches, so its wait
+        // is short: each timeout probes the socket, and a hung-up client
+        // releases the stream promptly.
+        let streaming = matches!(req, CtrlRequest::Watch { .. });
+        let wait = Duration::from_secs(if streaming { 1 } else { 120 });
+        let (reply, reply_rx) = std::sync::mpsc::channel();
+        if tx.send(CtrlJob { req, reply }).is_err() {
+            return; // daemon shut down
+        }
+        // One reply, or — streaming — update frames until either side
+        // hangs up. Dropping `reply_rx` on a write failure is the signal
+        // the daemon's pump observes (its next send errs and it
+        // unsubscribes).
+        loop {
+            let reply = match reply_rx.recv_timeout(wait) {
+                Ok(CtrlOut::Keepalive) => continue,
+                Ok(CtrlOut::Reply(reply)) => reply,
+                Err(RecvTimeoutError::Timeout) if streaming => {
+                    if !moara_gateway::http::socket_alive(&mut stream) {
+                        return;
+                    }
+                    continue;
+                }
+                Err(RecvTimeoutError::Timeout) => error("daemon did not answer in time"),
+                // The daemon dropped the reply end without answering: it
+                // is shutting down (a stream that already started just
+                // ends).
+                Err(RecvTimeoutError::Disconnected) if streaming => return,
+                Err(RecvTimeoutError::Disconnected) => error("daemon shutting down"),
+            };
+            if write_msg(&mut stream, &reply).is_err() || stream.flush().is_err() {
+                return;
+            }
+            if !streaming {
+                break;
+            }
+            if matches!(reply, CtrlReply::Error(_)) {
+                return;
+            }
+        }
+    }
+}
+
+/// Client side: one framed request/reply round trip over a fresh
+/// connection (what `moara-cli` and joining daemons use).
+///
+/// # Errors
+///
+/// Connection, framing, and timeout failures, as strings.
+pub fn ctrl_roundtrip(
+    addr: &str,
+    req: &CtrlRequest,
+    timeout: Duration,
+) -> Result<CtrlReply, String> {
+    let sock_addr = resolve(addr)?;
+    let deadline = Instant::now() + timeout;
+    // The target daemon may still be booting (the smoke test starts
+    // processes concurrently): retry connects until the deadline.
+    let mut stream = loop {
+        match TcpStream::connect_timeout(&sock_addr, Duration::from_millis(500)) {
+            Ok(s) => break s,
+            Err(e) => {
+                if Instant::now() >= deadline {
+                    return Err(format!("connect {addr}: {e}"));
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
+    };
+    let _ = stream.set_nodelay(true);
+    stream
+        .set_read_timeout(Some(timeout))
+        .map_err(|e| e.to_string())?;
+    write_msg(&mut stream, req).map_err(|e| format!("send: {e}"))?;
+    let payload = read_frame(&mut stream)
+        .map_err(|e| format!("recv: {e}"))?
+        .ok_or("connection closed before reply")?;
+    CtrlReply::from_bytes(&payload).map_err(|e| format!("decode reply: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A client whose request is in flight when the daemon drops the
+    /// reply end (shutdown clears the waiter table) is told so at once —
+    /// not that the daemon "did not answer in time".
+    #[test]
+    fn dropped_reply_end_reads_as_shutdown_not_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let conn = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            ctrl_conn_loop(stream, tx);
+        });
+        let client = std::thread::spawn(move || {
+            let req = CtrlRequest::Query {
+                text: "SELECT count(*)".into(),
+            };
+            ctrl_roundtrip(&addr, &req, Duration::from_secs(10))
+        });
+        // The event loop took the job, then shut down before answering.
+        let job: CtrlJob = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        drop(job);
+        assert_eq!(
+            client.join().unwrap(),
+            Ok(CtrlReply::Error("daemon shutting down".into()))
+        );
+        // The client's socket closes with `ctrl_roundtrip`; the loop ends.
+        conn.join().unwrap();
+    }
+}

@@ -12,6 +12,11 @@
 //!   accepts framed [`CtrlRequest`]s from `moara-cli` (queries, attribute
 //!   updates, status) and from joining daemons (`Join`).
 //!
+//! [`CtrlRequest`]/[`CtrlReply`] are the daemon's one operation set: the
+//! control port and the HTTP gateway (`--http`) are two codecs over it,
+//! and every operation has one implementation, in the event loop's
+//! dispatcher (`serve.rs`). See "Operations" in `docs/gateway.md`.
+//!
 //! Cluster formation: the first daemon (no `--join`) is the *seed* and
 //! owns membership *assignment* — it hands out dense `NodeId`s and random
 //! ring ids, and broadcasts the full member list (with liveness and
@@ -43,11 +48,10 @@
 //! list is not persisted). Seed persistence/handover is future work.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,35 +59,36 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use moara_attributes::Value;
-use moara_core::{DeliveryPolicy, Directory, MoaraConfig, MoaraMsg, MoaraNode, SubUpdate};
+use moara_core::{DeliveryPolicy, Directory, MoaraConfig, MoaraMsg, MoaraNode};
 use moara_dht::Id;
-use moara_gateway::{
-    CacheConfig, GatewayHandle, GatewayOpts, GwJob, GwReply, GwRequest, MetricsRegistry,
-    QueryCache, ReplySink, WatchPolicy,
-};
+use moara_gateway::{CacheConfig, GatewayHandle, GatewayOpts, GwJob, MetricsRegistry, QueryCache};
 use moara_membership::{SwimConfig, SwimDetector, SwimEvent, SwimMsg};
 use moara_query::parse_query;
 use moara_simnet::{Message, NodeId, SimDuration, SimTime, TimerId, TimerTag};
 use moara_trace::{
-    format_trace_id, BucketExemplars, Histogram, Phase, SpanRecord, SpanStore, TraceSummary,
-    TRACE_NS_SWIM,
+    format_trace_id, BucketExemplars, Histogram, Phase, SpanRecord, SpanStore, TRACE_NS_SWIM,
 };
 use moara_transport::{NetCtx, NetProtocol, TcpConfig, TcpTransport, Transport};
-use moara_wire::{read_frame, write_msg, Wire, WireError};
+use moara_wire::{Wire, WireError};
 
 pub mod alerts;
+mod ctrl;
 pub mod health;
 pub mod recorder;
+mod render;
+mod serve;
 pub mod sim;
+pub use ctrl::{ctrl_roundtrip, CtrlReply, CtrlRequest};
 pub use sim::SimSwarm;
 
 use alerts::{AlertEngine, AlertEvent, AlertRule};
+use ctrl::{spawn_accept_loop, CtrlJob};
 use health::{
-    AlertWire, HealthStatus, HealthSummary, PeerHealthRow, CACHE_RATIO_NONE,
-    HEALTH_DIGEST_MAX_BYTES,
+    HealthStatus, HealthSummary, PeerHealthRow, CACHE_RATIO_NONE, HEALTH_DIGEST_MAX_BYTES,
 };
 use moara_gateway::json::JsonLine;
-use recorder::{kind, now_unix_ms, EventWire, Recorder};
+use recorder::{kind, now_unix_ms, Recorder};
+use serve::{ReplyTo, Walk};
 
 /// One cluster member, as carried in membership lists.
 ///
@@ -205,530 +210,6 @@ impl Message for DaemonMsg {
         match self {
             DaemonMsg::Moara(m) => m.query_tag(),
             DaemonMsg::Membership(_) | DaemonMsg::Swim(_) | DaemonMsg::SwimHealth(..) => None,
-        }
-    }
-}
-
-/// A control-plane request (from `moara-cli` or a joining daemon).
-#[derive(Clone, Debug, PartialEq)]
-pub enum CtrlRequest {
-    /// A new daemon asks the seed for an id and the member list.
-    Join {
-        /// The joiner's peer-plane listen address.
-        addr: String,
-        /// Crash-recovery: the node id this daemon previously held. The
-        /// seed revives that member under a higher incarnation (new
-        /// address, same ring id) instead of assigning a fresh id.
-        prev_node: Option<u32>,
-        /// The joiner's control-plane listen address (carried in the
-        /// member list so peers can scatter-gather traces).
-        ctrl: String,
-    },
-    /// Run a query from this daemon's front-end and return the aggregate.
-    Query {
-        /// Query text, either syntax of `moara_query::parse_query`.
-        text: String,
-    },
-    /// Set one local attribute (group churn from the outside).
-    SetAttr {
-        /// Attribute name.
-        attr: String,
-        /// New value.
-        value: Value,
-    },
-    /// Report node id and membership view.
-    Status,
-    /// Install a standing query and stream its updates back on this
-    /// control connection ([`CtrlReply::Update`] frames) until the
-    /// client disconnects.
-    Watch {
-        /// Query text, either syntax of `moara_query::parse_query`.
-        text: String,
-        /// When updates surface (on-change / periodic / threshold).
-        policy: DeliveryPolicy,
-        /// Subscription lease in microseconds (the daemon renews it for
-        /// as long as the watcher stays connected).
-        lease_us: u64,
-    },
-    /// Return the spans this daemon's local store holds for one trace
-    /// (the scatter-gather leaf request; `TraceGet` fans these out).
-    TraceFetch {
-        /// The trace to read.
-        trace_id: u64,
-    },
-    /// Return the cluster-merged span tree for one trace: the serving
-    /// daemon reads its own store and scatter-gathers every other alive
-    /// member's over the control plane, reporting unreachable members
-    /// instead of hanging.
-    TraceGet {
-        /// The trace to merge.
-        trace_id: u64,
-    },
-    /// Return summaries of the most recent traces in this daemon's
-    /// local store.
-    TraceList {
-        /// Maximum summaries to return.
-        limit: u32,
-    },
-    /// Return the merged cluster-health table: one row per member from
-    /// the gossiped digest store, plus this daemon's firing alerts.
-    /// Served entirely from passive local state — never blocks on
-    /// peers — so it works during partitions (`moara-cli top`).
-    ClusterHealth,
-    /// Return this daemon's Prometheus exposition (the metrics
-    /// federation leaf request; `GET /v1/cluster/metrics` fans these
-    /// out like `TraceGet` fans out `TraceFetch`).
-    MetricsFetch,
-    /// Return one metric's series from this daemon's flight-recorder
-    /// history rings (the history federation leaf request;
-    /// `GET /v1/cluster/history` fans these out).
-    HistoryFetch {
-        /// A health-sample key (`tick_p99_us`, `watches`, ...).
-        metric: String,
-        /// How far back, in seconds (picks the ring tier).
-        range_s: u32,
-    },
-    /// Return the cluster-merged series for one metric: the serving
-    /// daemon reads its own rings and scatter-gathers every other alive
-    /// member's, reporting unreachable members instead of hanging.
-    ClusterHistory {
-        /// A health-sample key.
-        metric: String,
-        /// How far back, in seconds.
-        range_s: u32,
-    },
-    /// Return the newest entries of this daemon's structured event
-    /// journal (`moara-cli events`, `GET /v1/events`).
-    EventsFetch {
-        /// Only events of this kind (`swim_confirm`, `slow_query`, ...);
-        /// `None` returns every kind.
-        kind: Option<String>,
-        /// Maximum events to return (newest win).
-        limit: u32,
-    },
-}
-
-/// A control-plane reply.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CtrlReply {
-    /// Join granted: your id, and the full member list (including you).
-    Joined {
-        /// The assigned transport-level id.
-        node: u32,
-        /// All members, joiner included.
-        members: Vec<Member>,
-    },
-    /// Query finished.
-    Answer {
-        /// The aggregate, rendered (`AggResult` display form).
-        result: String,
-        /// False if some branch timed out or failed.
-        complete: bool,
-    },
-    /// Generic success.
-    Ok,
-    /// Status report.
-    Status {
-        /// This daemon's node id.
-        node: u32,
-        /// Members this daemon currently knows (alive or dead).
-        members: u32,
-        /// How many of them are currently believed alive.
-        alive: u32,
-        /// Node ids of members whose failure was confirmed (kept in the
-        /// view for identity continuity, pruned from the overlay).
-        dead: Vec<u32>,
-        /// Standing watches fronted by this daemon (control-plane
-        /// `watch` streams plus gateway SSE streams).
-        watches: u32,
-        /// Standing-subscription entries hosted on this node's trees
-        /// (its own and other front-ends'; drains to zero after
-        /// cancellation or lease GC — the leak detector for tests).
-        sub_entries: u32,
-        /// A compact metrics snapshot (name → value), the control-plane
-        /// twin of the key `/metrics` families for `moara-cli status
-        /// --json`.
-        metrics: Vec<(String, f64)>,
-        /// Latency-bucket trace exemplars (key → trace id, e.g.
-        /// `phase/fold/le/100000` → `0x...`): the most recent sampled
-        /// trace that landed in each slow bucket, linking a p99 spike
-        /// straight to a concrete waterfall.
-        exemplars: Vec<(String, String)>,
-    },
-    /// One update of a standing watch (streamed; many per request).
-    Update {
-        /// The merged result, rendered (`AggResult` display form).
-        result: String,
-        /// True for the first update of the watch.
-        initial: bool,
-        /// False when some pinned tree had not reported yet.
-        complete: bool,
-    },
-    /// Request failed.
-    Error(String),
-    /// This daemon's local spans for one trace (`TraceFetch` answer).
-    Spans(Vec<SpanRecord>),
-    /// The cluster-merged span tree for one trace (`TraceGet` answer).
-    Trace {
-        /// Spans from every daemon that answered, merged.
-        spans: Vec<SpanRecord>,
-        /// Node ids of alive members whose stores could not be reached
-        /// before the gather deadline (their subtrees show as orphans).
-        missing: Vec<u32>,
-    },
-    /// Recent trace summaries from this daemon (`TraceList` answer).
-    Traces(Vec<TraceSummary>),
-    /// The merged cluster-health table (`ClusterHealth` answer).
-    ClusterHealth {
-        /// The serving daemon.
-        node: u32,
-        /// One row per member (self included), digest freshness stamped.
-        rows: Vec<PeerHealthRow>,
-        /// Alert rules firing on the serving daemon right now.
-        alerts: Vec<AlertWire>,
-    },
-    /// One daemon's Prometheus exposition (`MetricsFetch` answer).
-    MetricsText(String),
-    /// One metric's series from one daemon's history rings
-    /// (`HistoryFetch` answer).
-    History {
-        /// The answering daemon.
-        node: u32,
-        /// Ring resolution of the points, in seconds.
-        res_s: u32,
-        /// `(unix_ms, value)` points, oldest first.
-        points: Vec<(u64, f64)>,
-    },
-    /// The cluster-merged series for one metric (`ClusterHistory`
-    /// answer).
-    ClusterHistory {
-        /// The queried metric.
-        metric: String,
-        /// Ring resolution of the points, in seconds.
-        res_s: u32,
-        /// Per-member series: `(node, points)`, self included.
-        series: Vec<(u32, Vec<(u64, f64)>)>,
-        /// Members that could not answer before the gather deadline.
-        missing: Vec<u32>,
-    },
-    /// The newest journal entries (`EventsFetch` answer).
-    Events(Vec<EventWire>),
-}
-
-impl Wire for CtrlRequest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CtrlRequest::Join {
-                addr,
-                prev_node,
-                ctrl,
-            } => {
-                out.push(0);
-                addr.encode(out);
-                prev_node.encode(out);
-                ctrl.encode(out);
-            }
-            CtrlRequest::Query { text } => {
-                out.push(1);
-                text.encode(out);
-            }
-            CtrlRequest::SetAttr { attr, value } => {
-                out.push(2);
-                attr.encode(out);
-                value.encode(out);
-            }
-            CtrlRequest::Status => out.push(3),
-            CtrlRequest::Watch {
-                text,
-                policy,
-                lease_us,
-            } => {
-                out.push(4);
-                text.encode(out);
-                policy.encode(out);
-                lease_us.encode(out);
-            }
-            CtrlRequest::TraceFetch { trace_id } => {
-                out.push(5);
-                trace_id.encode(out);
-            }
-            CtrlRequest::TraceGet { trace_id } => {
-                out.push(6);
-                trace_id.encode(out);
-            }
-            CtrlRequest::TraceList { limit } => {
-                out.push(7);
-                limit.encode(out);
-            }
-            CtrlRequest::ClusterHealth => out.push(8),
-            CtrlRequest::MetricsFetch => out.push(9),
-            CtrlRequest::HistoryFetch { metric, range_s } => {
-                out.push(10);
-                metric.encode(out);
-                range_s.encode(out);
-            }
-            CtrlRequest::ClusterHistory { metric, range_s } => {
-                out.push(11);
-                metric.encode(out);
-                range_s.encode(out);
-            }
-            CtrlRequest::EventsFetch { kind, limit } => {
-                out.push(12);
-                kind.encode(out);
-                limit.encode(out);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => CtrlRequest::Join {
-                addr: Wire::decode(buf)?,
-                prev_node: Wire::decode(buf)?,
-                ctrl: Wire::decode(buf)?,
-            },
-            1 => CtrlRequest::Query {
-                text: Wire::decode(buf)?,
-            },
-            2 => CtrlRequest::SetAttr {
-                attr: Wire::decode(buf)?,
-                value: Wire::decode(buf)?,
-            },
-            3 => CtrlRequest::Status,
-            4 => CtrlRequest::Watch {
-                text: Wire::decode(buf)?,
-                policy: Wire::decode(buf)?,
-                lease_us: Wire::decode(buf)?,
-            },
-            5 => CtrlRequest::TraceFetch {
-                trace_id: Wire::decode(buf)?,
-            },
-            6 => CtrlRequest::TraceGet {
-                trace_id: Wire::decode(buf)?,
-            },
-            7 => CtrlRequest::TraceList {
-                limit: Wire::decode(buf)?,
-            },
-            8 => CtrlRequest::ClusterHealth,
-            9 => CtrlRequest::MetricsFetch,
-            10 => CtrlRequest::HistoryFetch {
-                metric: Wire::decode(buf)?,
-                range_s: Wire::decode(buf)?,
-            },
-            11 => CtrlRequest::ClusterHistory {
-                metric: Wire::decode(buf)?,
-                range_s: Wire::decode(buf)?,
-            },
-            12 => CtrlRequest::EventsFetch {
-                kind: Wire::decode(buf)?,
-                limit: Wire::decode(buf)?,
-            },
-            _ => return Err(WireError::Invalid("CtrlRequest tag")),
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            CtrlRequest::Join {
-                addr,
-                prev_node,
-                ctrl,
-            } => addr.encoded_len() + prev_node.encoded_len() + ctrl.encoded_len(),
-            CtrlRequest::Query { text } => text.encoded_len(),
-            CtrlRequest::SetAttr { attr, value } => attr.encoded_len() + value.encoded_len(),
-            CtrlRequest::Status => 0,
-            CtrlRequest::Watch { text, policy, .. } => {
-                text.encoded_len() + policy.encoded_len() + 8
-            }
-            CtrlRequest::TraceFetch { .. } | CtrlRequest::TraceGet { .. } => 8,
-            CtrlRequest::TraceList { .. } => 4,
-            CtrlRequest::ClusterHealth | CtrlRequest::MetricsFetch => 0,
-            CtrlRequest::HistoryFetch { metric, .. }
-            | CtrlRequest::ClusterHistory { metric, .. } => metric.encoded_len() + 4,
-            CtrlRequest::EventsFetch { kind, .. } => kind.encoded_len() + 4,
-        }
-    }
-}
-
-impl Wire for CtrlReply {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CtrlReply::Joined { node, members } => {
-                out.push(0);
-                node.encode(out);
-                members.encode(out);
-            }
-            CtrlReply::Answer { result, complete } => {
-                out.push(1);
-                result.encode(out);
-                complete.encode(out);
-            }
-            CtrlReply::Ok => out.push(2),
-            CtrlReply::Status {
-                node,
-                members,
-                alive,
-                dead,
-                watches,
-                sub_entries,
-                metrics,
-                exemplars,
-            } => {
-                out.push(3);
-                node.encode(out);
-                members.encode(out);
-                alive.encode(out);
-                dead.encode(out);
-                watches.encode(out);
-                sub_entries.encode(out);
-                metrics.encode(out);
-                exemplars.encode(out);
-            }
-            CtrlReply::Error(e) => {
-                out.push(4);
-                e.encode(out);
-            }
-            CtrlReply::Update {
-                result,
-                initial,
-                complete,
-            } => {
-                out.push(5);
-                result.encode(out);
-                initial.encode(out);
-                complete.encode(out);
-            }
-            CtrlReply::Spans(spans) => {
-                out.push(6);
-                spans.encode(out);
-            }
-            CtrlReply::Trace { spans, missing } => {
-                out.push(7);
-                spans.encode(out);
-                missing.encode(out);
-            }
-            CtrlReply::Traces(ts) => {
-                out.push(8);
-                ts.encode(out);
-            }
-            CtrlReply::ClusterHealth { node, rows, alerts } => {
-                out.push(9);
-                node.encode(out);
-                rows.encode(out);
-                alerts.encode(out);
-            }
-            CtrlReply::MetricsText(text) => {
-                out.push(10);
-                text.encode(out);
-            }
-            CtrlReply::History {
-                node,
-                res_s,
-                points,
-            } => {
-                out.push(11);
-                node.encode(out);
-                res_s.encode(out);
-                points.encode(out);
-            }
-            CtrlReply::ClusterHistory {
-                metric,
-                res_s,
-                series,
-                missing,
-            } => {
-                out.push(12);
-                metric.encode(out);
-                res_s.encode(out);
-                series.encode(out);
-                missing.encode(out);
-            }
-            CtrlReply::Events(events) => {
-                out.push(13);
-                events.encode(out);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => CtrlReply::Joined {
-                node: Wire::decode(buf)?,
-                members: Wire::decode(buf)?,
-            },
-            1 => CtrlReply::Answer {
-                result: Wire::decode(buf)?,
-                complete: Wire::decode(buf)?,
-            },
-            2 => CtrlReply::Ok,
-            3 => CtrlReply::Status {
-                node: Wire::decode(buf)?,
-                members: Wire::decode(buf)?,
-                alive: Wire::decode(buf)?,
-                dead: Wire::decode(buf)?,
-                watches: Wire::decode(buf)?,
-                sub_entries: Wire::decode(buf)?,
-                metrics: Wire::decode(buf)?,
-                exemplars: Wire::decode(buf)?,
-            },
-            4 => CtrlReply::Error(Wire::decode(buf)?),
-            5 => CtrlReply::Update {
-                result: Wire::decode(buf)?,
-                initial: Wire::decode(buf)?,
-                complete: Wire::decode(buf)?,
-            },
-            6 => CtrlReply::Spans(Wire::decode(buf)?),
-            7 => CtrlReply::Trace {
-                spans: Wire::decode(buf)?,
-                missing: Wire::decode(buf)?,
-            },
-            8 => CtrlReply::Traces(Wire::decode(buf)?),
-            9 => CtrlReply::ClusterHealth {
-                node: Wire::decode(buf)?,
-                rows: Wire::decode(buf)?,
-                alerts: Wire::decode(buf)?,
-            },
-            10 => CtrlReply::MetricsText(Wire::decode(buf)?),
-            11 => CtrlReply::History {
-                node: Wire::decode(buf)?,
-                res_s: Wire::decode(buf)?,
-                points: Wire::decode(buf)?,
-            },
-            12 => CtrlReply::ClusterHistory {
-                metric: Wire::decode(buf)?,
-                res_s: Wire::decode(buf)?,
-                series: Wire::decode(buf)?,
-                missing: Wire::decode(buf)?,
-            },
-            13 => CtrlReply::Events(Wire::decode(buf)?),
-            _ => return Err(WireError::Invalid("CtrlReply tag")),
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            CtrlReply::Joined { members, .. } => 4 + members.encoded_len(),
-            CtrlReply::Answer { result, .. } => result.encoded_len() + 1,
-            CtrlReply::Ok => 0,
-            CtrlReply::Status {
-                dead,
-                metrics,
-                exemplars,
-                ..
-            } => 20 + dead.encoded_len() + metrics.encoded_len() + exemplars.encoded_len(),
-            CtrlReply::Error(e) => e.encoded_len(),
-            CtrlReply::Update { result, .. } => result.encoded_len() + 2,
-            CtrlReply::Spans(spans) => spans.encoded_len(),
-            CtrlReply::Trace { spans, missing } => spans.encoded_len() + missing.encoded_len(),
-            CtrlReply::Traces(ts) => ts.encoded_len(),
-            CtrlReply::ClusterHealth { rows, alerts, .. } => {
-                4 + rows.encoded_len() + alerts.encoded_len()
-            }
-            CtrlReply::MetricsText(text) => text.encoded_len(),
-            CtrlReply::History { points, .. } => 8 + points.encoded_len(),
-            CtrlReply::ClusterHistory {
-                metric,
-                series,
-                missing,
-                ..
-            } => metric.encoded_len() + 4 + series.encoded_len() + missing.encoded_len(),
-            CtrlReply::Events(events) => events.encoded_len(),
         }
     }
 }
@@ -1083,28 +564,6 @@ pub fn parse_value(v: &str) -> Value {
     }
 }
 
-/// One in-flight control request: the parsed request plus the channel the
-/// control thread blocks on for the reply.
-struct CtrlJob {
-    req: CtrlRequest,
-    reply: Sender<CtrlReply>,
-}
-
-/// Everyone waiting on one gateway tree walk, plus what the cache needs
-/// to fold the walk's answer back in when it lands.
-struct GwQueryWaiters {
-    /// Reply sinks with their `X-Moara-Cache` marker: `Some("miss")`
-    /// for the request that started the walk, `Some("coalesced")` for
-    /// single-flight joiners, `None` when the cache is disabled (no
-    /// header at all).
-    waiters: Vec<(ReplySink, Option<&'static str>)>,
-    /// The normalized cache key, when the cache tracks this query.
-    cache_key: Option<String>,
-    /// The key's standing-result generation when the walk started; the
-    /// walk revalidates the entry only if it is unchanged on finish.
-    cache_gen: Option<u64>,
-}
-
 /// A running daemon: one Moara node, its transport, and both planes.
 pub struct Daemon {
     transport: TcpTransport<DaemonNode>,
@@ -1122,12 +581,10 @@ pub struct Daemon {
     gw_handle: Option<GatewayHandle>,
     /// Gateway jobs funnel into the event loop through this.
     gw_rx: Option<Receiver<GwJob>>,
-    /// Queries whose outcome we are waiting on: front id → reply channel.
-    pending_queries: HashMap<u64, Sender<CtrlReply>>,
-    /// Gateway queries in flight: front id → every HTTP reply channel
-    /// waiting on that walk (single-flight: identical concurrent
-    /// queries share one walk) plus cache bookkeeping.
-    pending_gw_queries: HashMap<u64, GwQueryWaiters>,
+    /// Tree walks in flight: front id → everyone waiting on that walk
+    /// (single-flight: identical concurrent HTTP queries share one) plus
+    /// cache bookkeeping.
+    walks: HashMap<u64, Walk>,
     /// Single-flight registry: normalized query text → the front id of
     /// the walk already running for it. Identical queries arriving
     /// while it runs join its waiter list instead of walking again.
@@ -1138,12 +595,10 @@ pub struct Daemon {
     query_cache: Option<Arc<QueryCache>>,
     /// When idle cache entries were last swept.
     last_cache_sweep: Instant,
-    /// Standing watches streaming to control connections: watch id →
-    /// update channel. A failed send means the watcher hung up; the
-    /// daemon then cancels the subscription.
-    watch_streams: HashMap<u64, Sender<CtrlReply>>,
-    /// Standing watches streaming to gateway SSE connections.
-    gw_watch_streams: HashMap<u64, ReplySink>,
+    /// Standing watches streaming to control connections and gateway
+    /// SSE streams: watch id → reply end. A failed send means the
+    /// watcher hung up; the daemon then cancels the subscription.
+    watches: HashMap<u64, ReplyTo>,
     /// When watch streams were last liveness-probed (a quiescent watch
     /// sends nothing, so a hung-up client would otherwise hold its
     /// subscription until something changes).
@@ -1161,9 +616,6 @@ pub struct Daemon {
     tracer: Option<Arc<SpanStore>>,
     /// Slow-query threshold; `None` disables the log.
     slow_query_ms: Option<u64>,
-    /// In-flight query bookkeeping for the slow-query log: front id →
-    /// (query text, submit instant, sampled trace id).
-    query_meta: HashMap<u64, (String, Instant, Option<u64>)>,
     /// Queries that crossed the slow-query threshold.
     slow_queries_total: u64,
     /// Event-loop tick service time (post-poll work per step), µs.
@@ -1214,10 +666,6 @@ pub struct Daemon {
 /// oldest are evicted).
 const TRACE_STORE_CAP: usize = 65_536;
 
-/// How long a trace scatter-gather waits on each peer before reporting
-/// it missing (bounds `TraceGet` under partitions instead of hanging).
-const TRACE_FETCH_TIMEOUT: Duration = Duration::from_secs(2);
-
 /// How often the seed re-broadcasts the member list.
 const ANNOUNCE_EVERY: Duration = Duration::from_secs(2);
 
@@ -1232,21 +680,11 @@ fn cache_sub_lease() -> SimDuration {
 /// How often the result cache sweeps for idle promoted entries.
 const CACHE_SWEEP_EVERY: Duration = Duration::from_secs(5);
 
-/// How often quiescent watch streams are liveness-probed (control-plane
-/// streams get a swallowed `Ok` frame, SSE streams an `: keepalive`
-/// comment); a hung-up watcher is unsubscribed within this bound even if
-/// its standing query never changes.
-const WATCH_KEEPALIVE_EVERY: Duration = Duration::from_secs(1);
-
 /// How often the maintenance timer samples this daemon's health (and
 /// re-evaluates the alert rules against the fresh sample). The digest
 /// peers hold about us is therefore at most this much older than the
 /// SWIM message that carried it.
 const HEALTH_SAMPLE_EVERY: Duration = Duration::from_secs(1);
-
-/// How long a metrics federation waits on each peer's `MetricsFetch`
-/// before reporting it in the `moara_federation_missing` series.
-const METRICS_FETCH_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Minimum spacing between stall-watchdog crash dumps (a sustained
 /// stall would otherwise rewrite the dump every tick).
@@ -1282,7 +720,7 @@ impl Daemon {
             .map_err(|e| format!("control addr: {e}"))?;
         let (ctrl_tx, ctrl_rx) = std::sync::mpsc::channel();
         let ctrl_stop = Arc::new(AtomicBool::new(false));
-        spawn_ctrl_accept_loop(ctrl_listener, ctrl_tx, Arc::clone(&ctrl_stop));
+        spawn_accept_loop(ctrl_listener, ctrl_tx, Arc::clone(&ctrl_stop));
 
         let (me, members) = match &opts.join {
             None => {
@@ -1439,19 +877,16 @@ impl Daemon {
             ctrl_stop,
             gw_handle,
             gw_rx,
-            pending_queries: HashMap::new(),
-            pending_gw_queries: HashMap::new(),
+            walks: HashMap::new(),
             gw_inflight: HashMap::new(),
             query_cache,
             last_cache_sweep: Instant::now(),
-            watch_streams: HashMap::new(),
-            gw_watch_streams: HashMap::new(),
+            watches: HashMap::new(),
             last_keepalive: Instant::now(),
             undeliverable_total: 0,
             last_announce: Instant::now(),
             tracer,
             slow_query_ms: opts.slow_query_ms,
-            query_meta: HashMap::new(),
             slow_queries_total: 0,
             tick_hist: Histogram::latency_us(),
             depth_hist: Histogram::depth(),
@@ -1524,8 +959,8 @@ impl Daemon {
         let tick_start = Instant::now();
         did |= self.apply_pending_membership();
         did |= self.apply_swim_events();
-        let ctrl_jobs = self.serve_ctrl();
-        let gw_jobs = self.serve_gateway();
+        let ctrl_jobs = self.drain_ctrl();
+        let gw_jobs = self.drain_gateway();
         did |= ctrl_jobs + gw_jobs > 0;
         did |= self.finish_queries();
         did |= self.pump_watches();
@@ -1622,11 +1057,15 @@ impl Daemon {
         }
     }
 
+    /// Runs `f` on this daemon's protocol engine, with the context it
+    /// sends and sets timers through.
+    fn with_moara<R>(&mut self, f: impl FnOnce(&mut MoaraNode, &mut MoaraCtx<'_>) -> R) -> R {
+        self.transport
+            .with_node(self.me, |n, ctx| f(&mut n.moara, &mut moara_ctx(ctx)))
+    }
+
     fn reconcile_local(&mut self) {
-        self.transport.with_node(self.me, |n, ctx| {
-            let mut mctx = moara_ctx(ctx);
-            n.moara.reconcile(&mut mctx);
-        });
+        self.with_moara(|moara, ctx| moara.reconcile(ctx));
     }
 
     /// Acts on what this daemon's failure detector concluded: confirmed
@@ -1677,10 +1116,9 @@ impl Daemon {
         }
         m.alive = false;
         self.dir.remove_member(n);
-        self.transport.with_node(self.me, |dn, ctx| {
-            let mut mctx = moara_ctx(ctx);
-            dn.moara.on_peer_failed(&mut mctx, n);
-            dn.moara.reconcile(&mut mctx);
+        self.with_moara(|moara, ctx| {
+            moara.on_peer_failed(ctx, n);
+            moara.reconcile(ctx);
         });
         true
     }
@@ -1912,159 +1350,8 @@ impl Daemon {
         CtrlReply::Joined { node, members }
     }
 
-    fn serve_ctrl(&mut self) -> usize {
-        let mut jobs = 0;
-        while let Ok(job) = self.ctrl_rx.try_recv() {
-            jobs += 1;
-            match job.req {
-                CtrlRequest::Join {
-                    addr,
-                    prev_node,
-                    ctrl,
-                } => {
-                    let reply = self.handle_join(addr, prev_node, ctrl);
-                    let _ = job.reply.send(reply);
-                }
-                CtrlRequest::Query { text } => match parse_query(&text) {
-                    Ok(query) => {
-                        let me = self.me;
-                        let (fid, trace_id) = self.transport.with_node(me, |n, ctx| {
-                            let mut mctx = moara_ctx(ctx);
-                            let fid = n.moara.submit(&mut mctx, query);
-                            (fid, n.moara.front_trace_id(fid))
-                        });
-                        self.query_meta
-                            .insert(fid, (text, Instant::now(), trace_id));
-                        self.pending_queries.insert(fid, job.reply);
-                    }
-                    Err(e) => {
-                        let _ = job
-                            .reply
-                            .send(CtrlReply::Error(format!("parse error: {e}")));
-                    }
-                },
-                CtrlRequest::TraceFetch { trace_id } => {
-                    let spans = self
-                        .tracer
-                        .as_ref()
-                        .map(|t| t.spans_for(trace_id))
-                        .unwrap_or_default();
-                    let _ = job.reply.send(CtrlReply::Spans(spans));
-                }
-                CtrlRequest::TraceGet { trace_id } => {
-                    self.spawn_trace_gather(trace_id, job.reply, |spans, missing| {
-                        CtrlReply::Trace { spans, missing }
-                    });
-                }
-                CtrlRequest::TraceList { limit } => {
-                    let ts = self
-                        .tracer
-                        .as_ref()
-                        .map(|t| t.recent(limit as usize))
-                        .unwrap_or_default();
-                    let _ = job.reply.send(CtrlReply::Traces(ts));
-                }
-                CtrlRequest::SetAttr { attr, value } => {
-                    self.transport.with_node(self.me, |n, ctx| {
-                        let mut mctx = moara_ctx(ctx);
-                        n.moara.store.set(attr.as_str(), value);
-                        n.moara.on_local_change(&mut mctx, &attr);
-                    });
-                    let _ = job.reply.send(CtrlReply::Ok);
-                }
-                CtrlRequest::Watch {
-                    text,
-                    policy,
-                    lease_us,
-                } => match parse_query(&text) {
-                    Ok(query) => {
-                        let me = self.me;
-                        let lease = SimDuration::from_micros(lease_us.max(1_000_000));
-                        let wid = self.transport.with_node(me, |n, ctx| {
-                            let mut mctx = moara_ctx(ctx);
-                            n.moara.subscribe(&mut mctx, query, policy, lease)
-                        });
-                        self.recorder
-                            .record_event(kind::SUB_INSTALL, format!("wid={wid} q={text}"));
-                        self.watch_streams.insert(wid, job.reply);
-                    }
-                    Err(e) => {
-                        let _ = job
-                            .reply
-                            .send(CtrlReply::Error(format!("parse error: {e}")));
-                    }
-                },
-                CtrlRequest::Status => {
-                    let dead: Vec<u32> = self
-                        .members
-                        .iter()
-                        .filter(|m| !m.alive)
-                        .map(|m| m.node)
-                        .collect();
-                    let metrics = self.metrics_snapshot();
-                    let exemplars = self.exemplar_entries();
-                    let moara = &self.transport.node(self.me).moara;
-                    let _ = job.reply.send(CtrlReply::Status {
-                        node: self.me.0,
-                        members: self.members.len() as u32,
-                        alive: (self.members.len() - dead.len()) as u32,
-                        dead,
-                        watches: moara.active_watches() as u32,
-                        sub_entries: moara.sub_entry_count() as u32,
-                        metrics,
-                        exemplars,
-                    });
-                }
-                CtrlRequest::ClusterHealth => {
-                    let _ = job.reply.send(CtrlReply::ClusterHealth {
-                        node: self.me.0,
-                        rows: self.health_rows(),
-                        alerts: self.alert_engine.firing(Instant::now()),
-                    });
-                }
-                CtrlRequest::MetricsFetch => {
-                    let _ = job
-                        .reply
-                        .send(CtrlReply::MetricsText(self.render_metrics()));
-                }
-                CtrlRequest::HistoryFetch { metric, range_s } => {
-                    let reply = match self.local_history(&metric, range_s) {
-                        Some((res_s, points)) => CtrlReply::History {
-                            node: self.me.0,
-                            res_s,
-                            points,
-                        },
-                        None => CtrlReply::Error(format!("unknown metric `{metric}`")),
-                    };
-                    let _ = job.reply.send(reply);
-                }
-                CtrlRequest::ClusterHistory { metric, range_s } => {
-                    self.spawn_history_gather(
-                        metric.clone(),
-                        range_s,
-                        job.reply,
-                        move |res_s, series, missing| CtrlReply::ClusterHistory {
-                            metric,
-                            res_s,
-                            series,
-                            missing,
-                        },
-                    );
-                }
-                CtrlRequest::EventsFetch { kind, limit } => {
-                    let events = self
-                        .recorder
-                        .journal
-                        .snapshot(kind.as_deref(), limit as usize);
-                    let _ = job.reply.send(CtrlReply::Events(events));
-                }
-            }
-        }
-        jobs
-    }
-
     /// A compact name → value metrics snapshot for `status --json` (the
-    /// control-plane twin of the key `/metrics` families).
+    /// key `/metrics` families).
     fn metrics_snapshot(&self) -> Vec<(String, f64)> {
         let stats = self.transport.stats();
         let dn = self.transport.node(self.me);
@@ -2082,10 +1369,7 @@ impl Daemon {
                 "transport_undeliverable_total",
                 self.undeliverable_total as f64,
             ),
-            (
-                "queries_inflight",
-                (self.pending_queries.len() + self.pending_gw_queries.len()) as f64,
-            ),
+            ("queries_inflight", self.walks.len() as f64),
             ("watches", dn.moara.active_watches() as f64),
             ("sub_entries", dn.moara.sub_entry_count() as f64),
             ("slow_queries_total", self.slow_queries_total as f64),
@@ -2146,7 +1430,7 @@ impl Daemon {
             cache_hit_bp,
             rss_bytes: health::rss_bytes(),
             open_fds: health::open_fds(),
-            queries_inflight: (self.pending_queries.len() + self.pending_gw_queries.len()) as u32,
+            queries_inflight: self.walks.len() as u32,
             alerts_firing: self.alert_engine.firing(Instant::now()).len() as u32,
         };
         // The size cap is a wire invariant, not a hope: a digest that
@@ -2393,255 +1677,10 @@ impl Daemon {
         out
     }
 
-    /// Answers a cluster-metrics federation off the event loop: the
-    /// local exposition renders here (this loop owns the registries),
-    /// then a spawned thread asks every other alive member for its
-    /// exposition over the control plane ([`CtrlRequest::MetricsFetch`],
-    /// bounded by [`METRICS_FETCH_TIMEOUT`] each) and merges the
-    /// answers under per-peer `instance` labels. Peers that do not
-    /// answer in time — and members already confirmed dead — surface in
-    /// the `moara_federation_missing` series instead of hanging the
-    /// scrape.
-    fn spawn_metrics_gather(&self, reply: ReplySink) {
-        let local = self.render_metrics();
-        let me = self.me.0;
-        let peers: Vec<(u32, String)> = self
-            .members
-            .iter()
-            .filter(|m| m.alive && m.node != me)
-            .map(|m| (m.node, m.ctrl.clone()))
-            .collect();
-        let lost: Vec<u32> = self
-            .members
-            .iter()
-            .filter(|m| !m.alive && m.node != me)
-            .map(|m| m.node)
-            .collect();
-        let _ = std::thread::Builder::new()
-            .name("moarad-metrics-gather".into())
-            .spawn(move || {
-                let mut parts: Vec<(String, Option<String>)> =
-                    vec![(format!("n{me}"), Some(local))];
-                for (node, ctrl) in peers {
-                    let text = match ctrl_roundtrip(
-                        &ctrl,
-                        &CtrlRequest::MetricsFetch,
-                        METRICS_FETCH_TIMEOUT,
-                    ) {
-                        Ok(CtrlReply::MetricsText(t)) => Some(t),
-                        _ => None,
-                    };
-                    parts.push((format!("n{node}"), text));
-                }
-                for node in lost {
-                    parts.push((format!("n{node}"), None));
-                }
-                let text = moara_gateway::federate_expositions(&parts);
-                let _ = reply.send(GwReply::Metrics { text });
-            });
-    }
-
-    /// Answers a trace merge off the event loop: a spawned thread reads
-    /// the local store, then asks every other alive member for its spans
-    /// over the control plane ([`CtrlRequest::TraceFetch`], bounded by
-    /// [`TRACE_FETCH_TIMEOUT`] each). Peers that do not answer in time —
-    /// partitioned, crashed between detection rounds — land in `missing`
-    /// instead of hanging the request, so a trace cut by a partition
-    /// still renders (its lost subtrees show as orphans).
-    fn spawn_trace_gather<R: Send + 'static, T: ReplyTx<R> + Send + 'static>(
-        &self,
-        trace_id: u64,
-        reply: T,
-        respond: impl FnOnce(Vec<SpanRecord>, Vec<u32>) -> R + Send + 'static,
-    ) {
-        let tracer = self.tracer.clone();
-        let me = self.me.0;
-        let peers: Vec<(u32, String)> = self
-            .members
-            .iter()
-            .filter(|m| m.alive && m.node != me)
-            .map(|m| (m.node, m.ctrl.clone()))
-            .collect();
-        // Confirmed-dead peers can never answer: their spans are gone,
-        // so they go straight into `missing` rather than being silently
-        // skipped (a trace cut by a crash must not read as complete).
-        let lost: Vec<u32> = self
-            .members
-            .iter()
-            .filter(|m| !m.alive && m.node != me)
-            .map(|m| m.node)
-            .collect();
-        let _ = std::thread::Builder::new()
-            .name("moarad-trace-gather".into())
-            .spawn(move || {
-                let mut spans = tracer
-                    .as_ref()
-                    .map(|t| t.spans_for(trace_id))
-                    .unwrap_or_default();
-                let mut missing = lost;
-                for (node, ctrl) in peers {
-                    match ctrl_roundtrip(
-                        &ctrl,
-                        &CtrlRequest::TraceFetch { trace_id },
-                        TRACE_FETCH_TIMEOUT,
-                    ) {
-                        Ok(CtrlReply::Spans(s)) => spans.extend(s),
-                        _ => missing.push(node),
-                    }
-                }
-                spans.sort_by_key(|s| (s.start_us, s.span_id));
-                let _ = reply.send_reply(respond(spans, missing));
-            });
-    }
-
-    fn finish_queries(&mut self) -> bool {
-        if self.pending_queries.is_empty() && self.pending_gw_queries.is_empty() {
-            return false;
-        }
-        let me = self.me;
-        let done: Vec<u64> = self
-            .pending_queries
-            .keys()
-            .chain(self.pending_gw_queries.keys())
-            .copied()
-            .filter(|fid| self.transport.node(me).moara.outcome(*fid).is_some())
-            .collect();
-        for fid in &done {
-            let outcome = self
-                .transport
-                .node_mut(me)
-                .moara
-                .take_outcome(*fid)
-                .expect("checked above");
-            let meta = self.query_meta.remove(fid);
-            if let Some((text, submitted, trace_id)) = &meta {
-                if let Some(threshold_ms) = self.slow_query_ms {
-                    let elapsed = submitted.elapsed();
-                    if elapsed.as_millis() as u64 >= threshold_ms {
-                        self.slow_queries_total += 1;
-                        let dur_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-                        eprintln!(
-                            "{}",
-                            slow_query_line(
-                                self.me.0,
-                                text,
-                                dur_us,
-                                outcome.complete,
-                                *trace_id,
-                                now_unix_ms(),
-                            )
-                        );
-                        self.recorder.record_event(
-                            kind::SLOW_QUERY,
-                            format!("duration_us={dur_us} q={text}"),
-                        );
-                    }
-                }
-            }
-            if let Some(reply) = self.pending_queries.remove(fid) {
-                let _ = reply.send(CtrlReply::Answer {
-                    result: outcome.result.to_string(),
-                    complete: outcome.complete,
-                });
-            } else if let Some(w) = self.pending_gw_queries.remove(fid) {
-                // Gateway latency exemplar: the most recent sampled
-                // trace per latency bucket, measured as submit →
-                // outcome on this loop (the HTTP parse/write tail is
-                // not included — the reactor shards never learn trace
-                // ids, so this daemon-side view is the linkable one).
-                if let Some((_, submitted, Some(tid))) = &meta {
-                    self.gw_latency_exemplars.observe(
-                        u64::try_from(submitted.elapsed().as_micros()).unwrap_or(u64::MAX),
-                        *tid,
-                    );
-                }
-                let result = outcome.result.to_string();
-                for (reply, marker) in w.waiters {
-                    let _ = reply.send(GwReply::Answer {
-                        result: result.clone(),
-                        complete: outcome.complete,
-                        cache: marker,
-                    });
-                }
-                if let Some(key) = w.cache_key {
-                    // A newer identical query may have re-registered the
-                    // key; only clear the registry if it is still ours.
-                    if self.gw_inflight.get(&key) == Some(fid) {
-                        self.gw_inflight.remove(&key);
-                    }
-                    // A stale promoted entry is refreshed by the walk's
-                    // answer — unless a SubUpdate landed mid-walk (gen
-                    // moved), in which case the standing result wins.
-                    if let (Some(cache), Some(gen)) = (&self.query_cache, w.cache_gen) {
-                        cache.revalidate(&key, gen, &result, outcome.complete);
-                    }
-                }
-            }
-        }
-        !done.is_empty()
-    }
-
-    /// Streams pending subscription updates to their watchers (control
-    /// connections and gateway SSE streams alike); a hung-up watcher's
-    /// subscription is cancelled (its standing state then tears down
-    /// along the trees). Quiescent streams are liveness-probed every
-    /// [`WATCH_KEEPALIVE_EVERY`] so a silent hang-up cannot hold a
-    /// subscription alive through endless lease renewals.
-    fn pump_watches(&mut self) -> bool {
-        if self.watch_streams.is_empty() && self.gw_watch_streams.is_empty() {
-            return false;
-        }
-        let probe = self.last_keepalive.elapsed() >= WATCH_KEEPALIVE_EVERY;
-        if probe {
-            self.last_keepalive = Instant::now();
-        }
-        let me = self.me;
-        // `CtrlReply::Ok` doubles as the control-plane stream keepalive:
-        // the connection loop swallows it without writing to the socket,
-        // so a dropped receiver (= the conn thread noticed hang-up) is
-        // the only way that send fails.
-        let (did_ctrl, gone) = pump_stream_map(
-            &mut self.transport,
-            me,
-            &self.watch_streams,
-            probe,
-            &|u| CtrlReply::Update {
-                result: u.result.to_string(),
-                initial: u.initial,
-                complete: u.complete,
-            },
-            &|| CtrlReply::Ok,
-        );
-        let (did_gw, gw_gone) = pump_stream_map(
-            &mut self.transport,
-            me,
-            &self.gw_watch_streams,
-            probe,
-            &|u| GwReply::Update {
-                result: u.result.to_string(),
-                initial: u.initial,
-                complete: u.complete,
-            },
-            &|| GwReply::Keepalive,
-        );
-        for wid in gone {
-            self.watch_streams.remove(&wid);
-            self.unsubscribe(wid);
-        }
-        for wid in gw_gone {
-            self.gw_watch_streams.remove(&wid);
-            self.unsubscribe(wid);
-        }
-        did_ctrl || did_gw
-    }
-
     fn unsubscribe(&mut self, wid: u64) {
         self.recorder
             .record_event(kind::SUB_CANCEL, format!("wid={wid}"));
-        self.transport.with_node(self.me, |n, ctx| {
-            let mut mctx = moara_ctx(ctx);
-            n.moara.unsubscribe(&mut mctx, wid);
-        });
+        self.with_moara(|moara, ctx| moara.unsubscribe(ctx, wid));
     }
 
     /// The event-loop side of the result cache: installs standing
@@ -2659,16 +1698,9 @@ impl Daemon {
             did = true;
             match parse_query(&text) {
                 Ok(query) => {
-                    let me = self.me;
-                    let wid = self.transport.with_node(me, |n, ctx| {
-                        let mut mctx = moara_ctx(ctx);
-                        n.moara.subscribe(
-                            &mut mctx,
-                            query,
-                            DeliveryPolicy::OnChange,
-                            cache_sub_lease(),
-                        )
-                    });
+                    let (policy, lease) = (DeliveryPolicy::OnChange, cache_sub_lease());
+                    let wid =
+                        self.with_moara(|moara, ctx| moara.subscribe(ctx, query, policy, lease));
                     if cache.promoted(&key, wid) {
                         self.recorder
                             .record_event(kind::CACHE_PROMOTE, format!("key={key} wid={wid}"));
@@ -2717,263 +1749,6 @@ impl Daemon {
             }
         }
         did
-    }
-
-    /// Drains HTTP gateway jobs into the protocol node — the HTTP twin of
-    /// [`Daemon::serve_ctrl`].
-    fn serve_gateway(&mut self) -> usize {
-        let jobs: Vec<GwJob> = match &self.gw_rx {
-            Some(rx) => rx.try_iter().collect(),
-            None => return 0,
-        };
-        let count = jobs.len();
-        if count > 0 {
-            // The reactor bumped the queue-depth gauge on submit; this
-            // drain is the matching decrement.
-            if let Some(gw) = &self.gw_handle {
-                gw.stats()
-                    .queued_jobs
-                    .fetch_sub(count as i64, std::sync::atomic::Ordering::Relaxed);
-            }
-        }
-        for job in jobs {
-            match job.req {
-                GwRequest::Query { q } => {
-                    // Single-flight: an identical query already walking
-                    // the tree absorbs this request as another waiter —
-                    // N identical in-flight queries cost one walk.
-                    let key = moara_gateway::normalize(&q);
-                    if let Some(cache) = &self.query_cache {
-                        if let Some(fid) = self.gw_inflight.get(&key) {
-                            if let Some(w) = self.pending_gw_queries.get_mut(fid) {
-                                w.waiters.push((job.reply, Some("coalesced")));
-                                cache.note_coalesced();
-                                continue;
-                            }
-                        }
-                    }
-                    match parse_query(&q) {
-                        Ok(query) => {
-                            let me = self.me;
-                            let (fid, trace_id) = self.transport.with_node(me, |n, ctx| {
-                                let mut mctx = moara_ctx(ctx);
-                                let fid = n.moara.submit(&mut mctx, query);
-                                (fid, n.moara.front_trace_id(fid))
-                            });
-                            self.query_meta.insert(fid, (q, Instant::now(), trace_id));
-                            let (marker, cache_key, cache_gen) = match &self.query_cache {
-                                Some(cache) => {
-                                    self.gw_inflight.insert(key.clone(), fid);
-                                    let gen = cache.gen_of(&key);
-                                    (Some("miss"), Some(key), gen)
-                                }
-                                None => (None, None, None),
-                            };
-                            self.pending_gw_queries.insert(
-                                fid,
-                                GwQueryWaiters {
-                                    waiters: vec![(job.reply, marker)],
-                                    cache_key,
-                                    cache_gen,
-                                },
-                            );
-                        }
-                        Err(e) => {
-                            let _ = job.reply.send(GwReply::Error {
-                                status: 400,
-                                msg: format!("parse error: {e}"),
-                            });
-                        }
-                    }
-                }
-                GwRequest::Traces { limit } => {
-                    let ts = self
-                        .tracer
-                        .as_ref()
-                        .map(|t| t.recent(limit))
-                        .unwrap_or_default();
-                    let _ = job.reply.send(GwReply::Json {
-                        body: traces_json(&ts, &self.exemplar_entries()),
-                    });
-                }
-                GwRequest::Trace { id } => match moara_trace::parse_trace_id(&id) {
-                    Some(trace_id) => {
-                        self.spawn_trace_gather(trace_id, job.reply, move |spans, missing| {
-                            GwReply::Json {
-                                body: trace_json(trace_id, &spans, &missing),
-                            }
-                        });
-                    }
-                    None => {
-                        let _ = job.reply.send(GwReply::Error {
-                            status: 400,
-                            msg: format!("bad trace id {id:?}"),
-                        });
-                    }
-                },
-                GwRequest::SetAttrs { attrs } => {
-                    let count = attrs.len();
-                    self.transport.with_node(self.me, |n, ctx| {
-                        let mut mctx = moara_ctx(ctx);
-                        for (k, v) in &attrs {
-                            n.moara.store.set(k.as_str(), parse_value(v));
-                            n.moara.on_local_change(&mut mctx, k);
-                        }
-                    });
-                    let _ = job.reply.send(GwReply::AttrsSet { count });
-                }
-                GwRequest::Watch {
-                    q,
-                    policy,
-                    lease_ms,
-                } => match parse_query(&q) {
-                    Ok(query) => {
-                        let policy = match policy {
-                            WatchPolicy::OnChange => DeliveryPolicy::OnChange,
-                            WatchPolicy::PeriodMs(ms) => {
-                                DeliveryPolicy::Periodic(SimDuration::from_millis(ms))
-                            }
-                            WatchPolicy::Threshold(v) => DeliveryPolicy::Threshold { value: v },
-                        };
-                        let lease =
-                            SimDuration::from_micros(lease_ms.saturating_mul(1_000).max(1_000_000));
-                        let me = self.me;
-                        let wid = self.transport.with_node(me, |n, ctx| {
-                            let mut mctx = moara_ctx(ctx);
-                            n.moara.subscribe(&mut mctx, query, policy, lease)
-                        });
-                        self.recorder
-                            .record_event(kind::SUB_INSTALL, format!("wid={wid} q={q}"));
-                        self.gw_watch_streams.insert(wid, job.reply);
-                    }
-                    Err(e) => {
-                        let _ = job.reply.send(GwReply::Error {
-                            status: 400,
-                            msg: format!("parse error: {e}"),
-                        });
-                    }
-                },
-                GwRequest::Metrics => {
-                    let text = self.render_metrics();
-                    let _ = job.reply.send(GwReply::Metrics { text });
-                }
-                GwRequest::Health => {
-                    let alive = self.alive_member_count() as u32;
-                    let _ = job.reply.send(GwReply::Health {
-                        node: self.me.0,
-                        members: self.members.len() as u32,
-                        alive,
-                    });
-                }
-                GwRequest::ClusterHealth => {
-                    let rows = self.health_rows();
-                    let alerts = self.alert_engine.firing(Instant::now());
-                    let _ = job.reply.send(GwReply::Json {
-                        body: cluster_health_json(self.me.0, &rows, &alerts),
-                    });
-                }
-                GwRequest::ClusterMetrics => self.spawn_metrics_gather(job.reply),
-                GwRequest::Alerts => {
-                    let alerts = self.alert_engine.firing(Instant::now());
-                    let _ = job.reply.send(GwReply::Json {
-                        body: alerts_json(self.me.0, &alerts),
-                    });
-                }
-                GwRequest::History { metric, range_s } => {
-                    let reply = match self.local_history(&metric, range_s) {
-                        Some((res_s, points)) => GwReply::Json {
-                            body: history_json(self.me.0, &metric, res_s, &points),
-                        },
-                        None => GwReply::Error {
-                            status: 404,
-                            msg: format!("unknown metric `{metric}`"),
-                        },
-                    };
-                    let _ = job.reply.send(reply);
-                }
-                GwRequest::ClusterHistory { metric, range_s } => {
-                    let me = self.me.0;
-                    self.spawn_history_gather(
-                        metric.clone(),
-                        range_s,
-                        job.reply,
-                        move |res_s, series, missing| GwReply::Json {
-                            body: cluster_history_json(me, &metric, res_s, &series, &missing),
-                        },
-                    );
-                }
-                GwRequest::Events { kind, limit } => {
-                    let events = self.recorder.journal.snapshot(kind.as_deref(), limit);
-                    let _ = job.reply.send(GwReply::Json {
-                        body: events_json(self.me.0, &events),
-                    });
-                }
-            }
-        }
-        count
-    }
-
-    /// Answers a cluster-wide history merge off the event loop: the
-    /// local series is read on the loop thread, then a spawned thread
-    /// asks every other alive member for its series over the control
-    /// plane ([`CtrlRequest::HistoryFetch`], bounded by
-    /// [`METRICS_FETCH_TIMEOUT`] each). Unreachable peers — and members
-    /// already confirmed dead — land in `missing` instead of hanging
-    /// the request.
-    fn spawn_history_gather<R: Send + 'static, T: ReplyTx<R> + Send + 'static>(
-        &self,
-        metric: String,
-        range_s: u32,
-        reply: T,
-        respond: impl FnOnce(u32, Vec<(u32, Vec<(u64, f64)>)>, Vec<u32>) -> R + Send + 'static,
-    ) {
-        let me = self.me.0;
-        let local = self.local_history(&metric, range_s);
-        let peers: Vec<(u32, String)> = self
-            .members
-            .iter()
-            .filter(|m| m.alive && m.node != me)
-            .map(|m| (m.node, m.ctrl.clone()))
-            .collect();
-        let lost: Vec<u32> = self
-            .members
-            .iter()
-            .filter(|m| !m.alive && m.node != me)
-            .map(|m| m.node)
-            .collect();
-        let _ = std::thread::Builder::new()
-            .name("moarad-history-gather".into())
-            .spawn(move || {
-                let mut res_s = recorder::TIER1_RES_S as u32;
-                let mut series: Vec<(u32, Vec<(u64, f64)>)> = Vec::new();
-                if let Some((res, points)) = local {
-                    res_s = res;
-                    series.push((me, points));
-                }
-                let mut missing = lost;
-                for (node, ctrl) in peers {
-                    match ctrl_roundtrip(
-                        &ctrl,
-                        &CtrlRequest::HistoryFetch {
-                            metric: metric.clone(),
-                            range_s,
-                        },
-                        METRICS_FETCH_TIMEOUT,
-                    ) {
-                        Ok(CtrlReply::History {
-                            node: n,
-                            res_s: r,
-                            points,
-                        }) => {
-                            res_s = r;
-                            series.push((n, points));
-                        }
-                        _ => missing.push(node),
-                    }
-                }
-                series.sort_by_key(|(n, _)| *n);
-                let _ = reply.send_reply(respond(res_s, series, missing));
-            });
     }
 
     /// Snapshots every subsystem's counters and gauges into one
@@ -3169,7 +1944,7 @@ impl Daemon {
         reg.gauge(
             "moara_queries_inflight",
             "Queries submitted here still waiting for their outcome.",
-            (self.pending_queries.len() + self.pending_gw_queries.len()) as f64,
+            self.walks.len() as f64,
         );
 
         // The gateway's own traffic.
@@ -3442,26 +2217,20 @@ impl Daemon {
         if let Some(gw) = &self.gw_handle {
             gw.stop();
         }
-        let mut wids: Vec<u64> = self
-            .watch_streams
-            .keys()
-            .chain(self.gw_watch_streams.keys())
-            .copied()
-            .collect();
+        let mut wids: Vec<u64> = self.watches.keys().copied().collect();
         // Cache-promoted standing subscriptions die with the daemon too:
         // they ride the same SubCancel flush, so peers GC their leases
         // and pinned covers now instead of waiting out CACHE_SUB_LEASE.
         if let Some(cache) = &self.query_cache {
             wids.extend(cache.tokens());
         }
-        // Dropping the senders ends the per-connection streaming loops.
-        self.watch_streams.clear();
-        self.gw_watch_streams.clear();
+        // Dropping the reply ends finishes the per-connection streaming
+        // loops, and tells every waiter the daemon is going away.
+        self.watches.clear();
         for wid in wids {
             self.unsubscribe(wid);
         }
-        self.pending_queries.clear();
-        self.pending_gw_queries.clear();
+        self.walks.clear();
         self.gw_inflight.clear();
         // Give the SubCancel frames a moment to reach the trees.
         let deadline = Instant::now() + Duration::from_millis(300);
@@ -3471,451 +2240,19 @@ impl Daemon {
     }
 }
 
-/// One place gateway and control replies go out through, abstracting
-/// over "a plain channel" (control connections, internal threads) and
-/// "a reactor reply sink" (gateway connections). A failed send means the
-/// receiving side hung up.
-trait ReplyTx<R> {
-    fn send_reply(&self, reply: R) -> Result<(), ()>;
-}
-
-impl<R> ReplyTx<R> for Sender<R> {
-    fn send_reply(&self, reply: R) -> Result<(), ()> {
-        self.send(reply).map_err(|_| ())
-    }
-}
-
-impl ReplyTx<GwReply> for ReplySink {
-    fn send_reply(&self, reply: GwReply) -> Result<(), ()> {
-        self.send(reply).map_err(|_| ())
-    }
-}
-
-/// Drains one watch-stream map: forwards pending subscription updates,
-/// liveness-probes quiescent streams when `probe` is set, and returns
-/// (anything-flowed, watch ids whose receiver hung up). Generic over the
-/// reply transport so the control plane (channels) and the gateway
-/// (reactor sinks) share one implementation of the hang-up detection.
-fn pump_stream_map<R, T: ReplyTx<R>>(
-    transport: &mut TcpTransport<DaemonNode>,
-    me: NodeId,
-    streams: &HashMap<u64, T>,
-    probe: bool,
-    to_reply: &dyn Fn(SubUpdate) -> R,
-    keepalive: &dyn Fn() -> R,
-) -> (bool, Vec<u64>) {
-    let mut did = false;
-    let mut gone: Vec<u64> = Vec::new();
-    let wids: Vec<u64> = streams.keys().copied().collect();
-    for wid in wids {
-        let updates = transport.node_mut(me).moara.take_sub_updates(wid);
-        for u in updates {
-            did = true;
-            if streams
-                .get(&wid)
-                .is_none_or(|tx| tx.send_reply(to_reply(u)).is_err())
-            {
-                gone.push(wid);
-                break;
-            }
-        }
-        if probe
-            && !gone.contains(&wid)
-            && streams
-                .get(&wid)
-                .is_none_or(|tx| tx.send_reply(keepalive()).is_err())
-        {
-            gone.push(wid);
-        }
-    }
-    (did, gone)
-}
-
-/// One span as a JSON object. Span ids render as hex strings (they
-/// routinely exceed JSON's 2^53 integer-exactness limit); timestamps
-/// stay numeric — they are each recording node's own microsecond clock.
-fn span_json(s: &SpanRecord) -> String {
-    use moara_gateway::json::escape;
-    format!(
-        "{{\"span_id\":{},\"parent_span_id\":{},\"node\":{},\"phase\":{},\"peer\":{},\
-         \"start_us\":{},\"queue_us\":{},\"service_us\":{},\"bytes\":{},\"detail\":{}}}",
-        escape(&format!("{:#018x}", s.span_id)),
-        escape(&format!("{:#018x}", s.parent_span_id)),
-        s.node,
-        escape(s.phase.as_str()),
-        if s.peer == moara_trace::NO_PEER {
-            "null".to_owned()
-        } else {
-            s.peer.to_string()
-        },
-        s.start_us,
-        s.queue_us,
-        s.service_us,
-        s.bytes,
-        escape(&s.detail),
-    )
-}
-
-/// The `GET /v1/trace/{id}` body: the merged span set (the tree is in
-/// the parent ids) plus the members the merge could not reach.
-fn trace_json(trace_id: u64, spans: &[SpanRecord], missing: &[u32]) -> String {
-    use moara_gateway::json::escape;
-    let spans_json: Vec<String> = spans.iter().map(span_json).collect();
-    let missing_json: Vec<String> = missing.iter().map(u32::to_string).collect();
-    format!(
-        "{{\"trace_id\":{},\"complete\":{},\"missing\":[{}],\"spans\":[{}]}}\n",
-        escape(&format_trace_id(trace_id)),
-        missing.is_empty(),
-        missing_json.join(","),
-        spans_json.join(","),
-    )
-}
-
-/// The `GET /v1/traces` body: recent traces, newest first, plus the
-/// latency-bucket exemplars (`"<hist>/le/<bound>" -> trace id`) that
-/// link slow buckets straight to an inspectable trace.
-fn traces_json(summaries: &[TraceSummary], exemplars: &[(String, String)]) -> String {
-    use moara_gateway::json::escape;
-    let items: Vec<String> = summaries
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"trace_id\":{},\"phase\":{},\"node\":{},\"start_us\":{},\
-                 \"duration_us\":{},\"spans\":{}}}",
-                escape(&format_trace_id(t.trace_id)),
-                escape(t.phase.as_str()),
-                t.node,
-                t.start_us,
-                t.duration_us,
-                t.spans,
-            )
-        })
-        .collect();
-    let ex: Vec<String> = exemplars
-        .iter()
-        .map(|(k, v)| format!("{}:{}", escape(k), escape(v)))
-        .collect();
-    format!(
-        "{{\"traces\":[{}],\"exemplars\":{{{}}}}}\n",
-        items.join(","),
-        ex.join(","),
-    )
-}
-
-/// One firing alert as a JSON object (shared by `/v1/alerts` and the
-/// alerts block of `/v1/cluster/health`).
-fn alert_json(a: &AlertWire) -> String {
-    use moara_gateway::json::escape;
-    format!(
-        "{{\"rule\":{},\"metric\":{},\"value\":{},\"threshold\":{},\"since_s\":{}}}",
-        escape(&a.rule),
-        escape(&a.metric),
-        a.value,
-        a.threshold,
-        a.since_s,
-    )
-}
-
-/// The `GET /v1/alerts` body: this daemon's currently-firing rules.
-fn alerts_json(node: u32, alerts: &[AlertWire]) -> String {
-    let items: Vec<String> = alerts.iter().map(alert_json).collect();
-    format!("{{\"node\":{node},\"firing\":[{}]}}\n", items.join(","))
-}
-
-/// One member row of the cluster health table.
-fn health_row_json(r: &PeerHealthRow) -> String {
-    use moara_gateway::json::escape;
-    let age = if r.age_ms == u64::MAX {
-        "null".to_owned()
-    } else {
-        r.age_ms.to_string()
-    };
-    let summary = r.summary.as_ref().map_or("null".to_owned(), |h| {
-        format!(
-            "{{\"incarnation\":{},\"uptime_s\":{},\"tick_p99_us\":{},\"stalled_ticks\":{},\
-             \"queued_jobs\":{},\"open_conns\":{},\"open_streams\":{},\"watches\":{},\
-             \"sub_entries\":{},\"cache_hit_pct\":{},\"rss_bytes\":{},\"open_fds\":{},\
-             \"queries_inflight\":{},\"alerts_firing\":{}}}",
-            h.incarnation,
-            h.uptime_s,
-            h.tick_p99_us,
-            h.stalled_ticks,
-            h.queued_jobs,
-            h.open_conns,
-            h.open_streams,
-            h.watches,
-            h.sub_entries,
-            h.cache_hit_pct()
-                .map_or("null".to_owned(), |p| format!("{p:.2}")),
-            h.rss_bytes,
-            h.open_fds,
-            h.queries_inflight,
-            h.alerts_firing,
-        )
-    });
-    format!(
-        "{{\"node\":{},\"status\":{},\"age_ms\":{age},\"summary\":{summary}}}",
-        r.node,
-        escape(r.status.as_str()),
-    )
-}
-
-/// The `GET /v1/cluster/health` body: the answering daemon's merged
-/// member table (self + gossiped digests) plus its firing alerts.
-fn cluster_health_json(node: u32, rows: &[PeerHealthRow], alerts: &[AlertWire]) -> String {
-    let members: Vec<String> = rows.iter().map(health_row_json).collect();
-    let firing: Vec<String> = alerts.iter().map(alert_json).collect();
-    format!(
-        "{{\"node\":{node},\"members\":[{}],\"alerts\":[{}]}}\n",
-        members.join(","),
-        firing.join(","),
-    )
-}
-
-/// The `GET /v1/history` body: one metric's series from one daemon's
-/// history rings, as `[unix_ms, value]` pairs at the tier's resolution.
-fn history_json(node: u32, metric: &str, res_s: u32, points: &[(u64, f64)]) -> String {
-    let mut body = JsonLine::new()
-        .u64("node", u64::from(node))
-        .str("metric", metric)
-        .u64("res_s", u64::from(res_s))
-        .raw("points", &points_json(points))
-        .finish();
-    body.push('\n');
-    body
-}
-
-/// A series as a JSON array of `[unix_ms, value]` pairs (`NaN` samples
-/// — gaps in the ring — render as `null` values).
-fn points_json(points: &[(u64, f64)]) -> String {
-    let items: Vec<String> = points
-        .iter()
-        .map(|(ts, v)| {
-            if v.is_nan() {
-                format!("[{ts},null]")
-            } else {
-                format!("[{ts},{v}]")
-            }
-        })
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
-/// The `GET /v1/cluster/history` body: every reachable member's series
-/// for one metric under `instance` labels, like `/v1/cluster/metrics`.
-fn cluster_history_json(
-    node: u32,
-    metric: &str,
-    res_s: u32,
-    series: &[(u32, Vec<(u64, f64)>)],
-    missing: &[u32],
-) -> String {
-    let instances: Vec<String> = series
-        .iter()
-        .map(|(n, points)| {
-            JsonLine::new()
-                .str("instance", &format!("n{n}"))
-                .raw("points", &points_json(points))
-                .finish()
-        })
-        .collect();
-    let missing_json: Vec<String> = missing.iter().map(u32::to_string).collect();
-    let mut body = JsonLine::new()
-        .u64("node", u64::from(node))
-        .str("metric", metric)
-        .u64("res_s", u64::from(res_s))
-        .raw("instances", &format!("[{}]", instances.join(",")))
-        .raw("missing", &format!("[{}]", missing_json.join(",")))
-        .finish();
-    body.push('\n');
-    body
-}
-
-/// The `GET /v1/events` body: the newest matching journal entries,
-/// oldest first.
-fn events_json(node: u32, events: &[EventWire]) -> String {
-    let items: Vec<String> = events
-        .iter()
-        .map(|e| {
-            JsonLine::new()
-                .u64("seq", e.seq)
-                .u64("ts_ms", e.ts_ms)
-                .u64("node", u64::from(e.node))
-                .str("kind", &e.kind)
-                .str("detail", &e.detail)
-                .finish()
-        })
-        .collect();
-    let mut body = JsonLine::new()
-        .u64("node", u64::from(node))
-        .raw("events", &format!("[{}]", items.join(",")))
-        .finish();
-    body.push('\n');
-    body
-}
-
-/// One slow-query log line: a single JSON object on stderr, grep-able
-/// and machine-parsable, carrying the trace id when the query was
-/// sampled so the log links straight into `moara-cli trace`, and the
-/// unix-ms stamp that correlates it with the event journal.
-fn slow_query_line(
-    node: u32,
-    text: &str,
-    duration_us: u64,
-    complete: bool,
-    trace_id: Option<u64>,
-    ts_ms: u64,
-) -> String {
-    JsonLine::new()
-        .bool("slow_query", true)
-        .u64("ts_ms", ts_ms)
-        .u64("node", u64::from(node))
-        .str("q", text)
-        .u64("duration_us", duration_us)
-        .bool("complete", complete)
-        .raw(
-            "trace_id",
-            &trace_id.map_or("null".to_owned(), |t| {
-                moara_gateway::json::escape(&format_trace_id(t))
-            }),
-        )
-        .finish()
-}
-
-fn resolve(addr: &str) -> Result<SocketAddr, String> {
+pub(crate) fn resolve(addr: &str) -> Result<SocketAddr, String> {
     addr.to_socket_addrs()
         .map_err(|e| e.to_string())?
         .next()
         .ok_or_else(|| "no address".to_owned())
 }
 
-fn spawn_ctrl_accept_loop(listener: TcpListener, tx: Sender<CtrlJob>, stop: Arc<AtomicBool>) {
-    std::thread::Builder::new()
-        .name("moarad-ctrl-accept".into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let tx = tx.clone();
-                let _ = std::thread::Builder::new()
-                    .name("moarad-ctrl-conn".into())
-                    .spawn(move || ctrl_conn_loop(stream, tx));
-            }
-        })
-        .expect("spawn ctrl accept thread");
-}
-
-/// Serves one control connection: framed request in, framed reply out,
-/// repeated until the client hangs up. A `Watch` request flips the
-/// connection into streaming mode: update frames flow until the client
-/// disconnects (detected by a failed write) or the daemon drops the
-/// stream.
-fn ctrl_conn_loop(mut stream: TcpStream, tx: Sender<CtrlJob>) {
-    let _ = stream.set_nodelay(true);
-    loop {
-        let Ok(Some(payload)) = read_frame(&mut stream) else {
-            return;
-        };
-        let Ok(req) = CtrlRequest::from_bytes(&payload) else {
-            let _ = write_msg(&mut stream, &CtrlReply::Error("bad request frame".into()));
-            return;
-        };
-        let streaming = matches!(req, CtrlRequest::Watch { .. });
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        if tx
-            .send(CtrlJob {
-                req,
-                reply: reply_tx,
-            })
-            .is_err()
-        {
-            return; // daemon shut down
-        }
-        if streaming {
-            // Forward update frames as they arrive. Dropping `reply_rx`
-            // on any write failure is the hang-up signal the daemon's
-            // pump observes (its next send errs and it unsubscribes).
-            loop {
-                match reply_rx.recv_timeout(Duration::from_secs(1)) {
-                    // A bare Ok on a watch stream is the daemon's
-                    // keepalive probe: it tests that this thread (and
-                    // therefore the client socket) is still alive, and is
-                    // never forwarded.
-                    Ok(CtrlReply::Ok) => {}
-                    Ok(reply) => {
-                        let stop = matches!(reply, CtrlReply::Error(_));
-                        if write_msg(&mut stream, &reply).is_err() || stream.flush().is_err() {
-                            return;
-                        }
-                        if stop {
-                            return;
-                        }
-                    }
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                        // A quiescent watch emits nothing for long
-                        // stretches; probe the socket so a hung-up
-                        // client releases the stream promptly.
-                        if !moara_gateway::http::socket_alive(&mut stream) {
-                            return;
-                        }
-                    }
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-                }
-            }
-        }
-        // Queries can legitimately take a while (front timeout bounds
-        // them); everything else answers within one loop iteration.
-        let reply = reply_rx
-            .recv_timeout(Duration::from_secs(120))
-            .unwrap_or_else(|_| CtrlReply::Error("daemon did not answer in time".into()));
-        if write_msg(&mut stream, &reply).is_err() || stream.flush().is_err() {
-            return;
-        }
-    }
-}
-
-/// Client side: one framed request/reply round trip over a fresh
-/// connection (what `moara-cli` and joining daemons use).
-///
-/// # Errors
-///
-/// Connection, framing, and timeout failures, as strings.
-pub fn ctrl_roundtrip(
-    addr: &str,
-    req: &CtrlRequest,
-    timeout: Duration,
-) -> Result<CtrlReply, String> {
-    let sock_addr = resolve(addr)?;
-    let deadline = Instant::now() + timeout;
-    // The target daemon may still be booting (the smoke test starts
-    // processes concurrently): retry connects until the deadline.
-    let mut stream = loop {
-        match TcpStream::connect_timeout(&sock_addr, Duration::from_millis(500)) {
-            Ok(s) => break s,
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(format!("connect {addr}: {e}"));
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    };
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    write_msg(&mut stream, req).map_err(|e| format!("send: {e}"))?;
-    let payload = read_frame(&mut stream)
-        .map_err(|e| format!("recv: {e}"))?
-        .ok_or("connection closed before reply")?;
-    CtrlReply::from_bytes(&payload).map_err(|e| format!("decode reply: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use health::AlertWire;
+    use moara_trace::TraceSummary;
+    use recorder::EventWire;
 
     #[test]
     fn attrs_parse_into_typed_values() {
@@ -4153,63 +2490,6 @@ mod tests {
         for r in replies {
             assert_eq!(CtrlReply::from_bytes(&r.to_bytes()).unwrap(), r);
         }
-    }
-
-    /// The `u16::MAX` "no traffic yet" cache-ratio sentinel must never
-    /// surface as a bogus percentage: the merged health table renders
-    /// it as JSON `null` (and `moara-cli top` as `n/a`).
-    #[test]
-    fn cache_hit_sentinel_renders_as_null_not_a_percentage() {
-        let row = PeerHealthRow {
-            node: 4,
-            status: HealthStatus::Ok,
-            age_ms: 12,
-            summary: Some(HealthSummary {
-                node: 4,
-                cache_hit_bp: CACHE_RATIO_NONE,
-                ..HealthSummary::default()
-            }),
-        };
-        let json = health_row_json(&row);
-        assert!(
-            json.contains("\"cache_hit_pct\":null"),
-            "sentinel must render null, got: {json}"
-        );
-        let row_with_traffic = PeerHealthRow {
-            summary: Some(HealthSummary {
-                node: 4,
-                cache_hit_bp: 2_500,
-                ..HealthSummary::default()
-            }),
-            ..row
-        };
-        let json = health_row_json(&row_with_traffic);
-        assert!(
-            json.contains("\"cache_hit_pct\":25.00"),
-            "real ratios still render, got: {json}"
-        );
-    }
-
-    /// Slow-query lines are correlatable with the journal: unix-ms
-    /// stamp present, shared-writer escaping applied.
-    #[test]
-    fn slow_query_line_is_exact_and_stamped() {
-        let line = slow_query_line(
-            3,
-            "SELECT count(*) WHERE X = \"a\"",
-            15_000,
-            true,
-            Some(7),
-            1_700_000_000_123,
-        );
-        assert_eq!(
-            line,
-            "{\"slow_query\":true,\"ts_ms\":1700000000123,\"node\":3,\
-             \"q\":\"SELECT count(*) WHERE X = \\\"a\\\"\",\"duration_us\":15000,\
-             \"complete\":true,\"trace_id\":\"0x0000000000000007\"}"
-        );
-        let line = slow_query_line(0, "q", 1, false, None, 5);
-        assert!(line.ends_with("\"trace_id\":null}"));
     }
 
     /// A full 3-daemon cluster in one test process (each daemon on its own

@@ -1,0 +1,326 @@
+//! Rendering: the JSON bodies the HTTP gateway answers with (built from
+//! the same values the ctrl replies carry) and the slow-query log line.
+
+use moara_gateway::json::JsonLine;
+use moara_trace::{format_trace_id, SpanRecord, TraceSummary};
+
+use crate::health::{AlertWire, PeerHealthRow};
+use crate::recorder::EventWire;
+
+/// One span as a JSON object. Span ids render as hex strings (they
+/// routinely exceed JSON's 2^53 integer-exactness limit); timestamps
+/// stay numeric — they are each recording node's own microsecond clock.
+fn span_json(s: &SpanRecord) -> String {
+    use moara_gateway::json::escape;
+    format!(
+        "{{\"span_id\":{},\"parent_span_id\":{},\"node\":{},\"phase\":{},\"peer\":{},\
+         \"start_us\":{},\"queue_us\":{},\"service_us\":{},\"bytes\":{},\"detail\":{}}}",
+        escape(&format!("{:#018x}", s.span_id)),
+        escape(&format!("{:#018x}", s.parent_span_id)),
+        s.node,
+        escape(s.phase.as_str()),
+        if s.peer == moara_trace::NO_PEER {
+            "null".to_owned()
+        } else {
+            s.peer.to_string()
+        },
+        s.start_us,
+        s.queue_us,
+        s.service_us,
+        s.bytes,
+        escape(&s.detail),
+    )
+}
+
+/// The `GET /v1/trace/{id}` body: the merged span set (the tree is in
+/// the parent ids) plus the members the merge could not reach.
+pub(crate) fn trace_json(trace_id: u64, spans: &[SpanRecord], missing: &[u32]) -> String {
+    use moara_gateway::json::escape;
+    let spans_json: Vec<String> = spans.iter().map(span_json).collect();
+    let missing_json: Vec<String> = missing.iter().map(u32::to_string).collect();
+    format!(
+        "{{\"trace_id\":{},\"complete\":{},\"missing\":[{}],\"spans\":[{}]}}\n",
+        escape(&format_trace_id(trace_id)),
+        missing.is_empty(),
+        missing_json.join(","),
+        spans_json.join(","),
+    )
+}
+
+/// The `GET /v1/traces` body: recent traces, newest first, plus the
+/// latency-bucket exemplars (`"<hist>/le/<bound>" -> trace id`) that
+/// link slow buckets straight to an inspectable trace.
+pub(crate) fn traces_json(summaries: &[TraceSummary], exemplars: &[(String, String)]) -> String {
+    use moara_gateway::json::escape;
+    let items: Vec<String> = summaries
+        .iter()
+        .map(|t| {
+            format!(
+                "{{\"trace_id\":{},\"phase\":{},\"node\":{},\"start_us\":{},\
+                 \"duration_us\":{},\"spans\":{}}}",
+                escape(&format_trace_id(t.trace_id)),
+                escape(t.phase.as_str()),
+                t.node,
+                t.start_us,
+                t.duration_us,
+                t.spans,
+            )
+        })
+        .collect();
+    let ex: Vec<String> = exemplars
+        .iter()
+        .map(|(k, v)| format!("{}:{}", escape(k), escape(v)))
+        .collect();
+    format!(
+        "{{\"traces\":[{}],\"exemplars\":{{{}}}}}\n",
+        items.join(","),
+        ex.join(","),
+    )
+}
+
+/// One firing alert as a JSON object (shared by `/v1/alerts` and the
+/// alerts block of `/v1/cluster/health`).
+fn alert_json(a: &AlertWire) -> String {
+    use moara_gateway::json::escape;
+    format!(
+        "{{\"rule\":{},\"metric\":{},\"value\":{},\"threshold\":{},\"since_s\":{}}}",
+        escape(&a.rule),
+        escape(&a.metric),
+        a.value,
+        a.threshold,
+        a.since_s,
+    )
+}
+
+/// The `GET /v1/alerts` body: this daemon's currently-firing rules.
+pub(crate) fn alerts_json(node: u32, alerts: &[AlertWire]) -> String {
+    let items: Vec<String> = alerts.iter().map(alert_json).collect();
+    format!("{{\"node\":{node},\"firing\":[{}]}}\n", items.join(","))
+}
+
+/// One member row of the cluster health table.
+fn health_row_json(r: &PeerHealthRow) -> String {
+    use moara_gateway::json::escape;
+    let age = if r.age_ms == u64::MAX {
+        "null".to_owned()
+    } else {
+        r.age_ms.to_string()
+    };
+    let summary = r.summary.as_ref().map_or("null".to_owned(), |h| {
+        format!(
+            "{{\"incarnation\":{},\"uptime_s\":{},\"tick_p99_us\":{},\"stalled_ticks\":{},\
+             \"queued_jobs\":{},\"open_conns\":{},\"open_streams\":{},\"watches\":{},\
+             \"sub_entries\":{},\"cache_hit_pct\":{},\"rss_bytes\":{},\"open_fds\":{},\
+             \"queries_inflight\":{},\"alerts_firing\":{}}}",
+            h.incarnation,
+            h.uptime_s,
+            h.tick_p99_us,
+            h.stalled_ticks,
+            h.queued_jobs,
+            h.open_conns,
+            h.open_streams,
+            h.watches,
+            h.sub_entries,
+            h.cache_hit_pct()
+                .map_or("null".to_owned(), |p| format!("{p:.2}")),
+            h.rss_bytes,
+            h.open_fds,
+            h.queries_inflight,
+            h.alerts_firing,
+        )
+    });
+    format!(
+        "{{\"node\":{},\"status\":{},\"age_ms\":{age},\"summary\":{summary}}}",
+        r.node,
+        escape(r.status.as_str()),
+    )
+}
+
+/// The `GET /v1/cluster/health` body: the answering daemon's merged
+/// member table (self + gossiped digests) plus its firing alerts.
+pub(crate) fn cluster_health_json(
+    node: u32,
+    rows: &[PeerHealthRow],
+    alerts: &[AlertWire],
+) -> String {
+    let members: Vec<String> = rows.iter().map(health_row_json).collect();
+    let firing: Vec<String> = alerts.iter().map(alert_json).collect();
+    format!(
+        "{{\"node\":{node},\"members\":[{}],\"alerts\":[{}]}}\n",
+        members.join(","),
+        firing.join(","),
+    )
+}
+
+/// The `GET /v1/history` body: one metric's series from one daemon's
+/// history rings, as `[unix_ms, value]` pairs at the tier's resolution.
+pub(crate) fn history_json(node: u32, metric: &str, res_s: u32, points: &[(u64, f64)]) -> String {
+    let mut body = JsonLine::new()
+        .u64("node", u64::from(node))
+        .str("metric", metric)
+        .u64("res_s", u64::from(res_s))
+        .raw("points", &points_json(points))
+        .finish();
+    body.push('\n');
+    body
+}
+
+/// A series as a JSON array of `[unix_ms, value]` pairs (`NaN` samples
+/// — gaps in the ring — render as `null` values).
+fn points_json(points: &[(u64, f64)]) -> String {
+    let items: Vec<String> = points
+        .iter()
+        .map(|(ts, v)| {
+            if v.is_nan() {
+                format!("[{ts},null]")
+            } else {
+                format!("[{ts},{v}]")
+            }
+        })
+        .collect();
+    format!("[{}]", items.join(","))
+}
+
+/// The `GET /v1/cluster/history` body: every reachable member's series
+/// for one metric under `instance` labels, like `/v1/cluster/metrics`.
+pub(crate) fn cluster_history_json(
+    node: u32,
+    metric: &str,
+    res_s: u32,
+    series: &[(u32, Vec<(u64, f64)>)],
+    missing: &[u32],
+) -> String {
+    let instances: Vec<String> = series
+        .iter()
+        .map(|(n, points)| {
+            JsonLine::new()
+                .str("instance", &format!("n{n}"))
+                .raw("points", &points_json(points))
+                .finish()
+        })
+        .collect();
+    let missing_json: Vec<String> = missing.iter().map(u32::to_string).collect();
+    let mut body = JsonLine::new()
+        .u64("node", u64::from(node))
+        .str("metric", metric)
+        .u64("res_s", u64::from(res_s))
+        .raw("instances", &format!("[{}]", instances.join(",")))
+        .raw("missing", &format!("[{}]", missing_json.join(",")))
+        .finish();
+    body.push('\n');
+    body
+}
+
+/// The `GET /v1/events` body: the newest matching journal entries,
+/// oldest first.
+pub(crate) fn events_json(node: u32, events: &[EventWire]) -> String {
+    let items: Vec<String> = events
+        .iter()
+        .map(|e| {
+            JsonLine::new()
+                .u64("seq", e.seq)
+                .u64("ts_ms", e.ts_ms)
+                .u64("node", u64::from(e.node))
+                .str("kind", &e.kind)
+                .str("detail", &e.detail)
+                .finish()
+        })
+        .collect();
+    let mut body = JsonLine::new()
+        .u64("node", u64::from(node))
+        .raw("events", &format!("[{}]", items.join(",")))
+        .finish();
+    body.push('\n');
+    body
+}
+
+/// One slow-query log line: a single JSON object on stderr, grep-able
+/// and machine-parsable, carrying the trace id when the query was
+/// sampled so the log links straight into `moara-cli trace`, and the
+/// unix-ms stamp that correlates it with the event journal.
+pub(crate) fn slow_query_line(
+    node: u32,
+    text: &str,
+    duration_us: u64,
+    complete: bool,
+    trace_id: Option<u64>,
+    ts_ms: u64,
+) -> String {
+    JsonLine::new()
+        .bool("slow_query", true)
+        .u64("ts_ms", ts_ms)
+        .u64("node", u64::from(node))
+        .str("q", text)
+        .u64("duration_us", duration_us)
+        .bool("complete", complete)
+        .raw(
+            "trace_id",
+            &trace_id.map_or("null".to_owned(), |t| {
+                moara_gateway::json::escape(&format_trace_id(t))
+            }),
+        )
+        .finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::health::{HealthStatus, HealthSummary, CACHE_RATIO_NONE};
+
+    /// The `u16::MAX` "no traffic yet" cache-ratio sentinel must never
+    /// surface as a bogus percentage: the merged health table renders
+    /// it as JSON `null` (and `moara-cli top` as `n/a`).
+    #[test]
+    fn cache_hit_sentinel_renders_as_null_not_a_percentage() {
+        let row = PeerHealthRow {
+            node: 4,
+            status: HealthStatus::Ok,
+            age_ms: 12,
+            summary: Some(HealthSummary {
+                node: 4,
+                cache_hit_bp: CACHE_RATIO_NONE,
+                ..HealthSummary::default()
+            }),
+        };
+        let json = health_row_json(&row);
+        assert!(
+            json.contains("\"cache_hit_pct\":null"),
+            "sentinel must render null, got: {json}"
+        );
+        let row_with_traffic = PeerHealthRow {
+            summary: Some(HealthSummary {
+                node: 4,
+                cache_hit_bp: 2_500,
+                ..HealthSummary::default()
+            }),
+            ..row
+        };
+        let json = health_row_json(&row_with_traffic);
+        assert!(
+            json.contains("\"cache_hit_pct\":25.00"),
+            "real ratios still render, got: {json}"
+        );
+    }
+
+    /// Slow-query lines are correlatable with the journal: unix-ms
+    /// stamp present, shared-writer escaping applied.
+    #[test]
+    fn slow_query_line_is_exact_and_stamped() {
+        let line = slow_query_line(
+            3,
+            "SELECT count(*) WHERE X = \"a\"",
+            15_000,
+            true,
+            Some(7),
+            1_700_000_000_123,
+        );
+        assert_eq!(
+            line,
+            "{\"slow_query\":true,\"ts_ms\":1700000000123,\"node\":3,\
+             \"q\":\"SELECT count(*) WHERE X = \\\"a\\\"\",\"duration_us\":15000,\
+             \"complete\":true,\"trace_id\":\"0x0000000000000007\"}"
+        );
+        let line = slow_query_line(0, "q", 1, false, None, 5);
+        assert!(line.ends_with("\"trace_id\":null}"));
+    }
+}

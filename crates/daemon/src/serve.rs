@@ -1,0 +1,650 @@
+//! The daemon's one request path. Whichever port an operation arrived
+//! on, it is a [`CtrlRequest`] that [`Daemon::serve`] answers into a
+//! [`ReplyTo`]: the control port hands requests over and takes
+//! [`CtrlReply`]s back verbatim, the HTTP port goes through two pure
+//! functions — [`gw_request`] (parsed HTTP request → operation) and
+//! [`gw_reply`] (reply → HTTP body and status). Tree walks in flight,
+//! standing watches, and the cluster-wide scatter-gathers each have one
+//! table or helper here, shared by both ports.
+
+use std::sync::mpsc::Sender;
+use std::time::{Duration, Instant};
+
+use moara_core::{DeliveryPolicy, QueryOutcome};
+use moara_gateway::{GwJob, GwReply, GwRequest, ReplySink, SinkClosed, WatchPolicy};
+use moara_query::parse_query;
+use moara_simnet::SimDuration;
+use moara_transport::Transport;
+
+use crate::ctrl::{ctrl_roundtrip, CtrlOut, CtrlReply, CtrlRequest};
+use crate::recorder::{self, kind, now_unix_ms};
+use crate::{parse_value, render, Daemon};
+
+/// How long a scatter-gather waits on each peer before reporting it
+/// missing (bounds the cluster-wide operations under partitions instead
+/// of hanging them).
+const GATHER_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How often quiescent watch streams are liveness-probed; a hung-up
+/// watcher is unsubscribed within this bound even if its standing query
+/// never changes.
+const WATCH_KEEPALIVE_EVERY: Duration = Duration::from_secs(1);
+
+/// Where an operation's replies go: down a control connection as they
+/// are, or out through the gateway rendered as HTTP.
+pub(crate) enum ReplyTo {
+    /// A control connection's thread, blocked on this channel.
+    Ctrl(Sender<CtrlOut>),
+    /// A gateway connection, plus what [`gw_reply`] renders it with.
+    Http(ReplySink, HttpView),
+}
+
+impl ReplyTo {
+    /// Delivers one reply; `Err` means the receiving side hung up (for a
+    /// watch: cancel the subscription).
+    pub(crate) fn send(&self, reply: CtrlReply) -> Result<(), SinkClosed> {
+        match self {
+            ReplyTo::Ctrl(tx) => tx.send(CtrlOut::Reply(reply)).map_err(|_| SinkClosed),
+            ReplyTo::Http(sink, view) => sink.send(gw_reply(view, reply)),
+        }
+    }
+
+    /// Liveness-probes a quiescent watch stream: a control connection
+    /// swallows the probe, an SSE stream renders it as `: keepalive`.
+    fn keepalive(&self) -> Result<(), SinkClosed> {
+        match self {
+            ReplyTo::Ctrl(tx) => tx.send(CtrlOut::Keepalive).map_err(|_| SinkClosed),
+            ReplyTo::Http(sink, _) => sink.send(GwReply::Keepalive),
+        }
+    }
+
+    /// Stamps the `X-Moara-Cache` marker an HTTP waiter answers with.
+    fn marked(mut self, cache: &'static str) -> ReplyTo {
+        if let ReplyTo::Http(_, view) = &mut self {
+            view.cache = Some(cache);
+        }
+        self
+    }
+}
+
+/// What an HTTP waiter keeps for [`gw_reply`]: who serves it, its cache
+/// marker, and the request details its reply does not echo (a control
+/// client remembers those itself). Each route sets the ones its body
+/// shows; the rest stay default and unread.
+#[derive(Default)]
+pub(crate) struct HttpView {
+    /// The serving daemon (bodies name it; not every reply carries it).
+    node: u32,
+    /// `X-Moara-Cache` value: `miss` for the request that started a walk,
+    /// `coalesced` for single-flight joiners, `None` (no header at all)
+    /// when the result cache is disabled.
+    cache: Option<&'static str>,
+    /// `POST /v1/attrs`: how many pairs the body set.
+    attrs: usize,
+    /// `GET /v1/alerts`: show only the firing rules of the health table.
+    alerts_only: bool,
+    /// `GET /v1/trace/{id}`: the id asked for.
+    trace_id: u64,
+    /// `GET /v1/traces`: the latency-bucket exemplars listed next to the
+    /// summaries (control clients read them from `Status`).
+    exemplars: Vec<(String, String)>,
+    /// `GET /v1/history`: the metric asked for.
+    metric: Option<String>,
+}
+
+/// HTTP adapter, inbound: the operations a parsed HTTP request stands
+/// for, in serving order, plus the view its answer renders through. The
+/// last operation's reply is the HTTP response (a `/v1/attrs` body of N
+/// pairs is N `SetAttr`s). `GET /v1/cluster/metrics` maps to no
+/// operation: the control wire has no request for the federated scrape,
+/// so the caller runs [`Daemon::federate_metrics`] instead.
+///
+/// # Errors
+///
+/// The 400 for a request that parsed as HTTP but names no valid
+/// operation (a malformed trace id).
+pub(crate) fn gw_request(
+    req: GwRequest,
+    exemplars: impl FnOnce() -> Vec<(String, String)>,
+) -> Result<(Vec<CtrlRequest>, HttpView), GwReply> {
+    let clamp = |limit: usize| u32::try_from(limit).unwrap_or(u32::MAX);
+    let mut view = HttpView::default();
+    let op = match req {
+        GwRequest::Query { q } => CtrlRequest::Query { text: q },
+        GwRequest::SetAttrs { attrs } => {
+            view.attrs = attrs.len();
+            let ops = attrs.into_iter().map(|(attr, v)| CtrlRequest::SetAttr {
+                attr,
+                value: parse_value(&v),
+            });
+            return Ok((ops.collect(), view));
+        }
+        GwRequest::Watch {
+            q,
+            policy,
+            lease_ms,
+        } => CtrlRequest::Watch {
+            text: q,
+            policy: match policy {
+                WatchPolicy::OnChange => DeliveryPolicy::OnChange,
+                WatchPolicy::PeriodMs(ms) => DeliveryPolicy::Periodic(SimDuration::from_millis(ms)),
+                WatchPolicy::Threshold(value) => DeliveryPolicy::Threshold { value },
+            },
+            lease_us: lease_ms.saturating_mul(1_000),
+        },
+        GwRequest::Metrics => CtrlRequest::MetricsFetch,
+        GwRequest::ClusterMetrics => return Ok((Vec::new(), view)),
+        GwRequest::Health => CtrlRequest::Status,
+        GwRequest::ClusterHealth => CtrlRequest::ClusterHealth,
+        GwRequest::Alerts => {
+            view.alerts_only = true;
+            CtrlRequest::ClusterHealth
+        }
+        GwRequest::Traces { limit } => {
+            view.exemplars = exemplars();
+            let limit = clamp(limit);
+            CtrlRequest::TraceList { limit }
+        }
+        GwRequest::Trace { id } => {
+            let bad_id = || GwReply::Error {
+                status: 400,
+                msg: format!("bad trace id {id:?}"),
+            };
+            view.trace_id = moara_trace::parse_trace_id(&id).ok_or_else(bad_id)?;
+            CtrlRequest::TraceGet {
+                trace_id: view.trace_id,
+            }
+        }
+        GwRequest::History { metric, range_s } => {
+            view.metric = Some(metric.clone());
+            CtrlRequest::HistoryFetch { metric, range_s }
+        }
+        GwRequest::ClusterHistory { metric, range_s } => {
+            CtrlRequest::ClusterHistory { metric, range_s }
+        }
+        GwRequest::Events { kind, limit } => {
+            let limit = clamp(limit);
+            CtrlRequest::EventsFetch { kind, limit }
+        }
+    };
+    Ok((vec![op], view))
+}
+
+/// HTTP adapter, outbound: renders a reply as what the gateway writes —
+/// body through the `render` module, HTTP status chosen here.
+pub(crate) fn gw_reply(view: &HttpView, reply: CtrlReply) -> GwReply {
+    let json = |body| GwReply::Json { body };
+    match reply {
+        CtrlReply::Answer { result, complete } => GwReply::Answer {
+            result,
+            complete,
+            cache: view.cache,
+        },
+        CtrlReply::Ok => GwReply::AttrsSet { count: view.attrs },
+        // `/healthz` shows the liveness core of the status report.
+        CtrlReply::Status {
+            node,
+            members,
+            alive,
+            ..
+        } => GwReply::Health {
+            node,
+            members,
+            alive,
+        },
+        CtrlReply::Update {
+            result,
+            initial,
+            complete,
+        } => GwReply::Update {
+            result,
+            initial,
+            complete,
+        },
+        CtrlReply::MetricsText(text) => GwReply::Metrics { text },
+        CtrlReply::Trace { spans, missing } => {
+            json(render::trace_json(view.trace_id, &spans, &missing))
+        }
+        CtrlReply::Traces(ts) => json(render::traces_json(&ts, &view.exemplars)),
+        CtrlReply::ClusterHealth { node, alerts, .. } if view.alerts_only => {
+            json(render::alerts_json(node, &alerts))
+        }
+        CtrlReply::ClusterHealth { node, rows, alerts } => {
+            json(render::cluster_health_json(node, &rows, &alerts))
+        }
+        CtrlReply::History {
+            node,
+            res_s,
+            points,
+        } => {
+            let metric = view.metric.as_deref().unwrap_or_default();
+            json(render::history_json(node, metric, res_s, &points))
+        }
+        CtrlReply::ClusterHistory {
+            metric,
+            res_s,
+            series,
+            missing,
+        } => json(render::cluster_history_json(
+            view.node, &metric, res_s, &series, &missing,
+        )),
+        CtrlReply::Events(events) => json(render::events_json(view.node, &events)),
+        // `HistoryFetch` fails one way only: the metric does not exist.
+        CtrlReply::Error(msg) => GwReply::Error {
+            status: if view.metric.is_some() { 404 } else { 400 },
+            msg,
+        },
+        // Answers to `Join` and the peer-only leaf fetches, which no
+        // route maps to.
+        other @ (CtrlReply::Joined { .. } | CtrlReply::Spans(_)) => GwReply::Error {
+            status: 500,
+            msg: format!("no HTTP rendering for {other:?}"),
+        },
+    }
+}
+
+/// One tree walk in flight: everyone waiting on it, what the result
+/// cache needs to fold its answer back in, and what the slow-query log
+/// says about it. A control-port query is a walk with one waiter and no
+/// cache key; HTTP queries on a caching daemon share walks
+/// (single-flight).
+pub(crate) struct Walk {
+    waiters: Vec<ReplyTo>,
+    /// The normalized cache key, when the cache tracks this query.
+    cache_key: Option<String>,
+    /// The key's standing-result generation when the walk started; the
+    /// walk revalidates the entry only if it is unchanged on finish.
+    cache_gen: Option<u64>,
+    text: String,
+    submitted: Instant,
+    /// The walk's trace id, when tracing sampled it.
+    trace_id: Option<u64>,
+}
+
+impl Daemon {
+    /// Drains control-port jobs into [`Daemon::serve`].
+    pub(crate) fn drain_ctrl(&mut self) -> usize {
+        let mut jobs = 0;
+        while let Ok(job) = self.ctrl_rx.try_recv() {
+            jobs += 1;
+            self.serve(job.req, ReplyTo::Ctrl(job.reply));
+        }
+        jobs
+    }
+
+    /// Drains HTTP gateway jobs into [`Daemon::serve`]. The batch is
+    /// taken first, so a flood of requests cannot hold the loop here:
+    /// what arrives while it is served waits for the next step.
+    pub(crate) fn drain_gateway(&mut self) -> usize {
+        let jobs: Vec<GwJob> = match &self.gw_rx {
+            Some(rx) => rx.try_iter().collect(),
+            None => return 0,
+        };
+        let count = jobs.len();
+        // The reactor bumped the queue-depth gauge on submit; this drain
+        // is the matching decrement.
+        if let Some(gw) = self.gw_handle.as_ref().filter(|_| count > 0) {
+            let queued = &gw.stats().queued_jobs;
+            queued.fetch_sub(count as i64, std::sync::atomic::Ordering::Relaxed);
+        }
+        for job in jobs {
+            match gw_request(job.req, || self.exemplar_entries()) {
+                Ok((mut ops, mut view)) => {
+                    view.node = self.me.0;
+                    let to = ReplyTo::Http(job.reply, view);
+                    let Some(last) = ops.pop() else {
+                        self.federate_metrics(to);
+                        continue;
+                    };
+                    for op in ops {
+                        // Nobody listens for these: the send fails,
+                        // which `serve` ignores.
+                        self.serve(op, ReplyTo::Ctrl(std::sync::mpsc::channel().0));
+                    }
+                    self.serve(last, to);
+                }
+                Err(reply) => {
+                    let _ = job.reply.send(reply);
+                }
+            }
+        }
+        count
+    }
+
+    /// Serves one operation. Most answer on the spot; walks, watches and
+    /// gathers park `to` and answer when their result exists.
+    pub(crate) fn serve(&mut self, op: CtrlRequest, to: ReplyTo) {
+        let me = self.me;
+        let reply = match op {
+            CtrlRequest::Join {
+                addr,
+                prev_node,
+                ctrl,
+            } => self.handle_join(addr, prev_node, ctrl),
+            CtrlRequest::Query { text } => {
+                // Single-flight and the result cache both key on the
+                // normalized text — computed only for the queries that
+                // use them (HTTP ones, on a caching daemon).
+                let http = matches!(to, ReplyTo::Http(..));
+                let cache = self.query_cache.as_ref().filter(|_| http);
+                let key = cache.map(|_| moara_gateway::normalize(&text));
+                if let Some((cache, key)) = cache.zip(key.as_ref()) {
+                    // An identical query already walking the tree absorbs
+                    // this request as another waiter — N identical
+                    // in-flight queries cost one walk.
+                    let walking = self.gw_inflight.get(key);
+                    if let Some(walk) = walking.and_then(|fid| self.walks.get_mut(fid)) {
+                        walk.waiters.push(to.marked("coalesced"));
+                        cache.note_coalesced();
+                        return;
+                    }
+                }
+                match parse_query(&text) {
+                    Ok(query) => {
+                        let (fid, trace_id) = self.with_moara(|moara, ctx| {
+                            let fid = moara.submit(ctx, query);
+                            (fid, moara.front_trace_id(fid))
+                        });
+                        let (to, cache_gen) = match (&key, &self.query_cache) {
+                            (Some(key), Some(cache)) => {
+                                self.gw_inflight.insert(key.clone(), fid);
+                                (to.marked("miss"), cache.gen_of(key))
+                            }
+                            _ => (to, None),
+                        };
+                        let walk = Walk {
+                            waiters: vec![to],
+                            cache_key: key,
+                            cache_gen,
+                            text,
+                            submitted: Instant::now(),
+                            trace_id,
+                        };
+                        self.walks.insert(fid, walk);
+                        return;
+                    }
+                    Err(e) => CtrlReply::Error(format!("parse error: {e}")),
+                }
+            }
+            CtrlRequest::SetAttr { attr, value } => {
+                self.with_moara(|moara, ctx| {
+                    moara.store.set(attr.as_str(), value);
+                    moara.on_local_change(ctx, &attr);
+                });
+                CtrlReply::Ok
+            }
+            CtrlRequest::Watch {
+                text,
+                policy,
+                lease_us,
+            } => match parse_query(&text) {
+                Ok(query) => {
+                    let lease = SimDuration::from_micros(lease_us.max(1_000_000));
+                    let wid =
+                        self.with_moara(|moara, ctx| moara.subscribe(ctx, query, policy, lease));
+                    self.recorder
+                        .record_event(kind::SUB_INSTALL, format!("wid={wid} q={text}"));
+                    self.watches.insert(wid, to);
+                    return;
+                }
+                Err(e) => CtrlReply::Error(format!("parse error: {e}")),
+            },
+            CtrlRequest::Status => {
+                let moara = &self.transport.node(me).moara;
+                let dead = self.members.iter().filter(|m| !m.alive);
+                CtrlReply::Status {
+                    node: me.0,
+                    members: self.members.len() as u32,
+                    alive: self.alive_member_count() as u32,
+                    dead: dead.map(|m| m.node).collect(),
+                    watches: moara.active_watches() as u32,
+                    sub_entries: moara.sub_entry_count() as u32,
+                    metrics: self.metrics_snapshot(),
+                    exemplars: self.exemplar_entries(),
+                }
+            }
+            CtrlRequest::TraceFetch { trace_id } => {
+                let tracer = self.tracer.as_ref();
+                CtrlReply::Spans(tracer.map(|t| t.spans_for(trace_id)).unwrap_or_default())
+            }
+            CtrlRequest::TraceGet { trace_id } => {
+                // The local store is read on the gather thread too: a
+                // span scan is not event-loop work.
+                let tracer = self.tracer.clone();
+                let extract = |r| match r {
+                    CtrlReply::Spans(spans) => Some(spans),
+                    _ => None,
+                };
+                let leaf = CtrlRequest::TraceFetch { trace_id };
+                self.gather(leaf, extract, to, move |answers, missing| {
+                    let mut spans = tracer.map(|t| t.spans_for(trace_id)).unwrap_or_default();
+                    spans.extend(answers.into_iter().flat_map(|(_, s)| s));
+                    spans.sort_by_key(|s| (s.start_us, s.span_id));
+                    CtrlReply::Trace { spans, missing }
+                });
+                return;
+            }
+            CtrlRequest::TraceList { limit } => {
+                let tracer = self.tracer.as_ref();
+                CtrlReply::Traces(tracer.map(|t| t.recent(limit as usize)).unwrap_or_default())
+            }
+            CtrlRequest::ClusterHealth => CtrlReply::ClusterHealth {
+                node: me.0,
+                rows: self.health_rows(),
+                alerts: self.alert_engine.firing(Instant::now()),
+            },
+            CtrlRequest::MetricsFetch => CtrlReply::MetricsText(self.render_metrics()),
+            CtrlRequest::HistoryFetch { metric, range_s } => {
+                match self.local_history(&metric, range_s) {
+                    Some((res_s, points)) => CtrlReply::History {
+                        node: me.0,
+                        res_s,
+                        points,
+                    },
+                    None => CtrlReply::Error(format!("unknown metric `{metric}`")),
+                }
+            }
+            CtrlRequest::ClusterHistory { metric, range_s } => {
+                let mut series = Vec::new();
+                let mut res_s = recorder::TIER1_RES_S as u32;
+                if let Some((res, points)) = self.local_history(&metric, range_s) {
+                    res_s = res;
+                    series.push((me.0, points));
+                }
+                let leaf = CtrlRequest::HistoryFetch {
+                    metric: metric.clone(),
+                    range_s,
+                };
+                let extract = |r| match r {
+                    CtrlReply::History { res_s, points, .. } => Some((res_s, points)),
+                    _ => None,
+                };
+                self.gather(leaf, extract, to, move |answers, missing| {
+                    for (node, (res, points)) in answers {
+                        res_s = res;
+                        series.push((node, points));
+                    }
+                    series.sort_by_key(|(n, _)| *n);
+                    CtrlReply::ClusterHistory {
+                        metric,
+                        res_s,
+                        series,
+                        missing,
+                    }
+                });
+                return;
+            }
+            CtrlRequest::EventsFetch { kind, limit } => {
+                let journal = &self.recorder.journal;
+                CtrlReply::Events(journal.snapshot(kind.as_deref(), limit as usize))
+            }
+        };
+        let _ = to.send(reply);
+    }
+
+    /// The scatter-gather behind every cluster-wide operation, run off
+    /// the event loop: a spawned thread asks each other alive member
+    /// `leaf` over the control plane (bounded by [`GATHER_TIMEOUT`]
+    /// each), hands `finish` the extracted answers by member plus the
+    /// members with none, and sends what it makes of them to `to`.
+    /// Peers that do not answer in time — partitioned, crashed between
+    /// detection rounds — count as missing instead of hanging the
+    /// request; so do members already confirmed dead (their state is
+    /// gone, and a result cut by a crash must not read as complete).
+    fn gather<T: Send + 'static>(
+        &self,
+        leaf: CtrlRequest,
+        extract: fn(CtrlReply) -> Option<T>,
+        to: ReplyTo,
+        finish: impl FnOnce(Vec<(u32, T)>, Vec<u32>) -> CtrlReply + Send + 'static,
+    ) {
+        let others = || self.members.iter().filter(|m| m.node != self.me.0);
+        let peers: Vec<(u32, String)> = others()
+            .filter(|m| m.alive)
+            .map(|m| (m.node, m.ctrl.clone()))
+            .collect();
+        let mut missing: Vec<u32> = others().filter(|m| !m.alive).map(|m| m.node).collect();
+        let _ = std::thread::Builder::new()
+            .name("moarad-gather".into())
+            .spawn(move || {
+                let mut answers = Vec::new();
+                for (node, ctrl) in peers {
+                    let reply = ctrl_roundtrip(&ctrl, &leaf, GATHER_TIMEOUT);
+                    match reply.ok().and_then(extract) {
+                        Some(answer) => answers.push((node, answer)),
+                        None => missing.push(node),
+                    }
+                }
+                let _ = to.send(finish(answers, missing));
+            });
+    }
+
+    /// Answers a cluster-metrics federation: the local exposition
+    /// renders here (this loop owns the registries), every other
+    /// member's is gathered, and the texts merge under per-peer
+    /// `instance` labels. Missing members surface in the
+    /// `moara_federation_missing` series instead of hanging the scrape.
+    fn federate_metrics(&self, to: ReplyTo) {
+        let instance = |node: u32| format!("n{node}");
+        let local = (instance(self.me.0), Some(self.render_metrics()));
+        let extract = |r| match r {
+            CtrlReply::MetricsText(text) => Some(text),
+            _ => None,
+        };
+        self.gather(
+            CtrlRequest::MetricsFetch,
+            extract,
+            to,
+            move |answers, missing| {
+                let mut parts = vec![local];
+                parts.extend(answers.into_iter().map(|(n, t)| (instance(n), Some(t))));
+                parts.extend(missing.into_iter().map(|n| (instance(n), None)));
+                CtrlReply::MetricsText(moara_gateway::federate_expositions(&parts))
+            },
+        );
+    }
+
+    /// Answers every walk whose outcome landed: its waiters, the
+    /// slow-query log, and the result cache.
+    pub(crate) fn finish_queries(&mut self) -> bool {
+        if self.walks.is_empty() {
+            return false;
+        }
+        let moara = &mut self.transport.node_mut(self.me).moara;
+        let done: Vec<(u64, QueryOutcome)> = self
+            .walks
+            .keys()
+            .filter_map(|&fid| Some((fid, moara.take_outcome(fid)?)))
+            .collect();
+        for (fid, outcome) in &done {
+            let walk = self.walks.remove(fid).expect("listed above");
+            let elapsed = walk.submitted.elapsed();
+            let dur_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+            if self
+                .slow_query_ms
+                .is_some_and(|ms| elapsed.as_millis() as u64 >= ms)
+            {
+                self.slow_queries_total += 1;
+                let (text, complete) = (&walk.text, outcome.complete);
+                let line = render::slow_query_line(
+                    self.me.0,
+                    text,
+                    dur_us,
+                    complete,
+                    walk.trace_id,
+                    now_unix_ms(),
+                );
+                eprintln!("{line}");
+                self.recorder
+                    .record_event(kind::SLOW_QUERY, format!("duration_us={dur_us} q={text}"));
+            }
+            // Gateway latency exemplar: the most recent sampled trace
+            // per latency bucket, measured as submit → outcome on this
+            // loop (the HTTP parse/write tail is not included — the
+            // reactor shards never learn trace ids, so this daemon-side
+            // view is the linkable one).
+            if let (Some(tid), Some(ReplyTo::Http(..))) = (walk.trace_id, walk.waiters.first()) {
+                self.gw_latency_exemplars.observe(dur_us, tid);
+            }
+            let result = outcome.result.to_string();
+            for to in walk.waiters {
+                let _ = to.send(CtrlReply::Answer {
+                    result: result.clone(),
+                    complete: outcome.complete,
+                });
+            }
+            if let Some(key) = walk.cache_key {
+                // A newer identical query may have re-registered the
+                // key; only clear the registry if it is still ours.
+                if self.gw_inflight.get(&key) == Some(fid) {
+                    self.gw_inflight.remove(&key);
+                }
+                // A stale promoted entry is refreshed by the walk's
+                // answer — unless a SubUpdate landed mid-walk (gen
+                // moved), in which case the standing result wins.
+                if let (Some(cache), Some(gen)) = (&self.query_cache, walk.cache_gen) {
+                    cache.revalidate(&key, gen, &result, outcome.complete);
+                }
+            }
+        }
+        !done.is_empty()
+    }
+
+    /// Streams pending subscription updates to their watchers; a
+    /// hung-up watcher's subscription is cancelled (its standing state
+    /// then tears down along the trees). Quiescent streams are
+    /// liveness-probed every [`WATCH_KEEPALIVE_EVERY`] so a silent
+    /// hang-up cannot hold a subscription alive through endless lease
+    /// renewals.
+    pub(crate) fn pump_watches(&mut self) -> bool {
+        if self.watches.is_empty() {
+            return false;
+        }
+        let probe = self.last_keepalive.elapsed() >= WATCH_KEEPALIVE_EVERY;
+        if probe {
+            self.last_keepalive = Instant::now();
+        }
+        let mut did = false;
+        let mut gone: Vec<u64> = Vec::new();
+        for (&wid, to) in &self.watches {
+            let updates = self.transport.node_mut(self.me).moara.take_sub_updates(wid);
+            did |= !updates.is_empty();
+            let delivered = updates.into_iter().all(|u| {
+                let update = CtrlReply::Update {
+                    result: u.result.to_string(),
+                    initial: u.initial,
+                    complete: u.complete,
+                };
+                to.send(update).is_ok()
+            });
+            if !delivered || (probe && to.keepalive().is_err()) {
+                gone.push(wid);
+            }
+        }
+        for wid in gone {
+            self.watches.remove(&wid);
+            self.unsubscribe(wid);
+        }
+        did
+    }
+}

@@ -302,7 +302,7 @@ impl SimSwarm {
 
     /// Turns on a flight recorder at every daemon: history rings sampled
     /// once per simulated second plus a journal of detector transitions.
-    /// The `recorder_overhead` bench compares a swarm with this on
+    /// The `plane_overhead recorder` bench compares a swarm with this on
     /// against one without it (same seed, same workload).
     pub fn enable_flight_recorder(&mut self) {
         if !self.recorders.is_empty() {

@@ -24,8 +24,10 @@
 //! daemon simply runs the query from that node, so an external load
 //! balancer can spray the whole cluster.
 //!
-//! Architecturally the gateway mirrors the control plane: HTTP threads
-//! never touch protocol state. A sharded `epoll` reactor ([`reactor`])
+//! Architecturally the gateway is a codec, like the control plane: HTTP
+//! threads never touch protocol state, and a [`GwRequest`] is only "a
+//! parsed HTTP request" — the daemon translates it into the operation
+//! its one dispatcher serves. A sharded `epoll` reactor ([`reactor`])
 //! owns every socket in nonblocking mode and drives per-connection state
 //! machines — incremental request parsing ([`http`]), buffered response
 //! writes, SSE streaming — so one daemon holds tens of thousands of

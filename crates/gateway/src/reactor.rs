@@ -876,12 +876,12 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, req: crate::http::HttpRequest) {
             }
             ctx.stats.watches_opened.fetch_add(1, Ordering::Relaxed);
             conn.gen += 1;
-            let sink = ReplySink::reactor(
-                Arc::clone(&ctx.mailbox),
-                conn.id,
-                conn.gen,
-                Arc::clone(&conn.closed),
-            );
+            let sink = ReplySink {
+                mailbox: Arc::clone(&ctx.mailbox),
+                conn: conn.id,
+                gen: conn.gen,
+                closed: Arc::clone(&conn.closed),
+            };
             if ctx
                 .tx
                 .send(GwJob {
@@ -966,12 +966,12 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, req: crate::http::HttpRequest) {
                 return;
             }
             conn.gen += 1;
-            let sink = ReplySink::reactor(
-                Arc::clone(&ctx.mailbox),
-                conn.id,
-                conn.gen,
-                Arc::clone(&conn.closed),
-            );
+            let sink = ReplySink {
+                mailbox: Arc::clone(&ctx.mailbox),
+                conn: conn.id,
+                gen: conn.gen,
+                closed: Arc::clone(&conn.closed),
+            };
             if ctx
                 .tx
                 .send(GwJob {

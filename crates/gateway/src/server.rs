@@ -190,22 +190,9 @@ pub enum GwReply {
     },
 }
 
-enum SinkInner {
-    /// A plain channel (daemon-internal callers and tests).
-    Channel(Sender<GwReply>),
-    /// A reactor connection: replies post to the owning shard's mailbox,
-    /// addressed by connection id and request generation.
-    Reactor {
-        mailbox: Arc<Mailbox>,
-        conn: u64,
-        gen: u64,
-        closed: Arc<AtomicBool>,
-    },
-}
-
 /// The receiving side of a [`ReplySink`] is gone: the connection was
-/// closed or the channel dropped. The caller should stop producing —
-/// for a watch, cancel the subscription.
+/// closed. The caller should stop producing — for a watch, cancel the
+/// subscription.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SinkClosed;
 
@@ -217,9 +204,10 @@ impl std::fmt::Display for SinkClosed {
 
 impl std::error::Error for SinkClosed {}
 
-/// Where gateway replies go. The daemon holds a sink for the life of a
-/// request (or, for watches, the life of the subscription) and calls
-/// [`ReplySink::send`] once per reply.
+/// Where gateway replies go: the owning reactor shard's mailbox,
+/// addressed by connection id and request generation. The daemon holds
+/// a sink for the life of a request (or, for watches, the life of the
+/// subscription) and calls [`ReplySink::send`] once per reply.
 ///
 /// Hang-up semantics, both directions:
 /// * client gone → `send` returns `Err` (the reactor marked the
@@ -230,82 +218,39 @@ impl std::error::Error for SinkClosed {}
 /// Deliberately not `Clone`: the drop of *the* sink is a protocol
 /// signal, and copies would fire it spuriously.
 pub struct ReplySink {
-    inner: SinkInner,
+    pub(crate) mailbox: Arc<Mailbox>,
+    pub(crate) conn: u64,
+    pub(crate) gen: u64,
+    pub(crate) closed: Arc<AtomicBool>,
 }
 
 impl std::fmt::Debug for ReplySink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            SinkInner::Channel(_) => f.write_str("ReplySink::Channel"),
-            SinkInner::Reactor { conn, gen, .. } => {
-                write!(f, "ReplySink::Reactor {{ conn: {conn}, gen: {gen} }}")
-            }
-        }
+        let ReplySink { conn, gen, .. } = self;
+        write!(f, "ReplySink {{ conn: {conn}, gen: {gen} }}")
     }
 }
 
 impl ReplySink {
-    /// A sink backed by a plain channel — for daemon-internal reply
-    /// paths and tests; the reactor never sees these.
-    pub fn channel(tx: Sender<GwReply>) -> ReplySink {
-        ReplySink {
-            inner: SinkInner::Channel(tx),
-        }
-    }
-
-    pub(crate) fn reactor(
-        mailbox: Arc<Mailbox>,
-        conn: u64,
-        gen: u64,
-        closed: Arc<AtomicBool>,
-    ) -> ReplySink {
-        ReplySink {
-            inner: SinkInner::Reactor {
-                mailbox,
-                conn,
-                gen,
-                closed,
-            },
-        }
-    }
-
-    /// Delivers one reply; `Err(SinkClosed)` means the receiving side
-    /// is gone (connection closed / channel dropped) and the caller
-    /// should stop producing — for a watch, cancel the subscription.
+    /// Delivers one reply; `Err(SinkClosed)` means the connection is
+    /// gone and the caller should stop producing — for a watch, cancel
+    /// the subscription.
     pub fn send(&self, reply: GwReply) -> Result<(), SinkClosed> {
-        match &self.inner {
-            SinkInner::Channel(tx) => tx.send(reply).map_err(|_| SinkClosed),
-            SinkInner::Reactor {
-                mailbox,
-                conn,
-                gen,
-                closed,
-            } => {
-                if closed.load(Ordering::Acquire) {
-                    return Err(SinkClosed);
-                }
-                mailbox.post(*conn, *gen, Mail::Reply(reply));
-                Ok(())
-            }
+        if self.closed.load(Ordering::Acquire) {
+            return Err(SinkClosed);
         }
+        self.mailbox.post(self.conn, self.gen, Mail::Reply(reply));
+        Ok(())
     }
 }
 
 impl Drop for ReplySink {
     fn drop(&mut self) {
-        if let SinkInner::Reactor {
-            mailbox,
-            conn,
-            gen,
-            closed,
-        } = &self.inner
-        {
-            // The reactor ignores hang-ups for requests that already got
-            // their terminal reply (the mailbox preserves order), so
-            // this only ends streams whose daemon side went away.
-            if !closed.load(Ordering::Acquire) {
-                mailbox.post(*conn, *gen, Mail::Hangup);
-            }
+        // The reactor ignores hang-ups for requests that already got
+        // their terminal reply (the mailbox preserves order), so this
+        // only ends streams whose daemon side went away.
+        if !self.closed.load(Ordering::Acquire) {
+            self.mailbox.post(self.conn, self.gen, Mail::Hangup);
         }
     }
 }
