@@ -27,6 +27,58 @@ use crate::msg::{MoaraMsg, PredKey, QueryId, GLOBAL_PRED};
 use crate::sched::{BatchQueue, QuerySched};
 use crate::state::{ChildInfo, PredState};
 
+/// Query ids one generation of the duplicate-suppression window holds
+/// before it is rotated out, whatever `dedup_ttl` says. The duplicate the
+/// window guards against is the same query's `QueryDown` reaching a node
+/// through a second tree of its cover, which trails the first by the skew
+/// between two tree walks — a handful of queries' worth of traffic, where
+/// this is thousands. Bounding by count keeps the window's memory
+/// independent of the request rate (rate × 300 s is 1.5 M ids per group
+/// member at 5 k requests a second).
+const DEDUP_GENERATION: usize = 8_192;
+
+/// The query ids a node has already contributed to (Section 6.2's
+/// duplicate suppression), in two generations: ids enter `recent`, and
+/// once that has been filling for `dedup_ttl` or holds
+/// [`DEDUP_GENERATION`] ids it becomes `older`, whose previous contents
+/// go in one deallocation. An id is therefore remembered for at least
+/// `dedup_ttl` (or the next [`DEDUP_GENERATION`] ids, if those come
+/// sooner) and at most twice that, at O(1) a query and one set entry an
+/// id — no per-id timestamp, no pass over the window.
+#[derive(Default)]
+struct DedupWindow {
+    recent: HashSet<QueryId>,
+    older: HashSet<QueryId>,
+    /// When the first id of `recent` went in.
+    recent_since: SimTime,
+}
+
+impl DedupWindow {
+    fn contains(&self, qid: &QueryId) -> bool {
+        self.recent.contains(qid) || self.older.contains(qid)
+    }
+
+    fn insert(&mut self, qid: QueryId, now: SimTime, ttl: SimDuration) {
+        if self.recent.len() >= DEDUP_GENERATION || now.duration_since(self.recent_since) >= ttl {
+            self.older = std::mem::take(&mut self.recent);
+        }
+        if self.recent.is_empty() {
+            self.recent_since = now;
+        }
+        self.recent.insert(qid);
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.recent.len() + self.older.len()
+    }
+}
+
+/// A node's query counter keeps its low 40 bits for the count (seven
+/// years at 5 k queries a second) and the bits above for the epoch set
+/// by [`MoaraNode::set_query_epoch`].
+const QUERY_EPOCH_SHIFT: u32 = 40;
+
 /// The final result of a front-end query.
 #[derive(Clone, Debug)]
 pub struct QueryOutcome {
@@ -137,7 +189,7 @@ pub struct MoaraNode {
     /// Last time each predicate's state was touched (for GC policies).
     activity: HashMap<PredKey, SimTime>,
     sessions: HashMap<(QueryId, PredKey), Session>,
-    contributed: HashMap<QueryId, SimTime>,
+    contributed: DedupWindow,
     fronts: HashMap<u64, FrontQuery>,
     completed: HashMap<u64, QueryOutcome>,
     timers: HashMap<TimerTag, TimerEvent>,
@@ -186,7 +238,7 @@ impl MoaraNode {
             states: HashMap::new(),
             activity: HashMap::new(),
             sessions: HashMap::new(),
-            contributed: HashMap::new(),
+            contributed: DedupWindow::default(),
             fronts: HashMap::new(),
             completed: HashMap::new(),
             timers: HashMap::new(),
@@ -206,6 +258,17 @@ impl MoaraNode {
             delta_ctx: None,
             next_delta_trace: 0,
         }
+    }
+
+    /// Starts this node's query-id counter in an epoch of its own
+    /// (`epoch` in the bits above [`QUERY_EPOCH_SHIFT`]). A host that can
+    /// restart under the same node id passes a value every restart
+    /// changes — the daemon, its membership incarnation — because peers
+    /// remember the previous life's ids for `dedup_ttl` and would answer
+    /// identity to a counter that began at 0 again. The simulator never
+    /// restarts a node's counter and leaves the epoch at 0.
+    pub fn set_query_epoch(&mut self, epoch: u64) {
+        self.next_q = epoch << QUERY_EPOCH_SHIFT;
     }
 
     /// Attaches a span store: subsequent sampled queries, probes, and
@@ -1092,9 +1155,8 @@ impl MoaraNode {
         // Local contribution, at most once per query id (Section 6.2's
         // duplicate suppression when a node sits in several cover trees).
         let mut acc = query.agg.identity();
-        if !self.contributed.contains_key(&qid) && query.predicate.eval(&self.store) {
-            self.contributed.insert(qid, ctx.now());
-            self.gc_contributed(ctx.now());
+        if !self.contributed.contains(&qid) && query.predicate.eval(&self.store) {
+            self.contributed.insert(qid, ctx.now(), self.cfg.dedup_ttl);
             acc = self.local_contribution(me, &query);
         }
 
@@ -1169,14 +1231,6 @@ impl MoaraNode {
                 }
             }
         }
-    }
-
-    fn gc_contributed(&mut self, now: SimTime) {
-        if !self.contributed.len().is_multiple_of(512) {
-            return;
-        }
-        let ttl = self.cfg.dedup_ttl;
-        self.contributed.retain(|_, t| now.duration_since(*t) < ttl);
     }
 
     fn finalize_session(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, skey: &(QueryId, PredKey)) {
@@ -2464,5 +2518,60 @@ impl NetProtocol for MoaraNode {
             }
             None => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn node(cfg: MoaraConfig) -> MoaraNode {
+        let dir = Directory::from_members(&[(NodeId(0), Id(7))], cfg.bits_per_digit);
+        MoaraNode::new(dir, cfg)
+    }
+
+    fn qid(n: u64) -> QueryId {
+        QueryId {
+            origin: NodeId(3),
+            n,
+        }
+    }
+
+    #[test]
+    fn dedup_window_is_bounded_by_count_and_by_age() {
+        let ttl = MoaraConfig::default().dedup_ttl;
+        let mut w = DedupWindow::default();
+        // A million queries inside one `dedup_ttl`: 5 k a second.
+        for i in 0..1_000_000u64 {
+            w.insert(qid(i), SimTime(i * 200), ttl);
+            assert!(w.len() <= 2 * DEDUP_GENERATION);
+        }
+        // The newest generation's worth is always there, so a second
+        // tree's `QueryDown` for a query in flight is still suppressed.
+        for i in 1_000_000 - DEDUP_GENERATION as u64..1_000_000 {
+            assert!(w.contains(&qid(i)), "{i}");
+        }
+        assert!(!w.contains(&qid(0)));
+
+        // Age rotates too: an id is kept for at least `dedup_ttl` and
+        // gone after two.
+        let t0 = 1_000_000 * 200;
+        w.insert(qid(1_000_000), SimTime(t0 + ttl.as_micros()), ttl);
+        assert!(w.contains(&qid(999_999)));
+        w.insert(qid(1_000_001), SimTime(t0 + 2 * ttl.as_micros()), ttl);
+        assert!(!w.contains(&qid(999_999)));
+        assert!(w.contains(&qid(1_000_000)));
+        assert_eq!(w.len(), 2);
+    }
+
+    #[test]
+    fn query_epoch_keeps_a_restarted_counter_off_its_old_ids() {
+        let mut n = node(MoaraConfig::default());
+        assert_eq!(n.next_q, 0, "the simulator's ids start at 0");
+        n.set_query_epoch(2);
+        assert_eq!(n.next_q, 2 << QUERY_EPOCH_SHIFT);
+        // The accounting tag (and so the trace id) is origin + low bits:
+        // the epoch does not reach it.
+        assert_eq!(qid(n.next_q).tag(), qid(0).tag());
     }
 }

@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 use moara_attributes::Value;
 use moara_core::DeliveryPolicy;
 use moara_trace::{SpanRecord, TraceSummary};
+use moara_transport::WakeHandle;
 use moara_wire::{read_frame, write_msg, Wire, WireError};
 
 use crate::health::{AlertWire, PeerHealthRow};
@@ -564,7 +565,12 @@ pub(crate) struct CtrlJob {
     pub(crate) reply: Sender<CtrlOut>,
 }
 
-pub(crate) fn spawn_accept_loop(listener: TcpListener, tx: Sender<CtrlJob>, stop: Arc<AtomicBool>) {
+pub(crate) fn spawn_accept_loop(
+    listener: TcpListener,
+    tx: Sender<CtrlJob>,
+    wake: WakeHandle,
+    stop: Arc<AtomicBool>,
+) {
     std::thread::Builder::new()
         .name("moarad-ctrl-accept".into())
         .spawn(move || {
@@ -573,10 +579,10 @@ pub(crate) fn spawn_accept_loop(listener: TcpListener, tx: Sender<CtrlJob>, stop
                     break;
                 }
                 let Ok(stream) = conn else { continue };
-                let tx = tx.clone();
+                let (tx, wake) = (tx.clone(), wake.clone());
                 let _ = std::thread::Builder::new()
                     .name("moarad-ctrl-conn".into())
-                    .spawn(move || ctrl_conn_loop(stream, tx));
+                    .spawn(move || ctrl_conn_loop(stream, tx, wake));
             }
         })
         .expect("spawn ctrl accept thread");
@@ -586,8 +592,8 @@ pub(crate) fn spawn_accept_loop(listener: TcpListener, tx: Sender<CtrlJob>, stop
 /// repeated until the client hangs up. A `Watch` request flips the
 /// connection into streaming mode: update frames flow until the client
 /// disconnects (detected by a failed write) or the daemon drops the
-/// stream.
-fn ctrl_conn_loop(mut stream: TcpStream, tx: Sender<CtrlJob>) {
+/// stream. Every job handed to the event loop is followed by a wake.
+fn ctrl_conn_loop(mut stream: TcpStream, tx: Sender<CtrlJob>, wake: WakeHandle) {
     let _ = stream.set_nodelay(true);
     let error = |msg: &str| CtrlReply::Error(msg.into());
     loop {
@@ -609,6 +615,7 @@ fn ctrl_conn_loop(mut stream: TcpStream, tx: Sender<CtrlJob>) {
         if tx.send(CtrlJob { req, reply }).is_err() {
             return; // daemon shut down
         }
+        wake.wake();
         // One reply, or — streaming — update frames until either side
         // hangs up. Dropping `reply_rx` on a write failure is the signal
         // the daemon's pump observes (its next send errs and it
@@ -692,9 +699,11 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let (tx, rx) = std::sync::mpsc::channel();
+        // No loop to wake here: the test takes the job off `rx` itself.
+        let wake = moara_transport::TcpTransport::<crate::DaemonNode>::seeded(0).wake_handle();
         let conn = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
-            ctrl_conn_loop(stream, tx);
+            ctrl_conn_loop(stream, tx, wake);
         });
         let client = std::thread::spawn(move || {
             let req = CtrlRequest::Query {

@@ -88,7 +88,7 @@ use health::{
 };
 use moara_gateway::json::JsonLine;
 use recorder::{kind, now_unix_ms, Recorder};
-use serve::{ReplyTo, Walk};
+use serve::{ReplyTo, Walk, WalkPacer};
 
 /// One cluster member, as carried in membership lists.
 ///
@@ -585,6 +585,9 @@ pub struct Daemon {
     /// (single-flight: identical concurrent HTTP queries share one) plus
     /// cache bookkeeping.
     walks: HashMap<u64, Walk>,
+    /// Paces the turns in which this front-end starts walks and holds
+    /// the queries waiting for the next one.
+    walk_pacer: WalkPacer,
     /// Single-flight registry: normalized query text → the front id of
     /// the walk already running for it. Identical queries arriving
     /// while it runs join its waiter list instead of walking again.
@@ -662,9 +665,17 @@ pub struct Daemon {
     last_stall_dump: Option<Instant>,
 }
 
-/// Spans each daemon's ring-buffer store holds (per store, before the
-/// oldest are evicted).
-const TRACE_STORE_CAP: usize = 65_536;
+/// What each daemon's span ring may hold, in bytes: the ring is sized
+/// from a memory budget, not from a request rate.
+const TRACE_STORE_BYTES: usize = 1 << 20;
+
+/// One stored span, roughly: the `SpanRecord` itself (96 B) plus its
+/// `detail` string's heap block.
+const SPAN_BYTES: usize = 128;
+
+/// Spans each daemon's ring-buffer store holds before the oldest are
+/// evicted (8192; `docs/observability.md` says how much history that is).
+const TRACE_STORE_CAP: usize = TRACE_STORE_BYTES / SPAN_BYTES;
 
 /// How often the seed re-broadcasts the member list.
 const ANNOUNCE_EVERY: Duration = Duration::from_secs(2);
@@ -710,6 +721,10 @@ impl Daemon {
             return Err("--rejoin-as requires --join (the seed revives identities)".into());
         }
 
+        // The loop blocks in exactly one place, the transport's inbox;
+        // both request planes enqueue their job and then wake it.
+        let wake = transport.wake_handle();
+
         // Control plane: bound before joining, because the Join request
         // carries our control address (peers scatter-gather traces over
         // it). Jobs queue in the channel until the loop starts draining.
@@ -720,7 +735,7 @@ impl Daemon {
             .map_err(|e| format!("control addr: {e}"))?;
         let (ctrl_tx, ctrl_rx) = std::sync::mpsc::channel();
         let ctrl_stop = Arc::new(AtomicBool::new(false));
-        spawn_accept_loop(ctrl_listener, ctrl_tx, Arc::clone(&ctrl_stop));
+        spawn_accept_loop(ctrl_listener, ctrl_tx, wake.clone(), Arc::clone(&ctrl_stop));
 
         let (me, members) = match &opts.join {
             None => {
@@ -783,6 +798,10 @@ impl Daemon {
         let tracer = (opts.trace_sample > 0)
             .then(|| Arc::new(SpanStore::new(TRACE_STORE_CAP, opts.trace_sample)));
         let mut moara = MoaraNode::new(dir.clone(), opts.cfg.clone());
+        // A rejoin revives our id under a higher incarnation while peers
+        // still remember the previous life's query ids.
+        let my_slot = members.iter().find(|m| m.node == me.0);
+        moara.set_query_epoch(my_slot.map_or(0, |m| m.incarnation));
         if let Some(t) = &tracer {
             moara.set_tracer(Arc::clone(t));
         }
@@ -829,9 +848,14 @@ impl Daemon {
                     .query_cache
                     .clone()
                     .map(|cfg| Arc::new(QueryCache::new(cfg)));
+                let jobs: moara_gateway::JobSink = Arc::new(move |job| {
+                    gw_tx.send(job).map_err(|e| e.0)?;
+                    wake.wake();
+                    Ok(())
+                });
                 let handle = moara_gateway::spawn_gateway_opts(
                     listener,
-                    gw_tx,
+                    jobs,
                     GatewayOpts {
                         rate_limit: opts.gw_rate_limit,
                         request_timeout: Duration::from_millis(opts.gw_request_timeout_ms.max(1)),
@@ -878,6 +902,7 @@ impl Daemon {
             gw_handle,
             gw_rx,
             walks: HashMap::new(),
+            walk_pacer: WalkPacer::new(Instant::now()),
             gw_inflight: HashMap::new(),
             query_cache,
             last_cache_sweep: Instant::now(),
@@ -953,7 +978,12 @@ impl Daemon {
     /// membership updates, serves control requests, finishes queries.
     /// Returns true if anything happened.
     pub fn step(&mut self, max_wait: Duration) -> bool {
-        let mut did = self.transport.pump(max_wait);
+        // The next walk turn is the one deadline besides the transport's
+        // own timers that the loop must not sleep through.
+        let wait = self
+            .queued_walk_wait()
+            .map_or(max_wait, |w| w.min(max_wait));
+        let mut did = self.transport.pump(wait);
         // Tick timing starts after the poll: it measures how long one
         // loop iteration's *work* takes, not how long the loop idled.
         let tick_start = Instant::now();
@@ -962,6 +992,7 @@ impl Daemon {
         let ctrl_jobs = self.drain_ctrl();
         let gw_jobs = self.drain_gateway();
         did |= ctrl_jobs + gw_jobs > 0;
+        did |= self.start_queued_walks();
         did |= self.finish_queries();
         did |= self.pump_watches();
         did |= self.pump_query_cache();
@@ -1255,6 +1286,14 @@ impl Daemon {
             })
             .map(|m| NodeId(m.node))
             .collect();
+        // Which of two daemons suspecting the same peer confirms first
+        // is a race, and the loser hears of the death from this list
+        // (its detector, synced below, then never emits `Confirmed`):
+        // its journal must still say the peer died.
+        for n in &newly_dead {
+            self.recorder
+                .record_event(kind::SWIM_CONFIRM, format!("peer={} via=membership", n.0));
+        }
         let me = self.me;
         let member_states: Vec<(u32, u64, bool)> = members
             .iter()

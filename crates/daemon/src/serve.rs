@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use moara_core::{DeliveryPolicy, QueryOutcome};
 use moara_gateway::{GwJob, GwReply, GwRequest, ReplySink, SinkClosed, WatchPolicy};
-use moara_query::parse_query;
+use moara_query::{parse_query, Query};
 use moara_simnet::SimDuration;
 use moara_transport::Transport;
 
@@ -29,6 +29,58 @@ const GATHER_TIMEOUT: Duration = Duration::from_secs(2);
 /// watcher is unsubscribed within this bound even if its standing query
 /// never changes.
 const WATCH_KEEPALIVE_EVERY: Duration = Duration::from_secs(1);
+
+/// Tree walks start in turns, and this is the gap between two turns
+/// once [`WALK_BURST`] of them have been taken back to back. A turn
+/// starts every query waiting, so requests that arrive together leave
+/// together (identical ones as one walk) and concurrent clients are not
+/// held to any rate; what the gap fixes is how often a lone closed loop
+/// gets to go round — one answer per gap on any machine that walks the
+/// tree in less, instead of however fast the host happens to run that
+/// minute. Cache hits and every other operation take no turn.
+const WALK_GAP: Duration = Duration::from_millis(1);
+
+/// How many turns may be taken back to back before [`WALK_GAP`] applies:
+/// an operator's few queries, a dashboard's page of them.
+const WALK_BURST: u32 = 32;
+
+/// Paces the turns in which this front-end starts tree walks: a token
+/// bucket kept as one timestamp, so a turn taken late is made up by the
+/// next one and the sustained rate is exact.
+pub(crate) struct WalkPacer {
+    /// When the bucket would be full again; each turn moves it one
+    /// [`WALK_GAP`] later.
+    full_at: Instant,
+    /// Parsed queries waiting for the next turn, oldest first: text,
+    /// query, who asked. A connection has one request in flight, so the
+    /// connection caps bound this too.
+    queued: Vec<(String, Query, ReplyTo)>,
+}
+
+impl WalkPacer {
+    pub(crate) fn new(now: Instant) -> WalkPacer {
+        WalkPacer {
+            full_at: now,
+            queued: Vec::new(),
+        }
+    }
+
+    /// How long until the next turn: zero while fewer than
+    /// [`WALK_BURST`] gaps are owed.
+    fn wait(&self, now: Instant) -> Duration {
+        let owed = self.full_at.saturating_duration_since(now);
+        owed.saturating_sub(WALK_GAP * (WALK_BURST - 1))
+    }
+
+    /// Takes a turn if one is due.
+    fn try_turn(&mut self, now: Instant) -> bool {
+        let due = self.wait(now).is_zero();
+        if due {
+            self.full_at = self.full_at.max(now) + WALK_GAP;
+        }
+        due
+    }
+}
 
 /// Where an operation's replies go: down a control connection as they
 /// are, or out through the gateway rendered as HTTP.
@@ -321,51 +373,15 @@ impl Daemon {
                 prev_node,
                 ctrl,
             } => self.handle_join(addr, prev_node, ctrl),
-            CtrlRequest::Query { text } => {
-                // Single-flight and the result cache both key on the
-                // normalized text — computed only for the queries that
-                // use them (HTTP ones, on a caching daemon).
-                let http = matches!(to, ReplyTo::Http(..));
-                let cache = self.query_cache.as_ref().filter(|_| http);
-                let key = cache.map(|_| moara_gateway::normalize(&text));
-                if let Some((cache, key)) = cache.zip(key.as_ref()) {
-                    // An identical query already walking the tree absorbs
-                    // this request as another waiter — N identical
-                    // in-flight queries cost one walk.
-                    let walking = self.gw_inflight.get(key);
-                    if let Some(walk) = walking.and_then(|fid| self.walks.get_mut(fid)) {
-                        walk.waiters.push(to.marked("coalesced"));
-                        cache.note_coalesced();
-                        return;
-                    }
+            CtrlRequest::Query { text } => match parse_query(&text) {
+                // Its walk starts with the next turn: at the end of this
+                // step when one is due (`start_queued_walks`).
+                Ok(query) => {
+                    self.walk_pacer.queued.push((text, query, to));
+                    return;
                 }
-                match parse_query(&text) {
-                    Ok(query) => {
-                        let (fid, trace_id) = self.with_moara(|moara, ctx| {
-                            let fid = moara.submit(ctx, query);
-                            (fid, moara.front_trace_id(fid))
-                        });
-                        let (to, cache_gen) = match (&key, &self.query_cache) {
-                            (Some(key), Some(cache)) => {
-                                self.gw_inflight.insert(key.clone(), fid);
-                                (to.marked("miss"), cache.gen_of(key))
-                            }
-                            _ => (to, None),
-                        };
-                        let walk = Walk {
-                            waiters: vec![to],
-                            cache_key: key,
-                            cache_gen,
-                            text,
-                            submitted: Instant::now(),
-                            trace_id,
-                        };
-                        self.walks.insert(fid, walk);
-                        return;
-                    }
-                    Err(e) => CtrlReply::Error(format!("parse error: {e}")),
-                }
-            }
+                Err(e) => CtrlReply::Error(format!("parse error: {e}")),
+            },
             CtrlRequest::SetAttr { attr, value } => {
                 self.with_moara(|moara, ctx| {
                     moara.store.set(attr.as_str(), value);
@@ -544,6 +560,68 @@ impl Daemon {
         );
     }
 
+    /// How long the loop may sleep before the next turn is due; `None`
+    /// when no query waits for one.
+    pub(crate) fn queued_walk_wait(&self) -> Option<Duration> {
+        let pacer = &self.walk_pacer;
+        (!pacer.queued.is_empty()).then(|| pacer.wait(Instant::now()))
+    }
+
+    /// Takes a turn when one is due and a query waits: every waiting
+    /// query starts its walk, in arrival order.
+    pub(crate) fn start_queued_walks(&mut self) -> bool {
+        let pacer = &mut self.walk_pacer;
+        if pacer.queued.is_empty() || !pacer.try_turn(Instant::now()) {
+            return false;
+        }
+        for (text, query, to) in std::mem::take(&mut pacer.queued) {
+            self.start_walk(text, query, to);
+        }
+        true
+    }
+
+    /// Starts `query`'s tree walk for `to` — or, on a caching daemon,
+    /// adds `to` to the identical query already walking.
+    fn start_walk(&mut self, text: String, query: Query, to: ReplyTo) {
+        // Single-flight and the result cache both key on the normalized
+        // text — computed only for the queries that use them (HTTP ones,
+        // on a caching daemon).
+        let http = matches!(to, ReplyTo::Http(..));
+        let cache = self.query_cache.as_ref().filter(|_| http);
+        let key = cache.map(|_| moara_gateway::normalize(&text));
+        if let Some((cache, key)) = cache.zip(key.as_ref()) {
+            // An identical query already walking the tree absorbs this
+            // request as another waiter — N identical in-flight queries
+            // cost one walk.
+            let walking = self.gw_inflight.get(key);
+            if let Some(walk) = walking.and_then(|fid| self.walks.get_mut(fid)) {
+                walk.waiters.push(to.marked("coalesced"));
+                cache.note_coalesced();
+                return;
+            }
+        }
+        let (fid, trace_id) = self.with_moara(|moara, ctx| {
+            let fid = moara.submit(ctx, query);
+            (fid, moara.front_trace_id(fid))
+        });
+        let (to, cache_gen) = match (&key, &self.query_cache) {
+            (Some(key), Some(cache)) => {
+                self.gw_inflight.insert(key.clone(), fid);
+                (to.marked("miss"), cache.gen_of(key))
+            }
+            _ => (to, None),
+        };
+        let walk = Walk {
+            waiters: vec![to],
+            cache_key: key,
+            cache_gen,
+            text,
+            submitted: Instant::now(),
+            trace_id,
+        };
+        self.walks.insert(fid, walk);
+    }
+
     /// Answers every walk whose outcome landed: its waiters, the
     /// slow-query log, and the result cache.
     pub(crate) fn finish_queries(&mut self) -> bool {
@@ -646,5 +724,39 @@ impl Daemon {
             self.unsubscribe(wid);
         }
         did
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A burst of turns at once, then one per gap — and the rate is exact
+    /// however late each turn is taken: lateness is not carried.
+    #[test]
+    fn walk_pacer_spends_its_burst_then_holds_the_gap_exactly() {
+        let t0 = Instant::now();
+        let mut pacer = WalkPacer::new(t0);
+        for _ in 0..WALK_BURST {
+            assert!(pacer.try_turn(t0));
+        }
+        assert!(!pacer.try_turn(t0));
+        assert_eq!(pacer.wait(t0), WALK_GAP);
+
+        // A saturating client whose every turn is taken 60 µs late.
+        let late = Duration::from_micros(60);
+        let mut now = t0;
+        for _ in 0..10_000 {
+            now += pacer.wait(now) + late;
+            assert!(pacer.try_turn(now));
+        }
+        assert_eq!(now - t0, WALK_GAP * 10_000 + late);
+
+        // Idle refills the bucket to the burst and no further.
+        now += Duration::from_secs(60);
+        for _ in 0..WALK_BURST {
+            assert!(pacer.try_turn(now));
+        }
+        assert!(!pacer.try_turn(now));
     }
 }

@@ -200,3 +200,53 @@ fn killed_daemon_is_detected_pruned_and_rejoins() {
     assert!(complete);
     assert_eq!(result, "3", "the returnee reappears in query results");
 }
+
+/// A restarted front-end must not reissue its previous life's query ids:
+/// the group members remember those for `dedup_ttl` (five minutes) and
+/// would contribute nothing to them, so the returnee's first queries
+/// would come back short yet `complete`.
+#[test]
+fn rejoined_front_end_gets_full_answers_from_its_first_query() {
+    let seed_ctrl = free_port();
+    let b_ctrl = free_port();
+    let seed_str = seed_ctrl.to_string();
+
+    let _a = RunningDaemon::spawn(seed_ctrl, None, None, "ServiceX=true");
+    let _b = RunningDaemon::spawn(b_ctrl, Some(seed_str.clone()), None, "ServiceX=true");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    wait_for_status(deadline, "b's join", b_ctrl, |&(_, m, a, _)| {
+        m == 2 && a == 2
+    });
+    // Joined last, so it is node 2: the id it comes back under.
+    let c_ctrl = free_port();
+    let c = RunningDaemon::spawn(c_ctrl, Some(seed_str.clone()), None, "ServiceX=true");
+    for ctrl in [seed_ctrl, b_ctrl, c_ctrl] {
+        wait_for_status(deadline, "cluster formation", ctrl, |&(_, m, a, _)| {
+            m == 3 && a == 3
+        });
+    }
+    assert_eq!(status(c_ctrl).expect("c answers status").0, 2);
+    // Its first life's first query: every member now remembers the id.
+    assert_eq!(count_query(c_ctrl), ("3".to_owned(), true));
+
+    c.kill();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    for ctrl in [seed_ctrl, b_ctrl] {
+        wait_for_status(
+            deadline,
+            "failure confirmation",
+            ctrl,
+            |(_, _, alive, dead)| *alive == 2 && *dead == vec![2],
+        );
+    }
+    let c2_ctrl = free_port();
+    let _c2 = RunningDaemon::spawn(c2_ctrl, Some(seed_str), Some(2), "ServiceX=true");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    for ctrl in [seed_ctrl, b_ctrl, c2_ctrl] {
+        wait_for_status(deadline, "rejoin propagation", ctrl, |(_, m, a, dead)| {
+            *m == 3 && *a == 3 && dead.is_empty()
+        });
+    }
+    // Its second life's first query, well inside `dedup_ttl`.
+    assert_eq!(count_query(c2_ctrl), ("3".to_owned(), true));
+}

@@ -53,6 +53,6 @@ pub use metrics::{federate_expositions, lint_exposition, MetricsRegistry};
 pub use middleware::TokenBuckets;
 pub use server::{
     access_log_line, spawn_gateway, spawn_gateway_opts, AccessLogSink, AtomicHistogram,
-    EndpointLatency, GatewayHandle, GatewayOpts, GatewayStats, GwJob, GwReply, GwRequest,
+    EndpointLatency, GatewayHandle, GatewayOpts, GatewayStats, GwJob, GwReply, GwRequest, JobSink,
     ReplySink, SinkClosed, WatchPolicy, LATENCY_BOUNDS_US,
 };

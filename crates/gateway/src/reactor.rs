@@ -38,14 +38,13 @@ use std::net::{IpAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::http::{parse_request, HttpResponse, ParseStep};
 use crate::server::{
     endpoint_class, finish_request, render_reply, route, sse_frame, AccessLogSink, GatewayHandle,
-    GatewayOpts, GatewayStats, GwJob, GwReply, GwRequest, ReplySink,
+    GatewayOpts, GatewayStats, GwJob, GwReply, GwRequest, JobSink, ReplySink,
 };
 
 /// Raw Linux syscall surface: `epoll` + `eventfd`, no libc crate.
@@ -244,7 +243,7 @@ struct Conn {
 /// the connection map so helpers can borrow a `Conn` mutably alongside
 /// it).
 struct Ctx {
-    tx: Sender<GwJob>,
+    jobs: JobSink,
     stats: Arc<GatewayStats>,
     mailbox: Arc<Mailbox>,
     limiter: Option<Arc<crate::middleware::TokenBuckets>>,
@@ -267,8 +266,8 @@ struct Shard {
     ctx: Ctx,
 }
 
-/// Boots the acceptor and shard threads on `listener`; jobs flow into
-/// `tx` (drained by the daemon's event loop).
+/// Boots the acceptor and shard threads on `listener`; parsed requests
+/// are handed to `jobs` (the daemon's event loop).
 ///
 /// # Panics
 ///
@@ -277,7 +276,7 @@ struct Shard {
 /// failures.
 pub(crate) fn spawn_reactor(
     listener: TcpListener,
-    tx: Sender<GwJob>,
+    jobs: JobSink,
     opts: GatewayOpts,
 ) -> GatewayHandle {
     let addr = listener.local_addr().expect("gateway listener addr");
@@ -315,7 +314,7 @@ pub(crate) fn spawn_reactor(
             next_id: 1,
             stop: Arc::clone(&stop),
             ctx: Ctx {
-                tx: tx.clone(),
+                jobs: Arc::clone(&jobs),
                 stats: Arc::clone(&stats),
                 mailbox: Arc::clone(&mailbox),
                 limiter: limiter.clone(),
@@ -882,18 +881,15 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, req: crate::http::HttpRequest) {
                 gen: conn.gen,
                 closed: Arc::clone(&conn.closed),
             };
-            if ctx
-                .tx
-                .send(GwJob {
-                    req: GwRequest::Watch {
-                        q,
-                        policy,
-                        lease_ms,
-                    },
-                    reply: sink,
-                })
-                .is_err()
-            {
+            let job = GwJob {
+                req: GwRequest::Watch {
+                    q,
+                    policy,
+                    lease_ms,
+                },
+                reply: sink,
+            };
+            if (ctx.jobs)(job).is_err() {
                 ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
                 let response = HttpResponse::error(503, "daemon shut down");
                 finish_request(
@@ -972,14 +968,11 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, req: crate::http::HttpRequest) {
                 gen: conn.gen,
                 closed: Arc::clone(&conn.closed),
             };
-            if ctx
-                .tx
-                .send(GwJob {
-                    req: gw_req,
-                    reply: sink,
-                })
-                .is_err()
-            {
+            let job = GwJob {
+                req: gw_req,
+                reply: sink,
+            };
+            if (ctx.jobs)(job).is_err() {
                 let response = HttpResponse::error(503, "daemon shut down");
                 finish_request(
                     &ctx.stats,
@@ -1062,9 +1055,8 @@ fn deliver(ctx: &Ctx, conn: &mut Conn, gen: u64, mail: Mail) {
             Phase::Await(p) if p.gen == gen => {
                 if Instant::now() >= p.deadline {
                     // The reply exists but missed its deadline: the
-                    // middleware answer is still 408 (deterministic
-                    // e2e: a 1 ms deadline always times out even when
-                    // the daemon replies 5 ms later).
+                    // middleware answer is still 408, whether or not a
+                    // sweep got to the connection first.
                     timeout_pending(ctx, conn);
                     return;
                 }

@@ -265,6 +265,13 @@ pub struct GwJob {
     pub reply: ReplySink,
 }
 
+/// Where the shards hand parsed requests: the daemon's side of the job
+/// queue. It enqueues the job and then does whatever makes its consumer
+/// look (the daemon wakes its event loop), or gives the job back when
+/// the consumer is gone. A closure, so the gateway needs to know neither
+/// the queue nor the loop.
+pub type JobSink = Arc<dyn Fn(GwJob) -> Result<(), GwJob> + Send + Sync>;
+
 /// Bucket upper bounds (microseconds) for the gateway's request-latency
 /// histograms. Log-ish spacing from sub-millisecond one-shots out to the
 /// engine's front timeout; the final implicit bucket is `+Inf`.
@@ -541,28 +548,35 @@ impl GatewayHandle {
 }
 
 /// Spawns the gateway's acceptor and reactor shards on `listener` with
-/// default options. Jobs flow into `tx`; the daemon's event loop must
-/// drain them (see `Daemon::step`).
+/// default options. Jobs flow into `tx`; whoever holds the receiver
+/// must drain it (the daemon instead passes [`spawn_gateway_opts`] a
+/// [`JobSink`] that also wakes its event loop).
 ///
 /// # Panics
 ///
 /// Panics if the listener's local address cannot be read, `epoll` setup
 /// fails, or threads cannot spawn — all boot-time process failures.
 pub fn spawn_gateway(listener: TcpListener, tx: Sender<GwJob>) -> GatewayHandle {
-    spawn_gateway_opts(listener, tx, GatewayOpts::default())
+    spawn_gateway_opts(listener, channel_sink(tx), GatewayOpts::default())
 }
 
-/// [`spawn_gateway`] with explicit [`GatewayOpts`].
+/// A [`JobSink`] that only enqueues: for a consumer that blocks on the
+/// receiver itself and so needs no waking.
+fn channel_sink(tx: Sender<GwJob>) -> JobSink {
+    Arc::new(move |job| tx.send(job).map_err(|e| e.0))
+}
+
+/// [`spawn_gateway`] with explicit [`GatewayOpts`] and job hand-off.
 ///
 /// # Panics
 ///
 /// Same boot-time failures as [`spawn_gateway`].
 pub fn spawn_gateway_opts(
     listener: TcpListener,
-    tx: Sender<GwJob>,
+    jobs: JobSink,
     opts: GatewayOpts,
 ) -> GatewayHandle {
-    crate::reactor::spawn_reactor(listener, tx, opts)
+    crate::reactor::spawn_reactor(listener, jobs, opts)
 }
 
 /// Times one finished request into the per-endpoint histogram and, when
@@ -871,7 +885,7 @@ mod tests {
                 respond(job.req, job.reply);
             }
         });
-        spawn_gateway_opts(listener, tx, opts)
+        spawn_gateway_opts(listener, channel_sink(tx), opts)
     }
 
     fn roundtrip(addr: SocketAddr, raw: &str) -> String {
@@ -1683,7 +1697,7 @@ mod tests {
         drop(rx);
         let gw = spawn_gateway_opts(
             listener,
-            tx,
+            channel_sink(tx),
             GatewayOpts {
                 access_log: Some(sink),
                 ..GatewayOpts::default()

@@ -32,7 +32,7 @@ pub mod sim;
 pub mod tcp;
 
 pub use sim::SimTransport;
-pub use tcp::{ReservedListener, TcpConfig, TcpTransport};
+pub use tcp::{ReservedListener, TcpConfig, TcpTransport, WakeHandle};
 
 /// The capability handle protocol logic acts through: everything a node
 /// may do to the outside world from inside a callback.

@@ -13,6 +13,11 @@
 //! [`Transport`] trait's `run_*` methods). Protocol state therefore needs
 //! no locks and no `Send` bound, exactly like the simulator.
 //!
+//! The inbox is also the host's one wake source: `pump` blocks on it and
+//! nowhere else, so a host that feeds its loop from other threads (the
+//! daemon's control and HTTP planes) has them call a [`WakeHandle`] after
+//! enqueueing their work, and `pump` returns as if a frame had arrived.
+//!
 //! Time: [`NetCtx::now`] reports real elapsed microseconds since the
 //! transport was created, so `SimTime`/`SimDuration` bookkeeping in
 //! protocol code (timeouts, latencies) carries over unchanged.
@@ -29,9 +34,8 @@
 //! socket nondeterminism. The seed also drives reconnect jitter in socket
 //! mode.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::io::Write;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::io::{BufReader, Write};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,7 +47,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use moara_simnet::{Message, NodeId, SimDuration, SimTime, Stats, TimerId, TimerTag};
-use moara_wire::{read_frame, write_frame, Wire, FRAME_HDR, SENDER_HDR};
+use moara_wire::{encode_frame, read_frame, Wire, FRAME_HDR, SENDER_HDR};
 
 use crate::{NetCtx, NetProtocol, Transport};
 
@@ -116,7 +120,44 @@ impl TcpConfig {
 struct Inbound {
     to: u32,
     from: u32,
-    bytes: Vec<u8>,
+    /// The frame's payload as it crossed the wire: the sender id
+    /// ([`SENDER_HDR`] bytes), then the message encoding.
+    payload: Vec<u8>,
+}
+
+/// What the event loop's inbox carries.
+enum Inbox {
+    Frame(Inbound),
+    /// Payload-free sentinel from a [`WakeHandle`]: it only ends the
+    /// blocking receive. Not a message — never decoded, never counted.
+    Wake,
+}
+
+/// Makes a blocked [`TcpTransport::pump`] return at once, from any
+/// thread. A wake sent while the loop is busy is not lost: the next
+/// `pump` sees it and returns without blocking.
+#[derive(Clone)]
+pub struct WakeHandle {
+    inbox: Sender<Inbox>,
+}
+
+impl WakeHandle {
+    /// Wakes the event loop. Call it *after* making the work visible
+    /// (enqueueing the job), or the loop may look before it is there.
+    pub fn wake(&self) {
+        // The transport is gone: nobody left to wake.
+        let _ = self.inbox.send(Inbox::Wake);
+    }
+}
+
+/// One pending timer (the value side of [`TcpCore::timers`]).
+struct TimerEntry {
+    node: u32,
+    tag: TimerTag,
+    /// Does not gate quiescence (lease clocks, renewal ticks): fires at
+    /// its deadline like any other, but `run_to_quiescence` does not
+    /// wait it out.
+    maintenance: bool,
 }
 
 /// Everything the event loop owns besides the nodes themselves, so a node
@@ -134,16 +175,13 @@ struct TcpCore<M> {
     stats: Stats,
     undeliverable: Vec<(NodeId, NodeId)>,
     rng: StdRng,
-    /// (due micros, timer seq, node, tag) — min-heap by due time.
-    timers: BinaryHeap<Reverse<(u64, u64, u32, TimerTag)>>,
-    cancelled: HashSet<u64>,
-    /// Seqs still in the heap; guards `cancelled` against growing on
-    /// cancellations of already-fired timers.
-    live_timers: HashSet<u64>,
-    /// Timers that do not gate quiescence (lease clocks, renewal ticks):
-    /// they fire at their deadline like any other, but
-    /// `run_to_quiescence` does not wait them out.
-    maintenance_timers: HashSet<u64>,
+    /// Pending timers keyed by (due micros, timer seq), which is the
+    /// fire order. A cancel removes the entry then and there, so what is
+    /// resident is what is still going to fire: a finished query's 60 s
+    /// front timeout does not outlive the query.
+    timers: BTreeMap<(u64, u64), TimerEntry>,
+    /// Timer seq → due micros, for finding an entry by its [`TimerId`].
+    timer_due: HashMap<u64, u64>,
     next_timer: u64,
     /// Peers whose last reconnect cycle failed entirely: drop sends to
     /// them until the deadline instead of blocking the event loop again.
@@ -175,11 +213,13 @@ impl<M: Message + Wire> TcpCore<M> {
 
     /// Sends one message, pooling and reconnecting as needed.
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let mut payload = Vec::with_capacity(SENDER_HDR + msg.encoded_len());
-        Wire::encode(&from.0, &mut payload);
-        msg.encode(&mut payload);
-        let framed = payload.len() + FRAME_HDR;
-        self.stats.record_send(from, framed);
+        // Prefix, sender id and message in one buffer: one write per frame.
+        let mut frame = encode_frame(SENDER_HDR + msg.encoded_len(), |out| {
+            Wire::encode(&from.0, out);
+            msg.encode(out);
+        })
+        .expect("a message over 4 GiB was never built");
+        self.stats.record_send(from, frame.len());
         if let Some(tag) = msg.query_tag() {
             self.stats.record_query_msg(tag);
         }
@@ -189,12 +229,12 @@ impl<M: Message + Wire> TcpCore<M> {
             return;
         }
         if self.cfg.loopback_only {
-            // Payload already encodes (from, msg); keep the bytes so the
-            // loopback path exercises the same codec as sockets.
+            // Keep the encoded bytes so the loopback path exercises the
+            // same codec as sockets.
             self.local_queue.push_back(Inbound {
                 to: to.0,
                 from: from.0,
-                bytes: payload.split_off(SENDER_HDR),
+                payload: frame.split_off(FRAME_HDR),
             });
             return;
         }
@@ -202,7 +242,7 @@ impl<M: Message + Wire> TcpCore<M> {
         if local_dest {
             self.inflight += 1;
         }
-        if !self.write_with_retry(to.0, &payload) {
+        if !self.write_with_retry(to.0, &frame) {
             if local_dest {
                 self.inflight -= 1;
             }
@@ -211,9 +251,10 @@ impl<M: Message + Wire> TcpCore<M> {
         }
     }
 
-    /// Writes one frame to `to`, reconnecting with jittered backoff on
-    /// failure. Returns false when every attempt failed.
-    fn write_with_retry(&mut self, to: u32, payload: &[u8]) -> bool {
+    /// Writes one whole frame (prefix included) to `to`, reconnecting with
+    /// jittered backoff on failure. Returns false when every attempt
+    /// failed.
+    fn write_with_retry(&mut self, to: u32, frame: &[u8]) -> bool {
         let Some(addr) = self.peers.get(&to).copied() else {
             return false;
         };
@@ -257,10 +298,7 @@ impl<M: Message + Wire> TcpCore<M> {
                     Err(_) => continue,
                 },
             };
-            if write_frame(&mut conn, payload)
-                .and_then(|()| conn.flush())
-                .is_ok()
-            {
+            if conn.write_all(frame).and_then(|()| conn.flush()).is_ok() {
                 self.pool.insert(to, conn);
                 self.suspect_until.remove(&to);
                 return true;
@@ -291,39 +329,47 @@ impl<M: Message + Wire> TcpCore<M> {
         let seq = self.next_timer;
         self.next_timer += 1;
         let due = self.now_us().saturating_add(delay.as_micros());
-        self.timers.push(Reverse((due, seq, me.0, tag)));
-        self.live_timers.insert(seq);
-        if maintenance {
-            self.maintenance_timers.insert(seq);
-        }
+        let entry = TimerEntry {
+            node: me.0,
+            tag,
+            maintenance,
+        };
+        self.timers.insert((due, seq), entry);
+        self.timer_due.insert(seq, due);
         TimerId::from_raw(seq)
     }
 
-    /// Micros until the next (uncancelled) timer, if any.
-    fn next_timer_in(&mut self) -> Option<u64> {
-        while let Some(Reverse((due, seq, _, _))) = self.timers.peek().copied() {
-            if self.cancelled.remove(&seq) {
-                self.live_timers.remove(&seq);
-                self.maintenance_timers.remove(&seq);
-                self.timers.pop();
-                continue;
-            }
-            return Some(due.saturating_sub(self.now_us()));
+    /// Forgets a pending timer; a no-op for one that already fired.
+    fn cancel_timer(&mut self, id: TimerId) {
+        if let Some(due) = self.timer_due.remove(&id.raw()) {
+            self.timers.remove(&(due, id.raw()));
         }
-        None
+    }
+
+    /// Takes the earliest timer out if it is due.
+    fn pop_due_timer(&mut self) -> Option<TimerEntry> {
+        let now = self.now_us();
+        let first = self.timers.first_entry()?;
+        let (due, seq) = *first.key();
+        if due > now {
+            return None;
+        }
+        self.timer_due.remove(&seq);
+        Some(first.remove())
+    }
+
+    /// Micros until the next timer, if any.
+    fn next_timer_in(&self) -> Option<u64> {
+        let (&(due, _), _) = self.timers.first_key_value()?;
+        Some(due.saturating_sub(self.now_us()))
     }
 
     /// Micros until the next *foreground* (non-maintenance) timer — the
-    /// quiescence condition. Scans the heap; timer counts are tiny.
+    /// quiescence condition. Walks past the maintenance timers in front
+    /// of it; those are a handful per node.
     fn next_fg_timer_in(&self) -> Option<u64> {
-        let now = self.now_us();
-        self.timers
-            .iter()
-            .filter(|Reverse((_, seq, _, _))| {
-                !self.cancelled.contains(seq) && !self.maintenance_timers.contains(seq)
-            })
-            .map(|Reverse((due, _, _, _))| due.saturating_sub(now))
-            .min()
+        let (&(due, _), _) = self.timers.iter().find(|(_, t)| !t.maintenance)?;
+        Some(due.saturating_sub(self.now_us()))
     }
 }
 
@@ -350,10 +396,7 @@ impl<M: Message + Wire> NetCtx<M> for TcpCtx<'_, M> {
         self.core.arm_timer(self.me, delay, tag, true)
     }
     fn cancel_timer(&mut self, id: TimerId) {
-        // Cancelling an already-fired timer must not grow the set forever.
-        if self.core.live_timers.contains(&id.raw()) {
-            self.core.cancelled.insert(id.raw());
-        }
+        self.core.cancel_timer(id);
     }
     fn count(&mut self, name: &'static str) {
         self.core.stats.bump(name, 1);
@@ -387,8 +430,8 @@ impl ReservedListener {
 pub struct TcpTransport<P: NetProtocol> {
     nodes: HashMap<u32, Option<P>>,
     core: TcpCore<P::Msg>,
-    inbox_rx: Receiver<Inbound>,
-    inbox_tx: Sender<Inbound>,
+    inbox_rx: Receiver<Inbox>,
+    inbox_tx: Sender<Inbox>,
     stop: Arc<AtomicBool>,
     next_id: u32,
 }
@@ -412,10 +455,8 @@ where
                 alive: HashMap::new(),
                 stats: Stats::default(),
                 undeliverable: Vec::new(),
-                timers: BinaryHeap::new(),
-                cancelled: HashSet::new(),
-                live_timers: HashSet::new(),
-                maintenance_timers: HashSet::new(),
+                timers: BTreeMap::new(),
+                timer_due: HashMap::new(),
                 next_timer: 0,
                 suspect_until: HashMap::new(),
                 local_queue: VecDeque::new(),
@@ -565,9 +606,19 @@ where
             .expect("spawn acceptor thread");
     }
 
+    /// A handle other threads use to cut a blocked [`TcpTransport::pump`]
+    /// short (see [`WakeHandle`]).
+    pub fn wake_handle(&self) -> WakeHandle {
+        WakeHandle {
+            inbox: self.inbox_tx.clone(),
+        }
+    }
+
     /// Fires due timers and delivers queued/incoming frames. Blocks up to
     /// `max_wait` when nothing is immediately ready (bounded by the next
-    /// timer deadline). Returns true if any event was processed.
+    /// timer deadline) and no wake is pending; a [`WakeHandle::wake`]
+    /// ends the block early. Returns true if any event was processed —
+    /// a wake is not one.
     pub fn pump(&mut self, max_wait: Duration) -> bool {
         let mut did = false;
         did |= self.fire_due_timers();
@@ -575,21 +626,29 @@ where
             self.deliver(ib);
             did = true;
         }
-        while let Ok(ib) = self.inbox_rx.try_recv() {
-            self.deliver(ib);
-            did = true;
+        let mut woken = false;
+        while let Ok(item) = self.inbox_rx.try_recv() {
+            match item {
+                Inbox::Frame(ib) => {
+                    self.deliver(ib);
+                    did = true;
+                }
+                Inbox::Wake => woken = true,
+            }
         }
-        if !did && !max_wait.is_zero() {
+        if !did && !woken && !max_wait.is_zero() {
             let wait = match self.core.next_timer_in() {
                 Some(us) => max_wait.min(Duration::from_micros(us)),
                 None => max_wait,
             };
             match self.inbox_rx.recv_timeout(wait) {
-                Ok(ib) => {
+                Ok(Inbox::Frame(ib)) => {
                     self.deliver(ib);
                     did = true;
                 }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {}
+                Ok(Inbox::Wake)
+                | Err(RecvTimeoutError::Timeout)
+                | Err(RecvTimeoutError::Disconnected) => {}
             }
             did |= self.fire_due_timers();
         }
@@ -598,19 +657,7 @@ where
 
     fn fire_due_timers(&mut self) -> bool {
         let mut did = false;
-        while let Some(Reverse((due, seq, node, tag))) = self.core.timers.peek().copied() {
-            if self.core.cancelled.remove(&seq) {
-                self.core.live_timers.remove(&seq);
-                self.core.maintenance_timers.remove(&seq);
-                self.core.timers.pop();
-                continue;
-            }
-            if due > self.core.now_us() {
-                break;
-            }
-            self.core.timers.pop();
-            self.core.live_timers.remove(&seq);
-            self.core.maintenance_timers.remove(&seq);
+        while let Some(TimerEntry { node, tag, .. }) = self.core.pop_due_timer() {
             if self.core.is_alive(node) && self.nodes.contains_key(&node) {
                 self.with_node_inner(NodeId(node), |n, ctx| n.on_timer(ctx, tag));
             }
@@ -629,7 +676,7 @@ where
             self.core.stats.record_drop();
             return;
         }
-        let msg = match <P::Msg as Wire>::from_bytes(&ib.bytes) {
+        let msg = match <P::Msg as Wire>::from_bytes(&ib.payload[SENDER_HDR..]) {
             Ok(m) => m,
             Err(_) => {
                 self.core.stats.bump("wire_decode_errors", 1);
@@ -638,7 +685,7 @@ where
         };
         self.core
             .stats
-            .record_recv(NodeId(ib.to), ib.bytes.len() + SENDER_HDR + FRAME_HDR);
+            .record_recv(NodeId(ib.to), ib.payload.len() + FRAME_HDR);
         let from = NodeId(ib.from);
         self.with_node_inner(NodeId(ib.to), |n, ctx| n.on_message(ctx, from, msg));
     }
@@ -673,12 +720,15 @@ where
     }
 
     /// Whether any timers are pending.
-    pub fn timers_pending(&mut self) -> bool {
+    pub fn timers_pending(&self) -> bool {
         self.core.next_timer_in().is_some()
     }
 }
 
-fn reader_loop(mut stream: TcpStream, my_id: u32, tx: Sender<Inbound>, stop: Arc<AtomicBool>) {
+fn reader_loop(stream: TcpStream, my_id: u32, tx: Sender<Inbox>, stop: Arc<AtomicBool>) {
+    // Buffered, so a frame's prefix and payload (and any frames queued
+    // behind it) come out of one `read`.
+    let mut stream = BufReader::new(stream);
     loop {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -690,14 +740,12 @@ fn reader_loop(mut stream: TcpStream, my_id: u32, tx: Sender<Inbound>, stop: Arc
                 }
                 let from =
                     u32::from_le_bytes(payload[..SENDER_HDR].try_into().expect("sized header"));
-                if tx
-                    .send(Inbound {
-                        to: my_id,
-                        from,
-                        bytes: payload[SENDER_HDR..].to_vec(),
-                    })
-                    .is_err()
-                {
+                let frame = Inbox::Frame(Inbound {
+                    to: my_id,
+                    from,
+                    payload,
+                });
+                if tx.send(frame).is_err() {
                     break; // transport dropped
                 }
             }
@@ -904,6 +952,110 @@ mod tests {
         t.run_to_quiescence();
         assert_eq!(t.node(a).timer_fired, 2);
         assert!(!t.timers_pending());
+    }
+
+    #[test]
+    fn cancelled_timers_are_freed_at_cancel_time() {
+        // A finished query cancels its 60 s front timeout, but a short
+        // re-arming timer (SWIM's period) is always due first, so nothing
+        // that only cleans up from the front ever reaches it.
+        let mut t: TcpTransport<Echo> = TcpTransport::new(TcpConfig::loopback(9));
+        let a = t.add_node(Echo::default());
+        let mut tick = t.with_node(a, |_n, ctx| ctx.set_timer(SimDuration::from_millis(10), 1));
+        for i in 0..100_000u32 {
+            let front = t.with_node(a, |_n, ctx| ctx.set_timer(SimDuration::from_secs(60), 2));
+            t.with_node(a, |_n, ctx| ctx.cancel_timer(front));
+            if i % 1_000 == 0 {
+                // Re-armed before the old one goes, as a periodic timer
+                // re-arms from its own handler: the front stays live.
+                let next = t.with_node(a, |_n, ctx| ctx.set_timer(SimDuration::from_millis(10), 1));
+                t.with_node(a, |_n, ctx| ctx.cancel_timer(tick));
+                tick = next;
+                t.pump(Duration::ZERO);
+            }
+        }
+        // At most the live tick is resident (none if it has just fired).
+        assert!(t.core.timers.len() <= 1, "{} resident", t.core.timers.len());
+        assert_eq!(t.core.timer_due.len(), t.core.timers.len());
+        // Cancelling a timer that already fired leaves no residue either.
+        let fired = t.with_node(a, |_n, ctx| ctx.set_timer(SimDuration::ZERO, 3));
+        t.pump(Duration::ZERO);
+        t.with_node(a, |_n, ctx| ctx.cancel_timer(fired));
+        assert!(t.core.timers.len() <= 1);
+        assert_eq!(t.core.timer_due.len(), t.core.timers.len());
+    }
+
+    #[test]
+    fn timers_fire_in_due_then_arming_order() {
+        #[derive(Default)]
+        struct Tags(Vec<TimerTag>);
+        impl NetProtocol for Tags {
+            type Msg = u32;
+            fn on_message(&mut self, _ctx: &mut dyn NetCtx<u32>, _from: NodeId, _msg: u32) {}
+            fn on_timer(&mut self, _ctx: &mut dyn NetCtx<u32>, tag: TimerTag) {
+                self.0.push(tag);
+            }
+        }
+        let mut t: TcpTransport<Tags> = TcpTransport::new(TcpConfig::loopback(10));
+        let a = t.add_node(Tags::default());
+        t.with_node(a, |_n, ctx| {
+            ctx.set_timer(SimDuration::from_millis(2), 1);
+            ctx.set_maintenance_timer(SimDuration::ZERO, 2);
+            ctx.set_timer(SimDuration::ZERO, 3);
+        });
+        // The maintenance timer does not gate quiescence but fires in
+        // its place; equal deadlines fire in arming order.
+        t.run_to_quiescence();
+        assert_eq!(t.node(a).0, vec![2, 3, 1]);
+    }
+
+    #[test]
+    fn wake_ends_a_blocked_pump() {
+        let mut t: TcpTransport<Echo> = TcpTransport::seeded(11);
+        let a = t.add_node(Echo::default());
+        let wake = t.wake_handle();
+        let (armed_tx, armed_rx) = std::sync::mpsc::channel();
+        let waker = std::thread::spawn(move || {
+            armed_rx.recv().unwrap();
+            // Gives the loop thread time to get from `send` into its
+            // blocking receive. The assertions hold either way: a wake
+            // that beats it there is the next test's case.
+            std::thread::sleep(Duration::from_millis(20));
+            let at = Instant::now();
+            wake.wake();
+            at
+        });
+        armed_tx.send(()).unwrap();
+        let did = t.pump(Duration::from_secs(10));
+        let returned = Instant::now();
+        let woke_at = waker.join().unwrap();
+        assert!(!did, "a wake is not an event");
+        assert!(
+            returned.duration_since(woke_at) < Duration::from_millis(50),
+            "pump returned {:?} after the wake",
+            returned.duration_since(woke_at)
+        );
+        // Nothing was counted, decoded or delivered.
+        assert_eq!(t.stats().total_messages(), 0);
+        assert_eq!(t.stats().dropped(), 0);
+        assert_eq!(t.stats().counter("wire_decode_errors"), 0);
+        assert!(t.node(a).got.is_empty());
+        assert_eq!(t.in_flight(), 0);
+    }
+
+    #[test]
+    fn wake_sent_before_pump_is_not_lost() {
+        let mut t: TcpTransport<Echo> = TcpTransport::seeded(12);
+        t.add_node(Echo::default());
+        let wake = t.wake_handle();
+        std::thread::spawn(move || wake.wake()).join().unwrap();
+        let start = Instant::now();
+        assert!(!t.pump(Duration::from_secs(10)));
+        assert!(start.elapsed() < Duration::from_millis(50));
+        // It is consumed: the next pump blocks for its full wait again.
+        let start = Instant::now();
+        t.pump(Duration::from_millis(30));
+        assert!(start.elapsed() >= Duration::from_millis(30));
     }
 
     #[test]

@@ -304,13 +304,32 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-/// Encodes `msg` and writes it as one frame.
+/// Builds one whole frame — length prefix and payload — in a single
+/// buffer: `encode` appends the payload after a reserved prefix, which is
+/// filled in afterwards. A sender then needs one `write_all` per frame,
+/// which on a `TCP_NODELAY` socket is one syscall and one segment where
+/// [`write_frame`]'s prefix-then-payload is two of each.
+///
+/// # Errors
+///
+/// `InvalidInput` when the payload does not fit the `u32` prefix.
+pub fn encode_frame(payload_hint: usize, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<Vec<u8>> {
+    let mut frame = Vec::with_capacity(FRAME_HDR + payload_hint);
+    frame.extend_from_slice(&[0; FRAME_HDR]);
+    encode(&mut frame);
+    let len = u32::try_from(frame.len() - FRAME_HDR)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    frame[..FRAME_HDR].copy_from_slice(&len.to_le_bytes());
+    Ok(frame)
+}
+
+/// Encodes `msg` and writes it as one frame, with one `write_all`.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
 pub fn write_msg<M: Wire>(w: &mut impl Write, msg: &M) -> io::Result<()> {
-    write_frame(w, &msg.to_bytes())
+    w.write_all(&encode_frame(msg.encoded_len(), |out| msg.encode(out))?)
 }
 
 /// Total bytes a value occupies on a stream transport (frame header plus
@@ -404,6 +423,20 @@ mod tests {
         let f2 = read_frame(&mut r).unwrap().unwrap();
         assert_eq!(u64::from_bytes(&f2).unwrap(), 42);
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn encode_frame_is_byte_identical_to_write_frame() {
+        let msg = String::from("abc");
+        let mut two_writes = Vec::new();
+        write_frame(&mut two_writes, &msg.to_bytes()).unwrap();
+        // A wrong capacity hint costs a reallocation, never a wrong prefix.
+        for hint in [0, msg.encoded_len(), 1000] {
+            assert_eq!(
+                encode_frame(hint, |out| msg.encode(out)).unwrap(),
+                two_writes
+            );
+        }
     }
 
     #[test]
