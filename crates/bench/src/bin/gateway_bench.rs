@@ -42,6 +42,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use moara_attributes::Value;
+use moara_bench::harness::percentile;
 use moara_bench::BenchReport;
 use moara_daemon::{ctrl_roundtrip, CtrlReply, CtrlRequest, Daemon, DaemonOpts};
 use moara_gateway::CacheConfig;
@@ -166,25 +167,10 @@ fn http_roundtrip(
     Ok((status, String::from_utf8_lossy(&body).into_owned(), cache))
 }
 
-/// Ceil-based nearest-rank percentile over a sorted slice, in ms. With
-/// `.round()` the p-th percentile could resolve *below* the p-th of the
-/// observations at small N (100 samples → "p99" at rank 98), making
-/// smoke gates looser than advertised; ceil is the standard
-/// nearest-rank definition: the smallest value with at least p% of the
-/// sample at or below it.
-fn percentile(sorted_us: &[u64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return f64::NAN;
-    }
-    let n = sorted_us.len();
-    let rank = ((p / 100.0) * n as f64).ceil() as usize;
-    sorted_us[rank.clamp(1, n) - 1] as f64 / 1000.0
-}
-
 /// What one measured pass produced.
 struct Pass {
-    /// Sorted request latencies, µs (successful requests only).
-    latencies_us: Vec<u64>,
+    /// Request latencies, ms at µs resolution (successful requests only).
+    latencies_ms: Vec<f64>,
     /// Transport-/status-level failures.
     errors: u64,
     /// 200s whose body did not match the known-correct answer — on the
@@ -201,7 +187,17 @@ struct Pass {
 
 impl Pass {
     fn req_per_s(&self) -> f64 {
-        self.latencies_us.len() as f64 / self.elapsed
+        self.latencies_ms.len() as f64 / self.elapsed
+    }
+
+    /// The `p`-th latency percentile in ms. With no successful request
+    /// it is NaN, which fails every `<=` gate, where the harness's 0
+    /// would pass one.
+    fn percentile(&self, p: f64) -> f64 {
+        if self.latencies_ms.is_empty() {
+            return f64::NAN;
+        }
+        percentile(&self.latencies_ms, p)
     }
 }
 
@@ -221,7 +217,7 @@ fn run_pass(
         let addr = https[c % https.len()];
         let expect = expect.to_owned();
         workers.push(std::thread::spawn(move || {
-            let mut latencies_us = Vec::with_capacity(requests);
+            let mut latencies_ms = Vec::with_capacity(requests);
             let (mut errors, mut coherence_errors) = (0u64, 0u64);
             let (mut hits, mut coalesced) = (0u64, 0u64);
             let mut writer = TcpStream::connect(addr).expect("client connect");
@@ -234,7 +230,7 @@ fn run_pass(
                 match http_roundtrip(&mut reader, &mut writer, request) {
                     Ok((200, body, cache)) => {
                         if body.contains(&expect) {
-                            latencies_us.push(t0.elapsed().as_micros() as u64);
+                            latencies_ms.push(t0.elapsed().as_micros() as f64 / 1000.0);
                             match cache.as_deref() {
                                 Some("hit") => hits += 1,
                                 Some("coalesced") => coalesced += 1,
@@ -247,11 +243,11 @@ fn run_pass(
                     Ok(_) | Err(_) => errors += 1,
                 }
             }
-            (latencies_us, errors, coherence_errors, hits, coalesced)
+            (latencies_ms, errors, coherence_errors, hits, coalesced)
         }));
     }
     let mut pass = Pass {
-        latencies_us: Vec::new(),
+        latencies_ms: Vec::new(),
         errors: 0,
         coherence_errors: 0,
         hits: 0,
@@ -260,14 +256,13 @@ fn run_pass(
     };
     for w in workers {
         let (lat, err, coh, hits, coal) = w.join().expect("client thread");
-        pass.latencies_us.extend(lat);
+        pass.latencies_ms.extend(lat);
         pass.errors += err;
         pass.coherence_errors += coh;
         pass.hits += hits;
         pass.coalesced += coal;
     }
     pass.elapsed = started.elapsed().as_secs_f64();
-    pass.latencies_us.sort_unstable();
     pass
 }
 
@@ -415,9 +410,9 @@ fn run_default(smoke: bool) {
     let total = (scale.clients * scale.requests_per_client) as u64;
     let errors = pass.errors + pass.coherence_errors;
     let req_per_s = pass.req_per_s();
-    let p50 = percentile(&pass.latencies_us, 50.0);
-    let p95 = percentile(&pass.latencies_us, 95.0);
-    let p99 = percentile(&pass.latencies_us, 99.0);
+    let p50 = pass.percentile(50.0);
+    let p95 = pass.percentile(95.0);
+    let p99 = pass.percentile(99.0);
 
     println!(
         "gateway_bench[{}]: daemons={} clients={} requests={} ok={} errors={}",
@@ -425,7 +420,7 @@ fn run_default(smoke: bool) {
         scale.daemons,
         scale.clients,
         total,
-        pass.latencies_us.len(),
+        pass.latencies_ms.len(),
         errors
     );
     println!(
@@ -498,14 +493,14 @@ fn run_read_heavy(smoke: bool) {
     println!(
         "  uncached: req/s={:.1}  p50={:.3}ms  p99={:.3}ms",
         uncached.req_per_s(),
-        percentile(&uncached.latencies_us, 50.0),
-        percentile(&uncached.latencies_us, 99.0),
+        uncached.percentile(50.0),
+        uncached.percentile(99.0),
     );
     println!(
         "  cached:   req/s={:.1}  p50={:.3}ms  p99={:.3}ms  hits={}  coalesced={}",
         cached.req_per_s(),
-        percentile(&cached.latencies_us, 50.0),
-        percentile(&cached.latencies_us, 99.0),
+        cached.percentile(50.0),
+        cached.percentile(99.0),
         cached.hits,
         cached.coalesced,
     );
@@ -523,11 +518,11 @@ fn run_read_heavy(smoke: bool) {
         .field("errors", errors)
         .field("coherence_errors", coherence_errors)
         .field("uncached_req_per_s", uncached.req_per_s())
-        .field("uncached_p50_ms", percentile(&uncached.latencies_us, 50.0))
-        .field("uncached_p99_ms", percentile(&uncached.latencies_us, 99.0))
+        .field("uncached_p50_ms", uncached.percentile(50.0))
+        .field("uncached_p99_ms", uncached.percentile(99.0))
         .field("cached_req_per_s", cached.req_per_s())
-        .field("cached_p50_ms", percentile(&cached.latencies_us, 50.0))
-        .field("cached_p99_ms", percentile(&cached.latencies_us, 99.0))
+        .field("cached_p50_ms", cached.percentile(50.0))
+        .field("cached_p99_ms", cached.percentile(99.0))
         .field("cached_hits", cached.hits)
         .field("cached_coalesced", cached.coalesced)
         .field("speedup", speedup)
@@ -678,13 +673,13 @@ fn run_conn_sweep(smoke: bool) {
     let total = (clients * requests) as u64;
     let errors = pass.errors + pass.coherence_errors;
     let req_per_s = pass.req_per_s();
-    let p50 = percentile(&pass.latencies_us, 50.0);
-    let p99 = percentile(&pass.latencies_us, 99.0);
+    let p50 = pass.percentile(50.0);
+    let p99 = pass.percentile(99.0);
 
     println!(
         "gateway_bench[{label}]: idle_conns={idle_conns} clients={clients} requests={total} \
          ok={} errors={errors} setup={setup_s:.2}s",
-        pass.latencies_us.len()
+        pass.latencies_ms.len()
     );
     println!(
         "  req/s={req_per_s:.1}  p50={p50:.2}ms  p99={p99:.2}ms  wall={:.2}s  \
@@ -751,28 +746,5 @@ fn main() {
             eprintln!("gateway_bench: unknown profile {other} (default, read-heavy, conn-sweep)");
             std::process::exit(2);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::percentile;
-
-    /// Pins the ceil-based nearest-rank semantics at small N — with
-    /// `.round()`, p99 of 100 samples picked index 98 (the 98th
-    /// percentile), under-reporting the tail.
-    #[test]
-    fn percentile_is_ceil_nearest_rank() {
-        let v: Vec<u64> = (1..=100).map(|i| i * 1000).collect();
-        assert_eq!(percentile(&v, 50.0), 50.0);
-        assert_eq!(percentile(&v, 95.0), 95.0);
-        assert_eq!(percentile(&v, 99.0), 99.0, "rank 99, not 98");
-        assert_eq!(percentile(&v, 100.0), 100.0);
-        let small = [10_000u64, 20_000, 30_000];
-        assert_eq!(percentile(&small, 0.0), 10.0, "p0 clamps to the min");
-        assert_eq!(percentile(&small, 50.0), 20.0);
-        assert_eq!(percentile(&small, 99.0), 30.0);
-        assert_eq!(percentile(&[7_000u64], 50.0), 7.0);
-        assert!(percentile(&[], 50.0).is_nan());
     }
 }

@@ -184,7 +184,14 @@ mod tests {
         // The small-N case the rounded rank got wrong: p99 of 100
         // samples must be the 99th observation, not the 98th.
         let big: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert!((percentile(&big, 99.0) - 99.0).abs() < 1e-12);
-        assert!((percentile(&big, 50.0) - 50.0).abs() < 1e-12);
+        for p in [50.0, 95.0, 99.0, 100.0] {
+            assert_eq!(percentile(&big, p), p, "rank {p}, not the one below");
+        }
+        let small = [30.0, 10.0, 20.0];
+        assert_eq!(percentile(&small, 0.0), 10.0, "p0 clamps to the min");
+        assert_eq!(percentile(&small, 50.0), 20.0);
+        assert_eq!(percentile(&small, 99.0), 30.0);
+        assert_eq!(percentile(&[7.0], 50.0), 7.0);
+        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 }

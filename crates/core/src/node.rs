@@ -261,7 +261,7 @@ impl MoaraNode {
     }
 
     /// Starts this node's query-id counter in an epoch of its own
-    /// (`epoch` in the bits above [`QUERY_EPOCH_SHIFT`]). A host that can
+    /// (`epoch` in the bits above `QUERY_EPOCH_SHIFT`). A host that can
     /// restart under the same node id passes a value every restart
     /// changes — the daemon, its membership incarnation — because peers
     /// remember the previous life's ids for `dedup_ttl` and would answer

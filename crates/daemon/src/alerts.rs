@@ -267,6 +267,30 @@ pub fn merge_rules(user: Vec<AlertRule>) -> Vec<AlertRule> {
     rules
 }
 
+/// Rejects a rule over a metric the health sample (`keys`) does not
+/// have, which the engine would accept and never fire: a raw key, the
+/// base of a derived `<key>_delta` and `rate()`'s argument must each be
+/// one of `keys`.
+///
+/// # Errors
+///
+/// Names the first such rule and lists the keys.
+pub fn check_metrics(rules: &[AlertRule], keys: &[&str]) -> Result<(), String> {
+    let known = |key: &str| keys.contains(&key);
+    let reads_a_key = |rule: &&AlertRule| match &rule.expr {
+        MetricExpr::Raw(key) => known(key) || key.strip_suffix("_delta").is_some_and(known),
+        MetricExpr::Rate { metric, .. } => known(metric),
+    };
+    match rules.iter().find(|rule| !reads_a_key(rule)) {
+        None => Ok(()),
+        Some(AlertRule { name, expr, .. }) => Err(format!(
+            "alert rule `{name}`: no metric `{}` (the metrics are: {})",
+            expr.display(),
+            keys.join(", ")
+        )),
+    }
+}
+
 /// A firing-state transition, reported once per edge for logging.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AlertEvent {
@@ -352,10 +376,10 @@ impl AlertEngine {
 
         let mut events = Vec::new();
         for rule in &self.rules {
-            // An unknown metric (typo, a delta on the first round, or a
-            // rate whose window history can't span yet) simply never
-            // fires. NaN (e.g. cache ratio with no traffic) compares
-            // false against everything, so it never fires either.
+            // An unknown value (a delta on the first round, a rate whose
+            // window history can't span yet) simply never fires. NaN
+            // (e.g. cache ratio with no traffic) compares false against
+            // everything, so it never fires either.
             let value = value_of(&rule.expr);
             let holds = value.is_some_and(|v| rule.op.holds(v, rule.threshold));
             let value = value.filter(|v| !v.is_nan()).unwrap_or(0.0);
@@ -560,6 +584,33 @@ mod tests {
         assert_eq!(rules.len(), builtin_rules().len() + 1);
     }
 
+    /// A rule over a metric the health sample lacks is refused at boot
+    /// rather than accepted and never fired; every form over a real key
+    /// passes, the built-ins included.
+    #[test]
+    fn rules_must_read_metrics_the_daemon_samples() {
+        let keys: Vec<&str> = crate::metrics::sample_keys().collect();
+        let good = "a: tick_p99_us > 1\nb: watches_delta > 1\nc: rate(rate_limited, 30s) > 1";
+        let good = merge_rules(parse_rules(good).unwrap());
+        assert_eq!(good.len(), builtin_rules().len() + 3);
+        assert_eq!(check_metrics(&good, &keys), Ok(()));
+        for bad in [
+            "tick_p99us > 250000",
+            "watch_delta > 1",
+            "rate(queries, 30s) > 1",
+        ] {
+            let rules = parse_rules(&format!("stall: {bad}")).unwrap();
+            let err = check_metrics(&rules, &keys).unwrap_err();
+            assert!(
+                err.contains("`stall`") && err.contains("tick_p99_us"),
+                "{err}"
+            );
+            let mut opts = crate::DaemonOpts::new("127.0.0.1:0".parse().unwrap());
+            opts.alert_rules = rules;
+            assert_eq!(crate::Daemon::start(opts).err(), Some(err));
+        }
+    }
+
     fn eval(eng: &mut AlertEngine, sample: &[(&'static str, f64)], t: Instant) -> Vec<AlertEvent> {
         eng.evaluate(sample, None, t, 0)
     }
@@ -621,7 +672,7 @@ mod tests {
     #[test]
     fn rate_rules_read_history_and_wait_for_a_full_window() {
         let mut eng = AlertEngine::new(parse_rules("surge: rate(reqs, 10s) > 5").unwrap());
-        let mut h = MetricsHistory::new(600);
+        let mut h = MetricsHistory::new(vec!["reqs"], 600);
         let t = Instant::now();
         // Counter climbing 10/s from t=0: rate is 10 once the window is
         // spanned, but with only 5s of history the rule stays silent.

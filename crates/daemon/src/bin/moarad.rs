@@ -61,7 +61,9 @@
 //! * `--alert-rules FILE` — alert rules (`name: expr op value [for
 //!   DURATION]`, where `expr` is a metric name or `rate(metric,
 //!   WINDOW)`, one per line, `#` comments) merged over the built-in
-//!   defaults: a rule with a built-in's name replaces it.
+//!   defaults: a rule with a built-in's name replaces it. A rule over a
+//!   metric the health sample does not have is a start-up error (exit
+//!   1) that names the rule and lists the metrics there are.
 //!
 //! Flight-recorder flags (see `docs/observability.md`):
 //!

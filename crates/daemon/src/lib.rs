@@ -61,7 +61,7 @@ use rand::{Rng, SeedableRng};
 use moara_attributes::Value;
 use moara_core::{DeliveryPolicy, Directory, MoaraConfig, MoaraMsg, MoaraNode};
 use moara_dht::Id;
-use moara_gateway::{CacheConfig, GatewayHandle, GatewayOpts, GwJob, MetricsRegistry, QueryCache};
+use moara_gateway::{CacheConfig, GatewayHandle, GatewayOpts, GwJob, QueryCache};
 use moara_membership::{SwimConfig, SwimDetector, SwimEvent, SwimMsg};
 use moara_query::parse_query;
 use moara_simnet::{Message, NodeId, SimDuration, SimTime, TimerId, TimerTag};
@@ -74,6 +74,7 @@ use moara_wire::{Wire, WireError};
 pub mod alerts;
 mod ctrl;
 pub mod health;
+mod metrics;
 pub mod recorder;
 mod render;
 mod serve;
@@ -83,9 +84,7 @@ pub use sim::SimSwarm;
 
 use alerts::{AlertEngine, AlertEvent, AlertRule};
 use ctrl::{spawn_accept_loop, CtrlJob};
-use health::{
-    HealthStatus, HealthSummary, PeerHealthRow, CACHE_RATIO_NONE, HEALTH_DIGEST_MAX_BYTES,
-};
+use health::{HealthStatus, HealthSummary, PeerHealthRow};
 use moara_gateway::json::JsonLine;
 use recorder::{kind, now_unix_ms, Recorder};
 use serve::{ReplyTo, Walk, WalkPacer};
@@ -707,8 +706,12 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// Socket and join-protocol failures.
+    /// Socket and join-protocol failures; an alert rule over a metric
+    /// the health sample does not have.
     pub fn start(opts: DaemonOpts) -> Result<Daemon, String> {
+        let alert_rules = alerts::merge_rules(opts.alert_rules);
+        let keys: Vec<&str> = metrics::sample_keys().collect();
+        alerts::check_metrics(&alert_rules, &keys)?;
         let mut transport: TcpTransport<DaemonNode> =
             TcpTransport::new(TcpConfig::seeded(opts.seed));
         let reserved = transport
@@ -925,7 +928,7 @@ impl Daemon {
             health_stale_after: health::stale_after(Duration::from_micros(
                 opts.swim.period.as_micros(),
             )),
-            alert_engine: AlertEngine::new(alerts::merge_rules(opts.alert_rules)),
+            alert_engine: AlertEngine::new(alert_rules),
             gw_latency_exemplars: BucketExemplars::new(&moara_gateway::LATENCY_BOUNDS_US),
             recorder,
             last_sub_expired: 0,
@@ -1026,8 +1029,7 @@ impl Daemon {
         // kill -9 still leaves the final window on disk.
         if self.last_health_sample.elapsed() >= HEALTH_SAMPLE_EVERY {
             self.last_health_sample = Instant::now();
-            self.sample_health();
-            let sample = self.health_sample();
+            let sample = self.sample_health();
             let now_ms = now_unix_ms();
             if let Ok(mut h) = self.recorder.history.lock() {
                 h.record(now_ms, &sample);
@@ -1389,133 +1391,6 @@ impl Daemon {
         CtrlReply::Joined { node, members }
     }
 
-    /// A compact name → value metrics snapshot for `status --json` (the
-    /// key `/metrics` families).
-    fn metrics_snapshot(&self) -> Vec<(String, f64)> {
-        let stats = self.transport.stats();
-        let dn = self.transport.node(self.me);
-        let mut out: Vec<(&str, f64)> = vec![
-            (
-                "transport_messages_sent_total",
-                stats.total_messages() as f64,
-            ),
-            (
-                "transport_messages_received_total",
-                stats.total_recv_messages() as f64,
-            ),
-            ("transport_bytes_sent_total", stats.total_bytes() as f64),
-            (
-                "transport_undeliverable_total",
-                self.undeliverable_total as f64,
-            ),
-            ("queries_inflight", self.walks.len() as f64),
-            ("watches", dn.moara.active_watches() as f64),
-            ("sub_entries", dn.moara.sub_entry_count() as f64),
-            ("slow_queries_total", self.slow_queries_total as f64),
-            ("event_loop_ticks_total", self.tick_hist.count() as f64),
-        ];
-        if let Some(t) = &self.tracer {
-            out.push(("trace_spans", t.len() as f64));
-            out.push(("trace_spans_dropped_total", t.dropped() as f64));
-        }
-        if let Some(cache) = &self.query_cache {
-            out.push(("gateway_cache_hits_total", cache.hits() as f64));
-            out.push(("gateway_cache_misses_total", cache.misses() as f64));
-            out.push(("gateway_cache_promotions_total", cache.promotions() as f64));
-            out.push(("gateway_cache_coalesced_total", cache.coalesced() as f64));
-            out.push(("gateway_cache_entries", cache.len() as f64));
-            out.push(("gateway_cache_promoted", cache.promoted_len() as f64));
-        }
-        out.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()
-    }
-
-    /// Samples this daemon into a fresh [`HealthSummary`] and publishes
-    /// it as the digest every outgoing SWIM message piggybacks.
-    fn sample_health(&mut self) {
-        let dn = self.transport.node(self.me);
-        let (queued, conns, streams) = match &self.gw_handle {
-            Some(gw) => {
-                use std::sync::atomic::Ordering::Relaxed;
-                let s = gw.stats();
-                (
-                    s.queued_jobs.load(Relaxed).max(0) as u32,
-                    s.open_conns.load(Relaxed).max(0) as u32,
-                    s.open_streams.load(Relaxed).max(0) as u32,
-                )
-            }
-            None => (0, 0, 0),
-        };
-        let cache_hit_bp = match &self.query_cache {
-            Some(c) => {
-                let (hits, misses) = (c.hits(), c.misses());
-                match (hits * 10_000).checked_div(hits + misses) {
-                    Some(bp) => bp as u16,
-                    None => CACHE_RATIO_NONE,
-                }
-            }
-            None => CACHE_RATIO_NONE,
-        };
-        let summary = HealthSummary {
-            node: self.me.0,
-            incarnation: dn.swim.incarnation(),
-            uptime_s: self.started.elapsed().as_secs(),
-            tick_p99_us: self.tick_hist.quantile(0.99),
-            stalled_ticks: self.stalled_ticks,
-            queued_jobs: queued,
-            open_conns: conns,
-            open_streams: streams,
-            watches: dn.moara.active_watches() as u32,
-            sub_entries: dn.moara.sub_entry_count() as u32,
-            cache_hit_bp,
-            rss_bytes: health::rss_bytes(),
-            open_fds: health::open_fds(),
-            queries_inflight: self.walks.len() as u32,
-            alerts_firing: self.alert_engine.firing(Instant::now()).len() as u32,
-        };
-        // The size cap is a wire invariant, not a hope: a digest that
-        // would fatten SWIM probes past it is simply not gossiped.
-        if summary.encoded_len() <= HEALTH_DIGEST_MAX_BYTES {
-            self.transport.node_mut(self.me).health_digest = Some(summary.clone());
-        }
-        self.my_health = summary;
-    }
-
-    /// The name → value view of the freshest health sample. This is
-    /// both what the alert rules compare against and what the flight
-    /// recorder's history rings store — one fixed key set (missing
-    /// values are `NaN`, which no alert operator matches and the rings
-    /// render as gaps), so `/v1/history?metric=` accepts exactly these
-    /// names.
-    fn health_sample(&self) -> Vec<(&'static str, f64)> {
-        let h = &self.my_health;
-        let dead = self.members.iter().filter(|m| !m.alive).count();
-        let rate_limited = match &self.gw_handle {
-            Some(gw) => gw
-                .stats()
-                .rate_limited
-                .load(std::sync::atomic::Ordering::Relaxed) as f64,
-            None => 0.0,
-        };
-        vec![
-            ("tick_p99_us", h.tick_p99_us as f64),
-            ("stalled_ticks", h.stalled_ticks as f64),
-            ("dead_members", dead as f64),
-            ("watches", f64::from(h.watches)),
-            ("sub_entries", f64::from(h.sub_entries)),
-            ("queued_jobs", f64::from(h.queued_jobs)),
-            ("open_conns", f64::from(h.open_conns)),
-            ("open_streams", f64::from(h.open_streams)),
-            ("open_fds", f64::from(h.open_fds)),
-            ("rss_bytes", h.rss_bytes as f64),
-            ("queries_inflight", f64::from(h.queries_inflight)),
-            ("uptime_s", h.uptime_s as f64),
-            ("rate_limited", rate_limited),
-            ("slow_queries", self.slow_queries_total as f64),
-            ("undeliverable", self.undeliverable_total as f64),
-            ("cache_hit_pct", h.cache_hit_pct().unwrap_or(f64::NAN)),
-        ]
-    }
-
     /// Evaluates the alert rules against the freshest health sample,
     /// logging each firing/resolved transition as one JSON line on
     /// stderr (next to the slow-query log) and into the event journal.
@@ -1790,461 +1665,6 @@ impl Daemon {
         did
     }
 
-    /// Snapshots every subsystem's counters and gauges into one
-    /// Prometheus exposition (the metrics catalogue lives in
-    /// `docs/gateway.md`; keep the two in sync).
-    fn render_metrics(&self) -> String {
-        let mut reg = MetricsRegistry::new();
-        let dn = self.transport.node(self.me);
-        let stats = self.transport.stats();
-        let c = |name: &str| stats.counter(name);
-
-        // Transport: the volume picture.
-        reg.counter(
-            "moara_transport_messages_sent_total",
-            "Peer-plane messages sent by this daemon.",
-            stats.total_messages(),
-        );
-        reg.counter(
-            "moara_transport_messages_received_total",
-            "Peer-plane messages received by this daemon.",
-            stats.total_recv_messages(),
-        );
-        reg.counter(
-            "moara_transport_bytes_sent_total",
-            "Peer-plane bytes sent (framed wire size).",
-            stats.total_bytes(),
-        );
-        reg.counter(
-            "moara_transport_bytes_received_total",
-            "Peer-plane bytes received (framed wire size).",
-            stats.total_recv_bytes(),
-        );
-        reg.counter(
-            "moara_transport_dropped_total",
-            "Messages dropped at (or en route to) failed peers.",
-            stats.dropped(),
-        );
-        reg.counter(
-            "moara_transport_connects_total",
-            "Fresh outbound peer connections established.",
-            c("tcp_connects"),
-        );
-        reg.counter(
-            "moara_transport_reconnects_total",
-            "Peer connections re-established after a failure.",
-            c("tcp_reconnects"),
-        );
-        reg.counter(
-            "moara_transport_undeliverable_total",
-            "Sends abandoned because the peer was unreachable or dead.",
-            self.undeliverable_total,
-        );
-        reg.counter(
-            "moara_transport_decode_errors_total",
-            "Inbound frames that failed wire decoding.",
-            c("wire_decode_errors"),
-        );
-
-        // Query-plane scheduler: cache effectiveness and batching.
-        reg.counter(
-            "moara_sched_probe_cache_hits_total",
-            "Composite queries planned from cached probe costs.",
-            c("probe_cache_hits"),
-        );
-        reg.counter(
-            "moara_sched_probe_cache_misses_total",
-            "Composite queries that had to probe group sizes.",
-            c("probe_cache_misses"),
-        );
-        reg.counter(
-            "moara_sched_probes_coalesced_total",
-            "Probe rounds shared with a concurrent query's round.",
-            c("probes_coalesced"),
-        );
-        reg.counter(
-            "moara_sched_size_probes_total",
-            "Size-probe messages issued.",
-            c("size_probes"),
-        );
-        reg.counter(
-            "moara_sched_batched_fanout_total",
-            "Fan-out messages coalesced into shared Batch frames.",
-            c("batched_fanout"),
-        );
-        reg.gauge(
-            "moara_sched_probe_cache_entries",
-            "Predicates currently held in the probe-cost cache.",
-            dn.moara.probe_cache_len() as f64,
-        );
-        reg.counter(
-            "moara_sched_probe_cache_epoch",
-            "Churn epoch of the probe cache (bumps invalidate it).",
-            dn.moara.probe_cache_epoch(),
-        );
-
-        // Membership: the liveness picture.
-        let (_, suspect, detector_dead) = dn.swim.state_counts();
-        let dead = self.members.iter().filter(|m| !m.alive).count();
-        reg.gauge(
-            "moara_membership_members",
-            "Cluster members known (alive or dead).",
-            self.members.len() as f64,
-        );
-        reg.gauge(
-            "moara_membership_alive",
-            "Members currently believed alive.",
-            (self.members.len() - dead) as f64,
-        );
-        reg.gauge(
-            "moara_membership_suspect",
-            "Peers under unrefuted suspicion right now.",
-            suspect as f64,
-        );
-        reg.gauge(
-            "moara_membership_dead",
-            "Members whose failure was confirmed.",
-            dead.max(detector_dead) as f64,
-        );
-        reg.counter(
-            "moara_membership_incarnation",
-            "This node's incarnation (bumps refute stale death claims).",
-            dn.swim.incarnation(),
-        );
-        reg.counter(
-            "moara_membership_pings_total",
-            "Direct liveness probes sent.",
-            c("swim_pings"),
-        );
-        reg.counter(
-            "moara_membership_ping_reqs_total",
-            "Indirect probes relayed through third parties.",
-            c("swim_ping_reqs"),
-        );
-        reg.counter(
-            "moara_membership_suspicions_total",
-            "Peers this detector put under suspicion.",
-            c("swim_suspected"),
-        );
-        reg.counter(
-            "moara_membership_confirms_total",
-            "Failures this detector confirmed.",
-            c("swim_confirmed"),
-        );
-
-        // Subscription plane: standing-query health.
-        reg.gauge(
-            "moara_subscribe_watches",
-            "Standing watches fronted by this daemon.",
-            dn.moara.active_watches() as f64,
-        );
-        reg.gauge(
-            "moara_subscribe_entries",
-            "Standing-subscription entries hosted on this node.",
-            dn.moara.sub_entry_count() as f64,
-        );
-        reg.counter(
-            "moara_subscribe_installs_total",
-            "Subscription entries installed on this node.",
-            c("sub_installs"),
-        );
-        reg.counter(
-            "moara_subscribe_deltas_total",
-            "Replacement deltas pushed up aggregation trees.",
-            c("sub_deltas"),
-        );
-        reg.counter(
-            "moara_subscribe_suppressed_total",
-            "Quiescent rounds where an unchanged subtree pushed nothing.",
-            c("sub_suppressed"),
-        );
-        reg.counter(
-            "moara_subscribe_renews_total",
-            "Lease renewals sent along pinned trees.",
-            c("sub_renews"),
-        );
-        reg.counter(
-            "moara_subscribe_cancels_total",
-            "Subscription cancellations propagated.",
-            c("sub_cancels"),
-        );
-        reg.counter(
-            "moara_subscribe_lease_expired_total",
-            "Subscription entries GCed by lease expiry.",
-            c("sub_expired"),
-        );
-
-        // Engine odds and ends.
-        reg.gauge(
-            "moara_node_tracked_predicates",
-            "Predicates with live aggregation state on this node.",
-            dn.moara.tracked_predicates() as f64,
-        );
-        reg.gauge(
-            "moara_queries_inflight",
-            "Queries submitted here still waiting for their outcome.",
-            self.walks.len() as f64,
-        );
-
-        // The gateway's own traffic.
-        if let Some(gw) = &self.gw_handle {
-            use std::sync::atomic::Ordering::Relaxed;
-            let s = gw.stats();
-            let by_endpoint: [(&str, u64); 6] = [
-                ("query", s.queries.load(Relaxed)),
-                ("attrs", s.attr_sets.load(Relaxed)),
-                ("watch", s.watches_opened.load(Relaxed)),
-                ("metrics", s.scrapes.load(Relaxed)),
-                ("healthz", s.health_checks.load(Relaxed)),
-                ("traces", s.traces.load(Relaxed)),
-            ];
-            for (endpoint, n) in by_endpoint {
-                reg.counter_with(
-                    "moara_gateway_requests_total",
-                    "HTTP requests accepted, by endpoint.",
-                    &[("endpoint", endpoint)],
-                    n,
-                );
-            }
-            reg.counter(
-                "moara_gateway_errors_total",
-                "HTTP responses with a 4xx/5xx status.",
-                s.errors.load(Relaxed),
-            );
-            reg.counter(
-                "moara_gateway_sse_frames_total",
-                "Server-Sent Events data frames written.",
-                s.sse_frames.load(Relaxed),
-            );
-            reg.gauge(
-                "moara_gateway_open_streams",
-                "SSE watch streams currently open.",
-                s.open_streams.load(Relaxed) as f64,
-            );
-            // The reactor + middleware picture: connection churn and
-            // what the production-concern layers rejected.
-            reg.counter(
-                "moara_gateway_connections_accepted_total",
-                "HTTP connections accepted by the gateway.",
-                s.conns_accepted.load(Relaxed),
-            );
-            reg.counter(
-                "moara_gateway_connections_rejected_total",
-                "HTTP connections refused at the connection cap.",
-                s.conns_rejected.load(Relaxed),
-            );
-            reg.gauge(
-                "moara_gateway_open_connections",
-                "HTTP connections currently registered with reactor shards.",
-                s.open_conns.load(Relaxed) as f64,
-            );
-            reg.gauge(
-                "moara_gateway_queued_jobs",
-                "Gateway jobs handed to the daemon and not yet drained.",
-                s.queued_jobs.load(Relaxed) as f64,
-            );
-            reg.counter(
-                "moara_gateway_rate_limited_total",
-                "Requests answered 429 by the per-peer-IP token bucket.",
-                s.rate_limited.load(Relaxed),
-            );
-            reg.counter(
-                "moara_gateway_request_timeouts_total",
-                "Requests answered 408 (deadline exceeded or slowloris header timeout).",
-                s.request_timeouts.load(Relaxed),
-            );
-            reg.counter(
-                "moara_gateway_panics_total",
-                "Panics caught by per-connection isolation.",
-                s.panics_caught.load(Relaxed),
-            );
-            for (endpoint, hist) in s.latency.families() {
-                let (cumulative, sum, count) = hist.snapshot();
-                reg.histogram_with(
-                    "moara_gateway_request_latency_us",
-                    "HTTP request service time in microseconds, by endpoint.",
-                    &[("endpoint", endpoint)],
-                    &moara_gateway::LATENCY_BOUNDS_US,
-                    &cumulative,
-                    sum,
-                    count,
-                );
-            }
-            // The result cache (see docs/gateway.md "Result cache").
-            if let Some(cache) = &self.query_cache {
-                reg.counter(
-                    "moara_gateway_cache_hits_total",
-                    "Queries answered from the materialized standing result.",
-                    cache.hits(),
-                );
-                reg.counter(
-                    "moara_gateway_cache_misses_total",
-                    "Queries that fell through the cache to a tree walk.",
-                    cache.misses(),
-                );
-                reg.counter(
-                    "moara_gateway_cache_promotions_total",
-                    "Hot query texts promoted to standing subscriptions.",
-                    cache.promotions(),
-                );
-                reg.counter(
-                    "moara_gateway_cache_coalesced_total",
-                    "Queries that shared another identical query's in-flight walk.",
-                    cache.coalesced(),
-                );
-                reg.counter(
-                    "moara_gateway_cache_demotions_total",
-                    "Promoted entries released (idle or evicted at capacity).",
-                    cache.demotions(),
-                );
-                reg.counter(
-                    "moara_gateway_cache_invalidations_total",
-                    "Standing updates that superseded a served cached result.",
-                    cache.invalidations(),
-                );
-                reg.gauge(
-                    "moara_gateway_cache_entries",
-                    "Query texts currently tracked by the result cache.",
-                    cache.len() as f64,
-                );
-                reg.gauge(
-                    "moara_gateway_cache_promoted",
-                    "Cache entries currently backed by a standing subscription.",
-                    cache.promoted_len() as f64,
-                );
-            }
-        }
-
-        // Tracing plane: per-phase query latency distributions.
-        if let Some(tracer) = &self.tracer {
-            reg.counter(
-                "moara_trace_spans_total",
-                "Spans recorded into the trace ring buffer.",
-                tracer.len() as u64 + tracer.dropped(),
-            );
-            reg.counter(
-                "moara_trace_spans_dropped_total",
-                "Spans evicted from the bounded trace ring buffer.",
-                tracer.dropped(),
-            );
-            for (phase, hist) in tracer.phase_histograms() {
-                reg.histogram_with(
-                    "moara_query_phase_latency_us",
-                    "Span service time in microseconds, by query phase.",
-                    &[("phase", phase.as_str())],
-                    hist.bounds(),
-                    &hist.cumulative(),
-                    hist.sum(),
-                    hist.count(),
-                );
-            }
-        }
-
-        // Event-loop profile: how long each tick works and how many
-        // control/gateway jobs it drains. Tick time excludes the poll
-        // wait, so an idle daemon shows a flat, tiny distribution.
-        reg.histogram(
-            "moara_event_loop_tick_us",
-            "Per-tick event-loop work time in microseconds (poll wait excluded).",
-            self.tick_hist.bounds(),
-            &self.tick_hist.cumulative(),
-            self.tick_hist.sum(),
-            self.tick_hist.count(),
-        );
-        reg.histogram(
-            "moara_event_loop_jobs_per_tick",
-            "Control-plane plus gateway jobs drained per event-loop tick.",
-            self.depth_hist.bounds(),
-            &self.depth_hist.cumulative(),
-            self.depth_hist.sum(),
-            self.depth_hist.count(),
-        );
-        reg.histogram(
-            "moara_subscribe_delta_lag_us",
-            "Per-hop SubDelta residency (receive to fold-finished) in microseconds.",
-            self.delta_lag_hist.bounds(),
-            &self.delta_lag_hist.cumulative(),
-            self.delta_lag_hist.sum(),
-            self.delta_lag_hist.count(),
-        );
-        reg.counter(
-            "moara_slow_queries_total",
-            "Queries that exceeded the --slow-query-ms threshold.",
-            self.slow_queries_total,
-        );
-        reg.counter(
-            "moara_event_loop_stalled_ticks_total",
-            "Event-loop ticks whose work time crossed --stall-threshold-ms.",
-            self.stalled_ticks,
-        );
-
-        // Flight recorder: journal volume (the history rings are served
-        // through /v1/history, not scraped).
-        reg.counter(
-            "moara_events_recorded_total",
-            "Structured events recorded into the flight-recorder journal.",
-            self.recorder.journal.recorded(),
-        );
-        reg.counter(
-            "moara_events_dropped_total",
-            "Journal events evicted from the bounded ring.",
-            self.recorder.journal.dropped(),
-        );
-
-        // Process / build identity (the health plane's raw inputs).
-        reg.gauge_with(
-            "moara_build_info",
-            "Build identity; always 1, the information is in the labels.",
-            &[
-                ("version", env!("CARGO_PKG_VERSION")),
-                (
-                    "profile",
-                    if cfg!(debug_assertions) {
-                        "debug"
-                    } else {
-                        "release"
-                    },
-                ),
-            ],
-            1.0,
-        );
-        reg.gauge(
-            "moara_uptime_seconds",
-            "Seconds since this daemon booted.",
-            self.started.elapsed().as_secs() as f64,
-        );
-        reg.gauge(
-            "moara_process_resident_bytes",
-            "Resident set size in bytes (/proc/self/statm).",
-            health::rss_bytes() as f64,
-        );
-        reg.gauge(
-            "moara_open_fds",
-            "Open file descriptors (/proc/self/fd).",
-            f64::from(health::open_fds()),
-        );
-
-        // Alert-rule state: one 0/1 gauge per rule, so a flat scrape
-        // shows which rules exist as well as which fire.
-        let firing = self.alert_engine.firing(Instant::now());
-        for rule in self.alert_engine.rules() {
-            let lit = firing.iter().any(|a| a.rule == rule.name);
-            reg.gauge_with(
-                "moara_alerts_firing",
-                "1 while the named alert rule is firing, 0 otherwise.",
-                &[("rule", &rule.name)],
-                if lit { 1.0 } else { 0.0 },
-            );
-        }
-
-        reg.gauge(
-            "moara_up",
-            "Always 1 while the daemon event loop serves scrapes.",
-            1.0,
-        );
-        reg.render()
-    }
-
     /// Graceful shutdown: stop accepting control and HTTP connections,
     /// cancel every active watch and SSE stream (so peers GC the standing
     /// state promptly instead of waiting out leases), and flush the
@@ -2289,7 +1709,7 @@ pub(crate) fn resolve(addr: &str) -> Result<SocketAddr, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use health::AlertWire;
+    use health::{AlertWire, CACHE_RATIO_NONE};
     use moara_trace::TraceSummary;
     use recorder::EventWire;
 

@@ -119,8 +119,9 @@ impl Tier {
 }
 
 /// Fixed-size two-tier metrics history (see module docs). The metric
-/// name set is frozen on the first [`MetricsHistory::record`]; rings
-/// are allocated then and the sample path never allocates again.
+/// name set is fixed at construction, so a known metric with no sample
+/// yet is an empty series rather than an unknown name; the rings are
+/// allocated there and the sample path never allocates.
 pub struct MetricsHistory {
     names: Vec<&'static str>,
     tier1: Tier,
@@ -129,38 +130,30 @@ pub struct MetricsHistory {
     /// tier-2 slot.
     acc: Vec<(f64, u32)>,
     acc_pushes: u32,
-    tier2_slots: usize,
 }
 
 impl MetricsHistory {
-    /// `retention_s` bounds how far back tier-2 reaches (rounded up to
-    /// whole tier-2 slots, at least one).
-    pub fn new(retention_s: u32) -> MetricsHistory {
+    /// Rings for the metrics `names`. `retention_s` bounds how far back
+    /// tier-2 reaches (rounded up to whole tier-2 slots, at least one).
+    pub fn new(names: Vec<&'static str>, retention_s: u32) -> MetricsHistory {
         let tier2_slots = (u64::from(retention_s).div_ceil(TIER2_RES_S)).max(1) as usize;
         MetricsHistory {
-            names: Vec::new(),
-            tier1: Tier::new(0, TIER1_SLOTS),
-            tier2: Tier::new(0, tier2_slots),
-            acc: Vec::new(),
+            tier1: Tier::new(names.len(), TIER1_SLOTS),
+            tier2: Tier::new(names.len(), tier2_slots),
+            acc: vec![(0.0, 0); names.len()],
             acc_pushes: 0,
-            tier2_slots,
+            names,
         }
     }
 
-    /// The recorded metric names (empty until the first sample).
+    /// The recorded metric names.
     pub fn names(&self) -> &[&'static str] {
         &self.names
     }
 
-    /// Records one full sample row. The first call fixes the metric
-    /// set; later calls must pass the same metrics in the same order.
+    /// Records one full sample row: the metrics this history was built
+    /// for, in the same order.
     pub fn record(&mut self, ts_ms: u64, sample: &[(&'static str, f64)]) {
-        if self.names.is_empty() {
-            self.names = sample.iter().map(|&(k, _)| k).collect();
-            self.tier1 = Tier::new(self.names.len(), TIER1_SLOTS);
-            self.tier2 = Tier::new(self.names.len(), self.tier2_slots);
-            self.acc = vec![(0.0, 0); self.names.len()];
-        }
         debug_assert_eq!(sample.len(), self.names.len(), "sample shape changed");
         self.tier1.push(ts_ms, sample.iter().map(|&(_, v)| v));
         for (slot, &(_, v)) in self.acc.iter_mut().zip(sample) {
@@ -398,9 +391,11 @@ pub struct Recorder {
 }
 
 impl Recorder {
+    /// A recorder whose history rings hold the catalogue's sample keys.
     pub fn new(retention_s: u32, dump_dir: Option<PathBuf>) -> Recorder {
+        let keys = crate::metrics::sample_keys().collect();
         Recorder {
-            history: Mutex::new(MetricsHistory::new(retention_s)),
+            history: Mutex::new(MetricsHistory::new(keys, retention_s)),
             journal: EventJournal::default(),
             context: Mutex::new(String::new()),
             dump_dir,
@@ -708,11 +703,15 @@ mod tests {
 
     #[test]
     fn history_records_two_tiers_and_serves_ranges() {
-        let mut h = MetricsHistory::new(600);
+        let mut h = MetricsHistory::new(vec!["a", "b", "c"], 600);
+        assert_eq!(h.names(), &["a", "b", "c"]);
+        // Before the first sample a known metric is an empty series in
+        // either tier, not an unknown name.
+        assert_eq!(h.series("a", 60, 1_000_000), Some((TIER1_RES_S, vec![])));
+        assert_eq!(h.series("c", 600, 1_000_000), Some((TIER2_RES_S, vec![])));
         for i in 0..30u64 {
             h.record(1_000_000 + i * 1000, &sample(i as f64));
         }
-        assert_eq!(h.names(), &["a", "b", "c"]);
         // Tier-1 range: all 30 one-second points.
         let (res, pts) = h.series("a", 60, 1_000_000 + 29_000).unwrap();
         assert_eq!(res, TIER1_RES_S);
@@ -741,7 +740,7 @@ mod tests {
 
     #[test]
     fn history_rings_wrap_and_stay_bounded() {
-        let mut h = MetricsHistory::new(60);
+        let mut h = MetricsHistory::new(vec!["a", "b", "c"], 60);
         for i in 0..500u64 {
             h.record(i * 1000, &sample(i as f64));
         }
@@ -756,7 +755,7 @@ mod tests {
 
     #[test]
     fn at_or_before_spans_both_tiers() {
-        let mut h = MetricsHistory::new(3600);
+        let mut h = MetricsHistory::new(vec!["a", "b", "c"], 3600);
         for i in 0..200u64 {
             h.record(i * 1000, &sample(i as f64));
         }
@@ -815,7 +814,8 @@ mod tests {
         {
             let mut h = r.history.lock().unwrap();
             for i in 0..5u64 {
-                h.record(1000 + i * 1000, &[("tick_p99_us", 100.0 + i as f64)]);
+                let row: Vec<_> = h.names().iter().map(|&k| (k, 100.0 + i as f64)).collect();
+                h.record(1000 + i * 1000, &row);
             }
         }
         r.journal
@@ -862,7 +862,8 @@ mod tests {
                 other => panic!("unexpected line type {other}"),
             }
         }
-        assert_eq!((metas, series, events, peers), (1, 1, 1, 1));
+        let keys = r.history.lock().unwrap().names().len();
+        assert_eq!((metas, series, events, peers), (1, keys, 1, 1));
     }
 
     #[test]

@@ -759,4 +759,40 @@ mod tests {
         }
         assert!(!pacer.try_turn(now));
     }
+
+    /// The history key set exists from boot, not from the first 1 Hz
+    /// sample: a known metric with nothing recorded yet is an empty
+    /// series, and this daemon's row in the cluster view, rather than an
+    /// unknown name.
+    #[test]
+    fn history_knows_its_metrics_before_the_first_sample() {
+        let any = "127.0.0.1:0".parse().unwrap();
+        let mut d = Daemon::start(crate::DaemonOpts::new(any)).expect("daemon boots");
+        let mut ask = |op: CtrlRequest| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            d.serve(op, ReplyTo::Ctrl(tx));
+            match rx.recv_timeout(Duration::from_secs(10)) {
+                Ok(CtrlOut::Reply(reply)) => reply,
+                _ => panic!("no reply"),
+            }
+        };
+        let (metric, range_s) = ("tick_p99_us".to_owned(), 60);
+        let local = ask(CtrlRequest::HistoryFetch {
+            metric: metric.clone(),
+            range_s,
+        });
+        assert!(
+            matches!(&local, CtrlReply::History { points, .. } if points.is_empty()),
+            "{local:?}"
+        );
+        let cluster = ask(CtrlRequest::ClusterHistory { metric, range_s });
+        assert!(
+            matches!(&cluster, CtrlReply::ClusterHistory { series, missing, .. }
+                if series == &[(0, vec![])] && missing.is_empty()),
+            "{cluster:?}"
+        );
+        let metric = "tick_p99us".to_owned();
+        let typo = ask(CtrlRequest::HistoryFetch { metric, range_s });
+        assert!(matches!(typo, CtrlReply::Error(_)), "{typo:?}");
+    }
 }

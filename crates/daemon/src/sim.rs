@@ -22,9 +22,9 @@ use moara_transport::{SimTransport, Transport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::health::{HealthSummary, CACHE_RATIO_NONE};
+use crate::health::HealthSummary;
 use crate::recorder::{kind, Recorder, DEFAULT_RETENTION_S};
-use crate::{moara_ctx, swim_ctx, DaemonNode};
+use crate::{metrics, moara_ctx, swim_ctx, DaemonNode};
 
 /// One simulated daemon's private world-view: its overlay directory and
 /// which members it currently believes alive.
@@ -46,6 +46,20 @@ pub struct SimSwarm {
     recorders: Vec<Recorder>,
     vtime_us: u64,
     last_sample_ms: u64,
+}
+
+/// One simulated daemon's health sample: the daemon's own key set, with
+/// `NaN` (a gap) under every key the harness has no source for — there
+/// is no event loop, gateway or process to measure here.
+fn health_sample(dn: &DaemonNode, view: &SwarmView) -> Vec<(&'static str, f64)> {
+    let value = |key| match key {
+        "watches" => dn.moara.active_watches() as f64,
+        "sub_entries" => dn.moara.sub_entry_count() as f64,
+        "dead_members" => view.alive.iter().filter(|a| !**a).count() as f64,
+        _ => f64::NAN,
+    };
+    let keys = metrics::sample_keys();
+    keys.map(|key| (key, value(key))).collect()
 }
 
 impl SimSwarm {
@@ -289,14 +303,8 @@ impl SimSwarm {
                 continue;
             }
             let dn = self.transport.node_mut(me);
-            dn.health_digest = Some(HealthSummary {
-                node: i,
-                incarnation: dn.swim.incarnation(),
-                watches: dn.moara.active_watches() as u32,
-                sub_entries: dn.moara.sub_entry_count() as u32,
-                cache_hit_bp: CACHE_RATIO_NONE,
-                ..HealthSummary::default()
-            });
+            let sample = health_sample(dn, &self.views[me.index()]);
+            dn.health_digest = Some(metrics::digest(i, dn.swim.incarnation(), 0, &sample));
         }
     }
 
@@ -321,9 +329,9 @@ impl SimSwarm {
     }
 
     /// Records one history sample per live daemon every simulated second
-    /// (the real daemon's maintenance tick). The sample is the subset of
-    /// the health-plane keys that exist in the sim harness; the point is
-    /// charging the same ring-write cost per daemon-second.
+    /// (the real daemon's maintenance tick) into rings of the real
+    /// daemon's shape, so the ring-write cost per daemon-second is the
+    /// same.
     fn sample_recorders(&mut self) {
         if self.recorders.is_empty() {
             return;
@@ -338,13 +346,7 @@ impl SimSwarm {
             if !self.transport.is_alive(me) {
                 continue;
             }
-            let dn = self.transport.node(me);
-            let dead = self.views[i].alive.iter().filter(|a| !**a).count();
-            let sample = [
-                ("watches", dn.moara.active_watches() as f64),
-                ("sub_entries", dn.moara.sub_entry_count() as f64),
-                ("dead_members", dead as f64),
-            ];
+            let sample = health_sample(self.transport.node(me), &self.views[i]);
             if let Ok(mut h) = self.recorders[i].history.lock() {
                 h.record(now_ms, &sample);
             }

@@ -337,3 +337,21 @@ fn sigterm_shuts_a_daemon_down_cleanly() {
         std::thread::sleep(Duration::from_millis(50));
     }
 }
+
+/// An `--alert-rules` file naming a metric the daemon does not sample is
+/// a start-up error that names the rule, not a rule that never fires.
+#[test]
+fn moarad_refuses_an_alert_rule_over_an_unknown_metric() {
+    let rules = std::env::temp_dir().join(format!("moara-bad-rules-{}", std::process::id()));
+    std::fs::write(&rules, "stall: tick_p99us > 250000\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_moarad"))
+        .args(["--listen", &free_port(), "--alert-rules"])
+        .arg(&rules)
+        .output()
+        .expect("run moarad");
+    let _ = std::fs::remove_file(&rules);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("alert rule `stall`"), "{stderr}");
+    assert!(stderr.contains("tick_p99_us"), "lists the keys: {stderr}");
+}

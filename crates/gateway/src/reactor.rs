@@ -21,7 +21,7 @@
 //!   sweep interval). Cache hits, OPTIONS, routing errors, 429s are
 //!   answered inline on the shard; everything needing protocol state
 //!   crosses the existing [`GwJob`] channel into the daemon's event
-//!   loop, which posts replies back through a per-shard [`Mailbox`]
+//!   loop, which posts replies back through a per-shard `Mailbox`
 //!   whose eventfd wakes the shard immediately;
 //! * the **daemon** is unchanged: single-threaded, sole owner of
 //!   protocol state.

@@ -23,7 +23,7 @@
 //! Every claim about a node is stamped with that node's *incarnation
 //! number*, which only the node itself increments. A node that learns it
 //! is suspected (or declared dead) re-announces itself alive under a
-//! higher incarnation; the precedence rules in [`SwimDetector::apply_update`]
+//! higher incarnation; the precedence rules in `SwimDetector::apply_update`
 //! make the refutation win everywhere it propagates. Crash-recovery uses
 //! the same mechanism: a restarted node re-enters with an incarnation
 //! above its confirmed-dead one.

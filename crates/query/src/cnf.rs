@@ -117,7 +117,7 @@ impl fmt::Display for Cnf {
 /// CNF conversion failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CnfError {
-    /// Distribution would exceed [`MAX_CLAUSES`] clauses.
+    /// Distribution would exceed `MAX_CLAUSES` (4096) clauses.
     TooLarge {
         /// The number of clauses the conversion reached before aborting.
         reached: usize,
@@ -149,7 +149,7 @@ impl Predicate {
     ///
     /// # Errors
     ///
-    /// [`CnfError::TooLarge`] if distribution blows past [`MAX_CLAUSES`].
+    /// [`CnfError::TooLarge`] if distribution blows past `MAX_CLAUSES`.
     pub fn to_cnf(&self) -> Result<Cnf, CnfError> {
         let clauses = cnf_rec(self)?;
         Ok(Cnf { clauses }.simplify())

@@ -64,7 +64,7 @@ impl Stats {
     }
 
     /// Accounts one sent message attributed to the query with `tag`
-    /// (see `Message::query_tag`). Keeps at most [`QUERY_TAG_CAP`]
+    /// (see `Message::query_tag`). Keeps at most `QUERY_TAG_CAP`
     /// distinct tags, evicting the oldest.
     pub fn record_query_msg(&mut self, tag: u64) {
         use std::collections::hash_map::Entry;

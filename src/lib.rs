@@ -5,35 +5,35 @@
 //!
 //! Re-exports the full stack so applications can depend on one crate:
 //!
-//! * [`core`](moara_core) — the Moara protocol engine and [`Cluster`]
+//! * [`core`] — the Moara protocol engine and [`Cluster`]
 //!   harness;
-//! * [`query`](moara_query) — the query language and planner;
-//! * [`aggregation`](moara_aggregation) — aggregation functions;
-//! * [`attributes`](moara_attributes) — the per-node data model;
-//! * [`dht`](moara_dht) — the Pastry-style overlay substrate;
-//! * [`membership`](moara_membership) — the SWIM-style failure detector
+//! * [`query`] — the query language and planner;
+//! * [`aggregation`] — aggregation functions;
+//! * [`attributes`] — the per-node data model;
+//! * [`dht`] — the Pastry-style overlay substrate;
+//! * [`membership`] — the SWIM-style failure detector
 //!   behind live membership (see `docs/membership.md`);
-//! * [`subscribe`](moara_subscribe) — the continuous-query subscription
+//! * [`subscribe`] — the continuous-query subscription
 //!   plane: leased standing queries with incremental in-network
 //!   re-aggregation (see `docs/continuous-queries.md`);
-//! * [`transport`](moara_transport) — the pluggable transport subsystem;
-//! * [`simnet`](moara_simnet) — the discrete-event simulator;
-//! * [`wire`](moara_wire) — the binary wire codec;
-//! * [`baselines`](moara_baselines) — the paper's comparison systems.
+//! * [`transport`] — the pluggable transport subsystem;
+//! * [`simnet`] — the discrete-event simulator;
+//! * [`wire`] — the binary wire codec;
+//! * [`baselines`] — the paper's comparison systems.
 //!
 //! # Transports
 //!
 //! The protocol engine is written against `moara_transport`'s I/O seam —
-//! [`NetCtx`](moara_transport::NetCtx) (send / timers / clock) and
-//! [`NetProtocol`](moara_transport::NetProtocol) (the node state machine)
+//! [`NetCtx`] (send / timers / clock) and
+//! [`NetProtocol`] (the node state machine)
 //! — and deployments drive it through the
-//! [`Transport`](moara_transport::Transport) host trait. Two backends
+//! [`Transport`] host trait. Two backends
 //! ship:
 //!
-//! * [`SimTransport`](moara_transport::SimTransport) wraps the
+//! * [`SimTransport`] wraps the
 //!   deterministic `moara-simnet` simulator; `Cluster::builder().build()`
 //!   uses it, and every experiment/figure harness runs on it.
-//! * [`TcpTransport`](moara_transport::TcpTransport) moves the same
+//! * [`TcpTransport`] moves the same
 //!   messages over real sockets as length-prefixed `moara-wire` frames
 //!   with per-peer pooled connections and reconnect;
 //!   `Cluster::builder().build_tcp(...)` hosts an in-process cluster on
