@@ -80,6 +80,7 @@ mod render;
 mod serve;
 pub mod sim;
 pub use ctrl::{ctrl_roundtrip, CtrlReply, CtrlRequest};
+pub use serve::{WALK_BURST, WALK_GAP};
 pub use sim::SimSwarm;
 
 use alerts::{AlertEngine, AlertEvent, AlertRule};

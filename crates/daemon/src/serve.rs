@@ -18,7 +18,7 @@ use moara_transport::Transport;
 
 use crate::ctrl::{ctrl_roundtrip, CtrlOut, CtrlReply, CtrlRequest};
 use crate::recorder::{self, kind, now_unix_ms};
-use crate::{parse_value, render, Daemon};
+use crate::{moara_ctx, parse_value, render, Daemon};
 
 /// How long a scatter-gather waits on each peer before reporting it
 /// missing (bounds the cluster-wide operations under partitions instead
@@ -37,12 +37,14 @@ const WATCH_KEEPALIVE_EVERY: Duration = Duration::from_secs(1);
 /// held to any rate; what the gap fixes is how often a lone closed loop
 /// gets to go round — one answer per gap on any machine that walks the
 /// tree in less, instead of however fast the host happens to run that
-/// minute. Cache hits and every other operation take no turn.
-const WALK_GAP: Duration = Duration::from_millis(1);
+/// minute. Cache hits and every other operation take no turn. Half a
+/// millisecond since a hop stopped changing threads: long enough that a
+/// walk on the reference fleet is over well before the next turn.
+pub const WALK_GAP: Duration = Duration::from_micros(500);
 
 /// How many turns may be taken back to back before [`WALK_GAP`] applies:
 /// an operator's few queries, a dashboard's page of them.
-const WALK_BURST: u32 = 32;
+pub const WALK_BURST: u32 = 32;
 
 /// Paces the turns in which this front-end starts tree walks: a token
 /// bucket kept as one timestamp, so a turn taken late is made up by the
@@ -568,58 +570,57 @@ impl Daemon {
     }
 
     /// Takes a turn when one is due and a query waits: every waiting
-    /// query starts its walk, in arrival order.
+    /// query starts its walk — or, on a caching daemon, joins the
+    /// identical query already walking — in arrival order. The whole turn
+    /// is one transport dispatch, so however many walks it starts, each
+    /// peer they reach gets one `write`.
     pub(crate) fn start_queued_walks(&mut self) -> bool {
         let pacer = &mut self.walk_pacer;
         if pacer.queued.is_empty() || !pacer.try_turn(Instant::now()) {
             return false;
         }
-        for (text, query, to) in std::mem::take(&mut pacer.queued) {
-            self.start_walk(text, query, to);
-        }
-        true
-    }
-
-    /// Starts `query`'s tree walk for `to` — or, on a caching daemon,
-    /// adds `to` to the identical query already walking.
-    fn start_walk(&mut self, text: String, query: Query, to: ReplyTo) {
-        // Single-flight and the result cache both key on the normalized
-        // text — computed only for the queries that use them (HTTP ones,
-        // on a caching daemon).
-        let http = matches!(to, ReplyTo::Http(..));
-        let cache = self.query_cache.as_ref().filter(|_| http);
-        let key = cache.map(|_| moara_gateway::normalize(&text));
-        if let Some((cache, key)) = cache.zip(key.as_ref()) {
-            // An identical query already walking the tree absorbs this
-            // request as another waiter — N identical in-flight queries
-            // cost one walk.
-            let walking = self.gw_inflight.get(key);
-            if let Some(walk) = walking.and_then(|fid| self.walks.get_mut(fid)) {
-                walk.waiters.push(to.marked("coalesced"));
-                cache.note_coalesced();
-                return;
+        let queued = std::mem::take(&mut pacer.queued);
+        let (walks, inflight) = (&mut self.walks, &mut self.gw_inflight);
+        let query_cache = self.query_cache.as_deref();
+        self.transport.with_node(self.me, |n, ctx| {
+            let ctx = &mut moara_ctx(ctx);
+            for (text, query, to) in queued {
+                // Single-flight and the result cache both key on the
+                // normalized text — computed only for the queries that
+                // use them (HTTP ones, on a caching daemon).
+                let http = matches!(to, ReplyTo::Http(..));
+                let cache = query_cache.filter(|_| http);
+                let key = cache.map(|_| moara_gateway::normalize(&text));
+                if let Some((cache, key)) = cache.zip(key.as_ref()) {
+                    // An identical query already walking the tree absorbs
+                    // this request as another waiter — N identical
+                    // in-flight queries cost one walk.
+                    if let Some(walk) = inflight.get(key).and_then(|fid| walks.get_mut(fid)) {
+                        walk.waiters.push(to.marked("coalesced"));
+                        cache.note_coalesced();
+                        continue;
+                    }
+                }
+                let fid = n.moara.submit(ctx, query);
+                let (to, cache_gen) = match (&key, cache) {
+                    (Some(key), Some(cache)) => {
+                        inflight.insert(key.clone(), fid);
+                        (to.marked("miss"), cache.gen_of(key))
+                    }
+                    _ => (to, None),
+                };
+                let walk = Walk {
+                    waiters: vec![to],
+                    cache_key: key,
+                    cache_gen,
+                    text,
+                    submitted: Instant::now(),
+                    trace_id: n.moara.front_trace_id(fid),
+                };
+                walks.insert(fid, walk);
             }
-        }
-        let (fid, trace_id) = self.with_moara(|moara, ctx| {
-            let fid = moara.submit(ctx, query);
-            (fid, moara.front_trace_id(fid))
         });
-        let (to, cache_gen) = match (&key, &self.query_cache) {
-            (Some(key), Some(cache)) => {
-                self.gw_inflight.insert(key.clone(), fid);
-                (to.marked("miss"), cache.gen_of(key))
-            }
-            _ => (to, None),
-        };
-        let walk = Walk {
-            waiters: vec![to],
-            cache_key: key,
-            cache_gen,
-            text,
-            submitted: Instant::now(),
-            trace_id,
-        };
-        self.walks.insert(fid, walk);
+        true
     }
 
     /// Answers every walk whose outcome landed: its waiters, the

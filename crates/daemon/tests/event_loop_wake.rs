@@ -17,7 +17,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use moara_daemon::{ctrl_roundtrip, parse_attrs, CtrlReply, CtrlRequest, Daemon, DaemonOpts};
+use moara_daemon::{
+    ctrl_roundtrip, parse_attrs, CtrlReply, CtrlRequest, Daemon, DaemonOpts, WALK_BURST, WALK_GAP,
+};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -211,14 +213,15 @@ fn requests_wake_the_loop_and_an_idle_loop_blocks() {
     }
 }
 
-/// Walks start in turns 1 ms apart after a burst of 32. A lone client
-/// asking faster goes round once per turn, and its query starts on time
+/// Walks start in turns `WALK_GAP` apart after a burst of `WALK_BURST`. A
+/// lone client asking faster goes round once per turn — so every walk past
+/// the burst but the last costs it a gap — and its query starts on time
 /// although nothing wakes the loop for it: the loop's wait is cut to the
 /// turn. A turn starts every query waiting, so four clients asking at
 /// once are not held to one client's rate.
 #[test]
 fn walks_start_in_turns_that_take_every_waiting_query() {
-    const QUERIES: u32 = 160;
+    const QUERIES: u32 = 5 * WALK_BURST;
     let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let h = host(None);
     let expected = "{\"result\":\"1\",\"complete\":true}\n";
@@ -235,7 +238,7 @@ fn walks_start_in_turns_that_take_every_waiting_query() {
 
     let (alone, slowest) = client();
     assert!(
-        alone >= Duration::from_millis(u64::from(QUERIES - 32 - 1)),
+        alone >= WALK_GAP * (QUERIES - WALK_BURST - 1),
         "{QUERIES} walks from one closed loop in {alone:?}: not paced"
     );
     assert!(

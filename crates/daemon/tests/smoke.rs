@@ -355,3 +355,65 @@ fn moarad_refuses_an_alert_rule_over_an_unknown_metric() {
     assert!(stderr.contains("alert rule `stall`"), "{stderr}");
     assert!(stderr.contains("tick_p99_us"), "lists the keys: {stderr}");
 }
+
+/// The walk path has one thread per daemon: peer sockets are members of
+/// the event loop's own `epoll` set, so after a join and a few tree walks
+/// a `moarad` has no per-listener or per-connection peer thread — only
+/// main (the loop), the gateway's shards and acceptor, and the control
+/// plane's acceptor, plus whatever per-connection control or gather
+/// thread happens to be alive at the instant of the look.
+#[test]
+fn a_moarad_has_no_peer_plane_threads() {
+    let ctrls = [free_port(), free_port(), free_port()];
+    let flags = |http: &'static str| ["--http", http, "--no-query-cache"];
+    let mut fleet = Vec::new();
+    for (i, ctrl) in ctrls.iter().enumerate() {
+        let join = (i > 0).then_some(ctrls[0].as_str());
+        let attrs = format!("ServiceX=true,CPU-Util={}", 10 * (i + 1));
+        fleet.push(spawn_moarad_with(ctrl, join, &attrs, &flags("127.0.0.1:0")));
+    }
+    for ctrl in &ctrls {
+        wait_for_members(ctrl, 3);
+    }
+    // Uncached queries through every front-end: every peer link is up
+    // in both directions.
+    for (_, banner) in &fleet {
+        let http = banner.split("http=").nth(1).expect("http= in banner");
+        let http = http.split_whitespace().next().unwrap();
+        for _ in 0..3 {
+            let reply = http_get(
+                http,
+                "/v1/query?q=SELECT%20sum(CPU-Util)%20WHERE%20ServiceX%20%3D%20true",
+            );
+            assert!(
+                reply.ends_with("{\"result\":\"60\",\"complete\":true}\n"),
+                "{reply}"
+            );
+        }
+    }
+    for (guard, _) in &fleet {
+        let tasks = std::fs::read_dir(format!("/proc/{}/task", guard.0.id())).unwrap();
+        // Thread names as the kernel keeps them: 15 bytes at most.
+        let names: Vec<String> = tasks
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim().to_owned())
+            .collect();
+        let shards = names
+            .iter()
+            .filter(|n| n.starts_with("moara-gw-shard"))
+            .count();
+        assert!(shards >= 1, "{names:?}");
+        let transient = |n: &&String| n.starts_with("moarad-ctrl-con") || *n == "moarad-gather";
+        let resident: Vec<&String> = names.iter().filter(|n| !transient(n)).collect();
+        assert!(
+            resident.iter().all(|n| {
+                *n == "moarad"
+                    || n.starts_with("moara-gw-shard")
+                    || *n == "moara-gw-accept"
+                    || *n == "moarad-ctrl-acc"
+            }),
+            "a thread that should not exist: {names:?}"
+        );
+        assert_eq!(resident.len(), 1 + shards + 2, "{names:?}");
+    }
+}

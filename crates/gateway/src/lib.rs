@@ -40,6 +40,11 @@
 //! per-connection panic isolation. See `docs/gateway.md`.
 
 pub mod cache;
+// The raw epoll/eventfd layer, shared with `moara-transport` as one
+// source file: this crate has no dependencies, and that one stays so.
+#[allow(dead_code)]
+#[path = "../../transport/src/epoll.rs"]
+mod epoll;
 pub mod http;
 pub mod json;
 pub mod metrics;

@@ -10,9 +10,8 @@
 //! parsing, or flip into an SSE stream). One daemon now holds tens of
 //! thousands of open connections with a handful of threads.
 //!
-//! `epoll` is reached through raw `extern "C"` declarations (the same
-//! no-new-deps pattern as `signal()` in `moarad`); Linux-only, like the
-//! rest of the deployment story.
+//! `epoll` and the wake `eventfd` come from `crate::epoll` — the one raw
+//! syscall layer this edge shares with the peer transport's event loop.
 //!
 //! What blocks where:
 //! * the **acceptor** thread blocks in `accept()`, applies the
@@ -35,53 +34,18 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{IpAddr, TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::AsRawFd;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::epoll::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::http::{parse_request, HttpResponse, ParseStep};
 use crate::server::{
-    endpoint_class, finish_request, render_reply, route, sse_frame, AccessLogSink, GatewayHandle,
-    GatewayOpts, GatewayStats, GwJob, GwReply, GwRequest, JobSink, ReplySink,
+    endpoint_class, finish_request, render_reply, route, sse_frame, GatewayHandle, GatewayOpts,
+    GatewayStats, GwJob, GwReply, GwRequest, JobSink, ReplySink,
 };
-
-/// Raw Linux syscall surface: `epoll` + `eventfd`, no libc crate.
-mod sys {
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
-    pub const EPOLL_CLOEXEC: i32 = 0o2000000;
-    pub const EFD_NONBLOCK: i32 = 0o4000;
-    pub const EFD_CLOEXEC: i32 = 0o2000000;
-
-    /// Matches the kernel ABI: packed on x86-64 (the kernel declares
-    /// the struct `__attribute__((packed))` there), natural alignment
-    /// elsewhere.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    extern "C" {
-        pub fn epoll_create1(flags: i32) -> i32;
-        pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        pub fn eventfd(initval: u32, flags: i32) -> i32;
-        pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        pub fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        pub fn close(fd: i32) -> i32;
-    }
-}
 
 /// The epoll data value reserved for a shard's wake eventfd (connection
 /// ids start at 1).
@@ -107,36 +71,6 @@ const OUT_BUF_CAP: usize = 1024 * 1024;
 /// progress before it is closed (the reactor's version of the old
 /// worker-pool write timeout).
 const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// An `eventfd` used to interrupt a shard's `epoll_wait` from other
-/// threads (the daemon posting replies, the acceptor handing off
-/// connections, `stop()`).
-#[derive(Debug)]
-struct WakeFd(RawFd);
-
-impl WakeFd {
-    fn new() -> WakeFd {
-        let fd = unsafe { sys::eventfd(0, sys::EFD_NONBLOCK | sys::EFD_CLOEXEC) };
-        assert!(fd >= 0, "eventfd failed");
-        WakeFd(fd)
-    }
-
-    fn wake(&self) {
-        let one: u64 = 1;
-        let _ = unsafe { sys::write(self.0, (&one as *const u64).cast(), 8) };
-    }
-
-    fn drain(&self) {
-        let mut buf = [0u8; 8];
-        while unsafe { sys::read(self.0, buf.as_mut_ptr(), 8) } > 0 {}
-    }
-}
-
-impl Drop for WakeFd {
-    fn drop(&mut self) {
-        unsafe { sys::close(self.0) };
-    }
-}
 
 /// One message from the daemon (or a dropped [`ReplySink`]) to a shard.
 #[derive(Debug)]
@@ -189,12 +123,9 @@ enum Phase {
     /// A watch request is with the daemon; the first reply decides
     /// between SSE headers and an error status.
     SseAwait(Pending),
-    /// Streaming Server-Sent Events until either side hangs up.
-    Sse {
-        started: Instant,
-        method: String,
-        path: String,
-    },
+    /// Streaming Server-Sent Events until either side hangs up; the
+    /// request it grew out of is kept for the access log.
+    Sse(Pending),
 }
 
 /// Bookkeeping for a request handed to the daemon.
@@ -207,6 +138,51 @@ struct Pending {
     deadline: Instant,
     head_only: bool,
     keep_alive: bool,
+}
+
+/// How a request reads in the latency histograms and the access log.
+struct Logged<'a> {
+    class: &'static str,
+    method: &'a str,
+    path: &'a str,
+    started: Instant,
+}
+
+impl Logged<'_> {
+    /// A request that never parsed as far as a method and a path.
+    const fn unparsed(started: Instant) -> Logged<'static> {
+        let (class, method, path) = ("other", "-", "-");
+        Logged {
+            class,
+            method,
+            path,
+            started,
+        }
+    }
+
+    /// Accounts the request as over: answered `status`, `bytes` of body.
+    fn finish(&self, ctx: &Ctx, conn: &Conn, status: u16, bytes: usize) {
+        let &Logged {
+            class,
+            method,
+            path,
+            started: t0,
+        } = self;
+        let (stats, log, peer) = (&ctx.stats, &ctx.opts.access_log, &conn.peer);
+        finish_request(stats, log, class, method, path, status, t0, bytes, peer);
+    }
+}
+
+impl Pending {
+    fn logged(&self) -> Logged<'_> {
+        let (method, path) = (&*self.method, &*self.path);
+        Logged {
+            class: self.class,
+            method,
+            path,
+            started: self.started,
+        }
+    }
 }
 
 /// One connection owned by a shard.
@@ -247,18 +223,11 @@ struct Ctx {
     stats: Arc<GatewayStats>,
     mailbox: Arc<Mailbox>,
     limiter: Option<Arc<crate::middleware::TokenBuckets>>,
-    cache: Option<Arc<crate::cache::QueryCache>>,
-    access_log: Option<AccessLogSink>,
-    request_timeout: Duration,
-    idle_timeout: Duration,
-    header_timeout: Duration,
-    max_sse: i64,
-    panic_on_path: Option<String>,
+    opts: GatewayOpts,
 }
 
 struct Shard {
-    epfd: RawFd,
-    mailbox: Arc<Mailbox>,
+    epoll: Epoll,
     incoming: Arc<Mutex<Vec<TcpStream>>>,
     conns: HashMap<u64, Conn>,
     next_id: u64,
@@ -304,11 +273,8 @@ pub(crate) fn spawn_reactor(
     for i in 0..shard_count {
         let mailbox = Mailbox::new();
         let incoming: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-        assert!(epfd >= 0, "epoll_create1 failed");
         let shard = Shard {
-            epfd,
-            mailbox: Arc::clone(&mailbox),
+            epoll: Epoll::new(),
             incoming: Arc::clone(&incoming),
             conns: HashMap::new(),
             next_id: 1,
@@ -318,13 +284,7 @@ pub(crate) fn spawn_reactor(
                 stats: Arc::clone(&stats),
                 mailbox: Arc::clone(&mailbox),
                 limiter: limiter.clone(),
-                cache: opts.cache.clone(),
-                access_log: opts.access_log.clone(),
-                request_timeout: opts.request_timeout,
-                idle_timeout: opts.idle_timeout,
-                header_timeout: opts.header_timeout,
-                max_sse: opts.max_sse_streams,
-                panic_on_path: opts.panic_on_path.clone(),
+                opts: opts.clone(),
             },
         };
         mailboxes.push(mailbox);
@@ -385,34 +345,20 @@ pub(crate) fn spawn_reactor(
 
 impl Shard {
     fn run(mut self) {
-        self.epoll_ctl(
-            sys::EPOLL_CTL_ADD,
-            self.mailbox.wake.0,
-            sys::EPOLLIN,
-            WAKE_TOKEN,
-        );
-        let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 512];
+        self.ctx.mailbox.wake.register(&self.epoll, WAKE_TOKEN);
+        let mut events = vec![EpollEvent::default(); 512];
         let mut next_sweep = Instant::now() + SWEEP_EVERY;
         loop {
-            let timeout_ms = next_sweep
+            let timeout = next_sweep
                 .saturating_duration_since(Instant::now())
-                .as_millis()
-                .clamp(1, SWEEP_EVERY.as_millis()) as i32;
-            let n = unsafe {
-                sys::epoll_wait(
-                    self.epfd,
-                    events.as_mut_ptr(),
-                    events.len() as i32,
-                    timeout_ms,
-                )
-            };
+                .clamp(Duration::from_millis(1), SWEEP_EVERY);
+            let ready = self.epoll.wait(&mut events, timeout);
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
-            for ev in events.iter().take(n.max(0) as usize) {
+            for ev in ready {
                 let (bits, id) = (ev.events, ev.data);
                 if id == WAKE_TOKEN {
-                    self.mailbox.wake.drain();
                     self.adopt_incoming();
                     self.drain_mailbox();
                     continue;
@@ -431,31 +377,20 @@ impl Shard {
         for id in ids {
             self.close(id);
         }
-        unsafe { sys::close(self.epfd) };
-    }
-
-    fn epoll_ctl(&self, op: i32, fd: RawFd, events: u32, data: u64) {
-        let mut ev = sys::EpollEvent { events, data };
-        let _ = unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) };
     }
 
     /// Registers connections the acceptor handed over.
     fn adopt_incoming(&mut self) {
         let fresh = std::mem::take(&mut *self.incoming.lock().unwrap());
         for stream in fresh {
-            let peer = stream.peer_addr().ok();
-            let Some(peer_addr) = peer else {
+            let id = self.next_id;
+            self.next_id += 1;
+            let added = self.epoll.add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, id);
+            let (Ok(peer_addr), Ok(())) = (stream.peer_addr(), added) else {
+                // Dropped: a connection nobody would hear from.
                 self.ctx.stats.open_conns.fetch_sub(1, Ordering::SeqCst);
                 continue;
             };
-            let id = self.next_id;
-            self.next_id += 1;
-            self.epoll_ctl(
-                sys::EPOLL_CTL_ADD,
-                stream.as_raw_fd(),
-                sys::EPOLLIN | sys::EPOLLRDHUP,
-                id,
-            );
             self.conns.insert(
                 id,
                 Conn {
@@ -480,35 +415,39 @@ impl Shard {
         }
     }
 
-    /// Handles one readiness event for connection `id`, with panic
-    /// isolation: a panic while parsing/handling kills this connection
-    /// only.
-    fn conn_event(&mut self, id: u64, bits: u32) {
-        let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            if bits & sys::EPOLLERR != 0 {
-                conn.dead = true;
-            }
-            if !conn.dead && bits & sys::EPOLLOUT != 0 {
-                conn.flush();
-            }
-            if !conn.dead && bits & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0 {
-                conn.fill();
-                if !conn.dead {
-                    advance(&self.ctx, conn);
-                }
-            }
-        }))
-        .is_err();
-        if panicked {
+    /// Runs `f` on connection `id` with panic isolation — a panic while
+    /// parsing or handling kills this connection only — then the
+    /// post-event bookkeeping.
+    fn on_conn(&mut self, id: u64, f: impl FnOnce(&Ctx, &mut Conn)) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let ctx = &self.ctx;
+        if std::panic::catch_unwind(AssertUnwindSafe(|| f(ctx, conn))).is_err() {
             self.ctx.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
             if let Some(conn) = self.conns.get_mut(&id) {
                 conn.dead = true;
             }
         }
         self.finalize(id);
+    }
+
+    /// Handles one readiness event for connection `id`.
+    fn conn_event(&mut self, id: u64, bits: u32) {
+        self.on_conn(id, |ctx, conn| {
+            if bits & EPOLLERR != 0 {
+                conn.dead = true;
+            }
+            if !conn.dead && bits & EPOLLOUT != 0 {
+                conn.flush();
+            }
+            if !conn.dead && bits & (EPOLLIN | EPOLLHUP | EPOLLRDHUP) != 0 {
+                conn.fill();
+                if !conn.dead {
+                    advance(ctx, conn);
+                }
+            }
+        });
     }
 
     /// Post-event bookkeeping: closes dead connections, syncs EPOLLOUT
@@ -524,32 +463,18 @@ impl Shard {
         let want_out = conn.out_pos < conn.buf_out.len();
         if want_out != conn.interest_out {
             conn.interest_out = want_out;
-            let mut events = sys::EPOLLIN | sys::EPOLLRDHUP;
+            let mut events = EPOLLIN | EPOLLRDHUP;
             if want_out {
-                events |= sys::EPOLLOUT;
+                events |= EPOLLOUT;
             }
-            let fd = conn.stream.as_raw_fd();
-            self.epoll_ctl(sys::EPOLL_CTL_MOD, fd, events, id);
+            self.epoll.modify(conn.stream.as_raw_fd(), events, id);
         }
     }
 
     /// Delivers daemon replies (and sink hang-ups) to their connections.
     fn drain_mailbox(&mut self) {
-        for (id, gen, mail) in self.mailbox.take() {
-            let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let Some(conn) = self.conns.get_mut(&id) else {
-                    return;
-                };
-                deliver(&self.ctx, conn, gen, mail);
-            }))
-            .is_err();
-            if panicked {
-                self.ctx.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.dead = true;
-                }
-            }
-            self.finalize(id);
+        for (id, gen, mail) in self.ctx.mailbox.take() {
+            self.on_conn(id, |ctx, conn| deliver(ctx, conn, gen, mail));
         }
     }
 
@@ -570,37 +495,23 @@ impl Shard {
                 }
                 Phase::Ready if !conn.close_after_write => {
                     if let Some(t0) = conn.header_started {
-                        if now.saturating_duration_since(t0) > self.ctx.header_timeout {
+                        if now.saturating_duration_since(t0) > self.ctx.opts.header_timeout {
                             // Slowloris: answer 408 and close. The
                             // shard never blocked on these bytes; the
                             // timeout just reclaims the fd.
                             conn.header_started = None;
-                            respond(
-                                &self.ctx,
-                                conn,
-                                HttpResponse::error(408, "header timeout"),
-                                false,
-                                false,
-                            );
-                            finish_request(
-                                &self.ctx.stats,
-                                &self.ctx.access_log,
-                                "other",
-                                "-",
-                                "-",
-                                408,
-                                t0,
-                                0,
-                                &conn.peer,
-                            );
+                            let response = HttpResponse::error(408, "header timeout");
+                            respond(&self.ctx, conn, response, false, false);
+                            Logged::unparsed(t0).finish(&self.ctx, conn, 408, 0);
                         }
                     } else if conn.buf_out.is_empty()
-                        && now.saturating_duration_since(conn.last_activity) > self.ctx.idle_timeout
+                        && now.saturating_duration_since(conn.last_activity)
+                            > self.ctx.opts.idle_timeout
                     {
                         conn.dead = true;
                     }
                 }
-                Phase::Ready | Phase::Sse { .. } => {}
+                Phase::Ready | Phase::Sse(_) => {}
             }
             if let Some(t0) = conn.write_stalled_since {
                 if now.saturating_duration_since(t0) > WRITE_STALL_TIMEOUT {
@@ -611,43 +522,27 @@ impl Shard {
         }
     }
 
-    /// Tears one connection down: epoll deregistration, SSE slot
-    /// release, stream-lifetime accounting, the closed flag for
-    /// daemon-held sinks.
+    /// Tears one connection down: SSE slot release, stream-lifetime
+    /// accounting, the closed flag for daemon-held sinks.
     fn close(&mut self, id: u64) {
         let Some(conn) = self.conns.remove(&id) else {
             return;
         };
         conn.closed.store(true, Ordering::Release);
-        self.epoll_ctl(sys::EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
         self.ctx.stats.open_conns.fetch_sub(1, Ordering::SeqCst);
-        match conn.phase {
-            Phase::Sse {
-                started,
-                method,
-                path,
-            } => {
+        match &conn.phase {
+            Phase::Sse(stream) => {
                 self.ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
                 // One access-log line per stream, at stream end, the
                 // duration spanning its whole life.
-                finish_request(
-                    &self.ctx.stats,
-                    &self.ctx.access_log,
-                    "watch",
-                    &method,
-                    &path,
-                    200,
-                    started,
-                    0,
-                    &conn.peer,
-                );
+                stream.logged().finish(&self.ctx, &conn, 200, 0);
             }
             Phase::SseAwait(_) => {
                 self.ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
             }
             _ => {}
         }
-        // `conn.stream` drops here, closing the fd.
+        // `conn.stream` drops here: the fd closes and leaves the set.
     }
 }
 
@@ -666,7 +561,7 @@ impl Conn {
                     match self.phase {
                         // Mid-stream client bytes on an SSE connection
                         // carry no meaning; discard instead of buffering.
-                        Phase::Sse { .. } => {}
+                        Phase::Sse(_) => {}
                         _ => self.buf_in.extend_from_slice(&chunk[..n]),
                     }
                     if self.buf_in.len() > IN_BUF_CAP {
@@ -769,17 +664,7 @@ fn advance(ctx: &Ctx, conn: &mut Conn) {
                 conn.buf_in.clear();
                 conn.header_started = None;
                 respond(ctx, conn, HttpResponse::error(status, msg), false, false);
-                finish_request(
-                    &ctx.stats,
-                    &ctx.access_log,
-                    "other",
-                    "-",
-                    "-",
-                    status,
-                    Instant::now(),
-                    0,
-                    &conn.peer,
-                );
+                Logged::unparsed(Instant::now()).finish(ctx, conn, status, 0);
                 return;
             }
             ParseStep::Done { req, consumed } => {
@@ -791,16 +676,39 @@ fn advance(ctx: &Ctx, conn: &mut Conn) {
     }
 }
 
+/// Hands `req` to the daemon under a fresh request generation of
+/// `conn`'s. False: the daemon is gone.
+fn hand_off(ctx: &Ctx, conn: &mut Conn, req: GwRequest) -> bool {
+    conn.gen += 1;
+    let reply = ReplySink {
+        mailbox: Arc::clone(&ctx.mailbox),
+        conn: conn.id,
+        gen: conn.gen,
+        closed: Arc::clone(&conn.closed),
+    };
+    let sent = (ctx.jobs)(GwJob { req, reply }).is_ok();
+    if sent {
+        ctx.stats.queued_jobs.fetch_add(1, Ordering::Relaxed);
+    }
+    sent
+}
+
 /// Routes one parsed request: middleware first, then inline answers
 /// (OPTIONS, cache hits, routing errors), then the daemon hand-off.
 fn handle_request(ctx: &Ctx, conn: &mut Conn, req: crate::http::HttpRequest) {
     let started = Instant::now();
     let keep_alive = req.keep_alive;
     let head_only = req.method == "HEAD";
+    let logged = |class| Logged {
+        class,
+        method: &req.method,
+        path: &req.path,
+        started,
+    };
 
     // Test hook for panic isolation: a poisoned request must kill its
     // connection, not the shard or the daemon.
-    if let Some(p) = &ctx.panic_on_path {
+    if let Some(p) = &ctx.opts.panic_on_path {
         if *p == req.path {
             panic!("panic_on_path test hook: {p}");
         }
@@ -812,19 +720,8 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, req: crate::http::HttpRequest) {
         if !limiter.allow(conn.ip, started) {
             ctx.stats.rate_limited.fetch_add(1, Ordering::Relaxed);
             let response = HttpResponse::error(429, "rate limit exceeded");
-            finish_request(
-                &ctx.stats,
-                &ctx.access_log,
-                "other",
-                &req.method,
-                &req.path,
-                response.status,
-                started,
-                response.body.len(),
-                &conn.peer,
-            );
-            respond(ctx, conn, response, keep_alive, head_only);
-            return;
+            logged("other").finish(ctx, conn, response.status, response.body.len());
+            return respond(ctx, conn, response, keep_alive, head_only);
         }
     }
 
@@ -833,188 +730,80 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, req: crate::http::HttpRequest) {
     if req.method == "OPTIONS" {
         let response = HttpResponse::text(200, "text/plain; charset=utf-8", "")
             .with_allow(crate::server::ALLOWED_METHODS);
-        finish_request(
-            &ctx.stats,
-            &ctx.access_log,
-            "other",
-            &req.method,
-            &req.path,
-            response.status,
-            started,
-            0,
-            &conn.peer,
-        );
-        respond(ctx, conn, response, keep_alive, false);
-        return;
+        logged("other").finish(ctx, conn, response.status, 0);
+        return respond(ctx, conn, response, keep_alive, false);
     }
 
-    match route(&req) {
-        Ok(GwRequest::Watch {
-            q,
-            policy,
-            lease_ms,
-        }) => {
-            // Atomic slot reservation (increment-then-check): a burst
-            // of simultaneous watch requests must not race past the cap.
-            if ctx.stats.open_streams.fetch_add(1, Ordering::SeqCst) >= ctx.max_sse {
-                ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
-                let response = HttpResponse::error(503, "too many watch streams");
-                finish_request(
-                    &ctx.stats,
-                    &ctx.access_log,
-                    "watch",
-                    &req.method,
-                    &req.path,
-                    response.status,
-                    started,
-                    response.body.len(),
-                    &conn.peer,
-                );
-                respond(ctx, conn, response, false, false);
-                return;
-            }
-            ctx.stats.watches_opened.fetch_add(1, Ordering::Relaxed);
-            conn.gen += 1;
-            let sink = ReplySink {
-                mailbox: Arc::clone(&ctx.mailbox),
-                conn: conn.id,
-                gen: conn.gen,
-                closed: Arc::clone(&conn.closed),
-            };
-            let job = GwJob {
-                req: GwRequest::Watch {
-                    q,
-                    policy,
-                    lease_ms,
-                },
-                reply: sink,
-            };
-            if (ctx.jobs)(job).is_err() {
-                ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
-                let response = HttpResponse::error(503, "daemon shut down");
-                finish_request(
-                    &ctx.stats,
-                    &ctx.access_log,
-                    "watch",
-                    &req.method,
-                    &req.path,
-                    response.status,
-                    started,
-                    response.body.len(),
-                    &conn.peer,
-                );
-                respond(ctx, conn, response, false, false);
-                return;
-            }
-            ctx.stats.queued_jobs.fetch_add(1, Ordering::Relaxed);
-            conn.phase = Phase::SseAwait(Pending {
-                gen: conn.gen,
-                class: "watch",
-                method: req.method,
-                path: req.path,
-                started,
-                deadline: started + ctx.request_timeout,
-                head_only: false,
-                keep_alive: false,
-            });
-        }
-        Ok(gw_req) => {
-            let counter = match &gw_req {
-                GwRequest::Query { .. } => &ctx.stats.queries,
-                GwRequest::SetAttrs { .. } => &ctx.stats.attr_sets,
-                GwRequest::Metrics
-                | GwRequest::ClusterMetrics
-                | GwRequest::History { .. }
-                | GwRequest::ClusterHistory { .. } => &ctx.stats.scrapes,
-                GwRequest::Health
-                | GwRequest::ClusterHealth
-                | GwRequest::Alerts
-                | GwRequest::Events { .. } => &ctx.stats.health_checks,
-                GwRequest::Traces { .. } | GwRequest::Trace { .. } => &ctx.stats.traces,
-                GwRequest::Watch { .. } => unreachable!("handled above"),
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            let class = endpoint_class(&gw_req);
-            // The materialized-view fast path: a fresh standing result
-            // answers right here on the shard — the daemon's event loop
-            // (and its transport-poll cadence) is never entered, which
-            // is what keeps hits sub-millisecond.
-            let cached = match (&gw_req, &ctx.cache) {
-                (GwRequest::Query { q }, Some(c)) => c.lookup(q, started),
-                _ => None,
-            };
-            if let Some((result, complete)) = cached {
-                let response =
-                    HttpResponse::json(200, crate::server::answer_body(&result, complete))
-                        .with_cache("hit");
-                finish_request(
-                    &ctx.stats,
-                    &ctx.access_log,
-                    class,
-                    &req.method,
-                    &req.path,
-                    response.status,
-                    started,
-                    if head_only { 0 } else { response.body.len() },
-                    &conn.peer,
-                );
-                respond(ctx, conn, response, keep_alive, head_only);
-                return;
-            }
-            conn.gen += 1;
-            let sink = ReplySink {
-                mailbox: Arc::clone(&ctx.mailbox),
-                conn: conn.id,
-                gen: conn.gen,
-                closed: Arc::clone(&conn.closed),
-            };
-            let job = GwJob {
-                req: gw_req,
-                reply: sink,
-            };
-            if (ctx.jobs)(job).is_err() {
-                let response = HttpResponse::error(503, "daemon shut down");
-                finish_request(
-                    &ctx.stats,
-                    &ctx.access_log,
-                    class,
-                    &req.method,
-                    &req.path,
-                    response.status,
-                    started,
-                    response.body.len(),
-                    &conn.peer,
-                );
-                respond(ctx, conn, response, false, false);
-                return;
-            }
-            ctx.stats.queued_jobs.fetch_add(1, Ordering::Relaxed);
-            conn.phase = Phase::Await(Pending {
-                gen: conn.gen,
-                class,
-                method: req.method,
-                path: req.path,
-                started,
-                deadline: started + ctx.request_timeout,
-                head_only,
-                keep_alive,
-            });
-        }
+    let gw_req = match route(&req) {
+        Ok(gw_req) => gw_req,
         Err(response) => {
-            finish_request(
-                &ctx.stats,
-                &ctx.access_log,
-                "other",
-                &req.method,
-                &req.path,
-                response.status,
-                started,
-                if head_only { 0 } else { response.body.len() },
-                &conn.peer,
-            );
-            respond(ctx, conn, response, keep_alive, head_only);
+            let bytes = if head_only { 0 } else { response.body.len() };
+            logged("other").finish(ctx, conn, response.status, bytes);
+            return respond(ctx, conn, response, keep_alive, head_only);
         }
+    };
+    let class = endpoint_class(&gw_req);
+    let watch = matches!(gw_req, GwRequest::Watch { .. });
+    // Atomic slot reservation (increment-then-check): a burst of
+    // simultaneous watch requests must not race past the cap.
+    if watch && ctx.stats.open_streams.fetch_add(1, Ordering::SeqCst) >= ctx.opts.max_sse_streams {
+        ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
+        let response = HttpResponse::error(503, "too many watch streams");
+        logged(class).finish(ctx, conn, response.status, response.body.len());
+        return respond(ctx, conn, response, false, false);
     }
+    let counter = match &gw_req {
+        GwRequest::Watch { .. } => &ctx.stats.watches_opened,
+        GwRequest::Query { .. } => &ctx.stats.queries,
+        GwRequest::SetAttrs { .. } => &ctx.stats.attr_sets,
+        GwRequest::Metrics
+        | GwRequest::ClusterMetrics
+        | GwRequest::History { .. }
+        | GwRequest::ClusterHistory { .. } => &ctx.stats.scrapes,
+        GwRequest::Health
+        | GwRequest::ClusterHealth
+        | GwRequest::Alerts
+        | GwRequest::Events { .. } => &ctx.stats.health_checks,
+        GwRequest::Traces { .. } | GwRequest::Trace { .. } => &ctx.stats.traces,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    // The materialized-view fast path: a fresh standing result answers
+    // right here on the shard — the daemon's event loop is never
+    // entered, which is what keeps hits sub-millisecond.
+    let cached = match (&gw_req, &ctx.opts.cache) {
+        (GwRequest::Query { q }, Some(c)) => c.lookup(q, started),
+        _ => None,
+    };
+    if let Some((result, complete)) = cached {
+        let response = HttpResponse::json(200, crate::server::answer_body(&result, complete))
+            .with_cache("hit");
+        let bytes = if head_only { 0 } else { response.body.len() };
+        logged(class).finish(ctx, conn, response.status, bytes);
+        return respond(ctx, conn, response, keep_alive, head_only);
+    }
+    if !hand_off(ctx, conn, gw_req) {
+        if watch {
+            ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
+        }
+        let response = HttpResponse::error(503, "daemon shut down");
+        logged(class).finish(ctx, conn, response.status, response.body.len());
+        return respond(ctx, conn, response, false, false);
+    }
+    // A stream is neither kept alive nor cut to its head.
+    let pending = Pending {
+        gen: conn.gen,
+        class,
+        method: req.method,
+        path: req.path,
+        started,
+        deadline: started + ctx.opts.request_timeout,
+        head_only: head_only && !watch,
+        keep_alive: keep_alive && !watch,
+    };
+    conn.phase = match watch {
+        true => Phase::SseAwait(pending),
+        false => Phase::Await(pending),
+    };
 }
 
 /// Answers 408 for a request whose deadline passed (middleware: the
@@ -1028,17 +817,8 @@ fn timeout_pending(ctx: &Ctx, conn: &mut Conn) {
     ctx.stats.request_timeouts.fetch_add(1, Ordering::Relaxed);
     let released_sse = matches!(conn.phase, Phase::SseAwait(_));
     let response = HttpResponse::error(408, "daemon did not answer in time");
-    finish_request(
-        &ctx.stats,
-        &ctx.access_log,
-        p.class,
-        &p.method,
-        &p.path,
-        response.status,
-        p.started,
-        response.body.len(),
-        &conn.peer,
-    );
+    p.logged()
+        .finish(ctx, conn, response.status, response.body.len());
     let head_only = p.head_only;
     conn.phase = Phase::Ready;
     if released_sse {
@@ -1052,70 +832,46 @@ fn timeout_pending(ctx: &Ctx, conn: &mut Conn) {
 fn deliver(ctx: &Ctx, conn: &mut Conn, gen: u64, mail: Mail) {
     match mail {
         Mail::Reply(reply) => match &conn.phase {
+            // The reply exists but missed its deadline: the middleware
+            // answer is still 408, whether or not a sweep got to the
+            // connection first.
+            Phase::Await(p) | Phase::SseAwait(p)
+                if p.gen == gen && Instant::now() >= p.deadline =>
+            {
+                timeout_pending(ctx, conn);
+            }
             Phase::Await(p) if p.gen == gen => {
-                if Instant::now() >= p.deadline {
-                    // The reply exists but missed its deadline: the
-                    // middleware answer is still 408, whether or not a
-                    // sweep got to the connection first.
-                    timeout_pending(ctx, conn);
-                    return;
-                }
                 let response = render_reply(reply);
-                finish_request(
-                    &ctx.stats,
-                    &ctx.access_log,
-                    p.class,
-                    &p.method,
-                    &p.path,
-                    response.status,
-                    p.started,
-                    if p.head_only { 0 } else { response.body.len() },
-                    &conn.peer,
-                );
                 let (keep_alive, head_only) = (p.keep_alive, p.head_only);
+                let bytes = if head_only { 0 } else { response.body.len() };
+                p.logged().finish(ctx, conn, response.status, bytes);
                 conn.phase = Phase::Ready;
                 respond(ctx, conn, response, keep_alive, head_only);
                 // Pipelined requests may be waiting behind the reply.
                 advance(ctx, conn);
             }
             Phase::SseAwait(p) if p.gen == gen => {
-                if Instant::now() >= p.deadline {
-                    timeout_pending(ctx, conn);
-                    return;
-                }
                 if let GwReply::Error { status, msg } = reply {
                     let response = HttpResponse::error(status, &msg);
-                    finish_request(
-                        &ctx.stats,
-                        &ctx.access_log,
-                        p.class,
-                        &p.method,
-                        &p.path,
-                        response.status,
-                        p.started,
-                        response.body.len(),
-                        &conn.peer,
-                    );
+                    p.logged()
+                        .finish(ctx, conn, response.status, response.body.len());
                     conn.phase = Phase::Ready;
                     ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
                     conn.closed.store(true, Ordering::Release);
-                    respond(ctx, conn, response, false, false);
-                    return;
+                    return respond(ctx, conn, response, false, false);
                 }
                 // Stream opens: SSE headers, then the first frame.
                 conn.buf_out.extend_from_slice(
                     b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
                       Cache-Control: no-cache\r\nConnection: close\r\n\r\n",
                 );
-                conn.phase = Phase::Sse {
-                    started: p.started,
-                    method: p.method.clone(),
-                    path: p.path.clone(),
-                };
+                if let Phase::SseAwait(p) = std::mem::replace(&mut conn.phase, Phase::Ready) {
+                    conn.phase = Phase::Sse(p);
+                }
                 sse_forward(ctx, conn, reply);
                 conn.flush();
             }
-            Phase::Sse { .. } if gen == conn.gen => {
+            Phase::Sse(_) if gen == conn.gen => {
                 sse_forward(ctx, conn, reply);
                 conn.flush();
             }
@@ -1128,7 +884,7 @@ fn deliver(ctx: &Ctx, conn: &mut Conn, gen: u64, mail: Mail) {
             // subscription cancelled (or daemon shutting down). Only
             // meaningful for streams; one-shot sinks are dropped right
             // after their reply, which was already delivered above.
-            if gen == conn.gen && matches!(conn.phase, Phase::Sse { .. } | Phase::SseAwait(_)) {
+            if gen == conn.gen && matches!(conn.phase, Phase::Sse(_) | Phase::SseAwait(_)) {
                 conn.dead = true;
             }
         }

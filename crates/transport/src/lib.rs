@@ -28,6 +28,7 @@
 
 use moara_simnet::{Message, NodeId, SimDuration, SimTime, Stats, TimerId, TimerTag};
 
+mod epoll;
 pub mod sim;
 pub mod tcp;
 

@@ -304,6 +304,57 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
+/// [`read_frame`] for a non-blocking socket: bytes go in as the stream
+/// yields them, cut anywhere, and whole frames come out. The buffer grows
+/// only with bytes actually received — a length prefix reserves nothing,
+/// so a peer that sends a [`MAX_FRAME`] prefix and stops costs 4 bytes.
+#[derive(Debug, Default)]
+pub struct FrameBuf {
+    buf: Vec<u8>,
+    /// Start of the first frame not yet handed out.
+    pos: usize,
+}
+
+impl FrameBuf {
+    /// Appends bytes read from the stream (frames already handed out
+    /// leave the buffer first).
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        if self.buf.is_empty() && self.buf.capacity() > 64 * 1024 {
+            // One large frame went through: do not keep its megabytes.
+            self.buf = Vec::new();
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The next complete frame's payload; `Ok(None)` until all of it has
+    /// arrived.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` for a length prefix over [`MAX_FRAME`], as soon as
+    /// the prefix is in: the stream cannot be resynchronised, close it.
+    pub fn next_frame(&mut self) -> io::Result<Option<&[u8]>> {
+        let rest = &self.buf[self.pos..];
+        let Some(prefix) = rest.first_chunk::<FRAME_HDR>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if len > MAX_FRAME {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "frame length over MAX_FRAME",
+            ));
+        }
+        let Some(payload) = rest.get(FRAME_HDR..FRAME_HDR + len) else {
+            return Ok(None);
+        };
+        self.pos += FRAME_HDR + len;
+        Ok(Some(payload))
+    }
+}
+
 /// Builds one whole frame — length prefix and payload — in a single
 /// buffer: `encode` appends the payload after a reserved prefix, which is
 /// filled in afterwards. A sender then needs one `write_all` per frame,
@@ -315,12 +366,24 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// `InvalidInput` when the payload does not fit the `u32` prefix.
 pub fn encode_frame(payload_hint: usize, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<Vec<u8>> {
     let mut frame = Vec::with_capacity(FRAME_HDR + payload_hint);
-    frame.extend_from_slice(&[0; FRAME_HDR]);
-    encode(&mut frame);
-    let len = u32::try_from(frame.len() - FRAME_HDR)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    frame[..FRAME_HDR].copy_from_slice(&len.to_le_bytes());
+    append_frame(&mut frame, encode)?;
     Ok(frame)
+}
+
+/// [`encode_frame`] onto the end of a buffer that may already hold
+/// frames: a sender that batches builds its whole `write` in place.
+///
+/// # Errors
+///
+/// `InvalidInput` when the payload does not fit the `u32` prefix.
+pub fn append_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    let at = out.len();
+    out.extend_from_slice(&[0; FRAME_HDR]);
+    encode(out);
+    let len = u32::try_from(out.len() - at - FRAME_HDR)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    out[at..at + FRAME_HDR].copy_from_slice(&len.to_le_bytes());
+    Ok(())
 }
 
 /// Encodes `msg` and writes it as one frame, with one `write_all`.
