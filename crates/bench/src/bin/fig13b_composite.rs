@@ -20,8 +20,8 @@ const NGROUPS: usize = 30;
 
 fn build(n: usize, probes: bool, seed: u64) -> Cluster {
     // Paper fidelity: the figure's "SP" lines pay a probe round-trip per
-    // query, so the scheduler's cross-query probe cache is off here (the
-    // `repeated_query` bin measures what the cache buys). One planner
+    // query, so the scheduler's cross-query probe cache is off here
+    // (`tests/query_scheduler.rs` pins what the cache buys). One planner
     // improvement is kept even here: probes fire only when cost can
     // change the cover choice, so the pure-union shape (one forced
     // cover) now matches its "no SP" line by construction.

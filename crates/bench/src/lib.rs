@@ -1,7 +1,11 @@
 //! # moara-bench
 //!
-//! Benchmark harness for the Moara reproduction: one binary per figure of
-//! the paper's evaluation (Section 7), plus Criterion micro-benchmarks.
+//! The paper's evaluation (Section 7), one binary per figure. Each prints
+//! its table to stdout, byte-identical from run to run; `tests/figures.rs`
+//! compares every one with `tests/golden/<bin>.txt`, so a protocol change
+//! shows up in review as a diff of the paper's own tables. Latency,
+//! throughput and per-layer costs of the running system are not measured
+//! here: that is the benchmark of record in `benchmark/`.
 //!
 //! | Binary | Paper figure | What it regenerates |
 //! |---|---|---|
@@ -17,20 +21,14 @@
 //! | `fig14_planetlab_cdf` | Fig. 14 | wide-area response CDF per group size |
 //! | `fig15_vs_central` | Fig. 15 | Moara vs centralized aggregator CDF |
 //! | `fig16_bottleneck` | Fig. 16 | per-query latency vs bottleneck link |
-//! | `repeated_query` | — | query-plane scheduler: probe cache on/off under repeated composite traffic (CI runs `--smoke`; writes `BENCH_query.json`) |
-//! | `subscribe_bench` | — | continuous queries: standing subscription vs period-equivalent polling under sparse updates (CI runs `--smoke`; writes `BENCH_subscribe.json`) |
-//! | `gateway_bench` | — | HTTP edge under concurrent clients: default walk-path profile, `--profile read-heavy` (result cache on/off), `--profile conn-sweep` (10k idle keep-alive connections on one reactor; CI runs all three `--smoke`; writes `BENCH_gateway.json`) |
 //!
 //! Scale: every binary runs a reduced-but-shape-preserving configuration
-//! by default so the whole suite finishes in minutes; set
-//! `MOARA_SCALE=full` for the paper's exact sizes (e.g. 10 000 nodes for
-//! Figure 9, 16 384 for Figure 11(a)).
+//! by default — all twelve finish in ten seconds together, and that is
+//! what the golden files pin; set `MOARA_SCALE=full` for the paper's exact
+//! sizes (e.g. 10 000 nodes for Figure 9, 16 384 for Figure 11(a)).
 
 pub mod harness;
-pub mod report;
 pub mod workloads;
-
-pub use report::{BenchReport, BenchValue};
 
 /// True when the environment requests paper-scale experiment sizes.
 pub fn full_scale() -> bool {

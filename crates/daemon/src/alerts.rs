@@ -235,6 +235,11 @@ pub fn parse_rules(text: &str) -> Result<Vec<AlertRule>, String> {
         let threshold: f64 = value
             .parse()
             .map_err(|_| err("threshold is not a number"))?;
+        // `str::parse::<f64>` accepts `inf`, `infinity` and `NaN`; JSON,
+        // which every alert surface speaks, has no such numbers.
+        if !threshold.is_finite() {
+            return Err(err("threshold must be finite"));
+        }
         let hold_ms = match &parts[op_idx + 2..] {
             [] => 0,
             ["for", dur] => parse_window(dur).map_err(|e| err(&format!("'for' {e}")))?,
@@ -509,6 +514,9 @@ mod tests {
             "name: onlymetric >",
             "name: metric == 3",         // unknown operator
             "name: metric > notanumber", // non-numeric threshold
+            "name: metric < inf",        // numeric to `parse`, not to JSON
+            "name: metric < -Infinity",
+            "name: metric > NaN",
             "bad name!: metric > 1",
             "name: metric > 1 trailing junk",
         ] {

@@ -629,7 +629,8 @@ fn run_watch(
 /// died. Unknown line types are skipped, not fatal: a newer daemon's
 /// dump should still mostly render on an older CLI.
 fn run_postmortem(file: &str) {
-    use moara_daemon::recorder::{parse_flat_json, parse_points, sparkline, JsonScalar};
+    use json::{parse_flat_json, JsonScalar};
+    use moara_daemon::recorder::{parse_points, sparkline};
 
     let body = std::fs::read_to_string(file).unwrap_or_else(|e| {
         eprintln!("moara-cli: cannot read dump {file}: {e}");

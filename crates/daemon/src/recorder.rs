@@ -23,14 +23,16 @@
 //!   `moara-cli postmortem` renders any of these files.
 //!
 //! Everything in a dump is a *flat* JSON object per line (scalar values
-//! only — series render as `"ts:value ts:value …"` strings) so the
-//! renderer needs nothing beyond [`parse_flat_json`].
+//! only — series render as `"ts:value ts:value …"` strings): written
+//! with [`JsonLine`], read back with its inverse,
+//! [`moara_gateway::json::parse_flat_json`].
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use moara_gateway::json::JsonLine;
 use moara_wire::{Wire, WireError};
 
 /// Tier-1 ring: 1-second resolution, two minutes deep — enough to see
@@ -436,17 +438,21 @@ impl Recorder {
     /// window, the journal tail, then the pre-rendered context lines.
     /// Flat JSONL throughout (see module docs).
     pub fn render_dump(&self, reason: &str, ts_ms: u64) -> String {
-        use moara_gateway::json::escape;
         let mut out = String::with_capacity(16 * 1024);
-        out.push_str(&format!(
-            "{{\"t\":\"meta\",\"node\":{},\"reason\":{},\"ts_ms\":{ts_ms},\
-             \"version\":{},\"events_recorded\":{},\"events_dropped\":{}}}\n",
-            self.node_id(),
-            escape(reason),
-            escape(env!("CARGO_PKG_VERSION")),
-            self.journal.recorded(),
-            self.journal.dropped(),
-        ));
+        let mut push = |line: JsonLine| {
+            out.push_str(&line.finish());
+            out.push('\n');
+        };
+        push(
+            JsonLine::new()
+                .str("t", "meta")
+                .u64("node", u64::from(self.node_id()))
+                .str("reason", reason)
+                .u64("ts_ms", ts_ms)
+                .str("version", env!("CARGO_PKG_VERSION"))
+                .u64("events_recorded", self.journal.recorded())
+                .u64("events_dropped", self.journal.dropped()),
+        );
         if let Ok(history) = self.history.lock() {
             for name in history.names() {
                 let Some((res_s, points)) =
@@ -456,22 +462,25 @@ impl Recorder {
                 };
                 let rendered: Vec<String> =
                     points.iter().map(|&(ts, v)| format!("{ts}:{v}")).collect();
-                out.push_str(&format!(
-                    "{{\"t\":\"series\",\"metric\":{},\"res_s\":{res_s},\"points\":{}}}\n",
-                    escape(name),
-                    escape(&rendered.join(" ")),
-                ));
+                push(
+                    JsonLine::new()
+                        .str("t", "series")
+                        .str("metric", name)
+                        .u64("res_s", res_s)
+                        .str("points", &rendered.join(" ")),
+                );
             }
         }
         for e in self.journal.snapshot(None, DUMP_EVENTS) {
-            out.push_str(&format!(
-                "{{\"t\":\"event\",\"seq\":{},\"ts_ms\":{},\"node\":{},\"kind\":{},\"detail\":{}}}\n",
-                e.seq,
-                e.ts_ms,
-                e.node,
-                escape(&e.kind),
-                escape(&e.detail),
-            ));
+            push(
+                JsonLine::new()
+                    .str("t", "event")
+                    .u64("seq", e.seq)
+                    .u64("ts_ms", e.ts_ms)
+                    .u64("node", u64::from(e.node))
+                    .str("kind", &e.kind)
+                    .str("detail", &e.detail),
+            );
         }
         if let Ok(ctx) = self.context.lock() {
             out.push_str(&ctx);
@@ -495,147 +504,6 @@ impl Recorder {
         std::fs::rename(&tmp, &path).ok()?;
         Some(path)
     }
-}
-
-/// One scalar of a flat dump line.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonScalar {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-impl JsonScalar {
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonScalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    /// The number, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonScalar::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one *flat* JSON object — string/number/bool/null values only,
-/// no nesting — as the crash-dump format guarantees. Returns `None` on
-/// anything else; `moara-cli postmortem` skips such lines rather than
-/// guessing.
-pub fn parse_flat_json(line: &str) -> Option<Vec<(String, JsonScalar)>> {
-    let s = line.trim();
-    let inner = s.strip_prefix('{')?.strip_suffix('}')?;
-    let b = inner.as_bytes();
-    let mut i = 0usize;
-    let mut out = Vec::new();
-    let skip_ws = |i: &mut usize| {
-        while *i < b.len() && (b[*i] as char).is_ascii_whitespace() {
-            *i += 1;
-        }
-    };
-    let parse_string = |i: &mut usize| -> Option<String> {
-        if b.get(*i) != Some(&b'"') {
-            return None;
-        }
-        *i += 1;
-        let mut out = String::new();
-        while *i < b.len() {
-            match b[*i] {
-                b'"' => {
-                    *i += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    *i += 1;
-                    match b.get(*i)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = inner.get(*i + 1..*i + 5)?;
-                            let code = u32::from_str_radix(hex, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            *i += 4;
-                        }
-                        _ => return None,
-                    }
-                    *i += 1;
-                }
-                c => {
-                    // Multi-byte UTF-8 passes through byte-wise; the
-                    // final String::from_utf8 on raw bytes is avoided by
-                    // collecting chars from the validated source str.
-                    let ch_start = *i;
-                    let ch = inner[ch_start..].chars().next()?;
-                    out.push(ch);
-                    *i += ch.len_utf8();
-                    let _ = c;
-                }
-            }
-        }
-        None
-    };
-    loop {
-        skip_ws(&mut i);
-        if i >= b.len() {
-            break;
-        }
-        let key = parse_string(&mut i)?;
-        skip_ws(&mut i);
-        if b.get(i) != Some(&b':') {
-            return None;
-        }
-        i += 1;
-        skip_ws(&mut i);
-        let value = match b.get(i)? {
-            b'"' => JsonScalar::Str(parse_string(&mut i)?),
-            b't' => {
-                if !inner[i..].starts_with("true") {
-                    return None;
-                }
-                i += 4;
-                JsonScalar::Bool(true)
-            }
-            b'f' => {
-                if !inner[i..].starts_with("false") {
-                    return None;
-                }
-                i += 5;
-                JsonScalar::Bool(false)
-            }
-            b'n' => {
-                if !inner[i..].starts_with("null") {
-                    return None;
-                }
-                i += 4;
-                JsonScalar::Null
-            }
-            _ => {
-                let start = i;
-                while i < b.len() && matches!(b[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    i += 1;
-                }
-                JsonScalar::Num(inner[start..i].parse().ok()?)
-            }
-        };
-        out.push((key, value));
-        skip_ws(&mut i);
-        match b.get(i) {
-            Some(b',') => i += 1,
-            None => break,
-            _ => return None,
-        }
-    }
-    Some(out)
 }
 
 /// Parses a `"ts:v ts:v …"` series string from a dump line.
@@ -684,18 +552,23 @@ pub fn peer_context_line(
     stalled_ticks: u64,
     alerts_firing: u32,
 ) -> String {
-    use moara_gateway::json::escape;
-    format!(
-        "{{\"t\":\"peer\",\"node\":{node},\"status\":{},\"age_ms\":{age_ms},\
-         \"tick_p99_us\":{tick_p99_us},\"stalled_ticks\":{stalled_ticks},\
-         \"alerts_firing\":{alerts_firing}}}\n",
-        escape(status),
-    )
+    let mut line = JsonLine::new()
+        .str("t", "peer")
+        .u64("node", u64::from(node))
+        .str("status", status)
+        .u64("age_ms", age_ms)
+        .u64("tick_p99_us", tick_p99_us)
+        .u64("stalled_ticks", stalled_ticks)
+        .u64("alerts_firing", u64::from(alerts_firing))
+        .finish();
+    line.push('\n');
+    line
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moara_gateway::json::parse_flat_json;
 
     fn sample(v: f64) -> Vec<(&'static str, f64)> {
         vec![("a", v), ("b", v * 2.0), ("c", f64::NAN)]
@@ -883,25 +756,6 @@ mod tests {
         let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(entries.len(), 1, "{entries:?}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn flat_json_parser_handles_escapes_and_rejects_nesting() {
-        let fields =
-            parse_flat_json(r#"{"a":"x\"y\n","b":-1.5e3,"c":true,"d":null,"e":"日本"}"#).unwrap();
-        assert_eq!(fields[0].1, JsonScalar::Str("x\"y\n".into()));
-        assert_eq!(fields[1].1, JsonScalar::Num(-1500.0));
-        assert_eq!(fields[2].1, JsonScalar::Bool(true));
-        assert_eq!(fields[3].1, JsonScalar::Null);
-        assert_eq!(fields[4].1, JsonScalar::Str("日本".into()));
-        assert_eq!(
-            parse_flat_json(r#"{"u":"A"}"#).unwrap()[0].1,
-            JsonScalar::Str("A".into())
-        );
-        assert!(parse_flat_json(r#"{"a":[1,2]}"#).is_none());
-        assert!(parse_flat_json(r#"{"a":{"b":1}}"#).is_none());
-        assert!(parse_flat_json("not json").is_none());
-        assert_eq!(parse_flat_json("{}").unwrap(), vec![]);
     }
 
     #[test]

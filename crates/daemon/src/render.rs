@@ -81,15 +81,13 @@ pub(crate) fn traces_json(summaries: &[TraceSummary], exemplars: &[(String, Stri
 /// One firing alert as a JSON object (shared by `/v1/alerts` and the
 /// alerts block of `/v1/cluster/health`).
 fn alert_json(a: &AlertWire) -> String {
-    use moara_gateway::json::escape;
-    format!(
-        "{{\"rule\":{},\"metric\":{},\"value\":{},\"threshold\":{},\"since_s\":{}}}",
-        escape(&a.rule),
-        escape(&a.metric),
-        a.value,
-        a.threshold,
-        a.since_s,
-    )
+    JsonLine::new()
+        .str("rule", &a.rule)
+        .str("metric", &a.metric)
+        .f64("value", a.value)
+        .f64("threshold", a.threshold)
+        .u64("since_s", a.since_s)
+        .finish()
 }
 
 /// The `GET /v1/alerts` body: this daemon's currently-firing rules.

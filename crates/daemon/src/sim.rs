@@ -23,7 +23,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::health::HealthSummary;
-use crate::recorder::{kind, Recorder, DEFAULT_RETENTION_S};
 use crate::{metrics, moara_ctx, swim_ctx, DaemonNode};
 
 /// One simulated daemon's private world-view: its overlay directory and
@@ -38,14 +37,6 @@ pub struct SimSwarm {
     transport: SimTransport<DaemonNode>,
     views: Vec<SwarmView>,
     swim_period: SimDuration,
-    /// Per-daemon flight recorders, empty until
-    /// [`SimSwarm::enable_flight_recorder`]. Virtual-time driven: the
-    /// swarm samples each daemon into its history rings once per
-    /// simulated second and journals detector transitions, mirroring
-    /// what the real event loop's maintenance tick does.
-    recorders: Vec<Recorder>,
-    vtime_us: u64,
-    last_sample_ms: u64,
 }
 
 /// One simulated daemon's health sample: the daemon's own key set, with
@@ -102,9 +93,6 @@ impl SimSwarm {
             transport,
             views,
             swim_period: swim.period,
-            recorders: Vec::new(),
-            vtime_us: 0,
-            last_sample_ms: 0,
         }
     }
 
@@ -207,9 +195,7 @@ impl SimSwarm {
         while left > 0 {
             let step = left.min(slice);
             self.transport.run_for(SimDuration::from_micros(step));
-            self.vtime_us += step;
             self.apply_events();
-            self.sample_recorders();
             left -= step;
         }
     }
@@ -233,31 +219,6 @@ impl SimSwarm {
             }
             let events = self.transport.node_mut(me).swim.take_events();
             for ev in events {
-                if let Some(rec) = self.recorders.get(i) {
-                    let ts = self.vtime_us / 1_000;
-                    match &ev {
-                        SwimEvent::Suspected(n) => {
-                            rec.journal.record(
-                                ts,
-                                me.0,
-                                kind::SWIM_SUSPECT,
-                                format!("peer={}", n.0),
-                            );
-                        }
-                        SwimEvent::Confirmed(n) => {
-                            rec.journal.record(
-                                ts,
-                                me.0,
-                                kind::SWIM_CONFIRM,
-                                format!("peer={}", n.0),
-                            );
-                        }
-                        SwimEvent::Revived { node, incarnation } => {
-                            let detail = format!("peer={} incarnation={incarnation}", node.0);
-                            rec.journal.record(ts, me.0, kind::SWIM_REFUTE, detail);
-                        }
-                    }
-                }
                 match ev {
                     SwimEvent::Suspected(_) => {}
                     SwimEvent::Confirmed(n) => {
@@ -293,9 +254,9 @@ impl SimSwarm {
     /// Turns on health-digest piggybacking for every daemon, exactly as
     /// the real event loop does once its first self-sample lands: each
     /// node's current state is snapshotted into a [`HealthSummary`] that
-    /// rides every subsequent outgoing SWIM message. The overhead gates
-    /// in `moara-bench` compare a swarm with this on against one without
-    /// it (same seed, same workload).
+    /// rides every subsequent outgoing SWIM message. `swim_sim` compares
+    /// a swarm with this on against one without it (same seed, same
+    /// workload).
     pub fn enable_health_gossip(&mut self) {
         for i in 0..self.views.len() as u32 {
             let me = NodeId(i);
@@ -305,51 +266,6 @@ impl SimSwarm {
             let dn = self.transport.node_mut(me);
             let sample = health_sample(dn, &self.views[me.index()]);
             dn.health_digest = Some(metrics::digest(i, dn.swim.incarnation(), 0, &sample));
-        }
-    }
-
-    /// Turns on a flight recorder at every daemon: history rings sampled
-    /// once per simulated second plus a journal of detector transitions.
-    /// The `plane_overhead recorder` bench compares a swarm with this on
-    /// against one without it (same seed, same workload).
-    pub fn enable_flight_recorder(&mut self) {
-        if !self.recorders.is_empty() {
-            return;
-        }
-        for i in 0..self.views.len() as u32 {
-            let rec = Recorder::new(DEFAULT_RETENTION_S, None);
-            rec.set_node(i);
-            self.recorders.push(rec);
-        }
-    }
-
-    /// Daemon `node`'s flight recorder; `None` until enabled.
-    pub fn recorder(&self, node: NodeId) -> Option<&Recorder> {
-        self.recorders.get(node.index())
-    }
-
-    /// Records one history sample per live daemon every simulated second
-    /// (the real daemon's maintenance tick) into rings of the real
-    /// daemon's shape, so the ring-write cost per daemon-second is the
-    /// same.
-    fn sample_recorders(&mut self) {
-        if self.recorders.is_empty() {
-            return;
-        }
-        let now_ms = self.vtime_us / 1_000;
-        if now_ms.saturating_sub(self.last_sample_ms) < 1_000 {
-            return;
-        }
-        self.last_sample_ms = now_ms;
-        for i in 0..self.views.len() {
-            let me = NodeId(i as u32);
-            if !self.transport.is_alive(me) {
-                continue;
-            }
-            let sample = health_sample(self.transport.node(me), &self.views[i]);
-            if let Ok(mut h) = self.recorders[i].history.lock() {
-                h.record(now_ms, &sample);
-            }
         }
     }
 

@@ -86,6 +86,35 @@ fn get(addr: &str, path_query: &str) -> String {
     )
 }
 
+/// One round trip on a connection that stays open: the status code and
+/// the `Content-Length` body.
+fn keep_alive_get(conn: &mut BufReader<TcpStream>, path_query: &str) -> (u16, String) {
+    conn.get_mut()
+        .write_all(format!("GET {path_query} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
+        .expect("send request");
+    let mut line = String::new();
+    conn.read_line(&mut line).expect("status line");
+    let status = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|code| code.parse().ok())
+        .unwrap_or_else(|| panic!("no status in {line:?}"));
+    let mut length = 0;
+    loop {
+        line.clear();
+        conn.read_line(&mut line).expect("header line");
+        if line == "\r\n" {
+            break;
+        }
+        if let Some(v) = line.strip_prefix("Content-Length:") {
+            length = v.trim().parse().expect("numeric Content-Length");
+        }
+    }
+    let mut body = vec![0; length];
+    conn.read_exact(&mut body).expect("body");
+    (status, String::from_utf8(body).expect("UTF-8 body"))
+}
+
 fn body_of(response: &str) -> &str {
     response
         .split_once("\r\n\r\n")
@@ -232,13 +261,17 @@ fn request_deadline_answers_408_over_real_daemon() {
 }
 
 /// The reactor's reason to exist: one daemon holds 10k idle keep-alive
-/// connections and stays responsive on `/healthz` throughout — and the
-/// parked connections themselves still serve when spoken to.
+/// connections and stays responsive on `/healthz` throughout, answers
+/// uncached queries correctly on a live connection while they are
+/// parked — and the parked connections themselves still serve when
+/// spoken to.
 #[test]
 fn ten_thousand_idle_connections_stay_responsive() {
     // Idle timeout raised above the test's worst-case runtime so a slow
-    // machine cannot get the early waves reaped before the sample.
-    let (_d, addr) = spawn_moarad(&free_port(), None, &["--gw-idle-timeout-ms", "600000"]);
+    // machine cannot get the early waves reaped before the sample; cache
+    // off so that every query below is a walk through the event loop.
+    let flags = ["--gw-idle-timeout-ms", "600000", "--no-query-cache"];
+    let (_d, addr) = spawn_moarad(&free_port(), None, &flags);
 
     let mut idle: Vec<TcpStream> = Vec::with_capacity(10_000);
     for wave in 0..20 {
@@ -250,6 +283,22 @@ fn ten_thousand_idle_connections_stay_responsive() {
         assert!(resp.starts_with("HTTP/1.1 200 "), "wave {wave}: {resp}");
     }
     assert_eq!(idle.len(), 10_000);
+
+    // The herd is parked, not in the way: request after request on one
+    // more keep-alive connection crosses the same reactor and the event
+    // loop, and every answer is the right one.
+    let live = TcpStream::connect(&addr).expect("connect live");
+    live.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut live = BufReader::new(live);
+    for i in 0..200 {
+        let (status, body) = keep_alive_get(
+            &mut live,
+            "/v1/query?q=SELECT%20count(*)%20WHERE%20ServiceX%20%3D%20true",
+        );
+        assert_eq!(status, 200, "query {i}: {body}");
+        assert_eq!(body, "{\"result\":\"1\",\"complete\":true}\n", "query {i}");
+    }
 
     // The parked connections are live state machines, not just open fds:
     // a sample of them serves requests.

@@ -338,22 +338,41 @@ fn sigterm_shuts_a_daemon_down_cleanly() {
     }
 }
 
+/// Starts a `moarad` on an `--alert-rules` file holding `rules`, which
+/// it must refuse with exit code `code` and the reason on stderr
+/// (returned).
+fn refused_alert_rules(tag: &str, rules: &str, code: i32) -> String {
+    let path = std::env::temp_dir().join(format!("moara-{tag}-rules-{}", std::process::id()));
+    std::fs::write(&path, rules).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_moarad"))
+        .args(["--listen", &free_port(), "--alert-rules"])
+        .arg(&path)
+        .output()
+        .expect("run moarad");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(code), "{stderr}");
+    stderr
+}
+
 /// An `--alert-rules` file naming a metric the daemon does not sample is
 /// a start-up error that names the rule, not a rule that never fires.
 #[test]
 fn moarad_refuses_an_alert_rule_over_an_unknown_metric() {
-    let rules = std::env::temp_dir().join(format!("moara-bad-rules-{}", std::process::id()));
-    std::fs::write(&rules, "stall: tick_p99us > 250000\n").unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_moarad"))
-        .args(["--listen", &free_port(), "--alert-rules"])
-        .arg(&rules)
-        .output()
-        .expect("run moarad");
-    let _ = std::fs::remove_file(&rules);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let stderr = refused_alert_rules("bad-metric", "stall: tick_p99us > 250000\n", 1);
     assert!(stderr.contains("alert rule `stall`"), "{stderr}");
     assert!(stderr.contains("tick_p99_us"), "lists the keys: {stderr}");
+}
+
+/// `inf` is a number to `str::parse` but not to JSON: a firing `cold:
+/// cache_hit_pct < inf` used to reach `/v1/alerts`, stderr and the
+/// blackbox dump as `"threshold":inf`. It is a usage error now, like
+/// any other line the rule grammar rejects.
+#[test]
+fn moarad_refuses_a_non_finite_alert_threshold() {
+    let stderr = refused_alert_rules("inf", "cold: cache_hit_pct < inf\n", 2);
+    assert!(stderr.contains("threshold must be finite"), "{stderr}");
+    assert!(stderr.contains("line 1"), "names the line: {stderr}");
 }
 
 /// The walk path has one thread per daemon: peer sockets are members of

@@ -5,10 +5,10 @@
 //! surviving members' count, and a restart with a higher incarnation
 //! rejoins and reappears in query results — replayable byte-for-byte.
 
-use moara_core::MoaraConfig;
+use moara_core::{DeliveryPolicy, MoaraConfig};
 use moara_daemon::SimSwarm;
 use moara_membership::SwimConfig;
-use moara_simnet::NodeId;
+use moara_simnet::{NodeId, SimDuration};
 
 fn outcome_count(out: &moara_core::QueryOutcome) -> i64 {
     match &out.result {
@@ -93,40 +93,95 @@ fn the_whole_failure_recovery_story_is_deterministic() {
     assert_eq!((first.0, first.1, first.2), (4, 3, 4));
 }
 
+/// Ten failure-detector periods with nothing else on the wire.
+fn idle_periods(s: &mut SimSwarm) -> Vec<String> {
+    s.run_periods(10);
+    Vec::new()
+}
+
+/// What a busy daemon's wire carries beside SWIM: three overlapping
+/// groups of five, their pairwise intersections queried eight rounds
+/// over through two front-ends, one standing subscription riding along,
+/// and a group member flipping before rounds 3 and 6. Returns every
+/// answer with its latency, then every subscription update.
+fn queries_and_a_standing_subscription(s: &mut SimSwarm) -> Vec<String> {
+    let n = s.len();
+    for g in 0..3 {
+        for i in 0..n {
+            s.set_attr(NodeId(i as u32), &format!("g{g}"), (i + g * 3) % n < 5);
+        }
+    }
+    let wid = s.subscribe(
+        NodeId(0),
+        "SELECT count(*) WHERE g0 = true",
+        DeliveryPolicy::OnChange,
+        SimDuration::from_secs(600),
+    );
+    let mut seen = Vec::new();
+    for round in 0..8 {
+        s.run_periods(2);
+        if round == 3 || round == 6 {
+            let node = NodeId(((round * 7) % n) as u32);
+            s.set_attr(node, &format!("g{}", round % 3), round % 2 == 0);
+        }
+        for q in 0..3 {
+            let text = format!(
+                "SELECT count(*) WHERE g{q} = true AND g{} = true",
+                (q + 1) % 3
+            );
+            let out = s.query(NodeId(((round + q) % 2) as u32), &text);
+            assert!(out.complete, "round {round} query {q} incomplete");
+            seen.push(format!("{} in {}", out.result, out.latency()));
+        }
+    }
+    let updates = s.take_sub_updates(NodeId(0), wid);
+    assert!(!updates.is_empty(), "the subscription must deliver");
+    seen.extend(updates.iter().map(|u| format!("sub: {}", u.result)));
+    seen
+}
+
 #[test]
 fn health_digests_gossip_on_swim_traffic_with_zero_extra_messages() {
     // Two identical swarms, same seed and workload; one piggybacks
     // health digests on its SWIM traffic. Piggybacking must add ZERO
     // messages — the digests ride frames the detector sends anyway —
-    // and every node must learn every peer's digest from gossip alone.
-    let run = |gossip: bool| {
-        let mut s = service_swarm(4, 23);
-        if gossip {
-            s.enable_health_gossip();
-        }
-        s.stats_mut().reset();
-        s.run_periods(10);
-        (s.stats().total_messages(), s.stats().total_bytes(), s)
-    };
-    let (base_msgs, base_bytes, _) = run(false);
-    let (gossip_msgs, gossip_bytes, s) = run(true);
-    assert_eq!(
-        gossip_msgs, base_msgs,
-        "digests must piggyback, never add messages"
-    );
-    assert!(
-        gossip_bytes > base_bytes,
-        "digest payloads must actually be on the wire"
-    );
-    for at in 0..4u32 {
-        for about in 0..4u32 {
-            if at == about {
-                continue;
+    // change no answer and no latency, and every node must learn every
+    // peer's digest from gossip alone. Once on an idle swarm, once with
+    // queries and a standing subscription's deltas sharing the wire.
+    type Workload = fn(&mut SimSwarm) -> Vec<String>;
+    let workloads: [(u32, Workload); 2] =
+        [(4, idle_periods), (16, queries_and_a_standing_subscription)];
+    for (n, workload) in workloads {
+        let run = |gossip: bool| {
+            let mut s = service_swarm(n as usize, 23);
+            if gossip {
+                s.enable_health_gossip();
             }
-            let d = s
-                .peer_digest(NodeId(at), NodeId(about))
-                .unwrap_or_else(|| panic!("node {at} never heard node {about}'s digest"));
-            assert_eq!(d.node, about, "digest must describe its sender");
+            s.stats_mut().reset();
+            let seen = workload(&mut s);
+            (s.stats().total_messages(), s.stats().total_bytes(), seen, s)
+        };
+        let (base_msgs, base_bytes, base_seen, _) = run(false);
+        let (gossip_msgs, gossip_bytes, gossip_seen, s) = run(true);
+        assert_eq!(
+            gossip_msgs, base_msgs,
+            "digests must piggyback, never add messages ({n} daemons)"
+        );
+        assert!(
+            gossip_bytes > base_bytes,
+            "digest payloads must actually be on the wire"
+        );
+        assert_eq!(
+            gossip_seen, base_seen,
+            "digests must not move an answer or a latency"
+        );
+        for at in 0..n {
+            for about in (0..n).filter(|&about| about != at) {
+                let d = s
+                    .peer_digest(NodeId(at), NodeId(about))
+                    .unwrap_or_else(|| panic!("node {at} never heard node {about}'s digest"));
+                assert_eq!(d.node, about, "digest must describe its sender");
+            }
         }
     }
 }

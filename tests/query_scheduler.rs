@@ -249,3 +249,137 @@ fn global_and_single_group_queries_bypass_the_scheduler() {
     assert_eq!(c.stats().counter("size_probes"), 0);
     assert_eq!(c.stats().counter("probe_cache_hits"), 0);
 }
+
+/// What one arm of [`probe_cache_saves_a_third_of_repeated_composite_traffic`]
+/// cost and answered.
+struct RepeatedRun {
+    messages: u64,
+    bytes: u64,
+    probes: u64,
+    cache_hits: u64,
+    /// Virtual time, summed over the 24 queries.
+    latency_ms: u64,
+    answers: Vec<String>,
+}
+
+/// Heavy *repeated* composite traffic: 48 nodes, four overlapping groups
+/// of six, and the four rotations of their 4-way intersection issued six
+/// rounds over through two front-ends (the probe cache is per front-end),
+/// with three attribute flips before round 3. A warm-up round builds and
+/// prunes the trees first, so the counts are the steady state.
+fn repeated_composite_run(policy: ProbeCachePolicy, trace_sample: u64) -> RepeatedRun {
+    use rand::rngs::StdRng;
+    use rand::{seq::SliceRandom, Rng, SeedableRng};
+    const SEED: u64 = 77;
+    const NODES: usize = 48;
+    const GROUPS: usize = 4;
+
+    let mut c = Cluster::builder()
+        .nodes(NODES)
+        .seed(SEED)
+        .config(MoaraConfig::default().with_probe_cache(policy))
+        .tracing(trace_sample)
+        .build();
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x51ed);
+    for g in 0..GROUPS {
+        let mut ids: Vec<NodeId> = (0..NODES as u32).map(NodeId).collect();
+        ids.shuffle(&mut rng);
+        for (i, node) in ids.into_iter().enumerate() {
+            c.set_attr(node, &format!("g{g}"), i < 6);
+        }
+    }
+    c.run_to_quiescence();
+
+    // Every rotation names all four groups, so the planner has four
+    // candidate trees per query and probe costs genuinely steer it.
+    let text = |q: usize| {
+        let g = |k: usize| (q + k) % GROUPS;
+        format!(
+            "SELECT count(*) WHERE g{} = true AND g{} = true AND g{} = true AND g{} = true",
+            g(0),
+            g(1),
+            g(2),
+            g(3)
+        )
+    };
+    for q in 0..GROUPS {
+        c.query(NodeId((q % 2) as u32), &text(q)).unwrap();
+    }
+    c.stats_mut().reset();
+
+    let mut churn = StdRng::seed_from_u64(SEED ^ 0xc8a0);
+    let mut latency_ms = 0;
+    let mut answers = Vec::new();
+    for round in 0..6 {
+        if round == 3 {
+            for _ in 0..3 {
+                let node = NodeId(churn.gen_range(0..NODES) as u32);
+                let attr = format!("g{}", churn.gen_range(0..GROUPS));
+                let cur = c.node(node).store.get(&attr) == Some(&Value::Bool(true));
+                c.set_attr(node, &attr, !cur);
+            }
+            c.run_to_quiescence();
+        }
+        for q in 0..GROUPS {
+            let out = c.query(NodeId(((round + q) % 2) as u32), &text(q)).unwrap();
+            assert!(out.complete, "round {round} query {q} incomplete");
+            latency_ms += out.latency().as_millis();
+            answers.push(out.result.to_string());
+        }
+    }
+    let stats = c.stats();
+    RepeatedRun {
+        messages: stats.total_messages(),
+        bytes: stats.total_bytes(),
+        probes: stats.counter("size_probes"),
+        cache_hits: stats.counter("probe_cache_hits"),
+        latency_ms,
+        answers,
+    }
+}
+
+/// The scheduler's reason to exist, as exact counts: under repeated
+/// composite traffic the probe cache answers every size probe (96 of 96)
+/// and takes 192 of 553 messages — a third — and three milliseconds off
+/// every query, and tracing every query rides the same messages (0 more)
+/// as extra bytes only. No arm may change a single answer. The counts
+/// move only when the protocol does; a change that moves them says so by
+/// editing them here.
+#[test]
+fn probe_cache_saves_a_third_of_repeated_composite_traffic() {
+    let off = repeated_composite_run(ProbeCachePolicy::Off, 0);
+    let on = repeated_composite_run(ProbeCachePolicy::default_cache(), 0);
+    let traced = repeated_composite_run(ProbeCachePolicy::default_cache(), 1);
+
+    assert_eq!(off.answers.len(), 24);
+    assert_eq!(off.answers, on.answers, "caching changed an answer");
+    assert_eq!(on.answers, traced.answers, "tracing changed an answer");
+
+    assert_eq!(
+        (off.messages, off.probes, off.cache_hits),
+        (553, 96, 0),
+        "cache off: four probes per query, every query"
+    );
+    assert_eq!(
+        (on.messages, on.probes, on.cache_hits),
+        (361, 0, 96),
+        "cache on: every probe answered from the cache"
+    );
+    assert!(
+        (off.messages - on.messages) * 10 >= off.messages * 3,
+        "the cache must save at least 30% of messages"
+    );
+    assert_eq!(
+        (off.latency_ms, on.latency_ms),
+        (24 * 7, 24 * 4),
+        "and the probe round trip off every query"
+    );
+
+    assert_eq!(
+        (traced.messages, traced.probes, traced.cache_hits),
+        (on.messages, on.probes, on.cache_hits),
+        "trace contexts ride existing messages"
+    );
+    assert!(traced.bytes > on.bytes, "and are on the wire as bytes");
+    assert_eq!(traced.latency_ms, on.latency_ms);
+}

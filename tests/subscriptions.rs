@@ -177,6 +177,97 @@ fn periodic_policy_emits_snapshots_at_poll_equivalent_freshness() {
     assert_eq!(ups.last().unwrap().result, count_result(6));
 }
 
+/// The dashboard workload, as exact counts: 48 nodes, `sum(V)` over a
+/// group of eight read once per 5 s period for 24 periods, one member's
+/// `V` moving mid-period every third period. Polling re-runs the query
+/// each period; the standing query is installed once at the same period
+/// and a 90 s lease, and afterwards only changed subtrees (69 delta
+/// frames) and the half-lease renewals (96) send anything. Same 24
+/// answers, 252 messages against 677. The counts move only when the
+/// protocol does; a change that moves them says so by editing them here.
+#[test]
+fn standing_query_serves_polling_freshness_for_under_half_the_messages() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    const SEED: u64 = 1908;
+    const QUERY: &str = "SELECT sum(V) WHERE A = true";
+    let period = SimDuration::from_secs(5);
+
+    let build = || {
+        let mut c = Cluster::builder().nodes(48).seed(SEED).build();
+        for i in 0..48u32 {
+            c.set_attr(NodeId(i), "A", i < 8);
+            c.set_attr(NodeId(i), "V", i64::from(i % 10));
+        }
+        c.run_to_quiescence();
+        c.stats_mut().reset();
+        c
+    };
+    // The history both arms replay, `read` called at each period's end.
+    let replay = |c: &mut Cluster, read: &mut dyn FnMut(&mut Cluster)| {
+        let mut rng = StdRng::seed_from_u64(SEED ^ 0x5b5);
+        let half = SimDuration::from_micros(period.as_micros() / 2);
+        for p in 0..24 {
+            c.run_for(half);
+            if p % 3 == 0 {
+                let member = NodeId(rng.gen_range(0..8));
+                c.set_attr(member, "V", rng.gen_range(0..1000i64));
+            }
+            c.run_for(half);
+            read(c);
+        }
+    };
+
+    let mut poll = build();
+    let mut polled = Vec::new();
+    replay(&mut poll, &mut |c| {
+        let out = c.query(NodeId(0), QUERY).unwrap();
+        assert!(out.complete);
+        polled.push(out.result);
+    });
+
+    let mut sub = build();
+    let wid = sub
+        .subscribe(
+            NodeId(0),
+            QUERY,
+            DeliveryPolicy::Periodic(period),
+            SimDuration::from_secs(90),
+        )
+        .unwrap();
+    sub.run_to_quiescence(); // the initial sync is charged to this arm
+    let initial = sub.take_sub_updates(NodeId(0), wid);
+    assert_eq!(initial.len(), 1, "one initial update");
+    assert!(initial[0].complete);
+    replay(&mut sub, &mut |_| {});
+    let snapshots: Vec<AggResult> = sub
+        .take_sub_updates(NodeId(0), wid)
+        .into_iter()
+        .map(|u| u.result)
+        .collect();
+
+    assert_eq!(polled.len(), 24);
+    assert_eq!(
+        snapshots, polled,
+        "one snapshot per period, equal to a poll"
+    );
+    let (poll, sub) = (poll.stats(), sub.stats());
+    assert_eq!(poll.total_messages(), 677);
+    assert_eq!(
+        (
+            sub.total_messages(),
+            sub.counter("sub_deltas"),
+            sub.counter("sub_renews"),
+            sub.counter("sub_suppressed"),
+        ),
+        (252, 69, 96, 0)
+    );
+    assert!(
+        sub.total_messages() * 2 <= poll.total_messages(),
+        "a standing query must at least halve the message bill"
+    );
+}
+
 #[test]
 fn threshold_policy_emits_on_crossings_only() {
     let mut c = flagged_cluster(16, 3, 23);
