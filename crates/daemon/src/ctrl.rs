@@ -6,7 +6,8 @@
 //! `CtrlRequest`/`CtrlReply` are the daemon's *one* operation set: the
 //! event loop's dispatcher (`serve.rs`) speaks nothing else, and the
 //! HTTP gateway reaches it through two adapter functions over the same
-//! types. This module is their framed-TCP codec.
+//! types. This module is their framed-TCP codec; the same encodings ride
+//! the peer plane inside `DaemonMsg::Ask`/`Told` for federation.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -36,9 +37,6 @@ pub enum CtrlRequest {
         /// seed revives that member under a higher incarnation (new
         /// address, same ring id) instead of assigning a fresh id.
         prev_node: Option<u32>,
-        /// The joiner's control-plane listen address (carried in the
-        /// member list so peers can scatter-gather traces).
-        ctrl: String,
     },
     /// Run a query from this daemon's front-end and return the aggregate.
     Query {
@@ -73,9 +71,9 @@ pub enum CtrlRequest {
         trace_id: u64,
     },
     /// Return the cluster-merged span tree for one trace: the serving
-    /// daemon reads its own store and scatter-gathers every other alive
-    /// member's over the control plane, reporting unreachable members
-    /// instead of hanging.
+    /// daemon reads its own store and asks every other alive member for
+    /// theirs over the peer plane, reporting the ones that do not answer
+    /// by one deadline instead of hanging.
     TraceGet {
         /// The trace to merge.
         trace_id: u64,
@@ -105,8 +103,9 @@ pub enum CtrlRequest {
         range_s: u32,
     },
     /// Return the cluster-merged series for one metric: the serving
-    /// daemon reads its own rings and scatter-gathers every other alive
-    /// member's, reporting unreachable members instead of hanging.
+    /// daemon reads its own rings and asks every other alive member for
+    /// theirs, reporting the ones that do not answer instead of hanging.
+    /// An unknown metric is an error, asked of nobody.
     ClusterHistory {
         /// A health-sample key.
         metric: String,
@@ -187,8 +186,9 @@ pub enum CtrlReply {
     Trace {
         /// Spans from every daemon that answered, merged.
         spans: Vec<SpanRecord>,
-        /// Node ids of alive members whose stores could not be reached
-        /// before the gather deadline (their subtrees show as orphans).
+        /// Node ids of members confirmed dead, then of alive ones that
+        /// did not answer by the gather deadline (their subtrees show as
+        /// orphans).
         missing: Vec<u32>,
     },
     /// Recent trace summaries from this daemon (`TraceList` answer).
@@ -233,15 +233,10 @@ pub enum CtrlReply {
 impl Wire for CtrlRequest {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            CtrlRequest::Join {
-                addr,
-                prev_node,
-                ctrl,
-            } => {
+            CtrlRequest::Join { addr, prev_node } => {
                 out.push(0);
                 addr.encode(out);
                 prev_node.encode(out);
-                ctrl.encode(out);
             }
             CtrlRequest::Query { text } => {
                 out.push(1);
@@ -299,7 +294,6 @@ impl Wire for CtrlRequest {
             0 => CtrlRequest::Join {
                 addr: Wire::decode(buf)?,
                 prev_node: Wire::decode(buf)?,
-                ctrl: Wire::decode(buf)?,
             },
             1 => CtrlRequest::Query {
                 text: Wire::decode(buf)?,
@@ -342,11 +336,7 @@ impl Wire for CtrlRequest {
     }
     fn encoded_len(&self) -> usize {
         1 + match self {
-            CtrlRequest::Join {
-                addr,
-                prev_node,
-                ctrl,
-            } => addr.encoded_len() + prev_node.encoded_len() + ctrl.encoded_len(),
+            CtrlRequest::Join { addr, prev_node } => addr.encoded_len() + prev_node.encoded_len(),
             CtrlRequest::Query { text } => text.encoded_len(),
             CtrlRequest::SetAttr { attr, value } => attr.encoded_len() + value.encoded_len(),
             CtrlRequest::Status => 0,

@@ -4,13 +4,14 @@
 //! stitches processes into a cluster, the daemon/client split used by
 //! production node software:
 //!
-//! * **peer plane** — protocol traffic ([`DaemonMsg::Moara`]) and
-//!   membership broadcasts ([`DaemonMsg::Membership`]) travel between
-//!   daemons over `moara-transport` TCP frames, on an auto-bound listener
-//!   whose address is exchanged through membership;
+//! * **peer plane** — protocol traffic ([`DaemonMsg::Moara`]), membership
+//!   broadcasts ([`DaemonMsg::Membership`]), SWIM and health gossip, and
+//!   cluster federation ([`DaemonMsg::Ask`]/[`DaemonMsg::Told`]) travel
+//!   between daemons over `moara-transport` TCP frames, on an auto-bound
+//!   listener whose address is exchanged through membership;
 //! * **control plane** — a user-facing listener (the `--listen` address)
 //!   accepts framed [`CtrlRequest`]s from `moara-cli` (queries, attribute
-//!   updates, status) and from joining daemons (`Join`).
+//!   updates, status) and from joining daemons (`Join`), and nothing else.
 //!
 //! [`CtrlRequest`]/[`CtrlReply`] are the daemon's one operation set: the
 //! control port and the HTTP gateway (`--http`) are two codecs over it,
@@ -80,7 +81,7 @@ mod render;
 mod serve;
 pub mod sim;
 pub use ctrl::{ctrl_roundtrip, CtrlReply, CtrlRequest};
-pub use serve::{WALK_BURST, WALK_GAP};
+pub use serve::{GATHER_TIMEOUT, WALK_BURST, WALK_GAP};
 pub use sim::SimSwarm;
 
 use alerts::{AlertEngine, AlertEvent, AlertRule};
@@ -88,7 +89,7 @@ use ctrl::{spawn_accept_loop, CtrlJob};
 use health::{HealthStatus, HealthSummary, PeerHealthRow};
 use moara_gateway::json::JsonLine;
 use recorder::{kind, now_unix_ms, Recorder};
-use serve::{ReplyTo, Walk, WalkPacer};
+use serve::{Gather, ReplyTo, Walk, WalkPacer};
 
 /// One cluster member, as carried in membership lists.
 ///
@@ -111,10 +112,6 @@ pub struct Member {
     pub incarnation: u64,
     /// False once the member's failure was confirmed.
     pub alive: bool,
-    /// Control-plane listen address (refreshed on rejoin). Lets any
-    /// daemon scatter-gather cluster state — trace spans above all —
-    /// over the control plane. Empty when unknown.
-    pub ctrl: String,
 }
 
 impl Wire for Member {
@@ -124,7 +121,6 @@ impl Wire for Member {
         self.addr.encode(out);
         self.incarnation.encode(out);
         self.alive.encode(out);
-        self.ctrl.encode(out);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(Member {
@@ -133,11 +129,10 @@ impl Wire for Member {
             addr: Wire::decode(buf)?,
             incarnation: Wire::decode(buf)?,
             alive: Wire::decode(buf)?,
-            ctrl: Wire::decode(buf)?,
         })
     }
     fn encoded_len(&self) -> usize {
-        4 + 8 + self.addr.encoded_len() + 8 + 1 + self.ctrl.encoded_len()
+        4 + 8 + self.addr.encoded_len() + 8 + 1
     }
 }
 
@@ -158,6 +153,12 @@ pub enum DaemonMsg {
     /// `Option` inside `Swim`) keeps plain SWIM frames byte-identical
     /// to pre-health builds.
     SwimHealth(SwimMsg, HealthSummary),
+    /// Federation: one leaf read (`TraceFetch`, `MetricsFetch` or
+    /// `HistoryFetch`) asked of a peer; the id pairs it with its answer.
+    Ask(u64, CtrlRequest),
+    /// Federation: the answer to the receiver's [`DaemonMsg::Ask`] of the
+    /// same id.
+    Told(u64, CtrlReply),
 }
 
 impl Wire for DaemonMsg {
@@ -180,6 +181,16 @@ impl Wire for DaemonMsg {
                 s.encode(out);
                 h.encode(out);
             }
+            DaemonMsg::Ask(id, req) => {
+                out.push(4);
+                id.encode(out);
+                req.encode(out);
+            }
+            DaemonMsg::Told(id, reply) => {
+                out.push(5);
+                id.encode(out);
+                reply.encode(out);
+            }
         }
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -188,6 +199,8 @@ impl Wire for DaemonMsg {
             1 => DaemonMsg::Membership(Wire::decode(buf)?),
             2 => DaemonMsg::Swim(Wire::decode(buf)?),
             3 => DaemonMsg::SwimHealth(Wire::decode(buf)?, Wire::decode(buf)?),
+            4 => DaemonMsg::Ask(Wire::decode(buf)?, Wire::decode(buf)?),
+            5 => DaemonMsg::Told(Wire::decode(buf)?, Wire::decode(buf)?),
             _ => return Err(WireError::Invalid("DaemonMsg tag")),
         })
     }
@@ -197,6 +210,8 @@ impl Wire for DaemonMsg {
             DaemonMsg::Membership(ms) => ms.encoded_len(),
             DaemonMsg::Swim(s) => s.encoded_len(),
             DaemonMsg::SwimHealth(s, h) => s.encoded_len() + h.encoded_len(),
+            DaemonMsg::Ask(_, req) => 8 + req.encoded_len(),
+            DaemonMsg::Told(_, reply) => 8 + reply.encoded_len(),
         }
     }
 }
@@ -209,7 +224,7 @@ impl Message for DaemonMsg {
     fn query_tag(&self) -> Option<u64> {
         match self {
             DaemonMsg::Moara(m) => m.query_tag(),
-            DaemonMsg::Membership(_) | DaemonMsg::Swim(_) | DaemonMsg::SwimHealth(..) => None,
+            _ => None,
         }
     }
 }
@@ -315,6 +330,10 @@ pub struct DaemonNode {
     /// Peer digests received since the event loop last drained them
     /// (bounded: drained every step, and refreshed in place per peer).
     pub pending_health: Vec<(u32, HealthSummary)>,
+    /// Federation frames ([`DaemonMsg::Ask`], [`DaemonMsg::Told`]) and
+    /// their senders, for the event loop, which owns what they read and
+    /// wait on (bounded: drained every step).
+    pub(crate) federation: Vec<(u32, DaemonMsg)>,
 }
 
 impl DaemonNode {
@@ -329,6 +348,7 @@ impl DaemonNode {
             pending_delta_stamps: Vec::new(),
             health_digest: None,
             pending_health: Vec::new(),
+            federation: Vec::new(),
         }
     }
 
@@ -418,6 +438,7 @@ impl NetProtocol for DaemonNode {
                 self.swim.on_message(&mut sctx, from, s);
             }
             DaemonMsg::SwimHealth(..) => unreachable!("unwrapped above"),
+            msg @ (DaemonMsg::Ask(..) | DaemonMsg::Told(..)) => self.federation.push((from.0, msg)),
         }
     }
 
@@ -606,6 +627,10 @@ pub struct Daemon {
     /// sends nothing, so a hung-up client would otherwise hold its
     /// subscription until something changes).
     last_keepalive: Instant,
+    /// Cluster-wide reads waiting on their peers' answers, by ask id.
+    gathers: HashMap<u64, Gather>,
+    /// The last ask id handed out.
+    last_ask: u64,
     /// Sends that could not be delivered since the last drain (kept
     /// bounded by draining every step; the count feeds future failure
     /// detection).
@@ -729,9 +754,9 @@ impl Daemon {
         // both request planes enqueue their job and then wake it.
         let wake = transport.wake_handle();
 
-        // Control plane: bound before joining, because the Join request
-        // carries our control address (peers scatter-gather traces over
-        // it). Jobs queue in the channel until the loop starts draining.
+        // Control plane: bound before joining, so a taken port fails the
+        // start before the seed admits us. Jobs queue in the channel until
+        // the loop starts draining.
         let ctrl_listener = TcpListener::bind(opts.listen)
             .map_err(|e| format!("bind control listener {}: {e}", opts.listen))?;
         let ctrl_addr = ctrl_listener
@@ -750,7 +775,6 @@ impl Daemon {
                     addr: peer_addr.to_string(),
                     incarnation: 0,
                     alive: true,
-                    ctrl: ctrl_addr.to_string(),
                 }];
                 (NodeId(0), members)
             }
@@ -766,7 +790,6 @@ impl Daemon {
                         &CtrlRequest::Join {
                             addr: peer_addr.to_string(),
                             prev_node: opts.rejoin,
-                            ctrl: ctrl_addr.to_string(),
                         },
                         Duration::from_secs(10),
                     )
@@ -912,6 +935,8 @@ impl Daemon {
             last_cache_sweep: Instant::now(),
             watches: HashMap::new(),
             last_keepalive: Instant::now(),
+            gathers: HashMap::new(),
+            last_ask: 0,
             undeliverable_total: 0,
             last_announce: Instant::now(),
             tracer,
@@ -982,11 +1007,13 @@ impl Daemon {
     /// membership updates, serves control requests, finishes queries.
     /// Returns true if anything happened.
     pub fn step(&mut self, max_wait: Duration) -> bool {
-        // The next walk turn is the one deadline besides the transport's
-        // own timers that the loop must not sleep through.
-        let wait = self
-            .queued_walk_wait()
-            .map_or(max_wait, |w| w.min(max_wait));
+        // The next walk turn and the next gather deadline are the ones
+        // besides the transport's own timers that the loop must not sleep
+        // through.
+        let wait = [self.queued_walk_wait(), self.gather_wait()]
+            .into_iter()
+            .flatten()
+            .fold(max_wait, Duration::min);
         let mut did = self.transport.pump(wait);
         // Tick timing starts after the poll: it measures how long one
         // loop iteration's *work* takes, not how long the loop idled.
@@ -1017,8 +1044,11 @@ impl Daemon {
             }
         }
         // Keep the transport's undeliverable log bounded (it grows on
-        // every send to a dead peer, and this loop runs forever).
-        self.undeliverable_total += self.transport.take_undeliverable().len() as u64;
+        // every send to a dead peer, and this loop runs forever); a gather
+        // stops waiting for a peer in it.
+        let undeliverable = self.transport.take_undeliverable();
+        self.undeliverable_total += undeliverable.len() as u64;
+        did |= self.pump_gathers(&undeliverable);
         if self.is_seed && self.members.len() > 1 && self.last_announce.elapsed() >= ANNOUNCE_EVERY
         {
             self.broadcast_membership();
@@ -1325,7 +1355,7 @@ impl Daemon {
 
     /// Seed-only: admit a joiner (or revive a rejoiner), reply with the
     /// member list, broadcast.
-    fn handle_join(&mut self, addr: String, prev_node: Option<u32>, ctrl: String) -> CtrlReply {
+    fn handle_join(&mut self, addr: String, prev_node: Option<u32>) -> CtrlReply {
         if !self.is_seed {
             return CtrlReply::Error("only the seed daemon admits joins".into());
         }
@@ -1364,7 +1394,6 @@ impl Daemon {
                 m.incarnation = m.incarnation.max(detector_inc) + 1;
                 m.alive = true;
                 m.addr = addr;
-                m.ctrl = ctrl;
                 prev
             }
             None => {
@@ -1379,7 +1408,6 @@ impl Daemon {
                     addr,
                     incarnation: 0,
                     alive: true,
-                    ctrl,
                 });
                 node
             }
@@ -1691,6 +1719,7 @@ impl Daemon {
             self.unsubscribe(wid);
         }
         self.walks.clear();
+        self.gathers.clear();
         self.gw_inflight.clear();
         // Give the SubCancel frames a moment to reach the trees.
         let deadline = Instant::now() + Duration::from_millis(300);
@@ -1731,18 +1760,23 @@ mod tests {
         assert_eq!(parse_attrs("").unwrap(), vec![]);
     }
 
-    #[test]
-    fn daemon_and_ctrl_messages_roundtrip() {
-        let member = Member {
+    fn member() -> Member {
+        Member {
             node: 3,
             ring_id: 0xdead_beef,
             addr: "127.0.0.1:7777".into(),
             incarnation: 2,
             alive: false,
-            ctrl: "127.0.0.1:7778".into(),
-        };
-        let msgs = vec![
-            DaemonMsg::Membership(vec![member.clone(), member.clone()]),
+        }
+    }
+
+    /// One of every peer-plane frame: the engine's, membership, SWIM with
+    /// and without a digest, and an `Ask` and a `Told` around every
+    /// control sample — federation carries the control codec between
+    /// peers, so its decoders read untrusted bytes too.
+    fn daemon_msgs() -> Vec<DaemonMsg> {
+        let mut msgs = vec![
+            DaemonMsg::Membership(vec![member(), member()]),
             DaemonMsg::Moara(MoaraMsg::SizeReply {
                 qid: moara_core::QueryId {
                     origin: NodeId(1),
@@ -1786,23 +1820,20 @@ mod tests {
                 },
             ),
         ];
-        for m in msgs {
-            assert_eq!(DaemonMsg::from_bytes(&m.to_bytes()).unwrap(), m);
-            assert_eq!(
-                m.size_bytes(),
-                m.encoded_len() + moara_wire::FRAME_HDR + moara_wire::SENDER_HDR
-            );
-        }
-        let reqs = vec![
+        let asks = ctrl_requests().into_iter().map(|r| DaemonMsg::Ask(7, r));
+        msgs.extend(asks.chain(ctrl_replies().into_iter().map(|r| DaemonMsg::Told(7, r))));
+        msgs
+    }
+
+    fn ctrl_requests() -> Vec<CtrlRequest> {
+        vec![
             CtrlRequest::Join {
                 addr: "127.0.0.1:1".into(),
                 prev_node: None,
-                ctrl: String::new(),
             },
             CtrlRequest::Join {
                 addr: "127.0.0.1:1".into(),
                 prev_node: Some(4),
-                ctrl: "127.0.0.1:2".into(),
             },
             CtrlRequest::Query {
                 text: "SELECT count(*)".into(),
@@ -1840,14 +1871,14 @@ mod tests {
                 kind: None,
                 limit: 256,
             },
-        ];
-        for r in reqs {
-            assert_eq!(CtrlRequest::from_bytes(&r.to_bytes()).unwrap(), r);
-        }
-        let replies = vec![
+        ]
+    }
+
+    fn ctrl_replies() -> Vec<CtrlReply> {
+        vec![
             CtrlReply::Joined {
                 node: 1,
-                members: vec![member],
+                members: vec![member()],
             },
             CtrlReply::Answer {
                 result: "4".into(),
@@ -1946,9 +1977,47 @@ mod tests {
                 kind: "swim_confirm".into(),
                 detail: "peer=1".into(),
             }]),
-        ];
-        for r in replies {
+        ]
+    }
+
+    #[test]
+    fn daemon_and_ctrl_messages_roundtrip() {
+        for m in daemon_msgs() {
+            assert_eq!(DaemonMsg::from_bytes(&m.to_bytes()).unwrap(), m);
+            assert_eq!(
+                m.size_bytes(),
+                m.encoded_len() + moara_wire::FRAME_HDR + moara_wire::SENDER_HDR
+            );
+        }
+        for r in ctrl_requests() {
+            assert_eq!(CtrlRequest::from_bytes(&r.to_bytes()).unwrap(), r);
+        }
+        for r in ctrl_replies() {
             assert_eq!(CtrlReply::from_bytes(&r.to_bytes()).unwrap(), r);
+        }
+    }
+
+    /// Peer frames come off sockets anyone can reach: every strict prefix
+    /// of a sample is an error (decoding is deterministic and rejects
+    /// trailing bytes), and every single-bit flip decodes to a frame that
+    /// re-encodes canonically, or is an error — never a panic.
+    #[test]
+    fn peer_frames_survive_truncation_and_bit_flips() {
+        for msg in daemon_msgs() {
+            let bytes = msg.to_bytes();
+            for cut in 0..bytes.len() {
+                let prefix = DaemonMsg::from_bytes(&bytes[..cut]);
+                assert!(prefix.is_err(), "a {cut}-byte prefix of {msg:?} decoded");
+            }
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(decoded) = DaemonMsg::from_bytes(&flipped) {
+                    let re = decoded.to_bytes();
+                    let again = DaemonMsg::from_bytes(&re).map(|m| m.to_bytes());
+                    assert_eq!(again, Ok(re), "bit {bit} of {msg:?}");
+                }
+            }
         }
     }
 

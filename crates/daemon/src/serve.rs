@@ -5,7 +5,7 @@
 //! functions — [`gw_request`] (parsed HTTP request → operation) and
 //! [`gw_reply`] (reply → HTTP body and status). Tree walks in flight,
 //! standing watches, and the cluster-wide scatter-gathers each have one
-//! table or helper here, shared by both ports.
+//! table here, shared by both ports.
 
 use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
@@ -13,17 +13,18 @@ use std::time::{Duration, Instant};
 use moara_core::{DeliveryPolicy, QueryOutcome};
 use moara_gateway::{GwJob, GwReply, GwRequest, ReplySink, SinkClosed, WatchPolicy};
 use moara_query::{parse_query, Query};
-use moara_simnet::SimDuration;
+use moara_simnet::{NodeId, SimDuration};
 use moara_transport::Transport;
 
-use crate::ctrl::{ctrl_roundtrip, CtrlOut, CtrlReply, CtrlRequest};
-use crate::recorder::{self, kind, now_unix_ms};
-use crate::{moara_ctx, parse_value, render, Daemon};
+use crate::ctrl::{CtrlOut, CtrlReply, CtrlRequest};
+use crate::recorder::{kind, now_unix_ms};
+use crate::{moara_ctx, parse_value, render, Daemon, DaemonMsg};
 
-/// How long a scatter-gather waits on each peer before reporting it
-/// missing (bounds the cluster-wide operations under partitions instead
-/// of hanging them).
-const GATHER_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long a scatter-gather waits for its peers before reporting the
+/// silent ones missing: one deadline for the whole fan-out, however many
+/// peers are stuck (bounds the cluster-wide operations under partitions
+/// instead of hanging them).
+pub const GATHER_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// How often quiescent watch streams are liveness-probed; a hung-up
 /// watcher is unsubscribed within this bound even if its standing query
@@ -142,7 +143,8 @@ pub(crate) struct HttpView {
     /// `GET /v1/traces`: the latency-bucket exemplars listed next to the
     /// summaries (control clients read them from `Status`).
     exemplars: Vec<(String, String)>,
-    /// `GET /v1/history`: the metric asked for.
+    /// `GET /v1/history` and `/v1/cluster/history`: the metric asked for
+    /// (an error naming it is a 404).
     metric: Option<String>,
 }
 
@@ -214,6 +216,7 @@ pub(crate) fn gw_request(
             CtrlRequest::HistoryFetch { metric, range_s }
         }
         GwRequest::ClusterHistory { metric, range_s } => {
+            view.metric = Some(metric.clone());
             CtrlRequest::ClusterHistory { metric, range_s }
         }
         GwRequest::Events { kind, limit } => {
@@ -283,7 +286,7 @@ pub(crate) fn gw_reply(view: &HttpView, reply: CtrlReply) -> GwReply {
             view.node, &metric, res_s, &series, &missing,
         )),
         CtrlReply::Events(events) => json(render::events_json(view.node, &events)),
-        // `HistoryFetch` fails one way only: the metric does not exist.
+        // The history reads fail one way only: the metric does not exist.
         CtrlReply::Error(msg) => GwReply::Error {
             status: if view.metric.is_some() { 404 } else { 400 },
             msg,
@@ -313,6 +316,26 @@ pub(crate) struct Walk {
     submitted: Instant,
     /// The walk's trace id, when tracing sampled it.
     trace_id: Option<u64>,
+}
+
+/// What a gather makes of its members' answers (by node) and of the
+/// members missing: the reply its waiter gets.
+type Finish = Box<dyn FnOnce(Vec<(u32, CtrlReply)>, Vec<u32>) -> CtrlReply>;
+
+/// One cluster-wide read waiting on its peers, filed by ask id.
+pub(crate) struct Gather {
+    to: ReplyTo,
+    deadline: Instant,
+    /// Members confirmed dead when it started; the peers still silent
+    /// join them when it finishes.
+    missing: Vec<u32>,
+    /// Peers asked that have not answered, in member order.
+    waiting: Vec<u32>,
+    /// Those of `waiting` the transport has given up on.
+    lost: Vec<u32>,
+    /// This daemon's own, then the peers' as they come.
+    answers: Vec<(u32, CtrlReply)>,
+    finish: Finish,
 }
 
 impl Daemon {
@@ -370,11 +393,7 @@ impl Daemon {
     pub(crate) fn serve(&mut self, op: CtrlRequest, to: ReplyTo) {
         let me = self.me;
         let reply = match op {
-            CtrlRequest::Join {
-                addr,
-                prev_node,
-                ctrl,
-            } => self.handle_join(addr, prev_node, ctrl),
+            CtrlRequest::Join { addr, prev_node } => self.handle_join(addr, prev_node),
             CtrlRequest::Query { text } => match parse_query(&text) {
                 // Its walk starts with the next turn: at the end of this
                 // step when one is due (`start_queued_walks`).
@@ -421,22 +440,18 @@ impl Daemon {
                     exemplars: self.exemplar_entries(),
                 }
             }
-            CtrlRequest::TraceFetch { trace_id } => {
-                let tracer = self.tracer.as_ref();
-                CtrlReply::Spans(tracer.map(|t| t.spans_for(trace_id)).unwrap_or_default())
-            }
+            op @ (CtrlRequest::TraceFetch { .. }
+            | CtrlRequest::MetricsFetch
+            | CtrlRequest::HistoryFetch { .. }) => self.leaf_read(op),
             CtrlRequest::TraceGet { trace_id } => {
-                // The local store is read on the gather thread too: a
-                // span scan is not event-loop work.
-                let tracer = self.tracer.clone();
-                let extract = |r| match r {
-                    CtrlReply::Spans(spans) => Some(spans),
-                    _ => None,
-                };
                 let leaf = CtrlRequest::TraceFetch { trace_id };
-                self.gather(leaf, extract, to, move |answers, missing| {
-                    let mut spans = tracer.map(|t| t.spans_for(trace_id)).unwrap_or_default();
-                    spans.extend(answers.into_iter().flat_map(|(_, s)| s));
+                self.gather(leaf, to, |answers, missing| {
+                    let mut spans = Vec::new();
+                    for (_, answer) in answers {
+                        if let CtrlReply::Spans(theirs) = answer {
+                            spans.extend(theirs);
+                        }
+                    }
                     spans.sort_by_key(|s| (s.start_us, s.span_id));
                     CtrlReply::Trace { spans, missing }
                 });
@@ -451,41 +466,23 @@ impl Daemon {
                 rows: self.health_rows(),
                 alerts: self.alert_engine.firing(Instant::now()),
             },
-            CtrlRequest::MetricsFetch => CtrlReply::MetricsText(self.render_metrics()),
-            CtrlRequest::HistoryFetch { metric, range_s } => {
-                match self.local_history(&metric, range_s) {
-                    Some((res_s, points)) => CtrlReply::History {
-                        node: me.0,
-                        res_s,
-                        points,
-                    },
-                    None => CtrlReply::Error(format!("unknown metric `{metric}`")),
-                }
-            }
             CtrlRequest::ClusterHistory { metric, range_s } => {
-                let mut series = Vec::new();
-                let mut res_s = recorder::TIER1_RES_S as u32;
-                if let Some((res, points)) = self.local_history(&metric, range_s) {
-                    res_s = res;
-                    series.push((me.0, points));
-                }
                 let leaf = CtrlRequest::HistoryFetch {
                     metric: metric.clone(),
                     range_s,
                 };
-                let extract = |r| match r {
-                    CtrlReply::History { res_s, points, .. } => Some((res_s, points)),
-                    _ => None,
-                };
-                self.gather(leaf, extract, to, move |answers, missing| {
-                    for (node, (res, points)) in answers {
-                        res_s = res;
-                        series.push((node, points));
+                self.gather(leaf, to, |answers, missing| {
+                    let (mut res, mut series) = (0, Vec::new());
+                    for (node, answer) in answers {
+                        if let CtrlReply::History { res_s, points, .. } = answer {
+                            res = res_s;
+                            series.push((node, points));
+                        }
                     }
                     series.sort_by_key(|(n, _)| *n);
                     CtrlReply::ClusterHistory {
                         metric,
-                        res_s,
+                        res_s: res,
                         series,
                         missing,
                     }
@@ -500,66 +497,155 @@ impl Daemon {
         let _ = to.send(reply);
     }
 
-    /// The scatter-gather behind every cluster-wide operation, run off
-    /// the event loop: a spawned thread asks each other alive member
-    /// `leaf` over the control plane (bounded by [`GATHER_TIMEOUT`]
-    /// each), hands `finish` the extracted answers by member plus the
-    /// members with none, and sends what it makes of them to `to`.
-    /// Peers that do not answer in time — partitioned, crashed between
-    /// detection rounds — count as missing instead of hanging the
-    /// request; so do members already confirmed dead (their state is
-    /// gone, and a result cut by a crash must not read as complete).
-    fn gather<T: Send + 'static>(
-        &self,
-        leaf: CtrlRequest,
-        extract: fn(CtrlReply) -> Option<T>,
-        to: ReplyTo,
-        finish: impl FnOnce(Vec<(u32, T)>, Vec<u32>) -> CtrlReply + Send + 'static,
-    ) {
-        let others = || self.members.iter().filter(|m| m.node != self.me.0);
-        let peers: Vec<(u32, String)> = others()
-            .filter(|m| m.alive)
-            .map(|m| (m.node, m.ctrl.clone()))
-            .collect();
-        let mut missing: Vec<u32> = others().filter(|m| !m.alive).map(|m| m.node).collect();
-        let _ = std::thread::Builder::new()
-            .name("moarad-gather".into())
-            .spawn(move || {
-                let mut answers = Vec::new();
-                for (node, ctrl) in peers {
-                    let reply = ctrl_roundtrip(&ctrl, &leaf, GATHER_TIMEOUT);
-                    match reply.ok().and_then(extract) {
-                        Some(answer) => answers.push((node, answer)),
-                        None => missing.push(node),
-                    }
+    /// The reads a peer may ask of this daemon — its own spans, scrape
+    /// and history — answered as the control port answers them. Anything
+    /// else is refused: a peer may read this daemon, never drive it.
+    fn leaf_read(&self, op: CtrlRequest) -> CtrlReply {
+        match op {
+            CtrlRequest::TraceFetch { trace_id } => {
+                let tracer = self.tracer.as_ref();
+                CtrlReply::Spans(tracer.map(|t| t.spans_for(trace_id)).unwrap_or_default())
+            }
+            CtrlRequest::MetricsFetch => CtrlReply::MetricsText(self.render_metrics()),
+            CtrlRequest::HistoryFetch { metric, range_s } => {
+                match self.local_history(&metric, range_s) {
+                    Some((res_s, points)) => CtrlReply::History {
+                        node: self.me.0,
+                        res_s,
+                        points,
+                    },
+                    None => CtrlReply::Error(format!("unknown metric `{metric}`")),
                 }
-                let _ = to.send(finish(answers, missing));
-            });
+            }
+            other => CtrlReply::Error(format!("not a peer read: {other:?}")),
+        }
     }
 
-    /// Answers a cluster-metrics federation: the local exposition
-    /// renders here (this loop owns the registries), every other
-    /// member's is gathered, and the texts merge under per-peer
-    /// `instance` labels. Missing members surface in the
-    /// `moara_federation_missing` series instead of hanging the scrape.
-    fn federate_metrics(&self, to: ReplyTo) {
-        let instance = |node: u32| format!("n{node}");
-        let local = (instance(self.me.0), Some(self.render_metrics()));
-        let extract = |r| match r {
-            CtrlReply::MetricsText(text) => Some(text),
-            _ => None,
-        };
-        self.gather(
-            CtrlRequest::MetricsFetch,
-            extract,
+    /// The scatter-gather behind every cluster-wide operation: reads
+    /// `leaf` here, asks it of each other alive member over the peer
+    /// plane — one dispatch, so one write per peer — and parks `to` under
+    /// one [`GATHER_TIMEOUT`] deadline. `finish` gets the answers by
+    /// member, this daemon's first, plus the members missing, and `to`
+    /// what it makes of them. Peers that do not answer in time — stopped,
+    /// partitioned, crashed between detection rounds — count as missing
+    /// instead of hanging the request; so do members already confirmed
+    /// dead (their state is gone, and a result cut by a crash must not
+    /// read as complete). A leaf refused here (an unknown metric: every
+    /// member has the same keys) is refused to `to`, asked of nobody.
+    fn gather(
+        &mut self,
+        leaf: CtrlRequest,
+        to: ReplyTo,
+        finish: impl FnOnce(Vec<(u32, CtrlReply)>, Vec<u32>) -> CtrlReply + 'static,
+    ) {
+        let local = self.leaf_read(leaf.clone());
+        if let CtrlReply::Error(_) = local {
+            let _ = to.send(local);
+            return;
+        }
+        let answers = vec![(self.me.0, local)];
+        let others = || self.members.iter().filter(|m| m.node != self.me.0);
+        let waiting: Vec<u32> = others().filter(|m| m.alive).map(|m| m.node).collect();
+        let missing: Vec<u32> = others().filter(|m| !m.alive).map(|m| m.node).collect();
+        if waiting.is_empty() {
+            let _ = to.send(finish(answers, missing));
+            return;
+        }
+        self.last_ask += 1;
+        let id = self.last_ask;
+        self.transport.with_node(self.me, |_, ctx| {
+            for &node in &waiting {
+                ctx.send(NodeId(node), DaemonMsg::Ask(id, leaf.clone()));
+            }
+        });
+        let gather = Gather {
             to,
-            move |answers, missing| {
-                let mut parts = vec![local];
-                parts.extend(answers.into_iter().map(|(n, t)| (instance(n), Some(t))));
-                parts.extend(missing.into_iter().map(|n| (instance(n), None)));
-                CtrlReply::MetricsText(moara_gateway::federate_expositions(&parts))
-            },
-        );
+            deadline: Instant::now() + GATHER_TIMEOUT,
+            missing,
+            waiting,
+            lost: Vec::new(),
+            answers,
+            finish: Box::new(finish),
+        };
+        self.gathers.insert(id, gather);
+    }
+
+    /// Answers a cluster-metrics federation: every member's exposition,
+    /// merged under per-member `instance` labels. Missing members surface
+    /// in the `moara_federation_missing` series instead of hanging the
+    /// scrape.
+    fn federate_metrics(&mut self, to: ReplyTo) {
+        self.gather(CtrlRequest::MetricsFetch, to, |answers, missing| {
+            let instance = |node: u32| format!("n{node}");
+            let answered = answers
+                .into_iter()
+                .filter_map(|(node, answer)| match answer {
+                    CtrlReply::MetricsText(text) => Some((instance(node), Some(text))),
+                    _ => None,
+                });
+            let silent = missing.into_iter().map(|node| (instance(node), None));
+            let parts: Vec<_> = answered.chain(silent).collect();
+            CtrlReply::MetricsText(moara_gateway::federate_expositions(&parts))
+        });
+    }
+
+    /// Federation's turn in a step. Every peer's ask is answered, in one
+    /// dispatch (one write per asking peer); every answer is filed under
+    /// its gather (an answer to a finished one is dropped); peers the
+    /// transport gave up on (`undeliverable`) are waited for no more; and
+    /// each gather with nobody left to wait for, or past its deadline,
+    /// finishes.
+    pub(crate) fn pump_gathers(&mut self, undeliverable: &[(NodeId, NodeId)]) -> bool {
+        let inbox = std::mem::take(&mut self.transport.node_mut(self.me).federation);
+        let mut told = Vec::new();
+        for (from, msg) in inbox {
+            match msg {
+                DaemonMsg::Ask(id, op) => {
+                    told.push((from, DaemonMsg::Told(id, self.leaf_read(op))))
+                }
+                DaemonMsg::Told(id, answer) => {
+                    let gather = self.gathers.get_mut(&id);
+                    if let Some(g) = gather.filter(|g| g.waiting.contains(&from)) {
+                        g.waiting.retain(|&n| n != from);
+                        g.answers.push((from, answer));
+                    }
+                }
+                _ => {}
+            }
+        }
+        let did = !told.is_empty();
+        if did {
+            self.transport.with_node(self.me, |_, ctx| {
+                for (to, msg) in told {
+                    ctx.send(NodeId(to), msg);
+                }
+            });
+        }
+        for g in self.gathers.values_mut() {
+            let lost = undeliverable.iter().map(|(_, to)| to.0);
+            g.lost.extend(lost.filter(|n| g.waiting.contains(n)));
+        }
+        let now = Instant::now();
+        let done: Vec<u64> = self
+            .gathers
+            .iter()
+            .filter(|(_, g)| now >= g.deadline || g.waiting.iter().all(|n| g.lost.contains(n)))
+            .map(|(&id, _)| id)
+            .collect();
+        for id in &done {
+            let mut g = self.gathers.remove(id).expect("listed above");
+            g.answers[1..].sort_by_key(|(node, _)| *node);
+            g.missing.extend(g.waiting);
+            let _ = g.to.send((g.finish)(g.answers, g.missing));
+        }
+        did || !done.is_empty()
+    }
+
+    /// How long the loop may sleep before the next gather's deadline;
+    /// `None` when no gather waits.
+    pub(crate) fn gather_wait(&self) -> Option<Duration> {
+        let deadline = self.gathers.values().map(|g| g.deadline).min()?;
+        Some(deadline.saturating_duration_since(Instant::now()))
     }
 
     /// How long the loop may sleep before the next turn is due; `None`
@@ -795,5 +881,43 @@ mod tests {
         let metric = "tick_p99us".to_owned();
         let typo = ask(CtrlRequest::HistoryFetch { metric, range_s });
         assert!(matches!(typo, CtrlReply::Error(_)), "{typo:?}");
+        // The cluster view knows the same keys: a typo is asked of no peer,
+        // and its HTTP route answers 404 as `/v1/history` does.
+        let metric = "tick_p99us".to_owned();
+        let req = GwRequest::ClusterHistory { metric, range_s };
+        let (mut ops, view) = gw_request(req, Vec::new).expect("a valid route");
+        let typo = ask(ops.pop().expect("one operation"));
+        assert!(matches!(typo, CtrlReply::Error(_)), "{typo:?}");
+        let status = match gw_reply(&view, typo) {
+            GwReply::Error { status, .. } => status,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(status, 404);
+    }
+
+    /// A peer may read this daemon, never drive it: an `Ask` for anything
+    /// but the three leaf reads is answered with an error and changes
+    /// nothing.
+    #[test]
+    fn a_peer_ask_for_a_non_leaf_operation_is_refused() {
+        let any = "127.0.0.1:0".parse().unwrap();
+        let mut d = Daemon::start(crate::DaemonOpts::new(any)).expect("daemon boots");
+        let set = || CtrlRequest::SetAttr {
+            attr: "ServiceX".into(),
+            value: moara_attributes::Value::Bool(true),
+        };
+        let reply = d.leaf_read(set());
+        assert!(
+            matches!(&reply, CtrlReply::Error(e) if e.contains("SetAttr")),
+            "{reply:?}"
+        );
+        // Through the loop's own path: answered (to a peer that is gone),
+        // and the attribute never set.
+        let node = d.transport.node_mut(d.me);
+        node.federation.push((9, DaemonMsg::Ask(1, set())));
+        assert!(d.pump_gathers(&[]));
+        assert_eq!(d.transport.take_undeliverable(), [(d.me, NodeId(9))]);
+        let store = &d.transport.node(d.me).moara.store;
+        assert_eq!(store.get("ServiceX"), None);
     }
 }

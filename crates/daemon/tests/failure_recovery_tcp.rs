@@ -5,7 +5,8 @@
 //! answer queries with the surviving count. The dead daemon then
 //! restarts with `--rejoin-as` semantics (same node id, higher
 //! incarnation, fresh ports), re-enters its groups' trees, and reappears
-//! in both `status` and query results.
+//! in both `status` and query results. Members that stop without dying
+//! cost a federated read one gather deadline, however many they are.
 //!
 //! Run single-threaded (the chaos CI job does): the test kills and
 //! rebinds listeners, and parallel socket tests could mask failures as
@@ -17,7 +18,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use moara_daemon::{ctrl_roundtrip, parse_attrs, CtrlReply, CtrlRequest, Daemon, DaemonOpts};
+use moara_daemon::{
+    ctrl_roundtrip, parse_attrs, CtrlReply, CtrlRequest, Daemon, DaemonOpts, GATHER_TIMEOUT,
+};
 use moara_membership::SwimConfig;
 use moara_simnet::SimDuration;
 
@@ -47,9 +50,13 @@ fn fast_swim() -> SwimConfig {
 
 /// A daemon running on its own thread until killed (dropping the daemon
 /// closes its peer listener and connections — a process crash, minus the
-/// process).
+/// process). Paused, it stops stepping with every socket open: a
+/// `kill -STOP`, minus the process.
 struct RunningDaemon {
     stop: Arc<AtomicBool>,
+    /// Asked to pause, and paused: the thread sets the second when it has
+    /// seen the first, between two steps.
+    paused: Arc<[AtomicBool; 2]>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -66,16 +73,34 @@ impl RunningDaemon {
 
     fn spawn_opts(opts: DaemonOpts) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        let paused = Arc::new([AtomicBool::new(false), AtomicBool::new(false)]);
+        let (stop2, paused2) = (Arc::clone(&stop), Arc::clone(&paused));
         let thread = std::thread::spawn(move || {
             let mut d = Daemon::start(opts).expect("daemon boots");
             while !stop2.load(Ordering::SeqCst) {
-                d.step(Duration::from_millis(2));
+                let [asked, seen] = &*paused2;
+                let pause = asked.load(Ordering::SeqCst);
+                seen.store(pause, Ordering::SeqCst);
+                if pause {
+                    std::thread::sleep(Duration::from_millis(2));
+                } else {
+                    d.step(Duration::from_millis(2));
+                }
             }
         });
         RunningDaemon {
             stop,
+            paused,
             thread: Some(thread),
+        }
+    }
+
+    /// Stops or restarts stepping; returns once the thread has seen it.
+    fn pause(&self, pause: bool) {
+        let [asked, seen] = &*self.paused;
+        asked.store(pause, Ordering::SeqCst);
+        while seen.load(Ordering::SeqCst) != pause {
+            std::thread::yield_now();
         }
     }
 
@@ -362,4 +387,95 @@ fn a_dead_member_never_stalls_a_survivors_loop() {
             .find_map(|l| l.strip_prefix("moara_event_loop_stalled_ticks_total "));
         assert_eq!(stalled, Some("0"), "stalled ticks on {http}");
     }
+}
+
+/// Federation rides the peer plane under one deadline: with two members
+/// stopped — sockets open, loops not stepping, as under `kill -STOP` — a
+/// federated scrape and a cluster history each answer within one
+/// `GATHER_TIMEOUT`, not one per stuck peer, and name both as missing.
+/// Once they step again, the next federated request misses nobody.
+#[test]
+fn stuck_peers_cost_one_gather_deadline_not_one_each() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let ctrls = [free_port(), free_port(), free_port(), free_port()];
+    let http = free_port();
+    // Patient enough that the stopped members are never confirmed dead:
+    // they go missing for their silence alone.
+    let swim = SwimConfig {
+        suspect_periods: 30,
+        ..SwimConfig::default()
+    };
+    let fleet: Vec<RunningDaemon> = (0..ctrls.len())
+        .map(|i| {
+            RunningDaemon::spawn_opts(DaemonOpts {
+                join: (i > 0).then(|| ctrls[0].to_string()),
+                swim: swim.clone(),
+                http: (i == 0).then_some(http),
+                ..DaemonOpts::new(ctrls[i])
+            })
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    for ctrl in ctrls {
+        wait_for_status(deadline, "cluster formation", ctrl, |&(_, m, a, _)| {
+            m == 4 && a == 4
+        });
+    }
+    let mut stuck: Vec<u32> = ctrls[2..]
+        .iter()
+        .map(|&ctrl| status(ctrl).expect("answers status").0)
+        .collect();
+    stuck.sort_unstable();
+    // A federated scrape over HTTP and a cluster history over ctrl, at
+    // once, both on a live daemon; each timed.
+    let federate = || {
+        let scrape = std::thread::spawn(move || {
+            let at = Instant::now();
+            let resp = http_get(http, "/v1/cluster/metrics");
+            (at.elapsed(), resp)
+        });
+        let at = Instant::now();
+        let req = CtrlRequest::ClusterHistory {
+            metric: "uptime_s".into(),
+            range_s: 120,
+        };
+        let history = ctrl_roundtrip(&ctrls[0].to_string(), &req, Duration::from_secs(30));
+        (scrape.join().unwrap(), (at.elapsed(), history))
+    };
+
+    for d in &fleet[2..] {
+        d.pause(true);
+    }
+    let ((scrape_took, resp), (history_took, history)) = federate();
+    for d in &fleet[2..] {
+        d.pause(false);
+    }
+    let bound = 2 * GATHER_TIMEOUT;
+    assert!(scrape_took < bound, "the scrape took {scrape_took:?}");
+    assert!(history_took < bound, "the history took {history_took:?}");
+    assert!(resp.starts_with("HTTP/1.1 200 "), "{resp}");
+    let body = resp.split_once("\r\n\r\n").map_or("", |(_, body)| body);
+    moara_gateway::lint_exposition(body).unwrap_or_else(|e| panic!("lint: {e}\n{body}"));
+    for id in &stuck {
+        let series = format!("moara_federation_missing{{instance=\"n{id}\"}} 1");
+        assert!(body.contains(&series), "no {series} in:\n{body}");
+    }
+    match history {
+        Ok(CtrlReply::ClusterHistory {
+            series, missing, ..
+        }) => {
+            assert_eq!(missing, stuck);
+            assert_eq!(series.len(), 2, "{series:?}");
+        }
+        other => panic!("unexpected history reply {other:?}"),
+    }
+
+    // Stepping again, they answer the very next fan-out.
+    let ((_, resp), (_, history)) = federate();
+    assert!(resp.starts_with("HTTP/1.1 200 "), "{resp}");
+    assert!(!resp.contains("moara_federation_missing"), "{resp}");
+    assert!(
+        matches!(&history, Ok(CtrlReply::ClusterHistory { missing, .. }) if missing.is_empty()),
+        "{history:?}"
+    );
 }

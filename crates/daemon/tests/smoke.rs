@@ -375,12 +375,46 @@ fn moarad_refuses_a_non_finite_alert_threshold() {
     assert!(stderr.contains("line 1"), "names the line: {stderr}");
 }
 
-/// The walk path has one thread per daemon: peer sockets are members of
+/// A process's thread names as the kernel keeps them: 15 bytes at most.
+fn thread_names(pid: u32) -> Vec<String> {
+    let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).unwrap();
+    tasks
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim().to_owned())
+        .collect()
+}
+
+/// Asserts `names` are main (the loop), the gateway's shards and
+/// acceptor, and the control plane's acceptor, plus whatever
+/// per-connection control thread happens to be alive at the look.
+fn assert_only_resident_threads(names: &[String]) {
+    let shards = names
+        .iter()
+        .filter(|n| n.starts_with("moara-gw-shard"))
+        .count();
+    assert!(shards >= 1, "{names:?}");
+    let resident: Vec<&String> = names
+        .iter()
+        .filter(|n| !n.starts_with("moarad-ctrl-con"))
+        .collect();
+    assert!(
+        resident.iter().all(|n| {
+            *n == "moarad"
+                || n.starts_with("moara-gw-shard")
+                || *n == "moara-gw-accept"
+                || *n == "moarad-ctrl-acc"
+        }),
+        "a thread that should not exist: {names:?}"
+    );
+    assert_eq!(resident.len(), 1 + shards + 2, "{names:?}");
+}
+
+/// The peer plane has one thread per daemon: peer sockets are members of
 /// the event loop's own `epoll` set, so after a join and a few tree walks
-/// a `moarad` has no per-listener or per-connection peer thread — only
-/// main (the loop), the gateway's shards and acceptor, and the control
-/// plane's acceptor, plus whatever per-connection control or gather
-/// thread happens to be alive at the instant of the look.
+/// a `moarad` has no per-listener or per-connection peer thread. That
+/// holds for federation too: a scrape held up by a stopped peer waits on
+/// the loop, with no thread on the asking side and no control connection
+/// on the stopped one.
 #[test]
 fn a_moarad_has_no_peer_plane_threads() {
     let ctrls = [free_port(), free_port(), free_port()];
@@ -394,14 +428,17 @@ fn a_moarad_has_no_peer_plane_threads() {
     for ctrl in &ctrls {
         wait_for_members(ctrl, 3);
     }
+    let field = |banner: &str, key: &str| {
+        let value = banner.split(key).nth(1).expect("field in banner");
+        value.split_whitespace().next().unwrap().to_owned()
+    };
     // Uncached queries through every front-end: every peer link is up
     // in both directions.
     for (_, banner) in &fleet {
-        let http = banner.split("http=").nth(1).expect("http= in banner");
-        let http = http.split_whitespace().next().unwrap();
+        let http = field(banner, "http=");
         for _ in 0..3 {
             let reply = http_get(
-                http,
+                &http,
                 "/v1/query?q=SELECT%20sum(CPU-Util)%20WHERE%20ServiceX%20%3D%20true",
             );
             assert!(
@@ -411,28 +448,36 @@ fn a_moarad_has_no_peer_plane_threads() {
         }
     }
     for (guard, _) in &fleet {
-        let tasks = std::fs::read_dir(format!("/proc/{}/task", guard.0.id())).unwrap();
-        // Thread names as the kernel keeps them: 15 bytes at most.
-        let names: Vec<String> = tasks
-            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-            .map(|name| name.trim().to_owned())
-            .collect();
-        let shards = names
-            .iter()
-            .filter(|n| n.starts_with("moara-gw-shard"))
-            .count();
-        assert!(shards >= 1, "{names:?}");
-        let transient = |n: &&String| n.starts_with("moarad-ctrl-con") || *n == "moarad-gather";
-        let resident: Vec<&String> = names.iter().filter(|n| !transient(n)).collect();
-        assert!(
-            resident.iter().all(|n| {
-                *n == "moarad"
-                    || n.starts_with("moara-gw-shard")
-                    || *n == "moara-gw-accept"
-                    || *n == "moarad-ctrl-acc"
-            }),
-            "a thread that should not exist: {names:?}"
-        );
-        assert_eq!(resident.len(), 1 + shards + 2, "{names:?}");
+        assert_only_resident_threads(&thread_names(guard.0.id()));
     }
+
+    // Stop one daemon and scrape the cluster from another: the scrape
+    // waits out its deadline on the loop.
+    let (asker, stopped) = (&fleet[0], &fleet[2]);
+    let stopped_pid = stopped.0 .0.id().to_string();
+    let signal = |sig: &str| {
+        let sent = Command::new("kill").args([sig, &stopped_pid]).status();
+        assert!(sent.expect("run kill").success(), "kill {sig}");
+    };
+    signal("-STOP");
+    let http = field(&asker.1, "http=");
+    let scrape = std::thread::spawn(move || http_get(&http, "/v1/cluster/metrics"));
+    // Looked at for as long as the scrape waits: neither side has a
+    // thread waiting on the stopped peer.
+    while !scrape.is_finished() {
+        assert_only_resident_threads(&thread_names(asker.0 .0.id()));
+        let stopped_side = thread_names(stopped.0 .0.id());
+        let conn = stopped_side
+            .iter()
+            .any(|n| n.starts_with("moarad-ctrl-con"));
+        assert!(!conn, "{stopped_side:?}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let fed = scrape.join().unwrap();
+    signal("-CONT");
+    let missing = format!(
+        "moara_federation_missing{{instance=\"{}\"}} 1",
+        field(&stopped.1, "node=")
+    );
+    assert!(fed.contains(&missing), "no {missing} in:\n{fed}");
 }

@@ -57,7 +57,7 @@ pub use http::{HttpRequest, HttpResponse};
 pub use metrics::{federate_expositions, lint_exposition, MetricsRegistry};
 pub use middleware::TokenBuckets;
 pub use server::{
-    access_log_line, spawn_gateway, spawn_gateway_opts, AccessLogSink, AtomicHistogram,
-    EndpointLatency, GatewayHandle, GatewayOpts, GatewayStats, GwJob, GwReply, GwRequest, JobSink,
-    ReplySink, SinkClosed, WatchPolicy, LATENCY_BOUNDS_US,
+    access_log_line, spawn_gateway_opts, AccessLogSink, AtomicHistogram, EndpointLatency,
+    GatewayHandle, GatewayOpts, GatewayStats, GwJob, GwReply, GwRequest, JobSink, ReplySink,
+    SinkClosed, WatchPolicy, LATENCY_BOUNDS_US,
 };

@@ -1,5 +1,5 @@
 //! The gateway's protocol surface: request/reply types, routing,
-//! response rendering, stats, and the spawn entry points.
+//! response rendering, stats, and the spawn entry point.
 //!
 //! Threading model (since the reactor rewrite): the acceptor thread
 //! hands nonblocking sockets to a small set of `epoll` shard threads
@@ -29,7 +29,6 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -85,9 +84,9 @@ pub enum GwRequest {
         limit: usize,
     },
     /// `GET /v1/trace/{id}` — one trace's span tree, merged across the
-    /// cluster by the daemon (scatter-gather over control sockets). The
-    /// id stays a raw string here: the daemon owns trace-id parsing, and
-    /// this crate stays dependency-free.
+    /// cluster by the daemon (gathered over the peer plane, one 2 s
+    /// deadline). The id stays a raw string here: the daemon owns
+    /// trace-id parsing, and this crate stays dependency-free.
     Trace {
         /// Trace id as it appeared in the path (hex or decimal).
         id: String,
@@ -97,8 +96,8 @@ pub enum GwRequest {
     /// Served from local state; never blocks on peers.
     ClusterHealth,
     /// `GET /v1/cluster/metrics` — cluster-wide Prometheus exposition:
-    /// the daemon fetches every alive peer's scrape over the control
-    /// plane and federates the texts under `instance` labels.
+    /// the daemon fetches every alive peer's scrape over the peer plane
+    /// and federates the texts under `instance` labels.
     ClusterMetrics,
     /// `GET /v1/alerts` — the alert rules currently firing on this
     /// daemon.
@@ -112,8 +111,8 @@ pub enum GwRequest {
         range_s: u32,
     },
     /// `GET /v1/cluster/history?metric=…&range=…` — every reachable
-    /// member's series for one metric, federated over the control plane
-    /// like `/v1/cluster/metrics`.
+    /// member's series for one metric, federated over the peer plane like
+    /// `/v1/cluster/metrics`.
     ClusterHistory {
         /// Health-sample metric name.
         metric: String,
@@ -547,30 +546,14 @@ impl GatewayHandle {
     }
 }
 
-/// Spawns the gateway's acceptor and reactor shards on `listener` with
-/// default options. Jobs flow into `tx`; whoever holds the receiver
-/// must drain it (the daemon instead passes [`spawn_gateway_opts`] a
-/// [`JobSink`] that also wakes its event loop).
+/// Spawns the gateway's acceptor and reactor shards on `listener`. Each
+/// parsed request goes to `jobs`; the daemon's sink enqueues it and wakes
+/// the event loop.
 ///
 /// # Panics
 ///
 /// Panics if the listener's local address cannot be read, `epoll` setup
 /// fails, or threads cannot spawn — all boot-time process failures.
-pub fn spawn_gateway(listener: TcpListener, tx: Sender<GwJob>) -> GatewayHandle {
-    spawn_gateway_opts(listener, channel_sink(tx), GatewayOpts::default())
-}
-
-/// A [`JobSink`] that only enqueues: for a consumer that blocks on the
-/// receiver itself and so needs no waking.
-fn channel_sink(tx: Sender<GwJob>) -> JobSink {
-    Arc::new(move |job| tx.send(job).map_err(|e| e.0))
-}
-
-/// [`spawn_gateway`] with explicit [`GatewayOpts`] and job hand-off.
-///
-/// # Panics
-///
-/// Same boot-time failures as [`spawn_gateway`].
 pub fn spawn_gateway_opts(
     listener: TcpListener,
     jobs: JobSink,
@@ -867,6 +850,7 @@ pub fn sse_frame(result: &str, initial: bool, complete: bool) -> String {
 mod tests {
     use super::*;
     use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+    use std::sync::mpsc::Sender;
     use std::sync::Mutex;
 
     /// Boots a gateway backed by a scripted responder thread.
@@ -878,14 +862,24 @@ mod tests {
         opts: GatewayOpts,
         respond: impl Fn(GwRequest, ReplySink) + Send + 'static,
     ) -> GatewayHandle {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let (tx, rx) = std::sync::mpsc::channel::<GwJob>();
         std::thread::spawn(move || {
             for job in rx {
                 respond(job.req, job.reply);
             }
         });
-        spawn_gateway_opts(listener, channel_sink(tx), opts)
+        spawn_on_channel(tx, opts)
+    }
+
+    /// The one entry point, fed through a channel whose consumer blocks
+    /// on it and so needs no waking.
+    fn spawn_on_channel(tx: Sender<GwJob>, opts: GatewayOpts) -> GatewayHandle {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        spawn_gateway_opts(
+            listener,
+            Arc::new(move |job| tx.send(job).map_err(|e| e.0)),
+            opts,
+        )
     }
 
     fn roundtrip(addr: SocketAddr, raw: &str) -> String {
@@ -1692,12 +1686,10 @@ mod tests {
         let sink: AccessLogSink = Arc::new(move |line: &str| {
             sink_lines.lock().unwrap().push(line.to_owned());
         });
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let (tx, rx) = std::sync::mpsc::channel::<GwJob>();
         drop(rx);
-        let gw = spawn_gateway_opts(
-            listener,
-            channel_sink(tx),
+        let gw = spawn_on_channel(
+            tx,
             GatewayOpts {
                 access_log: Some(sink),
                 ..GatewayOpts::default()
