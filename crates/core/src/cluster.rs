@@ -19,7 +19,7 @@
 //! lives in the `moara-daemon` crate.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -35,33 +35,86 @@ use moara_transport::{SimTransport, TcpConfig, TcpTransport, Transport};
 use crate::config::MoaraConfig;
 use crate::node::{MoaraNode, QueryOutcome};
 
-struct CachedTree {
-    topo: TreeTopology,
-    sizes: HashMap<Id, u64>,
+/// Marks "no node" in [`OverlayTree`]'s parent array.
+const NO_NODE: u32 = u32::MAX;
+
+/// One aggregation tree, flattened into arrays indexed by [`NodeId`]:
+/// a node's parent, its children and its subtree size are each one index
+/// away. Built once per tree key from the DHT's [`TreeTopology`] (children
+/// keep its ring-id order, which is the order sub-queries are sent in).
+/// A node outside the ring — a removed member — has no parent, no
+/// children and size 0.
+#[derive(Debug)]
+pub struct OverlayTree {
+    parent: Vec<u32>,
+    /// `children[first[i]..first[i + 1]]` are node `i`'s children.
+    first: Vec<u32>,
+    children: Vec<NodeId>,
+    size: Vec<u64>,
+}
+
+impl OverlayTree {
+    fn build(inner: &DirInner, key: Id) -> OverlayTree {
+        let topo = TreeTopology::build(&inner.ring, key);
+        let n = inner.id_of.len();
+        let mut parent = vec![NO_NODE; n];
+        let mut first = Vec::with_capacity(n + 1);
+        let mut children = Vec::with_capacity(n);
+        let mut by_depth = Vec::with_capacity(topo.len());
+        for (i, &id) in inner.id_of.iter().enumerate() {
+            first.push(children.len() as u32);
+            if inner.node_of.get(&id) != Some(&NodeId(i as u32)) {
+                continue;
+            }
+            let Some(depth) = topo.depth_of(id) else {
+                continue;
+            };
+            by_depth.push((depth, i));
+            if let Some(p) = topo.parent(id) {
+                parent[i] = inner.node_of[&p].0;
+            }
+            children.extend(topo.children(id).iter().map(|c| inner.node_of[c]));
+        }
+        first.push(children.len() as u32);
+        // Subtree sizes, accumulated bottom-up in depth order.
+        by_depth.sort_unstable_by_key(|&(depth, _)| std::cmp::Reverse(depth));
+        let mut size = vec![0u64; n];
+        for (_, i) in by_depth {
+            let kids = &children[first[i] as usize..first[i + 1] as usize];
+            size[i] = 1 + kids.iter().map(|c| size[c.index()]).sum::<u64>();
+        }
+        OverlayTree {
+            parent,
+            first,
+            children,
+            size,
+        }
+    }
+
+    /// `node`'s children, in ring-id order.
+    pub fn children(&self, node: NodeId) -> &[NodeId] {
+        let i = node.index();
+        &self.children[self.first[i] as usize..self.first[i + 1] as usize]
+    }
+
+    /// `node`'s parent (`None` for the root and for non-members).
+    pub fn parent(&self, node: NodeId) -> Option<NodeId> {
+        let p = self.parent[node.index()];
+        (p != NO_NODE).then_some(NodeId(p))
+    }
+
+    /// Size of `node`'s subtree, itself included (0 for non-members).
+    pub fn subtree_size(&self, node: NodeId) -> u64 {
+        self.size[node.index()]
+    }
 }
 
 struct DirInner {
     ring: Ring,
     id_of: Vec<Id>,
     node_of: HashMap<Id, NodeId>,
-    trees: HashMap<Id, CachedTree>,
-}
-
-impl DirInner {
-    fn ensure_tree(&mut self, key: Id) -> &CachedTree {
-        self.trees.entry(key).or_insert_with(|| {
-            let topo = TreeTopology::build(&self.ring, key);
-            // Subtree sizes: accumulate bottom-up in depth order.
-            let mut order: Vec<Id> = topo.nodes().collect();
-            order.sort_by_key(|&n| std::cmp::Reverse(topo.depth_of(n).unwrap_or(0)));
-            let mut sizes: HashMap<Id, u64> = HashMap::with_capacity(order.len());
-            for n in order {
-                let children_sum: u64 = topo.children(n).iter().map(|c| sizes[c]).sum();
-                sizes.insert(n, 1 + children_sum);
-            }
-            CachedTree { topo, sizes }
-        })
-    }
+    /// Built trees by key: a handful, found by comparison, not hashing.
+    trees: BTreeMap<Id, Rc<OverlayTree>>,
 }
 
 /// Shared overlay directory: id mapping, routing decisions, and implicit
@@ -83,7 +136,7 @@ impl Directory {
                 ring,
                 id_of,
                 node_of,
-                trees: HashMap::new(),
+                trees: BTreeMap::new(),
             })),
         }
     }
@@ -137,28 +190,17 @@ impl Directory {
         inner.ring.next_hop(my_id, key).map(|id| inner.node_of[&id])
     }
 
-    /// `me`'s children in the tree for `key`.
-    pub fn children_of(&self, key: Id, me: NodeId) -> Vec<NodeId> {
+    /// The aggregation tree for `key` over the current membership, built
+    /// on first use and shared until the membership changes. Holding the
+    /// handle keeps that version alive; ask again after a change.
+    pub fn tree(&self, key: Id) -> Rc<OverlayTree> {
         let mut inner = self.inner.borrow_mut();
-        let my_id = inner.id_of[me.index()];
-        let tree = inner.ensure_tree(key);
-        let kids: Vec<Id> = tree.topo.children(my_id).to_vec();
-        kids.iter().map(|c| inner.node_of[c]).collect()
-    }
-
-    /// `me`'s parent in the tree for `key` (`None` for the root).
-    pub fn parent_of(&self, key: Id, me: NodeId) -> Option<NodeId> {
-        let mut inner = self.inner.borrow_mut();
-        let my_id = inner.id_of[me.index()];
-        let parent = inner.ensure_tree(key).topo.parent(my_id);
-        parent.map(|p| inner.node_of[&p])
-    }
-
-    /// Size of `node`'s subtree in the tree for `key` (including itself).
-    pub fn subtree_size(&self, key: Id, node: NodeId) -> u64 {
-        let mut inner = self.inner.borrow_mut();
-        let id = inner.id_of[node.index()];
-        inner.ensure_tree(key).sizes.get(&id).copied().unwrap_or(0)
+        if let Some(tree) = inner.trees.get(&key) {
+            return tree.clone();
+        }
+        let tree = Rc::new(OverlayTree::build(&inner, key));
+        inner.trees.insert(key, tree.clone());
+        tree
     }
 
     fn add_member(&self, id: Id, node: NodeId) {
@@ -738,6 +780,69 @@ mod tests {
         let mut c = small_cluster(10);
         let out = c.query(NodeId(0), "SELECT count(*)").unwrap();
         assert_eq!(out.result, AggResult::Value(Value::Int(10)));
+    }
+
+    /// Checks every node's dense entry against a fresh `TreeTopology` of
+    /// the directory's current ring.
+    fn assert_matches_topology(dir: &Directory, key: Id, removed: &[NodeId]) {
+        let inner = dir.inner.borrow();
+        let topo = TreeTopology::build(&inner.ring, key);
+        drop(inner);
+        let tree = dir.tree(key);
+        fn size_of(topo: &TreeTopology, id: Id) -> u64 {
+            1 + topo
+                .children(id)
+                .iter()
+                .map(|&c| size_of(topo, c))
+                .sum::<u64>()
+        }
+        for i in 0..dir.inner.borrow().id_of.len() as u32 {
+            let node = NodeId(i);
+            if removed.contains(&node) {
+                assert!(tree.children(node).is_empty(), "{node}");
+                assert_eq!(tree.parent(node), None, "{node}");
+                assert_eq!(tree.subtree_size(node), 0, "{node}");
+                continue;
+            }
+            let id = dir.id_of(node);
+            let kids: Vec<Id> = tree.children(node).iter().map(|&c| dir.id_of(c)).collect();
+            assert_eq!(kids, topo.children(id), "children of {node}");
+            assert_eq!(
+                tree.parent(node).map(|p| dir.id_of(p)),
+                topo.parent(id),
+                "{node}"
+            );
+            assert_eq!(tree.subtree_size(node), size_of(&topo, id), "{node}");
+        }
+    }
+
+    #[test]
+    fn dense_trees_match_the_dht_topology_through_churn() {
+        let ring = Ring::with_random_ids(512, 4, 3);
+        let members: Vec<(NodeId, Id)> = ring
+            .ids()
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| (NodeId(i as u32), id))
+            .collect();
+        let dir = Directory::from_members(&members, 4);
+        let keys = ["ServiceX", "CPU-Util", "*"].map(Id::of_attribute);
+        for key in keys {
+            assert_matches_topology(&dir, key, &[]);
+        }
+        let gone = [NodeId(7), NodeId(300), dir.owner_node(keys[0])];
+        for n in gone {
+            dir.remove_member(n);
+        }
+        for key in keys {
+            assert_matches_topology(&dir, key, &gone);
+        }
+        for n in gone {
+            dir.revive_member(n);
+        }
+        for key in keys {
+            assert_matches_topology(&dir, key, &[]);
+        }
     }
 
     #[test]

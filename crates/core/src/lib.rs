@@ -49,7 +49,7 @@ mod node;
 pub mod sched;
 pub mod state;
 
-pub use cluster::{Cluster, ClusterBuilder, Directory};
+pub use cluster::{Cluster, ClusterBuilder, Directory, OverlayTree};
 pub use config::{GcPolicy, MoaraConfig, Mode, ProbeCachePolicy};
 pub use msg::{MoaraMsg, PredKey, QueryId, GLOBAL_PRED};
 pub use node::{MoaraNode, QueryOutcome};

@@ -1,5 +1,7 @@
 //! Moara's wire messages.
 
+use std::sync::Arc;
+
 use moara_aggregation::AggState;
 use moara_dht::Id;
 use moara_query::Query;
@@ -20,8 +22,10 @@ pub struct QueryId {
 }
 
 /// Canonical key of a simple predicate ("CPU-Util<50"), or `*` for the
-/// global (whole-system) tree, which keeps no pruning state.
-pub type PredKey = String;
+/// global (whole-system) tree, which keeps no pruning state. Shared, so
+/// the copy in every message of a fan-out and in every session and timer
+/// is a reference count, not a string.
+pub type PredKey = Arc<str>;
 
 /// The predicate key designating the global tree.
 pub const GLOBAL_PRED: &str = "*";

@@ -10,13 +10,14 @@
 //! and merges the final answer).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fmt;
 use std::sync::Arc;
 
 use moara_aggregation::{AggKind, AggResult, AggState, NodeRef};
 use moara_attributes::{AttrStore, Value};
 use moara_dht::Id;
-use moara_query::{Cover, CoverPlan, Query, SimplePredicate};
-use moara_simnet::{NodeId, SimDuration, SimTime, TimerId, TimerTag};
+use moara_query::{Cover, CoverPlan, Predicate, Query, SimplePredicate};
+use moara_simnet::{MintedMap, MintedSet, NodeId, SimDuration, SimTime, TimerId, TimerTag};
 use moara_subscribe::{DeliveryPolicy, SubEntry, SubId, SubSpec, SubUpdate, WatchState};
 use moara_trace::{Phase, SpanRecord, SpanStore, TraceCtx, NO_PEER, TRACE_NS_SUBDELTA};
 use moara_transport::{NetCtx, NetProtocol};
@@ -47,8 +48,8 @@ const DEDUP_GENERATION: usize = 8_192;
 /// id — no per-id timestamp, no pass over the window.
 #[derive(Default)]
 struct DedupWindow {
-    recent: HashSet<QueryId>,
-    older: HashSet<QueryId>,
+    recent: MintedSet<QueryId>,
+    older: MintedSet<QueryId>,
     /// When the first id of `recent` went in.
     recent_since: SimTime,
 }
@@ -111,13 +112,13 @@ impl QueryOutcome {
 /// An in-flight aggregation at one tree node.
 struct Session {
     reply_to: NodeId,
-    pending: HashSet<NodeId>,
+    /// Targets that have not replied yet.
+    pending: Vec<NodeId>,
     acc: AggState,
     kind: AggKind,
     complete: bool,
     timer: Option<(TimerId, TimerTag)>,
     tree: Id,
-    done: bool,
     /// This hop's fan-out context (span_id = the fan-out span recorded
     /// when the sub-query arrived); the fold span parents to it and the
     /// `QueryReply` carries its descendant upstream.
@@ -186,13 +187,11 @@ pub struct MoaraNode {
     /// The node's local `(attribute, value)` store.
     pub store: AttrStore,
     states: HashMap<PredKey, PredState>,
-    /// Last time each predicate's state was touched (for GC policies).
-    activity: HashMap<PredKey, SimTime>,
     sessions: HashMap<(QueryId, PredKey), Session>,
     contributed: DedupWindow,
-    fronts: HashMap<u64, FrontQuery>,
-    completed: HashMap<u64, QueryOutcome>,
-    timers: HashMap<TimerTag, TimerEvent>,
+    fronts: MintedMap<u64, FrontQuery>,
+    completed: MintedMap<u64, QueryOutcome>,
+    timers: MintedMap<TimerTag, TimerEvent>,
     /// The query-plane scheduler: probe-cost cache (with churn epoch) and
     /// the in-flight probe registry shared by all concurrent fronts.
     sched: QuerySched,
@@ -236,12 +235,11 @@ impl MoaraNode {
             cfg,
             store: AttrStore::new(),
             states: HashMap::new(),
-            activity: HashMap::new(),
             sessions: HashMap::new(),
             contributed: DedupWindow::default(),
-            fronts: HashMap::new(),
-            completed: HashMap::new(),
-            timers: HashMap::new(),
+            fronts: MintedMap::default(),
+            completed: MintedMap::default(),
+            timers: MintedMap::default(),
             sched,
             subs: BTreeMap::new(),
             watches: HashMap::new(),
@@ -286,7 +284,8 @@ impl MoaraNode {
     /// Records one span under `parent` and returns the descended context
     /// (`span_id` = the new span) for downstream messages. `None` when
     /// tracing is off or the parent context is unsampled — callers thread
-    /// the result straight into the wire field.
+    /// the result straight into the wire field. `detail` is formatted only
+    /// when the span is recorded.
     #[allow(clippy::too_many_arguments)]
     fn trace_span(
         &self,
@@ -298,7 +297,7 @@ impl MoaraNode {
         queue_us: u64,
         service_us: u64,
         bytes: u64,
-        detail: String,
+        detail: fmt::Arguments<'_>,
     ) -> Option<TraceCtx> {
         let tracer = self.tracer.as_ref()?;
         if !tracer.enabled() {
@@ -320,7 +319,7 @@ impl MoaraNode {
             queue_us,
             service_us,
             bytes,
-            detail,
+            detail: detail.to_string(),
         });
         Some(ctx.descend(span_id))
     }
@@ -370,45 +369,29 @@ impl MoaraNode {
     /// are safe to discard (the parent's default already forwards queries
     /// to this node), so eviction never affects completeness.
     fn maybe_gc(&mut self, now: SimTime) {
-        let evictable = |states: &HashMap<PredKey, PredState>, key: &str| {
-            states.get(key).is_some_and(|st| !st.update)
-        };
+        // Only states a query or status has touched age out.
+        let evictable = |st: &PredState| st.last_active.filter(|_| !st.update);
         match self.cfg.gc {
             GcPolicy::Never => {}
-            GcPolicy::IdleTimeout(ttl) => {
-                let stale: Vec<PredKey> = self
-                    .activity
-                    .iter()
-                    .filter(|(k, t)| now.duration_since(**t) >= ttl && evictable(&self.states, k))
-                    .map(|(k, _)| k.clone())
-                    .collect();
-                for k in stale {
-                    self.states.remove(&k);
-                    self.activity.remove(&k);
-                }
-            }
+            GcPolicy::IdleTimeout(ttl) => self
+                .states
+                .retain(|_, st| evictable(st).is_none_or(|t| now.duration_since(t) < ttl)),
             GcPolicy::KeepMostRecent(cap) => {
                 if self.states.len() <= cap {
                     return;
                 }
                 let mut by_age: Vec<(SimTime, PredKey)> = self
-                    .activity
+                    .states
                     .iter()
-                    .filter(|(k, _)| evictable(&self.states, k))
-                    .map(|(k, t)| (*t, k.clone()))
+                    .filter_map(|(k, st)| Some((evictable(st)?, k.clone())))
                     .collect();
                 by_age.sort();
                 let excess = self.states.len().saturating_sub(cap);
                 for (_, k) in by_age.into_iter().take(excess) {
                     self.states.remove(&k);
-                    self.activity.remove(&k);
                 }
             }
         }
-    }
-
-    fn touch(&mut self, pred_key: &str, now: SimTime) {
-        self.activity.insert(pred_key.to_owned(), now);
     }
 
     fn tree_key_for(pred: &SimplePredicate) -> Id {
@@ -480,7 +463,7 @@ impl MoaraNode {
                 0,
                 0,
                 0,
-                format!("agg={:?}", kind),
+                format_args!("agg={kind:?}"),
             );
             self.trace_span(
                 parsed,
@@ -491,7 +474,7 @@ impl MoaraNode {
                 0,
                 0,
                 0,
-                if plan.is_some() { "cnf" } else { "global" }.to_owned(),
+                format_args!("{}", if plan.is_some() { "cnf" } else { "global" }),
             )
         } else {
             None
@@ -538,9 +521,9 @@ impl MoaraNode {
                 .probe_atoms();
             let me = ctx.me();
             let now = ctx.now();
-            let mut outbound: Vec<(Id, MoaraMsg)> = Vec::new();
+            let mut outbound: Vec<(Id, Box<MoaraMsg>)> = Vec::new();
             for atom in atoms {
-                let key = atom.key();
+                let key: PredKey = atom.key().into();
                 if let Some(cost) = self.sched.cache.lookup(&key, now) {
                     ctx.count("probe_cache_hits");
                     front.costs.insert(key, cost);
@@ -583,7 +566,7 @@ impl MoaraNode {
                             wait.sent_at = now;
                             wait.epoch = epoch;
                             wait.probe_qid = qid;
-                            outbound.push((Self::tree_key_for(&atom), probe));
+                            outbound.push((Self::tree_key_for(&atom), Box::new(probe)));
                             ctx.count("size_probes");
                         } else {
                             // Another in-flight query already probed this
@@ -598,7 +581,7 @@ impl MoaraNode {
                             epoch,
                             probe_qid: qid,
                         });
-                        outbound.push((Self::tree_key_for(&atom), probe));
+                        outbound.push((Self::tree_key_for(&atom), Box::new(probe)));
                         ctx.count("size_probes");
                     }
                 }
@@ -637,7 +620,7 @@ impl MoaraNode {
             Some(plan) => {
                 if self.cfg.use_size_probes {
                     let costs = &front.costs;
-                    plan.choose(|atom| costs.get(&atom.key()).copied().unwrap_or(n2))
+                    plan.choose(|atom| costs.get(atom.key().as_str()).copied().unwrap_or(n2))
                 } else {
                     plan.choose(|_| 1)
                 }
@@ -648,21 +631,7 @@ impl MoaraNode {
         let ftrace = front.trace;
         let me = ctx.me();
 
-        let subs: Vec<(PredKey, Id)> = match cover {
-            Cover::Empty => Vec::new(),
-            Cover::All => {
-                let attr = query
-                    .attr
-                    .as_ref()
-                    .map(|a| a.as_str().to_owned())
-                    .unwrap_or_else(|| GLOBAL_PRED.to_owned());
-                vec![(GLOBAL_PRED.to_owned(), Id::of_attribute(&attr))]
-            }
-            Cover::Groups(groups) => groups
-                .iter()
-                .map(|g| (g.key(), Self::tree_key_for(g)))
-                .collect(),
-        };
+        let subs = Self::cover_trees(&query, &cover);
 
         if subs.is_empty() {
             self.finish_front(ctx, front_id);
@@ -688,14 +657,14 @@ impl MoaraNode {
             0,
             0,
             0,
-            format!("subs={}", subs.len()),
+            format_args!("subs={}", subs.len()),
         );
-        let outbound: Vec<(Id, MoaraMsg)> = subs
+        let outbound: Vec<(Id, Box<MoaraMsg>)> = subs
             .into_iter()
             .map(|(pred_key, tree)| {
                 (
                     tree,
-                    MoaraMsg::QueryDown {
+                    Box::new(MoaraMsg::QueryDown {
                         qid,
                         seq: 0,
                         pred_key,
@@ -703,11 +672,27 @@ impl MoaraNode {
                         query: (*query).clone(),
                         reply_to: me,
                         trace: qtrace,
-                    },
+                    }),
                 )
             })
             .collect();
         self.route_many(ctx, outbound);
+    }
+
+    /// One `(predicate key, tree routing key)` per tree of `cover`: the
+    /// global tree of the aggregated attribute for `All`.
+    fn cover_trees(query: &Query, cover: &Cover) -> Vec<(PredKey, Id)> {
+        match cover {
+            Cover::Empty => Vec::new(),
+            Cover::All => {
+                let attr = query.attr.as_ref().map_or(GLOBAL_PRED, |a| a.as_str());
+                vec![(GLOBAL_PRED.into(), Id::of_attribute(attr))]
+            }
+            Cover::Groups(groups) => groups
+                .iter()
+                .map(|g| (g.key().into(), Self::tree_key_for(g)))
+                .collect(),
+        }
     }
 
     fn finish_front(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, front_id: u64) {
@@ -729,7 +714,7 @@ impl MoaraNode {
             ctx.now().duration_since(front.issued_at).as_micros(),
             0,
             0,
-            format!("complete={complete}"),
+            format_args!("complete={complete}"),
         );
         let outcome = QueryOutcome {
             qid: front.qid,
@@ -744,16 +729,11 @@ impl MoaraNode {
 
     // ----- routing ------------------------------------------------------
 
-    fn route(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, key: Id, inner: MoaraMsg) {
+    /// Forwards a routed payload one hop, in the box it arrived in.
+    fn route(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, key: Id, inner: Box<MoaraMsg>) {
         match self.dir.next_hop_node(ctx.me(), key) {
-            Some(next) => ctx.send(
-                next,
-                MoaraMsg::Route {
-                    key,
-                    inner: Box::new(inner),
-                },
-            ),
-            None => self.handle_at_root(ctx, key, inner),
+            Some(next) => ctx.send(next, MoaraMsg::Route { key, inner }),
+            None => self.handle_at_root(ctx, key, *inner),
         }
     }
 
@@ -761,7 +741,7 @@ impl MoaraNode {
     /// next hop into one [`MoaraMsg::Batch`] frame. Called on front-end
     /// fan-out and again whenever a batch is unpacked at an intermediate
     /// hop, so shared overlay path prefixes are paid for once.
-    fn route_many(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, items: Vec<(Id, MoaraMsg)>) {
+    fn route_many(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, items: Vec<(Id, Box<MoaraMsg>)>) {
         let me = ctx.me();
         let mut queue = BatchQueue::new();
         for (key, inner) in items {
@@ -771,7 +751,7 @@ impl MoaraNode {
             }
         }
         for (key, inner) in queue.flush(ctx) {
-            self.handle_at_root(ctx, key, inner);
+            self.handle_at_root(ctx, key, *inner);
         }
     }
 
@@ -787,12 +767,10 @@ impl MoaraNode {
                 ..
             } => {
                 // The root stamps the per-tree sequence number (Section 4).
-                let seq = if pred_key == GLOBAL_PRED {
+                let seq = if &*pred_key == GLOBAL_PRED {
                     0
                 } else {
-                    if let Some(atom) = find_atom(&query, &pred_key) {
-                        self.ensure_state(ctx.me(), &atom);
-                    }
+                    self.ensure_state_in(ctx.me(), &pred_key, &query);
                     match self.states.get_mut(&pred_key) {
                         Some(st) => {
                             st.seq_counter += 1;
@@ -818,12 +796,10 @@ impl MoaraNode {
                 // Arrived at the tree root: deltas go to the subscriber,
                 // and the root stamps the install's tree sequence number
                 // (installs count as queries for adaptation, Section 4).
-                let seq = if pred_key == GLOBAL_PRED {
+                let seq = if &*pred_key == GLOBAL_PRED {
                     0
                 } else {
-                    if let Some(atom) = find_atom(&spec.query, &pred_key) {
-                        self.ensure_state(ctx.me(), &atom);
-                    }
+                    self.ensure_state_in(ctx.me(), &pred_key, &spec.query);
                     match self.states.get_mut(&pred_key) {
                         Some(st) => {
                             st.seq_counter += 1;
@@ -872,7 +848,7 @@ impl MoaraNode {
             0,
             0,
             0,
-            format!("cost={cost}"),
+            format_args!("cost={cost}"),
         );
         ctx.send(
             reply_to,
@@ -890,10 +866,8 @@ impl MoaraNode {
     fn estimated_query_cost(&self, me: NodeId, pred_key: &str) -> u64 {
         match self.states.get(pred_key) {
             Some(st) => {
-                let tree = Self::tree_key_for(&st.pred);
-                let children = self.dir.children_of(tree, me);
-                let dir = &self.dir;
-                2 * st.np(me, &children, |c| dir.subtree_size(tree, c))
+                let tree = self.dir.tree(st.tree);
+                2 * st.np(me, tree.children(me), |c| tree.subtree_size(c))
             }
             None => (self.dir.ring_size() as u64).saturating_mul(2),
         }
@@ -901,13 +875,11 @@ impl MoaraNode {
 
     // ----- predicate state ----------------------------------------------
 
-    fn ensure_state(&mut self, me: NodeId, pred: &SimplePredicate) -> &mut PredState {
-        let key = pred.key();
+    /// The state of `pred`, whose key is `key`, created on first sight.
+    fn ensure_state(&mut self, me: NodeId, key: &PredKey, pred: &SimplePredicate) {
         let cfg = &self.cfg;
         let dir = &self.dir;
-        let store = &self.store;
-        let _ = store;
-        self.states.entry(key).or_insert_with(|| {
+        self.states.entry(key.clone()).or_insert_with(|| {
             // Fresh state starts with an empty updateSet and NO-UPDATE —
             // the first query therefore counts as `qn` (the paper: nodes
             // "move into UPDATE state with the first query message") and
@@ -919,37 +891,53 @@ impl MoaraNode {
                 cfg.threshold,
                 cfg.mode == Mode::AlwaysUpdate,
             );
-            let tree = Self::tree_key_for(pred);
-            st.parent = dir.parent_of(tree, me);
+            st.parent = dir.tree(st.tree).parent(me);
             st
-        })
+        });
+    }
+
+    /// Creates the state of the group `key` names within `query` (a
+    /// sub-query or install for that tree) on first sight.
+    fn ensure_state_in(&mut self, me: NodeId, key: &PredKey, query: &Query) {
+        if !self.states.contains_key(key) {
+            if let Some(atom) = find_atom(query, key) {
+                self.ensure_state(me, key, atom);
+            }
+        }
     }
 
     /// Installs predicate state without sending anything (cluster-level
     /// pre-registration for the Always-Update baseline).
     pub fn install_state(&mut self, me: NodeId, pred: &SimplePredicate) {
-        self.ensure_state(me, pred);
+        self.ensure_state(me, &pred.key().into(), pred);
     }
 
     /// Sends a status update to the tree parent if the state demands one,
     /// cascading lazily via the parent's own handler.
-    fn sync_status(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, pred_key: &str) {
+    fn sync_status(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, pred_key: &PredKey) {
+        if let Some(st) = self.states.get_mut(pred_key) {
+            Self::send_status(ctx, &self.dir, pred_key, st);
+        }
+    }
+
+    /// [`MoaraNode::sync_status`] for a state already in hand.
+    fn send_status(
+        ctx: &mut dyn NetCtx<MoaraMsg>,
+        dir: &Directory,
+        pred_key: &PredKey,
+        st: &mut PredState,
+    ) {
         let me = ctx.me();
-        let Some(st) = self.states.get_mut(pred_key) else {
-            return;
-        };
         let Some(out) = st.status_to_send(me) else {
             return;
         };
-        let tree = Self::tree_key_for(&st.pred);
-        let Some(parent) = self.dir.parent_of(tree, me) else {
+        let tree = dir.tree(st.tree);
+        let Some(parent) = tree.parent(me) else {
             return; // root has nobody to update
         };
-        let children = self.dir.children_of(tree, me);
-        let dir = &self.dir;
-        let np = st.np(me, &children, |c| dir.subtree_size(tree, c));
+        let np = st.np(me, tree.children(me), |c| tree.subtree_size(c));
         let msg = MoaraMsg::Status {
-            pred_key: pred_key.to_owned(),
+            pred_key: pred_key.clone(),
             pred: st.pred.clone(),
             prune: out.prune,
             update_set: out.update_set,
@@ -975,10 +963,9 @@ impl MoaraNode {
             .collect();
         for key in keys {
             let st = self.states.get_mut(&key).expect("state exists");
-            let tree = Self::tree_key_for(&st.pred);
-            let children = self.dir.children_of(tree, me);
+            let tree = self.dir.tree(st.tree);
             let sat = st.pred.eval(&self.store);
-            st.refresh(me, sat, &children);
+            st.refresh(me, sat, tree.children(me));
             self.sync_status(ctx, &key);
         }
         // Standing subscriptions react to the same change: the local
@@ -997,10 +984,10 @@ impl MoaraNode {
         let keys: Vec<PredKey> = self.states.keys().cloned().collect();
         for key in keys {
             let st = self.states.get_mut(&key).expect("state exists");
-            let tree = Self::tree_key_for(&st.pred);
-            let children = self.dir.children_of(tree, me);
+            let tree = self.dir.tree(st.tree);
+            let children = tree.children(me);
             st.retain_children(|c| children.contains(&c));
-            let new_parent = self.dir.parent_of(tree, me);
+            let new_parent = tree.parent(me);
             if st.parent != new_parent {
                 st.parent = new_parent;
                 // The new parent assumes the default about us; resend our
@@ -1008,7 +995,7 @@ impl MoaraNode {
                 st.sent = None;
             }
             let sat = st.pred.eval(&self.store);
-            st.refresh(me, sat, &children);
+            st.refresh(me, sat, children);
             self.sync_status(ctx, &key);
         }
         // Standing subscriptions repair along the reconciled trees.
@@ -1063,7 +1050,7 @@ impl MoaraNode {
             .collect();
         for key in keys {
             let sess = self.sessions.get_mut(&key).expect("session exists");
-            sess.pending.remove(&failed);
+            sess.pending.retain(|&p| p != failed);
             sess.complete = false;
             if sess.pending.is_empty() {
                 self.finalize_session(ctx, &key);
@@ -1126,29 +1113,28 @@ impl MoaraNode {
         }
 
         // Adaptation accounting + possible state transition (Section 4).
-        let targets: Vec<NodeId> = if pred_key == GLOBAL_PRED {
-            self.dir.children_of(tree, me)
-        } else {
-            if let Some(atom) = find_atom(&query, &pred_key) {
-                self.ensure_state(me, &atom);
+        let view = self.dir.tree(tree);
+        let children = view.children(me);
+        let mut pending = Vec::new();
+        let global = &*pred_key == GLOBAL_PRED;
+        if !global {
+            self.ensure_state_in(me, &pred_key, &query);
+        }
+        match self.states.get_mut(&pred_key).filter(|_| !global) {
+            Some(st) => {
+                // Account the query against the *current* updateSet
+                // first (a brand-new state counts it as qn), then
+                // refresh sets and satisfaction.
+                st.on_query(me, seq);
+                let sat = st.pred.eval(&self.store);
+                st.refresh(me, sat, children);
+                st.query_targets(me, children, &mut pending);
+                Self::send_status(ctx, &self.dir, &pred_key, st);
+                st.last_active = Some(ctx.now());
             }
-            match self.states.get_mut(&pred_key) {
-                Some(st) => {
-                    // Account the query against the *current* updateSet
-                    // first (a brand-new state counts it as qn), then
-                    // refresh sets and satisfaction.
-                    st.on_query(me, seq);
-                    let children = self.dir.children_of(tree, me);
-                    let sat = st.pred.eval(&self.store);
-                    st.refresh(me, sat, &children);
-                    st.query_targets(me, &children)
-                }
-                None => self.dir.children_of(tree, me),
-            }
-        };
-        if pred_key != GLOBAL_PRED {
-            self.sync_status(ctx, &pred_key);
-            self.touch(&pred_key, ctx.now());
+            None => pending.extend_from_slice(children),
+        }
+        if !global {
             self.maybe_gc(ctx.now());
         }
 
@@ -1172,29 +1158,16 @@ impl MoaraNode {
             0,
             0,
             0,
-            format!("targets={}", targets.len()),
+            format_args!("targets={}", pending.len()),
         );
-        let mut session = Session {
-            reply_to,
-            pending: targets.iter().copied().collect(),
-            acc,
-            kind: query.agg,
-            complete: true,
-            timer: None,
-            tree,
-            done: false,
-            trace: own,
-            started_at: ctx.now(),
-        };
-        if !targets.is_empty() {
+        let mut timer = None;
+        if !pending.is_empty() {
             if let Some(d) = self.cfg.child_timeout {
                 let tag = self.alloc_timer(TimerEvent::Session(qid, pred_key.clone()));
-                session.timer = Some((ctx.set_timer(d, tag), tag));
+                timer = Some((ctx.set_timer(d, tag), tag));
             }
         }
-        let empty = targets.is_empty();
-        self.sessions.insert(skey.clone(), session);
-        for t in targets {
+        for &t in &pending {
             ctx.send(
                 t,
                 MoaraMsg::QueryDown {
@@ -1208,6 +1181,21 @@ impl MoaraNode {
                 },
             );
         }
+        let empty = pending.is_empty();
+        self.sessions.insert(
+            skey.clone(),
+            Session {
+                reply_to,
+                pending,
+                acc,
+                kind: query.agg,
+                complete: true,
+                timer,
+                tree,
+                trace: own,
+                started_at: ctx.now(),
+            },
+        );
         if empty {
             self.finalize_session(ctx, &skey);
         }
@@ -1233,58 +1221,47 @@ impl MoaraNode {
         }
     }
 
+    /// Answers upstream with what the session gathered, and ends it.
     fn finalize_session(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, skey: &(QueryId, PredKey)) {
         let me = ctx.me();
-        let Some(sess) = self.sessions.get_mut(skey) else {
+        let Some(mut sess) = self.sessions.remove(skey) else {
             return;
         };
-        if sess.done {
-            return;
-        }
-        sess.done = true;
-        let stale = sess.timer.take();
-        let complete = sess.complete && sess.pending.is_empty();
-        let acc = std::mem::replace(&mut sess.acc, AggState::Null);
-        let reply_to = sess.reply_to;
-        let tree = sess.tree;
-        let strace = sess.trace;
-        let started_at = sess.started_at;
-        if let Some(t) = stale {
+        if let Some(t) = sess.timer.take() {
             self.drop_timer(ctx, t);
         }
+        let complete = sess.complete && sess.pending.is_empty();
         let np = match self.states.get(&skey.1) {
             Some(st) => {
-                let children = self.dir.children_of(tree, me);
-                let dir = &self.dir;
-                st.np(me, &children, |c| dir.subtree_size(tree, c))
+                let tree = self.dir.tree(sess.tree);
+                st.np(me, tree.children(me), |c| tree.subtree_size(c))
             }
             None => 0,
         };
         // The fold span's queue-wait is the time this hop sat waiting for
         // its children before it could merge and answer upstream.
         let t = self.trace_span(
-            strace,
+            sess.trace,
             me,
             ctx.now(),
             Phase::Fold,
-            reply_to.0,
-            ctx.now().duration_since(started_at).as_micros(),
+            sess.reply_to.0,
+            ctx.now().duration_since(sess.started_at).as_micros(),
             0,
             0,
-            format!("complete={complete}"),
+            format_args!("complete={complete}"),
         );
         ctx.send(
-            reply_to,
+            sess.reply_to,
             MoaraMsg::QueryReply {
                 qid: skey.0,
                 pred_key: skey.1.clone(),
-                state: acc,
+                state: sess.acc,
                 np,
                 complete,
                 trace: t,
             },
         );
-        self.sessions.remove(skey);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1300,24 +1277,24 @@ impl MoaraNode {
     ) {
         let skey = (qid, pred_key.clone());
         // A reply to our session (we forwarded the query to `from`)?
-        let is_session_reply = self
+        if let Some(sess) = self
             .sessions
-            .get(&skey)
-            .is_some_and(|s| s.pending.contains(&from));
-        if is_session_reply {
-            let sess = self.sessions.get_mut(&skey).expect("session exists");
-            sess.pending.remove(&from);
+            .get_mut(&skey)
+            .filter(|s| s.pending.contains(&from))
+        {
+            sess.pending.retain(|&p| p != from);
             sess.complete &= complete;
             let kind = sess.kind;
             let prev = std::mem::replace(&mut sess.acc, AggState::Null);
             sess.acc = kind.merge(prev, state);
+            let answered = sess.pending.is_empty();
             // Lazy np refresh for direct children (Section 6.3).
             if let Some(st) = self.states.get_mut(&pred_key) {
                 if let Some(info) = st.children.get_mut(&from) {
                     info.np = np;
                 }
             }
-            if self.sessions[&skey].pending.is_empty() {
+            if answered {
                 self.finalize_session(ctx, &skey);
             }
             return;
@@ -1338,7 +1315,7 @@ impl MoaraNode {
             // was observed since the query was accepted — the measurement
             // might predate the change the epoch bump evicted.
             let fresh = self.fronts[&front_id].epoch == self.sched.cache.epoch();
-            if fresh && pred_key != GLOBAL_PRED {
+            if fresh && &*pred_key != GLOBAL_PRED {
                 self.sched
                     .cache
                     .insert(pred_key.clone(), np.saturating_mul(2), ctx.now());
@@ -1371,7 +1348,7 @@ impl MoaraNode {
         // Status traffic is churn evidence for exactly this predicate's
         // tree: drop its cached probe cost, keep the rest.
         self.sched.cache.invalidate(&pred_key);
-        self.ensure_state(me, &pred);
+        self.ensure_state(me, &pred_key, &pred);
         let st = self.states.get_mut(&pred_key).expect("just ensured");
         st.note_child_status(
             from,
@@ -1382,12 +1359,11 @@ impl MoaraNode {
             },
         );
         st.account_seq(last_seq);
-        let tree = Self::tree_key_for(&st.pred);
-        let children = self.dir.children_of(tree, me);
+        let tree = self.dir.tree(st.tree);
         let sat = st.pred.eval(&self.store);
-        st.refresh(me, sat, &children);
-        self.sync_status(ctx, &pred_key);
-        self.touch(&pred_key, ctx.now());
+        st.refresh(me, sat, tree.children(me));
+        Self::send_status(ctx, &self.dir, &pred_key, st);
+        st.last_active = Some(ctx.now());
         self.maybe_gc(ctx.now());
         // Status traffic is the install-repair trigger for standing
         // subscriptions on this tree: a branch that just un-pruned
@@ -1528,22 +1504,8 @@ impl MoaraNode {
                 }
             }
         };
-        let roots: Vec<(PredKey, Id)> = match &cover {
-            Cover::Empty => Vec::new(),
-            Cover::All => {
-                let attr = query
-                    .attr
-                    .as_ref()
-                    .map(|a| a.as_str().to_owned())
-                    .unwrap_or_else(|| GLOBAL_PRED.to_owned());
-                vec![(GLOBAL_PRED.to_owned(), Id::of_attribute(&attr))]
-            }
-            Cover::Groups(groups) => groups
-                .iter()
-                .map(|g| (g.key(), Self::tree_key_for(g)))
-                .collect(),
-        };
-        let mut cover_keys: Vec<String> = roots.iter().map(|(k, _)| k.clone()).collect();
+        let roots = Self::cover_trees(&query, &cover);
+        let mut cover_keys: Vec<String> = roots.iter().map(|(k, _)| k.to_string()).collect();
         cover_keys.sort();
         let spec = SubSpec {
             id: sid,
@@ -1567,17 +1529,17 @@ impl MoaraNode {
         self.watch_of.insert(sid, wid);
         ctx.count("sub_subscribes");
 
-        let outbound: Vec<(Id, MoaraMsg)> = roots
+        let outbound: Vec<(Id, Box<MoaraMsg>)> = roots
             .iter()
             .map(|(k, tree)| {
                 (
                     *tree,
-                    MoaraMsg::Subscribe {
+                    Box::new(MoaraMsg::Subscribe {
                         spec: spec.clone(),
                         pred_key: k.clone(),
                         tree: *tree,
                         seq: 0,
-                    },
+                    }),
                 )
             })
             .collect();
@@ -1612,16 +1574,16 @@ impl MoaraNode {
         if let Some(t) = self.watch_init_timers.remove(&watch_id) {
             self.drop_timer(ctx, t);
         }
-        let outbound: Vec<(Id, MoaraMsg)> = watch
+        let outbound: Vec<(Id, Box<MoaraMsg>)> = watch
             .roots
             .iter()
             .map(|(k, tree)| {
                 (
                     *tree,
-                    MoaraMsg::SubCancel {
+                    Box::new(MoaraMsg::SubCancel {
                         sid: watch.spec.id,
                         pred_key: k.clone(),
-                    },
+                    }),
                 )
             })
             .collect();
@@ -1712,26 +1674,27 @@ impl MoaraNode {
     fn sub_targets(
         &mut self,
         ctx: &mut dyn NetCtx<MoaraMsg>,
-        atom: Option<SimplePredicate>,
-        pred_key: &str,
+        atom: Option<&SimplePredicate>,
+        pred_key: &PredKey,
         tree: Id,
         seq: Option<u64>,
     ) -> Vec<NodeId> {
         let me = ctx.me();
-        let children = self.dir.children_of(tree, me);
-        if pred_key == GLOBAL_PRED {
-            return children;
+        let view = self.dir.tree(tree);
+        let children = view.children(me);
+        if &**pred_key == GLOBAL_PRED {
+            return children.to_vec();
         }
-        if let Some(atom) = &atom {
-            self.ensure_state(me, atom);
+        if let Some(atom) = atom {
+            self.ensure_state(me, pred_key, atom);
         }
         if let (Some(seq), Some(st)) = (seq, self.states.get_mut(pred_key)) {
             st.on_query(me, seq);
             let sat = st.pred.eval(&self.store);
-            st.refresh(me, sat, &children);
+            st.refresh(me, sat, children);
             self.sync_status(ctx, pred_key);
         }
-        children
+        children.to_vec()
     }
 
     /// Delivers (or locally applies) the replacement delta of one entry,
@@ -1785,7 +1748,7 @@ impl MoaraNode {
                 0,
                 0,
                 0,
-                key.1.clone(),
+                format_args!("{}", key.1),
             );
             ctx.send(
                 to,
@@ -1842,7 +1805,7 @@ impl MoaraNode {
             0,
             0,
             0,
-            format!("deliver {pred_key}"),
+            format_args!("deliver {pred_key}"),
         );
         let Some(watch) = self.watches.get_mut(&wid) else {
             return;
@@ -2127,17 +2090,17 @@ impl MoaraNode {
             // A repaired root may restart its delta sequence.
             watch.reset_root_seq(k);
         }
-        let outbound: Vec<(Id, MoaraMsg)> = roots
+        let outbound: Vec<(Id, Box<MoaraMsg>)> = roots
             .iter()
             .map(|(k, tree)| {
                 (
                     *tree,
-                    MoaraMsg::Subscribe {
+                    Box::new(MoaraMsg::Subscribe {
                         spec: spec.clone(),
                         pred_key: k.clone(),
                         tree: *tree,
                         seq: 0,
-                    },
+                    }),
                 )
             })
             .collect();
@@ -2171,7 +2134,7 @@ impl MoaraNode {
         let keys: Vec<(SubId, PredKey)> = self
             .subs
             .keys()
-            .filter(|(_, k)| k == pred_key)
+            .filter(|(_, k)| &**k == pred_key)
             .cloned()
             .collect();
         for key in keys {
@@ -2189,9 +2152,9 @@ impl MoaraNode {
     fn repair_entry_targets(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, key: &(SubId, PredKey)) {
         let (atom, tree) = {
             let entry = self.subs.get(key).expect("exists");
-            (find_atom(&entry.spec.query, &key.1), entry.tree)
+            (find_atom(&entry.spec.query, &key.1).cloned(), entry.tree)
         };
-        let targets = self.sub_targets(ctx, atom, &key.1, tree, None);
+        let targets = self.sub_targets(ctx, atom.as_ref(), &key.1, tree, None);
         let tset: HashSet<NodeId> = targets.iter().copied().collect();
         let entry = self.subs.get_mut(key).expect("exists");
         let known: Vec<NodeId> = entry
@@ -2255,7 +2218,7 @@ impl MoaraNode {
                 let e = self.subs.get(&key).expect("exists");
                 (e.tree, e.spec.owner, e.push_to)
             };
-            let parent = self.dir.parent_of(tree, me);
+            let parent = self.dir.tree(tree).parent(me);
             match parent {
                 None => {
                     // We are (now) the root: deltas go to the subscriber.
@@ -2290,14 +2253,17 @@ impl MoaraNode {
 }
 
 /// Finds the simple predicate with key `pred_key` inside the query's
-/// composite predicate (sub-queries name their group by key).
-fn find_atom(query: &Query, pred_key: &str) -> Option<SimplePredicate> {
-    query
-        .predicate
-        .atoms()
-        .into_iter()
-        .find(|a| a.key() == pred_key)
-        .cloned()
+/// composite predicate (sub-queries name their group by key): the first
+/// in [`Predicate::atoms`] order, found without building any key.
+fn find_atom<'q>(query: &'q Query, pred_key: &str) -> Option<&'q SimplePredicate> {
+    fn walk<'p>(p: &'p Predicate, key: &str) -> Option<&'p SimplePredicate> {
+        match p {
+            Predicate::All => None,
+            Predicate::Atom(a) => a.has_key(key).then_some(a),
+            Predicate::And(ps) | Predicate::Or(ps) => ps.iter().find_map(|p| walk(p, key)),
+        }
+    }
+    walk(&query.predicate, pred_key)
 }
 
 impl NetProtocol for MoaraNode {
@@ -2305,7 +2271,7 @@ impl NetProtocol for MoaraNode {
 
     fn on_message(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, from: NodeId, msg: MoaraMsg) {
         match msg {
-            MoaraMsg::Route { key, inner } => self.route(ctx, key, *inner),
+            MoaraMsg::Route { key, inner } => self.route(ctx, key, inner),
             MoaraMsg::QueryDown {
                 qid,
                 seq,
@@ -2353,10 +2319,10 @@ impl NetProtocol for MoaraNode {
                 // Unpack: each item behaves as if it had arrived alone.
                 // Route items are collected and re-forwarded together so
                 // they re-coalesce for their next shared hop.
-                let mut routed: Vec<(Id, MoaraMsg)> = Vec::new();
+                let mut routed: Vec<(Id, Box<MoaraMsg>)> = Vec::new();
                 for item in items {
                     match item {
-                        MoaraMsg::Route { key, inner } => routed.push((key, *inner)),
+                        MoaraMsg::Route { key, inner } => routed.push((key, inner)),
                         other => self.on_message(ctx, from, other),
                     }
                 }
@@ -2411,9 +2377,7 @@ impl NetProtocol for MoaraNode {
                     .get(&front_id)
                     .is_some_and(|f| matches!(f.phase, FrontPhase::Probing));
                 if probing {
-                    // This timer just fired; forget the handle so the
-                    // dispatch path doesn't "cancel" it (the simulator's
-                    // cancelled set would keep the id forever).
+                    // This timer just fired: nothing is left to cancel.
                     self.fronts.get_mut(&front_id).expect("probing").timer = None;
                     // Withdraw this front's probe interests: keys whose
                     // probe now has no waiters are forgotten so the next
@@ -2472,18 +2436,18 @@ impl NetProtocol for MoaraNode {
                 if let Some(watch) = self.watches.get(&wid) {
                     let lease = watch.spec.lease;
                     let sid = watch.spec.id;
-                    let renews: Vec<(Id, MoaraMsg)> = watch
+                    let renews: Vec<(Id, Box<MoaraMsg>)> = watch
                         .roots
                         .iter()
                         .map(|(k, tree)| {
                             (
                                 *tree,
-                                MoaraMsg::SubRenew {
+                                Box::new(MoaraMsg::SubRenew {
                                     sid,
                                     pred_key: k.clone(),
                                     lease_us: lease.as_micros(),
                                     last_seen_seq: watch.last_seen.get(k).copied().unwrap_or(0),
-                                },
+                                }),
                             )
                         })
                         .collect();

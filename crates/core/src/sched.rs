@@ -123,7 +123,7 @@ impl ProbeCache {
     /// re-insert of the same key evict itself once the cache fills.
     pub fn invalidate(&mut self, key: &str) {
         if self.entries.remove(key).is_some() {
-            self.order.retain(|k| k != key);
+            self.order.retain(|k| &**k != key);
         }
     }
 
@@ -199,7 +199,7 @@ impl QuerySched {
 #[derive(Debug, Default)]
 pub struct BatchQueue {
     by_hop: BTreeMap<NodeId, Vec<MoaraMsg>>,
-    local: Vec<(Id, MoaraMsg)>,
+    local: Vec<(Id, Box<MoaraMsg>)>,
 }
 
 impl BatchQueue {
@@ -209,18 +209,15 @@ impl BatchQueue {
     }
 
     /// Queues `inner` for routing toward `key` via `next_hop`.
-    pub fn push_remote(&mut self, next_hop: NodeId, key: Id, inner: MoaraMsg) {
+    pub fn push_remote(&mut self, next_hop: NodeId, key: Id, inner: Box<MoaraMsg>) {
         self.by_hop
             .entry(next_hop)
             .or_default()
-            .push(MoaraMsg::Route {
-                key,
-                inner: Box::new(inner),
-            });
+            .push(MoaraMsg::Route { key, inner });
     }
 
     /// Queues `inner` for local handling (this node is `key`'s root).
-    pub fn push_local(&mut self, key: Id, inner: MoaraMsg) {
+    pub fn push_local(&mut self, key: Id, inner: Box<MoaraMsg>) {
         self.local.push((key, inner));
     }
 
@@ -229,7 +226,7 @@ impl BatchQueue {
     /// and returns the messages this node must handle itself as root.
     /// Iteration is in `NodeId` order, keeping simulator runs
     /// deterministic.
-    pub fn flush(self, ctx: &mut dyn NetCtx<MoaraMsg>) -> Vec<(Id, MoaraMsg)> {
+    pub fn flush(self, ctx: &mut dyn NetCtx<MoaraMsg>) -> Vec<(Id, Box<MoaraMsg>)> {
         for (next, mut msgs) in self.by_hop {
             if msgs.len() == 1 {
                 ctx.send(next, msgs.pop().expect("len checked"));

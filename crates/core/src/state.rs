@@ -23,10 +23,11 @@
 //! transition rules can be unit- and property-tested in isolation; the
 //! node layer (`node.rs`) turns [`StatusOut`] values into wire messages.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
+use moara_dht::Id;
 use moara_query::SimplePredicate;
-use moara_simnet::NodeId;
+use moara_simnet::{NodeId, SimTime};
 
 /// What a child last reported (via a `Status` message).
 #[derive(Clone, Debug, PartialEq)]
@@ -65,6 +66,8 @@ pub struct StatusOut {
 pub struct PredState {
     /// The predicate this tree serves.
     pub pred: SimplePredicate,
+    /// The tree's routing key: the hash of the predicate's attribute.
+    pub tree: Id,
     /// Procedure-2 state: true = UPDATE, false = NO-UPDATE.
     pub update: bool,
     /// Does the local node satisfy the predicate right now?
@@ -85,7 +88,14 @@ pub struct PredState {
     pub seq_counter: u64,
     /// Highest query sequence number this node has accounted.
     pub last_seen_seq: u64,
+    /// When a query or status for this tree last passed through here —
+    /// the clock of the garbage-collection policies (`None` = never;
+    /// such state is not collected).
+    pub last_active: Option<SimTime>,
     events: VecDeque<AdaptEvent>,
+    /// Scratch for [`PredState::refresh`]'s `qSet`, kept between calls
+    /// so an unchanged updateSet costs no allocation.
+    qset: Vec<NodeId>,
     k_update: usize,
     k_no_update: usize,
     threshold: usize,
@@ -104,6 +114,7 @@ impl PredState {
         forced_update: bool,
     ) -> PredState {
         PredState {
+            tree: Id::of_attribute(pred.attr.as_str()),
             pred,
             update: forced_update,
             local_sat: false,
@@ -114,7 +125,9 @@ impl PredState {
             parent: None,
             seq_counter: 0,
             last_seen_seq: 0,
+            last_active: None,
             events: VecDeque::new(),
+            qset: Vec::new(),
             k_update: k_update.max(1),
             k_no_update: k_no_update.max(1),
             threshold: threshold.max(1),
@@ -221,51 +234,58 @@ impl PredState {
     pub fn refresh(&mut self, me: NodeId, local_sat: bool, all_children: &[NodeId]) {
         self.local_sat = local_sat;
         let has_default_child = all_children.iter().any(|c| !self.children.contains_key(c));
-        let mut qset: BTreeSet<NodeId> = BTreeSet::new();
+        let qset = &mut self.qset;
+        qset.clear();
         if local_sat {
-            qset.insert(me);
+            qset.push(me);
         }
         for c in all_children {
             if let Some(info) = self.children.get(c) {
                 if !info.prune {
-                    qset.extend(info.update_set.iter().copied());
+                    qset.extend_from_slice(&info.update_set);
                 }
             }
         }
+        qset.sort_unstable();
+        qset.dedup();
         self.sat = !qset.is_empty() || has_default_child;
-        let new_set: Vec<NodeId> = if has_default_child {
-            // We must receive queries ourselves to serve default children.
-            vec![me]
-        } else if qset.len() < self.threshold {
-            qset.into_iter().collect()
+        // Bypassed: the parent forwards to the qSet itself. Otherwise we
+        // receive queries ourselves — always so with default children,
+        // which must keep receiving queries through us.
+        let bypassed = !has_default_child && qset.len() < self.threshold;
+        let unchanged = if bypassed {
+            *qset == self.cur_update_set
         } else {
-            vec![me]
+            self.cur_update_set == [me]
         };
-        if new_set != self.cur_update_set {
-            self.cur_update_set = new_set;
+        if !unchanged {
+            if bypassed {
+                std::mem::swap(&mut self.cur_update_set, qset);
+            } else {
+                self.cur_update_set.clear();
+                self.cur_update_set.push(me);
+            }
             self.push_event(AdaptEvent::Change);
             self.transition();
         }
     }
 
-    /// The nodes a query on this tree should be forwarded to from here:
-    /// default children directly, reporting NO-PRUNE children via their
+    /// The nodes a query on this tree should be forwarded to from here,
+    /// written to `out` (cleared first) in `NodeId` order: default
+    /// children directly, reporting NO-PRUNE children via their
     /// updateSets, PRUNE children not at all.
-    pub fn query_targets(&self, me: NodeId, all_children: &[NodeId]) -> Vec<NodeId> {
-        let mut targets: BTreeSet<NodeId> = BTreeSet::new();
+    pub fn query_targets(&self, me: NodeId, all_children: &[NodeId], out: &mut Vec<NodeId>) {
+        out.clear();
         for c in all_children {
             match self.children.get(c) {
-                None => {
-                    targets.insert(*c);
-                }
-                Some(info) if !info.prune => {
-                    targets.extend(info.update_set.iter().copied());
-                }
+                None => out.push(*c),
+                Some(info) if !info.prune => out.extend_from_slice(&info.update_set),
                 Some(_) => {}
             }
         }
-        targets.remove(&me);
-        targets.into_iter().collect()
+        out.sort_unstable();
+        out.dedup();
+        out.retain(|&t| t != me);
     }
 
     /// NO-PRUNE subtree count: how many nodes a query through this branch
@@ -305,33 +325,25 @@ impl PredState {
     /// different (`sent == None` means the parent's default, which already
     /// behaves like `(NO-PRUNE, [me])`).
     pub fn status_to_send(&mut self, me: NodeId) -> Option<StatusOut> {
-        let target: (bool, Vec<NodeId>) = if self.update {
+        let me = [me];
+        let (prune, set): (bool, &[NodeId]) = if self.update {
             let prune = self.prune();
-            (
-                prune,
-                if prune {
-                    Vec::new()
-                } else {
-                    self.cur_update_set.clone()
-                },
-            )
+            (prune, if prune { &[] } else { &self.cur_update_set })
         } else {
-            (false, vec![me])
+            (false, &me)
         };
-        let send = if self.update {
-            self.sent.as_ref() != Some(&target)
-        } else {
-            let believed = self.sent.clone().unwrap_or((false, vec![me]));
-            believed != target
+        let send = match &self.sent {
+            Some((p, s)) => (*p, s.as_slice()) != (prune, set),
+            // The parent's default is (NO-PRUNE, [me]): only UPDATE state
+            // must announce itself.
+            None => self.update,
         };
         if !send {
             return None;
         }
-        self.sent = Some(target.clone());
-        Some(StatusOut {
-            prune: target.0,
-            update_set: target.1,
-        })
+        let update_set = set.to_vec();
+        self.sent = Some((prune, update_set.clone()));
+        Some(StatusOut { prune, update_set })
     }
 
     fn push_event(&mut self, ev: AdaptEvent) {
@@ -520,7 +532,9 @@ mod tests {
         let (c1, c2, c3) = (NodeId(1), NodeId(2), NodeId(3));
         let mut s = fresh(1);
         // No child state: all children are default targets.
-        assert_eq!(s.query_targets(me(), &[c1, c2, c3]), vec![c1, c2, c3]);
+        let mut targets = vec![NodeId(42)];
+        s.query_targets(me(), &[c1, c2, c3], &mut targets);
+        assert_eq!(targets, vec![c1, c2, c3], "the buffer is cleared first");
         s.note_child_status(
             c1,
             ChildInfo {
@@ -538,7 +552,8 @@ mod tests {
             },
         );
         s.refresh(me(), false, &[c1, c2, c3]);
-        assert_eq!(s.query_targets(me(), &[c1, c2, c3]), vec![c3, NodeId(9)]);
+        s.query_targets(me(), &[c1, c2, c3], &mut targets);
+        assert_eq!(targets, vec![c3, NodeId(9)]);
         // sat: c3 is default → true even though local unsat and c1 pruned.
         assert!(s.sat);
         // updateSet forced to [me] because of default child c3.

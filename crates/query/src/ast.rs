@@ -117,7 +117,29 @@ impl SimplePredicate {
     /// A canonical string key identifying this predicate — the protocol
     /// layer keys its per-predicate tree state by this.
     pub fn key(&self) -> String {
-        format!("{}{}{}", self.attr, self.op, self.value)
+        let mut key = String::new();
+        self.write_key(&mut key).expect("writing to a String");
+        key
+    }
+
+    /// Whether [`SimplePredicate::key`] equals `key`, decided without
+    /// building the key string.
+    pub fn has_key(&self, key: &str) -> bool {
+        /// Consumes the expected key as the pieces are written; errs at
+        /// the first mismatch.
+        struct Expect<'a>(&'a str);
+        impl fmt::Write for Expect<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+                Ok(())
+            }
+        }
+        let mut rest = Expect(key);
+        self.write_key(&mut rest).is_ok() && rest.0.is_empty()
+    }
+
+    fn write_key(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(out, "{}{}{}", self.attr, self.op, self.value)
     }
 }
 
@@ -458,6 +480,25 @@ mod tests {
         assert_eq!(p.key(), "CPU-Util<50");
         let q = SimplePredicate::new("ServiceX", CmpOp::Eq, true);
         assert_eq!(q.key(), "ServiceX=true");
+    }
+
+    #[test]
+    fn has_key_agrees_with_key() {
+        let preds = [
+            SimplePredicate::new("CPU-Util", CmpOp::Lt, 50i64),
+            SimplePredicate::new("ServiceX", CmpOp::Eq, true),
+            SimplePredicate::new("OS", CmpOp::Ne, "Linux"),
+            SimplePredicate::new("Load", CmpOp::Ge, 0.5f64),
+        ];
+        for p in &preds {
+            for q in &preds {
+                assert_eq!(p.has_key(&q.key()), p.key() == q.key(), "{p} vs {q}");
+            }
+            let key = p.key();
+            assert!(!p.has_key(&key[..key.len() - 1]), "a prefix is not the key");
+            assert!(!p.has_key(&format!("{key}0")), "nor is an extension");
+            assert!(!p.has_key(""));
+        }
     }
 
     #[test]

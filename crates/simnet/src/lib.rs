@@ -49,11 +49,13 @@
 //! ```
 
 pub mod latency;
+pub mod minted;
 mod sim;
 mod stats;
 mod time;
 
 pub use latency::LatencyModel;
+pub use minted::{MintedMap, MintedSet};
 pub use sim::{Context, FaultPlan, Message, NodeId, Protocol, Simulator, TimerId, TimerTag};
 pub use stats::Stats;
 pub use time::{SimDuration, SimTime};

@@ -79,20 +79,37 @@ impl Message for String {
 pub type TimerTag = u64;
 
 /// Handle to a pending timer, usable with [`Context::cancel_timer`].
+///
+/// The simulator mints it from the timer's queue slot and that slot's
+/// generation (high 32 bits), so a handle outliving its timer matches
+/// nothing once the slot is reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(u64);
 
 impl TimerId {
-    /// Builds a timer id from a raw sequence number. Exposed so alternate
+    /// Builds a timer id from a raw number. Exposed so alternate
     /// transports (see `moara-transport`) can mint ids from their own
-    /// timer wheels; within one transport ids are unique.
+    /// timer wheels; within one transport, pending timers have distinct
+    /// ids.
     pub fn from_raw(raw: u64) -> TimerId {
         TimerId(raw)
     }
 
-    /// The raw sequence number behind this id.
+    /// The raw number behind this id.
     pub fn raw(self) -> u64 {
         self.0
+    }
+
+    fn from_slot(slot: u32, gen: u32) -> TimerId {
+        TimerId(u64::from(gen) << 32 | u64::from(slot))
+    }
+
+    fn slot(self) -> u32 {
+        self.0 as u32
+    }
+
+    fn gen(self) -> u32 {
+        (self.0 >> 32) as u32
     }
 }
 
@@ -115,34 +132,53 @@ pub trait Protocol {
     fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, tag: TimerTag);
 }
 
-enum EventKind<M> {
-    Deliver { from: NodeId, msg: M },
-    Timer { id: TimerId, tag: TimerTag },
+/// What a queue slot holds.
+enum Payload<M> {
+    /// On the free list.
+    Free,
+    Deliver {
+        from: NodeId,
+        msg: M,
+    },
+    Timer(TimerTag),
+    /// A timer cancelled while pending: its key is dropped, without
+    /// moving the clock, when it comes up.
+    Cancelled,
 }
 
-struct Event<M> {
+struct Slot<M> {
+    /// Bumped each time the slot is freed, so a [`TimerId`] minted for an
+    /// earlier occupant matches nothing.
+    gen: u32,
+    payload: Payload<M>,
+}
+
+/// A queued event as the heap sees it: its order and where its payload
+/// lives. Payloads stay put in the slab; only these keys are sifted.
+#[derive(Clone, Copy)]
+struct Key {
     time: SimTime,
     seq: u64,
     node: NodeId,
-    kind: EventKind<M>,
+    slot: u32,
     /// Maintenance timers (lease clocks, renewal ticks, periodic
     /// emissions) do not count toward quiescence: `run_to_quiescence`
     /// neither waits for nor fires them — they fire during `run_for`.
     maintenance: bool,
 }
 
-impl<M> PartialEq for Event<M> {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
+impl Eq for Key {}
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for Event<M> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
@@ -236,10 +272,12 @@ impl FaultPlan {
 /// a node and the [`Context`] can be borrowed simultaneously.
 struct Core<M> {
     now: SimTime,
-    queue: BinaryHeap<Reverse<Event<M>>>,
+    queue: BinaryHeap<Reverse<Key>>,
+    /// Payloads of queued events, indexed by [`Key::slot`]; freed slots
+    /// are reused, so the slab never outgrows the peak of queued events.
+    slots: Vec<Slot<M>>,
+    free: Vec<u32>,
     seq: u64,
-    next_timer: u64,
-    cancelled: HashSet<u64>,
     rng: StdRng,
     latency: Box<dyn LatencyModel>,
     alive: Vec<bool>,
@@ -253,28 +291,56 @@ struct Core<M> {
 }
 
 impl<M: Message> Core<M> {
-    fn push(&mut self, time: SimTime, node: NodeId, kind: EventKind<M>, maintenance: bool) {
+    /// Queues `payload` for `node` at `time`; returns its slot and the
+    /// slot's generation.
+    fn push(
+        &mut self,
+        time: SimTime,
+        node: NodeId,
+        payload: Payload<M>,
+        maintenance: bool,
+    ) -> (u32, u32) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize].payload = payload;
+                slot
+            }
+            None => {
+                self.slots.push(Slot { gen: 0, payload });
+                (self.slots.len() - 1) as u32
+            }
+        };
         let seq = self.seq;
         self.seq += 1;
         if !maintenance {
             self.fg_events += 1;
         }
-        self.queue.push(Reverse(Event {
+        self.queue.push(Reverse(Key {
             time,
             seq,
             node,
-            kind,
+            slot,
             maintenance,
         }));
+        (slot, self.slots[slot as usize].gen)
     }
 
-    /// Pops the next event, keeping the foreground counter in sync.
-    fn pop(&mut self) -> Option<Event<M>> {
-        let Reverse(ev) = self.queue.pop()?;
-        if !ev.maintenance {
+    /// Pops the next key, keeping the foreground counter in sync. Its
+    /// slot stays occupied until [`Core::take`].
+    fn pop(&mut self) -> Option<Key> {
+        let Reverse(key) = self.queue.pop()?;
+        if !key.maintenance {
             self.fg_events -= 1;
         }
-        Some(ev)
+        Some(key)
+    }
+
+    /// Moves a popped event's payload out and frees its slot.
+    fn take(&mut self, slot: u32) -> Payload<M> {
+        let s = &mut self.slots[slot as usize];
+        s.gen = s.gen.wrapping_add(1);
+        self.free.push(slot);
+        std::mem::replace(&mut s.payload, Payload::Free)
     }
 }
 
@@ -334,7 +400,7 @@ impl<M: Message> Context<'_, M> {
         let from = self.me;
         self.core.stats.record_recv(to, bytes);
         self.core
-            .push(at, to, EventKind::Deliver { from, msg }, false);
+            .push(at, to, Payload::Deliver { from, msg }, false);
     }
 
     /// Arms a one-shot timer that fires on this node after `delay`.
@@ -354,18 +420,22 @@ impl<M: Message> Context<'_, M> {
     }
 
     fn arm_timer(&mut self, delay: SimDuration, tag: TimerTag, maintenance: bool) -> TimerId {
-        let id = TimerId(self.core.next_timer);
-        self.core.next_timer += 1;
         let at = self.core.now + delay;
-        let me = self.me;
-        self.core
-            .push(at, me, EventKind::Timer { id, tag }, maintenance);
-        id
+        let (slot, gen) = self
+            .core
+            .push(at, self.me, Payload::Timer(tag), maintenance);
+        TimerId::from_slot(slot, gen)
     }
 
-    /// Cancels a pending timer. Cancelling an already-fired timer is a no-op.
+    /// Cancels a pending timer. Cancelling an already-fired (or already
+    /// cancelled) timer is a no-op: its slot has moved to a new
+    /// generation, so the id matches nothing.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.core.cancelled.insert(id.0);
+        if let Some(s) = self.core.slots.get_mut(id.slot() as usize) {
+            if s.gen == id.gen() && matches!(s.payload, Payload::Timer(_)) {
+                s.payload = Payload::Cancelled;
+            }
+        }
     }
 
     /// Increments a named experiment counter (see [`Stats::counter`]).
@@ -380,7 +450,7 @@ impl<M: Message> Context<'_, M> {
 /// same protocol type (heterogeneous roles are expressed as states of that
 /// type, exactly as a single deployed binary would).
 pub struct Simulator<P: Protocol> {
-    nodes: Vec<Option<P>>,
+    nodes: Vec<P>,
     core: Core<P::Msg>,
 }
 
@@ -392,9 +462,9 @@ impl<P: Protocol> Simulator<P> {
             core: Core {
                 now: SimTime::ZERO,
                 queue: BinaryHeap::new(),
+                slots: Vec::new(),
+                free: Vec::new(),
                 seq: 0,
-                next_timer: 0,
-                cancelled: HashSet::new(),
                 rng: StdRng::seed_from_u64(seed),
                 latency: Box::new(latency),
                 alive: Vec::new(),
@@ -419,7 +489,7 @@ impl<P: Protocol> Simulator<P> {
     /// Adds a node and invokes its [`Protocol::on_start`]. Returns its id.
     pub fn add_node(&mut self, node: P) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Some(node));
+        self.nodes.push(node);
         self.core.alive.push(true);
         self.core.stats.ensure_node(id);
         self.with_node(id, |n, ctx| n.on_start(ctx));
@@ -438,17 +508,13 @@ impl<P: Protocol> Simulator<P> {
 
     /// Immutable access to a node's state (for assertions/inspection).
     pub fn node(&self, id: NodeId) -> &P {
-        self.nodes[id.index()]
-            .as_ref()
-            .expect("node is mid-dispatch")
+        &self.nodes[id.index()]
     }
 
     /// Mutable access to a node's state *without* a context. Prefer
     /// [`Simulator::with_node`] when the mutation needs to send messages.
     pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        self.nodes[id.index()]
-            .as_mut()
-            .expect("node is mid-dispatch")
+        &mut self.nodes[id.index()]
     }
 
     /// Runs `f` against node `id` with a live [`Context`], so the closure
@@ -459,14 +525,11 @@ impl<P: Protocol> Simulator<P> {
         id: NodeId,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>) -> R,
     ) -> R {
-        let mut node = self.nodes[id.index()].take().expect("re-entrant with_node");
         let mut ctx = Context {
             core: &mut self.core,
             me: id,
         };
-        let r = f(&mut node, &mut ctx);
-        self.nodes[id.index()] = Some(node);
-        r
+        f(&mut self.nodes[id.index()], &mut ctx)
     }
 
     /// The current virtual time.
@@ -508,24 +571,25 @@ impl<P: Protocol> Simulator<P> {
         std::mem::take(&mut self.core.undeliverable)
     }
 
-    fn dispatch(&mut self, ev: Event<P::Msg>) {
-        let id = ev.node;
+    /// Frees the key's slot, then runs its payload on the node in place.
+    /// Freeing first lets the handler's own sends reuse the slot.
+    fn dispatch(&mut self, key: Key) {
+        let payload = self.core.take(key.slot);
+        let id = key.node;
         if !self.core.alive[id.index()] {
-            if let EventKind::Deliver { .. } = ev.kind {
+            if let Payload::Deliver { .. } = payload {
                 self.core.stats.record_drop();
             }
             return;
         }
-        match ev.kind {
-            EventKind::Deliver { from, msg } => {
+        match payload {
+            Payload::Deliver { from, msg } => {
                 self.with_node(id, |n, ctx| n.on_message(ctx, from, msg));
             }
-            EventKind::Timer { id: tid, tag } => {
-                // Cancelled timers never reach here: both run loops purge
-                // them (without advancing the clock) before dispatching.
-                debug_assert!(!self.core.cancelled.contains(&tid.0), "unpurged timer");
-                self.with_node(id, |n, ctx| n.on_timer(ctx, tag));
-            }
+            Payload::Timer(tag) => self.with_node(id, |n, ctx| n.on_timer(ctx, tag)),
+            // Both run loops purge cancelled timers (without advancing
+            // the clock) before dispatching, and free slots are not keyed.
+            Payload::Cancelled | Payload::Free => unreachable!("unpurged slot"),
         }
     }
 
@@ -546,42 +610,45 @@ impl<P: Protocol> Simulator<P> {
         self.core.now
     }
 
-    /// True when `ev` is a cancelled timer, consuming its cancellation
-    /// mark. Cancelled timers are purged *without advancing the clock*:
+    /// True when `key` is a cancelled timer, whose slot it then frees.
+    /// Cancelled timers are purged *without advancing the clock*:
     /// letting them drag `now` forward used to make every synchronous
     /// query inflate virtual time by its (cancelled) front-end deadline,
     /// expiring every TTL in the system between consecutive queries.
-    fn purge_if_cancelled(&mut self, ev: &Event<P::Msg>) -> bool {
-        match ev.kind {
-            EventKind::Timer { id: tid, .. } => self.core.cancelled.remove(&tid.0),
-            EventKind::Deliver { .. } => false,
+    fn purge_if_cancelled(&mut self, key: &Key) -> bool {
+        let cancelled = matches!(
+            self.core.slots[key.slot as usize].payload,
+            Payload::Cancelled
+        );
+        if cancelled {
+            self.core.take(key.slot);
         }
+        cancelled
     }
 
     /// Processes at most `budget` foreground events; returns true if the
     /// foreground drained. Maintenance timers encountered on the way are
-    /// set aside (unfired, clock untouched) and re-queued at the end.
+    /// set aside (unfired, clock untouched) and re-queued at the end with
+    /// their original `(time, seq)`.
     pub fn run_events(&mut self, budget: u64) -> bool {
-        let mut stash: Vec<Event<P::Msg>> = Vec::new();
+        let mut stash: Vec<Key> = Vec::new();
         for _ in 0..budget {
             if self.core.fg_events == 0 {
                 break;
             }
-            let Some(ev) = self.core.pop() else { break };
-            if self.purge_if_cancelled(&ev) {
+            let Some(key) = self.core.pop() else { break };
+            if self.purge_if_cancelled(&key) {
                 continue;
             }
-            if ev.maintenance {
-                stash.push(ev);
+            if key.maintenance {
+                stash.push(key);
                 continue;
             }
-            debug_assert!(ev.time >= self.core.now, "time went backwards");
-            self.core.now = ev.time;
-            self.dispatch(ev);
+            debug_assert!(key.time >= self.core.now, "time went backwards");
+            self.core.now = key.time;
+            self.dispatch(key);
         }
-        for ev in stash {
-            self.core.queue.push(Reverse(ev));
-        }
+        self.core.queue.extend(stash.into_iter().map(Reverse));
         self.core.fg_events == 0
     }
 
@@ -590,20 +657,20 @@ impl<P: Protocol> Simulator<P> {
     pub fn run_until(&mut self, until: SimTime) {
         loop {
             let due = matches!(self.core.queue.peek(),
-                Some(Reverse(ev)) if ev.time <= until);
+                Some(Reverse(key)) if key.time <= until);
             if !due {
                 break;
             }
-            let ev = self.core.pop().expect("peeked");
-            if self.purge_if_cancelled(&ev) {
+            let key = self.core.pop().expect("peeked");
+            if self.purge_if_cancelled(&key) {
                 continue;
             }
             // A maintenance timer skipped by a quiescence drain can be
             // overdue; it fires late without moving the clock backwards.
-            if ev.time > self.core.now {
-                self.core.now = ev.time;
+            if key.time > self.core.now {
+                self.core.now = key.time;
             }
-            self.dispatch(ev);
+            self.dispatch(key);
         }
         if self.core.now < until {
             self.core.now = until;
@@ -677,6 +744,122 @@ mod tests {
         s.with_node(a, |_n, ctx| ctx.cancel_timer(cancelled));
         s.run_to_quiescence();
         assert_eq!(s.node(a).timer_fired, 2);
+    }
+
+    /// Slots holding a cancelled timer: the simulator's whole
+    /// cancellation state.
+    fn cancellation_state<P: Protocol>(s: &Simulator<P>) -> usize {
+        s.core
+            .slots
+            .iter()
+            .filter(|slot| matches!(slot.payload, Payload::Cancelled))
+            .count()
+    }
+
+    #[test]
+    fn cancelling_a_fired_timer_is_a_true_no_op() {
+        let mut s = sim();
+        let a = s.add_node(Echo::default());
+        let fired = s.with_node(a, |_n, ctx| ctx.set_timer(SimDuration::from_millis(5), 1));
+        s.run_to_quiescence();
+        assert_eq!(s.node(a).timer_fired, 1);
+        s.with_node(a, |_n, ctx| ctx.cancel_timer(fired));
+        assert_eq!(cancellation_state(&s), 0, "a late cancel leaves nothing");
+        // The next timer takes the fired one's slot; the stale handle must
+        // not reach it.
+        let later = s.with_node(a, |_n, ctx| {
+            let t = ctx.set_timer(SimDuration::from_millis(5), 2);
+            ctx.cancel_timer(fired);
+            t
+        });
+        assert_eq!(later.slot(), fired.slot());
+        s.run_to_quiescence();
+        assert_eq!(s.node(a).timer_fired, 2);
+        assert_eq!(cancellation_state(&s), 0);
+        assert_eq!(s.core.free.len(), s.core.slots.len());
+    }
+
+    #[test]
+    fn same_time_deliveries_dispatch_in_send_order() {
+        let mut s = sim();
+        let a = s.add_node(Echo::default());
+        let b = s.add_node(Echo::default());
+        let c = s.add_node(Echo::default());
+        // Constant latency: all five arrive at 10 ms. Zero payloads are
+        // not echoed, so the order seen is the order sent.
+        s.with_node(a, |_n, ctx| {
+            ctx.send(c, 0);
+            ctx.send(c, 0);
+        });
+        s.with_node(b, |_n, ctx| ctx.send(c, 0));
+        s.with_node(a, |_n, ctx| ctx.send(c, 0));
+        s.with_node(b, |_n, ctx| ctx.send(c, 0));
+        s.run_to_quiescence();
+        let from: Vec<NodeId> = s.node(c).got.iter().map(|&(f, _)| f).collect();
+        assert_eq!(from, vec![a, a, b, a, b]);
+    }
+
+    #[test]
+    fn set_aside_maintenance_timers_keep_their_time_and_seq() {
+        let mut s = sim();
+        let a = s.add_node(Echo::default());
+        let b = s.add_node(Echo::default());
+        s.with_node(a, |_n, ctx| {
+            ctx.set_maintenance_timer(SimDuration::from_millis(5), 1);
+            ctx.set_maintenance_timer(SimDuration::from_millis(5), 2);
+            ctx.send(b, 3); // foreground until 40 ms
+            ctx.set_maintenance_timer(SimDuration::from_millis(15), 3);
+        });
+        let keys = |s: &Simulator<Echo>| {
+            let mut k: Vec<(SimTime, u64)> = s
+                .core
+                .queue
+                .iter()
+                .map(|Reverse(k)| (k.time, k.seq))
+                .collect();
+            k.sort();
+            k
+        };
+        // Everything but the delivery (seq 2) must come back unchanged.
+        let before: Vec<(SimTime, u64)> = keys(&s).into_iter().filter(|&(_, q)| q != 2).collect();
+        s.run_to_quiescence();
+        assert_eq!(s.now(), SimDuration::from_millis(40).as_time());
+        assert_eq!(s.node(a).timer_fired, 0);
+        assert_eq!(keys(&s), before);
+    }
+
+    #[test]
+    fn slab_never_outgrows_the_peak_of_pending_events() {
+        /// Ping-pong that, like a session, arms a deadline per message and
+        /// cancels the previous one: tombstones pile up in the queue.
+        #[derive(Default)]
+        struct Pinger {
+            deadline: Option<TimerId>,
+        }
+        impl Protocol for Pinger {
+            type Msg = u32;
+            fn on_message(&mut self, ctx: &mut Context<'_, u32>, from: NodeId, msg: u32) {
+                if let Some(t) = self.deadline.take() {
+                    ctx.cancel_timer(t);
+                }
+                self.deadline = Some(ctx.set_timer(SimDuration::from_secs(1), 0));
+                ctx.send(from, msg.wrapping_add(1));
+            }
+            fn on_timer(&mut self, _ctx: &mut Context<'_, u32>, _tag: TimerTag) {}
+        }
+        let mut s: Simulator<Pinger> = Simulator::new(Constant::from_millis(10), 4);
+        let a = s.add_node(Pinger::default());
+        let b = s.add_node(Pinger::default());
+        s.with_node(a, |_n, ctx| ctx.send(b, 0));
+        let mut peak = s.pending_events();
+        let mut events = 0u32;
+        while events < 100_000 {
+            s.run_events(1);
+            events += 1;
+            peak = peak.max(s.pending_events());
+            assert!(s.core.slots.len() <= peak, "after {events} events");
+        }
+        assert!(peak > 2, "the deadlines are queued as tombstones");
     }
 
     #[test]

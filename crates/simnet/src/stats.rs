@@ -6,6 +6,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use crate::minted::MintedMap;
 use crate::sim::NodeId;
 
 /// How many distinct query tags [`Stats`] keeps per-query counts for.
@@ -22,7 +23,7 @@ pub struct Stats {
     recv_bytes: Vec<u64>,
     dropped: u64,
     counters: HashMap<&'static str, u64>,
-    per_query: HashMap<u64, u64>,
+    per_query: MintedMap<u64, u64>,
     query_order: VecDeque<u64>,
 }
 

@@ -36,6 +36,7 @@
 //! tree. See `docs/continuous-queries.md` for the protocol walk-through.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use moara_aggregation::{AggResult, AggState, DeltaFold, LOCAL_SOURCE};
 use moara_dht::Id;
@@ -210,7 +211,7 @@ pub struct SubEntry {
     /// The install payload (kept whole for idempotent re-installs).
     pub spec: SubSpec,
     /// Which tree of the pinned cover this entry serves.
-    pub pred_key: String,
+    pub pred_key: Arc<str>,
     /// The tree's routing key.
     pub tree: Id,
     /// Where deltas go: the node that (last) installed us — tree parent
@@ -239,7 +240,7 @@ pub struct SubEntry {
 
 impl SubEntry {
     /// Fresh state for an install arriving at a node.
-    pub fn new(spec: SubSpec, pred_key: String, tree: Id, push_to: NodeId, now: SimTime) -> Self {
+    pub fn new(spec: SubSpec, pred_key: Arc<str>, tree: Id, push_to: NodeId, now: SimTime) -> Self {
         let fold = DeltaFold::new(spec.query.agg);
         let deadline = now + spec.lease;
         SubEntry {
@@ -325,13 +326,13 @@ pub struct WatchState {
     /// The install payload this watch sent out.
     pub spec: SubSpec,
     /// Pinned cover: one (predicate key, tree routing key) per tree.
-    pub roots: Vec<(String, Id)>,
+    pub roots: Vec<(Arc<str>, Id)>,
     /// Latest partial aggregate per root (keyed by root index).
     pub fold: DeltaFold,
     /// Roots that have not reported their initial aggregate yet.
-    pub pending_initial: BTreeSet<String>,
+    pub pending_initial: BTreeSet<Arc<str>>,
     /// Highest delta sequence seen per root tree.
-    pub last_seen: BTreeMap<String, u64>,
+    pub last_seen: BTreeMap<Arc<str>, u64>,
     /// Result of the last emitted update.
     pub last_result: Option<AggResult>,
     /// For [`DeliveryPolicy::Threshold`]: which side of the boundary the
@@ -345,7 +346,7 @@ pub struct WatchState {
 
 impl WatchState {
     /// A fresh watch over the pinned `roots`.
-    pub fn new(spec: SubSpec, roots: Vec<(String, Id)>) -> WatchState {
+    pub fn new(spec: SubSpec, roots: Vec<(Arc<str>, Id)>) -> WatchState {
         let fold = DeltaFold::new(spec.query.agg);
         let pending_initial = roots.iter().map(|(k, _)| k.clone()).collect();
         WatchState {
@@ -362,11 +363,8 @@ impl WatchState {
     }
 
     /// Index of a pinned root by predicate key.
-    fn root_index(&self, pred_key: &str) -> Option<u64> {
-        self.roots
-            .iter()
-            .position(|(k, _)| k == pred_key)
-            .map(|i| i as u64)
+    fn root_index(&self, pred_key: &str) -> Option<usize> {
+        self.roots.iter().position(|(k, _)| &**k == pred_key)
     }
 
     /// Whether every pinned root has reported.
@@ -378,13 +376,13 @@ impl WatchState {
     /// frame dropped, `Some(changed)` otherwise.
     pub fn note_root(&mut self, pred_key: &str, seq: u64, state: AggState) -> Option<bool> {
         let idx = self.root_index(pred_key)?;
-        let last = self.last_seen.entry(pred_key.to_owned()).or_insert(0);
-        if seq <= *last && self.fold.contains(idx) {
+        let last = self.last_seen.entry(self.roots[idx].0.clone()).or_insert(0);
+        if seq <= *last && self.fold.contains(idx as u64) {
             return None;
         }
         *last = seq;
         self.pending_initial.remove(pred_key);
-        Some(self.fold.set(idx, state))
+        Some(self.fold.set(idx as u64, state))
     }
 
     /// Resets one root's delta stream (the front-end re-installed it, so

@@ -193,6 +193,24 @@ impl Wire for String {
     }
 }
 
+/// Shared text (the engine's predicate keys): the same bytes as `String`.
+impl Wire for std::sync::Arc<str> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_len_prefix(self.len(), out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let n = decode_len_prefix(buf)?;
+        let raw = take(buf, n)?;
+        std::str::from_utf8(raw)
+            .map(Into::into)
+            .map_err(|_| WireError::Invalid("utf-8"))
+    }
+    fn encoded_len(&self) -> usize {
+        4 + self.len()
+    }
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_len_prefix(self.len(), out);
@@ -441,6 +459,11 @@ mod tests {
         roundtrip(f64::NEG_INFINITY);
         roundtrip(String::from("hello wörld"));
         roundtrip(String::new());
+        roundtrip(std::sync::Arc::<str>::from("hello wörld"));
+        assert_eq!(
+            std::sync::Arc::<str>::from("k=1").to_bytes(),
+            String::from("k=1").to_bytes()
+        );
         roundtrip(vec![1u64, 2, 3]);
         roundtrip(Vec::<u64>::new());
         roundtrip(Some(7u32));

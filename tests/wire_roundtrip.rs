@@ -160,7 +160,7 @@ fn batch_roundtrips() {
         key: Id::of_attribute(key),
         inner: Box::new(MoaraMsg::SizeProbe {
             qid: qid(4, 2),
-            pred_key: format!("{key}=true"),
+            pred_key: format!("{key}=true").into(),
             reply_to: NodeId(4),
             trace: None,
         }),
