@@ -66,9 +66,7 @@ use moara_gateway::{CacheConfig, GatewayHandle, GatewayOpts, GwJob, QueryCache};
 use moara_membership::{SwimConfig, SwimDetector, SwimEvent, SwimMsg};
 use moara_query::parse_query;
 use moara_simnet::{Message, NodeId, SimDuration, SimTime, TimerId, TimerTag};
-use moara_trace::{
-    format_trace_id, BucketExemplars, Histogram, Phase, SpanRecord, SpanStore, TRACE_NS_SWIM,
-};
+use moara_trace::{format_trace_id, Histogram, Phase, SpanRecord, SpanStore, TRACE_NS_SWIM};
 use moara_transport::{NetCtx, NetProtocol, TcpConfig, TcpTransport, Transport};
 use moara_wire::{Wire, WireError};
 
@@ -670,11 +668,12 @@ pub struct Daemon {
     health_stale_after: Duration,
     /// The alert engine (built-ins merged with `--alert-rules`).
     alert_engine: AlertEngine,
-    /// Most recent sampled trace id per gateway-latency bucket. This is
-    /// the daemon-side approximation of gateway request latency (query
-    /// submit → outcome; HTTP parse/write excluded), which is where
-    /// trace ids are known — the reactor shards never see them.
-    gw_latency_exemplars: BucketExemplars,
+    /// Most recent sampled trace id per gateway-latency bucket (only
+    /// the exemplars are read). This is the daemon-side approximation of
+    /// gateway request latency (query submit → outcome; HTTP parse/write
+    /// excluded), which is where trace ids are known — the reactor
+    /// shards never see them.
+    gw_latency_exemplars: Histogram,
     /// The flight recorder: metrics history rings + event journal +
     /// crash-dump writer. `Arc` so the panic hook and the gateway's
     /// worker threads could share it.
@@ -955,7 +954,7 @@ impl Daemon {
                 opts.swim.period.as_micros(),
             )),
             alert_engine: AlertEngine::new(alert_rules),
-            gw_latency_exemplars: BucketExemplars::new(&moara_gateway::LATENCY_BOUNDS_US),
+            gw_latency_exemplars: Histogram::new(&moara_gateway::REQUEST_LATENCY_BOUNDS_US),
             recorder,
             last_sub_expired: 0,
             last_gw_errors: 0,
@@ -1611,7 +1610,7 @@ impl Daemon {
                 }
             }
         }
-        for (bound, id) in self.gw_latency_exemplars.entries() {
+        for (bound, id) in self.gw_latency_exemplars.exemplars() {
             out.push((
                 format!("gateway/le/{}", bound_str(bound)),
                 format_trace_id(id),

@@ -20,7 +20,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
 use moara_gateway::{GatewayStats, MetricsRegistry};
-use moara_trace::Histogram;
+use moara_trace::Snapshot;
 use moara_transport::Transport;
 use moara_wire::Wire;
 
@@ -132,24 +132,31 @@ fn requests_by_endpoint(d: &Daemon, m: &Metric, reg: &mut MetricsRegistry) {
     }
 }
 
+/// Every histogram reaches `/metrics` through here. Its `_count` is the
+/// snapshot's `+Inf` cumulative, so the two always agree.
+fn histogram(m: &Metric, reg: &mut MetricsRegistry, labels: &[(&str, &str)], s: &Snapshot) {
+    let (bounds, count) = (s.bounds, s.count());
+    reg.histogram_with(m.name, m.help, labels, bounds, &s.cumulative, s.sum, count);
+}
+
 fn request_latency(d: &Daemon, m: &Metric, reg: &mut MetricsRegistry) {
     let Some(s) = gw(d) else { return };
     for (endpoint, hist) in s.latency.families() {
-        let (cumulative, sum, count) = hist.snapshot();
-        let bounds = &moara_gateway::LATENCY_BOUNDS_US;
-        let labels = [("endpoint", endpoint)];
-        reg.histogram_with(m.name, m.help, &labels, bounds, &cumulative, sum, count);
+        // The gateway compiles its own copy of the histogram type.
+        let s = hist.snapshot();
+        let (bounds, cumulative, sum) = (s.bounds, s.cumulative, s.sum);
+        let s = Snapshot {
+            bounds,
+            cumulative,
+            sum,
+        };
+        histogram(m, reg, &[("endpoint", endpoint)], &s);
     }
-}
-
-fn histogram(m: &Metric, reg: &mut MetricsRegistry, labels: &[(&str, &str)], h: &Histogram) {
-    let (cumulative, sum, count) = (h.cumulative(), h.sum(), h.count());
-    reg.histogram_with(m.name, m.help, labels, h.bounds(), &cumulative, sum, count);
 }
 
 fn phase_latency(d: &Daemon, m: &Metric, reg: &mut MetricsRegistry) {
     for (phase, hist) in d.tracer.iter().flat_map(|t| t.phase_histograms()) {
-        histogram(m, reg, &[("phase", phase.as_str())], &hist);
+        histogram(m, reg, &[("phase", phase.as_str())], &hist.snapshot());
     }
 }
 
@@ -250,11 +257,11 @@ pub(crate) static CATALOGUE: &[Metric] = &[
     row("moara_query_phase_latency_us", "Span service time in microseconds, by query phase.", Series(phase_latency)),
     // Event-loop profile: how long each tick works and how many control/gateway jobs it drains.
     // Tick time excludes the poll wait, so an idle daemon shows a flat, tiny distribution.
-    row("moara_event_loop_tick_us", "Per-tick event-loop work time in microseconds (poll wait excluded).", Series(|d, m, reg| histogram(m, reg, &[], &d.tick_hist))),
-    unscraped(|d| Some(d.tick_hist.count() as f64)).status("event_loop_ticks_total"),
-    unscraped(|d| Some(d.tick_hist.quantile(0.99) as f64)).sample("tick_p99_us"),
-    row("moara_event_loop_jobs_per_tick", "Control-plane plus gateway jobs drained per event-loop tick.", Series(|d, m, reg| histogram(m, reg, &[], &d.depth_hist))),
-    row("moara_subscribe_delta_lag_us", "Per-hop SubDelta residency (receive to fold-finished) in microseconds.", Series(|d, m, reg| histogram(m, reg, &[], &d.delta_lag_hist))),
+    row("moara_event_loop_tick_us", "Per-tick event-loop work time in microseconds (poll wait excluded).", Series(|d, m, reg| histogram(m, reg, &[], &d.tick_hist.snapshot()))),
+    unscraped(|d| Some(d.tick_hist.snapshot().count() as f64)).status("event_loop_ticks_total"),
+    unscraped(|d| Some(d.tick_hist.snapshot().quantile(0.99) as f64)).sample("tick_p99_us"),
+    row("moara_event_loop_jobs_per_tick", "Control-plane plus gateway jobs drained per event-loop tick.", Series(|d, m, reg| histogram(m, reg, &[], &d.depth_hist.snapshot()))),
+    row("moara_subscribe_delta_lag_us", "Per-hop SubDelta residency (receive to fold-finished) in microseconds.", Series(|d, m, reg| histogram(m, reg, &[], &d.delta_lag_hist.snapshot()))),
     row("moara_slow_queries_total", "Queries that exceeded the --slow-query-ms threshold.", Counter(|d| Some(d.slow_queries_total as f64))).status("slow_queries_total").sample("slow_queries"),
     row("moara_event_loop_stalled_ticks_total", "Event-loop ticks whose work time crossed --stall-threshold-ms.", Counter(|d| Some(d.stalled_ticks as f64))).sample("stalled_ticks"),
     // Flight recorder: journal volume (the history rings are served through /v1/history, not scraped).
@@ -366,6 +373,7 @@ mod tests {
 
     use super::*;
     use crate::DaemonOpts;
+    use moara_trace::{Histogram, SpanRecord, NO_PEER};
 
     /// A one-member daemon with every optional subsystem (gateway, result
     /// cache, tracer) on, or every one off.
@@ -380,10 +388,52 @@ mod tests {
         CATALOGUE.iter().map(|m| m.name).filter(|n| !n.is_empty())
     }
 
+    /// `<series> le <bound>…` for every histogram series of a scrape, in
+    /// scrape order.
+    fn le_lists(scrape: &str) -> Vec<String> {
+        let mut out: Vec<(String, Vec<&str>)> = Vec::new();
+        for line in scrape.lines() {
+            let Some((family, labels)) = line.split_once("_bucket{") else {
+                continue;
+            };
+            let (labels, le) = labels.rsplit_once("le=\"").expect("a bucket has an le");
+            let le = le.split('"').next().unwrap_or_default();
+            let series = match labels.strip_suffix(',') {
+                Some(labels) => format!("{family}{{{labels}}}"),
+                None => family.to_owned(),
+            };
+            match out.last_mut() {
+                Some((s, les)) if *s == series => les.push(le),
+                _ => out.push((series, vec![le])),
+            }
+        }
+        out.into_iter()
+            .map(|(s, les)| format!("{s} le {}", les.join(" ")))
+            .collect()
+    }
+
+    /// `exemplar <key shape> b <bound>…` per exemplar family, in order.
+    fn exemplar_shapes(entries: &[(String, String)]) -> Vec<String> {
+        let mut out: Vec<(&str, Vec<&str>)> = Vec::new();
+        for (key, _) in entries {
+            let (prefix, le) = key.rsplit_once("/le/").expect("a key names its bucket");
+            match out.last_mut() {
+                Some((p, les)) if *p == prefix => les.push(le),
+                _ => out.push((prefix, vec![le])),
+            }
+        }
+        out.into_iter()
+            .map(|(p, les)| format!("exemplar {p}/le/<b> b {}", les.join(" ")))
+            .collect()
+    }
+
     /// Nothing public moved when the views became loops over the table:
     /// the golden file is the `# HELP` / `# TYPE` lines in scrape order,
     /// the `status --json` keys and the `/v1/history` keys of the commit
-    /// before, whose views were written out by hand.
+    /// before, whose views were written out by hand. Nor when the
+    /// histograms became one type: the second golden file is every
+    /// histogram series' `le` list and every exemplar key shape (each
+    /// bucket of each family traced once) of the commit before that.
     #[test]
     fn views_publish_the_surface_the_hand_written_ones_had() {
         let mut d = daemon(true);
@@ -395,9 +445,42 @@ mod tests {
         surface.extend(status.iter().map(|k| format!("status {k}")));
         let history: BTreeSet<&str> = d.health_sample().iter().map(|&(k, _)| k).collect();
         surface.extend(history.iter().map(|k| format!("history {k}")));
-        d.shutdown();
         let golden = include_str!("../tests/golden/metrics_surface.txt");
         assert_eq!(surface, golden.lines().collect::<Vec<_>>());
+
+        let mut histograms = le_lists(&scrape);
+        let every_bucket = |h: &Histogram| {
+            let bounds = h.bounds().iter().copied();
+            bounds
+                .chain([h.bounds()[h.bounds().len() - 1] + 1])
+                .collect::<Vec<_>>()
+        };
+        let tracer = d.tracer.clone().expect("tracing is on");
+        for (phase, hist) in tracer.phase_histograms() {
+            for v in every_bucket(hist) {
+                let span = SpanRecord {
+                    trace_id: 1,
+                    span_id: 1,
+                    parent_span_id: 0,
+                    node: 0,
+                    phase,
+                    peer: NO_PEER,
+                    start_us: 0,
+                    queue_us: 0,
+                    service_us: v,
+                    bytes: 0,
+                    detail: String::new(),
+                };
+                tracer.record(span);
+            }
+        }
+        for v in every_bucket(&d.gw_latency_exemplars) {
+            d.gw_latency_exemplars.observe_traced(v, 1);
+        }
+        histograms.extend(exemplar_shapes(&d.exemplar_entries()));
+        d.shutdown();
+        let golden = include_str!("../tests/golden/histogram_surface.txt");
+        assert_eq!(histograms, golden.lines().collect::<Vec<_>>());
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //!   at construction; the sample path writes into preallocated slots
 //!   and never allocates. Served at `GET /v1/history` and federated
 //!   cluster-wide at `GET /v1/cluster/history`.
-//! * [`EventJournal`] — a lock-sharded bounded ring of structured
-//!   events (SWIM transitions, subscription churn, cache
-//!   promote/demote, alert edges, slow queries, reactor errors) behind
-//!   the daemon's `record_event()`. Served at `GET /v1/events` and
-//!   `moara-cli events`.
+//! * [`EventJournal`] — one bounded [`Ring`] of structured events (SWIM
+//!   transitions, subscription churn, cache promote/demote, alert
+//!   edges, slow queries, reactor errors), evicted strictly oldest-first,
+//!   behind the daemon's `record_event()`. Served at `GET /v1/events`
+//!   and `moara-cli events`.
 //! * Crash forensics — [`Recorder::render_dump`] serializes the last
 //!   history window + journal tail + peer digests + trace exemplars as
 //!   flat JSONL. The daemon writes it as a continuously-refreshed
@@ -27,12 +27,12 @@
 //! with [`JsonLine`], read back with its inverse,
 //! [`moara_gateway::json::parse_flat_json`].
 
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use moara_gateway::json::JsonLine;
+use moara_trace::Ring;
 use moara_wire::{Wire, WireError};
 
 /// Tier-1 ring: 1-second resolution, two minutes deep — enough to see
@@ -46,10 +46,8 @@ pub const TIER2_RES_S: u64 = 10;
 /// Default `--history-retention` in seconds (1 h of tier-2 slots).
 pub const DEFAULT_RETENTION_S: u32 = 3600;
 
-/// Journal capacity across all shards.
+/// Journal capacity.
 const JOURNAL_CAP: usize = 4096;
-/// Lock shards in the journal (recording threads contend per shard).
-const JOURNAL_SHARDS: usize = 4;
 /// Most journal events rendered into one crash dump.
 const DUMP_EVENTS: usize = 256;
 
@@ -278,55 +276,26 @@ pub mod kind {
     pub const PANIC: &str = "panic";
 }
 
-struct Shard {
-    events: Mutex<VecDeque<EventWire>>,
-}
-
-/// Lock-sharded bounded event ring. Any thread may record (the panic
-/// hook does); the per-shard mutexes are held only for a push/pop.
+/// The event journal: a [`Ring`] of events and the counter that numbers
+/// them. The loop thread records everything but the panic hook's events.
 pub struct EventJournal {
-    shards: Vec<Shard>,
+    events: Ring<EventWire>,
     seq: AtomicU64,
-    recorded: AtomicU64,
-    dropped: AtomicU64,
-    per_shard_cap: usize,
-}
-
-impl Default for EventJournal {
-    fn default() -> Self {
-        EventJournal::new(JOURNAL_CAP)
-    }
 }
 
 impl EventJournal {
-    /// A journal holding at most `cap` events across its shards.
+    /// A journal holding at most `cap` events.
     pub fn new(cap: usize) -> EventJournal {
         EventJournal {
-            shards: (0..JOURNAL_SHARDS)
-                .map(|_| Shard {
-                    events: Mutex::new(VecDeque::new()),
-                })
-                .collect(),
+            events: Ring::new(cap),
             seq: AtomicU64::new(0),
-            recorded: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            per_shard_cap: cap.div_ceil(JOURNAL_SHARDS).max(1),
         }
     }
 
-    /// Records one event; evicts the shard's oldest when full.
+    /// Records one event; evicts the oldest when full.
     pub fn record(&self, ts_ms: u64, node: u32, kind: &str, detail: String) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[(seq % JOURNAL_SHARDS as u64) as usize];
-        let Ok(mut events) = shard.events.lock() else {
-            return; // poisoned by a panicking recorder: drop, don't double-panic
-        };
-        if events.len() >= self.per_shard_cap {
-            events.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        events.push_back(EventWire {
+        self.events.push(EventWire {
             seq,
             ts_ms,
             node,
@@ -337,33 +306,22 @@ impl EventJournal {
 
     /// Events recorded since boot (evicted ones included).
     pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.seq.load(Ordering::Relaxed)
     }
 
     /// Events evicted from the ring.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.events.dropped()
     }
 
     /// The newest `limit` events (optionally of one `kind`), in record
-    /// order — shards are merged by sequence number.
+    /// order.
     pub fn snapshot(&self, kind_filter: Option<&str>, limit: usize) -> Vec<EventWire> {
-        let mut all: Vec<EventWire> = Vec::new();
-        for shard in &self.shards {
-            if let Ok(events) = shard.events.lock() {
-                all.extend(
-                    events
-                        .iter()
-                        .filter(|e| kind_filter.is_none_or(|k| e.kind == k))
-                        .cloned(),
-                );
-            }
-        }
-        all.sort_by_key(|e| e.seq);
-        if all.len() > limit {
-            all.drain(..all.len() - limit);
-        }
-        all
+        let mut events = self
+            .events
+            .filtered(|e| kind_filter.is_none_or(|k| e.kind == k));
+        events.drain(..events.len().saturating_sub(limit));
+        events
     }
 }
 
@@ -382,7 +340,7 @@ pub struct Recorder {
     /// The metrics rings (locked: sampled by the loop, read by HTTP
     /// serving and the panic hook).
     pub history: Mutex<MetricsHistory>,
-    /// The event journal (internally sharded; no outer lock).
+    /// The event journal (locked inside; no outer lock).
     pub journal: EventJournal,
     /// Pre-rendered cluster-context dump lines (peer digests, firing
     /// alerts, trace exemplars), refreshed by the loop each sample so
@@ -398,7 +356,7 @@ impl Recorder {
         let keys = crate::metrics::sample_keys().collect();
         Recorder {
             history: Mutex::new(MetricsHistory::new(keys, retention_s)),
-            journal: EventJournal::default(),
+            journal: EventJournal::new(JOURNAL_CAP),
             context: Mutex::new(String::new()),
             dump_dir,
             node: AtomicU64::new(0),
@@ -654,10 +612,11 @@ mod tests {
             j.record(i, 1, kind, format!("i={i}"));
         }
         assert_eq!(j.recorded(), 20);
-        assert!(j.dropped() > 0);
+        assert_eq!(j.dropped(), 12);
         let all = j.snapshot(None, 100);
-        assert!(all.len() <= 8 + JOURNAL_SHARDS);
-        assert!(all.windows(2).all(|w| w[0].seq < w[1].seq), "merged order");
+        // Exactly the newest eight, oldest first.
+        let seqs: Vec<u64> = all.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (12..20).collect::<Vec<_>>());
         let slow = j.snapshot(Some(kind::SLOW_QUERY), 100);
         assert!(slow.iter().all(|e| e.kind == kind::SLOW_QUERY));
         assert!(!slow.is_empty());

@@ -749,7 +749,7 @@ impl Daemon {
             // reactor shards never learn trace ids, so this daemon-side
             // view is the linkable one).
             if let (Some(tid), Some(ReplyTo::Http(..))) = (walk.trace_id, walk.waiters.first()) {
-                self.gw_latency_exemplars.observe(dur_us, tid);
+                self.gw_latency_exemplars.observe_traced(dur_us, tid);
             }
             let result = outcome.result.to_string();
             for to in walk.waiters {

@@ -45,6 +45,10 @@ pub mod cache;
 #[allow(dead_code)]
 #[path = "../../transport/src/epoll.rs"]
 mod epoll;
+// The one histogram type, compiled from `moara-trace`'s source for the
+// same reason.
+#[path = "../../trace/src/histogram.rs"]
+mod histogram;
 pub mod http;
 pub mod json;
 pub mod metrics;
@@ -53,11 +57,12 @@ pub mod reactor;
 pub mod server;
 
 pub use cache::{normalize, CacheConfig, QueryCache};
+pub use histogram::{Histogram, Snapshot};
 pub use http::{HttpRequest, HttpResponse};
 pub use metrics::{federate_expositions, lint_exposition, MetricsRegistry};
 pub use middleware::TokenBuckets;
 pub use server::{
-    access_log_line, spawn_gateway_opts, AccessLogSink, AtomicHistogram, EndpointLatency,
-    GatewayHandle, GatewayOpts, GatewayStats, GwJob, GwReply, GwRequest, JobSink, ReplySink,
-    SinkClosed, WatchPolicy, LATENCY_BOUNDS_US,
+    access_log_line, spawn_gateway_opts, AccessLogSink, EndpointLatency, GatewayHandle,
+    GatewayOpts, GatewayStats, GwJob, GwReply, GwRequest, JobSink, ReplySink, SinkClosed,
+    WatchPolicy, REQUEST_LATENCY_BOUNDS_US,
 };

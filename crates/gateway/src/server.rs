@@ -33,6 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::cache::QueryCache;
+use crate::histogram::Histogram;
 use crate::http::{HttpRequest, HttpResponse};
 use crate::json;
 use crate::reactor::{Mail, Mailbox};
@@ -274,107 +275,41 @@ pub type JobSink = Arc<dyn Fn(GwJob) -> Result<(), GwJob> + Send + Sync>;
 /// Bucket upper bounds (microseconds) for the gateway's request-latency
 /// histograms. Log-ish spacing from sub-millisecond one-shots out to the
 /// engine's front timeout; the final implicit bucket is `+Inf`.
-pub const LATENCY_BOUNDS_US: [u64; 12] = [
+pub const REQUEST_LATENCY_BOUNDS_US: [u64; 12] = [
     100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
 ];
 
-/// A lock-free fixed-bucket histogram over [`LATENCY_BOUNDS_US`].
-/// Shards `observe` concurrently; the daemon's scrape thread snapshots
-/// cumulative counts in the exact shape `MetricsRegistry::histogram_with`
-/// wants. Tearing between buckets/sum under concurrent observes is
-/// tolerated — Prometheus histograms are sampled, not transactional.
+/// The endpoint classes requests are timed under, in scrape order; the
+/// last one takes everything else (404s, OPTIONS, parse failures).
+pub const ENDPOINT_CLASSES: [&str; 7] = [
+    "query", "attrs", "watch", "metrics", "health", "traces", "other",
+];
+
+/// Request-latency histograms, one per endpoint class, indexed as
+/// [`ENDPOINT_CLASSES`]. Watch streams observe their whole stream
+/// lifetime (headers to hang-up), one-shots the read-to-written span.
 #[derive(Debug)]
-pub struct AtomicHistogram {
-    buckets: [AtomicU64; LATENCY_BOUNDS_US.len() + 1],
-    sum: AtomicU64,
-    count: AtomicU64,
-}
+pub struct EndpointLatency([Histogram; ENDPOINT_CLASSES.len()]);
 
-impl Default for AtomicHistogram {
+impl Default for EndpointLatency {
     fn default() -> Self {
-        AtomicHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
+        EndpointLatency(std::array::from_fn(|_| {
+            Histogram::new(&REQUEST_LATENCY_BOUNDS_US)
+        }))
     }
-}
-
-impl AtomicHistogram {
-    /// Records one observation in microseconds.
-    pub fn observe(&self, us: u64) {
-        let idx = LATENCY_BOUNDS_US
-            .iter()
-            .position(|&b| us <= b)
-            .unwrap_or(LATENCY_BOUNDS_US.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(us, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `(cumulative bucket counts incl. +Inf, sum_us, count)` — the
-    /// arguments `MetricsRegistry::histogram_with` takes verbatim.
-    pub fn snapshot(&self) -> (Vec<u64>, u64, u64) {
-        let mut cumulative = Vec::with_capacity(self.buckets.len());
-        let mut running = 0u64;
-        for b in &self.buckets {
-            running += b.load(Ordering::Relaxed);
-            cumulative.push(running);
-        }
-        (
-            cumulative,
-            self.sum.load(Ordering::Relaxed),
-            self.count.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// Request-latency histograms, one per endpoint class. Watch streams
-/// observe their whole stream lifetime (headers to hang-up), one-shots
-/// the read-to-written span.
-#[derive(Debug, Default)]
-pub struct EndpointLatency {
-    /// `/v1/query`.
-    pub query: AtomicHistogram,
-    /// `/v1/attrs`.
-    pub attrs: AtomicHistogram,
-    /// `/v1/watch` (stream lifetime).
-    pub watch: AtomicHistogram,
-    /// `/metrics`.
-    pub metrics: AtomicHistogram,
-    /// `/healthz`.
-    pub health: AtomicHistogram,
-    /// `/v1/traces` and `/v1/trace/{id}`.
-    pub traces: AtomicHistogram,
-    /// Everything else (404s, OPTIONS, parse failures).
-    pub other: AtomicHistogram,
 }
 
 impl EndpointLatency {
     /// The histogram for an endpoint class label.
-    pub fn of(&self, class: &str) -> &AtomicHistogram {
-        match class {
-            "query" => &self.query,
-            "attrs" => &self.attrs,
-            "watch" => &self.watch,
-            "metrics" => &self.metrics,
-            "health" => &self.health,
-            "traces" => &self.traces,
-            _ => &self.other,
-        }
+    pub fn of(&self, class: &str) -> &Histogram {
+        let other = ENDPOINT_CLASSES.len() - 1;
+        let idx = ENDPOINT_CLASSES.iter().position(|&c| c == class);
+        &self.0[idx.unwrap_or(other)]
     }
 
     /// All classes, label first — iteration order is the scrape order.
-    pub fn families(&self) -> [(&'static str, &AtomicHistogram); 7] {
-        [
-            ("query", &self.query),
-            ("attrs", &self.attrs),
-            ("watch", &self.watch),
-            ("metrics", &self.metrics),
-            ("health", &self.health),
-            ("traces", &self.traces),
-            ("other", &self.other),
-        ]
+    pub fn families(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
+        ENDPOINT_CLASSES.into_iter().zip(&self.0)
     }
 }
 
@@ -1564,7 +1499,7 @@ mod tests {
         );
         assert_eq!(gw.stats().traces.load(Ordering::Relaxed), 2);
         // Both requests landed in the traces latency histogram.
-        let (_, _, count) = gw.stats().latency.traces.snapshot();
+        let count = gw.stats().latency.of("traces").snapshot().count();
         assert_eq!(count, 2);
         // An empty id is a client error, not a daemon round-trip.
         let resp = roundtrip(
@@ -1666,9 +1601,9 @@ mod tests {
         // federated scrape as a scrape; all three land in histograms.
         assert_eq!(gw.stats().health_checks.load(Ordering::Relaxed), 2);
         assert_eq!(gw.stats().scrapes.load(Ordering::Relaxed), 1);
-        let (_, _, health_count) = gw.stats().latency.health.snapshot();
+        let health_count = gw.stats().latency.of("health").snapshot().count();
         assert_eq!(health_count, 2);
-        let (_, _, metrics_count) = gw.stats().latency.metrics.snapshot();
+        let metrics_count = gw.stats().latency.of("metrics").snapshot().count();
         assert_eq!(metrics_count, 1);
         // The test harness never decrements (that's the daemon's drain
         // loop), so the gauge equals the jobs handed over.
@@ -1705,9 +1640,9 @@ mod tests {
             "GET /v1/watch?q=SELECT%20count(*) HTTP/1.1\r\nConnection: close\r\n\r\n",
         );
         assert!(resp.starts_with("HTTP/1.1 503 "), "{resp}");
-        let (_, _, query_count) = gw.stats().latency.query.snapshot();
+        let query_count = gw.stats().latency.of("query").snapshot().count();
         assert_eq!(query_count, 1, "503 must land in the query histogram");
-        let (_, _, watch_count) = gw.stats().latency.watch.snapshot();
+        let watch_count = gw.stats().latency.of("watch").snapshot().count();
         assert_eq!(watch_count, 1, "503 must land in the watch histogram");
         // The failed hand-offs never queued anything...
         assert_eq!(gw.stats().queued_jobs.load(Ordering::Relaxed), 0);
@@ -1745,19 +1680,27 @@ mod tests {
 
     #[test]
     fn atomic_histogram_buckets_cumulate() {
-        let h = AtomicHistogram::default();
+        let latency = EndpointLatency::default();
+        let h = latency.of("query");
         h.observe(50); // <= 100
         h.observe(150); // <= 250
         h.observe(2_000_000); // +Inf
-        let (cumulative, sum, count) = h.snapshot();
-        assert_eq!(count, 3);
-        assert_eq!(sum, 50 + 150 + 2_000_000);
-        assert_eq!(cumulative.len(), LATENCY_BOUNDS_US.len() + 1);
+        let snap = h.snapshot();
+        assert_eq!(snap.count(), 3);
+        assert_eq!(snap.sum, 50 + 150 + 2_000_000);
+        assert_eq!(snap.bounds, &REQUEST_LATENCY_BOUNDS_US);
+        let cumulative = snap.cumulative;
+        assert_eq!(cumulative.len(), REQUEST_LATENCY_BOUNDS_US.len() + 1);
         assert_eq!(cumulative[0], 1);
         assert_eq!(cumulative[1], 2);
         assert_eq!(*cumulative.last().unwrap(), 3);
         // Monotone non-decreasing throughout.
         assert!(cumulative.windows(2).all(|w| w[0] <= w[1]));
+        // Classes index one array; anything unknown is "other".
+        let classes: Vec<_> = latency.families().map(|(c, _)| c).collect();
+        assert_eq!(classes, ENDPOINT_CLASSES);
+        latency.of("no-such-class").observe(1);
+        assert_eq!(latency.of("other").snapshot().count(), 1);
     }
 
     #[test]

@@ -12,14 +12,14 @@
 //!    with that id as the parent, and forwards a context naming its own
 //!    span — so the parent links reconstruct the aggregation tree
 //!    exactly as the query traversed it, across process boundaries.
-//! 2. **[`SpanStore`]** — a bounded, mutex-sharded ring buffer each
-//!    daemon keeps. Recording a span locks one shard for a push; the
-//!    store never allocates past its cap (oldest spans fall off).  A
+//! 2. **[`SpanStore`]** — a bounded [`Ring`] of spans each daemon
+//!    keeps. Recording a span locks the ring for one push; the store
+//!    never allocates past its cap (the oldest span falls off).  A
 //!    sampling divisor makes always-on tracing cheap: only every Nth
 //!    root decision carries the `SAMPLED` flag, and unsampled contexts
 //!    cost one branch per hop. The store also folds every recorded span
 //!    into per-phase [`Histogram`]s, which is where the `/metrics`
-//!    "query latency by phase" and "SubDelta lag" families come from.
+//!    "query latency by phase" family and its exemplars come from.
 //! 3. **Renderers** — [`render_waterfall`] turns a merged span set into
 //!    the text waterfall `moara-cli trace <id>` prints; span sets merge
 //!    across daemons by simple concatenation because span ids embed the
@@ -31,11 +31,15 @@
 //! recording node and a local counter, partitioned by the top two bits
 //! so the id spaces cannot collide.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use moara_wire::{Wire, WireError};
+
+mod histogram;
+mod ring;
+
+pub use histogram::{Histogram, Snapshot};
+pub use ring::Ring;
 
 /// `TraceCtx::flags` bit: spans along this trace are recorded.
 pub const FLAG_SAMPLED: u8 = 1;
@@ -332,41 +336,7 @@ pub const LATENCY_BOUNDS_US: [u64; 14] = [
 /// Default bucket upper bounds for queue-depth-style histograms.
 pub const DEPTH_BOUNDS: [u64; 8] = [0, 1, 2, 5, 10, 25, 50, 100];
 
-/// A fixed-bucket cumulative histogram over `u64` observations, shaped
-/// for Prometheus text exposition (`_bucket{le=…}` / `_sum` / `_count`).
-///
-/// Plain value, no interior mutability: single-threaded owners (the
-/// daemon event loop) hold it directly, concurrent owners wrap it in a
-/// mutex ([`SpanStore`] does).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    bounds: Vec<u64>,
-    counts: Vec<u64>, // one per bound, plus the +Inf overflow at the end
-    sum: u64,
-    count: u64,
-}
-
 impl Histogram {
-    /// A histogram over the given ascending bucket upper bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly ascending (a
-    /// construction-time bug, never data-dependent).
-    pub fn new(bounds: &[u64]) -> Histogram {
-        assert!(!bounds.is_empty(), "histogram needs at least one bucket");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must ascend"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0,
-            count: 0,
-        }
-    }
-
     /// The standard latency histogram ([`LATENCY_BOUNDS_US`]).
     pub fn latency_us() -> Histogram {
         Histogram::new(&LATENCY_BOUNDS_US)
@@ -376,171 +346,33 @@ impl Histogram {
     pub fn depth() -> Histogram {
         Histogram::new(&DEPTH_BOUNDS)
     }
-
-    /// Records one observation.
-    pub fn observe(&mut self, v: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.count += 1;
-    }
-
-    /// Bucket upper bounds (exclusive of the implicit +Inf bucket).
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
-    /// Cumulative counts per bucket, ending with the +Inf total (always
-    /// equal to [`Histogram::count`]).
-    pub fn cumulative(&self) -> Vec<u64> {
-        let mut acc = 0;
-        self.counts
-            .iter()
-            .map(|&c| {
-                acc += c;
-                acc
-            })
-            .collect()
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Upper-bound estimate of the `q`-quantile (`0.0..=1.0`): the
-    /// smallest bucket bound whose cumulative count covers `q` of all
-    /// observations. Observations past the last bound (the +Inf bucket)
-    /// report the last finite bound; an empty histogram reports 0.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut acc = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return self
-                    .bounds
-                    .get(i)
-                    .copied()
-                    .unwrap_or_else(|| *self.bounds.last().unwrap());
-            }
-        }
-        *self.bounds.last().unwrap()
-    }
-}
-
-/// Most-recent trace id per histogram bucket: links a latency bucket —
-/// typically a slow tail one — to a concrete trace whose waterfall
-/// explains it. Same bucketing rule as [`Histogram`]; id 0 means "no
-/// exemplar yet" (0 is never a real trace id: query tags and the
-/// namespaced counters all start above it).
-#[derive(Clone, Debug)]
-pub struct BucketExemplars {
-    bounds: Vec<u64>,
-    ids: Vec<u64>, // one per bound, plus the +Inf slot at the end
-}
-
-impl BucketExemplars {
-    /// Exemplar slots over the given ascending bucket upper bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly ascending (a
-    /// construction-time bug, never data-dependent).
-    pub fn new(bounds: &[u64]) -> BucketExemplars {
-        assert!(!bounds.is_empty(), "exemplars need at least one bucket");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "exemplar bounds must ascend"
-        );
-        BucketExemplars {
-            bounds: bounds.to_vec(),
-            ids: vec![0; bounds.len() + 1],
-        }
-    }
-
-    /// Records `trace_id` as the latest exemplar for `v`'s bucket
-    /// (untraced observations — id 0 — leave the slot untouched).
-    pub fn observe(&mut self, v: u64, trace_id: u64) {
-        if trace_id == 0 {
-            return;
-        }
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.ids[idx] = trace_id;
-    }
-
-    /// `(bucket upper bound, trace id)` for every bucket holding an
-    /// exemplar; the +Inf bucket reports `u64::MAX` as its bound.
-    pub fn entries(&self) -> Vec<(u64, u64)> {
-        self.ids
-            .iter()
-            .enumerate()
-            .filter(|(_, &id)| id != 0)
-            .map(|(i, &id)| (self.bounds.get(i).copied().unwrap_or(u64::MAX), id))
-            .collect()
-    }
 }
 
 // ----- the span store -----------------------------------------------------
 
-/// Shards in a [`SpanStore`]; spans shard by trace id, so fetching one
-/// trace locks exactly one shard.
-const SHARDS: usize = 16;
-
-/// A bounded, sharded ring buffer of spans plus per-phase latency
-/// histograms — one per daemon, shared (`Arc`) between the protocol
-/// engine, the daemon event loop, and the control plane.
+/// A bounded [`Ring`] of spans plus per-phase latency histograms — one
+/// per daemon, shared (`Arc`) between the protocol engine, the daemon
+/// event loop, and the control plane.
 #[derive(Debug)]
 pub struct SpanStore {
-    shards: Vec<Mutex<VecDeque<SpanRecord>>>,
-    shard_cap: usize,
+    spans: Ring<SpanRecord>,
     sample_every: u64,
     sample_ctr: AtomicU64,
     span_ctr: AtomicU64,
-    dropped: AtomicU64,
-    phase_hist: Vec<Mutex<Histogram>>,
-    phase_exemplars: Vec<Mutex<BucketExemplars>>,
+    phase_hist: [Histogram; Phase::ALL.len()],
 }
 
 impl SpanStore {
-    /// A store holding at most `capacity` spans overall, sampling one in
+    /// A store holding at most `capacity` spans, sampling one in
     /// `sample_every` trace roots (`0` disables tracing entirely, `1`
     /// samples everything).
     pub fn new(capacity: usize, sample_every: u64) -> SpanStore {
-        let shard_cap = capacity.div_ceil(SHARDS).max(1);
         SpanStore {
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(VecDeque::with_capacity(shard_cap.min(64))))
-                .collect(),
-            shard_cap,
+            spans: Ring::new(capacity),
             sample_every,
             sample_ctr: AtomicU64::new(0),
             span_ctr: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            phase_hist: Phase::ALL
-                .iter()
-                .map(|_| Mutex::new(Histogram::latency_us()))
-                .collect(),
-            phase_exemplars: Phase::ALL
-                .iter()
-                .map(|_| Mutex::new(BucketExemplars::new(&LATENCY_BOUNDS_US)))
-                .collect(),
+            phase_hist: std::array::from_fn(|_| Histogram::latency_us()),
         }
     }
 
@@ -573,33 +405,13 @@ impl SpanStore {
             return;
         }
         let total_us = rec.queue_us.saturating_add(rec.service_us);
-        if let Ok(mut h) = self.phase_hist[rec.phase as usize].lock() {
-            h.observe(total_us);
-        }
-        if let Ok(mut e) = self.phase_exemplars[rec.phase as usize].lock() {
-            e.observe(total_us, rec.trace_id);
-        }
-        let shard = &self.shards[(rec.trace_id as usize) % SHARDS];
-        if let Ok(mut q) = shard.lock() {
-            if q.len() >= self.shard_cap {
-                q.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            q.push_back(rec);
-        }
+        self.phase_hist[rec.phase as usize].observe_traced(total_us, rec.trace_id);
+        self.spans.push(rec);
     }
 
     /// All locally-recorded spans of one trace, in recording order.
     pub fn spans_for(&self, trace_id: u64) -> Vec<SpanRecord> {
-        let shard = &self.shards[(trace_id as usize) % SHARDS];
-        match shard.lock() {
-            Ok(q) => q
-                .iter()
-                .filter(|s| s.trace_id == trace_id)
-                .cloned()
-                .collect(),
-            Err(_) => Vec::new(),
-        }
+        self.spans.filtered(|s| s.trace_id == trace_id)
     }
 
     /// The most recent `limit` traces (by earliest local span start,
@@ -607,31 +419,28 @@ impl SpanStore {
     pub fn recent(&self, limit: usize) -> Vec<TraceSummary> {
         use std::collections::HashMap;
         let mut by_trace: HashMap<u64, TraceSummary> = HashMap::new();
-        for shard in &self.shards {
-            let Ok(q) = shard.lock() else { continue };
-            for s in q.iter() {
-                let end = s
-                    .start_us
-                    .saturating_add(s.queue_us)
-                    .saturating_add(s.service_us);
-                let e = by_trace.entry(s.trace_id).or_insert_with(|| TraceSummary {
-                    trace_id: s.trace_id,
-                    phase: s.phase,
-                    node: s.node,
-                    start_us: s.start_us,
-                    duration_us: 0,
-                    spans: 0,
-                });
-                if s.start_us < e.start_us || (s.start_us == e.start_us && s.parent_span_id == 0) {
-                    e.start_us = s.start_us;
-                    e.phase = s.phase;
-                    e.node = s.node;
-                }
-                let extent = end.saturating_sub(e.start_us);
-                e.duration_us = e.duration_us.max(extent);
-                e.spans += 1;
+        self.spans.for_each(|s| {
+            let end = s
+                .start_us
+                .saturating_add(s.queue_us)
+                .saturating_add(s.service_us);
+            let e = by_trace.entry(s.trace_id).or_insert_with(|| TraceSummary {
+                trace_id: s.trace_id,
+                phase: s.phase,
+                node: s.node,
+                start_us: s.start_us,
+                duration_us: 0,
+                spans: 0,
+            });
+            if s.start_us < e.start_us || (s.start_us == e.start_us && s.parent_span_id == 0) {
+                e.start_us = s.start_us;
+                e.phase = s.phase;
+                e.node = s.node;
             }
-        }
+            let extent = end.saturating_sub(e.start_us);
+            e.duration_us = e.duration_us.max(extent);
+            e.spans += 1;
+        });
         let mut out: Vec<TraceSummary> = by_trace.into_values().collect();
         out.sort_by(|a, b| {
             b.start_us
@@ -644,20 +453,17 @@ impl SpanStore {
 
     /// Spans currently held.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().map_or(0, |q| q.len()))
-            .sum()
+        self.spans.len()
     }
 
     /// True when no spans are held.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.spans.is_empty()
     }
 
     /// Spans evicted by the ring-buffer cap since construction.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.spans.dropped()
     }
 
     /// The most recent trace id per latency bucket, per phase: the
@@ -668,27 +474,15 @@ impl SpanStore {
         Phase::ALL
             .iter()
             .filter_map(|&p| {
-                let entries = self.phase_exemplars[p as usize]
-                    .lock()
-                    .map(|e| e.entries())
-                    .unwrap_or_default();
+                let entries = self.phase_hist[p as usize].exemplars();
                 (!entries.is_empty()).then_some((p, entries))
             })
             .collect()
     }
 
-    /// A snapshot of the per-phase latency histograms.
-    pub fn phase_histograms(&self) -> Vec<(Phase, Histogram)> {
-        Phase::ALL
-            .iter()
-            .map(|&p| {
-                let h = self.phase_hist[p as usize]
-                    .lock()
-                    .map(|g| g.clone())
-                    .unwrap_or_else(|_| Histogram::latency_us());
-                (p, h)
-            })
-            .collect()
+    /// The per-phase latency histograms, in [`Phase::ALL`] order.
+    pub fn phase_histograms(&self) -> impl Iterator<Item = (Phase, &Histogram)> {
+        Phase::ALL.into_iter().zip(&self.phase_hist)
     }
 }
 
@@ -871,18 +665,20 @@ mod tests {
 
     #[test]
     fn store_records_fetches_and_bounds() {
-        let store = SpanStore::new(SHARDS * 4, 1);
+        let store = SpanStore::new(64, 1);
         assert!(store.enabled());
-        for i in 0..(SHARDS as u64 * 10) {
-            // All into one shard (same trace id mod SHARDS).
+        for i in 0..160 {
             store.record(span(16, i + 1, 0, 0, Phase::FanOut, i));
         }
-        assert!(store.len() <= SHARDS * 4);
-        assert!(store.dropped() > 0);
+        store.record(span(17, 161, 0, 0, Phase::FanOut, 160));
+        assert_eq!(store.len(), 64);
+        assert_eq!(store.dropped(), 161 - 64);
+        // Exactly the newest survive, oldest first.
         let spans = store.spans_for(16);
-        assert!(!spans.is_empty());
-        assert!(spans.iter().all(|s| s.trace_id == 16));
-        assert!(store.spans_for(17).is_empty());
+        let ids: Vec<u64> = spans.iter().map(|s| s.span_id).collect();
+        assert_eq!(ids, (98..=160).collect::<Vec<_>>());
+        assert_eq!(store.spans_for(17).len(), 1);
+        assert!(store.spans_for(18).is_empty());
     }
 
     #[test]
@@ -936,33 +732,72 @@ mod tests {
         let store = SpanStore::new(64, 1);
         store.record(span(1, 1, 0, 0, Phase::Fold, 0));
         store.record(span(1, 2, 1, 0, Phase::Fold, 0));
-        let hists = store.phase_histograms();
-        let fold = &hists.iter().find(|(p, _)| *p == Phase::Fold).unwrap().1;
+        let of = |phase| {
+            let mut hists = store.phase_histograms();
+            hists.find(|&(p, _)| p == phase).unwrap().1.snapshot()
+        };
+        let fold = of(Phase::Fold);
         assert_eq!(fold.count(), 2);
-        assert_eq!(fold.sum(), 24); // 2 × (queue 5 + service 7)
-        let parse = &hists.iter().find(|(p, _)| *p == Phase::Parse).unwrap().1;
-        assert_eq!(parse.count(), 0);
+        assert_eq!(fold.sum, 24); // 2 × (queue 5 + service 7)
+        assert_eq!(of(Phase::Parse).count(), 0);
     }
 
     #[test]
     fn histogram_buckets_are_cumulative_with_inf() {
-        let mut h = Histogram::new(&[10, 100]);
+        let h = Histogram::new(&[10, 100]);
         h.observe(5);
         h.observe(50);
         h.observe(5_000);
-        assert_eq!(h.cumulative(), vec![1, 2, 3]);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.sum(), 5_055);
+        let snap = h.snapshot();
+        assert_eq!(snap.cumulative, vec![1, 2, 3]);
+        assert_eq!(snap.count(), 3);
+        assert_eq!(snap.sum, 5_055);
         // Boundary values land in their bucket (le = inclusive).
-        let mut h = Histogram::new(&[10]);
+        let h = Histogram::new(&[10]);
         h.observe(10);
-        assert_eq!(h.cumulative(), vec![1, 1]);
+        assert_eq!(h.snapshot().cumulative, vec![1, 1]);
+    }
+
+    /// Observers on two threads, snapshots on a third: a snapshot's
+    /// `+Inf` bucket is its count, so no scrape can publish the two
+    /// disagreeing, and nothing observed is lost.
+    #[test]
+    fn histogram_snapshots_never_tear_under_concurrent_observers() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        let h = Histogram::new(&LATENCY_BOUNDS_US);
+        let (stop, start) = (AtomicBool::new(false), Barrier::new(3));
+        let observed: u64 = std::thread::scope(|s| {
+            let observers: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let (h, stop, start) = (&h, &stop, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let mut n = 0u64;
+                        while !stop.load(Ordering::Relaxed) {
+                            h.observe((n * 7919 + t) % 2_000_000);
+                            n += 1;
+                        }
+                        n
+                    })
+                })
+                .collect();
+            start.wait();
+            for _ in 0..200_000 {
+                let snap = h.snapshot();
+                assert_eq!(*snap.cumulative.last().unwrap(), snap.count());
+                assert!(snap.cumulative.windows(2).all(|w| w[0] <= w[1]));
+            }
+            stop.store(true, Ordering::Relaxed);
+            observers.into_iter().map(|o| o.join().unwrap()).sum()
+        });
+        assert_eq!(h.snapshot().count(), observed);
     }
 
     #[test]
     fn histogram_quantile_reports_bucket_upper_bounds() {
-        let mut h = Histogram::new(&[10, 100, 1_000]);
-        assert_eq!(h.quantile(0.99), 0, "empty histogram");
+        let h = Histogram::new(&[10, 100, 1_000]);
+        assert_eq!(h.snapshot().quantile(0.99), 0, "empty histogram");
         for _ in 0..90 {
             h.observe(5);
         }
@@ -970,23 +805,70 @@ mod tests {
             h.observe(50);
         }
         h.observe(500);
-        assert_eq!(h.quantile(0.5), 10);
-        assert_eq!(h.quantile(0.95), 100);
-        assert_eq!(h.quantile(1.0), 1_000);
+        let snap = h.snapshot();
+        assert_eq!(snap.quantile(0.5), 10);
+        assert_eq!(snap.quantile(0.95), 100);
+        assert_eq!(snap.quantile(1.0), 1_000);
         // Overflow observations clamp to the last finite bound.
         h.observe(50_000);
-        assert_eq!(h.quantile(1.0), 1_000);
+        assert_eq!(h.snapshot().quantile(1.0), 1_000);
     }
 
     #[test]
     fn exemplars_keep_latest_trace_id_per_bucket() {
-        let mut e = BucketExemplars::new(&[10, 100]);
-        assert!(e.entries().is_empty());
-        e.observe(5, 111);
-        e.observe(7, 222); // same bucket: latest wins
-        e.observe(50, 0); // untraced: ignored
-        e.observe(5_000, 333); // +Inf bucket
-        assert_eq!(e.entries(), vec![(10, 222), (u64::MAX, 333)]);
+        let h = Histogram::new(&[10, 100]);
+        assert!(h.exemplars().is_empty());
+        h.observe_traced(5, 111);
+        h.observe_traced(7, 222); // same bucket: latest wins
+        h.observe_traced(50, 0); // untraced: counted, no exemplar
+        h.observe(60);
+        h.observe_traced(5_000, 333); // +Inf bucket
+        assert_eq!(h.exemplars(), vec![(10, 222), (u64::MAX, 333)]);
+        assert_eq!(h.snapshot().cumulative, vec![2, 4, 5]);
+    }
+
+    #[test]
+    fn ring_keeps_the_last_k_in_order_and_counts_the_rest() {
+        let ring = Ring::new(5);
+        for i in 0..23 {
+            ring.push(i);
+        }
+        assert_eq!(ring.len(), 5);
+        assert_eq!(ring.filtered(|_| true), vec![18, 19, 20, 21, 22]);
+        assert_eq!(ring.dropped(), 23 - 5);
+        let mut seen = Vec::new();
+        ring.for_each(|&i| seen.push(i));
+        assert_eq!(seen, vec![18, 19, 20, 21, 22]);
+        // Below capacity nothing is evicted.
+        let ring = Ring::new(5);
+        (0..3).for_each(|i| ring.push(i));
+        assert_eq!((ring.len(), ring.dropped()), (3, 0));
+    }
+
+    #[test]
+    fn racing_pushes_lose_nothing_but_evictions() {
+        use std::sync::Barrier;
+        let (ring, start) = (Ring::new(100), Barrier::new(2));
+        std::thread::scope(|s| {
+            let pushers: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let (ring, start) = (&ring, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        (0..50_000).for_each(|i| ring.push((t, i)));
+                    })
+                })
+                .collect();
+            pushers.into_iter().for_each(|p| p.join().unwrap());
+        });
+        assert_eq!(ring.len() as u64 + ring.dropped(), 100_000);
+        assert_eq!(ring.len(), 100);
+        // Each pusher's survivors are still in its own push order.
+        let kept = ring.filtered(|_| true);
+        for t in 0..2 {
+            let mine: Vec<u64> = kept.iter().filter(|e| e.0 == t).map(|e| e.1).collect();
+            assert!(mine.windows(2).all(|w| w[0] < w[1]), "{mine:?}");
+        }
     }
 
     #[test]
