@@ -1,6 +1,6 @@
 //! The per-node `(attribute, value)` tuple store.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::name::AttrName;
 use crate::value::Value;
@@ -11,9 +11,13 @@ use crate::value::Value;
 /// tuples (paper Section 3.1). A version counter advances on every visible
 /// change so the protocol layer can cheaply detect "local attribute churn"
 /// and re-evaluate predicate satisfaction.
+///
+/// A node holds a handful of attributes, so they sit in an ordered map: a
+/// lookup is a few string comparisons, not a hash of the name, and names
+/// chosen to collide cost nothing extra.
 #[derive(Clone, Debug, Default)]
 pub struct AttrStore {
-    map: HashMap<AttrName, Value>,
+    map: BTreeMap<AttrName, Value>,
     version: u64,
 }
 
@@ -69,7 +73,7 @@ impl AttrStore {
         self.version
     }
 
-    /// Iterates over all tuples in unspecified order.
+    /// Iterates over all tuples in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&AttrName, &Value)> {
         self.map.iter()
     }

@@ -19,7 +19,7 @@
 //! lives in the `moara-daemon` crate.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -54,34 +54,30 @@ pub struct OverlayTree {
 }
 
 impl OverlayTree {
+    /// Translates the DHT's positional tree into `NodeId` arrays through
+    /// the directory's position → node table: array indexing throughout.
     fn build(inner: &DirInner, key: Id) -> OverlayTree {
         let topo = TreeTopology::build(&inner.ring, key);
+        let nodes = &inner.ring_nodes;
         let n = inner.id_of.len();
         let mut parent = vec![NO_NODE; n];
-        let mut first = Vec::with_capacity(n + 1);
-        let mut children = Vec::with_capacity(n);
-        let mut by_depth = Vec::with_capacity(topo.len());
-        for (i, &id) in inner.id_of.iter().enumerate() {
-            first.push(children.len() as u32);
-            if inner.node_of.get(&id) != Some(&NodeId(i as u32)) {
-                continue;
-            }
-            let Some(depth) = topo.depth_of(id) else {
-                continue;
-            };
-            by_depth.push((depth, i));
-            if let Some(p) = topo.parent(id) {
-                parent[i] = inner.node_of[&p].0;
-            }
-            children.extend(topo.children(id).iter().map(|c| inner.node_of[c]));
-        }
-        first.push(children.len() as u32);
-        // Subtree sizes, accumulated bottom-up in depth order.
-        by_depth.sort_unstable_by_key(|&(depth, _)| std::cmp::Reverse(depth));
         let mut size = vec![0u64; n];
-        for (_, i) in by_depth {
-            let kids = &children[first[i] as usize..first[i + 1] as usize];
-            size[i] = 1 + kids.iter().map(|c| size[c.index()]).sum::<u64>();
+        let mut first = vec![0u32; n + 1];
+        for (i, node) in nodes.iter().enumerate() {
+            let v = node.index();
+            parent[v] = topo.parent_at(i).map_or(NO_NODE, |p| nodes[p].0);
+            size[v] = topo.size_at(i);
+            first[v + 1] = topo.children_at(i).len() as u32;
+        }
+        for v in 0..n {
+            first[v + 1] += first[v];
+        }
+        let mut children = vec![NodeId(0); first[n] as usize];
+        for (i, node) in nodes.iter().enumerate() {
+            let at = first[node.index()] as usize;
+            for (slot, &c) in children[at..].iter_mut().zip(topo.children_at(i)) {
+                *slot = nodes[c as usize];
+            }
         }
         OverlayTree {
             parent,
@@ -109,12 +105,35 @@ impl OverlayTree {
     }
 }
 
+/// Tree keys [`Directory::tree_key`] remembers before it starts over: a
+/// client can name any attribute, so the memo must not grow without bound.
+const TREE_KEYS_CAP: usize = 1024;
+
 struct DirInner {
     ring: Ring,
     id_of: Vec<Id>,
-    node_of: HashMap<Id, NodeId>,
+    /// The node at each position of `ring.ids()`, kept aligned with the
+    /// ring through every membership change.
+    ring_nodes: Vec<NodeId>,
     /// Built trees by key: a handful, found by comparison, not hashing.
     trees: BTreeMap<Id, Rc<OverlayTree>>,
+    /// Tree keys by attribute name, so each name is MD5-hashed once.
+    tree_keys: BTreeMap<Box<str>, Id>,
+}
+
+impl DirInner {
+    /// Puts `node` at `id`'s position, entering `id` into the ring if it
+    /// is not there yet.
+    fn join(&mut self, id: Id, node: NodeId) {
+        match self.ring.ids().binary_search(&id) {
+            Ok(i) => self.ring_nodes[i] = node,
+            Err(i) => {
+                self.ring.add(id);
+                self.ring_nodes.insert(i, node);
+            }
+        }
+        self.trees.clear();
+    }
 }
 
 /// Shared overlay directory: id mapping, routing decisions, and implicit
@@ -126,17 +145,19 @@ pub struct Directory {
 
 impl Directory {
     fn new(ring: Ring, id_of: Vec<Id>) -> Directory {
-        let node_of = id_of
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, NodeId(i as u32)))
-            .collect();
+        let mut ring_nodes = vec![NodeId(NO_NODE); ring.len()];
+        for (v, &id) in id_of.iter().enumerate() {
+            if let Some(i) = ring.position(id) {
+                ring_nodes[i] = NodeId(v as u32);
+            }
+        }
         Directory {
             inner: Rc::new(RefCell::new(DirInner {
                 ring,
                 id_of,
-                node_of,
+                ring_nodes,
                 trees: BTreeMap::new(),
+                tree_keys: BTreeMap::new(),
             })),
         }
     }
@@ -179,15 +200,22 @@ impl Directory {
     /// The node owning `key` (the root of `key`'s tree).
     pub fn owner_node(&self, key: Id) -> NodeId {
         let inner = self.inner.borrow();
-        inner.node_of[&inner.ring.owner(key)]
+        inner.ring_nodes[inner.ring.owner_at(key)]
     }
 
     /// The next overlay hop from `me` toward `key` (`None` = `me` is the
     /// root).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` is not in the ring.
     pub fn next_hop_node(&self, me: NodeId, key: Id) -> Option<NodeId> {
         let inner = self.inner.borrow();
-        let my_id = inner.id_of[me.index()];
-        inner.ring.next_hop(my_id, key).map(|id| inner.node_of[&id])
+        let at = inner
+            .ring
+            .position(inner.id_of[me.index()])
+            .expect("id is a ring member");
+        inner.ring.next_hop_at(at, key).map(|i| inner.ring_nodes[i])
     }
 
     /// The aggregation tree for `key` over the current membership, built
@@ -203,13 +231,26 @@ impl Directory {
         tree
     }
 
+    /// The tree key of group attribute `attr`: [`Id::of_attribute`],
+    /// computed once per name and remembered.
+    pub fn tree_key(&self, attr: &str) -> Id {
+        let mut inner = self.inner.borrow_mut();
+        if let Some(&key) = inner.tree_keys.get(attr) {
+            return key;
+        }
+        if inner.tree_keys.len() >= TREE_KEYS_CAP {
+            inner.tree_keys.clear();
+        }
+        let key = Id::of_attribute(attr);
+        inner.tree_keys.insert(attr.into(), key);
+        key
+    }
+
     fn add_member(&self, id: Id, node: NodeId) {
         let mut inner = self.inner.borrow_mut();
-        inner.ring.add(id);
         debug_assert_eq!(inner.id_of.len(), node.index());
         inner.id_of.push(id);
-        inner.node_of.insert(id, node);
-        inner.trees.clear();
+        inner.join(id, node);
     }
 
     /// Removes a (failed) member from the overlay: its ring id leaves the
@@ -222,8 +263,10 @@ impl Directory {
     pub fn remove_member(&self, node: NodeId) {
         let mut inner = self.inner.borrow_mut();
         let id = inner.id_of[node.index()];
-        inner.ring.remove(id);
-        inner.node_of.remove(&id);
+        if let Some(i) = inner.ring.position(id) {
+            inner.ring.remove(id);
+            inner.ring_nodes.remove(i);
+        }
         inner.trees.clear();
     }
 
@@ -232,13 +275,11 @@ impl Directory {
     pub fn revive_member(&self, node: NodeId) {
         let mut inner = self.inner.borrow_mut();
         let id = inner.id_of[node.index()];
-        inner.ring.add(id);
-        inner.node_of.insert(id, node);
-        inner.trees.clear();
+        inner.join(id, node);
     }
 
     fn contains_ring_id(&self, id: Id) -> bool {
-        self.inner.borrow().node_of.contains_key(&id)
+        self.inner.borrow().ring.contains(id)
     }
 }
 
@@ -790,11 +831,7 @@ mod tests {
         drop(inner);
         let tree = dir.tree(key);
         fn size_of(topo: &TreeTopology, id: Id) -> u64 {
-            1 + topo
-                .children(id)
-                .iter()
-                .map(|&c| size_of(topo, c))
-                .sum::<u64>()
+            1 + topo.children(id).map(|c| size_of(topo, c)).sum::<u64>()
         }
         for i in 0..dir.inner.borrow().id_of.len() as u32 {
             let node = NodeId(i);
@@ -806,7 +843,11 @@ mod tests {
             }
             let id = dir.id_of(node);
             let kids: Vec<Id> = tree.children(node).iter().map(|&c| dir.id_of(c)).collect();
-            assert_eq!(kids, topo.children(id), "children of {node}");
+            assert_eq!(
+                kids,
+                topo.children(id).collect::<Vec<_>>(),
+                "children of {node}"
+            );
             assert_eq!(
                 tree.parent(node).map(|p| dir.id_of(p)),
                 topo.parent(id),
@@ -843,6 +884,60 @@ mod tests {
         for key in keys {
             assert_matches_topology(&dir, key, &[]);
         }
+    }
+
+    #[test]
+    fn memoised_tree_keys_are_the_attribute_hashes() {
+        let mut c = small_cluster(12);
+        for i in 0..12u32 {
+            c.set_attr(NodeId(i), "ServiceX", i % 3 == 0);
+        }
+        c.query(NodeId(2), "SELECT count(*) WHERE ServiceX = true")
+            .unwrap();
+        // Every node that built state for the group used the memo.
+        let want = Id::of_attribute("ServiceX");
+        for n in c.node_ids() {
+            assert_eq!(c.node(n).pred_state("ServiceX=true").unwrap().tree, want);
+        }
+        // Any name, asked twice (a miss, then a hit), and past the cap.
+        let dir = c.directory();
+        let names: Vec<String> = ["", "*", "CPU-Util", "Mem Free", "ÄÖü"]
+            .map(String::from)
+            .into_iter()
+            .chain((0..2 * TREE_KEYS_CAP + 3).map(|i| format!("attr-{i}")))
+            .collect();
+        for _ in 0..2 {
+            for a in &names {
+                assert_eq!(dir.tree_key(a), Id::of_attribute(a), "{a:?}");
+            }
+        }
+        assert!(dir.inner.borrow().tree_keys.len() <= TREE_KEYS_CAP);
+    }
+
+    #[test]
+    fn a_tree_is_shared_until_the_membership_changes() {
+        let ring = Ring::with_random_ids(32, 4, 9);
+        let members: Vec<(NodeId, Id)> = ring
+            .ids()
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| (NodeId(i as u32), id))
+            .collect();
+        let dir = Directory::from_members(&members, 4);
+        let key = dir.tree_key("ServiceX");
+        let first = dir.tree(key);
+        assert!(Rc::ptr_eq(&first, &dir.tree(key)), "built once");
+        let victim = NodeId(5);
+        dir.remove_member(victim);
+        let without = dir.tree(key);
+        assert!(!Rc::ptr_eq(&first, &without), "remove_member rebuilds");
+        assert!(Rc::ptr_eq(&without, &dir.tree(key)));
+        assert_eq!(without.subtree_size(victim), 0);
+        assert_eq!(without.subtree_size(dir.owner_node(key)), 31);
+        dir.revive_member(victim);
+        let again = dir.tree(key);
+        assert!(!Rc::ptr_eq(&without, &again), "revive_member rebuilds");
+        assert_eq!(again.subtree_size(dir.owner_node(key)), 32);
     }
 
     #[test]

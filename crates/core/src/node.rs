@@ -111,6 +111,8 @@ impl QueryOutcome {
 
 /// An in-flight aggregation at one tree node.
 struct Session {
+    /// The group whose tree this session aggregates over.
+    pred_key: PredKey,
     reply_to: NodeId,
     /// Targets that have not replied yet.
     pending: Vec<NodeId>,
@@ -126,6 +128,79 @@ struct Session {
     /// When the sub-query arrived — the fold span's queue-wait window
     /// (time spent waiting for children) is measured from here.
     started_at: SimTime,
+}
+
+/// A node's in-flight sessions, found by their engine-minted [`QueryId`]
+/// and then by predicate-key equality, so no predicate text is hashed. A
+/// query almost always has one session at a node; a node that sits in
+/// two trees of one query's cover holds one per tree, the extras in
+/// `more`.
+#[derive(Default)]
+struct Sessions {
+    by_query: MintedMap<QueryId, QuerySessions>,
+}
+
+/// The sessions of one query at this node.
+struct QuerySessions {
+    first: Session,
+    more: Vec<Session>,
+}
+
+impl Sessions {
+    fn contains(&self, qid: QueryId, pred_key: &str) -> bool {
+        self.by_query.get(&qid).is_some_and(|q| {
+            std::iter::once(&q.first)
+                .chain(&q.more)
+                .any(|s| &*s.pred_key == pred_key)
+        })
+    }
+
+    fn get_mut(&mut self, qid: QueryId, pred_key: &str) -> Option<&mut Session> {
+        let q = self.by_query.get_mut(&qid)?;
+        std::iter::once(&mut q.first)
+            .chain(&mut q.more)
+            .find(|s| &*s.pred_key == pred_key)
+    }
+
+    /// Opens a session; the caller has checked that `qid` has none on its
+    /// key yet.
+    fn insert(&mut self, qid: QueryId, sess: Session) {
+        use std::collections::hash_map::Entry;
+        match self.by_query.entry(qid) {
+            Entry::Occupied(q) => q.into_mut().more.push(sess),
+            Entry::Vacant(q) => {
+                q.insert(QuerySessions {
+                    first: sess,
+                    more: Vec::new(),
+                });
+            }
+        }
+    }
+
+    fn remove(&mut self, qid: QueryId, pred_key: &str) -> Option<Session> {
+        let q = self.by_query.get_mut(&qid)?;
+        if &*q.first.pred_key != pred_key {
+            let i = q.more.iter().position(|s| &*s.pred_key == pred_key)?;
+            return Some(q.more.swap_remove(i));
+        }
+        match q.more.pop() {
+            Some(next) => Some(std::mem::replace(&mut q.first, next)),
+            None => self.by_query.remove(&qid).map(|q| q.first),
+        }
+    }
+
+    /// Every open session, with its query id.
+    fn iter(&self) -> impl Iterator<Item = (QueryId, &Session)> {
+        self.by_query.iter().flat_map(|(&qid, q)| {
+            std::iter::once(&q.first)
+                .chain(&q.more)
+                .map(move |s| (qid, s))
+        })
+    }
+
+    fn clear(&mut self) {
+        self.by_query.clear();
+    }
 }
 
 enum FrontPhase {
@@ -187,7 +262,7 @@ pub struct MoaraNode {
     /// The node's local `(attribute, value)` store.
     pub store: AttrStore,
     states: HashMap<PredKey, PredState>,
-    sessions: HashMap<(QueryId, PredKey), Session>,
+    sessions: Sessions,
     contributed: DedupWindow,
     fronts: MintedMap<u64, FrontQuery>,
     completed: MintedMap<u64, QueryOutcome>,
@@ -235,7 +310,7 @@ impl MoaraNode {
             cfg,
             store: AttrStore::new(),
             states: HashMap::new(),
-            sessions: HashMap::new(),
+            sessions: Sessions::default(),
             contributed: DedupWindow::default(),
             fronts: MintedMap::default(),
             completed: MintedMap::default(),
@@ -367,8 +442,10 @@ impl MoaraNode {
 
     /// Applies the configured garbage-collection policy: NO-UPDATE states
     /// are safe to discard (the parent's default already forwards queries
-    /// to this node), so eviction never affects completeness.
-    fn maybe_gc(&mut self, now: SimTime) {
+    /// to this node), so eviction never affects completeness. Returns
+    /// whether any state went.
+    fn maybe_gc(&mut self, now: SimTime) -> bool {
+        let before = self.states.len();
         // Only states a query or status has touched age out.
         let evictable = |st: &PredState| st.last_active.filter(|_| !st.update);
         match self.cfg.gc {
@@ -376,10 +453,7 @@ impl MoaraNode {
             GcPolicy::IdleTimeout(ttl) => self
                 .states
                 .retain(|_, st| evictable(st).is_none_or(|t| now.duration_since(t) < ttl)),
-            GcPolicy::KeepMostRecent(cap) => {
-                if self.states.len() <= cap {
-                    return;
-                }
+            GcPolicy::KeepMostRecent(cap) if self.states.len() > cap => {
                 let mut by_age: Vec<(SimTime, PredKey)> = self
                     .states
                     .iter()
@@ -391,11 +465,9 @@ impl MoaraNode {
                     self.states.remove(&k);
                 }
             }
+            GcPolicy::KeepMostRecent(_) => {}
         }
-    }
-
-    fn tree_key_for(pred: &SimplePredicate) -> Id {
-        Id::of_attribute(pred.attr.as_str())
+        self.states.len() != before
     }
 
     fn alloc_timer(&mut self, ev: TimerEvent) -> TimerTag {
@@ -566,7 +638,7 @@ impl MoaraNode {
                             wait.sent_at = now;
                             wait.epoch = epoch;
                             wait.probe_qid = qid;
-                            outbound.push((Self::tree_key_for(&atom), Box::new(probe)));
+                            outbound.push((self.dir.tree_key(atom.attr.as_str()), Box::new(probe)));
                             ctx.count("size_probes");
                         } else {
                             // Another in-flight query already probed this
@@ -581,7 +653,7 @@ impl MoaraNode {
                             epoch,
                             probe_qid: qid,
                         });
-                        outbound.push((Self::tree_key_for(&atom), Box::new(probe)));
+                        outbound.push((self.dir.tree_key(atom.attr.as_str()), Box::new(probe)));
                         ctx.count("size_probes");
                     }
                 }
@@ -631,7 +703,7 @@ impl MoaraNode {
         let ftrace = front.trace;
         let me = ctx.me();
 
-        let subs = Self::cover_trees(&query, &cover);
+        let subs = self.cover_trees(&query, &cover);
 
         if subs.is_empty() {
             self.finish_front(ctx, front_id);
@@ -681,16 +753,16 @@ impl MoaraNode {
 
     /// One `(predicate key, tree routing key)` per tree of `cover`: the
     /// global tree of the aggregated attribute for `All`.
-    fn cover_trees(query: &Query, cover: &Cover) -> Vec<(PredKey, Id)> {
+    fn cover_trees(&self, query: &Query, cover: &Cover) -> Vec<(PredKey, Id)> {
         match cover {
             Cover::Empty => Vec::new(),
             Cover::All => {
                 let attr = query.attr.as_ref().map_or(GLOBAL_PRED, |a| a.as_str());
-                vec![(GLOBAL_PRED.into(), Id::of_attribute(attr))]
+                vec![(GLOBAL_PRED.into(), self.dir.tree_key(attr))]
             }
             Cover::Groups(groups) => groups
                 .iter()
-                .map(|g| (g.key().into(), Self::tree_key_for(g)))
+                .map(|g| (g.key().into(), self.dir.tree_key(g.attr.as_str())))
                 .collect(),
         }
     }
@@ -766,19 +838,7 @@ impl MoaraNode {
                 trace,
                 ..
             } => {
-                // The root stamps the per-tree sequence number (Section 4).
-                let seq = if &*pred_key == GLOBAL_PRED {
-                    0
-                } else {
-                    self.ensure_state_in(ctx.me(), &pred_key, &query);
-                    match self.states.get_mut(&pred_key) {
-                        Some(st) => {
-                            st.seq_counter += 1;
-                            st.seq_counter
-                        }
-                        None => 0,
-                    }
-                };
+                let seq = self.next_tree_seq(ctx.me(), &pred_key, &query);
                 self.handle_query_down(ctx, qid, seq, pred_key, tree, query, reply_to, trace);
             }
             MoaraMsg::SizeProbe {
@@ -796,18 +856,7 @@ impl MoaraNode {
                 // Arrived at the tree root: deltas go to the subscriber,
                 // and the root stamps the install's tree sequence number
                 // (installs count as queries for adaptation, Section 4).
-                let seq = if &*pred_key == GLOBAL_PRED {
-                    0
-                } else {
-                    self.ensure_state_in(ctx.me(), &pred_key, &spec.query);
-                    match self.states.get_mut(&pred_key) {
-                        Some(st) => {
-                            st.seq_counter += 1;
-                            st.seq_counter
-                        }
-                        None => 0,
-                    }
-                };
+                let seq = self.next_tree_seq(ctx.me(), &pred_key, &spec.query);
                 self.handle_subscribe(ctx, None, spec, pred_key, tree, seq);
             }
             MoaraMsg::SubRenew {
@@ -875,52 +924,69 @@ impl MoaraNode {
 
     // ----- predicate state ----------------------------------------------
 
-    /// The state of `pred`, whose key is `key`, created on first sight.
-    fn ensure_state(&mut self, me: NodeId, key: &PredKey, pred: &SimplePredicate) {
-        let cfg = &self.cfg;
-        let dir = &self.dir;
-        self.states.entry(key.clone()).or_insert_with(|| {
-            // Fresh state starts with an empty updateSet and NO-UPDATE —
-            // the first query therefore counts as `qn` (the paper: nodes
-            // "move into UPDATE state with the first query message") and
-            // the caller refreshes the sets right after.
-            let mut st = PredState::new(
-                pred.clone(),
-                cfg.k_update,
-                cfg.k_no_update,
-                cfg.threshold,
-                cfg.mode == Mode::AlwaysUpdate,
-            );
-            st.parent = dir.tree(st.tree).parent(me);
-            st
-        });
+    /// The state of the group `key` names, created on first sight from the
+    /// predicate `pred` supplies — one hash of `key` either way. `None`
+    /// when there is no state and `pred` supplies none.
+    fn state_entry<'s>(
+        states: &'s mut HashMap<PredKey, PredState>,
+        dir: &Directory,
+        cfg: &MoaraConfig,
+        me: NodeId,
+        key: &PredKey,
+        pred: impl FnOnce() -> Option<SimplePredicate>,
+    ) -> Option<&'s mut PredState> {
+        use std::collections::hash_map::Entry;
+        match states.entry(key.clone()) {
+            Entry::Occupied(e) => Some(e.into_mut()),
+            Entry::Vacant(e) => {
+                let pred = pred()?;
+                let tree = dir.tree_key(pred.attr.as_str());
+                // Fresh state starts with an empty updateSet and NO-UPDATE —
+                // the first query therefore counts as `qn` (the paper: nodes
+                // "move into UPDATE state with the first query message") and
+                // the caller refreshes the sets right after.
+                let mut st = PredState::new(
+                    pred,
+                    tree,
+                    cfg.k_update,
+                    cfg.k_no_update,
+                    cfg.threshold,
+                    cfg.mode == Mode::AlwaysUpdate,
+                );
+                st.parent = dir.tree(tree).parent(me);
+                Some(e.insert(st))
+            }
+        }
     }
 
-    /// Creates the state of the group `key` names within `query` (a
-    /// sub-query or install for that tree) on first sight.
-    fn ensure_state_in(&mut self, me: NodeId, key: &PredKey, query: &Query) {
-        if !self.states.contains_key(key) {
-            if let Some(atom) = find_atom(query, key) {
-                self.ensure_state(me, key, atom);
+    /// The tree sequence number the root stamps on a query or install of
+    /// `pred_key` (Section 4), creating the tree's state from the group's
+    /// atom in `query`; 0 on the global tree, which keeps no state.
+    fn next_tree_seq(&mut self, me: NodeId, pred_key: &PredKey, query: &Query) -> u64 {
+        if &**pred_key == GLOBAL_PRED {
+            return 0;
+        }
+        let atom = || find_atom(query, pred_key).cloned();
+        match Self::state_entry(&mut self.states, &self.dir, &self.cfg, me, pred_key, atom) {
+            Some(st) => {
+                st.seq_counter += 1;
+                st.seq_counter
             }
+            None => 0,
         }
     }
 
     /// Installs predicate state without sending anything (cluster-level
     /// pre-registration for the Always-Update baseline).
     pub fn install_state(&mut self, me: NodeId, pred: &SimplePredicate) {
-        self.ensure_state(me, &pred.key().into(), pred);
+        let key = pred.key().into();
+        Self::state_entry(&mut self.states, &self.dir, &self.cfg, me, &key, || {
+            Some(pred.clone())
+        });
     }
 
     /// Sends a status update to the tree parent if the state demands one,
     /// cascading lazily via the parent's own handler.
-    fn sync_status(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, pred_key: &PredKey) {
-        if let Some(st) = self.states.get_mut(pred_key) {
-            Self::send_status(ctx, &self.dir, pred_key, st);
-        }
-    }
-
-    /// [`MoaraNode::sync_status`] for a state already in hand.
     fn send_status(
         ctx: &mut dyn NetCtx<MoaraMsg>,
         dir: &Directory,
@@ -955,18 +1021,14 @@ impl MoaraNode {
         // cached probe costs so the next composite query re-probes.
         self.sched.cache.bump_epoch();
         let me = ctx.me();
-        let keys: Vec<PredKey> = self
-            .states
-            .iter()
-            .filter(|(_, st)| st.pred.attr.as_str() == attr)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in keys {
-            let st = self.states.get_mut(&key).expect("state exists");
+        for (key, st) in &mut self.states {
+            if st.pred.attr.as_str() != attr {
+                continue;
+            }
             let tree = self.dir.tree(st.tree);
             let sat = st.pred.eval(&self.store);
             st.refresh(me, sat, tree.children(me));
-            self.sync_status(ctx, &key);
+            Self::send_status(ctx, &self.dir, key, st);
         }
         // Standing subscriptions react to the same change: the local
         // contribution is re-derived and any movement pushes a delta.
@@ -981,12 +1043,10 @@ impl MoaraNode {
         // shapes (and thus per-tree query costs) may have changed.
         self.sched.cache.bump_epoch();
         let me = ctx.me();
-        let keys: Vec<PredKey> = self.states.keys().cloned().collect();
-        for key in keys {
-            let st = self.states.get_mut(&key).expect("state exists");
+        for (key, st) in &mut self.states {
             let tree = self.dir.tree(st.tree);
             let children = tree.children(me);
-            st.retain_children(|c| children.contains(&c));
+            st.retain_children(children);
             let new_parent = tree.parent(me);
             if st.parent != new_parent {
                 st.parent = new_parent;
@@ -996,7 +1056,7 @@ impl MoaraNode {
             }
             let sat = st.pred.eval(&self.store);
             st.refresh(me, sat, children);
-            self.sync_status(ctx, &key);
+            Self::send_status(ctx, &self.dir, key, st);
         }
         // Standing subscriptions repair along the reconciled trees.
         self.subs_on_reconcile(ctx);
@@ -1046,14 +1106,14 @@ impl MoaraNode {
             .sessions
             .iter()
             .filter(|(_, s)| s.pending.contains(&failed))
-            .map(|(k, _)| k.clone())
+            .map(|(qid, s)| (qid, s.pred_key.clone()))
             .collect();
-        for key in keys {
-            let sess = self.sessions.get_mut(&key).expect("session exists");
+        for (qid, key) in keys {
+            let sess = self.sessions.get_mut(qid, &key).expect("session exists");
             sess.pending.retain(|&p| p != failed);
             sess.complete = false;
             if sess.pending.is_empty() {
-                self.finalize_session(ctx, &key);
+                self.finalize_session(ctx, qid, &key);
             }
         }
         // Standing subscriptions retract the failed child's summary at
@@ -1094,8 +1154,7 @@ impl MoaraNode {
         trace: Option<TraceCtx>,
     ) {
         let me = ctx.me();
-        let skey = (qid, pred_key.clone());
-        if self.sessions.contains_key(&skey) {
+        if self.sessions.contains(qid, &pred_key) {
             // Already handling this sub-query (stale duplicate): reply
             // immediately with no contribution.
             ctx.send(
@@ -1116,11 +1175,17 @@ impl MoaraNode {
         let view = self.dir.tree(tree);
         let children = view.children(me);
         let mut pending = Vec::new();
+        // The branch's NO-PRUNE count, taken while the state is in hand:
+        // a node with nobody to forward to answers with it at once.
+        let mut np = 0;
         let global = &*pred_key == GLOBAL_PRED;
-        if !global {
-            self.ensure_state_in(me, &pred_key, &query);
-        }
-        match self.states.get_mut(&pred_key).filter(|_| !global) {
+        let state = if global {
+            None
+        } else {
+            let atom = || find_atom(&query, &pred_key).cloned();
+            Self::state_entry(&mut self.states, &self.dir, &self.cfg, me, &pred_key, atom)
+        };
+        match state {
             Some(st) => {
                 // Account the query against the *current* updateSet
                 // first (a brand-new state counts it as qn), then
@@ -1131,11 +1196,15 @@ impl MoaraNode {
                 st.query_targets(me, children, &mut pending);
                 Self::send_status(ctx, &self.dir, &pred_key, st);
                 st.last_active = Some(ctx.now());
+                if pending.is_empty() {
+                    np = st.np(me, children, |c| view.subtree_size(c));
+                }
             }
             None => pending.extend_from_slice(children),
         }
-        if !global {
-            self.maybe_gc(ctx.now());
+        if !global && self.maybe_gc(ctx.now()) {
+            // The collection may have taken this very state.
+            np = self.branch_np(me, &pred_key, tree);
         }
 
         // Local contribution, at most once per query id (Section 6.2's
@@ -1181,23 +1250,23 @@ impl MoaraNode {
                 },
             );
         }
-        let empty = pending.is_empty();
-        self.sessions.insert(
-            skey.clone(),
-            Session {
-                reply_to,
-                pending,
-                acc,
-                kind: query.agg,
-                complete: true,
-                timer,
-                tree,
-                trace: own,
-                started_at: ctx.now(),
-            },
-        );
-        if empty {
-            self.finalize_session(ctx, &skey);
+        let answered = pending.is_empty();
+        let sess = Session {
+            pred_key,
+            reply_to,
+            pending,
+            acc,
+            kind: query.agg,
+            complete: true,
+            timer,
+            tree,
+            trace: own,
+            started_at: ctx.now(),
+        };
+        if answered {
+            self.answer_session(ctx, qid, sess, np);
+        } else {
+            self.sessions.insert(qid, sess);
         }
     }
 
@@ -1221,23 +1290,42 @@ impl MoaraNode {
         }
     }
 
-    /// Answers upstream with what the session gathered, and ends it.
-    fn finalize_session(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, skey: &(QueryId, PredKey)) {
-        let me = ctx.me();
-        let Some(mut sess) = self.sessions.remove(skey) else {
+    /// Ends `qid`'s session on `pred_key`, if it is still open, and
+    /// answers upstream with what it gathered.
+    fn finalize_session(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, qid: QueryId, pred_key: &str) {
+        let Some(sess) = self.sessions.remove(qid, pred_key) else {
             return;
         };
+        let np = self.branch_np(ctx.me(), pred_key, sess.tree);
+        self.answer_session(ctx, qid, sess, np);
+    }
+
+    /// This node's NO-PRUNE count for its branch of `tree` (0 without
+    /// state for `pred_key`).
+    fn branch_np(&self, me: NodeId, pred_key: &str, tree: Id) -> u64 {
+        match self.states.get(pred_key) {
+            Some(st) => {
+                let view = self.dir.tree(tree);
+                st.np(me, view.children(me), |c| view.subtree_size(c))
+            }
+            None => 0,
+        }
+    }
+
+    /// Answers upstream with what a finished session gathered; `np` is the
+    /// branch's NO-PRUNE count as this node sees it now.
+    fn answer_session(
+        &mut self,
+        ctx: &mut dyn NetCtx<MoaraMsg>,
+        qid: QueryId,
+        mut sess: Session,
+        np: u64,
+    ) {
+        let me = ctx.me();
         if let Some(t) = sess.timer.take() {
             self.drop_timer(ctx, t);
         }
         let complete = sess.complete && sess.pending.is_empty();
-        let np = match self.states.get(&skey.1) {
-            Some(st) => {
-                let tree = self.dir.tree(sess.tree);
-                st.np(me, tree.children(me), |c| tree.subtree_size(c))
-            }
-            None => 0,
-        };
         // The fold span's queue-wait is the time this hop sat waiting for
         // its children before it could merge and answer upstream.
         let t = self.trace_span(
@@ -1254,8 +1342,8 @@ impl MoaraNode {
         ctx.send(
             sess.reply_to,
             MoaraMsg::QueryReply {
-                qid: skey.0,
-                pred_key: skey.1.clone(),
+                qid,
+                pred_key: sess.pred_key,
                 state: sess.acc,
                 np,
                 complete,
@@ -1275,11 +1363,10 @@ impl MoaraNode {
         np: u64,
         complete: bool,
     ) {
-        let skey = (qid, pred_key.clone());
         // A reply to our session (we forwarded the query to `from`)?
         if let Some(sess) = self
             .sessions
-            .get_mut(&skey)
+            .get_mut(qid, &pred_key)
             .filter(|s| s.pending.contains(&from))
         {
             sess.pending.retain(|&p| p != from);
@@ -1287,15 +1374,27 @@ impl MoaraNode {
             let kind = sess.kind;
             let prev = std::mem::replace(&mut sess.acc, AggState::Null);
             sess.acc = kind.merge(prev, state);
-            let answered = sess.pending.is_empty();
-            // Lazy np refresh for direct children (Section 6.3).
+            let (answered, tree) = (sess.pending.is_empty(), sess.tree);
+            // One state lookup serves the lazy np refresh for direct
+            // children (Section 6.3) and, once every target answered, the
+            // branch count this node reports upstream.
+            let mut branch_np = 0;
             if let Some(st) = self.states.get_mut(&pred_key) {
-                if let Some(info) = st.children.get_mut(&from) {
+                if let Some(info) = st.children.get_mut(from) {
                     info.np = np;
+                }
+                if answered {
+                    let me = ctx.me();
+                    let view = self.dir.tree(tree);
+                    branch_np = st.np(me, view.children(me), |c| view.subtree_size(c));
                 }
             }
             if answered {
-                self.finalize_session(ctx, &skey);
+                let sess = self
+                    .sessions
+                    .remove(qid, &pred_key)
+                    .expect("session is open");
+                self.answer_session(ctx, qid, sess, branch_np);
             }
             return;
         }
@@ -1348,8 +1447,15 @@ impl MoaraNode {
         // Status traffic is churn evidence for exactly this predicate's
         // tree: drop its cached probe cost, keep the rest.
         self.sched.cache.invalidate(&pred_key);
-        self.ensure_state(me, &pred_key, &pred);
-        let st = self.states.get_mut(&pred_key).expect("just ensured");
+        let st = Self::state_entry(
+            &mut self.states,
+            &self.dir,
+            &self.cfg,
+            me,
+            &pred_key,
+            || Some(pred),
+        )
+        .expect("a status carries its predicate");
         st.note_child_status(
             from,
             ChildInfo {
@@ -1504,7 +1610,7 @@ impl MoaraNode {
                 }
             }
         };
-        let roots = Self::cover_trees(&query, &cover);
+        let roots = self.cover_trees(&query, &cover);
         let mut cover_keys: Vec<String> = roots.iter().map(|(k, _)| k.to_string()).collect();
         cover_keys.sort();
         let spec = SubSpec {
@@ -1685,14 +1791,14 @@ impl MoaraNode {
         if &**pred_key == GLOBAL_PRED {
             return children.to_vec();
         }
-        if let Some(atom) = atom {
-            self.ensure_state(me, pred_key, atom);
-        }
-        if let (Some(seq), Some(st)) = (seq, self.states.get_mut(pred_key)) {
+        let st = Self::state_entry(&mut self.states, &self.dir, &self.cfg, me, pred_key, || {
+            atom.cloned()
+        });
+        if let (Some(seq), Some(st)) = (seq, st) {
             st.on_query(me, seq);
             let sat = st.pred.eval(&self.store);
             st.refresh(me, sat, children);
-            self.sync_status(ctx, pred_key);
+            Self::send_status(ctx, &self.dir, pred_key, st);
         }
         children.to_vec()
     }
@@ -2362,13 +2468,12 @@ impl NetProtocol for MoaraNode {
     fn on_timer(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, tag: TimerTag) {
         match self.timers.remove(&tag) {
             Some(TimerEvent::Session(qid, pred_key)) => {
-                let skey = (qid, pred_key);
-                if let Some(sess) = self.sessions.get_mut(&skey) {
+                if let Some(sess) = self.sessions.get_mut(qid, &pred_key) {
                     if !sess.pending.is_empty() {
                         sess.complete = false;
                     }
                     sess.timer = None;
-                    self.finalize_session(ctx, &skey);
+                    self.finalize_session(ctx, qid, &pred_key);
                 }
             }
             Some(TimerEvent::Probe(front_id)) => {
@@ -2488,6 +2593,7 @@ impl NetProtocol for MoaraNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moara_query::parse_query;
 
     fn node(cfg: MoaraConfig) -> MoaraNode {
         let dir = Directory::from_members(&[(NodeId(0), Id(7))], cfg.bits_per_digit);
@@ -2537,5 +2643,191 @@ mod tests {
         // The accounting tag (and so the trace id) is origin + low bits:
         // the epoch does not reach it.
         assert_eq!(qid(n.next_q).tag(), qid(0).tag());
+    }
+
+    /// A `NetCtx` that records what a handler sends and which timers it
+    /// arms, at time zero.
+    struct Recorder {
+        me: NodeId,
+        sent: Vec<(NodeId, MoaraMsg)>,
+        timers: Vec<TimerTag>,
+    }
+
+    impl NetCtx<MoaraMsg> for Recorder {
+        fn now(&self) -> SimTime {
+            SimTime(0)
+        }
+        fn me(&self) -> NodeId {
+            self.me
+        }
+        fn send(&mut self, to: NodeId, msg: MoaraMsg) {
+            self.sent.push((to, msg));
+        }
+        fn set_timer(&mut self, _delay: SimDuration, tag: TimerTag) -> TimerId {
+            self.timers.push(tag);
+            TimerId::from_raw(tag)
+        }
+        fn cancel_timer(&mut self, _id: TimerId) {}
+        fn count(&mut self, _name: &'static str) {}
+    }
+
+    /// `NodeId(0)` of a two-node overlay whose other node is the front-end
+    /// and, in the trees of two group attributes `NodeId(0)` roots, its
+    /// only child. Returns the node, its recorder, the query
+    /// `SELECT count(*) WHERE a = true OR b = true` and each group's
+    /// `(key, tree)`.
+    fn two_tree_root() -> (MoaraNode, Recorder, Query, [(PredKey, Id); 2]) {
+        let dir = Directory::from_members(&[(NodeId(0), Id(1 << 62)), (NodeId(1), Id(3 << 62))], 4);
+        let attrs: Vec<String> = (0..)
+            .map(|i| format!("G{i}"))
+            .filter(|a| dir.owner_node(dir.tree_key(a)) == NodeId(0))
+            .take(2)
+            .collect();
+        let query = parse_query(&format!(
+            "SELECT count(*) WHERE {} = true OR {} = true",
+            attrs[0], attrs[1]
+        ))
+        .unwrap();
+        let groups = [0, 1].map(|i| {
+            let key: PredKey = format!("{}=true", attrs[i]).into();
+            assert!(find_atom(&query, &key).is_some(), "{key} names an atom");
+            (key, dir.tree_key(&attrs[i]))
+        });
+        let ctx = Recorder {
+            me: NodeId(0),
+            sent: Vec::new(),
+            timers: Vec::new(),
+        };
+        (
+            MoaraNode::new(dir, MoaraConfig::default()),
+            ctx,
+            query,
+            groups,
+        )
+    }
+
+    fn query_down(qid: QueryId, (key, tree): &(PredKey, Id), query: &Query) -> MoaraMsg {
+        MoaraMsg::QueryDown {
+            qid,
+            seq: 1,
+            pred_key: key.clone(),
+            tree: *tree,
+            query: query.clone(),
+            reply_to: NodeId(1),
+            trace: None,
+        }
+    }
+
+    fn reply(qid: QueryId, (key, _): &(PredKey, Id)) -> MoaraMsg {
+        MoaraMsg::QueryReply {
+            qid,
+            pred_key: key.clone(),
+            state: AggState::Null,
+            np: 1,
+            complete: true,
+            trace: None,
+        }
+    }
+
+    /// The `QueryReply`s sent since the last call, as (key, state,
+    /// complete).
+    fn replies(ctx: &mut Recorder) -> Vec<(String, AggState, bool)> {
+        ctx.sent
+            .drain(..)
+            .filter_map(|(_, m)| match m {
+                MoaraMsg::QueryReply {
+                    pred_key,
+                    state,
+                    complete,
+                    ..
+                } => Some((pred_key.to_string(), state, complete)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_duplicate_query_down_gets_an_immediate_null_reply() {
+        let (mut n, mut ctx, query, [a, _]) = two_tree_root();
+        n.on_message(&mut ctx, NodeId(1), query_down(qid(1), &a, &query));
+        assert!(
+            replies(&mut ctx).is_empty(),
+            "the session waits for its child"
+        );
+        n.on_message(&mut ctx, NodeId(1), query_down(qid(1), &a, &query));
+        assert_eq!(
+            replies(&mut ctx),
+            [(a.0.to_string(), AggState::Null, true)],
+            "the duplicate is answered at once, empty"
+        );
+        // The live session still takes its child's answer.
+        n.on_message(&mut ctx, NodeId(1), reply(qid(1), &a));
+        assert_eq!(replies(&mut ctx).len(), 1);
+    }
+
+    #[test]
+    fn a_leaf_answers_at_once_with_its_no_prune_count() {
+        let (root, _, query, [a, _]) = two_tree_root();
+        let mut leaf = MoaraNode::new(root.dir.clone(), MoaraConfig::default());
+        let attr = a.0.strip_suffix("=true").expect("an equality key");
+        leaf.store.set(attr, true);
+        let mut ctx = Recorder {
+            me: NodeId(1),
+            sent: Vec::new(),
+            timers: Vec::new(),
+        };
+        leaf.on_message(&mut ctx, NodeId(0), query_down(qid(1), &a, &query));
+        // A satisfied leaf below the SQP threshold is its own update set:
+        // it keeps receiving queries, a branch of one.
+        let answers: Vec<_> = ctx
+            .sent
+            .iter()
+            .filter_map(|(_, m)| match m {
+                MoaraMsg::QueryReply { np, state, .. } => Some((*np, state.clone())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(answers, [(1, AggState::Count(1))]);
+        assert_eq!(leaf.sessions.iter().count(), 0, "nothing left open");
+    }
+
+    #[test]
+    fn one_query_on_two_trees_keeps_two_sessions() {
+        let (mut n, mut ctx, query, [a, b]) = two_tree_root();
+        n.on_message(&mut ctx, NodeId(1), query_down(qid(1), &a, &query));
+        n.on_message(&mut ctx, NodeId(1), query_down(qid(1), &b, &query));
+        assert!(replies(&mut ctx).is_empty(), "neither is a duplicate");
+        assert!(n.sessions.contains(qid(1), &a.0) && n.sessions.contains(qid(1), &b.0));
+        // Each child answer closes exactly its own tree's session.
+        n.on_message(&mut ctx, NodeId(1), reply(qid(1), &b));
+        assert_eq!(replies(&mut ctx), [(b.0.to_string(), AggState::Null, true)]);
+        assert!(n.sessions.contains(qid(1), &a.0) && !n.sessions.contains(qid(1), &b.0));
+        n.on_message(&mut ctx, NodeId(1), reply(qid(1), &a));
+        assert_eq!(replies(&mut ctx), [(a.0.to_string(), AggState::Null, true)]);
+        assert_eq!(n.sessions.iter().count(), 0);
+    }
+
+    #[test]
+    fn the_session_timer_and_a_peer_failure_find_their_session() {
+        let (mut n, mut ctx, query, [a, b]) = two_tree_root();
+        n.on_message(&mut ctx, NodeId(1), query_down(qid(1), &a, &query));
+        n.on_message(&mut ctx, NodeId(1), query_down(qid(1), &b, &query));
+        let [timer_a, _] = ctx.timers[..] else {
+            panic!("one child timer per session: {:?}", ctx.timers);
+        };
+        // `a`'s child timer fires: `a` answers incomplete, `b` waits on.
+        n.on_timer(&mut ctx, timer_a);
+        assert_eq!(
+            replies(&mut ctx),
+            [(a.0.to_string(), AggState::Null, false)]
+        );
+        assert!(n.sessions.contains(qid(1), &b.0));
+        // The child fails: `b` answers incomplete too.
+        n.on_peer_failed(&mut ctx, NodeId(1));
+        assert_eq!(
+            replies(&mut ctx),
+            [(b.0.to_string(), AggState::Null, false)]
+        );
+        assert_eq!(n.sessions.iter().count(), 0);
     }
 }

@@ -122,7 +122,9 @@ impl ProbeCache {
     /// leaves the eviction order too — a ghost there would make a later
     /// re-insert of the same key evict itself once the cache fills.
     pub fn invalidate(&mut self, key: &str) {
-        if self.entries.remove(key).is_some() {
+        // Only front-ends fill a cache: at every other node a status
+        // costs no hash here.
+        if !self.entries.is_empty() && self.entries.remove(key).is_some() {
             self.order.retain(|k| &**k != key);
         }
     }

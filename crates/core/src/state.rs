@@ -23,7 +23,7 @@
 //! transition rules can be unit- and property-tested in isolation; the
 //! node layer (`node.rs`) turns [`StatusOut`] values into wire messages.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use moara_dht::Id;
 use moara_query::SimplePredicate;
@@ -38,6 +38,121 @@ pub struct ChildInfo {
     pub update_set: Vec<NodeId>,
     /// The child's NO-PRUNE subtree count (lazy query-cost info).
     pub np: u64,
+}
+
+/// The children's last reports: a map from child to [`ChildInfo`], stored
+/// in the order of the tree's child list, so [`PredState::refresh`],
+/// [`PredState::query_targets`] and [`PredState::np`] read it in one pass
+/// over that list instead of one lookup per child.
+///
+/// A report from a node outside the list (a status that raced a
+/// reconfiguration) is kept aside, as a map keeps it, until
+/// [`PredState::retain_children`] drops it or a later child list takes the
+/// node in.
+#[derive(Clone, Debug, Default)]
+pub struct ChildTable {
+    /// The child list the table is aligned with, each child with its
+    /// report (`None`: never reported — a default child).
+    slots: Vec<(NodeId, Option<ChildInfo>)>,
+    /// Reports from nodes not in `slots`.
+    strays: Vec<(NodeId, ChildInfo)>,
+}
+
+impl ChildTable {
+    /// `child`'s last report, if any.
+    pub fn get(&self, child: NodeId) -> Option<&ChildInfo> {
+        match self.slots.iter().find(|(c, _)| *c == child) {
+            Some((_, info)) => info.as_ref(),
+            None => self
+                .strays
+                .iter()
+                .find(|(c, _)| *c == child)
+                .map(|(_, info)| info),
+        }
+    }
+
+    /// `child`'s last report, if any, for an in-place update.
+    pub fn get_mut(&mut self, child: NodeId) -> Option<&mut ChildInfo> {
+        match self.slots.iter_mut().find(|(c, _)| *c == child) {
+            Some((_, info)) => info.as_mut(),
+            None => self
+                .strays
+                .iter_mut()
+                .find(|(c, _)| *c == child)
+                .map(|(_, info)| info),
+        }
+    }
+
+    /// Records `child`'s report, replacing any earlier one.
+    pub fn insert(&mut self, child: NodeId, info: ChildInfo) {
+        if let Some((_, slot)) = self.slots.iter_mut().find(|(c, _)| *c == child) {
+            *slot = Some(info);
+        } else if let Some((_, old)) = self.strays.iter_mut().find(|(c, _)| *c == child) {
+            *old = info;
+        } else {
+            self.strays.push((child, info));
+        }
+    }
+
+    /// Forgets every report.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.strays.clear();
+    }
+
+    /// Number of children with a report.
+    pub fn len(&self) -> usize {
+        self.slots.iter().filter(|(_, info)| info.is_some()).count() + self.strays.len()
+    }
+
+    /// True when no child has reported.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn is_aligned(&self, children: &[NodeId]) -> bool {
+        self.slots.len() == children.len()
+            && self.slots.iter().zip(children).all(|((c, _), k)| c == k)
+    }
+
+    /// Re-orders the table along `children`, keeping every report. Costs
+    /// nothing while the list is the one the table already follows.
+    fn align(&mut self, children: &[NodeId]) {
+        if self.is_aligned(children) {
+            return;
+        }
+        let old = std::mem::take(&mut self.slots);
+        self.strays
+            .extend(old.into_iter().filter_map(|(c, info)| Some((c, info?))));
+        let strays = &mut self.strays;
+        self.slots = children
+            .iter()
+            .map(|&c| {
+                let info = strays
+                    .iter()
+                    .position(|(s, _)| *s == c)
+                    .map(|i| strays.swap_remove(i).1);
+                (c, info)
+            })
+            .collect();
+    }
+
+    /// Each of `children` with its report, in list order: one pass when
+    /// the table follows that list, a search per child otherwise.
+    fn reports<'a>(
+        &'a self,
+        children: &'a [NodeId],
+    ) -> impl Iterator<Item = (NodeId, Option<&'a ChildInfo>)> + 'a {
+        let aligned = self.is_aligned(children);
+        children.iter().enumerate().map(move |(i, &c)| {
+            let info = if aligned {
+                self.slots[i].1.as_ref()
+            } else {
+                self.get(c)
+            };
+            (c, info)
+        })
+    }
 }
 
 /// An adaptation event in the sliding window.
@@ -74,7 +189,7 @@ pub struct PredState {
     pub local_sat: bool,
     /// Status received from children (absent children are defaults:
     /// NO-PRUNE, forwarded to directly).
-    pub children: BTreeMap<NodeId, ChildInfo>,
+    pub children: ChildTable,
     /// Currently computed updateSet.
     pub cur_update_set: Vec<NodeId>,
     /// Derived `sat` variable (Procedure 1).
@@ -103,22 +218,24 @@ pub struct PredState {
 }
 
 impl PredState {
-    /// Fresh state for `pred`. Nodes start in NO-UPDATE (the paper's
-    /// default: no state ⇒ receive every query). `forced_update` pins the
-    /// machine in UPDATE state (the Always-Update baseline).
+    /// Fresh state for `pred`, whose tree key is `tree` (the hash of its
+    /// attribute). Nodes start in NO-UPDATE (the paper's default: no state
+    /// ⇒ receive every query). `forced_update` pins the machine in UPDATE
+    /// state (the Always-Update baseline).
     pub fn new(
         pred: SimplePredicate,
+        tree: Id,
         k_update: usize,
         k_no_update: usize,
         threshold: usize,
         forced_update: bool,
     ) -> PredState {
         PredState {
-            tree: Id::of_attribute(pred.attr.as_str()),
+            tree,
             pred,
             update: forced_update,
             local_sat: false,
-            children: BTreeMap::new(),
+            children: ChildTable::default(),
             cur_update_set: Vec::new(),
             sat: false,
             sent: None,
@@ -163,10 +280,11 @@ impl PredState {
         self.children.insert(child, info);
     }
 
-    /// Forgets state about nodes that are no longer children (topology
-    /// reconfiguration).
-    pub fn retain_children(&mut self, is_child: impl Fn(NodeId) -> bool) {
-        self.children.retain(|&c, _| is_child(c));
+    /// Forgets the reports of nodes outside `children`, the node's new
+    /// child list in this tree (topology reconfiguration).
+    pub fn retain_children(&mut self, children: &[NodeId]) {
+        self.children.align(children);
+        self.children.strays.clear();
     }
 
     /// Accounts query sequence numbers observed indirectly (piggybacked on
@@ -233,17 +351,17 @@ impl PredState {
     /// defaults and must keep receiving queries through us.
     pub fn refresh(&mut self, me: NodeId, local_sat: bool, all_children: &[NodeId]) {
         self.local_sat = local_sat;
-        let has_default_child = all_children.iter().any(|c| !self.children.contains_key(c));
+        self.children.align(all_children);
+        let slots = &self.children.slots;
+        let has_default_child = slots.iter().any(|(_, info)| info.is_none());
         let qset = &mut self.qset;
         qset.clear();
         if local_sat {
             qset.push(me);
         }
-        for c in all_children {
-            if let Some(info) = self.children.get(c) {
-                if !info.prune {
-                    qset.extend_from_slice(&info.update_set);
-                }
+        for (_, info) in slots {
+            if let Some(info) = info.as_ref().filter(|info| !info.prune) {
+                qset.extend_from_slice(&info.update_set);
             }
         }
         qset.sort_unstable();
@@ -276,9 +394,9 @@ impl PredState {
     /// updateSets, PRUNE children not at all.
     pub fn query_targets(&self, me: NodeId, all_children: &[NodeId], out: &mut Vec<NodeId>) {
         out.clear();
-        for c in all_children {
-            match self.children.get(c) {
-                None => out.push(*c),
+        for (c, info) in self.children.reports(all_children) {
+            match info {
+                None => out.push(c),
                 Some(info) if !info.prune => out.extend_from_slice(&info.update_set),
                 Some(_) => {}
             }
@@ -299,9 +417,9 @@ impl PredState {
         subtree_size: impl Fn(NodeId) -> u64,
     ) -> u64 {
         let mut np = u64::from(self.receives_queries(me));
-        for c in all_children {
-            np += match self.children.get(c) {
-                None => subtree_size(*c),
+        for (c, info) in self.children.reports(all_children) {
+            np += match info {
+                None => subtree_size(c),
                 Some(info) if !info.prune => info.np,
                 Some(_) => 0,
             };
@@ -395,6 +513,7 @@ mod tests {
     fn fresh(threshold: usize) -> PredState {
         PredState::new(
             SimplePredicate::new("A", CmpOp::Eq, true),
+            Id(1),
             1,
             3,
             threshold,
@@ -452,7 +571,14 @@ mod tests {
         // With k_UPDATE = 2 the (UPDATE, SAT) state is reachable: a qn
         // query plus one change leaves 2·qn > c, and the node sends its
         // NO-PRUNE transition to the parent.
-        let mut s = PredState::new(SimplePredicate::new("A", CmpOp::Eq, true), 2, 3, 1, false);
+        let mut s = PredState::new(
+            SimplePredicate::new("A", CmpOp::Eq, true),
+            Id(1),
+            2,
+            3,
+            1,
+            false,
+        );
         s.refresh(me(), false, &[]);
         s.on_query(me(), 1); // qn → UPDATE, PRUNE
         assert!(s.update && s.prune());
@@ -566,6 +692,7 @@ mod tests {
         let c1 = NodeId(1);
         let mut s = PredState::new(
             SimplePredicate::new("A", CmpOp::Eq, true),
+            Id(1),
             1,
             3,
             2, // threshold
@@ -628,7 +755,14 @@ mod tests {
 
     #[test]
     fn forced_update_never_leaves_update() {
-        let mut s = PredState::new(SimplePredicate::new("A", CmpOp::Eq, true), 1, 3, 1, true);
+        let mut s = PredState::new(
+            SimplePredicate::new("A", CmpOp::Eq, true),
+            Id(1),
+            1,
+            3,
+            1,
+            true,
+        );
         assert!(s.update);
         for i in 0..10 {
             s.refresh(me(), i % 2 == 0, &[]);
@@ -664,7 +798,7 @@ mod tests {
                 np: 0,
             },
         );
-        s.retain_children(|c| c != NodeId(5));
+        s.retain_children(&[NodeId(6)]);
         assert!(s.children.is_empty());
     }
 

@@ -11,11 +11,21 @@
 //! verbatim), so any drift in the implementation's incremental
 //! bookkeeping (event capping, gap accounting, qs/qn classification
 //! plumbing) shows up as a mode mismatch.
+//!
+//! A second model checks the child table (`ChildTable`): it keeps the
+//! children's reports in a `BTreeMap` and recomputes the sets, the
+//! targets and the NO-PRUNE count from it child by child, across child
+//! lists in any order, reports from any node, and reconfigurations.
 
+use std::collections::BTreeMap;
+
+use moara_core::dht::Id;
 use moara_core::{ChildInfo, PredState};
 use moara_query::{CmpOp, SimplePredicate};
 use moara_simnet::NodeId;
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::Rng;
 
 /// The three adaptation events of the paper's sliding window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,6 +126,7 @@ fn drive(ops: &[Op], k_update: usize, k_no_update: usize, threshold: usize) {
     let children = [NodeId(1), NodeId(2)];
     let mut s = PredState::new(
         SimplePredicate::new("A", CmpOp::Eq, true),
+        Id::of_attribute("A"),
         k_update,
         k_no_update,
         threshold,
@@ -135,7 +146,7 @@ fn drive(ops: &[Op], k_update: usize, k_no_update: usize, threshold: usize) {
         local
             || children.iter().any(|c| {
                 s.children
-                    .get(c)
+                    .get(*c)
                     .is_none_or(|info| !info.prune && !info.update_set.is_empty())
             })
     };
@@ -236,6 +247,7 @@ proptest! {
         let children = [NodeId(1), NodeId(2)];
         let mut s = PredState::new(
             SimplePredicate::new("A", CmpOp::Eq, true),
+            Id::of_attribute("A"),
             1,
             3,
             2,
@@ -264,5 +276,248 @@ proptest! {
             s.check_invariants();
             prop_assert!(s.update, "always-update left UPDATE after {op:?}");
         }
+    }
+
+    #[test]
+    fn child_table_matches_a_map_of_reports(
+        first in child_list(),
+        ops in proptest::collection::vec(arb_table_op(), 1..80),
+        threshold in 1usize..4,
+    ) {
+        drive_table(first, &ops, threshold);
+    }
+}
+
+/// A child list of 0–48 distinct ids from 1..=64, in arbitrary order (a
+/// tree lists children by ring id, which is not `NodeId` order).
+fn child_list() -> BoxedStrategy<Vec<NodeId>> {
+    proptest::strategy::from_fn(|rng| {
+        let mut pool: Vec<u32> = (1..=64).collect();
+        pool.shuffle(rng);
+        pool.truncate(rng.gen_range(0..=48));
+        pool.into_iter().map(NodeId).collect()
+    })
+}
+
+/// One stimulus for the child table.
+#[derive(Clone, Debug)]
+enum TableOp {
+    /// A node reports status. It may be no child at all: a report can
+    /// race a reconfiguration.
+    Report {
+        node: u32,
+        prune: bool,
+        set: Vec<u32>,
+        np: u64,
+    },
+    /// Local satisfaction re-derived against the current child list.
+    Refresh { sat: bool },
+    /// The tree changes: a new child list, with or without the
+    /// reconcile's `retain_children`.
+    Reconfigure { children: Vec<NodeId>, retain: bool },
+    /// A reply's lazy np refresh for one node.
+    ReplyNp { node: u32, np: u64 },
+    /// A query arrives, `jump` sequence numbers ahead of contiguous.
+    Query { jump: u64 },
+    /// The node computes (and records) what to tell its parent.
+    StatusToSend,
+}
+
+fn arb_table_op() -> impl Strategy<Value = TableOp> {
+    let report = (
+        1u32..=64,
+        any::<bool>(),
+        proptest::collection::vec(1u32..80, 1..4),
+        0u64..50,
+    )
+        .prop_map(|(node, prune, set, np)| TableOp::Report {
+            node,
+            prune,
+            set,
+            np,
+        })
+        .boxed();
+    prop_oneof![
+        report.clone(),
+        report,
+        any::<bool>().prop_map(|sat| TableOp::Refresh { sat }),
+        (child_list(), any::<bool>())
+            .prop_map(|(children, retain)| TableOp::Reconfigure { children, retain }),
+        (1u32..=64, 0u64..50).prop_map(|(node, np)| TableOp::ReplyNp { node, np }),
+        (0u64..3).prop_map(|jump| TableOp::Query { jump }),
+        Just(TableOp::StatusToSend),
+    ]
+}
+
+/// The child-dependent half of `PredState`, over a `BTreeMap` of reports
+/// and recomputed child by child, with `Model` for the mode.
+struct TableModel {
+    reports: BTreeMap<NodeId, ChildInfo>,
+    cur_update_set: Vec<NodeId>,
+    sat: bool,
+    threshold: usize,
+    mode: Model,
+}
+
+impl TableModel {
+    fn refresh(&mut self, local_sat: bool, children: &[NodeId]) {
+        let has_default = children.iter().any(|c| !self.reports.contains_key(c));
+        let mut qset = Vec::new();
+        if local_sat {
+            qset.push(me());
+        }
+        for c in children {
+            if let Some(info) = self.reports.get(c).filter(|i| !i.prune) {
+                qset.extend_from_slice(&info.update_set);
+            }
+        }
+        qset.sort_unstable();
+        qset.dedup();
+        self.sat = !qset.is_empty() || has_default;
+        let next = if !has_default && qset.len() < self.threshold {
+            qset
+        } else {
+            vec![me()]
+        };
+        if next != self.cur_update_set {
+            self.cur_update_set = next;
+            self.mode.apply(&[Ev::Change]);
+        }
+    }
+
+    fn query_targets(&self, children: &[NodeId]) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        for c in children {
+            match self.reports.get(c) {
+                None => out.push(*c),
+                Some(info) if !info.prune => out.extend_from_slice(&info.update_set),
+                Some(_) => {}
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out.retain(|&t| t != me());
+        out
+    }
+
+    fn np(&self, children: &[NodeId]) -> u64 {
+        let receives = !self.mode.mode || self.cur_update_set.contains(&me());
+        let mut np = u64::from(receives);
+        for c in children {
+            np += match self.reports.get(c) {
+                None => subtree_size(*c),
+                Some(info) if !info.prune => info.np,
+                Some(_) => 0,
+            };
+        }
+        np
+    }
+}
+
+fn subtree_size(c: NodeId) -> u64 {
+    100 + u64::from(c.0)
+}
+
+/// Drives `PredState` and `TableModel` with the same operations and
+/// compares everything the child table feeds after every step.
+fn drive_table(first: Vec<NodeId>, ops: &[TableOp], threshold: usize) {
+    let (k_update, k_no_update) = (1, 3);
+    let mut s = PredState::new(
+        SimplePredicate::new("A", CmpOp::Eq, true),
+        Id::of_attribute("A"),
+        k_update,
+        k_no_update,
+        threshold,
+        false,
+    );
+    let mut m = TableModel {
+        reports: BTreeMap::new(),
+        cur_update_set: Vec::new(),
+        sat: false,
+        threshold,
+        mode: Model {
+            events: Vec::new(),
+            mode: false,
+            k_update,
+            k_no_update,
+        },
+    };
+    let mut children = first;
+    let mut out = Vec::new();
+    for op in ops {
+        match op.clone() {
+            TableOp::Report {
+                node,
+                prune,
+                set,
+                np,
+            } => {
+                // Wire-consistent reports only: NO-PRUNE ⇔ non-empty set.
+                let update_set = if prune {
+                    Vec::new()
+                } else {
+                    set.into_iter().map(NodeId).collect()
+                };
+                let info = ChildInfo {
+                    prune,
+                    update_set,
+                    np,
+                };
+                s.note_child_status(NodeId(node), info.clone());
+                m.reports.insert(NodeId(node), info);
+            }
+            TableOp::Refresh { sat } => {
+                s.refresh(me(), sat, &children);
+                m.refresh(sat, &children);
+            }
+            TableOp::Reconfigure {
+                children: next,
+                retain,
+            } => {
+                children = next;
+                if retain {
+                    s.retain_children(&children);
+                    m.reports.retain(|c, _| children.contains(c));
+                }
+            }
+            TableOp::ReplyNp { node, np } => {
+                if let Some(info) = s.children.get_mut(NodeId(node)) {
+                    info.np = np;
+                }
+                if let Some(info) = m.reports.get_mut(&NodeId(node)) {
+                    info.np = np;
+                }
+            }
+            TableOp::Query { jump } => {
+                let seq = s.last_seen_seq + 1 + jump;
+                let qs = m.cur_update_set.contains(&me());
+                s.on_query(me(), seq);
+                let mut evs = vec![Ev::Qn; jump.min(3) as usize];
+                evs.push(if qs { Ev::Qs } else { Ev::Qn });
+                m.mode.apply(&evs);
+            }
+            TableOp::StatusToSend => {
+                let _ = s.status_to_send(me());
+            }
+        }
+        s.check_invariants();
+        assert_eq!(s.sat, m.sat, "sat after {op:?}");
+        assert_eq!(s.cur_update_set, m.cur_update_set, "updateSet after {op:?}");
+        assert_eq!(s.update, m.mode.mode, "mode after {op:?}");
+        s.query_targets(me(), &children, &mut out);
+        assert_eq!(out, m.query_targets(&children), "targets after {op:?}");
+        assert_eq!(
+            s.np(me(), &children, subtree_size),
+            m.np(&children),
+            "np after {op:?}"
+        );
+        for n in 0..=64 {
+            assert_eq!(
+                s.children.get(NodeId(n)),
+                m.reports.get(&NodeId(n)),
+                "report of {n} after {op:?}"
+            );
+        }
+        assert_eq!(s.children.len(), m.reports.len());
     }
 }

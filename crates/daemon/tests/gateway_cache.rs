@@ -108,7 +108,10 @@ fn post_attrs(addr: &str, body: &str) {
     assert_eq!(status, 200, "attr write failed: {resp}");
 }
 
-/// Polls `/healthz` until the daemon reports `want` live members.
+/// Polls `/healthz` until the daemon reports `want` live members. An
+/// answer depends on every daemon's membership view (a tree root that
+/// has not yet learned of a member leaves it out), so tests wait on all
+/// of them.
 fn wait_alive(addr: &str, want: u32) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
@@ -162,13 +165,13 @@ fn write_via_peer_invalidates_cached_read() {
         "ServiceX=false,CPU-Util=90",
         &[],
     );
-    let (_c, _c_http) = spawn_moarad(
+    let (_c, c_http) = spawn_moarad(
         &free_port(),
         Some(&a_ctrl),
         "ServiceX=true,CPU-Util=30",
         &[],
     );
-    for addr in [&a_http, &b_http] {
+    for addr in [&a_http, &b_http, &c_http] {
         wait_alive(addr, 3);
     }
 
@@ -263,19 +266,21 @@ fn concurrent_identical_queries_walk_once() {
         "ServiceX=true,CPU-Util=10",
         &["--cache-promote-after", "1000"],
     );
-    let (_b, _b_http) = spawn_moarad(
+    let (_b, b_http) = spawn_moarad(
         &free_port(),
         Some(&a_ctrl),
         "ServiceX=false,CPU-Util=90",
         &[],
     );
-    let (_c, _c_http) = spawn_moarad(
+    let (_c, c_http) = spawn_moarad(
         &free_port(),
         Some(&a_ctrl),
         "ServiceX=true,CPU-Util=30",
         &[],
     );
-    wait_alive(&a_http, 3);
+    for addr in [&a_http, &b_http, &c_http] {
+        wait_alive(addr, 3);
+    }
 
     const CLIENTS: usize = 8;
     // A volley can split into two walks if a straggler arrives after the

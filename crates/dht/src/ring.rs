@@ -127,14 +127,14 @@ impl Ring {
         }
     }
 
-    fn index_of(&self, id: Id) -> usize {
-        self.ids.binary_search(&id).expect("id is a ring member")
+    /// The position of member `id` in [`Ring::ids`], if it is a member.
+    pub fn position(&self, id: Id) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
     }
 
-    fn at(&self, i: isize) -> Id {
-        let n = self.ids.len() as isize;
-        let idx = ((i % n) + n) % n;
-        self.ids[idx as usize]
+    /// The position `i` steps from position 0, wrapping around the ring.
+    fn wrap(&self, i: isize) -> usize {
+        i.rem_euclid(self.ids.len() as isize) as usize
     }
 
     /// The key's root: the member numerically closest to `key` (ties broken
@@ -144,24 +144,34 @@ impl Ring {
     ///
     /// Panics on an empty ring.
     pub fn owner(&self, key: Id) -> Id {
+        self.ids[self.owner_at(key)]
+    }
+
+    /// [`Ring::owner`], as a position in [`Ring::ids`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty ring.
+    pub fn owner_at(&self, key: Id) -> usize {
         assert!(!self.ids.is_empty(), "owner() on empty ring");
         let pos = match self.ids.binary_search(&key) {
-            Ok(p) => return self.ids[p],
+            Ok(p) => return p,
             Err(p) => p as isize,
         };
-        let succ = self.at(pos);
-        let pred = self.at(pos - 1);
-        if pred.closer_to(key, succ) {
+        let succ = self.wrap(pos);
+        let pred = self.wrap(pos - 1);
+        if self.ids[pred].closer_to(key, self.ids[succ]) {
             pred
         } else {
             succ
         }
     }
 
-    /// The member of `[lo, lo + span)` closest to `anchor` (ties toward
-    /// the smaller id) — the slot-representative rule shared with
-    /// [`RoutingTable`]'s `consider`. `None` if the range has no members.
-    fn rep_in_range(&self, lo: u64, span: u128, anchor: u64) -> Option<Id> {
+    /// The position of the member of `[lo, lo + span)` closest to `anchor`
+    /// (ties toward the smaller id) — the slot-representative rule shared
+    /// with [`RoutingTable`]'s `consider`. `None` if the range has no
+    /// members.
+    fn rep_in_range(&self, lo: u64, span: u128, anchor: u64) -> Option<usize> {
         let hi = (lo as u128).saturating_add(span);
         let start = self.ids.partition_point(|id| id.0 < lo);
         let end = self.ids.partition_point(|id| (id.0 as u128) < hi);
@@ -169,28 +179,30 @@ impl Ring {
             return None;
         }
         let ins = self.ids[start..end].partition_point(|id| id.0 < anchor) + start;
-        let mut best: Option<Id> = None;
+        let mut best: Option<usize> = None;
         for i in [ins.wrapping_sub(1), ins] {
             if i < start || i >= end {
                 continue;
             }
-            let cand = self.ids[i];
             best = match best {
-                Some(b) if crate::routing::closer_anchor(b, cand, anchor) => Some(b),
-                _ => Some(cand),
+                Some(b) if crate::routing::closer_anchor(self.ids[b], self.ids[i], anchor) => {
+                    Some(b)
+                }
+                _ => Some(i),
             };
         }
         best
     }
 
-    /// Leaf-set members of `own` (indices within ±half, deduplicated).
-    fn leaf_members(&self, own_idx: usize) -> Vec<Id> {
+    /// Positions of the leaf-set members of position `own` (within ±half,
+    /// deduplicated).
+    fn leaf_members(&self, own: usize) -> Vec<usize> {
         let n = self.ids.len();
         let each = self.half.min(n.saturating_sub(1));
         let mut v = Vec::with_capacity(2 * each);
         for d in 1..=each as isize {
-            for &cand in &[self.at(own_idx as isize - d), self.at(own_idx as isize + d)] {
-                if cand != self.ids[own_idx] && !v.contains(&cand) {
+            for cand in [self.wrap(own as isize - d), self.wrap(own as isize + d)] {
+                if cand != own && !v.contains(&cand) {
                     v.push(cand);
                 }
             }
@@ -207,29 +219,45 @@ impl Ring {
     ///
     /// Panics if `from` is not a member.
     pub fn next_hop(&self, from: Id, key: Id) -> Option<Id> {
+        let i = self.position(from).expect("id is a ring member");
+        self.next_hop_at(i, key).map(|j| self.ids[j])
+    }
+
+    /// [`Ring::next_hop`] for the member at position `i` of [`Ring::ids`],
+    /// answered as a position too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn next_hop_at(&self, i: usize, key: Id) -> Option<usize> {
         let n = self.ids.len();
-        let i = self.index_of(from);
+        let from = self.ids[i];
         if key == from {
             return None;
         }
         // Leaf-set rule. Fewer members than the combined leaf capacity
         // means the leaf set spans the whole ring (matches
         // `LeafSet::covers`'s not-full / overlapping-sides cases).
+        let half = self.half as isize;
         let covered = if n - 1 < 2 * self.half {
             true
         } else {
-            let lo = self.at(i as isize - self.half as isize);
-            let hi = self.at(i as isize + self.half as isize);
+            let lo = self.ids[self.wrap(i as isize - half)];
+            let hi = self.ids[self.wrap(i as isize + half)];
             lo.clockwise_distance(key) <= lo.clockwise_distance(hi)
         };
         if covered {
-            let mut best = from;
-            for m in self.leaf_members(i) {
-                if m.closer_to(key, best) {
-                    best = m;
+            // `closer_to` is a total order, so visiting a leaf twice (or
+            // `from` itself, in a small ring) cannot change the winner.
+            let mut best = i;
+            for d in 1..=half.min(n as isize - 1) {
+                for m in [self.wrap(i as isize - d), self.wrap(i as isize + d)] {
+                    if self.ids[m].closer_to(key, self.ids[best]) {
+                        best = m;
+                    }
                 }
             }
-            return (best != from).then_some(best);
+            return (best != i).then_some(best);
         }
         // Prefix rule: the slot representative is the range member closest
         // to this node's slot anchor (matching `RoutingTable::consider`).
@@ -253,35 +281,29 @@ impl Ring {
                 let (b, sp) = slot_range(from.0, r, c, bits);
                 let a = crate::routing::slot_anchor(from.0, r, c, bits);
                 if let Some(rep) = self.rep_in_range(b, sp, a) {
-                    if rep != from && !cands.contains(&rep) {
+                    if rep != i && !cands.contains(&rep) {
                         cands.push(rep);
                     }
                 }
             }
         }
-        let mut best: Option<Id> = None;
-        for &cand in &cands {
-            if cand.prefix_len(key, bits) >= row && cand.closer_to(key, from) {
-                best = match best {
-                    Some(b) if b.closer_to(key, cand) => Some(b),
-                    _ => Some(cand),
-                };
+        let closest = |eligible: &dyn Fn(Id) -> bool| {
+            let mut best: Option<usize> = None;
+            for &cand in &cands {
+                let id = self.ids[cand];
+                if eligible(id) && id.closer_to(key, from) {
+                    best = match best {
+                        Some(b) if self.ids[b].closer_to(key, id) => Some(b),
+                        _ => Some(cand),
+                    };
+                }
             }
-        }
-        if best.is_some() {
-            return best;
-        }
-        // Last resort (as in FreePastry): any known node numerically
-        // strictly closer to the key, prefix notwithstanding.
-        for &cand in &cands {
-            if cand.closer_to(key, from) {
-                best = match best {
-                    Some(b) if b.closer_to(key, cand) => Some(b),
-                    _ => Some(cand),
-                };
-            }
-        }
-        best
+            best
+        };
+        closest(&|id| id.prefix_len(key, bits) >= row)
+            // Last resort (as in FreePastry): any known node numerically
+            // strictly closer to the key, prefix notwithstanding.
+            .or_else(|| closest(&|_| true))
     }
 
     /// The full overlay route from `from` to the root of `key`.
