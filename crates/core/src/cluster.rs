@@ -26,6 +26,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use moara_attributes::{AttrName, Value};
 use moara_dht::{Id, Ring, TreeTopology};
 use moara_query::{parse_query, ParseError, Query, SimplePredicate};
 use moara_simnet::{latency, LatencyModel, NodeId, SimDuration, SimTime, Stats};
@@ -105,9 +106,9 @@ impl OverlayTree {
     }
 }
 
-/// Tree keys [`Directory::tree_key`] remembers before it starts over: a
+/// Attribute names [`Directory::attr`] remembers before it starts over: a
 /// client can name any attribute, so the memo must not grow without bound.
-const TREE_KEYS_CAP: usize = 1024;
+const NAMES_CAP: usize = 1024;
 
 struct DirInner {
     ring: Ring,
@@ -117,8 +118,9 @@ struct DirInner {
     ring_nodes: Vec<NodeId>,
     /// Built trees by key: a handful, found by comparison, not hashing.
     trees: BTreeMap<Id, Rc<OverlayTree>>,
-    /// Tree keys by attribute name, so each name is MD5-hashed once.
-    tree_keys: BTreeMap<Box<str>, Id>,
+    /// Each attribute name seen, shared, with its tree key: every node's
+    /// store holds the one copy, and each name is MD5-hashed once.
+    names: BTreeMap<AttrName, Id>,
 }
 
 impl DirInner {
@@ -157,7 +159,7 @@ impl Directory {
                 id_of,
                 ring_nodes,
                 trees: BTreeMap::new(),
-                tree_keys: BTreeMap::new(),
+                names: BTreeMap::new(),
             })),
         }
     }
@@ -231,19 +233,24 @@ impl Directory {
         tree
     }
 
-    /// The tree key of group attribute `attr`: [`Id::of_attribute`],
-    /// computed once per name and remembered.
-    pub fn tree_key(&self, attr: &str) -> Id {
+    /// The shared name of attribute `attr` and the key of its tree
+    /// ([`Id::of_attribute`]), made once per name and remembered.
+    pub fn attr(&self, attr: &str) -> (AttrName, Id) {
         let mut inner = self.inner.borrow_mut();
-        if let Some(&key) = inner.tree_keys.get(attr) {
-            return key;
+        if let Some((name, &key)) = inner.names.get_key_value(attr) {
+            return (name.clone(), key);
         }
-        if inner.tree_keys.len() >= TREE_KEYS_CAP {
-            inner.tree_keys.clear();
+        if inner.names.len() >= NAMES_CAP {
+            inner.names.clear();
         }
-        let key = Id::of_attribute(attr);
-        inner.tree_keys.insert(attr.into(), key);
-        key
+        let (name, key) = (AttrName::new(attr), Id::of_attribute(attr));
+        inner.names.insert(name.clone(), key);
+        (name, key)
+    }
+
+    /// The tree key of group attribute `attr` (see [`Directory::attr`]).
+    pub fn tree_key(&self, attr: &str) -> Id {
+        self.attr(attr).1
     }
 
     fn add_member(&self, id: Id, node: NodeId) {
@@ -286,7 +293,7 @@ impl Directory {
 /// Builder for a Moara deployment.
 pub struct ClusterBuilder {
     n: usize,
-    cfg: MoaraConfig,
+    cfg: Rc<MoaraConfig>,
     seed: u64,
     latency: Box<dyn LatencyModel>,
     trace_sample: u64,
@@ -301,7 +308,7 @@ impl ClusterBuilder {
 
     /// Engine configuration.
     pub fn config(mut self, cfg: MoaraConfig) -> ClusterBuilder {
-        self.cfg = cfg;
+        self.cfg = Rc::new(cfg);
         self
     }
 
@@ -407,7 +414,8 @@ const TRACE_STORE_CAP: usize = 65_536;
 pub struct Cluster<T: Transport<MoaraNode> = SimTransport<MoaraNode>> {
     transport: T,
     dir: Directory,
-    cfg: MoaraConfig,
+    /// The configuration every node shares.
+    cfg: Rc<MoaraConfig>,
     rng: StdRng,
     /// The shared span store when built with [`ClusterBuilder::tracing`].
     tracer: Option<Arc<SpanStore>>,
@@ -419,7 +427,7 @@ impl Cluster {
     pub fn builder() -> ClusterBuilder {
         ClusterBuilder {
             n: 1,
-            cfg: MoaraConfig::default(),
+            cfg: Rc::new(MoaraConfig::default()),
             seed: 42,
             latency: Box::new(latency::Constant::from_millis(1)),
             trace_sample: 0,
@@ -528,18 +536,14 @@ impl<T: Transport<MoaraNode>> Cluster<T> {
 
     /// Sets an attribute at a node and lets the protocol react (a "group
     /// churn" event when the change flips predicate satisfaction).
-    pub fn set_attr(
-        &mut self,
-        node: NodeId,
-        attr: &str,
-        value: impl Into<moara_attributes::Value>,
-    ) {
+    pub fn set_attr(&mut self, node: NodeId, attr: &str, value: impl Into<Value>) {
         if !self.transport.is_alive(node) {
             return;
         }
+        let (name, _) = self.dir.attr(attr);
         let value = value.into();
         self.transport.with_node(node, |n, ctx| {
-            n.store.set(attr, value);
+            n.store.set(name, value);
             n.on_local_change(ctx, attr);
         });
     }
@@ -695,10 +699,7 @@ impl<T: Transport<MoaraNode>> Cluster<T> {
 
     /// Adds a fresh node with the given initial attributes; the overlay
     /// integrates it and existing state re-homes to new parents.
-    pub fn add_node(
-        &mut self,
-        attrs: impl IntoIterator<Item = (String, moara_attributes::Value)>,
-    ) -> NodeId {
+    pub fn add_node(&mut self, attrs: impl IntoIterator<Item = (String, Value)>) -> NodeId {
         let mut id = Id(self.rng.gen());
         while self.dir.contains_ring_id(id) {
             id = Id(self.rng.gen());
@@ -710,7 +711,7 @@ impl<T: Transport<MoaraNode>> Cluster<T> {
             moara.set_tracer(t.clone());
         }
         for (a, v) in attrs {
-            moara.store.set(a.as_str(), v);
+            moara.store.set(self.dir.attr(&a).0, v);
         }
         let created = self.transport.add_node(moara);
         debug_assert_eq!(created, node);
@@ -758,7 +759,6 @@ impl<T: Transport<MoaraNode>> Cluster<T> {
 mod tests {
     use super::*;
     use moara_aggregation::AggResult;
-    use moara_attributes::Value;
 
     fn small_cluster(n: usize) -> Cluster {
         Cluster::builder().nodes(n).seed(7).build()
@@ -904,14 +904,30 @@ mod tests {
         let names: Vec<String> = ["", "*", "CPU-Util", "Mem Free", "ÄÖü"]
             .map(String::from)
             .into_iter()
-            .chain((0..2 * TREE_KEYS_CAP + 3).map(|i| format!("attr-{i}")))
+            .chain((0..2 * NAMES_CAP + 3).map(|i| format!("attr-{i}")))
             .collect();
         for _ in 0..2 {
             for a in &names {
                 assert_eq!(dir.tree_key(a), Id::of_attribute(a), "{a:?}");
             }
         }
-        assert!(dir.inner.borrow().tree_keys.len() <= TREE_KEYS_CAP);
+        assert!(dir.inner.borrow().names.len() <= NAMES_CAP);
+    }
+
+    #[test]
+    fn every_node_stores_the_one_shared_name() {
+        let mut c = small_cluster(12);
+        for i in 0..12u32 {
+            c.set_attr(NodeId(i), "ServiceX", i % 3 == 0);
+            c.set_attr(NodeId(i), "ServiceX", i % 2 == 0);
+        }
+        // A node that joins with the attribute takes the shared name too.
+        c.add_node([("ServiceX".to_string(), Value::Bool(true))]);
+        let (shared, _) = c.directory().attr("ServiceX");
+        for n in c.node_ids() {
+            let (name, _) = c.node(n).store.iter().next().expect("one attribute");
+            assert_eq!(name.as_str().as_ptr(), shared.as_str().as_ptr(), "{n}");
+        }
     }
 
     #[test]

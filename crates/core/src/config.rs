@@ -2,6 +2,8 @@
 
 use moara_simnet::SimDuration;
 
+use crate::state::WINDOW_CAP;
+
 /// Which aggregation system the engine runs — Moara itself or one of the
 /// paper's comparison baselines (Section 7.1's "Global" and
 /// "Moara (Always-Update)" lines in Figure 9).
@@ -179,11 +181,13 @@ impl MoaraConfig {
         self
     }
 
-    /// Sets the adaptation windows `(k_UPDATE, k_NO-UPDATE)`.
+    /// Sets the adaptation windows `(k_UPDATE, k_NO-UPDATE)`, each 1 to
+    /// [`WINDOW_CAP`] events.
     pub fn with_adaptation_windows(mut self, k_update: usize, k_no_update: usize) -> MoaraConfig {
+        let window = 1..=WINDOW_CAP;
         assert!(
-            k_update >= 1 && k_no_update >= 1,
-            "windows must be positive"
+            window.contains(&k_update) && window.contains(&k_no_update),
+            "adaptation windows must be 1 to {WINDOW_CAP} events"
         );
         self.k_update = k_update;
         self.k_no_update = k_no_update;
@@ -254,6 +258,18 @@ mod tests {
             .with_adaptation_windows(2, 5);
         assert_eq!(c.threshold, 4);
         assert_eq!((c.k_update, c.k_no_update), (2, 5));
+    }
+
+    #[test]
+    fn windows_up_to_the_cap_are_accepted() {
+        let c = MoaraConfig::default().with_adaptation_windows(WINDOW_CAP, 1);
+        assert_eq!((c.k_update, c.k_no_update), (WINDOW_CAP, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "adaptation windows must be 1 to 32 events")]
+    fn a_window_above_the_cap_is_rejected() {
+        let _ = MoaraConfig::default().with_adaptation_windows(1, WINDOW_CAP + 1);
     }
 
     #[test]

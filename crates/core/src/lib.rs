@@ -54,7 +54,7 @@ pub use config::{GcPolicy, MoaraConfig, Mode, ProbeCachePolicy};
 pub use msg::{MoaraMsg, PredKey, QueryId, GLOBAL_PRED};
 pub use node::{MoaraNode, QueryOutcome};
 pub use sched::ProbeCache;
-pub use state::{ChildInfo, ChildTable, PredState, StatusOut};
+pub use state::{ChildInfo, ChildTable, PredState, StatusOut, Targets};
 
 // The continuous-query subscription plane's shared types, re-exported so
 // harnesses and daemons name them through the engine crate.

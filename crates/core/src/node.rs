@@ -11,6 +11,9 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use moara_aggregation::{AggKind, AggResult, AggState, NodeRef};
@@ -26,7 +29,7 @@ use crate::cluster::Directory;
 use crate::config::{GcPolicy, MoaraConfig, Mode};
 use crate::msg::{MoaraMsg, PredKey, QueryId, GLOBAL_PRED};
 use crate::sched::{BatchQueue, QuerySched};
-use crate::state::{ChildInfo, PredState};
+use crate::state::{ChildInfo, PredState, Targets};
 
 /// Query ids one generation of the duplicate-suppression window holds
 /// before it is rotated out, whatever `dedup_ttl` says. The duplicate the
@@ -38,35 +41,64 @@ use crate::state::{ChildInfo, PredState};
 /// member at 5 k requests a second).
 const DEDUP_GENERATION: usize = 8_192;
 
+/// A [`QueryId`] as the dedup window holds it: the origin and the full
+/// count, epoch bits included, in 12 bytes aligned to 4, where a
+/// `QueryId` pads to 16.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct SeenId {
+    origin: u32,
+    /// The count's low and high halves.
+    n: [u32; 2],
+}
+
+impl From<&QueryId> for SeenId {
+    fn from(qid: &QueryId) -> SeenId {
+        SeenId {
+            origin: qid.origin.0,
+            n: [qid.n as u32, (qid.n >> 32) as u32],
+        }
+    }
+}
+
+impl Hash for SeenId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u32(self.origin);
+        state.write_u64(u64::from(self.n[0]) | u64::from(self.n[1]) << 32);
+    }
+}
+
 /// The query ids a node has already contributed to (Section 6.2's
 /// duplicate suppression), in two generations: ids enter `recent`, and
 /// once that has been filling for `dedup_ttl` or holds
-/// [`DEDUP_GENERATION`] ids it becomes `older`, whose previous contents
-/// go in one deallocation. An id is therefore remembered for at least
-/// `dedup_ttl` (or the next [`DEDUP_GENERATION`] ids, if those come
-/// sooner) and at most twice that, at O(1) a query and one set entry an
-/// id — no per-id timestamp, no pass over the window.
+/// [`DEDUP_GENERATION`] ids, the next insert turns it into `older`, whose
+/// previous contents go in one deallocation. An id is therefore
+/// remembered for at least `dedup_ttl` (or the next [`DEDUP_GENERATION`]
+/// ids, if those come sooner), at O(1) a query and one 12-byte set entry
+/// an id — no per-id timestamp, no pass over the window. Generations turn
+/// over only on insert: a node that stops contributing keeps its last ids
+/// until it contributes again, however long that takes.
 #[derive(Default)]
 struct DedupWindow {
-    recent: MintedSet<QueryId>,
-    older: MintedSet<QueryId>,
+    recent: MintedSet<SeenId>,
+    older: MintedSet<SeenId>,
     /// When the first id of `recent` went in.
     recent_since: SimTime,
 }
 
 impl DedupWindow {
     fn contains(&self, qid: &QueryId) -> bool {
-        self.recent.contains(qid) || self.older.contains(qid)
+        let id = SeenId::from(qid);
+        self.recent.contains(&id) || self.older.contains(&id)
     }
 
-    fn insert(&mut self, qid: QueryId, now: SimTime, ttl: SimDuration) {
+    fn insert(&mut self, qid: &QueryId, now: SimTime, ttl: SimDuration) {
         if self.recent.len() >= DEDUP_GENERATION || now.duration_since(self.recent_since) >= ttl {
             self.older = std::mem::take(&mut self.recent);
         }
         if self.recent.is_empty() {
             self.recent_since = now;
         }
-        self.recent.insert(qid);
+        self.recent.insert(SeenId::from(qid));
     }
 
     #[cfg(test)]
@@ -79,6 +111,60 @@ impl DedupWindow {
 /// years at 5 k queries a second) and the bits above for the epoch set
 /// by [`MoaraNode::set_query_epoch`].
 const QUERY_EPOCH_SHIFT: u32 = 40;
+
+/// Timer tags name their owner in the bits below the membership
+/// detector's (bit 63, which a daemon routes to the detector). A
+/// session's child timer and a front's probe or deadline timer are found
+/// from the tag itself, so they take no entry in a timer table; the
+/// subscription plane's tags count up from 0 in [`SubPlane::timers`].
+const TAG_SESSION: TimerTag = 1 << 62;
+/// A front's timer: the front id in the bits below.
+const TAG_FRONT: TimerTag = 1 << 61;
+
+/// A per-query table: a [`MintedMap`] that gives its memory back when its
+/// last entry leaves, so a node holds nothing for queries it has
+/// finished. The next query's first entry allocates it again.
+struct QueryTable<K, V>(MintedMap<K, V>);
+
+impl<K, V> Default for QueryTable<K, V> {
+    fn default() -> Self {
+        QueryTable(MintedMap::default())
+    }
+}
+
+impl<K, V> Deref for QueryTable<K, V> {
+    type Target = MintedMap<K, V>;
+
+    fn deref(&self) -> &MintedMap<K, V> {
+        &self.0
+    }
+}
+
+impl<K: Hash + Eq, V> QueryTable<K, V> {
+    fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.0.get_mut(key)
+    }
+
+    fn entry(&mut self, key: K) -> std::collections::hash_map::Entry<'_, K, V> {
+        self.0.entry(key)
+    }
+
+    fn insert(&mut self, key: K, value: V) {
+        self.0.insert(key, value);
+    }
+
+    fn remove(&mut self, key: &K) -> Option<V> {
+        let value = self.0.remove(key);
+        if self.0.is_empty() {
+            self.clear();
+        }
+        value
+    }
+
+    fn clear(&mut self) {
+        self.0 = MintedMap::default();
+    }
+}
 
 /// The final result of a front-end query.
 #[derive(Clone, Debug)]
@@ -115,7 +201,7 @@ struct Session {
     pred_key: PredKey,
     reply_to: NodeId,
     /// Targets that have not replied yet.
-    pending: Vec<NodeId>,
+    pending: Targets,
     acc: AggState,
     kind: AggKind,
     complete: bool,
@@ -137,7 +223,7 @@ struct Session {
 /// `more`.
 #[derive(Default)]
 struct Sessions {
-    by_query: MintedMap<QueryId, QuerySessions>,
+    by_query: QueryTable<QueryId, QuerySessions>,
 }
 
 /// The sessions of one query at this node.
@@ -198,6 +284,14 @@ impl Sessions {
         })
     }
 
+    /// The session whose child timer carries `tag`, as its query id and
+    /// key.
+    fn by_timer(&self, tag: TimerTag) -> Option<(QueryId, PredKey)> {
+        self.iter()
+            .find(|(_, s)| s.timer.is_some_and(|(_, t)| t == tag))
+            .map(|(qid, s)| (qid, s.pred_key.clone()))
+    }
+
     fn clear(&mut self) {
         self.by_query.clear();
     }
@@ -229,7 +323,9 @@ struct FrontQuery {
     /// Cache epoch when the query was accepted; replies are used for the
     /// lazy cost refresh only while no churn was observed since.
     epoch: u64,
-    timer: Option<(TimerId, TimerTag)>,
+    /// The probe or deadline timer armed now (its tag is `TAG_FRONT` and
+    /// the front id).
+    timer: Option<TimerId>,
     /// The front-end's trace context for this query (span_id = the plan
     /// span): probes and sub-queries descend from it, and the terminal
     /// reply span parents to it. `None` when unsampled.
@@ -239,10 +335,8 @@ struct FrontQuery {
     probe_spans: HashMap<PredKey, u64>,
 }
 
+/// What a subscription-plane timer is for.
 enum TimerEvent {
-    Session(QueryId, PredKey),
-    Probe(u64),
-    Front(u64),
     /// Node-side subscription lease clock (maintenance timer).
     SubLease(SubId, PredKey),
     /// Node-side initial-sync timeout: announce with what arrived.
@@ -255,24 +349,15 @@ enum TimerEvent {
     WatchInit(u64),
 }
 
-/// A Moara agent/protocol instance hosted on one simulated machine.
-pub struct MoaraNode {
-    dir: Directory,
-    cfg: MoaraConfig,
-    /// The node's local `(attribute, value)` store.
-    pub store: AttrStore,
-    states: HashMap<PredKey, PredState>,
-    sessions: Sessions,
-    contributed: DedupWindow,
-    fronts: MintedMap<u64, FrontQuery>,
-    completed: MintedMap<u64, QueryOutcome>,
-    timers: MintedMap<TimerTag, TimerEvent>,
-    /// The query-plane scheduler: probe-cost cache (with churn epoch) and
-    /// the in-flight probe registry shared by all concurrent fronts.
-    sched: QuerySched,
+/// The continuous-query (subscription) plane at one node: the entries it
+/// hosts as a tree member, the watches it originated, and the timers
+/// both run on. Held out of line and created when the node first takes
+/// part in a standing query, so the others carry one pointer for it.
+#[derive(Default)]
+struct SubPlane {
     /// Standing-subscription state this node hosts as a tree member, by
     /// (subscription, tree).
-    subs: BTreeMap<(SubId, PredKey), SubEntry>,
+    entries: BTreeMap<(SubId, PredKey), SubEntry>,
     /// Subscriptions this node originated, by watch handle.
     watches: HashMap<u64, WatchState>,
     /// Reverse index: subscription id → watch handle.
@@ -286,13 +371,11 @@ pub struct MoaraNode {
     /// them instead of letting quiescence drains fire them.
     sub_init_timers: HashMap<(SubId, PredKey), (TimerId, TimerTag)>,
     watch_init_timers: HashMap<u64, (TimerId, TimerTag)>,
-    next_front: u64,
-    next_q: u64,
+    /// The plane's armed timers by tag.
+    timers: QueryTable<TimerTag, TimerEvent>,
     next_watch: u64,
     next_sub: u64,
     next_tag: u64,
-    /// Span sink, when the host (daemon or cluster harness) attached one.
-    tracer: Option<Arc<SpanStore>>,
     /// The trace context of the `SubDelta` currently being handled —
     /// implicit causal propagation: a push triggered while folding an
     /// incoming delta chains to it instead of starting a fresh trace.
@@ -301,36 +384,118 @@ pub struct MoaraNode {
     next_delta_trace: u64,
 }
 
+impl SubPlane {
+    fn alloc_timer(&mut self, ev: TimerEvent) -> TimerTag {
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        self.timers.insert(tag, ev);
+        tag
+    }
+
+    /// Cancels a pending timer *and* forgets its event entry — cancelled
+    /// timers never fire, so without the purge the tag map would grow
+    /// for every finished initial sync (a real leak in a run-forever
+    /// daemon).
+    fn drop_timer(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, handle: (TimerId, TimerTag)) {
+        ctx.cancel_timer(handle.0);
+        self.timers.remove(&handle.1);
+    }
+
+    /// Forgets every entry, watch and timer, keeping the id counters so
+    /// no watch handle or subscription id is handed out twice.
+    fn reset(&mut self) {
+        *self = SubPlane {
+            next_watch: self.next_watch,
+            next_sub: self.next_sub,
+            next_tag: self.next_tag,
+            next_delta_trace: self.next_delta_trace,
+            ..SubPlane::default()
+        };
+    }
+}
+
+/// A Moara agent/protocol instance hosted on one simulated machine.
+pub struct MoaraNode {
+    dir: Directory,
+    /// The engine configuration, one copy shared by every node a host
+    /// runs.
+    cfg: Rc<MoaraConfig>,
+    /// The node's local `(attribute, value)` store.
+    pub store: AttrStore,
+    states: HashMap<PredKey, PredState>,
+    sessions: Sessions,
+    contributed: DedupWindow,
+    fronts: QueryTable<u64, FrontQuery>,
+    completed: QueryTable<u64, QueryOutcome>,
+    /// The query-plane scheduler: probe-cost cache (with churn epoch) and
+    /// the in-flight probe registry shared by all concurrent fronts.
+    sched: QuerySched,
+    /// The subscription plane, once the node takes part in one.
+    subs: Option<Box<SubPlane>>,
+    next_front: u64,
+    next_q: u64,
+    /// Counter for session-timer tags.
+    next_session_tag: u64,
+    /// Span sink, when the host (daemon or cluster harness) attached one.
+    tracer: Option<Arc<SpanStore>>,
+}
+
 impl MoaraNode {
-    /// Creates a node bound to the shared overlay directory.
-    pub fn new(dir: Directory, cfg: MoaraConfig) -> MoaraNode {
-        let sched = QuerySched::new(cfg.probe_cache);
+    /// Creates a node bound to the shared overlay directory. A host
+    /// running many nodes passes one `Rc` of the configuration to all.
+    pub fn new(dir: Directory, cfg: impl Into<Rc<MoaraConfig>>) -> MoaraNode {
+        let cfg = cfg.into();
         MoaraNode {
             dir,
+            sched: QuerySched::new(cfg.probe_cache),
             cfg,
             store: AttrStore::new(),
             states: HashMap::new(),
             sessions: Sessions::default(),
             contributed: DedupWindow::default(),
-            fronts: MintedMap::default(),
-            completed: MintedMap::default(),
-            timers: MintedMap::default(),
-            sched,
-            subs: BTreeMap::new(),
-            watches: HashMap::new(),
-            watch_of: HashMap::new(),
-            dirty_watches: HashSet::new(),
-            sub_init_timers: HashMap::new(),
-            watch_init_timers: HashMap::new(),
+            fronts: QueryTable::default(),
+            completed: QueryTable::default(),
+            subs: None,
             next_front: 0,
             next_q: 0,
-            next_watch: 0,
-            next_sub: 0,
-            next_tag: 0,
+            next_session_tag: 0,
             tracer: None,
-            delta_ctx: None,
-            next_delta_trace: 0,
         }
+    }
+
+    /// The subscription plane, created on first use.
+    fn plane(&mut self) -> &mut SubPlane {
+        self.subs.get_or_insert_with(Box::default)
+    }
+
+    /// The subscription entries this node hosts, in key order.
+    fn sub_entries(&self) -> impl Iterator<Item = (&(SubId, PredKey), &SubEntry)> {
+        self.subs.iter().flat_map(|plane| &plane.entries)
+    }
+
+    fn sub_entry(&self, key: &(SubId, PredKey)) -> Option<&SubEntry> {
+        self.subs.as_ref()?.entries.get(key)
+    }
+
+    fn sub_entry_mut(&mut self, key: &(SubId, PredKey)) -> Option<&mut SubEntry> {
+        self.subs.as_mut()?.entries.get_mut(key)
+    }
+
+    /// The watch this node originated for `sid`, if any.
+    fn watch_of(&self, sid: &SubId) -> Option<u64> {
+        self.subs.as_ref()?.watch_of.get(sid).copied()
+    }
+
+    /// The capacity this node's per-query tables hold — fronts,
+    /// outcomes, sessions and subscription-plane timers; 0 once every
+    /// query has finished and its outcome was taken (tests/inspection).
+    #[doc(hidden)]
+    pub fn per_query_footprint(&self) -> usize {
+        let timers = self.subs.as_ref().map_or(0, |p| p.timers.capacity());
+        self.fronts.capacity()
+            + self.completed.capacity()
+            + self.sessions.by_query.capacity()
+            + timers
     }
 
     /// Starts this node's query-id counter in an epoch of its own
@@ -470,19 +635,21 @@ impl MoaraNode {
         self.states.len() != before
     }
 
+    /// Registers a subscription-plane timer event; returns the tag to arm
+    /// it with.
     fn alloc_timer(&mut self, ev: TimerEvent) -> TimerTag {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.timers.insert(tag, ev);
-        tag
+        self.plane().alloc_timer(ev)
     }
 
-    /// Cancels a pending timer *and* forgets its event entry — cancelled
-    /// timers never fire, so without the purge the tag map would grow for
-    /// every completed query (a real leak in a run-forever daemon).
+    /// Cancels a subscription-plane timer and forgets its event.
     fn drop_timer(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, handle: (TimerId, TimerTag)) {
-        ctx.cancel_timer(handle.0);
-        self.timers.remove(&handle.1);
+        self.plane().drop_timer(ctx, handle);
+    }
+
+    /// Arms `front_id`'s probe or deadline timer.
+    fn arm_front_timer(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, front_id: u64, d: SimDuration) {
+        let t = ctx.set_timer(d, TAG_FRONT | front_id);
+        self.fronts.get_mut(&front_id).expect("front exists").timer = Some(t);
     }
 
     // ----- front-end ---------------------------------------------------
@@ -664,9 +831,8 @@ impl MoaraNode {
                 self.dispatch_front(ctx, front_id);
                 return front_id;
             }
-            let tag = self.alloc_timer(TimerEvent::Probe(front_id));
-            front.timer = Some((ctx.set_timer(self.cfg.probe_timeout, tag), tag));
             self.fronts.insert(front_id, front);
+            self.arm_front_timer(ctx, front_id, self.cfg.probe_timeout);
             self.route_many(ctx, outbound);
         } else {
             self.fronts.insert(front_id, front);
@@ -683,7 +849,7 @@ impl MoaraNode {
             front.timer.take()
         };
         if let Some(t) = stale {
-            self.drop_timer(ctx, t);
+            ctx.cancel_timer(t);
         }
         let front = self.fronts.get_mut(&front_id).expect("front exists");
         let n2 = (self.dir.ring_size() as u64).saturating_mul(2);
@@ -714,9 +880,7 @@ impl MoaraNode {
             front.sub_pending.insert(pred_key.clone());
         }
         if let Some(d) = self.cfg.front_timeout {
-            let tag = self.alloc_timer(TimerEvent::Front(front_id));
-            let t = ctx.set_timer(d, tag);
-            self.fronts.get_mut(&front_id).expect("front").timer = Some((t, tag));
+            self.arm_front_timer(ctx, front_id, d);
         }
         // One fan-out span at the origin covers the whole sub-query
         // spray; each tree root's own fan-out span parents to it.
@@ -772,7 +936,7 @@ impl MoaraNode {
             return;
         };
         if let Some(t) = front.timer {
-            self.drop_timer(ctx, t);
+            ctx.cancel_timer(t);
         }
         let complete = front.complete && front.sub_pending.is_empty();
         // The terminal span: its queue-wait is the query's end-to-end
@@ -1082,20 +1246,15 @@ impl MoaraNode {
         // In-flight work addressed to the pre-crash process is void.
         self.sessions.clear();
         self.fronts.clear();
-        self.timers.clear();
         self.sched.waiters.clear();
         self.sched.cache.bump_epoch();
         // Standing subscription state is likewise void: hosted entries
         // are re-installed by the parents' repair wave, and this node's
         // own watches did not survive the crash (their subscribers are
         // gone with the process).
-        self.subs.clear();
-        for (_, wid) in std::mem::take(&mut self.watch_of) {
-            self.watches.remove(&wid);
+        if let Some(plane) = &mut self.subs {
+            plane.reset();
         }
-        self.dirty_watches.clear();
-        self.sub_init_timers.clear();
-        self.watch_init_timers.clear();
         self.reconcile(ctx);
     }
 
@@ -1105,12 +1264,12 @@ impl MoaraNode {
         let keys: Vec<(QueryId, PredKey)> = self
             .sessions
             .iter()
-            .filter(|(_, s)| s.pending.contains(&failed))
+            .filter(|(_, s)| s.pending.contains(failed))
             .map(|(qid, s)| (qid, s.pred_key.clone()))
             .collect();
         for (qid, key) in keys {
             let sess = self.sessions.get_mut(qid, &key).expect("session exists");
-            sess.pending.retain(|&p| p != failed);
+            sess.pending.remove(failed);
             sess.complete = false;
             if sess.pending.is_empty() {
                 self.finalize_session(ctx, qid, &key);
@@ -1121,15 +1280,14 @@ impl MoaraNode {
         // triggered this hook (the rest of its subtree is re-adopted by
         // the reconcile that follows).
         let keys: Vec<(SubId, PredKey)> = self
-            .subs
-            .iter()
+            .sub_entries()
             .filter(|(_, e)| {
                 e.last_seen.contains_key(&failed) || e.pending_initial.contains(&failed)
             })
             .map(|(k, _)| k.clone())
             .collect();
         for key in keys {
-            let entry = self.subs.get_mut(&key).expect("filtered");
+            let entry = self.sub_entry_mut(&key).expect("filtered");
             let changed = entry.drop_child(failed);
             if !entry.announced {
                 self.maybe_announce(ctx, &key);
@@ -1174,7 +1332,6 @@ impl MoaraNode {
         // Adaptation accounting + possible state transition (Section 4).
         let view = self.dir.tree(tree);
         let children = view.children(me);
-        let mut pending = Vec::new();
         // The branch's NO-PRUNE count, taken while the state is in hand:
         // a node with nobody to forward to answers with it at once.
         let mut np = 0;
@@ -1185,7 +1342,7 @@ impl MoaraNode {
             let atom = || find_atom(&query, &pred_key).cloned();
             Self::state_entry(&mut self.states, &self.dir, &self.cfg, me, &pred_key, atom)
         };
-        match state {
+        let pending = match state {
             Some(st) => {
                 // Account the query against the *current* updateSet
                 // first (a brand-new state counts it as qn), then
@@ -1193,15 +1350,16 @@ impl MoaraNode {
                 st.on_query(me, seq);
                 let sat = st.pred.eval(&self.store);
                 st.refresh(me, sat, children);
-                st.query_targets(me, children, &mut pending);
+                let pending = st.query_targets(me, children);
                 Self::send_status(ctx, &self.dir, &pred_key, st);
                 st.last_active = Some(ctx.now());
                 if pending.is_empty() {
                     np = st.np(me, children, |c| view.subtree_size(c));
                 }
+                pending
             }
-            None => pending.extend_from_slice(children),
-        }
+            None => Targets::from(children),
+        };
         if !global && self.maybe_gc(ctx.now()) {
             // The collection may have taken this very state.
             np = self.branch_np(me, &pred_key, tree);
@@ -1211,7 +1369,7 @@ impl MoaraNode {
         // duplicate suppression when a node sits in several cover trees).
         let mut acc = query.agg.identity();
         if !self.contributed.contains(&qid) && query.predicate.eval(&self.store) {
-            self.contributed.insert(qid, ctx.now(), self.cfg.dedup_ttl);
+            self.contributed.insert(&qid, ctx.now(), self.cfg.dedup_ttl);
             acc = self.local_contribution(me, &query);
         }
 
@@ -1227,16 +1385,17 @@ impl MoaraNode {
             0,
             0,
             0,
-            format_args!("targets={}", pending.len()),
+            format_args!("targets={}", pending.as_slice().len()),
         );
         let mut timer = None;
         if !pending.is_empty() {
             if let Some(d) = self.cfg.child_timeout {
-                let tag = self.alloc_timer(TimerEvent::Session(qid, pred_key.clone()));
+                let tag = TAG_SESSION | self.next_session_tag;
+                self.next_session_tag += 1;
                 timer = Some((ctx.set_timer(d, tag), tag));
             }
         }
-        for &t in &pending {
+        for &t in pending.as_slice() {
             ctx.send(
                 t,
                 MoaraMsg::QueryDown {
@@ -1322,8 +1481,8 @@ impl MoaraNode {
         np: u64,
     ) {
         let me = ctx.me();
-        if let Some(t) = sess.timer.take() {
-            self.drop_timer(ctx, t);
+        if let Some((t, _)) = sess.timer.take() {
+            ctx.cancel_timer(t);
         }
         let complete = sess.complete && sess.pending.is_empty();
         // The fold span's queue-wait is the time this hop sat waiting for
@@ -1367,9 +1526,9 @@ impl MoaraNode {
         if let Some(sess) = self
             .sessions
             .get_mut(qid, &pred_key)
-            .filter(|s| s.pending.contains(&from))
+            .filter(|s| s.pending.contains(from))
         {
-            sess.pending.retain(|&p| p != from);
+            sess.pending.remove(from);
             sess.complete &= complete;
             let kind = sess.kind;
             let prev = std::mem::replace(&mut sess.acc, AggState::Null);
@@ -1580,13 +1739,14 @@ impl MoaraNode {
             }
             other => other,
         };
-        let wid = self.next_watch;
-        self.next_watch += 1;
+        let plane = self.plane();
+        let wid = plane.next_watch;
+        plane.next_watch += 1;
         let sid = SubId {
             origin: ctx.me(),
-            n: self.next_sub,
+            n: plane.next_sub,
         };
-        self.next_sub += 1;
+        plane.next_sub += 1;
         let now = ctx.now();
 
         let plan = if self.cfg.mode == Mode::Global {
@@ -1626,13 +1786,15 @@ impl MoaraNode {
             // Structurally unsatisfiable: the (empty) result is standing
             // truth with no communication at all.
             watch.force_initial(now);
-            self.watches.insert(wid, watch);
-            self.watch_of.insert(sid, wid);
-            self.dirty_watches.insert(wid);
+            let plane = self.plane();
+            plane.watches.insert(wid, watch);
+            plane.watch_of.insert(sid, wid);
+            plane.dirty_watches.insert(wid);
             return wid;
         }
-        self.watches.insert(wid, watch);
-        self.watch_of.insert(sid, wid);
+        let plane = self.plane();
+        plane.watches.insert(wid, watch);
+        plane.watch_of.insert(sid, wid);
         ctx.count("sub_subscribes");
 
         let outbound: Vec<(Id, Box<MoaraMsg>)> = roots
@@ -1664,7 +1826,7 @@ impl MoaraNode {
         let init_to = self.cfg.front_timeout.unwrap_or(SimDuration::from_secs(60));
         let tag = self.alloc_timer(TimerEvent::WatchInit(wid));
         let t = ctx.set_timer(init_to, tag);
-        self.watch_init_timers.insert(wid, (t, tag));
+        self.plane().watch_init_timers.insert(wid, (t, tag));
         wid
     }
 
@@ -1672,13 +1834,16 @@ impl MoaraNode {
     /// and removes per-node state eagerly (lease expiry would get there
     /// anyway, this is just prompt).
     pub fn unsubscribe(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, watch_id: u64) {
-        let Some(watch) = self.watches.remove(&watch_id) else {
+        let Some(plane) = self.subs.as_deref_mut() else {
             return;
         };
-        self.watch_of.remove(&watch.spec.id);
-        self.dirty_watches.remove(&watch_id);
-        if let Some(t) = self.watch_init_timers.remove(&watch_id) {
-            self.drop_timer(ctx, t);
+        let Some(watch) = plane.watches.remove(&watch_id) else {
+            return;
+        };
+        plane.watch_of.remove(&watch.spec.id);
+        plane.dirty_watches.remove(&watch_id);
+        if let Some(t) = plane.watch_init_timers.remove(&watch_id) {
+            plane.drop_timer(ctx, t);
         }
         let outbound: Vec<(Id, Box<MoaraMsg>)> = watch
             .roots
@@ -1698,8 +1863,9 @@ impl MoaraNode {
 
     /// Drains the client-visible updates of one watch.
     pub fn take_sub_updates(&mut self, watch_id: u64) -> Vec<SubUpdate> {
-        self.watches
-            .get_mut(&watch_id)
+        self.subs
+            .as_deref_mut()
+            .and_then(|plane| plane.watches.get_mut(&watch_id))
             .map(WatchState::take_updates)
             .unwrap_or_default()
     }
@@ -1712,28 +1878,36 @@ impl MoaraNode {
     /// watch until that watch is drained, so hosts that poll specific
     /// watches directly (ctrl/SSE streams) can ignore it.
     pub fn take_dirty_watches(&mut self) -> Vec<u64> {
-        self.dirty_watches.drain().collect()
+        self.subs
+            .as_deref_mut()
+            .map(|plane| plane.dirty_watches.drain().collect())
+            .unwrap_or_default()
+    }
+
+    /// The watch `watch_id`, if this front-end maintains it.
+    fn watch(&self, watch_id: u64) -> Option<&WatchState> {
+        self.subs.as_ref()?.watches.get(&watch_id)
     }
 
     /// The current merged result of a watch (None for unknown handles).
     pub fn watch_result(&self, watch_id: u64) -> Option<AggResult> {
-        self.watches.get(&watch_id).map(WatchState::current)
+        self.watch(watch_id).map(WatchState::current)
     }
 
     /// Updates ever emitted by a watch (per-subscription stats).
     pub fn watch_updates_emitted(&self, watch_id: u64) -> u64 {
-        self.watches.get(&watch_id).map_or(0, |w| w.updates_emitted)
+        self.watch(watch_id).map_or(0, |w| w.updates_emitted)
     }
 
     /// Number of watches this front-end currently maintains.
     pub fn active_watches(&self) -> usize {
-        self.watches.len()
+        self.subs.as_ref().map_or(0, |plane| plane.watches.len())
     }
 
     /// Number of per-tree subscription entries this node currently hosts
     /// (tests: lease-expiry GC must drive this to zero).
     pub fn sub_entry_count(&self) -> usize {
-        self.subs.len()
+        self.subs.as_ref().map_or(0, |plane| plane.entries.len())
     }
 
     /// This node's contribution to one tree of a subscription's pinned
@@ -1807,7 +1981,10 @@ impl MoaraNode {
     /// suppressed when its subtree aggregate has not moved.
     fn push_sub_delta(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, key: &(SubId, PredKey)) {
         let me = ctx.me();
-        let Some(entry) = self.subs.get_mut(key) else {
+        let Some(plane) = self.subs.as_deref_mut() else {
+            return;
+        };
+        let Some(entry) = plane.entries.get_mut(key) else {
             return;
         };
         if !entry.announced {
@@ -1821,7 +1998,7 @@ impl MoaraNode {
         // Causal context for this push: the delta being folded right now
         // (implicit propagation), else a fresh sampled root in the
         // delta-push trace-id namespace — a local change starting a wave.
-        let parent = match self.delta_ctx {
+        let parent = match plane.delta_ctx {
             Some(t) => Some(t),
             None => {
                 let fresh = self
@@ -1829,8 +2006,8 @@ impl MoaraNode {
                     .as_ref()
                     .is_some_and(|t| t.enabled() && t.sample_root());
                 if fresh {
-                    let n = self.next_delta_trace;
-                    self.next_delta_trace += 1;
+                    let n = plane.next_delta_trace;
+                    plane.next_delta_trace += 1;
                     Some(TraceCtx::root(
                         TRACE_NS_SUBDELTA | (u64::from(me.0) << 32) | (n & 0xffff_ffff),
                     ))
@@ -1841,9 +2018,9 @@ impl MoaraNode {
         };
         if to == me {
             // This node is both the tree root and the subscriber.
-            let prev = std::mem::replace(&mut self.delta_ctx, parent);
+            let prev = std::mem::replace(&mut plane.delta_ctx, parent);
             self.deliver_to_watch(ctx, key.0, key.1.clone(), seq, state);
-            self.delta_ctx = prev;
+            self.plane().delta_ctx = prev;
         } else {
             let t = self.trace_span(
                 parent,
@@ -1874,16 +2051,16 @@ impl MoaraNode {
     /// pinned children reported, or the init timeout cleared them).
     fn maybe_announce(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, key: &(SubId, PredKey)) {
         let ready = self
-            .subs
-            .get(key)
+            .sub_entry(key)
             .is_some_and(|e| !e.announced && e.pending_initial.is_empty());
         if !ready {
             return;
         }
-        if let Some(t) = self.sub_init_timers.remove(key) {
-            self.drop_timer(ctx, t);
+        let plane = self.plane();
+        if let Some(t) = plane.sub_init_timers.remove(key) {
+            plane.drop_timer(ctx, t);
         }
-        self.subs.get_mut(key).expect("checked").announced = true;
+        plane.entries.get_mut(key).expect("checked").announced = true;
         self.push_sub_delta(ctx, key);
     }
 
@@ -1896,12 +2073,12 @@ impl MoaraNode {
         seq: u64,
         state: AggState,
     ) {
-        let Some(&wid) = self.watch_of.get(&sid) else {
+        let Some(wid) = self.watch_of(&sid) else {
             ctx.count("sub_unknown_delta");
             return;
         };
         // Terminal span of a delta wave: the update reached its watch.
-        let dctx = self.delta_ctx;
+        let dctx = self.plane().delta_ctx;
         self.trace_span(
             dctx,
             ctx.me(),
@@ -1913,7 +2090,8 @@ impl MoaraNode {
             0,
             format_args!("deliver {pred_key}"),
         );
-        let Some(watch) = self.watches.get_mut(&wid) else {
+        let plane = self.plane();
+        let Some(watch) = plane.watches.get_mut(&wid) else {
             return;
         };
         if watch.note_root(&pred_key, seq, state).is_none() {
@@ -1921,11 +2099,11 @@ impl MoaraNode {
         }
         watch.maybe_emit(ctx.now());
         if !watch.updates.is_empty() {
-            self.dirty_watches.insert(wid);
+            plane.dirty_watches.insert(wid);
         }
         if watch.initial_done() {
-            if let Some(t) = self.watch_init_timers.remove(&wid) {
-                self.drop_timer(ctx, t);
+            if let Some(t) = plane.watch_init_timers.remove(&wid) {
+                plane.drop_timer(ctx, t);
             }
         }
     }
@@ -1948,16 +2126,16 @@ impl MoaraNode {
         let key = (spec.id, pred_key.clone());
         let atom = find_atom(&spec.query, &pred_key);
         let targets = self.sub_targets(ctx, atom, &pred_key, tree, Some(seq));
-        let is_new = !self.subs.contains_key(&key);
+        let is_new = self.sub_entry(&key).is_none();
         if is_new {
             let mut entry = SubEntry::new(spec.clone(), pred_key.clone(), tree, push_to, now);
             entry.set_local(self.sub_contribution(me, &spec, &pred_key));
-            self.subs.insert(key.clone(), entry);
+            self.plane().entries.insert(key.clone(), entry);
             ctx.count("sub_installs");
             let tag = self.alloc_timer(TimerEvent::SubLease(spec.id, pred_key.clone()));
             ctx.set_maintenance_timer(spec.lease, tag);
         } else {
-            let entry = self.subs.get_mut(&key).expect("checked");
+            let entry = self.sub_entry_mut(&key).expect("checked");
             entry.renew(now);
             entry.push_to = push_to;
             // Whether this is a new parent adopting us or our old parent
@@ -1966,7 +2144,7 @@ impl MoaraNode {
             entry.last_pushed = None;
             ctx.count("sub_reinstalls");
         }
-        let entry = self.subs.get_mut(&key).expect("just inserted");
+        let entry = self.sub_entry_mut(&key).expect("just inserted");
         let known: HashSet<NodeId> = entry
             .child_sources()
             .into_iter()
@@ -1996,15 +2174,15 @@ impl MoaraNode {
             );
         }
         if is_new {
-            let entry = self.subs.get(&key).expect("exists");
+            let entry = self.sub_entry(&key).expect("exists");
             if entry.pending_initial.is_empty() {
                 self.maybe_announce(ctx, &key);
             } else if let Some(d) = self.cfg.child_timeout {
                 let tag = self.alloc_timer(TimerEvent::SubInit(key.0, key.1.clone()));
                 let t = ctx.set_timer(d, tag);
-                self.sub_init_timers.insert(key.clone(), (t, tag));
+                self.plane().sub_init_timers.insert(key.clone(), (t, tag));
             }
-        } else if self.subs.get(&key).is_some_and(|e| e.announced) {
+        } else if self.sub_entry(&key).is_some_and(|e| e.announced) {
             // Re-announce the current subtree aggregate to the installer.
             self.push_sub_delta(ctx, &key);
         }
@@ -2021,11 +2199,10 @@ impl MoaraNode {
     ) {
         let key = (sid, pred_key.clone());
         let known_child = self
-            .subs
-            .get(&key)
+            .sub_entry(&key)
             .is_some_and(|e| e.last_seen.contains_key(&from) || e.pending_initial.contains(&from));
         if known_child {
-            let entry = self.subs.get_mut(&key).expect("checked");
+            let entry = self.sub_entry_mut(&key).expect("checked");
             match entry.note_child(from, seq, state) {
                 None => {} // stale frame
                 Some(changed) => {
@@ -2048,9 +2225,8 @@ impl MoaraNode {
             // root's partial with one subtree's aggregate — and the
             // suppression logic would never correct it.
             let is_root = self
-                .watch_of
-                .get(&sid)
-                .and_then(|wid| self.watches.get(wid))
+                .watch_of(&sid)
+                .and_then(|wid| self.watch(wid))
                 .and_then(|w| w.roots.iter().find(|(k, _)| *k == pred_key))
                 .is_some_and(|(_, tree)| self.dir.owner_node(*tree) == from);
             if is_root {
@@ -2074,7 +2250,7 @@ impl MoaraNode {
     ) {
         let key = (sid, pred_key.clone());
         let now = ctx.now();
-        if !self.subs.contains_key(&key) {
+        if self.sub_entry(&key).is_none() {
             // We lost the state this renewal assumed (our lease lapsed
             // during a partition): bounce a SubCancel to whoever renewed
             // us — the parent hop, or the subscriber itself when the
@@ -2088,7 +2264,7 @@ impl MoaraNode {
             }
             return;
         }
-        let entry = self.subs.get_mut(&key).expect("checked");
+        let entry = self.sub_entry_mut(&key).expect("checked");
         entry.spec.lease = SimDuration::from_micros(lease_us);
         entry.renew(now);
         ctx.count("sub_renews");
@@ -2099,7 +2275,7 @@ impl MoaraNode {
             entry.last_pushed = None;
             self.push_sub_delta(ctx, &key);
         }
-        let entry = self.subs.get(&key).expect("exists");
+        let entry = self.sub_entry(&key).expect("exists");
         let downstream: Vec<(NodeId, u64)> = entry
             .child_sources()
             .into_iter()
@@ -2132,12 +2308,12 @@ impl MoaraNode {
         // expired tree root answering our renewal) lost its state. The
         // watch re-pins its trees with a full install.
         if sid.origin == ctx.me() {
-            if let Some(&wid) = self.watch_of.get(&sid) {
+            if let Some(wid) = self.watch_of(&sid) {
                 self.repin_watch(ctx, wid);
                 return;
             }
         }
-        let Some(entry) = self.subs.get_mut(&key) else {
+        let Some(entry) = self.sub_entry_mut(&key) else {
             return;
         };
         let from_child = from.is_some_and(|f| {
@@ -2163,9 +2339,10 @@ impl MoaraNode {
             return;
         }
         // Teardown from above (front-end cancel, routed or direct).
-        let entry = self.subs.remove(&key).expect("checked");
-        if let Some(t) = self.sub_init_timers.remove(&key) {
-            self.drop_timer(ctx, t);
+        let plane = self.plane();
+        let entry = plane.entries.remove(&key).expect("checked");
+        if let Some(t) = plane.sub_init_timers.remove(&key) {
+            plane.drop_timer(ctx, t);
         }
         ctx.count("sub_cancels");
         for c in entry
@@ -2187,7 +2364,11 @@ impl MoaraNode {
     /// the front-end's churn repair (new tree roots learn the
     /// subscription; surviving ones treat it as a renewal).
     fn repin_watch(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, wid: u64) {
-        let Some(watch) = self.watches.get_mut(&wid) else {
+        let Some(watch) = self
+            .subs
+            .as_deref_mut()
+            .and_then(|p| p.watches.get_mut(&wid))
+        else {
             return;
         };
         let spec = watch.spec.clone();
@@ -2220,13 +2401,13 @@ impl MoaraNode {
     /// into O(changed paths) traffic instead of a per-poll re-query.
     fn subs_on_local_change(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>) {
         let me = ctx.me();
-        let keys: Vec<(SubId, PredKey)> = self.subs.keys().cloned().collect();
+        let keys: Vec<(SubId, PredKey)> = self.sub_entries().map(|(k, _)| k).cloned().collect();
         for key in keys {
             let contrib = {
-                let entry = self.subs.get(&key).expect("exists");
+                let entry = self.sub_entry(&key).expect("exists");
                 self.sub_contribution(me, &entry.spec, &key.1)
             };
-            let entry = self.subs.get_mut(&key).expect("exists");
+            let entry = self.sub_entry_mut(&key).expect("exists");
             if entry.set_local(contrib) && entry.announced {
                 self.push_sub_delta(ctx, &key);
             }
@@ -2238,8 +2419,8 @@ impl MoaraNode {
     /// new ones, release vanished ones.
     fn subs_on_status(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, pred_key: &str) {
         let keys: Vec<(SubId, PredKey)> = self
-            .subs
-            .keys()
+            .sub_entries()
+            .map(|(k, _)| k)
             .filter(|(_, k)| &**k == pred_key)
             .cloned()
             .collect();
@@ -2257,12 +2438,12 @@ impl MoaraNode {
     /// moment the new parent's fold reports the same nodes.
     fn repair_entry_targets(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, key: &(SubId, PredKey)) {
         let (atom, tree) = {
-            let entry = self.subs.get(key).expect("exists");
+            let entry = self.sub_entry(key).expect("exists");
             (find_atom(&entry.spec.query, &key.1).cloned(), entry.tree)
         };
         let targets = self.sub_targets(ctx, atom.as_ref(), &key.1, tree, None);
         let tset: HashSet<NodeId> = targets.iter().copied().collect();
-        let entry = self.subs.get_mut(key).expect("exists");
+        let entry = self.sub_entry_mut(key).expect("exists");
         let known: Vec<NodeId> = entry
             .child_sources()
             .into_iter()
@@ -2301,7 +2482,7 @@ impl MoaraNode {
                 },
             );
         }
-        if self.subs.get(key).is_some_and(|e| e.announced) {
+        if self.sub_entry(key).is_some_and(|e| e.announced) {
             if changed {
                 self.push_sub_delta(ctx, key);
             }
@@ -2318,17 +2499,17 @@ impl MoaraNode {
     /// targets everywhere, and re-pin every owned watch.
     fn subs_on_reconcile(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>) {
         let me = ctx.me();
-        let keys: Vec<(SubId, PredKey)> = self.subs.keys().cloned().collect();
+        let keys: Vec<(SubId, PredKey)> = self.sub_entries().map(|(k, _)| k).cloned().collect();
         for key in keys {
             let (tree, owner, push_to) = {
-                let e = self.subs.get(&key).expect("exists");
+                let e = self.sub_entry(&key).expect("exists");
                 (e.tree, e.spec.owner, e.push_to)
             };
             let parent = self.dir.tree(tree).parent(me);
             match parent {
                 None => {
                     // We are (now) the root: deltas go to the subscriber.
-                    let entry = self.subs.get_mut(&key).expect("exists");
+                    let entry = self.sub_entry_mut(&key).expect("exists");
                     if entry.push_to != owner {
                         entry.push_to = owner;
                         entry.last_pushed = None;
@@ -2338,8 +2519,8 @@ impl MoaraNode {
                     // Demoted ex-root: the subscriber now talks to the
                     // new root; our copy is stale topology. Drop it —
                     // the new install wave re-pins our subtree.
-                    self.subs.remove(&key);
-                    if let Some(t) = self.sub_init_timers.remove(&key) {
+                    self.plane().entries.remove(&key);
+                    if let Some(t) = self.plane().sub_init_timers.remove(&key) {
                         self.drop_timer(ctx, t);
                     }
                     ctx.count("sub_demotions");
@@ -2351,7 +2532,11 @@ impl MoaraNode {
         }
         // The origin repairs its pinned trees top-down: new roots learn
         // the subscription, surviving roots treat it as a renewal.
-        let wids: Vec<u64> = self.watches.keys().copied().collect();
+        let wids: Vec<u64> = self
+            .subs
+            .iter()
+            .flat_map(|plane| plane.watches.keys().copied())
+            .collect();
         for wid in wids {
             self.repin_watch(ctx, wid);
         }
@@ -2449,9 +2634,13 @@ impl NetProtocol for MoaraNode {
             } => {
                 // Implicit causal slot: any push (or watch delivery) this
                 // delta triggers while it is being folded chains to it.
-                self.delta_ctx = trace;
+                if let Some(plane) = &mut self.subs {
+                    plane.delta_ctx = trace;
+                }
                 self.handle_sub_delta(ctx, from, sid, pred_key, seq, state);
-                self.delta_ctx = None;
+                if let Some(plane) = &mut self.subs {
+                    plane.delta_ctx = None;
+                }
             }
             MoaraMsg::SubRenew {
                 sid,
@@ -2466,49 +2655,57 @@ impl NetProtocol for MoaraNode {
     }
 
     fn on_timer(&mut self, ctx: &mut dyn NetCtx<MoaraMsg>, tag: TimerTag) {
-        match self.timers.remove(&tag) {
-            Some(TimerEvent::Session(qid, pred_key)) => {
-                if let Some(sess) = self.sessions.get_mut(qid, &pred_key) {
-                    if !sess.pending.is_empty() {
-                        sess.complete = false;
-                    }
-                    sess.timer = None;
-                    self.finalize_session(ctx, qid, &pred_key);
-                }
+        if tag & TAG_SESSION != 0 {
+            let Some((qid, pred_key)) = self.sessions.by_timer(tag) else {
+                return;
+            };
+            let sess = self.sessions.get_mut(qid, &pred_key).expect("found");
+            if !sess.pending.is_empty() {
+                sess.complete = false;
             }
-            Some(TimerEvent::Probe(front_id)) => {
-                let probing = self
-                    .fronts
-                    .get(&front_id)
-                    .is_some_and(|f| matches!(f.phase, FrontPhase::Probing));
-                if probing {
-                    // This timer just fired: nothing is left to cancel.
-                    self.fronts.get_mut(&front_id).expect("probing").timer = None;
-                    // Withdraw this front's probe interests: keys whose
-                    // probe now has no waiters are forgotten so the next
-                    // query re-probes instead of coalescing onto a probe
-                    // that may be lost.
+            sess.timer = None;
+            self.finalize_session(ctx, qid, &pred_key);
+            return;
+        }
+        if tag & TAG_FRONT != 0 {
+            let front_id = tag & !TAG_FRONT;
+            let Some(front) = self.fronts.get_mut(&front_id) else {
+                return;
+            };
+            // This timer just fired: nothing is left to cancel.
+            front.timer = None;
+            match front.phase {
+                FrontPhase::Probing => {
+                    // The probe timeout. Withdraw this front's probe
+                    // interests: keys whose probe now has no waiters are
+                    // forgotten so the next query re-probes instead of
+                    // coalescing onto a probe that may be lost.
                     self.sched.forget_front(front_id);
                     // Missing costs fall back to worst case in dispatch.
                     self.dispatch_front(ctx, front_id);
                 }
-            }
-            Some(TimerEvent::Front(front_id)) => {
-                if let Some(front) = self.fronts.get_mut(&front_id) {
+                FrontPhase::Waiting => {
+                    // The overall deadline.
                     front.complete = false;
                     front.sub_pending.clear();
-                    front.timer = None; // just fired; nothing to cancel
                     self.finish_front(ctx, front_id);
                 }
             }
-            Some(TimerEvent::SubLease(sid, pred_key)) => {
+            return;
+        }
+        let Some(ev) = self.subs.as_mut().and_then(|p| p.timers.remove(&tag)) else {
+            return;
+        };
+        match ev {
+            TimerEvent::SubLease(sid, pred_key) => {
                 let key = (sid, pred_key);
                 let now = ctx.now();
-                match self.subs.get(&key) {
+                match self.sub_entry(&key) {
                     Some(entry) if entry.expired(now) => {
-                        self.subs.remove(&key);
-                        if let Some(t) = self.sub_init_timers.remove(&key) {
-                            self.drop_timer(ctx, t);
+                        let plane = self.plane();
+                        plane.entries.remove(&key);
+                        if let Some(t) = plane.sub_init_timers.remove(&key) {
+                            plane.drop_timer(ctx, t);
                         }
                         ctx.count("sub_expired");
                     }
@@ -2521,10 +2718,10 @@ impl NetProtocol for MoaraNode {
                     None => {}
                 }
             }
-            Some(TimerEvent::SubInit(sid, pred_key)) => {
+            TimerEvent::SubInit(sid, pred_key) => {
                 let key = (sid, pred_key);
-                self.sub_init_timers.remove(&key);
-                if let Some(entry) = self.subs.get_mut(&key) {
+                self.plane().sub_init_timers.remove(&key);
+                if let Some(entry) = self.sub_entry_mut(&key) {
                     if !entry.announced {
                         // Announce with what arrived; the stragglers'
                         // deltas merge in as they land.
@@ -2533,12 +2730,12 @@ impl NetProtocol for MoaraNode {
                     }
                 }
             }
-            Some(TimerEvent::WatchRenew(wid)) => {
+            TimerEvent::WatchRenew(wid) => {
                 // Renewals are deliberately lightweight (SubRenew, not a
                 // full re-install): topology churn already re-pins via
                 // reconcile, and the piggybacked last-seen sequences give
                 // renewal its anti-entropy teeth.
-                if let Some(watch) = self.watches.get(&wid) {
+                if let Some(watch) = self.watch(wid) {
                     let lease = watch.spec.lease;
                     let sid = watch.spec.id;
                     let renews: Vec<(Id, Box<MoaraMsg>)> = watch
@@ -2562,30 +2759,31 @@ impl NetProtocol for MoaraNode {
                     ctx.set_maintenance_timer(half, tag);
                 }
             }
-            Some(TimerEvent::WatchTick(wid)) => {
-                if let Some(watch) = self.watches.get_mut(&wid) {
+            TimerEvent::WatchTick(wid) => {
+                let plane = self.plane();
+                if let Some(watch) = plane.watches.get_mut(&wid) {
                     if watch.last_result.is_some() {
                         watch.emit_snapshot(ctx.now());
                     }
                     if !watch.updates.is_empty() {
-                        self.dirty_watches.insert(wid);
+                        plane.dirty_watches.insert(wid);
                     }
                     if let DeliveryPolicy::Periodic(period) = watch.spec.policy {
-                        let tag = self.alloc_timer(TimerEvent::WatchTick(wid));
+                        let tag = plane.alloc_timer(TimerEvent::WatchTick(wid));
                         ctx.set_maintenance_timer(period, tag);
                     }
                 }
             }
-            Some(TimerEvent::WatchInit(wid)) => {
-                self.watch_init_timers.remove(&wid);
-                if let Some(watch) = self.watches.get_mut(&wid) {
+            TimerEvent::WatchInit(wid) => {
+                let plane = self.plane();
+                plane.watch_init_timers.remove(&wid);
+                if let Some(watch) = plane.watches.get_mut(&wid) {
                     watch.force_initial(ctx.now());
                     if !watch.updates.is_empty() {
-                        self.dirty_watches.insert(wid);
+                        plane.dirty_watches.insert(wid);
                     }
                 }
             }
-            None => {}
         }
     }
 }
@@ -2613,7 +2811,7 @@ mod tests {
         let mut w = DedupWindow::default();
         // A million queries inside one `dedup_ttl`: 5 k a second.
         for i in 0..1_000_000u64 {
-            w.insert(qid(i), SimTime(i * 200), ttl);
+            w.insert(&qid(i), SimTime(i * 200), ttl);
             assert!(w.len() <= 2 * DEDUP_GENERATION);
         }
         // The newest generation's worth is always there, so a second
@@ -2623,15 +2821,60 @@ mod tests {
         }
         assert!(!w.contains(&qid(0)));
 
-        // Age rotates too: an id is kept for at least `dedup_ttl` and
-        // gone after two.
+        // Age rotates too, on insert: an id is kept for at least
+        // `dedup_ttl`, and the second insert a `dedup_ttl` later drops it.
         let t0 = 1_000_000 * 200;
-        w.insert(qid(1_000_000), SimTime(t0 + ttl.as_micros()), ttl);
+        w.insert(&qid(1_000_000), SimTime(t0 + ttl.as_micros()), ttl);
         assert!(w.contains(&qid(999_999)));
-        w.insert(qid(1_000_001), SimTime(t0 + 2 * ttl.as_micros()), ttl);
+        w.insert(&qid(1_000_001), SimTime(t0 + 2 * ttl.as_micros()), ttl);
         assert!(!w.contains(&qid(999_999)));
         assert!(w.contains(&qid(1_000_000)));
         assert_eq!(w.len(), 2);
+    }
+
+    #[test]
+    fn dedup_ids_stay_distinct_in_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<SeenId>(), 12);
+        assert_eq!(std::mem::align_of::<SeenId>(), 4);
+        let ttl = MoaraConfig::default().dedup_ttl;
+        let base = QueryId {
+            origin: NodeId(3),
+            n: (5 << QUERY_EPOCH_SHIFT) | 77,
+        };
+        let epoch_bit = |bit: u32| QueryId {
+            n: base.n ^ (1 << bit),
+            ..base
+        };
+        let twins = [
+            // Only the origin differs.
+            QueryId {
+                origin: NodeId(4),
+                ..base
+            },
+            QueryId {
+                origin: NodeId(u32::MAX),
+                ..base
+            },
+            // Only the count differs, below and above the halves' seam.
+            QueryId {
+                n: base.n + 1,
+                ..base
+            },
+            epoch_bit(32),
+            // Only an epoch bit differs: the lowest and the highest.
+            epoch_bit(QUERY_EPOCH_SHIFT),
+            epoch_bit(63),
+        ];
+        let mut w = DedupWindow::default();
+        w.insert(&base, SimTime(0), ttl);
+        for (i, twin) in twins.iter().enumerate() {
+            assert!(!w.contains(twin), "{twin:?} reads as seen");
+            w.insert(twin, SimTime(1), ttl);
+            assert!(w.contains(twin), "{twin:?} is not kept");
+            assert!(twins[i + 1..].iter().all(|t| !w.contains(t)));
+        }
+        assert!(w.contains(&base));
+        assert_eq!(w.len(), 1 + twins.len());
     }
 
     #[test]

@@ -23,8 +23,6 @@
 //! transition rules can be unit- and property-tested in isolation; the
 //! node layer (`node.rs`) turns [`StatusOut`] values into wire messages.
 
-use std::collections::VecDeque;
-
 use moara_dht::Id;
 use moara_query::SimplePredicate;
 use moara_simnet::{NodeId, SimTime};
@@ -142,29 +140,151 @@ impl ChildTable {
     fn reports<'a>(
         &'a self,
         children: &'a [NodeId],
-    ) -> impl Iterator<Item = (NodeId, Option<&'a ChildInfo>)> + 'a {
+    ) -> impl Iterator<Item = (&'a NodeId, Option<&'a ChildInfo>)> + Clone + 'a {
         let aligned = self.is_aligned(children);
-        children.iter().enumerate().map(move |(i, &c)| {
+        children.iter().enumerate().map(move |(i, c)| {
             let info = if aligned {
                 self.slots[i].1.as_ref()
             } else {
-                self.get(c)
+                self.get(*c)
             };
             (c, info)
         })
     }
 }
 
-/// An adaptation event in the sliding window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AdaptEvent {
-    /// A query the system ran while our updateSet did not contain us
-    /// (counts toward `qn`).
-    QueryQn,
-    /// A query we received while our updateSet contained us (`qs`).
-    QueryQs,
-    /// A change to our updateSet (`c`).
-    Change,
+/// Targets a [`Targets`] holds in itself before it moves them to the
+/// heap.
+const INLINE_TARGETS: usize = 7;
+
+/// The nodes one query is forwarded to from one node (see
+/// [`PredState::query_targets`]). Up to seven — most fan-outs once a
+/// tree is pruned — sit in the value itself, so a session keeping them
+/// allocates nothing for them; more take one allocation of exactly their
+/// size.
+#[derive(Clone, Debug)]
+pub struct Targets(TargetsRepr);
+
+#[derive(Clone, Debug)]
+enum TargetsRepr {
+    Inline(u8, [NodeId; INLINE_TARGETS]),
+    Heap(Vec<NodeId>),
+}
+
+impl Targets {
+    /// `parts` one after another.
+    fn concat<'a>(parts: impl Iterator<Item = &'a [NodeId]> + Clone) -> Targets {
+        let len: usize = parts.clone().map(<[NodeId]>::len).sum();
+        if len > INLINE_TARGETS {
+            let mut ids = Vec::with_capacity(len);
+            parts.for_each(|part| ids.extend_from_slice(part));
+            return Targets(TargetsRepr::Heap(ids));
+        }
+        let mut ids = [NodeId(0); INLINE_TARGETS];
+        for (slot, &id) in ids.iter_mut().zip(parts.flatten()) {
+            *slot = id;
+        }
+        Targets(TargetsRepr::Inline(len as u8, ids))
+    }
+
+    /// The targets, in order.
+    pub fn as_slice(&self) -> &[NodeId] {
+        match &self.0 {
+            TargetsRepr::Inline(len, ids) => &ids[..usize::from(*len)],
+            TargetsRepr::Heap(ids) => ids,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [NodeId] {
+        match &mut self.0 {
+            TargetsRepr::Inline(len, ids) => &mut ids[..usize::from(*len)],
+            TargetsRepr::Heap(ids) => ids,
+        }
+    }
+
+    /// Keeps the first `len` targets.
+    fn truncate(&mut self, len: usize) {
+        match &mut self.0 {
+            TargetsRepr::Inline(n, _) if len < usize::from(*n) => *n = len as u8,
+            TargetsRepr::Inline(..) => {}
+            TargetsRepr::Heap(ids) => ids.truncate(len),
+        }
+    }
+
+    /// Whether `node` is one of the targets.
+    pub fn contains(&self, node: NodeId) -> bool {
+        self.as_slice().contains(&node)
+    }
+
+    /// True when there is no target.
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// Drops `node`, keeping the order of the rest.
+    pub fn remove(&mut self, node: NodeId) {
+        let ids = self.as_mut_slice();
+        if let Some(i) = ids.iter().position(|&t| t == node) {
+            ids.copy_within(i + 1.., i);
+            let last = ids.len() - 1;
+            self.truncate(last);
+        }
+    }
+}
+
+impl From<&[NodeId]> for Targets {
+    fn from(ids: &[NodeId]) -> Targets {
+        Targets::concat(std::iter::once(ids))
+    }
+}
+
+/// The longest adaptation window (`k_UPDATE` or `k_NO-UPDATE`) a state
+/// keeps: its window holds this many events, two bits each, in one
+/// word. [`PredState::new`] and `MoaraConfig::with_adaptation_windows`
+/// refuse a longer one.
+pub const WINDOW_CAP: usize = 32;
+
+/// A query the system ran while our updateSet did not contain us (counts
+/// toward `qn`).
+const QUERY_QN: u64 = 0b01;
+/// A query we received while our updateSet contained us (`qs`).
+const QUERY_QS: u64 = 0b10;
+/// A change to our updateSet (`c`).
+const CHANGE: u64 = 0b11;
+/// The low bit of every two-bit event slot.
+const SLOT_LOW_BITS: u64 = 0x5555_5555_5555_5555;
+
+/// The sliding window of adaptation events: the newest [`WINDOW_CAP`]
+/// events, two bits each, the newest in the lowest bits (`00` = no event
+/// yet). The last `k` events are the low `2k` bits, so Procedure 2 counts
+/// them with two popcounts.
+#[derive(Clone, Copy, Debug, Default)]
+struct AdaptWindow(u64);
+
+impl AdaptWindow {
+    fn push(&mut self, ev: u64) {
+        self.0 = (self.0 << 2) | ev;
+    }
+
+    /// Pushes `n` `qn` events at once.
+    fn push_qn(&mut self, n: u64) {
+        match n {
+            0 => {}
+            n if n >= WINDOW_CAP as u64 => self.0 = SLOT_LOW_BITS,
+            n => self.0 = (self.0 << (2 * n)) | (SLOT_LOW_BITS & ((1 << (2 * n)) - 1)),
+        }
+    }
+
+    /// `(qn, c)` over the newest `k` events.
+    fn counts(self, k: usize) -> (u32, u32) {
+        let w = if k >= WINDOW_CAP {
+            self.0
+        } else {
+            self.0 & ((1 << (2 * k)) - 1)
+        };
+        let (low, high) = (w & SLOT_LOW_BITS, (w >> 1) & SLOT_LOW_BITS);
+        ((low & !high).count_ones(), (low & high).count_ones())
+    }
 }
 
 /// A status update that must be sent to the (new) parent.
@@ -207,13 +327,10 @@ pub struct PredState {
     /// the clock of the garbage-collection policies (`None` = never;
     /// such state is not collected).
     pub last_active: Option<SimTime>,
-    events: VecDeque<AdaptEvent>,
-    /// Scratch for [`PredState::refresh`]'s `qSet`, kept between calls
-    /// so an unchanged updateSet costs no allocation.
-    qset: Vec<NodeId>,
-    k_update: usize,
-    k_no_update: usize,
-    threshold: usize,
+    window: AdaptWindow,
+    threshold: u32,
+    k_update: u8,
+    k_no_update: u8,
     forced_update: bool,
 }
 
@@ -222,6 +339,10 @@ impl PredState {
     /// attribute). Nodes start in NO-UPDATE (the paper's default: no state
     /// ⇒ receive every query). `forced_update` pins the machine in UPDATE
     /// state (the Always-Update baseline).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both windows are 1 to [`WINDOW_CAP`] events.
     pub fn new(
         pred: SimplePredicate,
         tree: Id,
@@ -230,6 +351,13 @@ impl PredState {
         threshold: usize,
         forced_update: bool,
     ) -> PredState {
+        let window = |k: usize| {
+            assert!(
+                (1..=WINDOW_CAP).contains(&k),
+                "adaptation windows must be 1 to {WINDOW_CAP} events, not {k}"
+            );
+            k as u8
+        };
         PredState {
             tree,
             pred,
@@ -243,11 +371,11 @@ impl PredState {
             seq_counter: 0,
             last_seen_seq: 0,
             last_active: None,
-            events: VecDeque::new(),
-            qset: Vec::new(),
-            k_update: k_update.max(1),
-            k_no_update: k_no_update.max(1),
-            threshold: threshold.max(1),
+            window: AdaptWindow::default(),
+            // A qSet never has `u32::MAX` members: nodes are `u32`s.
+            threshold: u32::try_from(threshold.max(1)).unwrap_or(u32::MAX),
+            k_update: window(k_update),
+            k_no_update: window(k_no_update),
             forced_update,
         }
     }
@@ -295,11 +423,7 @@ impl PredState {
         if seq <= self.last_seen_seq {
             return;
         }
-        let missed = seq - self.last_seen_seq;
-        let cap = self.k_update.max(self.k_no_update) as u64;
-        for _ in 0..missed.min(cap) {
-            self.push_event(AdaptEvent::QueryQn);
-        }
+        self.window.push_qn(seq - self.last_seen_seq);
         self.last_seen_seq = seq;
         self.transition();
     }
@@ -310,11 +434,7 @@ impl PredState {
     pub fn on_query(&mut self, me: NodeId, seq: u64) {
         // Gap since the last seen sequence number → missed queries (qn).
         if seq > self.last_seen_seq + 1 {
-            let missed = seq - self.last_seen_seq - 1;
-            let cap = self.k_update.max(self.k_no_update) as u64;
-            for _ in 0..missed.min(cap) {
-                self.push_event(AdaptEvent::QueryQn);
-            }
+            self.window.push_qn(seq - self.last_seen_seq - 1);
         }
         if seq > self.last_seen_seq {
             self.last_seen_seq = seq;
@@ -324,11 +444,8 @@ impl PredState {
         // queries), otherwise as `qn`. This is maintained in NO-UPDATE
         // state too — the sets are computed, just not communicated.
         let counts_qs = self.cur_update_set.contains(&me);
-        self.push_event(if counts_qs {
-            AdaptEvent::QueryQs
-        } else {
-            AdaptEvent::QueryQn
-        });
+        self.window
+            .push(if counts_qs { QUERY_QS } else { QUERY_QN });
         self.transition();
     }
 
@@ -354,56 +471,84 @@ impl PredState {
         self.children.align(all_children);
         let slots = &self.children.slots;
         let has_default_child = slots.iter().any(|(_, info)| info.is_none());
-        let qset = &mut self.qset;
-        qset.clear();
-        if local_sat {
-            qset.push(me);
-        }
-        for (_, info) in slots {
-            if let Some(info) = info.as_ref().filter(|info| !info.prune) {
-                qset.extend_from_slice(&info.update_set);
-            }
-        }
-        qset.sort_unstable();
-        qset.dedup();
-        self.sat = !qset.is_empty() || has_default_child;
         // Bypassed: the parent forwards to the qSet itself. Otherwise we
         // receive queries ourselves — always so with default children,
-        // which must keep receiving queries through us.
-        let bypassed = !has_default_child && qset.len() < self.threshold;
-        let unchanged = if bypassed {
-            *qset == self.cur_update_set
+        // which must keep receiving queries through us. So the qSet
+        // matters only while it has fewer than `threshold` members, and
+        // only without default children: it is collected just that far,
+        // sorted and without duplicates, behind the current updateSet in
+        // the same buffer.
+        let set = &mut self.cur_update_set;
+        let old = set.len();
+        let bypassed = if has_default_child {
+            self.sat = true;
+            false
         } else {
-            self.cur_update_set == [me]
-        };
-        if !unchanged {
-            if bypassed {
-                std::mem::swap(&mut self.cur_update_set, qset);
-            } else {
-                self.cur_update_set.clear();
-                self.cur_update_set.push(me);
+            let full = old + self.threshold as usize;
+            let members = local_sat.then_some(&me).into_iter().chain(
+                slots
+                    .iter()
+                    .filter_map(|(_, info)| info.as_ref().filter(|info| !info.prune))
+                    .flat_map(|info| &info.update_set),
+            );
+            for &n in members {
+                if set.len() == full {
+                    break;
+                }
+                if let Err(i) = set[old..].binary_search(&n) {
+                    set.insert(old + i, n);
+                }
             }
-            self.push_event(AdaptEvent::Change);
-            self.transition();
+            self.sat = set.len() > old;
+            set.len() < full
+        };
+        let (current, qset) = set.split_at(old);
+        let unchanged = if bypassed {
+            current == qset
+        } else {
+            current == [me]
+        };
+        if unchanged {
+            set.truncate(old);
+            return;
         }
+        if bypassed {
+            set.drain(..old);
+        } else {
+            set.clear();
+            set.push(me);
+        }
+        self.window.push(CHANGE);
+        self.transition();
     }
 
     /// The nodes a query on this tree should be forwarded to from here,
-    /// written to `out` (cleared first) in `NodeId` order: default
-    /// children directly, reporting NO-PRUNE children via their
-    /// updateSets, PRUNE children not at all.
-    pub fn query_targets(&self, me: NodeId, all_children: &[NodeId], out: &mut Vec<NodeId>) {
-        out.clear();
-        for (c, info) in self.children.reports(all_children) {
-            match info {
-                None => out.push(c),
-                Some(info) if !info.prune => out.extend_from_slice(&info.update_set),
-                Some(_) => {}
+    /// in `NodeId` order: default children directly, reporting NO-PRUNE
+    /// children via their updateSets, PRUNE children not at all.
+    pub fn query_targets(&self, me: NodeId, all_children: &[NodeId]) -> Targets {
+        let mut targets =
+            Targets::concat(
+                self.children
+                    .reports(all_children)
+                    .map(|(c, info)| match info {
+                        None => std::slice::from_ref(c),
+                        Some(info) if !info.prune => &info.update_set[..],
+                        Some(_) => &[],
+                    }),
+            );
+        let ids = targets.as_mut_slice();
+        ids.sort_unstable();
+        // Sorted, so a duplicate follows the copy already kept.
+        let mut kept = 0;
+        for i in 0..ids.len() {
+            let id = ids[i];
+            if id != me && (kept == 0 || ids[kept - 1] != id) {
+                ids[kept] = id;
+                kept += 1;
             }
         }
-        out.sort_unstable();
-        out.dedup();
-        out.retain(|&t| t != me);
+        targets.truncate(kept);
+        targets
     }
 
     /// NO-PRUNE subtree count: how many nodes a query through this branch
@@ -419,7 +564,7 @@ impl PredState {
         let mut np = u64::from(self.receives_queries(me));
         for (c, info) in self.children.reports(all_children) {
             np += match info {
-                None => subtree_size(c),
+                None => subtree_size(*c),
                 Some(info) if !info.prune => info.np,
                 Some(_) => 0,
             };
@@ -464,14 +609,6 @@ impl PredState {
         Some(StatusOut { prune, update_set })
     }
 
-    fn push_event(&mut self, ev: AdaptEvent) {
-        let cap = self.k_update.max(self.k_no_update);
-        if self.events.len() == cap {
-            self.events.pop_front();
-        }
-        self.events.push_back(ev);
-    }
-
     /// Procedure 2: compare `2·qn` with `c` over the current window.
     fn transition(&mut self) {
         if self.forced_update {
@@ -483,16 +620,7 @@ impl PredState {
         } else {
             self.k_no_update
         };
-        let window = self.events.iter().rev().take(k);
-        let mut qn = 0u64;
-        let mut c = 0u64;
-        for ev in window {
-            match ev {
-                AdaptEvent::QueryQn => qn += 1,
-                AdaptEvent::QueryQs => {}
-                AdaptEvent::Change => c += 1,
-            }
-        }
+        let (qn, c) = self.window.counts(usize::from(k));
         if 2 * qn < c {
             self.update = false;
         } else if 2 * qn > c {
@@ -519,6 +647,56 @@ mod tests {
             threshold,
             false,
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "adaptation windows must be 1 to 32 events, not 33")]
+    fn a_window_above_the_cap_is_refused() {
+        let _ = PredState::new(
+            SimplePredicate::new("A", CmpOp::Eq, true),
+            Id(1),
+            WINDOW_CAP + 1,
+            3,
+            1,
+            false,
+        );
+    }
+
+    #[test]
+    fn targets_inline_or_on_the_heap_read_and_shrink_alike() {
+        for n in [0, 1, INLINE_TARGETS as u32, INLINE_TARGETS as u32 + 1, 20] {
+            let ids: Vec<NodeId> = (1..=n).map(NodeId).collect();
+            let mut t = Targets::from(&ids[..]);
+            assert_eq!(t.as_slice(), ids, "{n}");
+            assert_eq!(t.is_empty(), n == 0);
+            t.remove(NodeId(99));
+            assert_eq!(t.as_slice(), ids, "removing a stranger changes nothing");
+            let mut left = ids.clone();
+            for id in [n / 2, n, 1].map(NodeId) {
+                t.remove(id);
+                left.retain(|&x| x != id);
+                assert_eq!(t.as_slice(), left, "{n}: without {id}");
+                assert!(!t.contains(id));
+            }
+        }
+    }
+
+    #[test]
+    fn the_window_keeps_exactly_the_newest_events() {
+        let mut w = AdaptWindow::default();
+        assert_eq!(w.counts(WINDOW_CAP), (0, 0), "empty slots count as nothing");
+        w.push(CHANGE);
+        w.push_qn(WINDOW_CAP as u64 - 2);
+        w.push(QUERY_QS);
+        // Newest first: qs, 30 × qn, change.
+        assert_eq!(w.counts(1), (0, 0));
+        assert_eq!(w.counts(WINDOW_CAP - 1), (30, 0));
+        assert_eq!(w.counts(WINDOW_CAP), (30, 1));
+        // One more event pushes the change out of every window.
+        w.push(QUERY_QN);
+        assert_eq!(w.counts(WINDOW_CAP), (31, 0));
+        w.push_qn(1000);
+        assert_eq!(w.counts(WINDOW_CAP), (32, 0));
     }
 
     #[test]
@@ -658,9 +836,8 @@ mod tests {
         let (c1, c2, c3) = (NodeId(1), NodeId(2), NodeId(3));
         let mut s = fresh(1);
         // No child state: all children are default targets.
-        let mut targets = vec![NodeId(42)];
-        s.query_targets(me(), &[c1, c2, c3], &mut targets);
-        assert_eq!(targets, vec![c1, c2, c3], "the buffer is cleared first");
+        let targets = s.query_targets(me(), &[c1, c2, c3]);
+        assert_eq!(targets.as_slice(), [c1, c2, c3]);
         s.note_child_status(
             c1,
             ChildInfo {
@@ -678,8 +855,8 @@ mod tests {
             },
         );
         s.refresh(me(), false, &[c1, c2, c3]);
-        s.query_targets(me(), &[c1, c2, c3], &mut targets);
-        assert_eq!(targets, vec![c3, NodeId(9)]);
+        let targets = s.query_targets(me(), &[c1, c2, c3]);
+        assert_eq!(targets.as_slice(), [c3, NodeId(9)]);
         // sat: c3 is default → true even though local unsat and c1 pruned.
         assert!(s.sat);
         // updateSet forced to [me] because of default child c3.

@@ -10,7 +10,10 @@
 //! chosen by its *current* mode, ties keep the mode — Procedure 2
 //! verbatim), so any drift in the implementation's incremental
 //! bookkeeping (event capping, gap accounting, qs/qn classification
-//! plumbing) shows up as a mode mismatch.
+//! plumbing) shows up as a mode mismatch. `PredState` keeps its window as
+//! a ring of two-bit events holding `WINDOW_CAP`; every pair of windows up
+//! to that cap is driven against the model, with refresh-heavy sequences
+//! and gaps that flood the longest window.
 //!
 //! A second model checks the child table (`ChildTable`): it keeps the
 //! children's reports in a `BTreeMap` and recomputes the sets, the
@@ -20,6 +23,7 @@
 use std::collections::BTreeMap;
 
 use moara_core::dht::Id;
+use moara_core::state::WINDOW_CAP;
 use moara_core::{ChildInfo, PredState};
 use moara_query::{CmpOp, SimplePredicate};
 use moara_simnet::NodeId;
@@ -116,6 +120,21 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Mostly refreshes, so that updateSet changes can outweigh queries over
+/// a long window, with [`arb_op`] between them and, one op in fifty or
+/// so, a sequence gap as long as the longest window.
+fn arb_op_for_long_windows() -> impl Strategy<Value = Op> {
+    let cap = WINDOW_CAP as u64;
+    let refresh_or_gap = (0u64..24, cap - 2..cap + 8, any::<bool>())
+        .prop_map(|(pick, jump, sat)| match pick {
+            0 => Op::Query { jump },
+            1 => Op::AccountSeq { jump },
+            _ => Op::Refresh { sat },
+        })
+        .boxed();
+    prop_oneof![arb_op(), refresh_or_gap.clone(), refresh_or_gap]
+}
+
 fn me() -> NodeId {
     NodeId(0)
 }
@@ -135,8 +154,8 @@ fn drive(ops: &[Op], k_update: usize, k_no_update: usize, threshold: usize) {
     let mut model = Model {
         events: Vec::new(),
         mode: false,
-        k_update: k_update.max(1),
-        k_no_update: k_no_update.max(1),
+        k_update,
+        k_no_update,
     };
     let cap = model.k_update.max(model.k_no_update) as u64;
     // `sat` re-derived from first principles: local satisfaction, or a
@@ -228,13 +247,29 @@ fn drive(ops: &[Op], k_update: usize, k_no_update: usize, threshold: usize) {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn every_window_pair_up_to_the_cap_matches_the_model(
+        ops in proptest::collection::vec(arb_op_for_long_windows(), 100..160),
+        threshold in 1usize..4,
+    ) {
+        for k_update in 1..=WINDOW_CAP {
+            for k_no_update in 1..=WINDOW_CAP {
+                drive(&ops, k_update, k_no_update, threshold);
+            }
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn mode_always_matches_recomputed_rate_comparison(
         ops in proptest::collection::vec(arb_op(), 1..80),
-        k_update in 1usize..4,
-        k_no_update in 1usize..5,
+        k_update in 1usize..=WINDOW_CAP,
+        k_no_update in 1usize..=WINDOW_CAP,
         threshold in 1usize..4,
     ) {
         drive(&ops, k_update, k_no_update, threshold);
@@ -302,10 +337,12 @@ fn child_list() -> BoxedStrategy<Vec<NodeId>> {
 /// One stimulus for the child table.
 #[derive(Clone, Debug)]
 enum TableOp {
-    /// A node reports status. It may be no child at all: a report can
-    /// race a reconfiguration.
+    /// A node reports status: with `to_child`, the current child at
+    /// index `node` (modulo the list), else node `node`, which may be no
+    /// child at all — a report can race a reconfiguration.
     Report {
         node: u32,
+        to_child: bool,
         prune: bool,
         set: Vec<u32>,
         np: u64,
@@ -327,11 +364,13 @@ fn arb_table_op() -> impl Strategy<Value = TableOp> {
     let report = (
         1u32..=64,
         any::<bool>(),
+        any::<bool>(),
         proptest::collection::vec(1u32..80, 1..4),
         0u64..50,
     )
-        .prop_map(|(node, prune, set, np)| TableOp::Report {
+        .prop_map(|(node, to_child, prune, set, np)| TableOp::Report {
             node,
+            to_child,
             prune,
             set,
             np,
@@ -443,15 +482,19 @@ fn drive_table(first: Vec<NodeId>, ops: &[TableOp], threshold: usize) {
         },
     };
     let mut children = first;
-    let mut out = Vec::new();
     for op in ops {
         match op.clone() {
             TableOp::Report {
                 node,
+                to_child,
                 prune,
                 set,
                 np,
             } => {
+                let node = match children.len() {
+                    len if to_child && len > 0 => children[node as usize % len],
+                    _ => NodeId(node),
+                };
                 // Wire-consistent reports only: NO-PRUNE ⇔ non-empty set.
                 let update_set = if prune {
                     Vec::new()
@@ -463,8 +506,8 @@ fn drive_table(first: Vec<NodeId>, ops: &[TableOp], threshold: usize) {
                     update_set,
                     np,
                 };
-                s.note_child_status(NodeId(node), info.clone());
-                m.reports.insert(NodeId(node), info);
+                s.note_child_status(node, info.clone());
+                m.reports.insert(node, info);
             }
             TableOp::Refresh { sat } => {
                 s.refresh(me(), sat, &children);
@@ -504,8 +547,11 @@ fn drive_table(first: Vec<NodeId>, ops: &[TableOp], threshold: usize) {
         assert_eq!(s.sat, m.sat, "sat after {op:?}");
         assert_eq!(s.cur_update_set, m.cur_update_set, "updateSet after {op:?}");
         assert_eq!(s.update, m.mode.mode, "mode after {op:?}");
-        s.query_targets(me(), &children, &mut out);
-        assert_eq!(out, m.query_targets(&children), "targets after {op:?}");
+        assert_eq!(
+            s.query_targets(me(), &children).as_slice(),
+            m.query_targets(&children),
+            "targets after {op:?}"
+        );
         assert_eq!(
             s.np(me(), &children, subtree_size),
             m.np(&children),
