@@ -355,11 +355,33 @@ impl ClusterBuilder {
     /// Builds the cluster on the deterministic simulator (the default
     /// backend; all paper experiments run here).
     pub fn build(mut self) -> Cluster {
+        let latency = std::mem::replace(
+            &mut self.latency,
+            Box::new(latency::Constant::from_millis(1)),
+        );
+        let transport = SimTransport::new(latency, self.seed.wrapping_add(1));
+        self.finish(transport)
+    }
+
+    /// Builds the cluster over real TCP sockets on loopback: every node
+    /// gets its own listener, and all protocol traffic crosses the kernel
+    /// as length-prefixed frames. Timeouts in [`MoaraConfig`] become real
+    /// time.
+    pub fn build_tcp(self, tcp: TcpConfig) -> Cluster<TcpTransport<MoaraNode>> {
+        self.finish(TcpTransport::new(tcp))
+    }
+
+    /// Hosts the nodes on `transport`, either backend.
+    ///
+    /// [`Cluster::take_outcome`] fills `QueryOutcome::messages` from the
+    /// transport's per-query counts, so the cluster, which reads them, is
+    /// what asks for them. A transport nobody reads them from (a daemon's)
+    /// keeps no per-query table.
+    fn finish<T: Transport<MoaraNode>>(mut self, mut transport: T) -> Cluster<T> {
         let (dir, rng) = self.prepare();
+        transport.stats_mut().count_per_query();
         let tracer = (self.trace_sample > 0)
             .then(|| Arc::new(SpanStore::new(TRACE_STORE_CAP, self.trace_sample)));
-        let mut transport: SimTransport<MoaraNode> =
-            SimTransport::new(self.latency, self.seed.wrapping_add(1));
         for _ in 0..self.n {
             let mut node = MoaraNode::new(dir.clone(), self.cfg.clone());
             if let Some(t) = &tracer {
@@ -371,32 +393,6 @@ impl ClusterBuilder {
             transport,
             dir,
             cfg: self.cfg,
-            rng,
-            tracer,
-        }
-    }
-
-    /// Builds the cluster over real TCP sockets on loopback: every node
-    /// gets its own listener, and all protocol traffic crosses the kernel
-    /// as length-prefixed frames. Timeouts in [`MoaraConfig`] become real
-    /// time.
-    pub fn build_tcp(self, tcp: TcpConfig) -> Cluster<TcpTransport<MoaraNode>> {
-        let mut this = self;
-        let (dir, rng) = this.prepare();
-        let tracer = (this.trace_sample > 0)
-            .then(|| Arc::new(SpanStore::new(TRACE_STORE_CAP, this.trace_sample)));
-        let mut transport: TcpTransport<MoaraNode> = TcpTransport::new(tcp);
-        for _ in 0..this.n {
-            let mut node = MoaraNode::new(dir.clone(), this.cfg.clone());
-            if let Some(t) = &tracer {
-                node.set_tracer(t.clone());
-            }
-            transport.add_node(node);
-        }
-        Cluster {
-            transport,
-            dir,
-            cfg: this.cfg,
             rng,
             tracer,
         }

@@ -525,7 +525,7 @@ impl MoaraNode {
     /// (`span_id` = the new span) for downstream messages. `None` when
     /// tracing is off or the parent context is unsampled — callers thread
     /// the result straight into the wire field. `detail` is formatted only
-    /// when the span is recorded.
+    /// when the span is recorded, straight into the store.
     #[allow(clippy::too_many_arguments)]
     fn trace_span(
         &self,
@@ -548,7 +548,7 @@ impl MoaraNode {
             return None;
         }
         let span_id = tracer.next_span_id(me.0);
-        tracer.record(SpanRecord {
+        let span = SpanRecord {
             trace_id: ctx.trace_id,
             span_id,
             parent_span_id: ctx.span_id,
@@ -559,8 +559,9 @@ impl MoaraNode {
             queue_us,
             service_us,
             bytes,
-            detail: detail.to_string(),
-        });
+            detail: String::new(),
+        };
+        tracer.record_args(span, detail);
         Some(ctx.descend(span_id))
     }
 
@@ -1690,7 +1691,7 @@ impl MoaraNode {
             ) {
                 if tr.enabled() && t.sampled() {
                     let issued = front.issued_at.as_micros();
-                    tr.record(SpanRecord {
+                    let span = SpanRecord {
                         trace_id: t.trace_id,
                         span_id: sid,
                         parent_span_id: t.span_id,
@@ -1701,8 +1702,9 @@ impl MoaraNode {
                         queue_us: now_us.saturating_sub(issued),
                         service_us: 0,
                         bytes: 0,
-                        detail: format!("{pred_key}={cost}"),
-                    });
+                        detail: String::new(),
+                    };
+                    tr.record_args(span, format_args!("{pred_key}={cost}"));
                 }
             }
             if front.probes_pending.is_empty() {

@@ -689,17 +689,15 @@ pub struct Daemon {
     last_stall_dump: Option<Instant>,
 }
 
-/// What each daemon's span ring may hold, in bytes: the ring is sized
-/// from a memory budget, not from a request rate.
-const TRACE_STORE_BYTES: usize = 1 << 20;
-
-/// One stored span, roughly: the `SpanRecord` itself (96 B) plus its
-/// `detail` string's heap block.
-const SPAN_BYTES: usize = 128;
-
 /// Spans each daemon's ring-buffer store holds before the oldest are
-/// evicted (8192; `docs/observability.md` says how much history that is).
-const TRACE_STORE_CAP: usize = TRACE_STORE_BYTES / SPAN_BYTES;
+/// evicted (`docs/observability.md` says how much history that is).
+const TRACE_STORE_CAP: usize = 8_192;
+
+/// What that ring takes once full: 60 bytes a span (`SpanStore::SPAN_BYTES`,
+/// the detail shared between the spans that carry it), 480 KiB. A bigger
+/// ring or a bigger span does not build past 512 KiB.
+const TRACE_STORE_BYTES: usize = TRACE_STORE_CAP * SpanStore::SPAN_BYTES;
+const _: () = assert!(TRACE_STORE_BYTES <= 512 << 10);
 
 /// How often the seed re-broadcasts the member list.
 const ANNOUNCE_EVERY: Duration = Duration::from_secs(2);
@@ -2018,6 +2016,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Nothing in a daemon reads per-query message counts, so its
+    /// transport keeps none: ten thousand sends, each tagged with its own
+    /// query, leave no per-query entry behind.
+    #[test]
+    fn a_daemons_transport_keeps_no_per_query_table() {
+        let any = "127.0.0.1:0".parse().unwrap();
+        let mut d = Daemon::start(DaemonOpts::new(any)).expect("daemon boots");
+        let sent = d.transport.stats().total_messages();
+        for n in 0..10_000 {
+            let qid = moara_core::QueryId {
+                origin: NodeId(1),
+                n,
+            };
+            let msg = DaemonMsg::Moara(MoaraMsg::SizeReply {
+                qid,
+                pred_key: "A=1".into(),
+                cost: 1,
+                trace: None,
+            });
+            assert_eq!(msg.query_tag(), Some(qid.tag()));
+            d.transport
+                .with_node(d.me, |_, ctx| ctx.send(NodeId(9), msg));
+        }
+        let stats = d.transport.stats();
+        assert_eq!(stats.total_messages() - sent, 10_000);
+        assert_eq!(stats.query_tags_held(), 0);
     }
 
     /// A full 3-daemon cluster in one test process (each daemon on its own

@@ -300,6 +300,66 @@ mod tests {
         );
     }
 
+    /// One trace through both storage forms: the records as they were
+    /// recorded, which is what the span ring once held, and what the
+    /// compact store reads back. `/v1/trace/{id}` and the waterfall
+    /// (`moara-cli trace`) render byte for byte the same from either, and
+    /// `/v1/traces` renders what it rendered from a ring of records.
+    #[test]
+    fn a_stored_trace_renders_as_the_records_it_came_from() {
+        use moara_trace::{render_waterfall, Phase, SpanStore, NO_PEER};
+        let id = 0x0000_0003_0000_0011;
+        let span =
+            |span_id, parent_span_id, node, phase, peer, start_us, detail: &str| SpanRecord {
+                trace_id: id,
+                span_id,
+                parent_span_id,
+                node,
+                phase,
+                peer,
+                start_us,
+                queue_us: start_us % 7,
+                service_us: 40,
+                bytes: 180,
+                detail: detail.to_owned(),
+            };
+        let spans = [
+            span(1, 0, 3, Phase::Parse, NO_PEER, 1_000, "agg=Avg"),
+            span(2, 1, 3, Phase::Plan, NO_PEER, 1_001, "cnf"),
+            span(3, 2, 3, Phase::FanOut, NO_PEER, 1_002, "subs=1"),
+            span(4, 3, 0, Phase::FanOut, 3, 1_090, "targets=2"),
+            span(5, 4, 1, Phase::Fold, 0, 1_150, "complete=true"),
+            // The parent never reached this store: an orphan.
+            span(6, 99, 2, Phase::Fold, 0, 1_160, "Zone=\"é\" ✓"),
+            SpanRecord {
+                queue_us: u64::from(u32::MAX) + 5,
+                ..span(7, 1, 3, Phase::Reply, NO_PEER, 1_400, "complete=true")
+            },
+        ];
+        let store = SpanStore::new(64, 1);
+        for s in &spans {
+            store.record(s.clone());
+        }
+        store.record(SpanRecord {
+            trace_id: 5,
+            ..span(8, 0, 4, Phase::SwimPing, 1, 900, "")
+        });
+        let read = store.spans_for(id);
+        assert_eq!(trace_json(id, &read, &[2]), trace_json(id, &spans, &[2]));
+        assert_eq!(
+            render_waterfall(id, &read, &[]),
+            render_waterfall(id, &spans, &[])
+        );
+        assert_eq!(
+            traces_json(&store.recent(10), &[]),
+            "{\"traces\":[\
+             {\"trace_id\":\"0x0000000300000011\",\"phase\":\"parse\",\"node\":3,\
+             \"start_us\":1000,\"duration_us\":4294967740,\"spans\":7},\
+             {\"trace_id\":\"0x0000000000000005\",\"phase\":\"swim-ping\",\"node\":4,\
+             \"start_us\":900,\"duration_us\":44,\"spans\":1}],\"exemplars\":{}}\n"
+        );
+    }
+
     /// Slow-query lines are correlatable with the journal: unix-ms
     /// stamp present, shared-writer escaping applied.
     #[test]

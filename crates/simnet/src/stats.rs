@@ -9,10 +9,19 @@ use std::collections::{HashMap, VecDeque};
 use crate::minted::MintedMap;
 use crate::sim::NodeId;
 
-/// How many distinct query tags [`Stats`] keeps per-query counts for.
-/// Oldest tags are dropped beyond this, bounding memory in run-forever
-/// deployments where the per-query view is only read by harnesses.
+/// How many distinct query tags [`Stats`] keeps per-query counts for,
+/// once a host asks for them with [`Stats::count_per_query`]. Oldest tags
+/// are dropped beyond this. The one host that reads the counts is
+/// `moara_core::Cluster` (simulated or over TCP); a daemon's transport
+/// never asks, so it holds no table and counts nothing per query.
 pub const QUERY_TAG_CAP: usize = 8192;
+
+/// Messages sent per query tag, the newest [`QUERY_TAG_CAP`] tags.
+#[derive(Clone, Debug, Default)]
+struct QueryCounts {
+    counts: MintedMap<u64, u64>,
+    order: VecDeque<u64>,
+}
 
 /// Message/byte accounting for a simulation run.
 #[derive(Clone, Debug, Default)]
@@ -23,8 +32,8 @@ pub struct Stats {
     recv_bytes: Vec<u64>,
     dropped: u64,
     counters: HashMap<&'static str, u64>,
-    per_query: MintedMap<u64, u64>,
-    query_order: VecDeque<u64>,
+    /// Present once a host asked for per-query counts.
+    per_query: Option<QueryCounts>,
 }
 
 impl Stats {
@@ -64,30 +73,47 @@ impl Stats {
         *self.counters.entry(name).or_insert(0) += by;
     }
 
+    /// Starts counting messages per query tag (see
+    /// [`Stats::messages_for_query`]); until then
+    /// [`Stats::record_query_msg`] does nothing.
+    pub fn count_per_query(&mut self) {
+        self.per_query.get_or_insert_with(QueryCounts::default);
+    }
+
     /// Accounts one sent message attributed to the query with `tag`
-    /// (see `Message::query_tag`). Keeps at most `QUERY_TAG_CAP`
-    /// distinct tags, evicting the oldest.
+    /// (see `Message::query_tag`), if per-query counts were asked for.
+    /// Keeps at most `QUERY_TAG_CAP` distinct tags, evicting the oldest.
     pub fn record_query_msg(&mut self, tag: u64) {
         use std::collections::hash_map::Entry;
-        match self.per_query.entry(tag) {
+        let Some(q) = &mut self.per_query else {
+            return;
+        };
+        match q.counts.entry(tag) {
             Entry::Occupied(mut e) => *e.get_mut() += 1,
             Entry::Vacant(e) => {
                 e.insert(1);
-                self.query_order.push_back(tag);
-                if self.query_order.len() > QUERY_TAG_CAP {
-                    if let Some(old) = self.query_order.pop_front() {
-                        self.per_query.remove(&old);
+                q.order.push_back(tag);
+                if q.order.len() > QUERY_TAG_CAP {
+                    if let Some(old) = q.order.pop_front() {
+                        q.counts.remove(&old);
                     }
                 }
             }
         }
     }
 
-    /// Messages attributed to the query with `tag` (0 if unknown or
-    /// evicted). This is per-query accounting that stays correct when
-    /// queries overlap, unlike a global before/after message snapshot.
+    /// Messages attributed to the query with `tag` (0 if unknown, evicted
+    /// or not counted). This is per-query accounting that stays correct
+    /// when queries overlap, unlike a global before/after message
+    /// snapshot.
     pub fn messages_for_query(&self, tag: u64) -> u64 {
-        self.per_query.get(&tag).copied().unwrap_or(0)
+        let q = self.per_query.as_ref();
+        q.and_then(|q| q.counts.get(&tag)).copied().unwrap_or(0)
+    }
+
+    /// Query tags the per-query table holds counts for.
+    pub fn query_tags_held(&self) -> usize {
+        self.per_query.as_ref().map_or(0, |q| q.counts.len())
     }
 
     /// Total messages sent across all nodes.
@@ -169,8 +195,10 @@ impl Stats {
         }
         self.dropped = 0;
         self.counters.clear();
-        self.per_query.clear();
-        self.query_order.clear();
+        if let Some(q) = &mut self.per_query {
+            q.counts.clear();
+            q.order.clear();
+        }
     }
 }
 
@@ -216,6 +244,7 @@ mod tests {
     #[test]
     fn per_query_accounting_is_independent_per_tag() {
         let mut s = Stats::default();
+        s.count_per_query();
         s.record_query_msg(1);
         s.record_query_msg(1);
         s.record_query_msg(2);
@@ -229,11 +258,25 @@ mod tests {
     #[test]
     fn per_query_tags_are_bounded() {
         let mut s = Stats::default();
+        s.count_per_query();
         for tag in 0..(QUERY_TAG_CAP as u64 + 10) {
             s.record_query_msg(tag);
         }
         // The oldest tags fell off; the newest survive.
         assert_eq!(s.messages_for_query(0), 0);
         assert_eq!(s.messages_for_query(QUERY_TAG_CAP as u64 + 9), 1);
+        assert_eq!(s.query_tags_held(), QUERY_TAG_CAP);
+    }
+
+    #[test]
+    fn per_query_counts_are_kept_only_when_asked_for() {
+        let mut s = Stats::default();
+        s.record_query_msg(1);
+        assert_eq!((s.messages_for_query(1), s.query_tags_held()), (0, 0));
+        s.count_per_query();
+        s.record_query_msg(1);
+        s.reset();
+        s.record_query_msg(1);
+        assert_eq!(s.messages_for_query(1), 1, "a reset keeps counting");
     }
 }

@@ -13,8 +13,10 @@
 //!    span — so the parent links reconstruct the aggregation tree
 //!    exactly as the query traversed it, across process boundaries.
 //! 2. **[`SpanStore`]** — a bounded [`Ring`] of spans each daemon
-//!    keeps. Recording a span locks the ring for one push; the store
-//!    never allocates past its cap (the oldest span falls off).  A
+//!    keeps, 60 bytes a span with each distinct detail held once.
+//!    Recording a span formats its detail into the store and pushes; once
+//!    the ring is full (the oldest span falls off) that allocates nothing.
+//!    A
 //!    sampling divisor makes always-on tracing cheap: only every Nth
 //!    root decision carries the `SAMPLED` flag, and unsampled contexts
 //!    cost one branch per hop. The store also folds every recorded span
@@ -31,15 +33,15 @@
 //! recording node and a local counter, partitioned by the top two bits
 //! so the id spaces cannot collide.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use moara_wire::{Wire, WireError};
 
 mod histogram;
 mod ring;
+mod store;
 
 pub use histogram::{Histogram, Snapshot};
 pub use ring::Ring;
+pub use store::SpanStore;
 
 /// `TraceCtx::flags` bit: spans along this trace are recorded.
 pub const FLAG_SAMPLED: u8 = 1;
@@ -348,144 +350,6 @@ impl Histogram {
     }
 }
 
-// ----- the span store -----------------------------------------------------
-
-/// A bounded [`Ring`] of spans plus per-phase latency histograms — one
-/// per daemon, shared (`Arc`) between the protocol engine, the daemon
-/// event loop, and the control plane.
-#[derive(Debug)]
-pub struct SpanStore {
-    spans: Ring<SpanRecord>,
-    sample_every: u64,
-    sample_ctr: AtomicU64,
-    span_ctr: AtomicU64,
-    phase_hist: [Histogram; Phase::ALL.len()],
-}
-
-impl SpanStore {
-    /// A store holding at most `capacity` spans, sampling one in
-    /// `sample_every` trace roots (`0` disables tracing entirely, `1`
-    /// samples everything).
-    pub fn new(capacity: usize, sample_every: u64) -> SpanStore {
-        SpanStore {
-            spans: Ring::new(capacity),
-            sample_every,
-            sample_ctr: AtomicU64::new(0),
-            span_ctr: AtomicU64::new(0),
-            phase_hist: std::array::from_fn(|_| Histogram::latency_us()),
-        }
-    }
-
-    /// True when the store records anything at all.
-    pub fn enabled(&self) -> bool {
-        self.sample_every > 0
-    }
-
-    /// The sampling decision for a new trace root: true for one in
-    /// `sample_every` calls (deterministic — a counter, not a RNG).
-    pub fn sample_root(&self) -> bool {
-        if self.sample_every == 0 {
-            return false;
-        }
-        self.sample_ctr
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(self.sample_every)
-    }
-
-    /// Allocates a node-unique span id: the node in the high bits, a
-    /// monotone counter below. Never returns 0 (0 means "no parent").
-    pub fn next_span_id(&self, node: u32) -> u64 {
-        let ctr = self.span_ctr.fetch_add(1, Ordering::Relaxed) & 0xffff_ffff;
-        (u64::from(node) + 1) << 32 | ctr
-    }
-
-    /// Records one span (and folds it into the phase histograms).
-    pub fn record(&self, rec: SpanRecord) {
-        if self.sample_every == 0 {
-            return;
-        }
-        let total_us = rec.queue_us.saturating_add(rec.service_us);
-        self.phase_hist[rec.phase as usize].observe_traced(total_us, rec.trace_id);
-        self.spans.push(rec);
-    }
-
-    /// All locally-recorded spans of one trace, in recording order.
-    pub fn spans_for(&self, trace_id: u64) -> Vec<SpanRecord> {
-        self.spans.filtered(|s| s.trace_id == trace_id)
-    }
-
-    /// The most recent `limit` traces (by earliest local span start,
-    /// newest first), summarized.
-    pub fn recent(&self, limit: usize) -> Vec<TraceSummary> {
-        use std::collections::HashMap;
-        let mut by_trace: HashMap<u64, TraceSummary> = HashMap::new();
-        self.spans.for_each(|s| {
-            let end = s
-                .start_us
-                .saturating_add(s.queue_us)
-                .saturating_add(s.service_us);
-            let e = by_trace.entry(s.trace_id).or_insert_with(|| TraceSummary {
-                trace_id: s.trace_id,
-                phase: s.phase,
-                node: s.node,
-                start_us: s.start_us,
-                duration_us: 0,
-                spans: 0,
-            });
-            if s.start_us < e.start_us || (s.start_us == e.start_us && s.parent_span_id == 0) {
-                e.start_us = s.start_us;
-                e.phase = s.phase;
-                e.node = s.node;
-            }
-            let extent = end.saturating_sub(e.start_us);
-            e.duration_us = e.duration_us.max(extent);
-            e.spans += 1;
-        });
-        let mut out: Vec<TraceSummary> = by_trace.into_values().collect();
-        out.sort_by(|a, b| {
-            b.start_us
-                .cmp(&a.start_us)
-                .then(b.trace_id.cmp(&a.trace_id))
-        });
-        out.truncate(limit);
-        out
-    }
-
-    /// Spans currently held.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when no spans are held.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Spans evicted by the ring-buffer cap since construction.
-    pub fn dropped(&self) -> u64 {
-        self.spans.dropped()
-    }
-
-    /// The most recent trace id per latency bucket, per phase: the
-    /// bridge from "the p99 spiked" to a concrete waterfall. Only
-    /// phases and buckets that have recorded at least one traced span
-    /// appear.
-    pub fn phase_exemplars(&self) -> Vec<(Phase, Vec<(u64, u64)>)> {
-        Phase::ALL
-            .iter()
-            .filter_map(|&p| {
-                let entries = self.phase_hist[p as usize].exemplars();
-                (!entries.is_empty()).then_some((p, entries))
-            })
-            .collect()
-    }
-
-    /// The per-phase latency histograms, in [`Phase::ALL`] order.
-    pub fn phase_histograms(&self) -> impl Iterator<Item = (Phase, &Histogram)> {
-        Phase::ALL.into_iter().zip(&self.phase_hist)
-    }
-}
-
 // ----- waterfall rendering ------------------------------------------------
 
 /// Renders a merged span set as a text waterfall, one line per span,
@@ -763,7 +627,7 @@ mod tests {
     /// disagreeing, and nothing observed is lost.
     #[test]
     fn histogram_snapshots_never_tear_under_concurrent_observers() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Barrier;
         let h = Histogram::new(&LATENCY_BOUNDS_US);
         let (stop, start) = (AtomicBool::new(false), Barrier::new(3));
@@ -841,7 +705,9 @@ mod tests {
         assert_eq!(seen, vec![18, 19, 20, 21, 22]);
         // Below capacity nothing is evicted.
         let ring = Ring::new(5);
-        (0..3).for_each(|i| ring.push(i));
+        (0..3).for_each(|i| {
+            ring.push(i);
+        });
         assert_eq!((ring.len(), ring.dropped()), (3, 0));
     }
 
@@ -855,7 +721,9 @@ mod tests {
                     let (ring, start) = (&ring, &start);
                     s.spawn(move || {
                         start.wait();
-                        (0..50_000).for_each(|i| ring.push((t, i)));
+                        (0..50_000).for_each(|i| {
+                            ring.push((t, i));
+                        });
                     })
                 })
                 .collect();

@@ -36,14 +36,18 @@ impl<T> Ring<T> {
         self.items.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Appends `item`, evicting the oldest when the ring is full.
-    pub fn push(&self, item: T) {
+    /// Appends `item`, evicting the oldest when the ring is full, and
+    /// returns what it evicted.
+    pub fn push(&self, item: T) -> Option<T> {
         let mut items = self.lock();
-        if items.len() == self.cap {
-            items.pop_front();
+        let evicted = if items.len() == self.cap {
             self.dropped.fetch_add(1, Relaxed);
-        }
+            items.pop_front()
+        } else {
+            None
+        };
         items.push_back(item);
+        evicted
     }
 
     /// Items currently held.
