@@ -20,10 +20,15 @@
 //!    covers, size probes, and semantic optimizations pick a minimum-cost
 //!    set of trees for nested union/intersection predicates.
 //!
-//! The crate is organized as pure protocol state ([`state`]), the
-//! message-passing node ([`MoaraNode`]), and a deployment harness
-//! ([`Cluster`]) running on the deterministic simulator from
-//! `moara-simnet`.
+//! The crate is organized as pure protocol state ([`state`], and the
+//! front-end's scheduler state in [`sched`]), the message-passing node
+//! ([`MoaraNode`]), and a deployment harness ([`Cluster`]) running on the
+//! deterministic simulator from `moara-simnet`. The node's code is split
+//! by plane: `node.rs` holds the node itself (predicate-state upkeep,
+//! churn, routing, the timer-tag layout and the message dispatch), and
+//! `node/front.rs`, `node/session.rs` and `node/subs.rs` the front-end,
+//! the tree sessions and the standing-query plane
+//! (`docs/query-plane.md`, "Where the engine's code lives").
 //!
 //! # Example
 //!

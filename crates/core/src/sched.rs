@@ -3,8 +3,8 @@
 //! share one probe round-trip, and the batch queue that coalesces same-hop
 //! fan-out into single frames.
 //!
-//! The node layer (`node.rs`) owns one [`QuerySched`] per node and drives
-//! it from the front-end paths; everything here is pure bookkeeping with
+//! The node owns one [`QuerySched`] and drives it from the front-end
+//! (`node/front.rs`); everything here is pure bookkeeping with
 //! no message I/O, so the policies are unit-testable in isolation.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};

@@ -21,7 +21,7 @@
 //!
 //! This module is pure state-machine logic — no message I/O — so the
 //! transition rules can be unit- and property-tested in isolation; the
-//! node layer (`node.rs`) turns [`StatusOut`] values into wire messages.
+//! node (`node.rs`) turns [`StatusOut`] values into wire messages.
 
 use moara_dht::Id;
 use moara_query::SimplePredicate;

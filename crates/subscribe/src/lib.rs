@@ -306,6 +306,19 @@ impl SubEntry {
             .collect()
     }
 
+    /// The children this entry hears from: those folded, then those
+    /// whose first summary is still pending.
+    pub fn sources(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let pending = self.pending_initial.iter().copied();
+        self.child_sources().into_iter().chain(pending)
+    }
+
+    /// Whether `node` is a child this entry tracks: it has a delta
+    /// stream from it, or waits on its first summary.
+    pub fn is_source(&self, node: NodeId) -> bool {
+        self.last_seen.contains_key(&node) || self.pending_initial.contains(&node)
+    }
+
     /// The replacement delta to push upward, if the merge moved past what
     /// was last pushed. Stamps and returns the frame payload.
     pub fn take_push(&mut self) -> Option<(u64, AggState)> {

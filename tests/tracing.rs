@@ -3,8 +3,9 @@
 //! roots, and — because the simulator is deterministic — two identical
 //! runs record byte-identical span sets.
 
-use moara::trace::{Phase, SpanRecord};
-use moara::{Cluster, NodeId};
+use moara::simnet::SimDuration;
+use moara::trace::{Phase, SpanRecord, NO_PEER};
+use moara::{AggResult, Cluster, DeliveryPolicy, NodeId, Value};
 
 /// A traced testbed: 40 nodes, two overlapping groups, tracing every
 /// query.
@@ -106,4 +107,79 @@ fn sampling_thins_roots_and_zero_disables() {
     // sample_every = 0: no tracer is attached at all.
     let c = Cluster::builder().nodes(4).seed(5).tracing(0).build();
     assert!(c.tracer().is_none());
+}
+
+/// Every span `c`'s tracer holds, one line each: traces oldest first,
+/// spans in recording order. A span names its parent by index within its
+/// trace, so the lines do not depend on how span ids are minted.
+fn render_spans(c: &Cluster) -> String {
+    let tracer = c.tracer().expect("tracing enabled");
+    let mut out = String::new();
+    for (i, summary) in tracer.recent(usize::MAX).iter().rev().enumerate() {
+        let spans = tracer.spans_for(summary.trace_id);
+        out += &format!("trace {i}\n");
+        for s in &spans {
+            let parent = match spans.iter().position(|p| p.span_id == s.parent_span_id) {
+                Some(p) => p.to_string(),
+                None if s.parent_span_id == 0 => "-".to_string(),
+                None => "?".to_string(),
+            };
+            let peer = match s.peer {
+                NO_PEER => "-".to_string(),
+                p => p.to_string(),
+            };
+            out += &format!(
+                "  {} node={} peer={peer} parent={parent} start={} queue={} service={} bytes={} {}\n",
+                s.phase.as_str(),
+                s.node,
+                s.start_us,
+                s.queue_us,
+                s.service_us,
+                s.bytes,
+                s.detail,
+            );
+        }
+    }
+    out
+}
+
+/// The spans of a traced run, pinned line for line: the canonical
+/// composite query (it probes both groups), then a standing `count(*)`
+/// over one group, whose install announces its tree, and one attribute
+/// flip below that tree's root, whose delta climbs at least two hops (to
+/// the root, then to the subscriber). Figures
+/// run untraced, so this is what holds every span's phase, peer, parent,
+/// timing and detail in place.
+#[test]
+fn a_traced_run_records_its_golden_spans() {
+    let mut c = testbed(11, 1);
+    let out = c
+        .query(NodeId(7), "SELECT count(*) WHERE a = true AND b = true")
+        .unwrap();
+    assert!(out.complete);
+    let watch = c
+        .subscribe(
+            NodeId(7),
+            "SELECT count(*) WHERE a = true",
+            DeliveryPolicy::OnChange,
+            SimDuration::from_secs(60),
+        )
+        .unwrap();
+    c.run_to_quiescence();
+    c.set_attr(NodeId(1), "a", true);
+    c.run_to_quiescence();
+    let last = c.take_sub_updates(NodeId(7), watch).pop().expect("updates");
+    assert_eq!(last.result, AggResult::Value(Value::Int(21)));
+
+    let tracer = c.tracer().unwrap();
+    assert_eq!(tracer.dropped(), 0, "the ring kept every span");
+    let wave = tracer.spans_for(tracer.recent(1)[0].trace_id);
+    let hops = wave.iter().filter(|s| s.peer != NO_PEER).count();
+    assert!(hops >= 2, "the flip's delta climbs two hops: {wave:#?}");
+    let printed = render_spans(&c);
+    let golden = include_str!("golden/traced_run.txt");
+    assert!(
+        printed == golden,
+        "the traced run moved off its golden spans\n--- golden\n{golden}--- printed\n{printed}"
+    );
 }
