@@ -47,6 +47,10 @@
 //! new member can join, and restarting `moarad` without `--join` forks a
 //! fresh one-member cluster rather than resuming the old one (the member
 //! list is not persisted). Seed persistence/handover is future work.
+//!
+//! One module a plane: this file keeps the options, boot, the loop's step
+//! and its maintenance; `docs/gateway.md` ("Where the daemon's code
+//! lives") maps the others to their planes.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -61,395 +65,36 @@ use rand::{Rng, SeedableRng};
 
 use moara_attributes::Value;
 use moara_core::{DeliveryPolicy, Directory, MoaraConfig, MoaraMsg, MoaraNode};
-use moara_dht::Id;
 use moara_gateway::{CacheConfig, GatewayHandle, GatewayOpts, GwJob, QueryCache};
-use moara_membership::{SwimConfig, SwimDetector, SwimEvent, SwimMsg};
+use moara_membership::{SwimConfig, SwimDetector};
 use moara_query::parse_query;
-use moara_simnet::{Message, NodeId, SimDuration, SimTime, TimerId, TimerTag};
-use moara_trace::{format_trace_id, Histogram, Phase, SpanRecord, SpanStore, TRACE_NS_SWIM};
-use moara_transport::{NetCtx, NetProtocol, TcpConfig, TcpTransport, Transport};
-use moara_wire::{Wire, WireError};
+use moara_simnet::{NodeId, SimDuration, SimTime};
+use moara_trace::{format_trace_id, Histogram, SpanStore};
+use moara_transport::{NetCtx, TcpConfig, TcpTransport, Transport};
 
 pub mod alerts;
 mod ctrl;
 pub mod health;
+mod membership;
 mod metrics;
+mod node;
 pub mod recorder;
 mod render;
 mod serve;
 pub mod sim;
 pub use ctrl::{ctrl_roundtrip, CtrlReply, CtrlRequest};
+pub use node::{DaemonMsg, DaemonNode, Member};
 pub use serve::{GATHER_TIMEOUT, WALK_BURST, WALK_GAP};
 pub use sim::SimSwarm;
 
 use alerts::{AlertEngine, AlertEvent, AlertRule};
 use ctrl::{spawn_accept_loop, CtrlJob};
 use health::{HealthStatus, HealthSummary, PeerHealthRow};
+use membership::load_overlay;
 use moara_gateway::json::JsonLine;
+use node::moara_ctx;
 use recorder::{kind, now_unix_ms, Recorder};
 use serve::{Gather, ReplyTo, Walk, WalkPacer};
-
-/// One cluster member, as carried in membership lists.
-///
-/// Members are never *removed* from the list (the dense `NodeId` space
-/// must stay gap-free so every daemon derives the same overlay); a
-/// crashed member is instead marked `alive = false` and pruned from the
-/// routing directory. A rejoin revives the entry under a higher
-/// incarnation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Member {
-    /// Dense transport-level id (assigned by the seed, in join order).
-    pub node: u32,
-    /// Ring id on the DHT (assigned by the seed, random).
-    pub ring_id: u64,
-    /// Peer-plane listen address (refreshed on rejoin).
-    pub addr: String,
-    /// The member's incarnation number — bumped by the seed on every
-    /// rejoin and by the member itself to refute suspicion, so stale
-    /// liveness claims lose deterministically.
-    pub incarnation: u64,
-    /// False once the member's failure was confirmed.
-    pub alive: bool,
-}
-
-impl Wire for Member {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.node.encode(out);
-        self.ring_id.encode(out);
-        self.addr.encode(out);
-        self.incarnation.encode(out);
-        self.alive.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Member {
-            node: Wire::decode(buf)?,
-            ring_id: Wire::decode(buf)?,
-            addr: Wire::decode(buf)?,
-            incarnation: Wire::decode(buf)?,
-            alive: Wire::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        4 + 8 + self.addr.encoded_len() + 8 + 1
-    }
-}
-
-/// What daemons exchange on the peer plane.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DaemonMsg {
-    /// An embedded Moara protocol message.
-    Moara(MoaraMsg),
-    /// Authoritative full member list (seed-broadcast on change and as
-    /// periodic anti-entropy).
-    Membership(Vec<Member>),
-    /// Failure-detector traffic: pings, indirect probes, acks, each
-    /// piggybacking membership gossip (see `moara-membership`).
-    Swim(SwimMsg),
-    /// Failure-detector traffic carrying the sender's health digest as
-    /// a second piggyback — the zero-extra-messages dissemination layer
-    /// of the cluster health plane. A separate tag (rather than an
-    /// `Option` inside `Swim`) keeps plain SWIM frames byte-identical
-    /// to pre-health builds.
-    SwimHealth(SwimMsg, HealthSummary),
-    /// Federation: one leaf read (`TraceFetch`, `MetricsFetch` or
-    /// `HistoryFetch`) asked of a peer; the id pairs it with its answer.
-    Ask(u64, CtrlRequest),
-    /// Federation: the answer to the receiver's [`DaemonMsg::Ask`] of the
-    /// same id.
-    Told(u64, CtrlReply),
-}
-
-impl Wire for DaemonMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            DaemonMsg::Moara(m) => {
-                out.push(0);
-                m.encode(out);
-            }
-            DaemonMsg::Membership(ms) => {
-                out.push(1);
-                ms.encode(out);
-            }
-            DaemonMsg::Swim(s) => {
-                out.push(2);
-                s.encode(out);
-            }
-            DaemonMsg::SwimHealth(s, h) => {
-                out.push(3);
-                s.encode(out);
-                h.encode(out);
-            }
-            DaemonMsg::Ask(id, req) => {
-                out.push(4);
-                id.encode(out);
-                req.encode(out);
-            }
-            DaemonMsg::Told(id, reply) => {
-                out.push(5);
-                id.encode(out);
-                reply.encode(out);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => DaemonMsg::Moara(Wire::decode(buf)?),
-            1 => DaemonMsg::Membership(Wire::decode(buf)?),
-            2 => DaemonMsg::Swim(Wire::decode(buf)?),
-            3 => DaemonMsg::SwimHealth(Wire::decode(buf)?, Wire::decode(buf)?),
-            4 => DaemonMsg::Ask(Wire::decode(buf)?, Wire::decode(buf)?),
-            5 => DaemonMsg::Told(Wire::decode(buf)?, Wire::decode(buf)?),
-            _ => return Err(WireError::Invalid("DaemonMsg tag")),
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            DaemonMsg::Moara(m) => m.encoded_len(),
-            DaemonMsg::Membership(ms) => ms.encoded_len(),
-            DaemonMsg::Swim(s) => s.encoded_len(),
-            DaemonMsg::SwimHealth(s, h) => s.encoded_len() + h.encoded_len(),
-            DaemonMsg::Ask(_, req) => 8 + req.encoded_len(),
-            DaemonMsg::Told(_, reply) => 8 + reply.encoded_len(),
-        }
-    }
-}
-
-impl Message for DaemonMsg {
-    fn size_bytes(&self) -> usize {
-        moara_wire::peer_framed_len(self)
-    }
-
-    fn query_tag(&self) -> Option<u64> {
-        match self {
-            DaemonMsg::Moara(m) => m.query_tag(),
-            _ => None,
-        }
-    }
-}
-
-/// Adapter: a `NetCtx<DaemonMsg>` seen by the wrapped `MoaraNode` as a
-/// `NetCtx<MoaraMsg>` (outgoing messages gain the `DaemonMsg::Moara`
-/// envelope; timers and the clock pass straight through).
-pub(crate) struct MoaraCtx<'a> {
-    inner: &'a mut dyn NetCtx<DaemonMsg>,
-}
-
-impl NetCtx<MoaraMsg> for MoaraCtx<'_> {
-    fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-    fn me(&self) -> NodeId {
-        self.inner.me()
-    }
-    fn send(&mut self, to: NodeId, msg: MoaraMsg) {
-        self.inner.send(to, DaemonMsg::Moara(msg));
-    }
-    fn set_timer(&mut self, delay: SimDuration, tag: TimerTag) -> TimerId {
-        self.inner.set_timer(delay, tag)
-    }
-    fn cancel_timer(&mut self, id: TimerId) {
-        self.inner.cancel_timer(id);
-    }
-    fn count(&mut self, name: &'static str) {
-        self.inner.count(name);
-    }
-}
-
-pub(crate) fn moara_ctx(inner: &mut dyn NetCtx<DaemonMsg>) -> MoaraCtx<'_> {
-    MoaraCtx { inner }
-}
-
-/// Adapter: the failure detector's view of the peer plane (outgoing
-/// [`SwimMsg`]s gain the [`DaemonMsg::Swim`] envelope — or the
-/// [`DaemonMsg::SwimHealth`] one when this daemon has a health digest
-/// to gossip, riding the probe for free).
-pub(crate) struct SwimCtx<'a> {
-    inner: &'a mut dyn NetCtx<DaemonMsg>,
-    digest: Option<&'a HealthSummary>,
-}
-
-impl NetCtx<SwimMsg> for SwimCtx<'_> {
-    fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-    fn me(&self) -> NodeId {
-        self.inner.me()
-    }
-    fn send(&mut self, to: NodeId, msg: SwimMsg) {
-        match self.digest {
-            Some(h) => self.inner.send(to, DaemonMsg::SwimHealth(msg, h.clone())),
-            None => self.inner.send(to, DaemonMsg::Swim(msg)),
-        }
-    }
-    fn set_timer(&mut self, delay: SimDuration, tag: TimerTag) -> TimerId {
-        self.inner.set_timer(delay, tag)
-    }
-    fn cancel_timer(&mut self, id: TimerId) {
-        self.inner.cancel_timer(id);
-    }
-    fn count(&mut self, name: &'static str) {
-        self.inner.count(name);
-    }
-}
-
-pub(crate) fn swim_ctx<'a>(
-    inner: &'a mut dyn NetCtx<DaemonMsg>,
-    digest: Option<&'a HealthSummary>,
-) -> SwimCtx<'a> {
-    SwimCtx { inner, digest }
-}
-
-/// The per-process protocol node: a `MoaraNode`, its failure detector,
-/// and membership intake. The two state machines share the peer plane
-/// (multiplexed by [`DaemonMsg`] variant) and the timer space (the
-/// detector's tags carry [`moara_membership::SWIM_TAG_BASE`]).
-pub struct DaemonNode {
-    /// The wrapped protocol engine.
-    pub moara: MoaraNode,
-    /// The SWIM failure detector for this node.
-    pub swim: SwimDetector,
-    /// Last membership broadcast received, not yet applied (the daemon
-    /// loop applies it — rebuilding the directory needs daemon state).
-    pub pending_membership: Option<Vec<Member>>,
-    /// This daemon's span store, when tracing is on (also wired into
-    /// `moara`; held here so SWIM pings can record spans too).
-    pub tracer: Option<Arc<SpanStore>>,
-    /// SWIM-ping trace-id counter (namespaced under [`TRACE_NS_SWIM`]).
-    swim_trace_ctr: u64,
-    /// Arrival stamps of `SubDelta` frames not yet drained by the event
-    /// loop — feeds the delta-lag histogram (receive → end of the step
-    /// that folded it). Bounded: the loop drains it every step.
-    pub pending_delta_stamps: Vec<Instant>,
-    /// This daemon's freshest health digest, attached to every outgoing
-    /// SWIM message while set (`None` until the first sample, and
-    /// always `None` in harnesses that opt out of health gossip — then
-    /// the wire stays byte-identical to pre-health builds).
-    pub health_digest: Option<HealthSummary>,
-    /// Peer digests received since the event loop last drained them
-    /// (bounded: drained every step, and refreshed in place per peer).
-    pub pending_health: Vec<(u32, HealthSummary)>,
-    /// Federation frames ([`DaemonMsg::Ask`], [`DaemonMsg::Told`]) and
-    /// their senders, for the event loop, which owns what they read and
-    /// wait on (bounded: drained every step).
-    pub(crate) federation: Vec<(u32, DaemonMsg)>,
-}
-
-impl DaemonNode {
-    /// Couples a protocol engine with its failure detector.
-    pub fn new(moara: MoaraNode, swim: SwimDetector) -> DaemonNode {
-        DaemonNode {
-            moara,
-            swim,
-            pending_membership: None,
-            tracer: None,
-            swim_trace_ctr: 0,
-            pending_delta_stamps: Vec::new(),
-            health_digest: None,
-            pending_health: Vec::new(),
-            federation: Vec::new(),
-        }
-    }
-
-    /// Queues a freshly gossiped peer digest for the event loop,
-    /// replacing any queued older one from the same peer.
-    fn intake_health(&mut self, from: u32, digest: HealthSummary) {
-        match self.pending_health.iter_mut().find(|(n, _)| *n == from) {
-            Some(slot) => slot.1 = digest,
-            None => self.pending_health.push((from, digest)),
-        }
-    }
-}
-
-impl NetProtocol for DaemonNode {
-    type Msg = DaemonMsg;
-
-    fn on_start(&mut self, ctx: &mut dyn NetCtx<DaemonMsg>) {
-        let mut sctx = swim_ctx(ctx, self.health_digest.as_ref());
-        self.swim.start(&mut sctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut dyn NetCtx<DaemonMsg>, from: NodeId, msg: DaemonMsg) {
-        // A piggybacked health digest is peeled off for the event
-        // loop's peer table before the detector sees the probe (the
-        // detector itself is health-agnostic).
-        let msg = match msg {
-            DaemonMsg::SwimHealth(s, h) => {
-                self.intake_health(from.0, h);
-                DaemonMsg::Swim(s)
-            }
-            other => other,
-        };
-        match msg {
-            DaemonMsg::Moara(m) => {
-                // Stamp SubDelta arrivals so the event loop can histogram
-                // how long the frame sat before its fold finished (the
-                // per-hop contribution to propagation lag). Capped so a
-                // stalled loop cannot grow it without bound.
-                if matches!(m, MoaraMsg::SubDelta { .. }) && self.pending_delta_stamps.len() < 4096
-                {
-                    self.pending_delta_stamps.push(Instant::now());
-                }
-                let mut mctx = moara_ctx(ctx);
-                self.moara.on_message(&mut mctx, from, m);
-            }
-            // Membership is seed-owned; broadcasts claiming another
-            // sender are ignored. This is hygiene against confused
-            // peers, not security: the sender id is self-declared (see
-            // the trust-model note in moara-transport), so a hostile
-            // process that can reach the listener can spoof it.
-            DaemonMsg::Membership(ms) => {
-                if from == NodeId(0) {
-                    self.pending_membership = Some(ms);
-                } else {
-                    ctx.count("membership_from_non_seed");
-                }
-            }
-            DaemonMsg::Swim(s) => {
-                // Sampled SWIM pings land in the span store too, so the
-                // failure detector's cadence shows up next to query
-                // phases in `/v1/traces` and the phase histograms.
-                if matches!(s, SwimMsg::Ping { .. }) {
-                    if let Some(tr) = &self.tracer {
-                        if tr.enabled() && tr.sample_root() {
-                            self.swim_trace_ctr += 1;
-                            let me = ctx.me().0;
-                            let trace_id = TRACE_NS_SWIM
-                                | (u64::from(me) << 32)
-                                | (self.swim_trace_ctr & 0xffff_ffff);
-                            tr.record(SpanRecord {
-                                trace_id,
-                                span_id: tr.next_span_id(me),
-                                parent_span_id: 0,
-                                node: me,
-                                phase: Phase::SwimPing,
-                                peer: from.0,
-                                start_us: ctx.now().as_micros(),
-                                queue_us: 0,
-                                service_us: 0,
-                                bytes: 0,
-                                detail: String::new(),
-                            });
-                        }
-                    }
-                }
-                let mut sctx = swim_ctx(ctx, self.health_digest.as_ref());
-                self.swim.on_message(&mut sctx, from, s);
-            }
-            DaemonMsg::SwimHealth(..) => unreachable!("unwrapped above"),
-            msg @ (DaemonMsg::Ask(..) | DaemonMsg::Told(..)) => self.federation.push((from.0, msg)),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn NetCtx<DaemonMsg>, tag: TimerTag) {
-        if self.swim.owns_tag(tag) {
-            let mut sctx = swim_ctx(ctx, self.health_digest.as_ref());
-            self.swim.on_timer(&mut sctx, tag);
-        } else {
-            let mut mctx = moara_ctx(ctx);
-            self.moara.on_timer(&mut mctx, tag);
-        }
-    }
-}
 
 /// Startup options for a daemon (mirrors `moarad`'s flags).
 #[derive(Clone, Debug)]
@@ -805,20 +450,8 @@ impl Daemon {
             }
         };
 
-        let dir = Directory::from_members(
-            &members
-                .iter()
-                .map(|m| (NodeId(m.node), Id(m.ring_id)))
-                .collect::<Vec<_>>(),
-            opts.cfg.bits_per_digit,
-        );
-        // Confirmed-dead members keep their slot in the dense list but
-        // are pruned from the routing overlay.
-        for m in &members {
-            if !m.alive {
-                dir.remove_member(NodeId(m.node));
-            }
-        }
+        let dir = Directory::from_members(&[], opts.cfg.bits_per_digit);
+        load_overlay(&dir, &members, opts.cfg.bits_per_digit);
         let tracer = (opts.trace_sample > 0)
             .then(|| Arc::new(SpanStore::new(TRACE_STORE_CAP, opts.trace_sample)));
         let mut moara = MoaraNode::new(dir.clone(), opts.cfg.clone());
@@ -1096,21 +729,6 @@ impl Daemon {
         self.undeliverable_total
     }
 
-    /// Seed only: push the current member list to every other member.
-    fn broadcast_membership(&mut self) {
-        let me = self.me;
-        let members = self.members.clone();
-        let broadcast = DaemonMsg::Membership(members.clone());
-        self.transport.with_node(me, |_n, ctx| {
-            for m in &members {
-                if m.node != me.0 {
-                    ctx.send(NodeId(m.node), broadcast.clone());
-                }
-            }
-        });
-        self.last_announce = Instant::now();
-    }
-
     /// Runs the daemon loop forever (the `moarad` main).
     pub fn run_forever(&mut self) -> ! {
         loop {
@@ -1120,301 +738,16 @@ impl Daemon {
 
     /// Runs `f` on this daemon's protocol engine, with the context it
     /// sends and sets timers through.
-    fn with_moara<R>(&mut self, f: impl FnOnce(&mut MoaraNode, &mut MoaraCtx<'_>) -> R) -> R {
+    fn with_moara<R>(
+        &mut self,
+        f: impl FnOnce(&mut MoaraNode, &mut dyn NetCtx<MoaraMsg>) -> R,
+    ) -> R {
         self.transport
             .with_node(self.me, |n, ctx| f(&mut n.moara, &mut moara_ctx(ctx)))
     }
 
     fn reconcile_local(&mut self) {
         self.with_moara(|moara, ctx| moara.reconcile(ctx));
-    }
-
-    /// Acts on what this daemon's failure detector concluded: confirmed
-    /// failures prune the peer from the member view and the overlay
-    /// (ring repair + `on_peer_failed` + `reconcile`); revivals undo the
-    /// pruning. This is the path that replaces the harness-level
-    /// `Cluster::fail_node` oracle in real deployments.
-    fn apply_swim_events(&mut self) -> bool {
-        let events = self.transport.node_mut(self.me).swim.take_events();
-        if events.is_empty() {
-            return false;
-        }
-        let mut changed = false;
-        for ev in events {
-            match ev {
-                SwimEvent::Suspected(n) => {
-                    self.recorder
-                        .record_event(kind::SWIM_SUSPECT, format!("peer={}", n.0));
-                }
-                SwimEvent::Confirmed(n) => {
-                    self.recorder
-                        .record_event(kind::SWIM_CONFIRM, format!("peer={}", n.0));
-                    changed |= self.mark_member_dead(n);
-                }
-                SwimEvent::Revived { node, incarnation } => {
-                    self.recorder.record_event(
-                        kind::SWIM_REFUTE,
-                        format!("peer={} incarnation={incarnation}", node.0),
-                    );
-                    changed |= self.mark_member_alive(node, incarnation);
-                }
-            }
-        }
-        if changed && self.is_seed {
-            // Spread the news eagerly; the periodic anti-entropy
-            // re-broadcast covers anyone who misses this one.
-            self.broadcast_membership();
-        }
-        changed
-    }
-
-    fn mark_member_dead(&mut self, n: NodeId) -> bool {
-        let Some(m) = self.members.iter_mut().find(|m| m.node == n.0) else {
-            return false;
-        };
-        if !m.alive || n == self.me {
-            return false;
-        }
-        m.alive = false;
-        self.dir.remove_member(n);
-        self.with_moara(|moara, ctx| {
-            moara.on_peer_failed(ctx, n);
-            moara.reconcile(ctx);
-        });
-        true
-    }
-
-    fn mark_member_alive(&mut self, n: NodeId, incarnation: u64) -> bool {
-        let Some(m) = self.members.iter_mut().find(|m| m.node == n.0) else {
-            return false;
-        };
-        m.incarnation = m.incarnation.max(incarnation);
-        if m.alive {
-            return false;
-        }
-        // Reintegrate only if we hold *some* address for the peer.
-        // A refuted false confirmation (the peer never actually died)
-        // kept its address valid, and that revival must work seed-less —
-        // with the seed down, deferring would prune a healthy peer
-        // forever. A peer that really restarted carries a new address we
-        // may not have yet; then this re-inserts it against the stale one
-        // for a moment — bounded and self-healing, because a rejoin
-        // requires a live seed whose broadcast (which carries the fresh
-        // address) is at most one anti-entropy interval away. Only a
-        // daemon with *no* address at all (it joined after the death)
-        // must wait for that broadcast.
-        if !self.transport.peers().any(|(id, _)| id == n) {
-            return false;
-        }
-        m.alive = true;
-        self.dir.revive_member(n);
-        self.reconcile_local();
-        true
-    }
-
-    fn apply_pending_membership(&mut self) -> bool {
-        let Some(members) = self.transport.node_mut(self.me).pending_membership.take() else {
-            return false;
-        };
-        self.install_members(members);
-        true
-    }
-
-    /// A membership list is applicable only if it is dense and ordered
-    /// (`Directory::from_members` asserts exactly that — an assert that
-    /// must never be reachable from a network frame) and still contains
-    /// this daemon.
-    fn membership_is_sane(&self, members: &[Member]) -> bool {
-        !members.is_empty()
-            && members
-                .iter()
-                .enumerate()
-                .all(|(i, m)| m.node as usize == i)
-            && members.iter().any(|m| m.node == self.me.0)
-    }
-
-    fn install_members(&mut self, mut members: Vec<Member>) {
-        if !self.membership_is_sane(&members) {
-            // Malformed or stale broadcast: drop it rather than panic or
-            // corrupt the overlay view.
-            return;
-        }
-        // A list claiming *we* are dead is stale testimony about a node
-        // with first-hand knowledge: refute it (the detector jumps its
-        // incarnation above the claim and gossips the revival) and keep
-        // ourselves in the overlay.
-        let my_slot = members
-            .iter_mut()
-            .find(|m| m.node == self.me.0)
-            .expect("sanity checked");
-        let claimed_dead = !my_slot.alive;
-        my_slot.alive = true;
-        // First-hand knowledge outranks a stale list the other way too:
-        // a peer our own detector confirmed dead at (or above) the
-        // list's incarnation stays dead — a seed anti-entropy broadcast
-        // sent before the seed learned of the death must not resurrect
-        // it in our routing view (only a higher incarnation revives).
-        {
-            let swim = &self.transport.node(self.me).swim;
-            for m in members.iter_mut() {
-                if m.alive && m.node != self.me.0 {
-                    if let Some(p) = swim.peer(NodeId(m.node)) {
-                        if p.state == moara_membership::PeerState::Dead
-                            && p.incarnation >= m.incarnation
-                        {
-                            m.alive = false;
-                            m.incarnation = p.incarnation;
-                        }
-                    }
-                }
-            }
-        }
-        // The periodic anti-entropy re-broadcast usually carries exactly
-        // what we already have (and nothing about us changed) — bail out
-        // before touching anything: a full reset would invalidate every
-        // cached tree AND bump the probe-cache churn epoch on every
-        // member, every 2 s, silently disabling the query-plane
-        // scheduler's 30 s cost cache in steady state. Our own slot's
-        // incarnation is normalized first: we store the (possibly
-        // refutation-bumped) detector value, which the seed's list can
-        // lag behind — without this, one refutation would make every
-        // later broadcast compare unequal forever.
-        if let (Some(mine), Some(stored)) = (
-            members.iter_mut().find(|m| m.node == self.me.0),
-            self.members.iter().find(|m| m.node == self.me.0),
-        ) {
-            mine.incarnation = mine.incarnation.max(stored.incarnation);
-        }
-        if !claimed_dead && members == self.members {
-            return;
-        }
-        let pairs: Vec<(NodeId, Id)> = members
-            .iter()
-            .map(|m| (NodeId(m.node), Id(m.ring_id)))
-            .collect();
-        self.dir.reset_members(&pairs, self.cfg.bits_per_digit);
-        for m in &members {
-            if !m.alive {
-                self.dir.remove_member(NodeId(m.node));
-            } else if m.node != self.me.0 {
-                if let Ok(addr) = resolve(&m.addr) {
-                    self.transport.register_peer(NodeId(m.node), addr);
-                }
-            }
-        }
-        // Peers that the list reports dead but we still thought alive:
-        // the engine must stop waiting for their replies.
-        let newly_dead: Vec<NodeId> = members
-            .iter()
-            .filter(|m| {
-                !m.alive
-                    && self
-                        .members
-                        .iter()
-                        .find(|o| o.node == m.node)
-                        .is_none_or(|o| o.alive)
-            })
-            .map(|m| NodeId(m.node))
-            .collect();
-        // Which of two daemons suspecting the same peer confirms first
-        // is a race, and the loser hears of the death from this list
-        // (its detector, synced below, then never emits `Confirmed`):
-        // its journal must still say the peer died.
-        for n in &newly_dead {
-            self.recorder
-                .record_event(kind::SWIM_CONFIRM, format!("peer={} via=membership", n.0));
-        }
-        let me = self.me;
-        let member_states: Vec<(u32, u64, bool)> = members
-            .iter()
-            .map(|m| (m.node, m.incarnation, m.alive))
-            .collect();
-        let my_incarnation = self.transport.with_node(me, |dn, ctx| {
-            let now = ctx.now();
-            for &(node, incarnation, alive) in &member_states {
-                let alive = if node == me.0 { !claimed_dead } else { alive };
-                dn.swim.sync_peer(NodeId(node), incarnation, alive, now);
-            }
-            let mut mctx = moara_ctx(ctx);
-            for &n in &newly_dead {
-                dn.moara.on_peer_failed(&mut mctx, n);
-            }
-            dn.swim.incarnation()
-        });
-        members
-            .iter_mut()
-            .find(|m| m.node == me.0)
-            .expect("sanity checked")
-            .incarnation = my_incarnation;
-        self.members = members;
-        self.reconcile_local();
-    }
-
-    /// Seed-only: admit a joiner (or revive a rejoiner), reply with the
-    /// member list, broadcast.
-    fn handle_join(&mut self, addr: String, prev_node: Option<u32>) -> CtrlReply {
-        if !self.is_seed {
-            return CtrlReply::Error("only the seed daemon admits joins".into());
-        }
-        if resolve(&addr).is_err() {
-            return CtrlReply::Error(format!("unresolvable peer address {addr}"));
-        }
-        let mut members = self.members.clone();
-        let node = match prev_node {
-            Some(prev) => {
-                // Crash-recovery: revive the old identity under a fresh
-                // incarnation — strictly above anything the cluster may
-                // have confirmed it dead at, so the revival out-ranks
-                // every stale death claim in flight.
-                let Some(m) = members.iter_mut().find(|m| m.node == prev) else {
-                    return CtrlReply::Error(format!("unknown previous node id {prev}"));
-                };
-                if m.node == self.me.0 {
-                    return CtrlReply::Error("the seed's own id cannot be reclaimed".into());
-                }
-                // Refuse to hand a member's identity to someone else until
-                // its failure is *confirmed* — a merely suspected node is
-                // usually alive (one lost probe round suffices), and
-                // reviving its slot for an impostor would split-brain the
-                // id. A genuinely crashed daemon restarting quickly hits
-                // this too, so `Daemon::start` treats it as retryable and
-                // polls until confirmation.
-                let detector_view = self.transport.node(self.me).swim.peer(NodeId(prev));
-                let confirmed_dead = !m.alive
-                    || detector_view.is_some_and(|p| p.state == moara_membership::PeerState::Dead);
-                if !confirmed_dead {
-                    return CtrlReply::Error(format!(
-                        "node {prev} is still believed alive; retry after its failure is detected"
-                    ));
-                }
-                let detector_inc = detector_view.map_or(0, |p| p.incarnation);
-                m.incarnation = m.incarnation.max(detector_inc) + 1;
-                m.alive = true;
-                m.addr = addr;
-                prev
-            }
-            None => {
-                let node = members.iter().map(|m| m.node + 1).max().unwrap_or(0);
-                let mut ring_id = self.rng.gen();
-                while members.iter().any(|m| m.ring_id == ring_id) {
-                    ring_id = self.rng.gen();
-                }
-                members.push(Member {
-                    node,
-                    ring_id,
-                    addr,
-                    incarnation: 0,
-                    alive: true,
-                });
-                node
-            }
-        };
-        self.install_members(members.clone());
-        // Everyone learns through the peer plane (the joiner additionally
-        // gets the list in its Joined reply, and the periodic re-announce
-        // heals anyone who misses this broadcast).
-        self.broadcast_membership();
-        CtrlReply::Joined { node, members }
     }
 
     /// Evaluates the alert rules against the freshest health sample,
@@ -1737,7 +1070,10 @@ pub(crate) fn resolve(addr: &str) -> Result<SocketAddr, String> {
 mod tests {
     use super::*;
     use health::{AlertWire, CACHE_RATIO_NONE};
-    use moara_trace::TraceSummary;
+    use moara_membership::SwimMsg;
+    use moara_simnet::Message;
+    use moara_trace::{Phase, SpanRecord, TraceSummary};
+    use moara_wire::Wire;
     use recorder::EventWire;
 
     #[test]

@@ -19,6 +19,7 @@
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
+use moara_gateway::reactor::Endpoint;
 use moara_gateway::{GatewayStats, MetricsRegistry};
 use moara_trace::Snapshot;
 use moara_transport::Transport;
@@ -119,16 +120,10 @@ fn cache_hit_pct(d: &Daemon) -> Option<f64> {
 
 fn requests_by_endpoint(d: &Daemon, m: &Metric, reg: &mut MetricsRegistry) {
     let Some(s) = gw(d) else { return };
-    let by_endpoint = [
-        ("query", &s.queries),
-        ("attrs", &s.attr_sets),
-        ("watch", &s.watches_opened),
-        ("metrics", &s.scrapes),
-        ("healthz", &s.health_checks),
-        ("traces", &s.traces),
-    ];
-    for (endpoint, n) in by_endpoint {
-        reg.counter_with(m.name, m.help, &[("endpoint", endpoint)], n.load(Relaxed));
+    for class in Endpoint::ALL {
+        if let Some(endpoint) = class.counter_label() {
+            reg.counter_with(m.name, m.help, &[("endpoint", endpoint)], s.requests(class));
+        }
     }
 }
 

@@ -17,8 +17,9 @@ use moara_simnet::{NodeId, SimDuration};
 use moara_transport::Transport;
 
 use crate::ctrl::{CtrlOut, CtrlReply, CtrlRequest};
+use crate::node::moara_ctx;
 use crate::recorder::{kind, now_unix_ms};
-use crate::{moara_ctx, parse_value, render, Daemon, DaemonMsg};
+use crate::{parse_value, render, Daemon, DaemonMsg};
 
 /// How long a scatter-gather waits for its peers before reporting the
 /// silent ones missing: one deadline for the whole fan-out, however many

@@ -23,7 +23,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::health::HealthSummary;
-use crate::{metrics, moara_ctx, swim_ctx, DaemonNode};
+use crate::membership::load_overlay;
+use crate::node::{moara_ctx, swim_ctx};
+use crate::{metrics, DaemonNode, Member};
 
 /// One simulated daemon's private world-view: its overlay directory and
 /// which members it currently believes alive.
@@ -66,22 +68,27 @@ impl SimSwarm {
                 ring_ids.push(id);
             }
         }
-        let pairs: Vec<(NodeId, Id)> = ring_ids
+        let members: Vec<Member> = ring_ids
             .iter()
             .enumerate()
-            .map(|(i, &id)| (NodeId(i as u32), id))
+            .map(|(i, &id)| Member {
+                node: i as u32,
+                ring_id: id.0,
+                addr: String::new(),
+                incarnation: 0,
+                alive: true,
+            })
             .collect();
         let mut transport: SimTransport<DaemonNode> =
             SimTransport::new(latency::Constant::from_millis(1), seed.wrapping_add(1));
         let mut views = Vec::with_capacity(n);
         for i in 0..n as u32 {
-            let dir = Directory::from_members(&pairs, cfg.bits_per_digit);
+            let dir = Directory::from_members(&[], cfg.bits_per_digit);
+            load_overlay(&dir, &members, cfg.bits_per_digit);
             let moara = MoaraNode::new(dir.clone(), cfg.clone());
             let mut det = SwimDetector::new(NodeId(i), swim.clone(), seed ^ u64::from(i));
-            for &(node, _) in &pairs {
-                if node != NodeId(i) {
-                    det.sync_peer(node, 0, true, moara_simnet::SimTime::ZERO);
-                }
+            for m in members.iter().filter(|m| m.node != i) {
+                det.sync_peer(NodeId(m.node), 0, true, moara_simnet::SimTime::ZERO);
             }
             transport.add_node(DaemonNode::new(moara, det));
             views.push(SwarmView {
@@ -133,8 +140,8 @@ impl SimSwarm {
     ) -> u64 {
         let query = parse_query(text).expect("query parses");
         self.transport.with_node(origin, |dn, ctx| {
-            let mut mctx = moara_ctx(ctx);
-            dn.moara.subscribe(&mut mctx, query, policy, lease)
+            dn.moara
+                .subscribe(&mut moara_ctx(ctx), query, policy, lease)
         })
     }
 
@@ -149,8 +156,7 @@ impl SimSwarm {
     /// Cancels a subscription.
     pub fn unsubscribe(&mut self, origin: NodeId, watch_id: u64) {
         self.transport.with_node(origin, |dn, ctx| {
-            let mut mctx = moara_ctx(ctx);
-            dn.moara.unsubscribe(&mut mctx, watch_id);
+            dn.moara.unsubscribe(&mut moara_ctx(ctx), watch_id);
         });
     }
 
@@ -229,9 +235,9 @@ impl SimSwarm {
                         view.alive[n.index()] = false;
                         view.dir.remove_member(n);
                         self.transport.with_node(me, |dn, ctx| {
-                            let mut mctx = moara_ctx(ctx);
-                            dn.moara.on_peer_failed(&mut mctx, n);
-                            dn.moara.reconcile(&mut mctx);
+                            let ctx = &mut moara_ctx(ctx);
+                            dn.moara.on_peer_failed(ctx, n);
+                            dn.moara.reconcile(ctx);
                         });
                     }
                     SwimEvent::Revived { node, .. } => {
@@ -242,8 +248,7 @@ impl SimSwarm {
                         view.alive[node.index()] = true;
                         view.dir.revive_member(node);
                         self.transport.with_node(me, |dn, ctx| {
-                            let mut mctx = moara_ctx(ctx);
-                            dn.moara.reconcile(&mut mctx);
+                            dn.moara.reconcile(&mut moara_ctx(ctx));
                         });
                     }
                 }
@@ -308,10 +313,8 @@ impl SimSwarm {
             dn.swim.reset_transients(ctx.now());
             let inc = dn.swim.incarnation();
             dn.swim.set_incarnation(inc + 1);
-            let mut sctx = swim_ctx(ctx, dn.health_digest.as_ref());
-            dn.swim.start(&mut sctx);
-            let mut mctx = moara_ctx(ctx);
-            dn.moara.on_rejoin(&mut mctx);
+            dn.swim.start(&mut swim_ctx(ctx, dn.health_digest.as_ref()));
+            dn.moara.on_rejoin(&mut moara_ctx(ctx));
         });
     }
 
@@ -325,8 +328,7 @@ impl SimSwarm {
     pub fn query(&mut self, origin: NodeId, text: &str) -> QueryOutcome {
         let query = parse_query(text).expect("query parses");
         let fid = self.transport.with_node(origin, |dn, ctx| {
-            let mut mctx = moara_ctx(ctx);
-            dn.moara.submit(&mut mctx, query)
+            dn.moara.submit(&mut moara_ctx(ctx), query)
         });
         for _ in 0..10_000 {
             if let Some(out) = self.transport.node_mut(origin).moara.take_outcome(fid) {

@@ -27,18 +27,22 @@
 //! Architecturally the gateway is a codec, like the control plane: HTTP
 //! threads never touch protocol state, and a [`GwRequest`] is only "a
 //! parsed HTTP request" — the daemon translates it into the operation
-//! its one dispatcher serves. A sharded `epoll` reactor ([`reactor`])
-//! owns every socket in nonblocking mode and drives per-connection state
-//! machines — incremental request parsing ([`http`]), buffered response
-//! writes, SSE streaming — so one daemon holds tens of thousands of
-//! keep-alive connections on a handful of threads. Parsed requests
-//! become [`GwRequest`]s pushed as [`GwJob`]s through an MPSC channel
-//! into the daemon's single-threaded event loop; replies return through
-//! per-shard mailboxes. Cache hits never leave the reactor. In front of
-//! routing sits a small middleware stack ([`middleware`]): per-peer-IP
-//! token-bucket rate limiting (429), per-request deadlines (408), and
-//! per-connection panic isolation. See `docs/gateway.md`.
+//! its one dispatcher serves; [`api`] holds those types, the routing and
+//! the rendering. A sharded `epoll` reactor ([`reactor`]) owns every
+//! socket in nonblocking mode and drives per-connection state machines —
+//! incremental request parsing ([`http`]), buffered response writes, SSE
+//! streaming — so one daemon holds tens of thousands of keep-alive
+//! connections on a handful of threads. Parsed requests become
+//! [`GwRequest`]s pushed as [`GwJob`]s through an MPSC channel into the
+//! daemon's single-threaded event loop; replies return through per-shard
+//! mailboxes. Cache hits never leave the reactor. The reactor's
+//! `handle_request` applies the middleware in order — per-connection
+//! panic isolation, per-peer-IP token-bucket rate limiting (429,
+//! [`middleware`]), per-request deadlines (408) — and every answer is
+//! counted, timed and access-logged by one function next to
+//! [`GatewayStats`]. See `docs/gateway.md`.
 
+pub mod api;
 pub mod cache;
 // The raw epoll/eventfd layer, shared with `moara-transport` as one
 // source file: this crate has no dependencies, and that one stays so.
@@ -54,15 +58,22 @@ pub mod json;
 pub mod metrics;
 pub mod middleware;
 pub mod reactor;
-pub mod server;
+// The gateway as a client sees it: tests that drive a running gateway
+// over real sockets.
+#[cfg(test)]
+#[path = "socket_tests.rs"]
+mod server;
 
+pub use api::{
+    GatewayHandle, GatewayOpts, GwJob, GwReply, GwRequest, JobSink, ReplySink, SinkClosed,
+    WatchPolicy,
+};
 pub use cache::{normalize, CacheConfig, QueryCache};
 pub use histogram::{Histogram, Snapshot};
 pub use http::{HttpRequest, HttpResponse};
 pub use metrics::{federate_expositions, lint_exposition, MetricsRegistry};
 pub use middleware::TokenBuckets;
-pub use server::{
-    access_log_line, spawn_gateway_opts, AccessLogSink, EndpointLatency, GatewayHandle,
-    GatewayOpts, GatewayStats, GwJob, GwReply, GwRequest, JobSink, ReplySink, SinkClosed,
-    WatchPolicy, REQUEST_LATENCY_BOUNDS_US,
+pub use reactor::{
+    access_log_line, spawn_gateway_opts, AccessLogSink, EndpointLatency, GatewayStats,
+    REQUEST_LATENCY_BOUNDS_US,
 };

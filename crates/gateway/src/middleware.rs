@@ -1,21 +1,5 @@
-//! Per-peer rate limiting: the one middleware layer with state of its
+//! Per-peer-IP rate limiting: the one middleware step with state of its
 //! own, and so the one with a file of its own.
-//!
-//! The gateway has three layers between a readable socket and the router,
-//! all applied in `crate::reactor`, on the shard thread that owns the
-//! connection, in this order from the outside in:
-//!
-//! 1. **panic isolation** — `Shard::on_conn` runs every connection
-//!    event inside `catch_unwind`; a poisoned request kills its
-//!    connection, not the shard;
-//! 2. **rate limiting** — `handle_request` spends a token from
-//!    [`TokenBuckets`] before routing and answers 429 without one;
-//! 3. **the request deadline** — `Shard::sweep` and the late-reply path
-//!    answer 408 once `GatewayOpts::request_timeout` has passed, by the
-//!    shard's own clock.
-//!
-//! Each counts itself in [`crate::GatewayStats`] (`panics_caught`,
-//! `rate_limited`, `request_timeouts`), which `/metrics` exports.
 
 use std::collections::HashMap;
 use std::net::IpAddr;

@@ -25,27 +25,28 @@
 //! * the **daemon** is unchanged: single-threaded, sole owner of
 //!   protocol state.
 //!
-//! Middleware rides the same state machine: per-IP token buckets answer
-//! 429 before routing, per-request deadlines answer 408 (checked both
-//! by the periodic sweep and when a late reply lands), and every
-//! connection event runs inside `catch_unwind` so one poisoned request
-//! kills its connection, not the daemon.
+//! Middleware rides the same state machine; `handle_request` applies it
+//! in order. Every one-shot answer leaves through `answer`, which counts,
+//! times and access-logs it.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{IpAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::epoll::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::http::{parse_request, HttpResponse, ParseStep};
-use crate::server::{
-    endpoint_class, finish_request, render_reply, route, sse_frame, GatewayHandle, GatewayOpts,
-    GatewayStats, GwJob, GwReply, GwRequest, JobSink, ReplySink,
+use crate::api::{
+    answer_body, render_reply, route, sse_frame, GatewayHandle, GatewayOpts, GwJob, GwReply,
+    GwRequest, JobSink, ReplySink, ALLOWED_METHODS,
 };
+use crate::epoll::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::histogram::Histogram;
+use crate::http::{parse_request, HttpRequest, HttpResponse, ParseStep};
+use crate::json;
+use crate::middleware::TokenBuckets;
 
 /// The epoll data value reserved for a shard's wake eventfd (connection
 /// ids start at 1).
@@ -71,6 +72,187 @@ const OUT_BUF_CAP: usize = 1024 * 1024;
 /// progress before it is closed (the reactor's version of the old
 /// worker-pool write timeout).
 const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// What a request is counted and timed as: one closed set, in scrape
+/// order. `Other` takes every request answered before it routes (404,
+/// 405, OPTIONS, 429, parse failures), so it is timed but never counted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Endpoint {
+    /// `/v1/query`.
+    Query,
+    /// `/v1/attrs`.
+    Attrs,
+    /// `/v1/watch`.
+    Watch,
+    /// `/metrics`, `/v1/cluster/metrics` and both history endpoints.
+    Metrics,
+    /// `/healthz`, `/v1/cluster/health`, `/v1/alerts` and `/v1/events`.
+    Health,
+    /// `/v1/traces` and `/v1/trace/{id}`.
+    Traces,
+    /// Everything that did not route.
+    Other,
+}
+
+impl Endpoint {
+    /// Every class, in scrape order.
+    pub const ALL: [Endpoint; 7] = [
+        Endpoint::Query,
+        Endpoint::Attrs,
+        Endpoint::Watch,
+        Endpoint::Metrics,
+        Endpoint::Health,
+        Endpoint::Traces,
+        Endpoint::Other,
+    ];
+
+    /// The class a routed request counts under.
+    pub(crate) fn of(req: &GwRequest) -> Endpoint {
+        match req {
+            GwRequest::Query { .. } => Endpoint::Query,
+            GwRequest::SetAttrs { .. } => Endpoint::Attrs,
+            GwRequest::Watch { .. } => Endpoint::Watch,
+            GwRequest::Metrics
+            | GwRequest::ClusterMetrics
+            | GwRequest::History { .. }
+            | GwRequest::ClusterHistory { .. } => Endpoint::Metrics,
+            GwRequest::Health
+            | GwRequest::ClusterHealth
+            | GwRequest::Alerts
+            | GwRequest::Events { .. } => Endpoint::Health,
+            GwRequest::Traces { .. } | GwRequest::Trace { .. } => Endpoint::Traces,
+        }
+    }
+
+    /// Its `endpoint` label on the latency histograms.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Endpoint::Query => "query",
+            Endpoint::Attrs => "attrs",
+            Endpoint::Watch => "watch",
+            Endpoint::Metrics => "metrics",
+            Endpoint::Health => "health",
+            Endpoint::Traces => "traces",
+            Endpoint::Other => "other",
+        }
+    }
+
+    /// Its `endpoint` label on the request counters: the health class
+    /// keeps its older spelling there, and `Other` has no counter.
+    pub fn counter_label(self) -> Option<&'static str> {
+        match self {
+            Endpoint::Health => Some("healthz"),
+            Endpoint::Other => None,
+            class => Some(class.label()),
+        }
+    }
+}
+
+/// Bucket upper bounds (microseconds) for the gateway's request-latency
+/// histograms. Log-ish spacing from sub-millisecond one-shots out to the
+/// engine's front timeout; the final implicit bucket is `+Inf`.
+pub const REQUEST_LATENCY_BOUNDS_US: [u64; 12] = [
+    100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
+];
+
+/// Request-latency histograms, one per [`Endpoint`]. Watch streams
+/// observe their whole stream lifetime (headers to hang-up), one-shots
+/// the read-to-written span.
+#[derive(Debug)]
+pub struct EndpointLatency([Histogram; Endpoint::ALL.len()]);
+
+impl Default for EndpointLatency {
+    fn default() -> Self {
+        EndpointLatency(std::array::from_fn(|_| {
+            Histogram::new(&REQUEST_LATENCY_BOUNDS_US)
+        }))
+    }
+}
+
+impl EndpointLatency {
+    /// The histogram of one class.
+    pub fn of(&self, class: Endpoint) -> &Histogram {
+        &self.0[class as usize]
+    }
+
+    /// All classes, label first — iteration order is the scrape order.
+    pub fn families(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
+        Endpoint::ALL.into_iter().map(Endpoint::label).zip(&self.0)
+    }
+}
+
+/// Live counters the gateway keeps about itself (lock-free; scraped into
+/// `/metrics` alongside the subsystem counters).
+#[derive(Debug, Default)]
+pub struct GatewayStats {
+    /// Requests routed, by class; read through [`GatewayStats::requests`].
+    requests: [AtomicU64; Endpoint::ALL.len()],
+    /// SSE data frames written.
+    pub sse_frames: AtomicU64,
+    /// Responses with a 4xx/5xx status.
+    pub errors: AtomicU64,
+    /// Requests answered 429 by the per-peer-IP token bucket.
+    pub rate_limited: AtomicU64,
+    /// Requests answered 408 (per-request deadline or slowloris header
+    /// timeout).
+    pub request_timeouts: AtomicU64,
+    /// Panics caught by per-connection isolation (each one killed its
+    /// connection only).
+    pub panics_caught: AtomicU64,
+    /// Connections accepted over the gateway's lifetime.
+    pub conns_accepted: AtomicU64,
+    /// Connections refused at accept because the connection cap was hit.
+    pub conns_rejected: AtomicU64,
+    /// Connections currently registered with a shard (gauge).
+    pub open_conns: AtomicI64,
+    /// SSE streams currently holding a slot (reserved at routing time,
+    /// released when the stream ends — so mid-setup streams count, and
+    /// the cap cannot be raced past).
+    pub open_streams: AtomicI64,
+    /// GwJobs handed to the daemon channel and not yet drained (gauge:
+    /// shards increment at send, the daemon decrements per drained
+    /// batch). The health plane's event-loop backpressure signal.
+    pub queued_jobs: AtomicI64,
+    /// Request latency by endpoint class.
+    pub latency: EndpointLatency,
+}
+
+impl GatewayStats {
+    /// Requests routed to `class` so far (watches: streams opened).
+    pub fn requests(&self, class: Endpoint) -> u64 {
+        self.requests[class as usize].load(Ordering::Relaxed)
+    }
+}
+
+/// Where access-log lines go: the daemon passes a sink (stderr, a file)
+/// and the gateway calls it once per finished request with one JSON line
+/// (no trailing newline). Must be cheap and non-blocking-ish: shards
+/// call it inline.
+pub type AccessLogSink = Arc<dyn Fn(&str) + Send + Sync>;
+
+/// Renders one access-log line as a single JSON object via the shared
+/// [`json::JsonLine`] writer (same escaping as every other stderr
+/// sink). Pure — the caller supplies the timestamp — so tests can
+/// assert the exact line.
+pub fn access_log_line(
+    ts_ms: u64,
+    method: &str,
+    path: &str,
+    status: u16,
+    duration_us: u64,
+    bytes: usize,
+    peer: &str,
+) -> String {
+    json::JsonLine::new()
+        .u64("ts_ms", ts_ms)
+        .str("method", method)
+        .str("path", path)
+        .u64("status", u64::from(status))
+        .u64("duration_us", duration_us)
+        .u64("bytes", bytes as u64)
+        .str("peer", peer)
+        .finish()
+}
 
 /// One message from the daemon (or a dropped [`ReplySink`]) to a shard.
 #[derive(Debug)]
@@ -128,60 +310,84 @@ enum Phase {
     Sse(Pending),
 }
 
-/// Bookkeeping for a request handed to the daemon.
-struct Pending {
-    gen: u64,
-    class: &'static str,
+/// A request as its answer is written and accounted: its class, what the
+/// access log calls it, when it was read, and how the answer goes back.
+struct Req {
+    class: Endpoint,
     method: String,
     path: String,
     started: Instant,
-    deadline: Instant,
+    /// A `HEAD`: the answer is its head only.
     head_only: bool,
     keep_alive: bool,
 }
 
-/// How a request reads in the latency histograms and the access log.
-struct Logged<'a> {
-    class: &'static str,
-    method: &'a str,
-    path: &'a str,
-    started: Instant,
-}
-
-impl Logged<'_> {
-    /// A request that never parsed as far as a method and a path.
-    const fn unparsed(started: Instant) -> Logged<'static> {
-        let (class, method, path) = ("other", "-", "-");
-        Logged {
-            class,
+impl Req {
+    /// A parsed request, not yet routed.
+    fn new(http: HttpRequest, started: Instant) -> Req {
+        let HttpRequest {
+            method,
+            path,
+            keep_alive,
+            ..
+        } = http;
+        Req {
+            class: Endpoint::Other,
+            head_only: method == "HEAD",
             method,
             path,
             started,
+            keep_alive,
         }
     }
 
-    /// Accounts the request as over: answered `status`, `bytes` of body.
-    fn finish(&self, ctx: &Ctx, conn: &Conn, status: u16, bytes: usize) {
-        let &Logged {
-            class,
-            method,
-            path,
-            started: t0,
-        } = self;
-        let (stats, log, peer) = (&ctx.stats, &ctx.opts.access_log, &conn.peer);
-        finish_request(stats, log, class, method, path, status, t0, bytes, peer);
+    /// A request that never parsed to its end, its first bytes in `head`:
+    /// the access log has no method or path for it.
+    fn unparsed(head: &[u8], started: Instant) -> Req {
+        Req {
+            class: Endpoint::Other,
+            method: "-".into(),
+            path: "-".into(),
+            started,
+            head_only: head.starts_with(b"HEAD "),
+            keep_alive: false,
+        }
     }
 }
 
+/// One SSE stream's hold on `max_sse_streams`: taken when a watch routes,
+/// given back when it drops, however the stream ends.
+struct StreamSlot(Arc<GatewayStats>);
+
+impl StreamSlot {
+    /// A slot, or `None` at the cap. Increment-then-check, so a burst of
+    /// simultaneous watches cannot race past the cap.
+    fn take(stats: &Arc<GatewayStats>, cap: i64) -> Option<StreamSlot> {
+        let slot = StreamSlot(Arc::clone(stats));
+        (stats.open_streams.fetch_add(1, Ordering::SeqCst) < cap).then_some(slot)
+    }
+}
+
+impl Drop for StreamSlot {
+    fn drop(&mut self) {
+        self.0.open_streams.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// A request handed to the daemon.
+struct Pending {
+    gen: u64,
+    deadline: Instant,
+    req: Req,
+    /// A watch's stream slot.
+    slot: Option<StreamSlot>,
+}
+
 impl Pending {
-    fn logged(&self) -> Logged<'_> {
-        let (method, path) = (&*self.method, &*self.path);
-        Logged {
-            class: self.class,
-            method,
-            path,
-            started: self.started,
-        }
+    /// The request, its stream slot (if any) given back.
+    fn finish(self) -> Req {
+        drop(self.slot);
+        self.req
     }
 }
 
@@ -222,8 +428,19 @@ struct Ctx {
     jobs: JobSink,
     stats: Arc<GatewayStats>,
     mailbox: Arc<Mailbox>,
-    limiter: Option<Arc<crate::middleware::TokenBuckets>>,
+    limiter: Option<Arc<TokenBuckets>>,
     opts: GatewayOpts,
+}
+
+impl Ctx {
+    /// The rate-limit step: false, and counted, when `ip` has no token.
+    fn admit(&self, ip: IpAddr, now: Instant) -> bool {
+        let admitted = self.limiter.as_ref().is_none_or(|l| l.allow(ip, now));
+        if !admitted {
+            self.stats.rate_limited.fetch_add(1, Ordering::Relaxed);
+        }
+        admitted
+    }
 }
 
 struct Shard {
@@ -235,15 +452,16 @@ struct Shard {
     ctx: Ctx,
 }
 
-/// Boots the acceptor and shard threads on `listener`; parsed requests
-/// are handed to `jobs` (the daemon's event loop).
+/// Spawns the gateway's acceptor and reactor shards (one a core, at most
+/// eight) on `listener`. Each parsed request goes to `jobs`; the daemon's
+/// sink enqueues it and wakes the event loop.
 ///
 /// # Panics
 ///
 /// Panics if the listener address cannot be read, `epoll`/`eventfd`
 /// creation fails, or threads cannot spawn — all boot-time process
 /// failures.
-pub(crate) fn spawn_reactor(
+pub fn spawn_gateway_opts(
     listener: TcpListener,
     jobs: JobSink,
     opts: GatewayOpts,
@@ -251,22 +469,9 @@ pub(crate) fn spawn_reactor(
     let addr = listener.local_addr().expect("gateway listener addr");
     let stats = Arc::new(GatewayStats::default());
     let stop = Arc::new(AtomicBool::new(false));
-    let shard_count = if opts.shards > 0 {
-        opts.shards
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-    };
-    let limiter = (opts.rate_limit > 0.0).then(|| {
-        let burst = if opts.rate_burst > 0.0 {
-            opts.rate_burst
-        } else {
-            (opts.rate_limit * 2.0).max(1.0)
-        };
-        Arc::new(crate::middleware::TokenBuckets::new(opts.rate_limit, burst))
-    });
+    let shard_count = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
+    let limiter = (opts.rate_limit > 0.0)
+        .then(|| Arc::new(TokenBuckets::new(opts.rate_limit, opts.rate_limit * 2.0)));
 
     let mut mailboxes = Vec::with_capacity(shard_count);
     let mut queues = Vec::with_capacity(shard_count);
@@ -487,31 +692,25 @@ impl Shard {
             let Some(conn) = self.conns.get_mut(&id) else {
                 continue;
             };
-            match &conn.phase {
-                Phase::Await(p) | Phase::SseAwait(p) => {
-                    if now >= p.deadline {
-                        timeout_pending(&self.ctx, conn);
+            if let Some(p) = conn.overdue(now) {
+                time_out(&self.ctx, conn, p);
+            } else if matches!(conn.phase, Phase::Ready) && !conn.close_after_write {
+                if let Some(t0) = conn.header_started {
+                    if now.saturating_duration_since(t0) > self.ctx.opts.header_timeout {
+                        // Slowloris: answer 408 and close. The shard
+                        // never blocked on these bytes; the timeout just
+                        // reclaims the fd.
+                        conn.header_started = None;
+                        let req = Req::unparsed(&conn.buf_in, t0);
+                        let response = HttpResponse::error(408, "header timeout");
+                        answer(&self.ctx, conn, &req, response, false);
                     }
+                } else if conn.buf_out.is_empty()
+                    && now.saturating_duration_since(conn.last_activity)
+                        > self.ctx.opts.idle_timeout
+                {
+                    conn.dead = true;
                 }
-                Phase::Ready if !conn.close_after_write => {
-                    if let Some(t0) = conn.header_started {
-                        if now.saturating_duration_since(t0) > self.ctx.opts.header_timeout {
-                            // Slowloris: answer 408 and close. The
-                            // shard never blocked on these bytes; the
-                            // timeout just reclaims the fd.
-                            conn.header_started = None;
-                            let response = HttpResponse::error(408, "header timeout");
-                            respond(&self.ctx, conn, response, false, false);
-                            Logged::unparsed(t0).finish(&self.ctx, conn, 408, 0);
-                        }
-                    } else if conn.buf_out.is_empty()
-                        && now.saturating_duration_since(conn.last_activity)
-                            > self.ctx.opts.idle_timeout
-                    {
-                        conn.dead = true;
-                    }
-                }
-                Phase::Ready | Phase::Sse(_) => {}
             }
             if let Some(t0) = conn.write_stalled_since {
                 if now.saturating_duration_since(t0) > WRITE_STALL_TIMEOUT {
@@ -522,31 +721,36 @@ impl Shard {
         }
     }
 
-    /// Tears one connection down: SSE slot release, stream-lifetime
-    /// accounting, the closed flag for daemon-held sinks.
+    /// Tears one connection down: the closed flag for daemon-held sinks,
+    /// the stream slot, stream-lifetime accounting.
     fn close(&mut self, id: u64) {
-        let Some(conn) = self.conns.remove(&id) else {
+        let Some(mut conn) = self.conns.remove(&id) else {
             return;
         };
         conn.closed.store(true, Ordering::Release);
         self.ctx.stats.open_conns.fetch_sub(1, Ordering::SeqCst);
-        match &conn.phase {
-            Phase::Sse(stream) => {
-                self.ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
-                // One access-log line per stream, at stream end, the
-                // duration spanning its whole life.
-                stream.logged().finish(&self.ctx, &conn, 200, 0);
-            }
-            Phase::SseAwait(_) => {
-                self.ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
-            }
-            _ => {}
+        // The phase goes first, and with it any stream slot. A stream
+        // has one access-log line, at its end, timed over its whole life.
+        if let Phase::Sse(stream) = std::mem::replace(&mut conn.phase, Phase::Ready) {
+            account(&self.ctx, &conn, &stream.finish(), 200, 0);
         }
         // `conn.stream` drops here: the fd closes and leaves the set.
     }
 }
 
 impl Conn {
+    /// The request this connection waits on, taken out (the connection
+    /// goes `Ready`) if its deadline has passed by `now`.
+    fn overdue(&mut self, now: Instant) -> Option<Pending> {
+        match std::mem::replace(&mut self.phase, Phase::Ready) {
+            Phase::Await(p) | Phase::SseAwait(p) if now >= p.deadline => Some(p),
+            phase => {
+                self.phase = phase;
+                None
+            }
+        }
+    }
+
     /// Reads until `WouldBlock`, appending to the input buffer.
     fn fill(&mut self) {
         let mut chunk = [0u8; READ_CHUNK];
@@ -623,22 +827,44 @@ impl Conn {
     }
 }
 
-/// Queues a rendered response on the connection and flushes what the
-/// socket will take now.
-fn respond(ctx: &Ctx, conn: &mut Conn, response: HttpResponse, keep_alive: bool, head_only: bool) {
+/// Writes `response` as the one answer to `req`, flushes what the socket
+/// takes now, and accounts it: an error status counts in `errors`, and
+/// [`account`] logs the body bytes written — none to a `HEAD`. Every
+/// one-shot answer the gateway gives leaves through here.
+fn answer(ctx: &Ctx, conn: &mut Conn, req: &Req, response: HttpResponse, keep_alive: bool) {
     if response.status >= 400 {
         ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
     }
     // Vec writes cannot fail.
-    let _ = if head_only {
-        response.write_head_to(&mut conn.buf_out, keep_alive)
+    let bytes = if req.head_only {
+        let _ = response.write_head_to(&mut conn.buf_out, keep_alive);
+        0
     } else {
-        response.write_to(&mut conn.buf_out, keep_alive)
+        let _ = response.write_to(&mut conn.buf_out, keep_alive);
+        response.body.len()
     };
     if !keep_alive {
         conn.close_after_write = true;
     }
     conn.flush();
+    account(ctx, conn, req, response.status, bytes);
+}
+
+/// Times a finished request into its class's histogram and, when a sink
+/// is configured, writes its access-log line. [`answer`] calls it for
+/// every one-shot; `Shard::close` for a stream, at its end.
+fn account(ctx: &Ctx, conn: &Conn, req: &Req, status: u16, bytes: usize) {
+    let duration_us = u64::try_from(req.started.elapsed().as_micros()).unwrap_or(u64::MAX);
+    ctx.stats.latency.of(req.class).observe(duration_us);
+    if let Some(sink) = &ctx.opts.access_log {
+        let ts_ms = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
+            .unwrap_or(0);
+        let (method, path) = (&req.method, &req.path);
+        let line = access_log_line(ts_ms, method, path, status, duration_us, bytes, &conn.peer);
+        sink(&line);
+    }
 }
 
 /// Parses as many complete pipelined requests as the buffer holds (and
@@ -661,11 +887,10 @@ fn advance(ctx: &Ctx, conn: &mut Conn) {
             }
             ParseStep::Reject { status, msg } => {
                 // The body boundary is unknowable: answer and close.
+                let req = Req::unparsed(&conn.buf_in, Instant::now());
                 conn.buf_in.clear();
                 conn.header_started = None;
-                respond(ctx, conn, HttpResponse::error(status, msg), false, false);
-                Logged::unparsed(Instant::now()).finish(ctx, conn, status, 0);
-                return;
+                return answer(ctx, conn, &req, HttpResponse::error(status, msg), false);
             }
             ParseStep::Done { req, consumed } => {
                 conn.buf_in.drain(..consumed);
@@ -693,112 +918,57 @@ fn hand_off(ctx: &Ctx, conn: &mut Conn, req: GwRequest) -> bool {
     sent
 }
 
-/// Routes one parsed request: middleware first, then inline answers
-/// (OPTIONS, cache hits, routing errors), then the daemon hand-off.
-fn handle_request(ctx: &Ctx, conn: &mut Conn, req: crate::http::HttpRequest) {
+/// Routes one parsed request through the middleware, outside in, one
+/// step a line. Panic isolation wraps the whole call (`Shard::on_conn`);
+/// then the rate limit; then the answers the shard gives itself
+/// (OPTIONS, routing errors, the stream cap, cache hits); then the
+/// hand-off to the daemon under the request deadline, enforced by
+/// `Shard::sweep` and [`deliver`]. Each answer is [`answer`]ed, which
+/// counts, times and logs it.
+fn handle_request(ctx: &Ctx, conn: &mut Conn, http: HttpRequest) {
     let started = Instant::now();
-    let keep_alive = req.keep_alive;
-    let head_only = req.method == "HEAD";
-    let logged = |class| Logged {
-        class,
-        method: &req.method,
-        path: &req.path,
-        started,
+    let routed = if !ctx.admit(conn.ip, started) {
+        Err(HttpResponse::error(429, "rate limit exceeded"))
+    } else if http.method == "OPTIONS" {
+        Err(HttpResponse::text(200, "text/plain; charset=utf-8", "").with_allow(ALLOWED_METHODS))
+    } else {
+        route(&http)
     };
-
-    // Test hook for panic isolation: a poisoned request must kill its
-    // connection, not the shard or the daemon.
-    if let Some(p) = &ctx.opts.panic_on_path {
-        if *p == req.path {
-            panic!("panic_on_path test hook: {p}");
-        }
-    }
-
-    // Middleware: per-IP token bucket. Counted before routing so an
-    // abusive client cannot buy a tree walk with a rejected request.
-    if let Some(limiter) = &ctx.limiter {
-        if !limiter.allow(conn.ip, started) {
-            ctx.stats.rate_limited.fetch_add(1, Ordering::Relaxed);
-            let response = HttpResponse::error(429, "rate limit exceeded");
-            logged("other").finish(ctx, conn, response.status, response.body.len());
-            return respond(ctx, conn, response, keep_alive, head_only);
-        }
-    }
-
-    // OPTIONS is answered at this layer: it exists for probes and
-    // CORS-less tooling, not the daemon.
-    if req.method == "OPTIONS" {
-        let response = HttpResponse::text(200, "text/plain; charset=utf-8", "")
-            .with_allow(crate::server::ALLOWED_METHODS);
-        logged("other").finish(ctx, conn, response.status, 0);
-        return respond(ctx, conn, response, keep_alive, false);
-    }
-
-    let gw_req = match route(&req) {
+    let mut req = Req::new(http, started);
+    let gw_req = match routed {
         Ok(gw_req) => gw_req,
-        Err(response) => {
-            let bytes = if head_only { 0 } else { response.body.len() };
-            logged("other").finish(ctx, conn, response.status, bytes);
-            return respond(ctx, conn, response, keep_alive, head_only);
-        }
+        Err(response) => return answer(ctx, conn, &req, response, req.keep_alive),
     };
-    let class = endpoint_class(&gw_req);
+    req.class = Endpoint::of(&gw_req);
     let watch = matches!(gw_req, GwRequest::Watch { .. });
-    // Atomic slot reservation (increment-then-check): a burst of
-    // simultaneous watch requests must not race past the cap.
-    if watch && ctx.stats.open_streams.fetch_add(1, Ordering::SeqCst) >= ctx.opts.max_sse_streams {
-        ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
-        let response = HttpResponse::error(503, "too many watch streams");
-        logged(class).finish(ctx, conn, response.status, response.body.len());
-        return respond(ctx, conn, response, false, false);
-    }
-    let counter = match &gw_req {
-        GwRequest::Watch { .. } => &ctx.stats.watches_opened,
-        GwRequest::Query { .. } => &ctx.stats.queries,
-        GwRequest::SetAttrs { .. } => &ctx.stats.attr_sets,
-        GwRequest::Metrics
-        | GwRequest::ClusterMetrics
-        | GwRequest::History { .. }
-        | GwRequest::ClusterHistory { .. } => &ctx.stats.scrapes,
-        GwRequest::Health
-        | GwRequest::ClusterHealth
-        | GwRequest::Alerts
-        | GwRequest::Events { .. } => &ctx.stats.health_checks,
-        GwRequest::Traces { .. } | GwRequest::Trace { .. } => &ctx.stats.traces,
+    let slot = match watch {
+        true => StreamSlot::take(&ctx.stats, ctx.opts.max_sse_streams),
+        false => None,
     };
-    counter.fetch_add(1, Ordering::Relaxed);
+    if watch && slot.is_none() {
+        let response = HttpResponse::error(503, "too many watch streams");
+        return answer(ctx, conn, &req, response, false);
+    }
+    ctx.stats.requests[req.class as usize].fetch_add(1, Ordering::Relaxed);
     // The materialized-view fast path: a fresh standing result answers
     // right here on the shard — the daemon's event loop is never
     // entered, which is what keeps hits sub-millisecond.
-    let cached = match (&gw_req, &ctx.opts.cache) {
-        (GwRequest::Query { q }, Some(c)) => c.lookup(q, started),
-        _ => None,
-    };
-    if let Some((result, complete)) = cached {
-        let response = HttpResponse::json(200, crate::server::answer_body(&result, complete))
-            .with_cache("hit");
-        let bytes = if head_only { 0 } else { response.body.len() };
-        logged(class).finish(ctx, conn, response.status, bytes);
-        return respond(ctx, conn, response, keep_alive, head_only);
+    if let (GwRequest::Query { q }, Some(cache)) = (&gw_req, &ctx.opts.cache) {
+        if let Some((result, complete)) = cache.lookup(q, started) {
+            let response =
+                HttpResponse::json(200, answer_body(&result, complete)).with_cache("hit");
+            return answer(ctx, conn, &req, response, req.keep_alive);
+        }
     }
     if !hand_off(ctx, conn, gw_req) {
-        if watch {
-            ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
-        }
         let response = HttpResponse::error(503, "daemon shut down");
-        logged(class).finish(ctx, conn, response.status, response.body.len());
-        return respond(ctx, conn, response, false, false);
+        return answer(ctx, conn, &req, response, false);
     }
-    // A stream is neither kept alive nor cut to its head.
     let pending = Pending {
         gen: conn.gen,
-        class,
-        method: req.method,
-        path: req.path,
-        started,
         deadline: started + ctx.opts.request_timeout,
-        head_only: head_only && !watch,
-        keep_alive: keep_alive && !watch,
+        req,
+        slot,
     };
     conn.phase = match watch {
         true => Phase::SseAwait(pending),
@@ -810,74 +980,54 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, req: crate::http::HttpRequest) {
 /// per-request deadline). The connection closes — a late daemon reply
 /// for it can no longer be correlated by the client — and the closed
 /// flag guarantees the daemon notices on its next send.
-fn timeout_pending(ctx: &Ctx, conn: &mut Conn) {
-    let (Phase::Await(p) | Phase::SseAwait(p)) = &conn.phase else {
-        return;
-    };
+fn time_out(ctx: &Ctx, conn: &mut Conn, pending: Pending) {
     ctx.stats.request_timeouts.fetch_add(1, Ordering::Relaxed);
-    let released_sse = matches!(conn.phase, Phase::SseAwait(_));
-    let response = HttpResponse::error(408, "daemon did not answer in time");
-    p.logged()
-        .finish(ctx, conn, response.status, response.body.len());
-    let head_only = p.head_only;
-    conn.phase = Phase::Ready;
-    if released_sse {
-        ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
-    }
     conn.closed.store(true, Ordering::Release);
-    respond(ctx, conn, response, false, head_only);
+    let response = HttpResponse::error(408, "daemon did not answer in time");
+    answer(ctx, conn, &pending.finish(), response, false);
 }
 
 /// Applies one mailbox message to its connection.
 fn deliver(ctx: &Ctx, conn: &mut Conn, gen: u64, mail: Mail) {
     match mail {
-        Mail::Reply(reply) => match &conn.phase {
+        Mail::Reply(reply) => match std::mem::replace(&mut conn.phase, Phase::Ready) {
             // The reply exists but missed its deadline: the middleware
             // answer is still 408, whether or not a sweep got to the
             // connection first.
             Phase::Await(p) | Phase::SseAwait(p)
                 if p.gen == gen && Instant::now() >= p.deadline =>
             {
-                timeout_pending(ctx, conn);
+                time_out(ctx, conn, p);
             }
             Phase::Await(p) if p.gen == gen => {
-                let response = render_reply(reply);
-                let (keep_alive, head_only) = (p.keep_alive, p.head_only);
-                let bytes = if head_only { 0 } else { response.body.len() };
-                p.logged().finish(ctx, conn, response.status, bytes);
-                conn.phase = Phase::Ready;
-                respond(ctx, conn, response, keep_alive, head_only);
+                let req = p.finish();
+                answer(ctx, conn, &req, render_reply(reply), req.keep_alive);
                 // Pipelined requests may be waiting behind the reply.
                 advance(ctx, conn);
             }
             Phase::SseAwait(p) if p.gen == gen => {
                 if let GwReply::Error { status, msg } = reply {
-                    let response = HttpResponse::error(status, &msg);
-                    p.logged()
-                        .finish(ctx, conn, response.status, response.body.len());
-                    conn.phase = Phase::Ready;
-                    ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
                     conn.closed.store(true, Ordering::Release);
-                    return respond(ctx, conn, response, false, false);
+                    let response = HttpResponse::error(status, &msg);
+                    return answer(ctx, conn, &p.finish(), response, false);
                 }
                 // Stream opens: SSE headers, then the first frame.
                 conn.buf_out.extend_from_slice(
                     b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
                       Cache-Control: no-cache\r\nConnection: close\r\n\r\n",
                 );
-                if let Phase::SseAwait(p) = std::mem::replace(&mut conn.phase, Phase::Ready) {
-                    conn.phase = Phase::Sse(p);
-                }
+                conn.phase = Phase::Sse(p);
                 sse_forward(ctx, conn, reply);
                 conn.flush();
             }
-            Phase::Sse(_) if gen == conn.gen => {
+            Phase::Sse(p) if gen == conn.gen => {
+                conn.phase = Phase::Sse(p);
                 sse_forward(ctx, conn, reply);
                 conn.flush();
             }
             // Stale: a reply for a request that already timed out or a
             // connection that moved on.
-            _ => {}
+            phase => conn.phase = phase,
         },
         Mail::Hangup => {
             // The daemon dropped the sink without a terminal reply —
@@ -908,7 +1058,7 @@ fn sse_forward(ctx: &Ctx, conn: &mut Conn, reply: GwReply) {
         }
         GwReply::Error { msg, .. } => {
             conn.buf_out.extend_from_slice(
-                format!("event: error\ndata: {}\n\n", crate::json::escape(&msg)).as_bytes(),
+                format!("event: error\ndata: {}\n\n", json::escape(&msg)).as_bytes(),
             );
             conn.close_after_write = true;
         }

@@ -1,792 +1,21 @@
-//! The gateway's protocol surface: request/reply types, routing,
-//! response rendering, stats, and the spawn entry point.
-//!
-//! Threading model (since the reactor rewrite): the acceptor thread
-//! hands nonblocking sockets to a small set of `epoll` shard threads
-//! (`reactor.rs`); each shard drives per-connection state machines that
-//! parse HTTP incrementally, translate requests into [`GwRequest`]s,
-//! and push [`GwJob`]s through an MPSC channel into the daemon's event
-//! loop — protocol state is only ever touched by that single loop.
-//! Replies come back through a per-shard mailbox (a queue plus an
-//! `eventfd` wake), addressed by connection id and request generation;
-//! `/v1/watch` flips its connection's state machine into a Server-Sent
-//! Events stream that forwards [`GwReply::Update`] frames until either
-//! side hangs up. Nothing in the HTTP path blocks, so one daemon holds
-//! tens of thousands of keep-alive and SSE connections on a handful of
-//! threads.
-//!
-//! Hang-up plumbing: every job carries a [`ReplySink`]. When the
-//! connection closes, the sink's sends start failing, which the daemon
-//! observes on its next update or keepalive probe and cancels the
-//! standing subscription — peers GC the watch's in-network state
-//! promptly. Symmetrically, when the *daemon* drops a sink without a
-//! terminal reply (subscription cancelled, shutdown), the sink's `Drop`
-//! posts a hang-up to the reactor and the SSE stream ends.
-//!
-//! Middleware on the reactor path: per-peer-IP token-bucket rate
-//! limiting (429), a per-request deadline (408), and per-connection
-//! panic isolation — see [`GatewayOpts`] and `docs/gateway.md`.
-
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-use crate::cache::QueryCache;
-use crate::histogram::Histogram;
-use crate::http::{HttpRequest, HttpResponse};
-use crate::json;
-use crate::reactor::{Mail, Mailbox};
-
-/// How a watch's updates surface to the SSE client (string-typed twin of
-/// the subscription plane's `DeliveryPolicy`; the daemon converts).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum WatchPolicy {
-    /// Every change to the merged result (the default).
-    OnChange,
-    /// A snapshot every N milliseconds, changed or not (N must be
-    /// positive; enforced at parse time).
-    PeriodMs(u64),
-    /// Threshold-crossing alerts around the value.
-    Threshold(f64),
-}
-
-/// What the HTTP layer asks the daemon to do.
-#[derive(Clone, Debug, PartialEq)]
-pub enum GwRequest {
-    /// `GET /v1/query?q=…` — run a composite query.
-    Query {
-        /// Query text (either syntax the parser accepts).
-        q: String,
-    },
-    /// `POST /v1/attrs` — set local attributes. Values are raw strings;
-    /// the daemon applies its `parse_value` typing rules.
-    SetAttrs {
-        /// Name/value pairs in body order.
-        attrs: Vec<(String, String)>,
-    },
-    /// `GET /v1/watch?q=…` — install a standing query and stream deltas.
-    Watch {
-        /// Query text.
-        q: String,
-        /// Delivery policy.
-        policy: WatchPolicy,
-        /// Subscription lease in milliseconds (daemon-renewed while the
-        /// socket stays open).
-        lease_ms: u64,
-    },
-    /// `GET /metrics` — snapshot every subsystem into Prometheus text.
-    Metrics,
-    /// `GET /healthz` — prove the daemon event loop is serving.
-    Health,
-    /// `GET /v1/traces` — recent sampled traces on this daemon.
-    Traces {
-        /// Maximum summaries to return.
-        limit: usize,
-    },
-    /// `GET /v1/trace/{id}` — one trace's span tree, merged across the
-    /// cluster by the daemon (gathered over the peer plane, one 2 s
-    /// deadline). The id stays a raw string here: the daemon owns
-    /// trace-id parsing, and this crate stays dependency-free.
-    Trace {
-        /// Trace id as it appeared in the path (hex or decimal).
-        id: String,
-    },
-    /// `GET /v1/cluster/health` — the answering daemon's merged member
-    /// health table (self-sample plus digests gossiped on SWIM traffic).
-    /// Served from local state; never blocks on peers.
-    ClusterHealth,
-    /// `GET /v1/cluster/metrics` — cluster-wide Prometheus exposition:
-    /// the daemon fetches every alive peer's scrape over the peer plane
-    /// and federates the texts under `instance` labels.
-    ClusterMetrics,
-    /// `GET /v1/alerts` — the alert rules currently firing on this
-    /// daemon.
-    Alerts,
-    /// `GET /v1/history?metric=…&range=…` — one metric's series from
-    /// this daemon's flight-recorder history rings.
-    History {
-        /// Health-sample metric name.
-        metric: String,
-        /// How far back, in seconds (picks the ring tier).
-        range_s: u32,
-    },
-    /// `GET /v1/cluster/history?metric=…&range=…` — every reachable
-    /// member's series for one metric, federated over the peer plane like
-    /// `/v1/cluster/metrics`.
-    ClusterHistory {
-        /// Health-sample metric name.
-        metric: String,
-        /// How far back, in seconds.
-        range_s: u32,
-    },
-    /// `GET /v1/events?kind=…&limit=…` — the newest entries of this
-    /// daemon's structured event journal.
-    Events {
-        /// Only events of this kind; `None` returns every kind.
-        kind: Option<String>,
-        /// Maximum events to return (newest win).
-        limit: usize,
-    },
-}
-
-/// What the daemon answers.
-#[derive(Clone, Debug, PartialEq)]
-pub enum GwReply {
-    /// Query finished.
-    Answer {
-        /// Rendered aggregate.
-        result: String,
-        /// False if some branch timed out or failed.
-        complete: bool,
-        /// `X-Moara-Cache` value (`miss` / `coalesced`); `None` when the
-        /// result cache is disabled. (`hit` answers never round-trip to
-        /// the daemon — the reactor serves them from [`QueryCache`]
-        /// directly.)
-        cache: Option<&'static str>,
-    },
-    /// Attributes applied.
-    AttrsSet {
-        /// How many pairs were set.
-        count: usize,
-    },
-    /// Rendered `/metrics` exposition.
-    Metrics {
-        /// Prometheus text.
-        text: String,
-    },
-    /// Liveness report.
-    Health {
-        /// This daemon's node id.
-        node: u32,
-        /// Members known (alive or dead).
-        members: u32,
-        /// Members believed alive.
-        alive: u32,
-    },
-    /// One standing-query update (streamed; many per watch).
-    Update {
-        /// Rendered merged result.
-        result: String,
-        /// True for the watch's first update.
-        initial: bool,
-        /// False while some pinned tree has not reported yet.
-        complete: bool,
-    },
-    /// Pre-rendered JSON (trace endpoints: the daemon builds the body).
-    Json {
-        /// The response body, already valid JSON.
-        body: String,
-    },
-    /// Liveness probe for quiescent watch streams: rendered as an SSE
-    /// comment, exists so a hung-up client is detected without a delta.
-    Keepalive,
-    /// Request failed (status is an HTTP code).
-    Error {
-        /// HTTP status to answer with.
-        status: u16,
-        /// Safe-to-echo description.
-        msg: String,
-    },
-}
-
-/// The receiving side of a [`ReplySink`] is gone: the connection was
-/// closed. The caller should stop producing — for a watch, cancel the
-/// subscription.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SinkClosed;
-
-impl std::fmt::Display for SinkClosed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("reply sink closed")
-    }
-}
-
-impl std::error::Error for SinkClosed {}
-
-/// Where gateway replies go: the owning reactor shard's mailbox,
-/// addressed by connection id and request generation. The daemon holds
-/// a sink for the life of a request (or, for watches, the life of the
-/// subscription) and calls [`ReplySink::send`] once per reply.
-///
-/// Hang-up semantics, both directions:
-/// * client gone → `send` returns `Err` (the reactor marked the
-///   connection closed), which tells the daemon to cancel the watch;
-/// * daemon gone → dropping the sink without a terminal reply posts a
-///   hang-up to the reactor and the SSE stream ends.
-///
-/// Deliberately not `Clone`: the drop of *the* sink is a protocol
-/// signal, and copies would fire it spuriously.
-pub struct ReplySink {
-    pub(crate) mailbox: Arc<Mailbox>,
-    pub(crate) conn: u64,
-    pub(crate) gen: u64,
-    pub(crate) closed: Arc<AtomicBool>,
-}
-
-impl std::fmt::Debug for ReplySink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ReplySink { conn, gen, .. } = self;
-        write!(f, "ReplySink {{ conn: {conn}, gen: {gen} }}")
-    }
-}
-
-impl ReplySink {
-    /// Delivers one reply; `Err(SinkClosed)` means the connection is
-    /// gone and the caller should stop producing — for a watch, cancel
-    /// the subscription.
-    pub fn send(&self, reply: GwReply) -> Result<(), SinkClosed> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(SinkClosed);
-        }
-        self.mailbox.post(self.conn, self.gen, Mail::Reply(reply));
-        Ok(())
-    }
-}
-
-impl Drop for ReplySink {
-    fn drop(&mut self) {
-        // The reactor ignores hang-ups for requests that already got
-        // their terminal reply (the mailbox preserves order), so this
-        // only ends streams whose daemon side went away.
-        if !self.closed.load(Ordering::Acquire) {
-            self.mailbox.post(self.conn, self.gen, Mail::Hangup);
-        }
-    }
-}
-
-/// One in-flight gateway request: the parsed request plus the sink the
-/// daemon answers into.
-pub struct GwJob {
-    /// What to do.
-    pub req: GwRequest,
-    /// Where replies go. For watches the daemon holds this sink for
-    /// the life of the subscription.
-    pub reply: ReplySink,
-}
-
-/// Where the shards hand parsed requests: the daemon's side of the job
-/// queue. It enqueues the job and then does whatever makes its consumer
-/// look (the daemon wakes its event loop), or gives the job back when
-/// the consumer is gone. A closure, so the gateway needs to know neither
-/// the queue nor the loop.
-pub type JobSink = Arc<dyn Fn(GwJob) -> Result<(), GwJob> + Send + Sync>;
-
-/// Bucket upper bounds (microseconds) for the gateway's request-latency
-/// histograms. Log-ish spacing from sub-millisecond one-shots out to the
-/// engine's front timeout; the final implicit bucket is `+Inf`.
-pub const REQUEST_LATENCY_BOUNDS_US: [u64; 12] = [
-    100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
-];
-
-/// The endpoint classes requests are timed under, in scrape order; the
-/// last one takes everything else (404s, OPTIONS, parse failures).
-pub const ENDPOINT_CLASSES: [&str; 7] = [
-    "query", "attrs", "watch", "metrics", "health", "traces", "other",
-];
-
-/// Request-latency histograms, one per endpoint class, indexed as
-/// [`ENDPOINT_CLASSES`]. Watch streams observe their whole stream
-/// lifetime (headers to hang-up), one-shots the read-to-written span.
-#[derive(Debug)]
-pub struct EndpointLatency([Histogram; ENDPOINT_CLASSES.len()]);
-
-impl Default for EndpointLatency {
-    fn default() -> Self {
-        EndpointLatency(std::array::from_fn(|_| {
-            Histogram::new(&REQUEST_LATENCY_BOUNDS_US)
-        }))
-    }
-}
-
-impl EndpointLatency {
-    /// The histogram for an endpoint class label.
-    pub fn of(&self, class: &str) -> &Histogram {
-        let other = ENDPOINT_CLASSES.len() - 1;
-        let idx = ENDPOINT_CLASSES.iter().position(|&c| c == class);
-        &self.0[idx.unwrap_or(other)]
-    }
-
-    /// All classes, label first — iteration order is the scrape order.
-    pub fn families(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
-        ENDPOINT_CLASSES.into_iter().zip(&self.0)
-    }
-}
-
-/// Live counters the gateway keeps about itself (lock-free; scraped into
-/// `/metrics` alongside the subsystem counters).
-#[derive(Debug, Default)]
-pub struct GatewayStats {
-    /// Requests accepted, by coarse endpoint class.
-    pub queries: AtomicU64,
-    /// `POST /v1/attrs` requests.
-    pub attr_sets: AtomicU64,
-    /// Watches opened (SSE streams started).
-    pub watches_opened: AtomicU64,
-    /// SSE data frames written.
-    pub sse_frames: AtomicU64,
-    /// `/metrics` scrapes served.
-    pub scrapes: AtomicU64,
-    /// `/healthz` probes served.
-    pub health_checks: AtomicU64,
-    /// Trace endpoint requests (`/v1/traces`, `/v1/trace/{id}`).
-    pub traces: AtomicU64,
-    /// Responses with a 4xx/5xx status.
-    pub errors: AtomicU64,
-    /// Requests answered 429 by the per-peer-IP token bucket.
-    pub rate_limited: AtomicU64,
-    /// Requests answered 408 (per-request deadline or slowloris header
-    /// timeout).
-    pub request_timeouts: AtomicU64,
-    /// Panics caught by per-connection isolation (each one killed its
-    /// connection only).
-    pub panics_caught: AtomicU64,
-    /// Connections accepted over the gateway's lifetime.
-    pub conns_accepted: AtomicU64,
-    /// Connections refused at accept because the connection cap was hit.
-    pub conns_rejected: AtomicU64,
-    /// Connections currently registered with a shard (gauge).
-    pub open_conns: AtomicI64,
-    /// SSE streams currently holding a slot (reserved at routing time,
-    /// released when the stream ends — so mid-setup streams count, and
-    /// the cap cannot be raced past).
-    pub open_streams: AtomicI64,
-    /// GwJobs handed to the daemon channel and not yet drained (gauge:
-    /// shards increment at send, the daemon decrements per drained
-    /// batch). The health plane's event-loop backpressure signal.
-    pub queued_jobs: AtomicI64,
-    /// Request latency by endpoint class.
-    pub latency: EndpointLatency,
-}
-
-/// Where access-log lines go: the daemon passes a sink (stderr, a file)
-/// and the gateway calls it once per finished request with one JSON line
-/// (no trailing newline). Must be cheap and non-blocking-ish: shards
-/// call it inline.
-pub type AccessLogSink = Arc<dyn Fn(&str) + Send + Sync>;
-
-/// Renders one access-log line as a single JSON object via the shared
-/// [`json::JsonLine`] writer (same escaping as every other stderr
-/// sink). Pure — the caller supplies the timestamp — so tests can
-/// assert the exact line.
-pub fn access_log_line(
-    ts_ms: u64,
-    method: &str,
-    path: &str,
-    status: u16,
-    duration_us: u64,
-    bytes: usize,
-    peer: &str,
-) -> String {
-    json::JsonLine::new()
-        .u64("ts_ms", ts_ms)
-        .str("method", method)
-        .str("path", path)
-        .u64("status", u64::from(status))
-        .u64("duration_us", duration_us)
-        .u64("bytes", bytes as u64)
-        .str("peer", peer)
-        .finish()
-}
-
-/// Tuning and middleware knobs for [`spawn_gateway_opts`]. Start from
-/// `GatewayOpts::default()` and override what the deployment needs.
-#[derive(Clone)]
-pub struct GatewayOpts {
-    /// Reactor shard threads; `0` picks `available_parallelism` capped
-    /// at 8.
-    pub shards: usize,
-    /// Per-peer-IP sustained requests/second; `0.0` disables rate
-    /// limiting.
-    pub rate_limit: f64,
-    /// Token-bucket burst capacity; `0.0` picks `2 × rate_limit`.
-    pub rate_burst: f64,
-    /// How long a request may wait on the daemon before the gateway
-    /// answers 408 and closes the connection.
-    pub request_timeout: Duration,
-    /// How long a keep-alive connection may sit idle (no request bytes)
-    /// before it is closed.
-    pub idle_timeout: Duration,
-    /// How long a partial request head may dribble in before the
-    /// connection is answered 408 (slowloris defense).
-    pub header_timeout: Duration,
-    /// Most concurrent SSE streams; further `/v1/watch` requests answer
-    /// 503 immediately.
-    pub max_sse_streams: i64,
-    /// Most concurrent connections; further accepts are closed
-    /// immediately (and counted in `conns_rejected`).
-    pub max_conns: i64,
-    /// Optional access-log sink: one JSON line per finished request (and
-    /// per ended SSE stream).
-    pub access_log: Option<AccessLogSink>,
-    /// Optional shared result cache — when present, shards answer
-    /// `/v1/query` hits from it inline, never entering the daemon's
-    /// event loop (the cache's mutating side stays with the daemon,
-    /// which shares the same `Arc`).
-    pub cache: Option<Arc<QueryCache>>,
-    /// Test hook: a request for exactly this path panics inside the
-    /// connection handler, to prove panic isolation. `None` in
-    /// production, always.
-    pub panic_on_path: Option<String>,
-}
-
-impl Default for GatewayOpts {
-    fn default() -> GatewayOpts {
-        GatewayOpts {
-            shards: 0,
-            rate_limit: 0.0,
-            rate_burst: 0.0,
-            request_timeout: Duration::from_secs(30),
-            idle_timeout: Duration::from_secs(30),
-            header_timeout: Duration::from_secs(10),
-            max_sse_streams: 1024,
-            max_conns: 50_000,
-            access_log: None,
-            cache: None,
-            panic_on_path: None,
-        }
-    }
-}
-
-/// A running gateway: address, stats, and the stop switch.
-pub struct GatewayHandle {
-    pub(crate) addr: SocketAddr,
-    pub(crate) stats: Arc<GatewayStats>,
-    pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) wakes: Vec<Arc<Mailbox>>,
-}
-
-impl GatewayHandle {
-    /// Where the gateway listens.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The gateway's own counters.
-    pub fn stats(&self) -> &Arc<GatewayStats> {
-        &self.stats
-    }
-
-    /// Stops accepting new connections and tears down the shards; open
-    /// connections (SSE streams included) are closed, which fails the
-    /// daemon's next send into their sinks.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the acceptor blocked in accept() so it observes the flag.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(50));
-        // And every shard blocked in epoll_wait.
-        for wake in &self.wakes {
-            wake.wake();
-        }
-    }
-}
-
-/// Spawns the gateway's acceptor and reactor shards on `listener`. Each
-/// parsed request goes to `jobs`; the daemon's sink enqueues it and wakes
-/// the event loop.
-///
-/// # Panics
-///
-/// Panics if the listener's local address cannot be read, `epoll` setup
-/// fails, or threads cannot spawn — all boot-time process failures.
-pub fn spawn_gateway_opts(
-    listener: TcpListener,
-    jobs: JobSink,
-    opts: GatewayOpts,
-) -> GatewayHandle {
-    crate::reactor::spawn_reactor(listener, jobs, opts)
-}
-
-/// Times one finished request into the per-endpoint histogram and, when
-/// a sink is configured, emits one access-log line.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_request(
-    stats: &GatewayStats,
-    access_log: &Option<AccessLogSink>,
-    class: &'static str,
-    method: &str,
-    path: &str,
-    status: u16,
-    started: std::time::Instant,
-    bytes: usize,
-    peer: &str,
-) {
-    let duration_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    stats.latency.of(class).observe(duration_us);
-    if let Some(sink) = access_log {
-        let ts_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-            .unwrap_or(0);
-        sink(&access_log_line(
-            ts_ms,
-            method,
-            path,
-            status,
-            duration_us,
-            bytes,
-            peer,
-        ));
-    }
-}
-
-/// The latency/access-log endpoint class of a routed request.
-pub(crate) fn endpoint_class(req: &GwRequest) -> &'static str {
-    match req {
-        GwRequest::Query { .. } => "query",
-        GwRequest::SetAttrs { .. } => "attrs",
-        GwRequest::Watch { .. } => "watch",
-        GwRequest::Metrics
-        | GwRequest::ClusterMetrics
-        | GwRequest::History { .. }
-        | GwRequest::ClusterHistory { .. } => "metrics",
-        GwRequest::Health
-        | GwRequest::ClusterHealth
-        | GwRequest::Alerts
-        | GwRequest::Events { .. } => "health",
-        GwRequest::Traces { .. } | GwRequest::Trace { .. } => "traces",
-    }
-}
-
-/// Parses the `range` query parameter of the history endpoints:
-/// seconds by default (`120`, `120s`) or minutes (`2m`).
-fn parse_range_s(s: &str) -> Result<u32, &'static str> {
-    let (digits, mult) = if let Some(d) = s.strip_suffix('m') {
-        (d, 60)
-    } else if let Some(d) = s.strip_suffix('s') {
-        (d, 1)
-    } else {
-        (s, 1)
-    };
-    let n: u32 = digits
-        .parse()
-        .map_err(|_| "range wants SECONDS, Ns, or Nm")?;
-    if n == 0 {
-        return Err("range must be positive");
-    }
-    Ok(n.saturating_mul(mult))
-}
-
-/// Shared query-parameter parsing for `/v1/history` and
-/// `/v1/cluster/history`.
-fn history_params(req: &HttpRequest) -> Result<(String, u32), HttpResponse> {
-    let metric = req
-        .param("metric")
-        .ok_or_else(|| HttpResponse::error(400, "missing query parameter metric"))?;
-    let range_s = match req.param("range") {
-        None => 120,
-        Some(v) => parse_range_s(v).map_err(|e| HttpResponse::error(400, e))?,
-    };
-    Ok((metric.to_owned(), range_s))
-}
-
-/// What the gateway speaks, for `Allow` headers.
-pub(crate) const ALLOWED_METHODS: &str = "GET, HEAD, POST, OPTIONS";
-
-/// Maps a parsed HTTP request onto the gateway API.
-pub(crate) fn route(req: &HttpRequest) -> Result<GwRequest, HttpResponse> {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET" | "HEAD", "/v1/query") => {
-            let q = req
-                .param("q")
-                .ok_or_else(|| HttpResponse::error(400, "missing query parameter q"))?;
-            Ok(GwRequest::Query { q: q.to_owned() })
-        }
-        ("POST", "/v1/attrs") => {
-            let body = std::str::from_utf8(&req.body)
-                .map_err(|_| HttpResponse::error(400, "body is not UTF-8"))?;
-            let attrs = parse_attr_body(body).map_err(|e| HttpResponse::error(400, e))?;
-            if attrs.is_empty() {
-                return Err(HttpResponse::error(400, "no attributes in body"));
-            }
-            Ok(GwRequest::SetAttrs { attrs })
-        }
-        ("GET", "/v1/watch") => {
-            let q = req
-                .param("q")
-                .ok_or_else(|| HttpResponse::error(400, "missing query parameter q"))?;
-            let policy = parse_policy(req.param("policy").unwrap_or("on-change"))
-                .map_err(|e| HttpResponse::error(400, e))?;
-            let lease_ms = match req.param("lease_ms") {
-                None => 30_000,
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| HttpResponse::error(400, "lease_ms must be an integer"))?,
-            };
-            Ok(GwRequest::Watch {
-                q: q.to_owned(),
-                policy,
-                lease_ms,
-            })
-        }
-        // HEAD cannot open a stream; point the prober at GET.
-        ("HEAD", "/v1/watch") => {
-            Err(HttpResponse::error(405, "watch streams require GET").with_allow("GET"))
-        }
-        ("GET" | "HEAD", "/metrics") => Ok(GwRequest::Metrics),
-        ("GET" | "HEAD", "/healthz") => Ok(GwRequest::Health),
-        ("GET" | "HEAD", "/v1/cluster/health") => Ok(GwRequest::ClusterHealth),
-        ("GET" | "HEAD", "/v1/cluster/metrics") => Ok(GwRequest::ClusterMetrics),
-        ("GET" | "HEAD", "/v1/alerts") => Ok(GwRequest::Alerts),
-        ("GET" | "HEAD", "/v1/history") => {
-            let (metric, range_s) = history_params(req)?;
-            Ok(GwRequest::History { metric, range_s })
-        }
-        ("GET" | "HEAD", "/v1/cluster/history") => {
-            let (metric, range_s) = history_params(req)?;
-            Ok(GwRequest::ClusterHistory { metric, range_s })
-        }
-        ("GET" | "HEAD", "/v1/events") => {
-            let kind = req.param("kind").map(|k| k.to_owned());
-            let limit = match req.param("limit") {
-                None => 100,
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| HttpResponse::error(400, "limit must be an integer"))?,
-            };
-            Ok(GwRequest::Events { kind, limit })
-        }
-        ("GET" | "HEAD", "/v1/traces") => {
-            let limit = match req.param("limit") {
-                None => 50,
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| HttpResponse::error(400, "limit must be an integer"))?,
-            };
-            Ok(GwRequest::Traces { limit })
-        }
-        ("GET" | "HEAD", path) if path.starts_with("/v1/trace/") => {
-            let id = &path["/v1/trace/".len()..];
-            if id.is_empty() {
-                return Err(HttpResponse::error(400, "missing trace id"));
-            }
-            Ok(GwRequest::Trace { id: id.to_owned() })
-        }
-        ("GET" | "HEAD" | "POST", _) => Err(HttpResponse::error(404, "no such endpoint")),
-        _ => Err(HttpResponse::error(405, "method not allowed").with_allow(ALLOWED_METHODS)),
-    }
-}
-
-/// Parses the `policy` query parameter: `on-change`, `period:MILLIS`, or
-/// `threshold:VALUE`.
-fn parse_policy(s: &str) -> Result<WatchPolicy, &'static str> {
-    if s == "on-change" {
-        return Ok(WatchPolicy::OnChange);
-    }
-    if let Some(ms) = s.strip_prefix("period:") {
-        let ms: u64 = ms.parse().map_err(|_| "period wants period:MILLIS")?;
-        if ms == 0 {
-            return Err("period must be positive");
-        }
-        return Ok(WatchPolicy::PeriodMs(ms));
-    }
-    if let Some(v) = s.strip_prefix("threshold:") {
-        let v: f64 = v.parse().map_err(|_| "threshold wants threshold:VALUE")?;
-        if v.is_nan() {
-            return Err("threshold must not be NaN");
-        }
-        return Ok(WatchPolicy::Threshold(v));
-    }
-    Err("policy must be on-change, period:MILLIS, or threshold:VALUE")
-}
-
-/// Parses a `/v1/attrs` body: form pairs (`A=1&B=2`) or the `--attrs`
-/// comma syntax (`A=1,B=2`).
-///
-/// Precedence: a body containing `&` is always form data. Otherwise the
-/// comma syntax applies only when *every* comma-separated piece is a
-/// `k=v` pair; a body like `note=a,b` (one pair whose value holds a
-/// comma) falls back to a single pair. The one genuinely ambiguous
-/// spelling, `A=1,B=2` with a literal-comma intent, needs the comma
-/// encoded (`%2C`) or form syntax.
-fn parse_attr_body(body: &str) -> Result<Vec<(String, String)>, &'static str> {
-    let body = body.trim();
-    let decode = |k: &str, v: &str| -> Result<(String, String), &'static str> {
-        let k = crate::http::percent_decode(k);
-        if k.is_empty() {
-            return Err("attribute has an empty name");
-        }
-        Ok((k, crate::http::percent_decode(v)))
-    };
-    let split_pairs = |sep: char| -> Option<Vec<(&str, &str)>> {
-        body.split(sep)
-            .filter(|p| !p.is_empty())
-            .map(|part| part.split_once('='))
-            .collect()
-    };
-    let pairs = if body.contains('&') {
-        split_pairs('&').ok_or("attribute is not k=v")?
-    } else if let Some(pairs) = split_pairs(',') {
-        pairs
-    } else {
-        // Not clean comma syntax: a single pair whose value carries
-        // literal commas.
-        vec![body.split_once('=').ok_or("attribute is not k=v")?]
-    };
-    pairs.into_iter().map(|(k, v)| decode(k, v)).collect()
-}
-
-/// The `/v1/query` answer body (shared by the daemon round-trip path and
-/// the reactor-side cache-hit path, so both render byte-identically).
-pub(crate) fn answer_body(result: &str, complete: bool) -> String {
-    format!(
-        "{{\"result\":{},\"complete\":{complete}}}\n",
-        json::escape(result)
-    )
-}
-
-/// Renders one terminal reply as a full HTTP response.
-pub(crate) fn render_reply(reply: GwReply) -> HttpResponse {
-    match reply {
-        GwReply::Answer {
-            result,
-            complete,
-            cache,
-        } => {
-            let resp = HttpResponse::json(200, answer_body(&result, complete));
-            match cache {
-                Some(c) => resp.with_cache(c),
-                None => resp,
-            }
-        }
-        GwReply::AttrsSet { count } => {
-            HttpResponse::json(200, format!("{{\"ok\":true,\"set\":{count}}}\n"))
-        }
-        GwReply::Metrics { text } => {
-            HttpResponse::text(200, "text/plain; version=0.0.4; charset=utf-8", text)
-        }
-        GwReply::Health {
-            node,
-            members,
-            alive,
-        } => HttpResponse::json(
-            200,
-            format!(
-                "{{\"status\":\"ok\",\"node\":{node},\"members\":{members},\"alive\":{alive}}}\n"
-            ),
-        ),
-        GwReply::Json { body } => HttpResponse::json(200, body),
-        GwReply::Error { status, msg } => HttpResponse::error(status, &msg),
-        GwReply::Update { .. } | GwReply::Keepalive => {
-            HttpResponse::error(500, "streaming reply to one-shot request")
-        }
-    }
-}
-
-/// Renders one update as an SSE frame (`data: {json}\n\n`).
-pub fn sse_frame(result: &str, initial: bool, complete: bool) -> String {
-    format!(
-        "data: {{\"result\":{},\"initial\":{initial},\"complete\":{complete}}}\n\n",
-        json::escape(result)
-    )
-}
+//! The gateway as a client sees it: a running gateway, a scripted daemon
+//! behind it, and real sockets in front.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+    use std::net::{SocketAddr, TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::mpsc::Sender;
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    use crate::api::{parse_attr_body, parse_policy};
+    use crate::reactor::Endpoint;
+    use crate::{
+        access_log_line, spawn_gateway_opts, AccessLogSink, EndpointLatency, GatewayHandle,
+        GatewayOpts, GwJob, GwReply, GwRequest, ReplySink, WatchPolicy, REQUEST_LATENCY_BOUNDS_US,
+    };
 
     /// Boots a gateway backed by a scripted responder thread.
     fn test_gateway(respond: impl Fn(GwRequest, ReplySink) + Send + 'static) -> GatewayHandle {
@@ -852,7 +81,7 @@ mod tests {
             "{resp}"
         );
         assert!(!resp.contains("X-Moara-Cache"), "no cache, no header");
-        assert_eq!(gw.stats().queries.load(Ordering::Relaxed), 1);
+        assert_eq!(gw.stats().requests(Endpoint::Query), 1);
     }
 
     #[test]
@@ -1113,7 +342,7 @@ mod tests {
             reader.read_exact(&mut body).unwrap();
             assert!(String::from_utf8(body).unwrap().contains("\"alive\":3"));
         }
-        assert_eq!(gw.stats().health_checks.load(Ordering::Relaxed), 3);
+        assert_eq!(gw.stats().requests(Endpoint::Health), 3);
     }
 
     /// Two requests written in one TCP segment are both answered, in
@@ -1134,7 +363,7 @@ mod tests {
             "GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
         );
         assert_eq!(resp.matches("HTTP/1.1 200 OK\r\n").count(), 2, "{resp}");
-        assert_eq!(gw.stats().health_checks.load(Ordering::Relaxed), 2);
+        assert_eq!(gw.stats().requests(Endpoint::Health), 2);
     }
 
     /// The smuggling defense, end to end: a `Transfer-Encoding` request
@@ -1160,7 +389,7 @@ mod tests {
         // embedded request could be parsed.
         assert_eq!(resp.matches("HTTP/1.1").count(), 1, "{resp}");
         assert_eq!(jobs.load(Ordering::SeqCst), 0, "nothing was routed");
-        assert_eq!(gw.stats().queries.load(Ordering::Relaxed), 0);
+        assert_eq!(gw.stats().requests(Endpoint::Query), 0);
     }
 
     /// Conflicting duplicate `Content-Length` headers (the CL.CL
@@ -1199,7 +428,7 @@ mod tests {
         assert!(resp.starts_with("HTTP/1.1 404 "), "{resp}");
         assert!(resp.contains("HTTP/1.1 200 OK\r\n"), "{resp}");
         assert!(resp.contains("\"status\":\"ok\""), "{resp}");
-        assert_eq!(gw.stats().health_checks.load(Ordering::Relaxed), 1);
+        assert_eq!(gw.stats().requests(Endpoint::Health), 1);
     }
 
     /// Middleware: the per-peer token bucket answers 429 once the burst
@@ -1209,7 +438,6 @@ mod tests {
         let gw = test_gateway_opts(
             GatewayOpts {
                 rate_limit: 1.0,
-                rate_burst: 2.0,
                 ..GatewayOpts::default()
             },
             |req, reply| {
@@ -1264,25 +492,31 @@ mod tests {
     }
 
     /// Middleware: a poisoned request kills its own connection only —
-    /// the shard survives and keeps serving others.
+    /// the shard survives and keeps serving others. The poison is a job
+    /// sink that panics, which the shard calls inside its isolation.
     #[test]
     fn panics_are_isolated_to_their_connection() {
-        let gw = test_gateway_opts(
-            GatewayOpts {
-                panic_on_path: Some("/boom".into()),
-                ..GatewayOpts::default()
-            },
-            |req, reply| {
-                if let GwRequest::Health = req {
-                    let _ = reply.send(GwReply::Health {
+        let (tx, rx) = std::sync::mpsc::channel::<GwJob>();
+        std::thread::spawn(move || {
+            for job in rx {
+                if let GwRequest::Health = job.req {
+                    let _ = job.reply.send(GwReply::Health {
                         node: 0,
                         members: 1,
                         alive: 1,
                     });
                 }
-            },
+            }
+        });
+        let gw = spawn_gateway_opts(
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+            Arc::new(move |job: GwJob| match &job.req {
+                GwRequest::Query { q } if q == "boom" => panic!("poisoned request"),
+                _ => tx.send(job).map_err(|e| e.0),
+            }),
+            GatewayOpts::default(),
         );
-        let poisoned = roundtrip(gw.addr(), "GET /boom HTTP/1.1\r\n\r\n");
+        let poisoned = roundtrip(gw.addr(), "GET /v1/query?q=boom HTTP/1.1\r\n\r\n");
         assert!(poisoned.is_empty(), "poisoned conn just closes: {poisoned}");
         assert_eq!(gw.stats().panics_caught.load(Ordering::Relaxed), 1);
         // The shard is alive and serving.
@@ -1497,9 +731,9 @@ mod tests {
             resp.contains("\"trace_id\":\"00000002-0000002a\""),
             "{resp}"
         );
-        assert_eq!(gw.stats().traces.load(Ordering::Relaxed), 2);
+        assert_eq!(gw.stats().requests(Endpoint::Traces), 2);
         // Both requests landed in the traces latency histogram.
-        let count = gw.stats().latency.of("traces").snapshot().count();
+        let count = gw.stats().latency.of(Endpoint::Traces).snapshot().count();
         assert_eq!(count, 2);
         // An empty id is a client error, not a daemon round-trip.
         let resp = roundtrip(
@@ -1599,11 +833,11 @@ mod tests {
         assert!(resp.contains("\"firing\":[]"), "{resp}");
         // Health-table and alert reads count as health checks, the
         // federated scrape as a scrape; all three land in histograms.
-        assert_eq!(gw.stats().health_checks.load(Ordering::Relaxed), 2);
-        assert_eq!(gw.stats().scrapes.load(Ordering::Relaxed), 1);
-        let health_count = gw.stats().latency.of("health").snapshot().count();
+        assert_eq!(gw.stats().requests(Endpoint::Health), 2);
+        assert_eq!(gw.stats().requests(Endpoint::Metrics), 1);
+        let health_count = gw.stats().latency.of(Endpoint::Health).snapshot().count();
         assert_eq!(health_count, 2);
-        let metrics_count = gw.stats().latency.of("metrics").snapshot().count();
+        let metrics_count = gw.stats().latency.of(Endpoint::Metrics).snapshot().count();
         assert_eq!(metrics_count, 1);
         // The test harness never decrements (that's the daemon's drain
         // loop), so the gauge equals the jobs handed over.
@@ -1640,9 +874,9 @@ mod tests {
             "GET /v1/watch?q=SELECT%20count(*) HTTP/1.1\r\nConnection: close\r\n\r\n",
         );
         assert!(resp.starts_with("HTTP/1.1 503 "), "{resp}");
-        let query_count = gw.stats().latency.of("query").snapshot().count();
+        let query_count = gw.stats().latency.of(Endpoint::Query).snapshot().count();
         assert_eq!(query_count, 1, "503 must land in the query histogram");
-        let watch_count = gw.stats().latency.of("watch").snapshot().count();
+        let watch_count = gw.stats().latency.of(Endpoint::Watch).snapshot().count();
         assert_eq!(watch_count, 1, "503 must land in the watch histogram");
         // The failed hand-offs never queued anything...
         assert_eq!(gw.stats().queued_jobs.load(Ordering::Relaxed), 0);
@@ -1654,6 +888,218 @@ mod tests {
             assert!(line.contains("\"status\":503"), "{line}");
             assert!(line.contains("\"duration_us\":"), "{line}");
         }
+    }
+
+    /// A sink collecting access-log lines.
+    fn log_sink() -> (AccessLogSink, Arc<Mutex<Vec<String>>>) {
+        let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink_lines = Arc::clone(&lines);
+        let sink: AccessLogSink = Arc::new(move |line: &str| {
+            sink_lines.lock().unwrap().push(line.to_owned());
+        });
+        (sink, lines)
+    }
+
+    /// Writes `raw` on a fresh connection, reads until the gateway closes
+    /// it, and returns the status and the bytes after the response head.
+    fn status_and_body(addr: SocketAddr, raw: &str) -> (u16, usize) {
+        let resp = roundtrip(addr, raw);
+        let head_end = resp.find("\r\n\r\n").expect("a response head") + 4;
+        let status = resp[9..12].parse().unwrap();
+        (status, resp.len() - head_end)
+    }
+
+    /// The status and `bytes` of the newest access-log line.
+    fn last_logged(lines: &Mutex<Vec<String>>) -> (u16, usize) {
+        let lines = lines.lock().unwrap();
+        let line = lines.last().expect("an access-log line");
+        let field = |name: &str| -> usize {
+            let at = line.find(&format!("\"{name}\":")).unwrap() + name.len() + 3;
+            let digits = line[at..].split(|c: char| !c.is_ascii_digit()).next();
+            digits.unwrap().parse().unwrap()
+        };
+        (field("status") as u16, field("bytes"))
+    }
+
+    /// Every answer path, asked by `GET` and by `HEAD`: the access log's
+    /// `bytes` is the body the client received, and a `HEAD` receives
+    /// none, error or not.
+    #[test]
+    fn every_answer_logs_the_body_bytes_it_wrote_and_head_gets_none() {
+        use crate::cache::{CacheConfig, QueryCache};
+        let cache = Arc::new(QueryCache::new(CacheConfig {
+            promote_after: 1,
+            ..CacheConfig::default()
+        }));
+        assert!(cache.lookup("hot", std::time::Instant::now()).is_none());
+        let (key, _) = cache.take_pending_promotions().remove(0);
+        assert!(cache.promoted(&key, 1));
+        cache.on_update(1, "42".into(), true);
+        let held: Arc<Mutex<Vec<ReplySink>>> = Arc::new(Mutex::new(Vec::new()));
+        let held2 = Arc::clone(&held);
+        let (sink, lines) = log_sink();
+        let gw = test_gateway_opts(
+            GatewayOpts {
+                access_log: Some(sink.clone()),
+                cache: Some(cache),
+                request_timeout: Duration::from_millis(50),
+                header_timeout: Duration::from_millis(200),
+                ..GatewayOpts::default()
+            },
+            move |req, reply| match req {
+                GwRequest::Health => {
+                    let _ = reply.send(GwReply::Health {
+                        node: 0,
+                        members: 1,
+                        alive: 1,
+                    });
+                }
+                GwRequest::Watch { .. } => {
+                    let _ = reply.send(GwReply::Error {
+                        status: 400,
+                        msg: "bad watch".into(),
+                    });
+                }
+                _ => held2.lock().unwrap().push(reply), // never answered
+            },
+        );
+        let (limited_sink, limited_lines) = log_sink();
+        let limited = test_gateway_opts(
+            GatewayOpts {
+                access_log: Some(limited_sink),
+                rate_limit: 1.0,
+                ..GatewayOpts::default()
+            },
+            |_req, _reply| {},
+        );
+        let (gone_sink, gone_lines) = log_sink();
+        let (tx, rx) = std::sync::mpsc::channel::<GwJob>();
+        drop(rx);
+        let gone = spawn_on_channel(
+            tx,
+            GatewayOpts {
+                access_log: Some(gone_sink),
+                ..GatewayOpts::default()
+            },
+        );
+        for _ in 0..2 {
+            let raw = "OPTIONS / HTTP/1.1\r\nConnection: close\r\n\r\n";
+            assert_eq!(status_and_body(limited.addr(), raw).0, 200); // spend the burst
+        }
+        // (gateway, its log, request after the method, status)
+        let paths: [(&GatewayHandle, &Mutex<Vec<String>>, &str, u16); 8] = [
+            (&limited, &limited_lines, "/healthz HTTP/1.1\r\n", 429),
+            (&gw, &lines, "/healthz HTTP/1.1\r\n", 200),
+            (&gw, &lines, "/v1/query?q=hot HTTP/1.1\r\n", 200),
+            (&gw, &lines, "/nope HTTP/1.1\r\n", 404),
+            (&gw, &lines, "/v1/query HTTP/1.1\r\n", 400),
+            (&gw, &lines, "/v1/query?q=cold HTTP/1.1\r\n", 408),
+            (
+                &gw,
+                &lines,
+                "/ HTTP/1.1\r\nTransfer-Encoding: chunked\r\n",
+                501,
+            ),
+            (&gone, &gone_lines, "/healthz HTTP/1.1\r\n", 503),
+        ];
+        for (gw, lines, rest, status) in paths {
+            for method in ["GET", "HEAD"] {
+                let raw = format!("{method} {rest}Connection: close\r\n\r\n");
+                let (got, body) = status_and_body(gw.addr(), &raw);
+                assert_eq!(got, status, "{raw}");
+                assert_eq!(last_logged(lines), (status, body), "{raw}");
+                assert!(method == "GET" || body == 0, "{raw} has a body");
+            }
+        }
+        // The stream paths take only GET, and OPTIONS only itself.
+        let watches = [
+            ("GET /v1/watch?q=x HTTP/1.1\r\n\r\n", 400),
+            ("OPTIONS / HTTP/1.1\r\nConnection: close\r\n\r\n", 200),
+        ];
+        for (raw, status) in watches {
+            let (got, body) = status_and_body(gw.addr(), raw);
+            assert_eq!(got, status, "{raw}");
+            assert_eq!(last_logged(&lines), (status, body), "{raw}");
+        }
+        let (full_sink, full_lines) = log_sink();
+        let full = test_gateway_opts(
+            GatewayOpts {
+                access_log: Some(full_sink),
+                max_sse_streams: 0,
+                ..GatewayOpts::default()
+            },
+            |_req, _reply| {},
+        );
+        let (got, body) = status_and_body(full.addr(), "GET /v1/watch?q=x HTTP/1.1\r\n\r\n");
+        assert_eq!(got, 503);
+        assert_eq!(last_logged(&full_lines), (503, body));
+        // A head that never finishes parsing: the slowloris cutoff.
+        for method in ["GET", "HEAD"] {
+            let mut slow = TcpStream::connect(gw.addr()).unwrap();
+            slow.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            slow.write_all(format!("{method} /healthz HT").as_bytes())
+                .unwrap();
+            let mut resp = String::new();
+            let _ = slow.read_to_string(&mut resp);
+            assert!(resp.starts_with("HTTP/1.1 408 "), "{resp}");
+            let body = resp.len() - (resp.find("\r\n\r\n").unwrap() + 4);
+            assert_eq!(last_logged(&lines), (408, body), "{method}");
+            assert!(method == "GET" || body == 0, "{method} has a body");
+        }
+    }
+
+    /// The middleware order: the rate limit comes before routing, before
+    /// the shard's own answers and before a stream takes its slot.
+    #[test]
+    fn the_rate_limit_answers_before_routing_options_and_streams() {
+        let jobs = Arc::new(AtomicU64::new(0));
+        let jobs2 = Arc::clone(&jobs);
+        let gw = test_gateway_opts(
+            GatewayOpts {
+                rate_limit: 1.0,
+                ..GatewayOpts::default()
+            },
+            move |_req, _reply| {
+                jobs2.fetch_add(1, Ordering::SeqCst);
+            },
+        );
+        for _ in 0..2 {
+            let raw = "GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n";
+            assert_eq!(status_and_body(gw.addr(), raw).0, 404); // spend the burst
+        }
+        for raw in [
+            "GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n",
+            "OPTIONS /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            "GET /v1/watch?q=x HTTP/1.1\r\nConnection: close\r\n\r\n",
+        ] {
+            assert_eq!(status_and_body(gw.addr(), raw).0, 429, "{raw}");
+        }
+        assert_eq!(gw.stats().rate_limited.load(Ordering::Relaxed), 3);
+        assert_eq!(gw.stats().open_streams.load(Ordering::SeqCst), 0);
+        assert_eq!(jobs.load(Ordering::SeqCst), 0, "nothing reached the daemon");
+    }
+
+    /// The deadline holds for a reply that does come, only late.
+    #[test]
+    fn a_reply_after_its_deadline_answers_408() {
+        let gw = test_gateway_opts(
+            GatewayOpts {
+                request_timeout: Duration::from_millis(1),
+                ..GatewayOpts::default()
+            },
+            |_req, reply| {
+                std::thread::sleep(Duration::from_millis(20));
+                let _ = reply.send(GwReply::Health {
+                    node: 0,
+                    members: 1,
+                    alive: 1,
+                });
+            },
+        );
+        let raw = "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
+        assert_eq!(status_and_body(gw.addr(), raw).0, 408);
+        assert_eq!(gw.stats().request_timeouts.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1681,7 +1127,7 @@ mod tests {
     #[test]
     fn atomic_histogram_buckets_cumulate() {
         let latency = EndpointLatency::default();
-        let h = latency.of("query");
+        let h = latency.of(Endpoint::Query);
         h.observe(50); // <= 100
         h.observe(150); // <= 250
         h.observe(2_000_000); // +Inf
@@ -1696,11 +1142,14 @@ mod tests {
         assert_eq!(*cumulative.last().unwrap(), 3);
         // Monotone non-decreasing throughout.
         assert!(cumulative.windows(2).all(|w| w[0] <= w[1]));
-        // Classes index one array; anything unknown is "other".
+        // Classes index one array, in scrape order.
         let classes: Vec<_> = latency.families().map(|(c, _)| c).collect();
-        assert_eq!(classes, ENDPOINT_CLASSES);
-        latency.of("no-such-class").observe(1);
-        assert_eq!(latency.of("other").snapshot().count(), 1);
+        assert_eq!(
+            classes,
+            ["query", "attrs", "watch", "metrics", "health", "traces", "other"]
+        );
+        latency.of(Endpoint::Other).observe(1);
+        assert_eq!(latency.of(Endpoint::Other).snapshot().count(), 1);
     }
 
     #[test]
