@@ -74,6 +74,7 @@ use moara_transport::{NetCtx, TcpConfig, TcpTransport, Transport};
 
 pub mod alerts;
 mod ctrl;
+pub mod flags;
 pub mod health;
 mod membership;
 mod metrics;
@@ -96,7 +97,8 @@ use node::moara_ctx;
 use recorder::{kind, now_unix_ms, Recorder};
 use serve::{Gather, ReplyTo, Walk, WalkPacer};
 
-/// Startup options for a daemon (mirrors `moarad`'s flags).
+/// Startup options for a daemon; `moarad`'s flags set them
+/// ([`flags::parse`]).
 #[derive(Clone, Debug)]
 pub struct DaemonOpts {
     /// Control-plane listen address (`--listen`).
@@ -165,7 +167,8 @@ pub struct DaemonOpts {
 }
 
 impl DaemonOpts {
-    /// Defaults for everything but the control address.
+    /// Defaults for everything but the control address: the only place
+    /// a `moarad` flag's default is written.
     pub fn new(listen: SocketAddr) -> DaemonOpts {
         DaemonOpts {
             listen,

@@ -338,21 +338,58 @@ fn sigterm_shuts_a_daemon_down_cleanly() {
     }
 }
 
+/// Runs `moarad` with `args` to its exit.
+fn moarad_exit(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_moarad"))
+        .args(args)
+        .output()
+        .expect("run moarad");
+    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
+}
+
 /// Starts a `moarad` on an `--alert-rules` file holding `rules`, which
 /// it must refuse with exit code `code` and the reason on stderr
 /// (returned).
 fn refused_alert_rules(tag: &str, rules: &str, code: i32) -> String {
     let path = std::env::temp_dir().join(format!("moara-{tag}-rules-{}", std::process::id()));
     std::fs::write(&path, rules).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_moarad"))
-        .args(["--listen", &free_port(), "--alert-rules"])
-        .arg(&path)
-        .output()
-        .expect("run moarad");
+    let path_arg = path.to_str().expect("a UTF-8 temp path");
+    let (got, _, stderr) = moarad_exit(&["--listen", &free_port(), "--alert-rules", path_arg]);
     let _ = std::fs::remove_file(&path);
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert_eq!(out.status.code(), Some(code), "{stderr}");
+    assert_eq!(got, Some(code), "{stderr}");
     stderr
+}
+
+/// `--rejoin-as` without `--join` is refused by `Daemon::start`, which
+/// in-process callers go through too: exit 1, the reason on stderr.
+#[test]
+fn moarad_refuses_rejoin_as_without_join() {
+    let (code, _, stderr) = moarad_exit(&["--listen", &free_port(), "--rejoin-as", "3"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("--rejoin-as requires --join"), "{stderr}");
+}
+
+/// `--help` is a loop over the flag table: every flag, its argument and
+/// its default. A changed flag moves the golden; regenerate it with
+/// `moarad --help > crates/daemon/tests/golden/moarad_help.txt`.
+#[test]
+fn moarad_help_is_the_golden() {
+    let (code, stdout, _) = moarad_exit(&["--help"]);
+    assert_eq!(code, Some(0));
+    assert_eq!(stdout, include_str!("golden/moarad_help.txt"));
+}
+
+/// An unknown flag or a missing value is a usage error: exit 2 with the
+/// usage line on stderr.
+#[test]
+fn moarad_usage_errors_exit_2_with_the_usage_line() {
+    let usage = include_str!("golden/moarad_help.txt").lines().next();
+    for args in [&["--listen", "127.0.0.1:0", "--bogus"][..], &["--listen"]] {
+        let (code, _, stderr) = moarad_exit(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().last(), usage, "{args:?}");
+    }
 }
 
 /// An `--alert-rules` file naming a metric the daemon does not sample is

@@ -68,9 +68,10 @@ pub struct SwimConfig {
 
 impl Default for SwimConfig {
     fn default() -> SwimConfig {
+        let period = SimDuration::from_millis(1000);
         SwimConfig {
-            period: SimDuration::from_millis(1000),
-            ping_timeout: SimDuration::from_millis(300),
+            period,
+            ping_timeout: probe_window(period),
             ping_req_fanout: 2,
             suspect_periods: 3,
             gossip_max: 8,
@@ -79,7 +80,19 @@ impl Default for SwimConfig {
     }
 }
 
+/// The direct-probe window for a protocol period: 3/10 of it, so the
+/// indirect probes still have most of the period to answer in.
+fn probe_window(period: SimDuration) -> SimDuration {
+    SimDuration(period.0 / 10 * 3)
+}
+
 impl SwimConfig {
+    /// Sets the protocol period; the direct-probe window scales with it.
+    pub fn set_period(&mut self, period: SimDuration) {
+        self.period = period;
+        self.ping_timeout = probe_window(period);
+    }
+
     /// An aggressive configuration for tests: 100 ms periods, one-second
     /// end-to-end confirmation.
     pub fn fast() -> SwimConfig {
