@@ -744,3 +744,109 @@ mod tests {
         );
     }
 }
+
+/// The rule grammar under generated input: every rule the daemon can
+/// hold is written by `Display` in a form `parse_rules` reads back as
+/// the same rule, and no input at all makes the parser panic.
+#[cfg(test)]
+mod props {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    use super::*;
+
+    const NAME_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_";
+
+    /// Bytes a mangled rule is spliced with: the grammar's own tokens,
+    /// blanks, and a multi-byte character.
+    const NOISE: &[&str] = &[
+        ":", "(", ")", ",", ">", ">=", "<", "<=", "=", "#", " ", "\t", "\n", "-", ".", "0", "7",
+        "e", "ms", "s", "m", "for", "rate", "rate(", "inf", "NaN", "_delta", "é",
+    ];
+
+    fn name() -> impl Strategy<Value = String> {
+        let chars = vec(0..NAME_CHARS.len(), 1..16);
+        chars.prop_map(|ix| ix.into_iter().map(|i| char::from(NAME_CHARS[i])).collect())
+    }
+
+    /// A health-sample key or its derived `_delta` form.
+    fn metric() -> impl Strategy<Value = String> {
+        let keys: Vec<&str> = crate::metrics::sample_keys().collect();
+        let suffix = prop_oneof![Just(""), Just("_delta")];
+        (0..keys.len(), suffix).prop_map(move |(i, suffix)| format!("{}{suffix}", keys[i]))
+    }
+
+    /// Whole seconds, up to a day.
+    fn seconds() -> impl Strategy<Value = u64> {
+        (1u64..=86_400).prop_map(|s| s * 1_000)
+    }
+
+    fn op() -> impl Strategy<Value = AlertOp> {
+        prop_oneof![
+            Just(AlertOp::Gt),
+            Just(AlertOp::Ge),
+            Just(AlertOp::Lt),
+            Just(AlertOp::Le)
+        ]
+    }
+
+    /// Small integers, ratios, and any finite bit pattern at all.
+    fn threshold() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (-1_000_000i64..1_000_000).prop_map(|i| i as f64),
+            (any::<i64>(), 1u32..1_000_000).prop_map(|(n, d)| n as f64 / f64::from(d)),
+            any::<u64>().prop_map(|bits| Some(f64::from_bits(bits))
+                .filter(|f| f.is_finite())
+                .unwrap_or(0.5)),
+        ]
+    }
+
+    fn rule() -> impl Strategy<Value = AlertRule> {
+        let window = prop_oneof![Just(0u64), seconds()];
+        let expr = (metric(), window).prop_map(|(metric, window_ms)| match window_ms {
+            0 => MetricExpr::Raw(metric),
+            _ => MetricExpr::Rate { metric, window_ms },
+        });
+        let hold = prop_oneof![Just(0u64), seconds()];
+        (name(), expr, op(), threshold(), hold).prop_map(|(name, expr, op, threshold, hold_ms)| {
+            AlertRule {
+                name,
+                expr,
+                op,
+                threshold,
+                hold_ms,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn a_written_rule_file_parses_back_to_its_rules(rules in vec(rule(), 1..6)) {
+            let text: Vec<String> = rules.iter().map(AlertRule::to_string).collect();
+            prop_assert_eq!(parse_rules(&text.join("\n")), Ok(rules));
+        }
+
+        #[test]
+        fn mangled_rule_text_is_an_answer_never_a_panic(
+            rule in rule(),
+            cut in any::<u16>(),
+            noise in vec(0..NOISE.len(), 0..12),
+        ) {
+            let text = rule.to_string();
+            let mut at = usize::from(cut) % (text.len() + 1);
+            while !text.is_char_boundary(at) {
+                at -= 1;
+            }
+            let noise: String = noise.into_iter().map(|i| NOISE[i]).collect();
+            let _ = parse_rules(&format!("{}{noise}{}", &text[..at], &text[at..]));
+            let _ = parse_rules(&format!("{}{noise}", &text[..at]));
+        }
+
+        #[test]
+        fn arbitrary_bytes_are_an_answer_never_a_panic(bytes in vec(any::<u8>(), 0..96)) {
+            let _ = parse_rules(&String::from_utf8_lossy(&bytes));
+        }
+    }
+}

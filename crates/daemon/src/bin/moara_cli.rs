@@ -25,11 +25,13 @@
 //! a partition shows up as a marked-lost subtree instead of a hang).
 //!
 //! `top` renders a live cluster health dashboard (plain ANSI, no
-//! dependencies): one row per member from the answering daemon's merged
-//! gossip table — event-loop tick p99, stalls, connections, streams,
-//! watches, cache hit ratio, RSS, fds, uptime — plus a per-member tick
-//! p99 sparkline from the flight recorder's history rings and the
-//! alerts the daemon has firing. The screen refreshes every
+//! dependencies): one row per member of the answering daemon's member
+//! table, with a column for each key of the health sample every member
+//! was asked for just now (event-loop tick p99, stalls, connections,
+//! streams, watches, cache hit ratio, RSS, fds, uptime, …, and how many
+//! alerts it has firing), plus a per-member tick p99 sparkline from the
+//! flight recorder's history rings and the alerts the answering daemon
+//! has firing. The screen refreshes every
 //! `--interval-ms` (default 2000); `--once` prints a single frame
 //! without clearing, for scripts. `top --once` and `events` exit
 //! non-zero with a clear message when the daemon is unreachable.
@@ -348,13 +350,13 @@ fn main() {
         }
         Ok(
             CtrlReply::ClusterHealth { .. }
+            | CtrlReply::Health { .. }
             | CtrlReply::MetricsText(_)
             | CtrlReply::History { .. }
             | CtrlReply::ClusterHistory { .. },
         ) => {
-            // These answer ClusterHealth/MetricsFetch/HistoryFetch,
-            // which `top` and the gateway's federation paths send — not
-            // this match.
+            // These answer ClusterHealth and the leaf reads, which `top`
+            // and the gateway's federation paths send — not this match.
             eprintln!("moara-cli: unexpected health-plane reply");
             std::process::exit(1);
         }
@@ -422,7 +424,9 @@ fn fetch_sparklines(connect: &str, timeout: Duration) -> std::collections::HashM
     out
 }
 
-/// One `top` frame: a header, the member table, and any firing alerts.
+/// One `top` frame: a header, the member table — a column for each key
+/// of the members' health answers, in the order they list them — and any
+/// firing alerts.
 fn render_top(
     node: u32,
     rows: &[moara_daemon::health::PeerHealthRow],
@@ -441,75 +445,42 @@ fn render_top(
         rows.len(),
         alerts.len(),
     );
-    let _ = writeln!(
-        out,
-        "{:>5} {:>6} {:>7} {:>9} {:>6} {:>6} {:>7} {:>7} {:>5} {:>6} {:>8} {:>5} {:>8} TICK-TREND",
-        "NODE",
-        "STATUS",
-        "AGE",
-        "TICKP99",
-        "STALL",
-        "CONNS",
-        "STREAMS",
-        "WATCHES",
-        "SUBS",
-        "CACHE%",
-        "RSS",
-        "FDS",
-        "UPTIME",
-    );
+    let answered = rows.iter().find_map(|r| r.summary.as_deref());
+    let keys: Vec<&str> = answered.map_or(Vec::new(), |s| s.iter().map(|(k, _)| &**k).collect());
+    let head = ["node", "status", "incarnation"]
+        .into_iter()
+        .chain(keys.iter().copied());
+    let mut table: Vec<Vec<String>> = vec![head.map(str::to_uppercase).collect()];
     for r in rows {
-        let age = if r.age_ms == u64::MAX {
-            "-".to_owned()
-        } else if r.age_ms < 10_000 {
-            format!("{}ms", r.age_ms)
-        } else {
-            format!("{}s", r.age_ms / 1_000)
-        };
-        let spark = sparks.get(&r.node).map_or("", |s| s.as_str());
-        match &r.summary {
-            Some(h) => {
-                let _ = writeln!(
-                    out,
-                    "{:>5} {:>6} {:>7} {:>9} {:>6} {:>6} {:>7} {:>7} {:>5} {:>6} {:>8} {:>5} {:>8} {spark}",
-                    format!("n{}", r.node),
-                    r.status.as_str(),
-                    age,
-                    format!("{}us", h.tick_p99_us),
-                    h.stalled_ticks,
-                    h.open_conns,
-                    h.open_streams,
-                    h.watches,
-                    h.sub_entries,
-                    // `n/a`, not a number: the daemon had no cache traffic
-                    // in the window, which is different from 0% hits.
-                    h.cache_hit_pct()
-                        .map_or("n/a".to_owned(), |p| format!("{p:.1}")),
-                    fmt_bytes(h.rss_bytes),
-                    h.open_fds,
-                    fmt_secs(h.uptime_s),
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "{:>5} {:>6} {:>7} {:>9} {:>6} {:>6} {:>7} {:>7} {:>5} {:>6} {:>8} {:>5} {:>8} {spark}",
-                    format!("n{}", r.node),
-                    r.status.as_str(),
-                    age,
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                );
-            }
+        let mut cells = vec![
+            format!("n{}", r.node),
+            r.status.as_str().to_owned(),
+            r.incarnation.to_string(),
+        ];
+        for key in &keys {
+            let answer = r.summary.iter().flatten().find(|(k, _)| k == key);
+            cells.push(answer.map_or("-".to_owned(), |&(_, v)| fmt_cell(key, v)));
         }
+        table.push(cells);
+    }
+    let widths: Vec<usize> = (0..table[0].len())
+        .map(|c| {
+            table
+                .iter()
+                .map(|cells| cells[c].chars().count())
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
+    let trends = std::iter::once("TICK-TREND").chain(
+        rows.iter()
+            .map(|r| sparks.get(&r.node).map_or("", |s| s.as_str())),
+    );
+    for (cells, trend) in table.iter().zip(trends) {
+        for (cell, width) in cells.iter().zip(&widths) {
+            let _ = write!(out, "{cell:>width$} ");
+        }
+        let _ = writeln!(out, "{trend}");
     }
     for a in alerts {
         let _ = writeln!(
@@ -521,7 +492,25 @@ fn render_top(
     out
 }
 
-/// `1.5G`-style byte rendering, `-` for the zero a digestless peer sends.
+/// One health value as `top` shows it: `n/a` for an unknown ratio (no
+/// cache traffic, which is not 0 % hits), bytes and seconds by their key's
+/// unit suffix, whole numbers without a fraction.
+fn fmt_cell(key: &str, v: f64) -> String {
+    if v.is_nan() {
+        "n/a".to_owned()
+    } else if key.ends_with("_bytes") {
+        fmt_bytes(v as u64)
+    } else if key.ends_with("_s") {
+        fmt_secs(v as u64)
+    } else if v.fract() == 0.0 {
+        format!("{v}")
+    } else {
+        format!("{v:.1}")
+    }
+}
+
+/// `1.5G`-style byte rendering, `-` for the zero a daemon that cannot
+/// read `/proc` reports.
 fn fmt_bytes(b: u64) -> String {
     if b == 0 {
         return "-".to_owned();
@@ -710,13 +699,10 @@ fn run_postmortem(file: &str) {
             }
             "peer" => {
                 peers.push(format!(
-                    "  n{} {:<7} age={}ms tick_p99={}us stalls={} alerts_firing={}",
+                    "  n{} {:<5} incarnation={}",
                     num(&fields, "node"),
                     text(&fields, "status"),
-                    num(&fields, "age_ms"),
-                    num(&fields, "tick_p99_us"),
-                    num(&fields, "stalled_ticks"),
-                    num(&fields, "alerts_firing"),
+                    num(&fields, "incarnation"),
                 ));
             }
             "alert" => {

@@ -84,10 +84,13 @@ pub enum CtrlRequest {
         /// Maximum summaries to return.
         limit: u32,
     },
-    /// Return the merged cluster-health table: one row per member from
-    /// the gossiped digest store, plus this daemon's firing alerts.
-    /// Served entirely from passive local state — never blocks on
-    /// peers — so it works during partitions (`moara-cli top`).
+    /// Return the cluster-health table: the serving daemon reads its own
+    /// health and asks every other alive member for theirs
+    /// (`HealthFetch`), then joins the answers with its member table,
+    /// one row per member, plus its own firing alerts. A member that does
+    /// not answer by the gather deadline shows as `stale`, so a
+    /// partition delays the answer by up to that deadline
+    /// (`moara-cli top`).
     ClusterHealth,
     /// Return this daemon's Prometheus exposition (the metrics
     /// federation leaf request; `GET /v1/cluster/metrics` fans these
@@ -121,6 +124,10 @@ pub enum CtrlRequest {
         /// Maximum events to return (newest win).
         limit: u32,
     },
+    /// Return this daemon's health sample and firing alerts (the health
+    /// leaf request; `ClusterHealth` fans these out, `GET /v1/alerts`
+    /// reads the local one).
+    HealthFetch,
 }
 
 /// A control-plane reply.
@@ -197,7 +204,7 @@ pub enum CtrlReply {
     ClusterHealth {
         /// The serving daemon.
         node: u32,
-        /// One row per member (self included), digest freshness stamped.
+        /// One row per member (self included), in node order.
         rows: Vec<PeerHealthRow>,
         /// Alert rules firing on the serving daemon right now.
         alerts: Vec<AlertWire>,
@@ -228,6 +235,14 @@ pub enum CtrlReply {
     },
     /// The newest journal entries (`EventsFetch` answer).
     Events(Vec<EventWire>),
+    /// One daemon's health (`HealthFetch` answer).
+    Health {
+        /// Its health sample: each `sample` row of the metrics
+        /// catalogue, in table order.
+        sample: Vec<(String, f64)>,
+        /// The alert rules firing on it right now.
+        firing: Vec<AlertWire>,
+    },
 }
 
 impl Wire for CtrlRequest {
@@ -287,6 +302,7 @@ impl Wire for CtrlRequest {
                 kind.encode(out);
                 limit.encode(out);
             }
+            CtrlRequest::HealthFetch => out.push(13),
         }
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -331,6 +347,7 @@ impl Wire for CtrlRequest {
                 kind: Wire::decode(buf)?,
                 limit: Wire::decode(buf)?,
             },
+            13 => CtrlRequest::HealthFetch,
             _ => return Err(WireError::Invalid("CtrlRequest tag")),
         })
     }
@@ -345,7 +362,7 @@ impl Wire for CtrlRequest {
             }
             CtrlRequest::TraceFetch { .. } | CtrlRequest::TraceGet { .. } => 8,
             CtrlRequest::TraceList { .. } => 4,
-            CtrlRequest::ClusterHealth | CtrlRequest::MetricsFetch => 0,
+            CtrlRequest::ClusterHealth | CtrlRequest::MetricsFetch | CtrlRequest::HealthFetch => 0,
             CtrlRequest::HistoryFetch { metric, .. }
             | CtrlRequest::ClusterHistory { metric, .. } => metric.encoded_len() + 4,
             CtrlRequest::EventsFetch { kind, .. } => kind.encoded_len() + 4,
@@ -450,6 +467,11 @@ impl Wire for CtrlReply {
                 out.push(13);
                 events.encode(out);
             }
+            CtrlReply::Health { sample, firing } => {
+                out.push(14);
+                sample.encode(out);
+                firing.encode(out);
+            }
         }
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -503,6 +525,10 @@ impl Wire for CtrlReply {
                 missing: Wire::decode(buf)?,
             },
             13 => CtrlReply::Events(Wire::decode(buf)?),
+            14 => CtrlReply::Health {
+                sample: Wire::decode(buf)?,
+                firing: Wire::decode(buf)?,
+            },
             _ => return Err(WireError::Invalid("CtrlReply tag")),
         })
     }
@@ -534,6 +560,7 @@ impl Wire for CtrlReply {
                 ..
             } => metric.encoded_len() + 4 + series.encoded_len() + missing.encoded_len(),
             CtrlReply::Events(events) => events.encoded_len(),
+            CtrlReply::Health { sample, firing } => sample.encoded_len() + firing.encoded_len(),
         }
     }
 }

@@ -1,147 +1,29 @@
-//! Self-monitoring: the compact health digest each daemon samples about
-//! itself, gossips piggybacked on SWIM traffic, and serves merged at
-//! `GET /v1/cluster/health`.
+//! The cluster health table: what `GET /v1/cluster/health` and
+//! `moara-cli top` show, read live from each member.
 //!
-//! The digest is deliberately tiny (tens of bytes, hard-capped by
-//! [`HEALTH_DIGEST_MAX_BYTES`]) because it rides on *every* outgoing
-//! failure-detector message — the same zero-extra-messages trick trace
-//! contexts use. It is also wire-versioned with an explicit payload
-//! length, so a newer daemon can append fields without breaking older
-//! peers: decoders read the fields they know and skip the rest.
+//! A daemon's health is its 1 Hz sample (the metrics catalogue's
+//! `sample` rows) plus the alert rules it has firing; the
+//! `HealthFetch` leaf read answers with both. `ClusterHealth` is a
+//! gather of that read over the peer plane, like `ClusterHistory`, and
+//! [`cluster_health`] folds the answers into one row per member of the
+//! serving daemon's member table. Nothing moves until someone asks.
+//!
+//! This module also holds the two `/proc` samplers behind the
+//! `rss_bytes` and `open_fds` rows.
 
-use std::time::Duration;
+use moara_wire::{Wire, WireError};
 
-use moara_wire::{take, Wire, WireError};
+use crate::{CtrlReply, Member};
 
-/// Current digest wire version. Version 0 is reserved as invalid so a
-/// zeroed buffer can never parse as a digest.
-pub const HEALTH_WIRE_VERSION: u8 = 1;
-
-/// Hard cap on an encoded digest. SWIM messages are latency-critical
-/// (a fat piggyback would show up as probe jitter), so a digest that
-/// would exceed this is dropped rather than attached — enforced by the
-/// sampler, asserted in tests.
-pub const HEALTH_DIGEST_MAX_BYTES: usize = 160;
-
-/// Sentinel for [`HealthSummary::cache_hit_bp`]: the result cache is
-/// disabled or has served no lookups yet.
-pub const CACHE_RATIO_NONE: u16 = u16::MAX;
-
-/// One daemon's self-sampled health snapshot.
-///
-/// Everything here is either a gauge ("how things stand right now") or
-/// a monotone counter ("how many times since boot") — peers render it
-/// directly and the alert engine diffs counters across samples.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HealthSummary {
-    /// The sampling node.
-    pub node: u32,
-    /// Its SWIM incarnation at sampling time (a restart shows as a jump).
-    pub incarnation: u64,
-    /// Seconds since the daemon booted.
-    pub uptime_s: u64,
-    /// Event-loop tick work-time p99 in microseconds (poll wait
-    /// excluded), the single best "is this daemon degrading" number.
-    pub tick_p99_us: u64,
-    /// Ticks whose work time crossed `--stall-threshold-ms` since boot.
-    pub stalled_ticks: u64,
-    /// Gateway jobs accepted by reactor shards but not yet drained by
-    /// the event loop (the GwJob channel depth).
-    pub queued_jobs: u32,
-    /// HTTP connections currently registered with reactor shards.
-    pub open_conns: u32,
-    /// SSE watch streams currently parked on the reactor.
-    pub open_streams: u32,
-    /// Standing watches fronted by this daemon.
-    pub watches: u32,
-    /// Standing-subscription entries hosted on this node's trees.
-    pub sub_entries: u32,
-    /// Result-cache hit ratio in basis points (0–10000), or
-    /// [`CACHE_RATIO_NONE`] when the cache is off or unused.
-    pub cache_hit_bp: u16,
-    /// Resident set size in bytes (`/proc/self/statm`).
-    pub rss_bytes: u64,
-    /// Open file descriptors (`/proc/self/fd`).
-    pub open_fds: u32,
-    /// Queries submitted here still waiting for their outcome.
-    pub queries_inflight: u32,
-    /// Alert rules currently firing on this daemon.
-    pub alerts_firing: u32,
-}
-
-impl HealthSummary {
-    /// Result-cache hit ratio as a percentage, if known.
-    pub fn cache_hit_pct(&self) -> Option<f64> {
-        (self.cache_hit_bp != CACHE_RATIO_NONE).then(|| f64::from(self.cache_hit_bp) / 100.0)
-    }
-}
-
-impl Wire for HealthSummary {
-    fn encode(&self, out: &mut Vec<u8>) {
-        HEALTH_WIRE_VERSION.encode(out);
-        // Explicit payload length: older decoders skip fields a newer
-        // sampler appended.
-        let payload_len = self.encoded_len() - 3;
-        (payload_len as u16).encode(out);
-        self.node.encode(out);
-        self.incarnation.encode(out);
-        self.uptime_s.encode(out);
-        self.tick_p99_us.encode(out);
-        self.stalled_ticks.encode(out);
-        self.queued_jobs.encode(out);
-        self.open_conns.encode(out);
-        self.open_streams.encode(out);
-        self.watches.encode(out);
-        self.sub_entries.encode(out);
-        self.cache_hit_bp.encode(out);
-        self.rss_bytes.encode(out);
-        self.open_fds.encode(out);
-        self.queries_inflight.encode(out);
-        self.alerts_firing.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let version = u8::decode(buf)?;
-        if version == 0 {
-            return Err(WireError::Invalid("health digest version"));
-        }
-        let payload_len = u16::decode(buf)? as usize;
-        let mut payload = take(buf, payload_len)?;
-        let p = &mut payload;
-        Ok(HealthSummary {
-            node: Wire::decode(p)?,
-            incarnation: Wire::decode(p)?,
-            uptime_s: Wire::decode(p)?,
-            tick_p99_us: Wire::decode(p)?,
-            stalled_ticks: Wire::decode(p)?,
-            queued_jobs: Wire::decode(p)?,
-            open_conns: Wire::decode(p)?,
-            open_streams: Wire::decode(p)?,
-            watches: Wire::decode(p)?,
-            sub_entries: Wire::decode(p)?,
-            cache_hit_bp: Wire::decode(p)?,
-            rss_bytes: Wire::decode(p)?,
-            open_fds: Wire::decode(p)?,
-            queries_inflight: Wire::decode(p)?,
-            alerts_firing: Wire::decode(p)?,
-            // Remaining payload bytes belong to a newer version: skipped.
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        1 + 2 // version + payload length
-            + 4 + 8 + 8 + 8 + 8 // node..stalled_ticks
-            + 4 + 4 + 4 + 4 + 4 // queued_jobs..sub_entries
-            + 2 + 8 + 4 + 4 + 4 // cache_hit_bp..alerts_firing
-    }
-}
-
-/// How fresh a peer's digest is, as served in the merged health table.
+/// How a member's row came to be, as served in the health table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum HealthStatus {
-    /// A recent digest is held.
+    /// The member answered this read.
     Ok = 0,
-    /// The member is believed alive but its digest is old or absent
-    /// (partitioned, or gossip has not reached us yet).
+    /// SWIM believes the member alive, but its answer did not come: it
+    /// was undeliverable, or not in by the gather deadline (stopped,
+    /// partitioned, or crashed and not yet confirmed).
     Stale = 1,
     /// The member's failure was confirmed by SWIM.
     Dead = 2,
@@ -175,34 +57,33 @@ impl Wire for HealthStatus {
     }
 }
 
-/// One row of the merged cluster-health table: a member, how fresh our
-/// knowledge of it is, and its last digest (if any ever arrived).
+/// One row of the cluster health table: a member as the serving
+/// daemon's member table has it, and what the member said about itself.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PeerHealthRow {
     /// The member.
     pub node: u32,
-    /// Digest freshness / liveness.
+    /// Whether it answered, and if not, whether SWIM holds it dead.
     pub status: HealthStatus,
-    /// Milliseconds since its digest arrived; `u64::MAX` when no digest
-    /// was ever received.
-    pub age_ms: u64,
-    /// The last digest received (the serving daemon's own row carries a
-    /// fresh local sample).
-    pub summary: Option<HealthSummary>,
+    /// Its incarnation, from the member table.
+    pub incarnation: u64,
+    /// Its health sample, in catalogue order, then `alerts_firing`;
+    /// `None` unless it answered.
+    pub summary: Option<Vec<(String, f64)>>,
 }
 
 impl Wire for PeerHealthRow {
     fn encode(&self, out: &mut Vec<u8>) {
         self.node.encode(out);
         self.status.encode(out);
-        self.age_ms.encode(out);
+        self.incarnation.encode(out);
         self.summary.encode(out);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(PeerHealthRow {
             node: Wire::decode(buf)?,
             status: Wire::decode(buf)?,
-            age_ms: Wire::decode(buf)?,
+            incarnation: Wire::decode(buf)?,
             summary: Wire::decode(buf)?,
         })
     }
@@ -249,93 +130,106 @@ impl Wire for AlertWire {
     }
 }
 
-/// How long after its last digest a live member is reported `ok` before
-/// flipping to `stale`, as a multiple of the SWIM probe period (digests
-/// ride probe traffic, so freshness is naturally period-scaled).
-pub fn stale_after(swim_period: Duration) -> Duration {
-    (swim_period * 10).max(Duration::from_secs(2))
+/// The `ClusterHealth` fold: the serving daemon `me`'s member table
+/// (snapshotted when the gather started) joined with the `HealthFetch`
+/// answers it got, by member. A member that answered is `ok`; one that
+/// did not is `dead` if SWIM confirmed it, `stale` otherwise. The alerts
+/// are the serving daemon's own.
+pub(crate) fn cluster_health(
+    me: u32,
+    members: &[Member],
+    answers: Vec<(u32, CtrlReply)>,
+) -> CtrlReply {
+    let mut alerts = Vec::new();
+    let mut summaries = Vec::with_capacity(answers.len());
+    for (node, answer) in answers {
+        let CtrlReply::Health { mut sample, firing } = answer else {
+            continue;
+        };
+        sample.push(("alerts_firing".to_owned(), firing.len() as f64));
+        summaries.push((node, sample));
+        if node == me {
+            alerts = firing;
+        }
+    }
+    let mut rows: Vec<PeerHealthRow> = members
+        .iter()
+        .map(|m| {
+            let at = summaries.iter().position(|(n, _)| *n == m.node);
+            let summary = at.map(|i| summaries.swap_remove(i).1);
+            let status = match (&summary, m.alive) {
+                (Some(_), _) => HealthStatus::Ok,
+                (None, true) => HealthStatus::Stale,
+                (None, false) => HealthStatus::Dead,
+            };
+            PeerHealthRow {
+                node: m.node,
+                status,
+                incarnation: m.incarnation,
+                summary,
+            }
+        })
+        .collect();
+    rows.sort_by_key(|r| r.node);
+    CtrlReply::ClusterHealth {
+        node: me,
+        rows,
+        alerts,
+    }
 }
 
-/// Resident set size in bytes, from `/proc/self/statm` (0 where
-/// unreadable — non-Linux hosts, locked-down containers).
+/// Resident set size in bytes: `VmRSS` from `/proc/self/status`, which
+/// the kernel reports in kB whatever the page size (0 where unreadable
+/// — non-Linux hosts, locked-down containers).
 pub fn rss_bytes() -> u64 {
-    let Ok(statm) = std::fs::read_to_string("/proc/self/statm") else {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;
     };
-    statm
-        .split_whitespace()
-        .nth(1)
-        .and_then(|pages| pages.parse::<u64>().ok())
-        .map_or(0, |pages| pages * 4096)
+    let line = status.lines().find_map(|l| l.strip_prefix("VmRSS:"));
+    let kb = line.and_then(|l| l.split_whitespace().next()?.parse::<u64>().ok());
+    kb.map_or(0, |kb| kb * 1024)
 }
 
 /// Open file descriptors, from `/proc/self/fd` (0 where unreadable).
+/// Reading the directory takes a descriptor of its own, which the
+/// listing shows; it is not counted.
 pub fn open_fds() -> u32 {
-    std::fs::read_dir("/proc/self/fd").map_or(0, |dir| dir.count() as u32)
+    let listed = std::fs::read_dir("/proc/self/fd").map_or(0, |dir| dir.count() as u32);
+    listed.saturating_sub(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> HealthSummary {
-        HealthSummary {
-            node: 3,
-            incarnation: 2,
-            uptime_s: 61,
-            tick_p99_us: 800,
-            stalled_ticks: 1,
-            queued_jobs: 4,
-            open_conns: 120,
-            open_streams: 7,
-            watches: 9,
-            sub_entries: 31,
-            cache_hit_bp: 9_250,
-            rss_bytes: 48 * 1024 * 1024,
-            open_fds: 64,
-            queries_inflight: 2,
-            alerts_firing: 1,
+    fn member(node: u32, incarnation: u64, alive: bool) -> Member {
+        Member {
+            node,
+            ring_id: u64::from(node) * 7,
+            addr: String::new(),
+            incarnation,
+            alive,
         }
     }
 
-    #[test]
-    fn digest_roundtrips_and_stays_under_the_cap() {
-        let s = sample();
-        let bytes = s.to_bytes();
-        assert_eq!(bytes.len(), s.encoded_len());
-        assert!(bytes.len() <= HEALTH_DIGEST_MAX_BYTES, "{}", bytes.len());
-        assert_eq!(HealthSummary::from_bytes(&bytes).unwrap(), s);
-        for cut in 0..bytes.len() {
-            assert!(HealthSummary::from_bytes(&bytes[..cut]).is_err());
+    fn alert(rule: &str) -> AlertWire {
+        AlertWire {
+            rule: rule.into(),
+            metric: rule.into(),
+            value: 1.0,
+            threshold: 0.0,
+            since_s: 3,
         }
     }
 
-    #[test]
-    fn digest_decode_skips_unknown_newer_fields() {
-        let s = sample();
-        // A "newer" sampler appended 6 extra payload bytes: bump the
-        // payload length and splice them in.
-        let mut bytes = s.to_bytes();
-        let old_len = u16::from_le_bytes([bytes[1], bytes[2]]);
-        let new_len = (old_len + 6).to_le_bytes();
-        bytes[1] = new_len[0];
-        bytes[2] = new_len[1];
-        bytes.extend_from_slice(&[0xAA; 6]);
-        assert_eq!(HealthSummary::from_bytes(&bytes).unwrap(), s);
-        // Version 0 is rejected outright.
-        bytes[0] = 0;
-        assert_eq!(
-            HealthSummary::from_bytes(&bytes),
-            Err(WireError::Invalid("health digest version"))
-        );
-    }
-
-    #[test]
-    fn cache_ratio_sentinel_means_unknown() {
-        let mut s = sample();
-        assert_eq!(s.cache_hit_pct(), Some(92.5));
-        s.cache_hit_bp = CACHE_RATIO_NONE;
-        assert_eq!(s.cache_hit_pct(), None);
+    fn answer(watches: f64, firing: Vec<AlertWire>) -> CtrlReply {
+        CtrlReply::Health {
+            sample: vec![
+                ("watches".into(), watches),
+                ("cache_hit_pct".into(), f64::NAN),
+            ],
+            firing,
+        }
     }
 
     #[test]
@@ -344,33 +238,75 @@ mod tests {
             PeerHealthRow {
                 node: 0,
                 status: HealthStatus::Ok,
-                age_ms: 0,
-                summary: Some(sample()),
+                incarnation: 1,
+                summary: Some(vec![("watches".into(), 9.0), ("alerts_firing".into(), 1.0)]),
             },
             PeerHealthRow {
                 node: 1,
                 status: HealthStatus::Stale,
-                age_ms: 12_500,
-                summary: Some(sample()),
+                incarnation: 4,
+                summary: None,
             },
             PeerHealthRow {
                 node: 2,
                 status: HealthStatus::Dead,
-                age_ms: u64::MAX,
+                incarnation: 2,
                 summary: None,
             },
         ];
         for r in &rows {
             assert_eq!(PeerHealthRow::from_bytes(&r.to_bytes()).unwrap(), *r);
         }
-        let a = AlertWire {
-            rule: "dead_members".into(),
-            metric: "dead_members".into(),
-            value: 1.0,
-            threshold: 0.0,
-            since_s: 3,
-        };
+        let a = alert("dead_members");
         assert_eq!(AlertWire::from_bytes(&a.to_bytes()).unwrap(), a);
+    }
+
+    /// Serving daemon n1 of four: n0 answered, n2 is alive but silent, n3
+    /// is confirmed dead. Rows come in node order with the member table's
+    /// incarnations; the alerts are n1's own, not n0's.
+    #[test]
+    fn the_fold_marks_answered_silent_and_dead_members() {
+        let members = [
+            member(2, 5, true),
+            member(0, 0, true),
+            member(1, 3, true),
+            member(3, 1, false),
+        ];
+        let answers = vec![
+            (1, answer(2.0, vec![alert("dead_members")])),
+            (
+                0,
+                answer(7.0, vec![alert("watch_leak"), alert("fd_ceiling")]),
+            ),
+        ];
+        let CtrlReply::ClusterHealth { node, rows, alerts } = cluster_health(1, &members, answers)
+        else {
+            panic!("the fold answers ClusterHealth");
+        };
+        assert_eq!(node, 1);
+        assert_eq!(alerts, vec![alert("dead_members")]);
+        let shape: Vec<_> = rows
+            .iter()
+            .map(|r| (r.node, r.status, r.incarnation))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (0, HealthStatus::Ok, 0),
+                (1, HealthStatus::Ok, 3),
+                (2, HealthStatus::Stale, 5),
+                (3, HealthStatus::Dead, 1),
+            ]
+        );
+        // The self row is this daemon's own answer, `alerts_firing` last.
+        let summary = rows[1].summary.as_ref().expect("self answered");
+        let keys: Vec<&str> = summary.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["watches", "cache_hit_pct", "alerts_firing"]);
+        assert_eq!((summary[0].1, summary[2].1), (2.0, 1.0));
+        assert!(summary[1].1.is_nan());
+        let theirs = rows[0].summary.as_ref().expect("n0 answered");
+        assert_eq!((theirs[0].1, theirs[2].1), (7.0, 2.0));
+        assert!(rows[2].summary.is_none() && rows[3].summary.is_none());
     }
 
     #[test]
@@ -380,12 +316,23 @@ mod tests {
         assert!(rss_bytes() > 0);
     }
 
+    /// `open_fds` counts what `/proc/self/fd` lists except the listing
+    /// directory itself. Other tests open and close descriptors in
+    /// parallel, so a reading counts only when the listing is the same
+    /// just before and just after it.
     #[test]
-    fn staleness_scales_with_probe_period() {
-        assert_eq!(
-            stale_after(Duration::from_millis(100)),
-            Duration::from_secs(2)
-        );
-        assert_eq!(stale_after(Duration::from_secs(1)), Duration::from_secs(10));
+    fn open_fds_does_not_count_its_own_listing() {
+        let listing = std::path::PathBuf::from(format!("/proc/{}/fd", std::process::id()));
+        let held = || {
+            let dir = std::fs::read_dir("/proc/self/fd").expect("procfs is mounted");
+            let links = dir.filter_map(|e| std::fs::read_link(e.ok()?.path()).ok());
+            links.filter(|link| *link != listing).count() as u32
+        };
+        let matched = (0..1_000).any(|_| {
+            let before = held();
+            let counted = open_fds();
+            before == held() && counted == before
+        });
+        assert!(matched, "open_fds() never matched the listing");
     }
 }

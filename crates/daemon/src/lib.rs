@@ -5,10 +5,11 @@
 //! production node software:
 //!
 //! * **peer plane** — protocol traffic ([`DaemonMsg::Moara`]), membership
-//!   broadcasts ([`DaemonMsg::Membership`]), SWIM and health gossip, and
-//!   cluster federation ([`DaemonMsg::Ask`]/[`DaemonMsg::Told`]) travel
-//!   between daemons over `moara-transport` TCP frames, on an auto-bound
-//!   listener whose address is exchanged through membership;
+//!   broadcasts ([`DaemonMsg::Membership`]), SWIM, and cluster reads of
+//!   traces, metrics, history and health
+//!   ([`DaemonMsg::Ask`]/[`DaemonMsg::Told`]) travel between daemons over
+//!   `moara-transport` TCP frames, on an auto-bound listener whose address
+//!   is exchanged through membership;
 //! * **control plane** — a user-facing listener (the `--listen` address)
 //!   accepts framed [`CtrlRequest`]s from `moara-cli` (queries, attribute
 //!   updates, status) and from joining daemons (`Join`), and nothing else.
@@ -90,7 +91,6 @@ pub use sim::SimSwarm;
 
 use alerts::{AlertEngine, AlertEvent, AlertRule};
 use ctrl::{spawn_accept_loop, CtrlJob};
-use health::{HealthStatus, HealthSummary, PeerHealthRow};
 use membership::load_overlay;
 use moara_gateway::json::JsonLine;
 use node::moara_ctx;
@@ -148,8 +148,8 @@ pub struct DaemonOpts {
     pub gw_idle_timeout_ms: u64,
     /// Event-loop stall watchdog threshold in milliseconds
     /// (`--stall-threshold-ms`): a tick whose *work* time (poll wait
-    /// excluded) crosses this counts as stalled — gossiped in the
-    /// health digest and watched by the `event_loop_stall` alert.
+    /// excluded) crosses this counts as stalled — the health sample's
+    /// `stalled_ticks`, watched by the `event_loop_stall` alert.
     pub stall_threshold_ms: u64,
     /// Extra alert rules (`--alert-rules FILE`, parsed by
     /// `alerts::parse_rules`). Merged over the built-in defaults: a
@@ -304,16 +304,9 @@ pub struct Daemon {
     stall_threshold_us: u64,
     /// Ticks whose work time crossed the threshold since boot.
     stalled_ticks: u64,
-    /// The freshest local health sample (what peers receive as our
-    /// digest; also this daemon's own row in the merged table).
-    my_health: HealthSummary,
-    /// Gossiped peer digests: node → (digest, arrival stamp).
-    peer_health: HashMap<u32, (HealthSummary, Instant)>,
     /// When the maintenance timer (self-sample + alert evaluation)
     /// last ran.
     last_health_sample: Instant,
-    /// Live digests older than this flip a member's row to `stale`.
-    health_stale_after: Duration,
     /// The alert engine (built-ins merged with `--alert-rules`).
     alert_engine: AlertEngine,
     /// Most recent sampled trace id per gateway-latency bucket (only
@@ -361,10 +354,9 @@ fn cache_sub_lease() -> SimDuration {
 /// How often the result cache sweeps for idle promoted entries.
 const CACHE_SWEEP_EVERY: Duration = Duration::from_secs(5);
 
-/// How often the maintenance timer samples this daemon's health (and
-/// re-evaluates the alert rules against the fresh sample). The digest
-/// peers hold about us is therefore at most this much older than the
-/// SWIM message that carried it.
+/// How often the maintenance timer samples this daemon's health into the
+/// history rings (and re-evaluates the alert rules against the fresh
+/// sample).
 const HEALTH_SAMPLE_EVERY: Duration = Duration::from_secs(1);
 
 /// Minimum spacing between stall-watchdog crash dumps (a sustained
@@ -581,12 +573,7 @@ impl Daemon {
             started: Instant::now(),
             stall_threshold_us: opts.stall_threshold_ms.saturating_mul(1_000).max(1),
             stalled_ticks: 0,
-            my_health: HealthSummary::default(),
-            peer_health: HashMap::new(),
             last_health_sample: Instant::now(),
-            health_stale_after: health::stale_after(Duration::from_micros(
-                opts.swim.period.as_micros(),
-            )),
             alert_engine: AlertEngine::new(alert_rules),
             gw_latency_exemplars: Histogram::new(&moara_gateway::REQUEST_LATENCY_BOUNDS_US),
             recorder,
@@ -667,15 +654,6 @@ impl Daemon {
             self.delta_lag_hist
                 .observe(u64::try_from(stamp.elapsed().as_micros()).unwrap_or(u64::MAX));
         }
-        // Gossiped peer digests pumped this step move into the health
-        // table with an arrival stamp (staleness is judged against it).
-        let arrived = std::mem::take(&mut self.transport.node_mut(self.me).pending_health);
-        if !arrived.is_empty() {
-            let now = Instant::now();
-            for (node, digest) in arrived {
-                self.peer_health.insert(node, (digest, now));
-            }
-        }
         // Keep the transport's undeliverable log bounded (it grows on
         // every send to a dead peer, and this loop runs forever); a gather
         // stops waiting for a peer in it.
@@ -686,14 +664,14 @@ impl Daemon {
         {
             self.broadcast_membership();
         }
-        // Maintenance timer: self-sample into the gossiped digest, feed
-        // the flight recorder's history rings, re-evaluate the alert
-        // rules against the fresh sample (rate() rules read the rings),
-        // and — when dumps are on — rewrite the blackbox dump so a
-        // kill -9 still leaves the final window on disk.
+        // Maintenance timer: self-sample into the flight recorder's
+        // history rings, re-evaluate the alert rules against the fresh
+        // sample (rate() rules read the rings), and — when dumps are on —
+        // rewrite the blackbox dump so a kill -9 still leaves the final
+        // window on disk.
         if self.last_health_sample.elapsed() >= HEALTH_SAMPLE_EVERY {
             self.last_health_sample = Instant::now();
-            let sample = self.sample_health();
+            let sample = self.health_sample();
             let now_ms = now_unix_ms();
             if let Ok(mut h) = self.recorder.history.lock() {
                 h.record(now_ms, &sample);
@@ -780,15 +758,6 @@ impl Daemon {
                     .record_event(kind::ALERT_RESOLVED, format!("rule={rule}")),
             }
         }
-        if !events.is_empty() {
-            // Keep the gossiped firing count fresh without waiting out
-            // the next sample period.
-            let n = self.alert_engine.firing(now).len() as u32;
-            self.my_health.alerts_firing = n;
-            if let Some(d) = &mut self.transport.node_mut(self.me).health_digest {
-                d.alerts_firing = n;
-            }
-        }
     }
 
     /// Journals subsystem activity that only surfaces through counters:
@@ -822,7 +791,7 @@ impl Daemon {
         }
     }
 
-    /// Refreshes the crash-dump context block: the peer health table,
+    /// Refreshes the crash-dump context block: the member table,
     /// currently-firing alerts, and gateway latency exemplars, rendered
     /// as flat JSON lines so a dump carries the cluster's last known
     /// shape alongside this daemon's own series.
@@ -831,18 +800,8 @@ impl Daemon {
             return;
         }
         let mut ctx = String::new();
-        for row in self.health_rows() {
-            let (tick_p99, stalled, firing) = row.summary.as_ref().map_or((0, 0, 0), |s| {
-                (s.tick_p99_us, s.stalled_ticks, s.alerts_firing)
-            });
-            ctx.push_str(&recorder::peer_context_line(
-                row.node,
-                row.status.as_str(),
-                row.age_ms,
-                tick_p99,
-                stalled,
-                firing,
-            ));
+        for m in &self.members {
+            ctx.push_str(&recorder::peer_context_line(m));
             ctx.push('\n');
         }
         let now = Instant::now();
@@ -877,48 +836,6 @@ impl Daemon {
         let h = self.recorder.history.lock().ok()?;
         let (res_s, points) = h.series(metric, range_s, now_unix_ms())?;
         Some((u32::try_from(res_s).unwrap_or(u32::MAX), points))
-    }
-
-    /// The merged cluster-health table: one staleness-stamped row per
-    /// member, self included. Built purely from passive local state
-    /// (the gossiped digest store + the membership view), so it never
-    /// blocks on peers — a partitioned cluster answers instantly with
-    /// `stale` rows.
-    fn health_rows(&self) -> Vec<PeerHealthRow> {
-        let mut rows: Vec<PeerHealthRow> = self
-            .members
-            .iter()
-            .map(|m| {
-                if m.node == self.me.0 {
-                    return PeerHealthRow {
-                        node: m.node,
-                        status: HealthStatus::Ok,
-                        age_ms: u64::try_from(self.last_health_sample.elapsed().as_millis())
-                            .unwrap_or(u64::MAX),
-                        summary: Some(self.my_health.clone()),
-                    };
-                }
-                let held = self.peer_health.get(&m.node);
-                let age_ms = held.map_or(u64::MAX, |(_, at)| {
-                    u64::try_from(at.elapsed().as_millis()).unwrap_or(u64::MAX)
-                });
-                let status = if !m.alive {
-                    HealthStatus::Dead
-                } else if held.is_some_and(|(_, at)| at.elapsed() <= self.health_stale_after) {
-                    HealthStatus::Ok
-                } else {
-                    HealthStatus::Stale
-                };
-                PeerHealthRow {
-                    node: m.node,
-                    status,
-                    age_ms,
-                    summary: held.map(|(h, _)| h.clone()),
-                }
-            })
-            .collect();
-        rows.sort_by_key(|r| r.node);
-        rows
     }
 
     /// Latency-bucket trace exemplars as (key, trace id) pairs:
@@ -1072,7 +989,7 @@ pub(crate) fn resolve(addr: &str) -> Result<SocketAddr, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use health::{AlertWire, CACHE_RATIO_NONE};
+    use health::{AlertWire, HealthStatus, PeerHealthRow};
     use moara_membership::SwimMsg;
     use moara_simnet::Message;
     use moara_trace::{Phase, SpanRecord, TraceSummary};
@@ -1106,10 +1023,10 @@ mod tests {
         }
     }
 
-    /// One of every peer-plane frame: the engine's, membership, SWIM with
-    /// and without a digest, and an `Ask` and a `Told` around every
-    /// control sample — federation carries the control codec between
-    /// peers, so its decoders read untrusted bytes too.
+    /// One of every peer-plane frame: the engine's, membership, SWIM, and
+    /// an `Ask` and a `Told` around every control sample — federation
+    /// carries the control codec between peers, so its decoders read
+    /// untrusted bytes too.
     fn daemon_msgs() -> Vec<DaemonMsg> {
         let mut msgs = vec![
             DaemonMsg::Membership(vec![member(), member()]),
@@ -1131,30 +1048,6 @@ mod tests {
                     state: moara_membership::PeerState::Suspect,
                 }],
             }),
-            DaemonMsg::SwimHealth(
-                SwimMsg::Ping {
-                    seq: 9,
-                    reply_to: NodeId(0),
-                    updates: vec![],
-                },
-                HealthSummary {
-                    node: 7,
-                    incarnation: 2,
-                    uptime_s: 61,
-                    tick_p99_us: 420,
-                    stalled_ticks: 1,
-                    queued_jobs: 3,
-                    open_conns: 12,
-                    open_streams: 2,
-                    watches: 4,
-                    sub_entries: 9,
-                    cache_hit_bp: 9_912,
-                    rss_bytes: 48 << 20,
-                    open_fds: 37,
-                    queries_inflight: 1,
-                    alerts_firing: 0,
-                },
-            ),
         ];
         let asks = ctrl_requests().into_iter().map(|r| DaemonMsg::Ask(7, r));
         msgs.extend(asks.chain(ctrl_replies().into_iter().map(|r| DaemonMsg::Told(7, r))));
@@ -1207,6 +1100,7 @@ mod tests {
                 kind: None,
                 limit: 256,
             },
+            CtrlRequest::HealthFetch,
         ]
     }
 
@@ -1268,18 +1162,16 @@ mod tests {
                     PeerHealthRow {
                         node: 0,
                         status: HealthStatus::Ok,
-                        age_ms: 120,
-                        summary: Some(HealthSummary {
-                            node: 0,
-                            incarnation: 1,
-                            cache_hit_bp: CACHE_RATIO_NONE,
-                            ..HealthSummary::default()
-                        }),
+                        incarnation: 1,
+                        summary: Some(vec![
+                            ("tick_p99_us".into(), 420.0),
+                            ("alerts_firing".into(), 1.0),
+                        ]),
                     },
                     PeerHealthRow {
                         node: 1,
                         status: HealthStatus::Dead,
-                        age_ms: u64::MAX,
+                        incarnation: 3,
                         summary: None,
                     },
                 ],
@@ -1313,6 +1205,16 @@ mod tests {
                 kind: "swim_confirm".into(),
                 detail: "peer=1".into(),
             }]),
+            CtrlReply::Health {
+                sample: vec![("watches".into(), 2.0), ("rss_bytes".into(), 48e6)],
+                firing: vec![AlertWire {
+                    rule: "fd_ceiling".into(),
+                    metric: "open_fds".into(),
+                    value: 9_000.0,
+                    threshold: 8_192.0,
+                    since_s: 0,
+                }],
+            },
         ]
     }
 

@@ -6,11 +6,10 @@
 //!   family name, in table order;
 //! * `status --json` ([`Daemon::metrics_snapshot`]) — the rows with a
 //!   `status` key;
-//! * the 1 Hz health sample ([`Daemon::health_sample`]) — the rows with
-//!   a `sample` key: what `/v1/history` stores, what alert rules compare
-//!   against, what blackbox dumps carry;
-//! * the gossiped [`HealthSummary`] ([`digest`]) — filled from that
-//!   sample by key.
+//! * the health sample ([`Daemon::health_sample`]) — the rows with a
+//!   `sample` key: what `/v1/history` stores at 1 Hz, what alert rules
+//!   compare against, what blackbox dumps carry, and what a member
+//!   answers `/v1/cluster/health` with.
 //!
 //! A new metric is one new row (`docs/observability.md`, "Adding a
 //! metric"); the tests below hold the table to the documents and to the
@@ -23,9 +22,8 @@ use moara_gateway::reactor::Endpoint;
 use moara_gateway::{GatewayStats, MetricsRegistry};
 use moara_trace::Snapshot;
 use moara_transport::Transport;
-use moara_wire::Wire;
 
-use crate::health::{self, HealthSummary, CACHE_RATIO_NONE, HEALTH_DIGEST_MAX_BYTES};
+use crate::health;
 use crate::{Daemon, DaemonNode};
 
 /// Reads one unlabelled number; `None` while the subsystem that owns it
@@ -107,9 +105,8 @@ fn gw(d: &Daemon) -> Option<&GatewayStats> {
     d.gw_handle.as_ref().map(|gw| &**gw.stats())
 }
 
-/// Result-cache hit ratio in percent at basis-point resolution (what the
-/// digest carries). With the cache off or unused this is a gap (`NaN`),
-/// not 0 %.
+/// Result-cache hit ratio in percent at basis-point resolution. With the
+/// cache off or unused this is a gap (`NaN`), not 0 %.
 fn cache_hit_pct(d: &Daemon) -> Option<f64> {
     let bp = d.query_cache.as_deref().and_then(|c| {
         let (hits, misses) = (c.hits(), c.misses());
@@ -277,43 +274,6 @@ pub(crate) fn sample_keys() -> impl Iterator<Item = &'static str> {
     CATALOGUE.iter().filter_map(|m| m.sample)
 }
 
-/// The gossiped digest of one health sample: each measured field is the
-/// sample key of the same name. `NaN` (no source: a simulated daemon, an
-/// unused cache) gossips as 0, the cache ratio as "none".
-pub(crate) fn digest(
-    node: u32,
-    incarnation: u64,
-    alerts_firing: u32,
-    sample: &[(&'static str, f64)],
-) -> HealthSummary {
-    let at = |key: &str| {
-        let found = sample.iter().find(|(k, _)| *k == key);
-        found.expect("a digest field reads a health-sample key").1
-    };
-    let hit_pct = at("cache_hit_pct");
-    HealthSummary {
-        node,
-        incarnation,
-        uptime_s: at("uptime_s") as u64,
-        tick_p99_us: at("tick_p99_us") as u64,
-        stalled_ticks: at("stalled_ticks") as u64,
-        queued_jobs: at("queued_jobs") as u32,
-        open_conns: at("open_conns") as u32,
-        open_streams: at("open_streams") as u32,
-        watches: at("watches") as u32,
-        sub_entries: at("sub_entries") as u32,
-        cache_hit_bp: if hit_pct.is_nan() {
-            CACHE_RATIO_NONE
-        } else {
-            (hit_pct * 100.0).round() as u16
-        },
-        rss_bytes: at("rss_bytes") as u64,
-        open_fds: at("open_fds") as u32,
-        queries_inflight: at("queries_inflight") as u32,
-        alerts_firing,
-    }
-}
-
 impl Daemon {
     /// Snapshots every scraped row into one Prometheus exposition.
     pub(crate) fn render_metrics(&self) -> String {
@@ -336,29 +296,15 @@ impl Daemon {
             .collect()
     }
 
-    /// The 1 Hz health sample: what the alert rules compare against and
-    /// the flight recorder's history rings store. One fixed key set; a
-    /// subsystem that is off counts 0, an unknown ratio is `NaN` (which
-    /// no alert operator matches and the rings render as a gap).
+    /// The health sample: what the alert rules compare against, the
+    /// flight recorder's history rings store, and `HealthFetch` answers.
+    /// One fixed key set; a subsystem that is off counts 0, an unknown
+    /// ratio is `NaN` (which no alert operator matches and the rings
+    /// render as a gap).
     pub(crate) fn health_sample(&self) -> Vec<(&'static str, f64)> {
         let rows = CATALOGUE.iter();
         rows.filter_map(|m| Some((m.sample?, m.value(self).unwrap_or(0.0))))
             .collect()
-    }
-
-    /// Takes a fresh health sample and publishes its [`HealthSummary`]
-    /// as the digest every outgoing SWIM message piggybacks.
-    pub(crate) fn sample_health(&mut self) -> Vec<(&'static str, f64)> {
-        let sample = self.health_sample();
-        let firing = self.alert_engine.firing(Instant::now()).len() as u32;
-        let summary = digest(self.me.0, node(self).swim.incarnation(), firing, &sample);
-        // The size cap is a wire invariant, not a hope: a digest that
-        // would fatten SWIM probes past it is simply not gossiped.
-        if summary.encoded_len() <= HEALTH_DIGEST_MAX_BYTES {
-            self.transport.node_mut(self.me).health_digest = Some(summary.clone());
-        }
-        self.my_health = summary;
-        sample
     }
 }
 
@@ -479,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn rows_are_unique_and_every_digest_field_has_its_key() {
+    fn rows_are_unique_and_the_bare_scrape_lints() {
         fn unique(what: &str, keys: impl Iterator<Item = &'static str>) {
             let mut seen = BTreeSet::new();
             for key in keys {
@@ -489,9 +435,6 @@ mod tests {
         unique("family", families());
         unique("status key", CATALOGUE.iter().filter_map(|m| m.status));
         unique("sample key", CATALOGUE.iter().filter_map(|m| m.sample));
-        // `digest` panics on a field whose key no row samples.
-        let sample: Vec<_> = sample_keys().map(|k| (k, 1.0)).collect();
-        assert_eq!(digest(7, 3, 2, &sample).watches, 1);
         let mut bare = daemon(false);
         moara_gateway::lint_exposition(&bare.render_metrics()).unwrap();
         bare.shutdown();

@@ -13,7 +13,6 @@ use moara_trace::{Phase, SpanRecord, SpanStore, TRACE_NS_SWIM};
 use moara_transport::{NetCtx, NetProtocol};
 use moara_wire::{Wire, WireError};
 
-use crate::health::HealthSummary;
 use crate::{CtrlReply, CtrlRequest};
 
 /// One cluster member, as carried in membership lists.
@@ -72,14 +71,9 @@ pub enum DaemonMsg {
     /// Failure-detector traffic: pings, indirect probes, acks, each
     /// piggybacking membership gossip (see `moara-membership`).
     Swim(SwimMsg),
-    /// Failure-detector traffic carrying the sender's health digest as
-    /// a second piggyback — the zero-extra-messages dissemination layer
-    /// of the cluster health plane. A separate tag (rather than an
-    /// `Option` inside `Swim`) keeps plain SWIM frames byte-identical
-    /// to pre-health builds.
-    SwimHealth(SwimMsg, HealthSummary),
-    /// Federation: one leaf read (`TraceFetch`, `MetricsFetch` or
-    /// `HistoryFetch`) asked of a peer; the id pairs it with its answer.
+    /// Federation: one leaf read (`TraceFetch`, `MetricsFetch`,
+    /// `HistoryFetch` or `HealthFetch`) asked of a peer; the id pairs it
+    /// with its answer.
     Ask(u64, CtrlRequest),
     /// Federation: the answer to the receiver's [`DaemonMsg::Ask`] of the
     /// same id.
@@ -101,11 +95,6 @@ impl Wire for DaemonMsg {
                 out.push(2);
                 s.encode(out);
             }
-            DaemonMsg::SwimHealth(s, h) => {
-                out.push(3);
-                s.encode(out);
-                h.encode(out);
-            }
             DaemonMsg::Ask(id, req) => {
                 out.push(4);
                 id.encode(out);
@@ -123,7 +112,8 @@ impl Wire for DaemonMsg {
             0 => DaemonMsg::Moara(Wire::decode(buf)?),
             1 => DaemonMsg::Membership(Wire::decode(buf)?),
             2 => DaemonMsg::Swim(Wire::decode(buf)?),
-            3 => DaemonMsg::SwimHealth(Wire::decode(buf)?, Wire::decode(buf)?),
+            // Tag 3 is not reused: an older peer's SWIM frame with a health
+            // digest must fail to decode, not read as another frame.
             4 => DaemonMsg::Ask(Wire::decode(buf)?, Wire::decode(buf)?),
             5 => DaemonMsg::Told(Wire::decode(buf)?, Wire::decode(buf)?),
             _ => return Err(WireError::Invalid("DaemonMsg tag")),
@@ -134,7 +124,6 @@ impl Wire for DaemonMsg {
             DaemonMsg::Moara(m) => m.encoded_len(),
             DaemonMsg::Membership(ms) => ms.encoded_len(),
             DaemonMsg::Swim(s) => s.encoded_len(),
-            DaemonMsg::SwimHealth(s, h) => s.encoded_len() + h.encoded_len(),
             DaemonMsg::Ask(_, req) => 8 + req.encoded_len(),
             DaemonMsg::Told(_, reply) => 8 + reply.encoded_len(),
         }
@@ -194,16 +183,11 @@ pub(crate) fn moara_ctx(
 }
 
 /// The failure detector's view of the peer plane: its messages travel as
-/// [`DaemonMsg::Swim`] — or as [`DaemonMsg::SwimHealth`] while this
-/// daemon has a health digest to gossip, riding the probe for free.
-pub(crate) fn swim_ctx<'a>(
-    inner: &'a mut dyn NetCtx<DaemonMsg>,
-    digest: Option<&'a HealthSummary>,
-) -> Envelope<'a, impl FnMut(SwimMsg) -> DaemonMsg + 'a> {
-    let wrap = move |msg| match digest {
-        Some(h) => DaemonMsg::SwimHealth(msg, h.clone()),
-        None => DaemonMsg::Swim(msg),
-    };
+/// [`DaemonMsg::Swim`].
+pub(crate) fn swim_ctx(
+    inner: &mut dyn NetCtx<DaemonMsg>,
+) -> Envelope<'_, impl FnMut(SwimMsg) -> DaemonMsg> {
+    let wrap = DaemonMsg::Swim;
     Envelope { inner, wrap }
 }
 
@@ -228,14 +212,6 @@ pub struct DaemonNode {
     /// loop — feeds the delta-lag histogram (receive → end of the step
     /// that folded it). Bounded: the loop drains it every step.
     pub pending_delta_stamps: Vec<Instant>,
-    /// This daemon's freshest health digest, attached to every outgoing
-    /// SWIM message while set (`None` until the first sample, and
-    /// always `None` in harnesses that opt out of health gossip — then
-    /// the wire stays byte-identical to pre-health builds).
-    pub health_digest: Option<HealthSummary>,
-    /// Peer digests received since the event loop last drained them
-    /// (bounded: drained every step, and refreshed in place per peer).
-    pub pending_health: Vec<(u32, HealthSummary)>,
     /// Federation frames ([`DaemonMsg::Ask`], [`DaemonMsg::Told`]) and
     /// their senders, for the event loop, which owns what they read and
     /// wait on (bounded: drained every step).
@@ -252,18 +228,7 @@ impl DaemonNode {
             tracer: None,
             swim_trace_ctr: 0,
             pending_delta_stamps: Vec::new(),
-            health_digest: None,
-            pending_health: Vec::new(),
             federation: Vec::new(),
-        }
-    }
-
-    /// Queues a freshly gossiped peer digest for the event loop,
-    /// replacing any queued older one from the same peer.
-    fn intake_health(&mut self, from: u32, digest: HealthSummary) {
-        match self.pending_health.iter_mut().find(|(n, _)| *n == from) {
-            Some(slot) => slot.1 = digest,
-            None => self.pending_health.push((from, digest)),
         }
     }
 }
@@ -272,21 +237,10 @@ impl NetProtocol for DaemonNode {
     type Msg = DaemonMsg;
 
     fn on_start(&mut self, ctx: &mut dyn NetCtx<DaemonMsg>) {
-        self.swim
-            .start(&mut swim_ctx(ctx, self.health_digest.as_ref()));
+        self.swim.start(&mut swim_ctx(ctx));
     }
 
     fn on_message(&mut self, ctx: &mut dyn NetCtx<DaemonMsg>, from: NodeId, msg: DaemonMsg) {
-        // A piggybacked health digest is peeled off for the event
-        // loop's peer table before the detector sees the probe (the
-        // detector itself is health-agnostic).
-        let msg = match msg {
-            DaemonMsg::SwimHealth(s, h) => {
-                self.intake_health(from.0, h);
-                DaemonMsg::Swim(s)
-            }
-            other => other,
-        };
         match msg {
             DaemonMsg::Moara(m) => {
                 // Stamp SubDelta arrivals so the event loop can histogram
@@ -339,18 +293,15 @@ impl NetProtocol for DaemonNode {
                         }
                     }
                 }
-                self.swim
-                    .on_message(&mut swim_ctx(ctx, self.health_digest.as_ref()), from, s);
+                self.swim.on_message(&mut swim_ctx(ctx), from, s);
             }
-            DaemonMsg::SwimHealth(..) => unreachable!("unwrapped above"),
             msg @ (DaemonMsg::Ask(..) | DaemonMsg::Told(..)) => self.federation.push((from.0, msg)),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut dyn NetCtx<DaemonMsg>, tag: TimerTag) {
         if self.swim.owns_tag(tag) {
-            self.swim
-                .on_timer(&mut swim_ctx(ctx, self.health_digest.as_ref()), tag);
+            self.swim.on_timer(&mut swim_ctx(ctx), tag);
         } else {
             self.moara.on_timer(&mut moara_ctx(ctx), tag);
         }

@@ -15,7 +15,7 @@
 //!   behind the daemon's `record_event()`. Served at `GET /v1/events`
 //!   and `moara-cli events`.
 //! * Crash forensics — [`Recorder::render_dump`] serializes the last
-//!   history window + journal tail + peer digests + trace exemplars as
+//!   history window + journal tail + member table + trace exemplars as
 //!   flat JSONL. The daemon writes it as a continuously-refreshed
 //!   *blackbox* file every sample period (atomic rename, so even a
 //!   `kill -9` or segfault leaves the final window on disk) and as
@@ -34,6 +34,8 @@ use std::sync::Mutex;
 use moara_gateway::json::JsonLine;
 use moara_trace::Ring;
 use moara_wire::{Wire, WireError};
+
+use crate::Member;
 
 /// Tier-1 ring: 1-second resolution, two minutes deep — enough to see
 /// the shape of the incident that just happened.
@@ -342,7 +344,7 @@ pub struct Recorder {
     pub history: Mutex<MetricsHistory>,
     /// The event journal (locked inside; no outer lock).
     pub journal: EventJournal,
-    /// Pre-rendered cluster-context dump lines (peer digests, firing
+    /// Pre-rendered cluster-context dump lines (member table, firing
     /// alerts, trace exemplars), refreshed by the loop each sample so
     /// a dump never has to reach into loop-owned state.
     context: Mutex<String>,
@@ -501,26 +503,15 @@ pub fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-/// Helper for dump context rendering: one peer digest as a flat line.
-pub fn peer_context_line(
-    node: u32,
-    status: &str,
-    age_ms: u64,
-    tick_p99_us: u64,
-    stalled_ticks: u64,
-    alerts_firing: u32,
-) -> String {
-    let mut line = JsonLine::new()
+/// Helper for dump context rendering: one member-table entry as a flat
+/// line (`status` is `alive` or `dead`).
+pub fn peer_context_line(m: &Member) -> String {
+    JsonLine::new()
         .str("t", "peer")
-        .u64("node", u64::from(node))
-        .str("status", status)
-        .u64("age_ms", age_ms)
-        .u64("tick_p99_us", tick_p99_us)
-        .u64("stalled_ticks", stalled_ticks)
-        .u64("alerts_firing", u64::from(alerts_firing))
-        .finish();
-    line.push('\n');
-    line
+        .u64("node", u64::from(m.node))
+        .str("status", if m.alive { "alive" } else { "dead" })
+        .u64("incarnation", m.incarnation)
+        .finish()
 }
 
 #[cfg(test)]
@@ -652,7 +643,18 @@ mod tests {
         }
         r.journal
             .record(5000, 3, kind::SWIM_CONFIRM, "peer=1".into());
-        r.set_context(peer_context_line(1, "dead", u64::MAX, 0, 0, 0));
+        let dead = Member {
+            node: 1,
+            ring_id: 7,
+            addr: "127.0.0.1:1".into(),
+            incarnation: 2,
+            alive: false,
+        };
+        assert_eq!(
+            peer_context_line(&dead),
+            "{\"t\":\"peer\",\"node\":1,\"status\":\"dead\",\"incarnation\":2}"
+        );
+        r.set_context(peer_context_line(&dead));
         let dump = r.render_dump("blackbox", 5000);
         let mut metas = 0;
         let mut series = 0;

@@ -96,46 +96,35 @@ pub(crate) fn alerts_json(node: u32, alerts: &[AlertWire]) -> String {
     format!("{{\"node\":{node},\"firing\":[{}]}}\n", items.join(","))
 }
 
-/// One member row of the cluster health table.
+/// One member row of the cluster health table: the member table's view
+/// of it, then its answer, key for key (`NaN`, an unknown ratio, as
+/// `null`). The keys come off the peer plane, so they are escaped.
 fn health_row_json(r: &PeerHealthRow) -> String {
     use moara_gateway::json::escape;
-    let age = if r.age_ms == u64::MAX {
-        "null".to_owned()
-    } else {
-        r.age_ms.to_string()
-    };
-    let summary = r.summary.as_ref().map_or("null".to_owned(), |h| {
-        format!(
-            "{{\"incarnation\":{},\"uptime_s\":{},\"tick_p99_us\":{},\"stalled_ticks\":{},\
-             \"queued_jobs\":{},\"open_conns\":{},\"open_streams\":{},\"watches\":{},\
-             \"sub_entries\":{},\"cache_hit_pct\":{},\"rss_bytes\":{},\"open_fds\":{},\
-             \"queries_inflight\":{},\"alerts_firing\":{}}}",
-            h.incarnation,
-            h.uptime_s,
-            h.tick_p99_us,
-            h.stalled_ticks,
-            h.queued_jobs,
-            h.open_conns,
-            h.open_streams,
-            h.watches,
-            h.sub_entries,
-            h.cache_hit_pct()
-                .map_or("null".to_owned(), |p| format!("{p:.2}")),
-            h.rss_bytes,
-            h.open_fds,
-            h.queries_inflight,
-            h.alerts_firing,
-        )
+    let summary = r.summary.as_ref().map_or("null".to_owned(), |sample| {
+        let fields: Vec<String> = sample
+            .iter()
+            .map(|(key, v)| {
+                let v = if v.is_finite() {
+                    v.to_string()
+                } else {
+                    "null".into()
+                };
+                format!("{}:{v}", escape(key))
+            })
+            .collect();
+        format!("{{{}}}", fields.join(","))
     });
-    format!(
-        "{{\"node\":{},\"status\":{},\"age_ms\":{age},\"summary\":{summary}}}",
-        r.node,
-        escape(r.status.as_str()),
-    )
+    JsonLine::new()
+        .u64("node", u64::from(r.node))
+        .str("status", r.status.as_str())
+        .u64("incarnation", r.incarnation)
+        .raw("summary", &summary)
+        .finish()
 }
 
-/// The `GET /v1/cluster/health` body: the answering daemon's merged
-/// member table (self + gossiped digests) plus its firing alerts.
+/// The `GET /v1/cluster/health` body: the answering daemon's member
+/// table joined with each member's answer, plus its own firing alerts.
 pub(crate) fn cluster_health_json(
     node: u32,
     rows: &[PeerHealthRow],
@@ -263,40 +252,38 @@ pub(crate) fn slow_query_line(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::health::{HealthStatus, HealthSummary, CACHE_RATIO_NONE};
+    use crate::health::HealthStatus;
 
-    /// The `u16::MAX` "no traffic yet" cache-ratio sentinel must never
-    /// surface as a bogus percentage: the merged health table renders
-    /// it as JSON `null` (and `moara-cli top` as `n/a`).
+    /// An unknown ratio (`NaN`: the cache is off or unused) never
+    /// surfaces as a bogus percentage: the health table renders it as
+    /// JSON `null` (and `moara-cli top` as `n/a`).
     #[test]
     fn cache_hit_sentinel_renders_as_null_not_a_percentage() {
-        let row = PeerHealthRow {
+        let row = |pct: f64| PeerHealthRow {
             node: 4,
             status: HealthStatus::Ok,
-            age_ms: 12,
-            summary: Some(HealthSummary {
-                node: 4,
-                cache_hit_bp: CACHE_RATIO_NONE,
-                ..HealthSummary::default()
-            }),
+            incarnation: 2,
+            summary: Some(vec![
+                ("cache_hit_pct".into(), pct),
+                ("rss_bytes".into(), 48e6),
+                ("alerts_firing".into(), 0.0),
+            ]),
         };
-        let json = health_row_json(&row);
-        assert!(
-            json.contains("\"cache_hit_pct\":null"),
-            "sentinel must render null, got: {json}"
+        assert_eq!(
+            health_row_json(&row(f64::NAN)),
+            "{\"node\":4,\"status\":\"ok\",\"incarnation\":2,\"summary\":\
+             {\"cache_hit_pct\":null,\"rss_bytes\":48000000,\"alerts_firing\":0}}"
         );
-        let row_with_traffic = PeerHealthRow {
-            summary: Some(HealthSummary {
-                node: 4,
-                cache_hit_bp: 2_500,
-                ..HealthSummary::default()
-            }),
-            ..row
+        let json = health_row_json(&row(25.0));
+        assert!(json.contains("\"cache_hit_pct\":25,"), "{json}");
+        let silent = PeerHealthRow {
+            status: HealthStatus::Stale,
+            summary: None,
+            ..row(0.0)
         };
-        let json = health_row_json(&row_with_traffic);
-        assert!(
-            json.contains("\"cache_hit_pct\":25.00"),
-            "real ratios still render, got: {json}"
+        assert_eq!(
+            health_row_json(&silent),
+            "{\"node\":4,\"status\":\"stale\",\"incarnation\":2,\"summary\":null}"
         );
     }
 

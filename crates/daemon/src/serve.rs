@@ -19,7 +19,7 @@ use moara_transport::Transport;
 use crate::ctrl::{CtrlOut, CtrlReply, CtrlRequest};
 use crate::node::moara_ctx;
 use crate::recorder::{kind, now_unix_ms};
-use crate::{parse_value, render, Daemon, DaemonMsg};
+use crate::{health, parse_value, render, Daemon, DaemonMsg};
 
 /// How long a scatter-gather waits for its peers before reporting the
 /// silent ones missing: one deadline for the whole fan-out, however many
@@ -137,8 +137,6 @@ pub(crate) struct HttpView {
     cache: Option<&'static str>,
     /// `POST /v1/attrs`: how many pairs the body set.
     attrs: usize,
-    /// `GET /v1/alerts`: show only the firing rules of the health table.
-    alerts_only: bool,
     /// `GET /v1/trace/{id}`: the id asked for.
     trace_id: u64,
     /// `GET /v1/traces`: the latency-bucket exemplars listed next to the
@@ -193,10 +191,7 @@ pub(crate) fn gw_request(
         GwRequest::ClusterMetrics => return Ok((Vec::new(), view)),
         GwRequest::Health => CtrlRequest::Status,
         GwRequest::ClusterHealth => CtrlRequest::ClusterHealth,
-        GwRequest::Alerts => {
-            view.alerts_only = true;
-            CtrlRequest::ClusterHealth
-        }
+        GwRequest::Alerts => CtrlRequest::HealthFetch,
         GwRequest::Traces { limit } => {
             view.exemplars = exemplars();
             let limit = clamp(limit);
@@ -264,9 +259,7 @@ pub(crate) fn gw_reply(view: &HttpView, reply: CtrlReply) -> GwReply {
             json(render::trace_json(view.trace_id, &spans, &missing))
         }
         CtrlReply::Traces(ts) => json(render::traces_json(&ts, &view.exemplars)),
-        CtrlReply::ClusterHealth { node, alerts, .. } if view.alerts_only => {
-            json(render::alerts_json(node, &alerts))
-        }
+        CtrlReply::Health { firing, .. } => json(render::alerts_json(view.node, &firing)),
         CtrlReply::ClusterHealth { node, rows, alerts } => {
             json(render::cluster_health_json(node, &rows, &alerts))
         }
@@ -443,7 +436,8 @@ impl Daemon {
             }
             op @ (CtrlRequest::TraceFetch { .. }
             | CtrlRequest::MetricsFetch
-            | CtrlRequest::HistoryFetch { .. }) => self.leaf_read(op),
+            | CtrlRequest::HistoryFetch { .. }
+            | CtrlRequest::HealthFetch) => self.leaf_read(op),
             CtrlRequest::TraceGet { trace_id } => {
                 let leaf = CtrlRequest::TraceFetch { trace_id };
                 self.gather(leaf, to, |answers, missing| {
@@ -462,11 +456,13 @@ impl Daemon {
                 let tracer = self.tracer.as_ref();
                 CtrlReply::Traces(tracer.map(|t| t.recent(limit as usize)).unwrap_or_default())
             }
-            CtrlRequest::ClusterHealth => CtrlReply::ClusterHealth {
-                node: me.0,
-                rows: self.health_rows(),
-                alerts: self.alert_engine.firing(Instant::now()),
-            },
+            CtrlRequest::ClusterHealth => {
+                let members = self.members.clone();
+                self.gather(CtrlRequest::HealthFetch, to, move |answers, _| {
+                    health::cluster_health(me.0, &members, answers)
+                });
+                return;
+            }
             CtrlRequest::ClusterHistory { metric, range_s } => {
                 let leaf = CtrlRequest::HistoryFetch {
                     metric: metric.clone(),
@@ -498,9 +494,10 @@ impl Daemon {
         let _ = to.send(reply);
     }
 
-    /// The reads a peer may ask of this daemon — its own spans, scrape
-    /// and history — answered as the control port answers them. Anything
-    /// else is refused: a peer may read this daemon, never drive it.
+    /// The reads a peer may ask of this daemon — its own spans, scrape,
+    /// history and health — answered as the control port answers them.
+    /// Anything else is refused: a peer may read this daemon, never
+    /// drive it.
     fn leaf_read(&self, op: CtrlRequest) -> CtrlReply {
         match op {
             CtrlRequest::TraceFetch { trace_id } => {
@@ -518,6 +515,12 @@ impl Daemon {
                     None => CtrlReply::Error(format!("unknown metric `{metric}`")),
                 }
             }
+            CtrlRequest::HealthFetch => CtrlReply::Health {
+                sample: (self.health_sample().into_iter())
+                    .map(|(key, value)| (key.to_owned(), value))
+                    .collect(),
+                firing: self.alert_engine.firing(Instant::now()),
+            },
             other => CtrlReply::Error(format!("not a peer read: {other:?}")),
         }
     }
@@ -896,8 +899,43 @@ mod tests {
         assert_eq!(status, 404);
     }
 
+    /// `/v1/alerts` is this daemon's own leaf read and asks no peer, while
+    /// the health table asks every other alive member.
+    #[test]
+    fn alerts_read_the_local_leaf_and_ask_no_peer() {
+        let any = "127.0.0.1:0".parse().unwrap();
+        let mut d = Daemon::start(crate::DaemonOpts::new(any)).expect("daemon boots");
+        d.members.push(crate::Member {
+            node: 1,
+            ring_id: 7,
+            addr: "127.0.0.1:1".into(),
+            incarnation: 0,
+            alive: true,
+        });
+        let (mut ops, view) = gw_request(GwRequest::Alerts, Vec::new).expect("a valid route");
+        assert_eq!(ops, [CtrlRequest::HealthFetch]);
+        let sent = d.transport.stats().total_messages();
+        let (tx, rx) = std::sync::mpsc::channel();
+        d.serve(ops.pop().expect("one operation"), ReplyTo::Ctrl(tx));
+        let reply = match rx.try_recv() {
+            Ok(CtrlOut::Reply(reply)) => reply,
+            _ => panic!("answered on the spot"),
+        };
+        assert!(d.gathers.is_empty());
+        assert_eq!(d.transport.stats().total_messages(), sent);
+        let body = match gw_reply(&view, reply) {
+            GwReply::Json { body } => body,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(body, "{\"node\":0,\"firing\":[]}\n");
+        let (tx, _rx) = std::sync::mpsc::channel();
+        d.serve(CtrlRequest::ClusterHealth, ReplyTo::Ctrl(tx));
+        assert_eq!(d.gathers.len(), 1);
+        assert_eq!(d.transport.stats().total_messages(), sent + 1);
+    }
+
     /// A peer may read this daemon, never drive it: an `Ask` for anything
-    /// but the three leaf reads is answered with an error and changes
+    /// but the four leaf reads is answered with an error and changes
     /// nothing.
     #[test]
     fn a_peer_ask_for_a_non_leaf_operation_is_refused() {

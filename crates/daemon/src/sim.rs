@@ -22,10 +22,9 @@ use moara_transport::{SimTransport, Transport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::health::HealthSummary;
 use crate::membership::load_overlay;
 use crate::node::{moara_ctx, swim_ctx};
-use crate::{metrics, DaemonNode, Member};
+use crate::{DaemonNode, Member};
 
 /// One simulated daemon's private world-view: its overlay directory and
 /// which members it currently believes alive.
@@ -39,20 +38,6 @@ pub struct SimSwarm {
     transport: SimTransport<DaemonNode>,
     views: Vec<SwarmView>,
     swim_period: SimDuration,
-}
-
-/// One simulated daemon's health sample: the daemon's own key set, with
-/// `NaN` (a gap) under every key the harness has no source for — there
-/// is no event loop, gateway or process to measure here.
-fn health_sample(dn: &DaemonNode, view: &SwarmView) -> Vec<(&'static str, f64)> {
-    let value = |key| match key {
-        "watches" => dn.moara.active_watches() as f64,
-        "sub_entries" => dn.moara.sub_entry_count() as f64,
-        "dead_members" => view.alive.iter().filter(|a| !**a).count() as f64,
-        _ => f64::NAN,
-    };
-    let keys = metrics::sample_keys();
-    keys.map(|key| (key, value(key))).collect()
 }
 
 impl SimSwarm {
@@ -256,36 +241,6 @@ impl SimSwarm {
         }
     }
 
-    /// Turns on health-digest piggybacking for every daemon, exactly as
-    /// the real event loop does once its first self-sample lands: each
-    /// node's current state is snapshotted into a [`HealthSummary`] that
-    /// rides every subsequent outgoing SWIM message. `swim_sim` compares
-    /// a swarm with this on against one without it (same seed, same
-    /// workload).
-    pub fn enable_health_gossip(&mut self) {
-        for i in 0..self.views.len() as u32 {
-            let me = NodeId(i);
-            if !self.transport.is_alive(me) {
-                continue;
-            }
-            let dn = self.transport.node_mut(me);
-            let sample = health_sample(dn, &self.views[me.index()]);
-            dn.health_digest = Some(metrics::digest(i, dn.swim.incarnation(), 0, &sample));
-        }
-    }
-
-    /// The freshest health digest daemon `at` holds about peer `about`
-    /// (gossiped, not asked for). `None` until gossip delivers one.
-    pub fn peer_digest(&self, at: NodeId, about: NodeId) -> Option<HealthSummary> {
-        self.transport
-            .node(at)
-            .pending_health
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == about.0)
-            .map(|(_, h)| h.clone())
-    }
-
     /// Crashes a daemon at the *network* level: its frames stop flowing
     /// and its timers die. Nobody is told — the survivors' detectors
     /// must find out.
@@ -313,7 +268,7 @@ impl SimSwarm {
             dn.swim.reset_transients(ctx.now());
             let inc = dn.swim.incarnation();
             dn.swim.set_incarnation(inc + 1);
-            dn.swim.start(&mut swim_ctx(ctx, dn.health_digest.as_ref()));
+            dn.swim.start(&mut swim_ctx(ctx));
             dn.moara.on_rejoin(&mut moara_ctx(ctx));
         });
     }

@@ -75,9 +75,9 @@ pub enum GwRequest {
         /// Trace id as it appeared in the path (hex or decimal).
         id: String,
     },
-    /// `GET /v1/cluster/health` — the answering daemon's merged member
-    /// health table (self-sample plus digests gossiped on SWIM traffic).
-    /// Served from local state; never blocks on peers.
+    /// `GET /v1/cluster/health` — the cluster health table: the daemon
+    /// asks every alive member for its health sample over the peer plane
+    /// (one 2 s deadline) and joins the answers with its member table.
     ClusterHealth,
     /// `GET /v1/cluster/metrics` — cluster-wide Prometheus exposition:
     /// the daemon fetches every alive peer's scrape over the peer plane
