@@ -68,7 +68,7 @@ use moara_attributes::Value;
 use moara_core::{DeliveryPolicy, Directory, MoaraConfig, MoaraMsg, MoaraNode};
 use moara_gateway::{CacheConfig, GatewayHandle, GatewayOpts, GwJob, QueryCache};
 use moara_membership::{SwimConfig, SwimDetector};
-use moara_query::parse_query;
+use moara_query::{parse_query, Query};
 use moara_simnet::{NodeId, SimDuration, SimTime};
 use moara_trace::{format_trace_id, Histogram, SpanStore};
 use moara_transport::{NetCtx, TcpConfig, TcpTransport, Transport};
@@ -86,7 +86,7 @@ mod serve;
 pub mod sim;
 pub use ctrl::{ctrl_roundtrip, CtrlReply, CtrlRequest};
 pub use node::{DaemonMsg, DaemonNode, Member};
-pub use serve::{GATHER_TIMEOUT, WALK_BURST, WALK_GAP};
+pub use serve::GATHER_TIMEOUT;
 pub use sim::SimSwarm;
 
 use alerts::{AlertEngine, AlertEvent, AlertRule};
@@ -95,7 +95,7 @@ use membership::load_overlay;
 use moara_gateway::json::JsonLine;
 use node::moara_ctx;
 use recorder::{kind, now_unix_ms, Recorder};
-use serve::{Gather, ReplyTo, Walk, WalkPacer};
+use serve::{Gather, ReplyTo, Walk};
 
 /// Startup options for a daemon; `moarad`'s flags set them
 /// ([`flags::parse`]).
@@ -252,9 +252,9 @@ pub struct Daemon {
     /// (single-flight: identical concurrent HTTP queries share one) plus
     /// cache bookkeeping.
     walks: HashMap<u64, Walk>,
-    /// Paces the turns in which this front-end starts walks and holds
-    /// the queries waiting for the next one.
-    walk_pacer: WalkPacer,
+    /// Queries parsed this step, oldest first: text, query, who asked.
+    /// Their walks start together at the end of the step.
+    queued_walks: Vec<(String, Query, ReplyTo)>,
     /// Single-flight registry: normalized query text → the front id of
     /// the walk already running for it. Identical queries arriving
     /// while it runs join its waiter list instead of walking again.
@@ -554,7 +554,7 @@ impl Daemon {
             gw_handle,
             gw_rx,
             walks: HashMap::new(),
-            walk_pacer: WalkPacer::new(Instant::now()),
+            queued_walks: Vec::new(),
             gw_inflight: HashMap::new(),
             query_cache,
             last_cache_sweep: Instant::now(),
@@ -627,13 +627,9 @@ impl Daemon {
     /// membership updates, serves control requests, finishes queries.
     /// Returns true if anything happened.
     pub fn step(&mut self, max_wait: Duration) -> bool {
-        // The next walk turn and the next gather deadline are the ones
-        // besides the transport's own timers that the loop must not sleep
-        // through.
-        let wait = [self.queued_walk_wait(), self.gather_wait()]
-            .into_iter()
-            .flatten()
-            .fold(max_wait, Duration::min);
+        // The next gather deadline is the one besides the transport's own
+        // timers that the loop must not sleep through.
+        let wait = self.gather_wait().map_or(max_wait, |w| w.min(max_wait));
         let mut did = self.transport.pump(wait);
         // Tick timing starts after the poll: it measures how long one
         // loop iteration's *work* takes, not how long the loop idled.

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use moara_core::{DeliveryPolicy, QueryOutcome};
 use moara_gateway::{GwJob, GwReply, GwRequest, ReplySink, SinkClosed, WatchPolicy};
-use moara_query::{parse_query, Query};
+use moara_query::parse_query;
 use moara_simnet::{NodeId, SimDuration};
 use moara_transport::Transport;
 
@@ -31,60 +31,6 @@ pub const GATHER_TIMEOUT: Duration = Duration::from_secs(2);
 /// watcher is unsubscribed within this bound even if its standing query
 /// never changes.
 const WATCH_KEEPALIVE_EVERY: Duration = Duration::from_secs(1);
-
-/// Tree walks start in turns, and this is the gap between two turns
-/// once [`WALK_BURST`] of them have been taken back to back. A turn
-/// starts every query waiting, so requests that arrive together leave
-/// together (identical ones as one walk) and concurrent clients are not
-/// held to any rate; what the gap fixes is how often a lone closed loop
-/// gets to go round — one answer per gap on any machine that walks the
-/// tree in less, instead of however fast the host happens to run that
-/// minute. Cache hits and every other operation take no turn. Half a
-/// millisecond since a hop stopped changing threads: long enough that a
-/// walk on the reference fleet is over well before the next turn.
-pub const WALK_GAP: Duration = Duration::from_micros(500);
-
-/// How many turns may be taken back to back before [`WALK_GAP`] applies:
-/// an operator's few queries, a dashboard's page of them.
-pub const WALK_BURST: u32 = 32;
-
-/// Paces the turns in which this front-end starts tree walks: a token
-/// bucket kept as one timestamp, so a turn taken late is made up by the
-/// next one and the sustained rate is exact.
-pub(crate) struct WalkPacer {
-    /// When the bucket would be full again; each turn moves it one
-    /// [`WALK_GAP`] later.
-    full_at: Instant,
-    /// Parsed queries waiting for the next turn, oldest first: text,
-    /// query, who asked. A connection has one request in flight, so the
-    /// connection caps bound this too.
-    queued: Vec<(String, Query, ReplyTo)>,
-}
-
-impl WalkPacer {
-    pub(crate) fn new(now: Instant) -> WalkPacer {
-        WalkPacer {
-            full_at: now,
-            queued: Vec::new(),
-        }
-    }
-
-    /// How long until the next turn: zero while fewer than
-    /// [`WALK_BURST`] gaps are owed.
-    fn wait(&self, now: Instant) -> Duration {
-        let owed = self.full_at.saturating_duration_since(now);
-        owed.saturating_sub(WALK_GAP * (WALK_BURST - 1))
-    }
-
-    /// Takes a turn if one is due.
-    fn try_turn(&mut self, now: Instant) -> bool {
-        let due = self.wait(now).is_zero();
-        if due {
-            self.full_at = self.full_at.max(now) + WALK_GAP;
-        }
-        due
-    }
-}
 
 /// Where an operation's replies go: down a control connection as they
 /// are, or out through the gateway rendered as HTTP.
@@ -389,10 +335,10 @@ impl Daemon {
         let reply = match op {
             CtrlRequest::Join { addr, prev_node } => self.handle_join(addr, prev_node),
             CtrlRequest::Query { text } => match parse_query(&text) {
-                // Its walk starts with the next turn: at the end of this
-                // step when one is due (`start_queued_walks`).
+                // Its walk starts at the end of this step, with every
+                // other query parsed in it (`start_queued_walks`).
                 Ok(query) => {
-                    self.walk_pacer.queued.push((text, query, to));
+                    self.queued_walks.push((text, query, to));
                     return;
                 }
                 Err(e) => CtrlReply::Error(format!("parse error: {e}")),
@@ -652,24 +598,15 @@ impl Daemon {
         Some(deadline.saturating_duration_since(Instant::now()))
     }
 
-    /// How long the loop may sleep before the next turn is due; `None`
-    /// when no query waits for one.
-    pub(crate) fn queued_walk_wait(&self) -> Option<Duration> {
-        let pacer = &self.walk_pacer;
-        (!pacer.queued.is_empty()).then(|| pacer.wait(Instant::now()))
-    }
-
-    /// Takes a turn when one is due and a query waits: every waiting
-    /// query starts its walk — or, on a caching daemon, joins the
-    /// identical query already walking — in arrival order. The whole turn
-    /// is one transport dispatch, so however many walks it starts, each
-    /// peer they reach gets one `write`.
+    /// Starts every query parsed this step — or, on a caching daemon,
+    /// joins it to the identical query already walking — in arrival
+    /// order. The whole batch is one transport dispatch, so however many
+    /// walks it starts, each peer they reach gets one `write`.
     pub(crate) fn start_queued_walks(&mut self) -> bool {
-        let pacer = &mut self.walk_pacer;
-        if pacer.queued.is_empty() || !pacer.try_turn(Instant::now()) {
+        if self.queued_walks.is_empty() {
             return false;
         }
-        let queued = std::mem::take(&mut pacer.queued);
+        let queued = std::mem::take(&mut self.queued_walks);
         let (walks, inflight) = (&mut self.walks, &mut self.gw_inflight);
         let query_cache = self.query_cache.as_deref();
         self.transport.with_node(self.me, |n, ctx| {
@@ -822,33 +759,96 @@ impl Daemon {
 mod tests {
     use super::*;
 
-    /// A burst of turns at once, then one per gap — and the rate is exact
-    /// however late each turn is taken: lateness is not carried.
+    /// Every query a step parses starts at the end of that step, in the
+    /// one dispatch `start_queued_walks` makes: distinct texts each walk,
+    /// and identical HTTP texts on a caching daemon become one walk with
+    /// one `miss` and the rest `coalesced` waiters.
     #[test]
-    fn walk_pacer_spends_its_burst_then_holds_the_gap_exactly() {
-        let t0 = Instant::now();
-        let mut pacer = WalkPacer::new(t0);
-        for _ in 0..WALK_BURST {
-            assert!(pacer.try_turn(t0));
-        }
-        assert!(!pacer.try_turn(t0));
-        assert_eq!(pacer.wait(t0), WALK_GAP);
+    fn queries_parsed_in_a_step_start_in_its_one_dispatch() {
+        const K: usize = 6;
+        let any = "127.0.0.1:0".parse().unwrap();
+        let opts = crate::DaemonOpts {
+            http: Some(any),
+            ..crate::DaemonOpts::new(any)
+        };
+        let mut d = Daemon::start(opts).expect("daemon boots");
 
-        // A saturating client whose every turn is taken 60 µs late.
-        let late = Duration::from_micros(60);
-        let mut now = t0;
-        for _ in 0..10_000 {
-            now += pacer.wait(now) + late;
-            assert!(pacer.try_turn(now));
+        // K distinct control-port texts: queued as served, walking after
+        // the one call.
+        let (tx, _rx) = std::sync::mpsc::channel();
+        for i in 0..K {
+            let text = format!("SELECT count(*) WHERE Load > {i}");
+            d.serve(CtrlRequest::Query { text }, ReplyTo::Ctrl(tx.clone()));
         }
-        assert_eq!(now - t0, WALK_GAP * 10_000 + late);
+        assert_eq!((d.queued_walks.len(), d.walks.len()), (K, 0));
+        assert!(d.start_queued_walks());
+        assert_eq!((d.queued_walks.len(), d.walks.len()), (0, K));
+        assert!(!d.start_queued_walks(), "nothing left to start");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !d.walks.is_empty() {
+            assert!(Instant::now() < deadline, "walks never finished");
+            d.step(Duration::from_millis(1));
+        }
 
-        // Idle refills the bucket to the burst and no further.
-        now += Duration::from_secs(60);
-        for _ in 0..WALK_BURST {
-            assert!(pacer.try_turn(now));
+        // K identical HTTP texts, all handed over before the loop steps.
+        let http = d.http_addr().expect("gateway enabled");
+        let mut conns: Vec<std::net::TcpStream> = (0..K)
+            .map(|_| {
+                let mut s = std::net::TcpStream::connect(http).expect("connect gateway");
+                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                std::io::Write::write_all(
+                    &mut s,
+                    b"GET /v1/query?q=SELECT%20count(*) HTTP/1.1\r\n\
+                      Host: t\r\nConnection: close\r\n\r\n",
+                )
+                .unwrap();
+                s
+            })
+            .collect();
+        let queued = || {
+            let stats = d.gw_handle.as_ref().expect("gateway").stats();
+            stats.queued_jobs.load(std::sync::atomic::Ordering::Relaxed)
+        };
+        while queued() < K as i64 {
+            assert!(
+                Instant::now() < deadline,
+                "the reactor never handed over {K} jobs"
+            );
+            std::thread::yield_now();
         }
-        assert!(!pacer.try_turn(now));
+        assert_eq!(d.drain_gateway(), K);
+        assert_eq!(d.queued_walks.len(), K);
+        assert!(d.start_queued_walks());
+        assert_eq!(d.walks.len(), 1, "one walk for one text");
+        let walk = d.walks.values().next().expect("one walk");
+        let markers: Vec<_> = (walk.waiters.iter())
+            .map(|to| match to {
+                ReplyTo::Http(_, view) => view.cache,
+                ReplyTo::Ctrl(_) => None,
+            })
+            .collect();
+        let mut want = vec![Some("miss")];
+        want.resize(K, Some("coalesced"));
+        assert_eq!(markers, want);
+        while !d.walks.is_empty() {
+            assert!(Instant::now() < deadline, "the walk never finished");
+            d.step(Duration::from_millis(1));
+        }
+        let mut seen: Vec<String> = (conns.iter_mut())
+            .map(|s| {
+                let mut out = String::new();
+                let _ = std::io::Read::read_to_string(s, &mut out);
+                let head = out.split_once("\r\n\r\n").expect("http response").0;
+                assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+                let cache = head.lines().find_map(|l| l.strip_prefix("X-Moara-Cache: "));
+                cache.expect("a cache marker").to_owned()
+            })
+            .collect();
+        seen.sort();
+        let mut want = vec!["coalesced"; K - 1];
+        want.push("miss");
+        assert_eq!(seen, want);
+        d.shutdown();
     }
 
     /// The history key set exists from boot, not from the first 1 Hz

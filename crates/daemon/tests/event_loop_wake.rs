@@ -2,8 +2,9 @@
 //! threads at `step(10 s)` — a wait no request could sit out — must
 //! answer control and HTTP requests as they arrive, because each plane
 //! wakes the loop after enqueueing its job; and once the clients stop,
-//! the loop must go back to blocking, not spin. The one other thing the
-//! loop may not sleep through is a queued walk's start time.
+//! the loop must go back to blocking, not spin. Nor does a request wait
+//! for a clock: a walk starts in the step that parsed its query, so it
+//! costs the loop the steps its messages need and no more.
 //!
 //! Nothing here waits on a fixed sleep to let something happen: the
 //! cluster is polled until it has converged, every request is a timed
@@ -17,9 +18,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use moara_daemon::{
-    ctrl_roundtrip, parse_attrs, CtrlReply, CtrlRequest, Daemon, DaemonOpts, WALK_BURST, WALK_GAP,
-};
+use moara_daemon::{ctrl_roundtrip, parse_attrs, CtrlReply, CtrlRequest, Daemon, DaemonOpts};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -213,55 +212,67 @@ fn requests_wake_the_loop_and_an_idle_loop_blocks() {
     }
 }
 
-/// Walks start in turns `WALK_GAP` apart after a burst of `WALK_BURST`. A
-/// lone client asking faster goes round once per turn — so every walk past
-/// the burst but the last costs it a gap — and its query starts on time
-/// although nothing wakes the loop for it: the loop's wait is cut to the
-/// turn. A turn starts every query waiting, so four clients asking at
-/// once are not held to one client's rate.
+/// A walk on a lone daemon needs two loop steps: the one that parses its
+/// query and starts it, and the one whose pump delivers the tree's
+/// messages to the daemon itself and folds the answer.
+const WALK_STEPS: u64 = 2;
+
+/// No request waits for a clock. A lone closed loop's walks cost the loop
+/// [`WALK_STEPS`] each, plus the odd step a timer ends — a walk held back
+/// for a turn would cost one more, every time. A walk's count is the steps the loop finished while it was
+/// out, so where one walk's last step ends after its answer the next walk
+/// counts it: the bound is on the loop's total, with each walk held to a
+/// few steps. Four clients at once share steps: together their walks
+/// cost no more steps each than a lone one's.
 #[test]
-fn walks_start_in_turns_that_take_every_waiting_query() {
-    const QUERIES: u32 = 5 * WALK_BURST;
+fn no_request_waits_for_a_clock() {
+    const QUERIES: u64 = 200;
+    const CLIENTS: u64 = 4;
     let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let h = host(None);
     let expected = "{\"result\":\"1\",\"complete\":true}\n";
-    // Returns how long `QUERIES` round trips took and the slowest one.
+    // Returns the loop steps `QUERIES` round trips took in all, the most
+    // one of them took, and the slowest one.
     let client = || {
-        let (mut slowest, t0) = (Duration::ZERO, Instant::now());
+        let (mut total, mut most, mut slowest) = (0, 0, Duration::ZERO);
         for _ in 0..QUERIES {
-            let t = Instant::now();
+            let (before, t) = (h.steps.load(Ordering::SeqCst), Instant::now());
             assert_eq!(query_round_trip(&h), expected);
             slowest = slowest.max(t.elapsed());
+            let steps = h.steps.load(Ordering::SeqCst) - before;
+            (total, most) = (total + steps, most.max(steps));
         }
-        (t0.elapsed(), slowest)
+        (total, most, slowest)
     };
 
-    let (alone, slowest) = client();
+    let (total, most, slowest) = client();
     assert!(
-        alone >= WALK_GAP * (QUERIES - WALK_BURST - 1),
-        "{QUERIES} walks from one closed loop in {alone:?}: not paced"
+        total <= QUERIES * WALK_STEPS + QUERIES / 4,
+        "{QUERIES} lone walks took {total} loop steps, not {WALK_STEPS} each: \
+         walks wait for something besides their messages"
+    );
+    assert!(most <= 3 * WALK_STEPS, "a lone walk took {most} loop steps");
+    assert!(
+        slowest < Duration::from_millis(100),
+        "a walk waited {slowest:?} on a loop that was not woken"
+    );
+
+    let before = h.steps.load(Ordering::SeqCst);
+    let slowest = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS).map(|_| s.spawn(client)).collect();
+        (clients.into_iter())
+            .map(|c| c.join().expect("client thread").2)
+            .max()
+            .expect("four clients")
+    });
+    let together = h.steps.load(Ordering::SeqCst) - before;
+    assert!(
+        together <= CLIENTS * QUERIES * WALK_STEPS,
+        "{} concurrent walks took {together} loop steps, more than {WALK_STEPS} each",
+        CLIENTS * QUERIES
     );
     assert!(
         slowest < Duration::from_millis(100),
-        "a queued walk waited {slowest:?} for a loop nothing woke"
-    );
-
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        let clients: Vec<_> = (0..4).map(|_| s.spawn(client)).collect();
-        for c in clients {
-            c.join().expect("client thread");
-        }
-    });
-    // Unshared turns would start the four clients' walks one a turn: no
-    // faster than the lone client's floor, over four times the walks.
-    // `alone` is no yardstick here: it sits at that floor whatever the
-    // host's speed, while four clients are bound by CPU.
-    let together = t0.elapsed();
-    let unshared = WALK_GAP * (4 * QUERIES - WALK_BURST - 1);
-    assert!(
-        together < unshared,
-        "four clients took {together:?}, one took {alone:?}: turns are not shared \
-         (one walk a turn takes at least {unshared:?})"
+        "a walk waited {slowest:?} on a loop that was not woken"
     );
 }

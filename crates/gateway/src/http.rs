@@ -139,7 +139,10 @@ pub fn parse_request(buf: &[u8]) -> ParseStep {
     let mut lines: Vec<&str> = Vec::new();
     let head_end = loop {
         let Some(nl) = buf[pos..].iter().position(|&b| b == b'\n') else {
-            if buf.len() - pos > MAX_LINE {
+            // A trailing `\r` may be the first half of the line's CRLF:
+            // it counts once the next byte shows it is not.
+            let pending_cr = usize::from(buf.last() == Some(&b'\r'));
+            if buf.len() - pos - pending_cr > MAX_LINE {
                 return reject(400, "line too long");
             }
             return ParseStep::Incomplete;
@@ -657,6 +660,22 @@ mod tests {
         let unterminated = vec![b'x'; MAX_LINE + 2];
         assert!(matches!(
             parse_request(&unterminated),
+            ParseStep::Reject { status: 400, .. }
+        ));
+        // A line of exactly `MAX_LINE` is accepted byte by byte too: its
+        // CR does not count until the next byte shows it is not a CRLF.
+        let pad = "x".repeat(MAX_LINE - "GET / HTTP/1.1".len());
+        let longest = format!("GET /{pad} HTTP/1.1\r\n\r\n");
+        assert!(parse(&longest).is_ok());
+        let mut cr_then_more = vec![b'x'; MAX_LINE];
+        cr_then_more.extend_from_slice(b"\r");
+        assert!(matches!(
+            parse_request(&cr_then_more),
+            ParseStep::Incomplete
+        ));
+        cr_then_more.push(b'x');
+        assert!(matches!(
+            parse_request(&cr_then_more),
             ParseStep::Reject { status: 400, .. }
         ));
         assert!(matches!(
