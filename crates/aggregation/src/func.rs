@@ -487,24 +487,21 @@ impl std::error::Error for AggError {}
 mod wire {
     //! Wire-format impls, so aggregates can cross real sockets.
 
-    use moara_wire::{Wire, WireError};
+    use moara_wire::{Sink, Wire, WireError};
 
     use super::{AggKind, AggState, NodeRef};
 
     impl Wire for NodeRef {
-        fn encode(&self, out: &mut Vec<u8>) {
+        fn encode(&self, out: &mut impl Sink) {
             self.0.encode(out);
         }
         fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
             u64::decode(buf).map(NodeRef)
         }
-        fn encoded_len(&self) -> usize {
-            8
-        }
     }
 
     impl Wire for AggKind {
-        fn encode(&self, out: &mut Vec<u8>) {
+        fn encode(&self, out: &mut impl Sink) {
             match self {
                 AggKind::Count => out.push(0),
                 AggKind::Sum => out.push(1),
@@ -549,18 +546,10 @@ mod wire {
                 _ => return Err(WireError::Invalid("AggKind tag")),
             })
         }
-
-        fn encoded_len(&self) -> usize {
-            1 + match self {
-                AggKind::TopK(_) | AggKind::BottomK(_) => 8,
-                AggKind::Histogram { .. } => 20,
-                _ => 0,
-            }
-        }
     }
 
     impl Wire for AggState {
-        fn encode(&self, out: &mut Vec<u8>) {
+        fn encode(&self, out: &mut impl Sink) {
             match self {
                 AggState::Null => out.push(0),
                 AggState::Count(c) => {
@@ -647,19 +636,6 @@ mod wire {
                 },
                 _ => return Err(WireError::Invalid("AggState tag")),
             })
-        }
-
-        fn encoded_len(&self) -> usize {
-            1 + match self {
-                AggState::Null => 0,
-                AggState::Count(_) | AggState::SumInt(_) | AggState::SumFloat(_) => 8,
-                AggState::Avg { .. } => 16,
-                AggState::Std { .. } => 24,
-                AggState::Min(item) | AggState::Max(item) => item.encoded_len(),
-                AggState::Ranked { items, .. } => 9 + items.encoded_len(),
-                AggState::Nodes(ns) => ns.encoded_len(),
-                AggState::Hist { counts, .. } => 16 + counts.encoded_len(),
-            }
         }
     }
 }

@@ -56,7 +56,7 @@ impl fmt::Display for AttrName {
 
 impl moara_wire::Wire for AttrName {
     /// Encoded like a plain string; interning is a process-local detail.
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl moara_wire::Sink) {
         let s = self.as_str();
         let len = u32::try_from(s.len()).expect("attribute name too long for wire");
         moara_wire::Wire::encode(&len, out);
@@ -64,9 +64,6 @@ impl moara_wire::Wire for AttrName {
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, moara_wire::WireError> {
         <String as moara_wire::Wire>::decode(buf).map(AttrName::from)
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.as_str().len()
     }
 }
 

@@ -121,7 +121,7 @@ impl From<String> for Value {
 }
 
 impl moara_wire::Wire for Value {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl moara_wire::Sink) {
         match self {
             Value::Bool(b) => {
                 out.push(0);
@@ -149,15 +149,6 @@ impl moara_wire::Wire for Value {
             2 => Ok(Value::Float(f64::decode(buf)?)),
             3 => Ok(Value::Str(String::decode(buf)?)),
             _ => Err(moara_wire::WireError::Invalid("Value tag")),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Value::Bool(b) => b.encoded_len(),
-            Value::Int(i) => i.encoded_len(),
-            Value::Float(f) => f.encoded_len(),
-            Value::Str(s) => s.encoded_len(),
         }
     }
 }

@@ -8,7 +8,7 @@ use moara_query::Query;
 use moara_simnet::{Message, NodeId};
 use moara_subscribe::{SubId, SubSpec};
 use moara_trace::TraceCtx;
-use moara_wire::{Wire, WireError};
+use moara_wire::{Sink, Wire, WireError};
 
 /// Identifies one end-to-end query issued by a front-end: (origin node,
 /// per-origin counter). Used for duplicate answer suppression when a node
@@ -226,7 +226,7 @@ impl QueryId {
 }
 
 impl Wire for QueryId {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         self.origin.encode(out);
         self.n.encode(out);
     }
@@ -235,9 +235,6 @@ impl Wire for QueryId {
             origin: Wire::decode(buf)?,
             n: Wire::decode(buf)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        12
     }
 }
 
@@ -340,7 +337,7 @@ fn decode_at(buf: &mut &[u8], depth: usize) -> Result<MoaraMsg, WireError> {
 }
 
 impl Wire for MoaraMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         match self {
             MoaraMsg::Route { key, inner } => {
                 out.push(0);
@@ -423,10 +420,7 @@ impl Wire for MoaraMsg {
             }
             MoaraMsg::Batch { items } => {
                 out.push(6);
-                (items.len() as u32).encode(out);
-                for item in items {
-                    item.encode(out);
-                }
+                items.encode(out);
             }
             MoaraMsg::Subscribe {
                 spec,
@@ -476,105 +470,6 @@ impl Wire for MoaraMsg {
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         decode_at(buf, 0)
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            MoaraMsg::Route { key, inner } => key.encoded_len() + inner.encoded_len(),
-            MoaraMsg::QueryDown {
-                qid,
-                seq,
-                pred_key,
-                tree,
-                query,
-                reply_to,
-                trace,
-            } => {
-                qid.encoded_len()
-                    + seq.encoded_len()
-                    + pred_key.encoded_len()
-                    + tree.encoded_len()
-                    + query.encoded_len()
-                    + reply_to.encoded_len()
-                    + trace.encoded_len()
-            }
-            MoaraMsg::QueryReply {
-                qid,
-                pred_key,
-                state,
-                np,
-                complete,
-                trace,
-            } => {
-                qid.encoded_len()
-                    + pred_key.encoded_len()
-                    + state.encoded_len()
-                    + np.encoded_len()
-                    + complete.encoded_len()
-                    + trace.encoded_len()
-            }
-            MoaraMsg::Status {
-                pred_key,
-                pred,
-                prune,
-                update_set,
-                np,
-                last_seq,
-            } => {
-                pred_key.encoded_len()
-                    + pred.encoded_len()
-                    + prune.encoded_len()
-                    + update_set.encoded_len()
-                    + np.encoded_len()
-                    + last_seq.encoded_len()
-            }
-            MoaraMsg::SizeProbe {
-                qid,
-                pred_key,
-                reply_to,
-                trace,
-            } => {
-                qid.encoded_len()
-                    + pred_key.encoded_len()
-                    + reply_to.encoded_len()
-                    + trace.encoded_len()
-            }
-            MoaraMsg::SizeReply {
-                qid,
-                pred_key,
-                cost,
-                trace,
-            } => {
-                qid.encoded_len()
-                    + pred_key.encoded_len()
-                    + cost.encoded_len()
-                    + trace.encoded_len()
-            }
-            MoaraMsg::Batch { items } => 4 + items.iter().map(Wire::encoded_len).sum::<usize>(),
-            MoaraMsg::Subscribe {
-                spec,
-                pred_key,
-                tree,
-                ..
-            } => spec.encoded_len() + pred_key.encoded_len() + tree.encoded_len() + 8,
-            MoaraMsg::SubDelta {
-                sid,
-                pred_key,
-                seq,
-                state,
-                trace,
-            } => {
-                sid.encoded_len()
-                    + pred_key.encoded_len()
-                    + seq.encoded_len()
-                    + state.encoded_len()
-                    + trace.encoded_len()
-            }
-            MoaraMsg::SubRenew { sid, pred_key, .. } => {
-                sid.encoded_len() + pred_key.encoded_len() + 16
-            }
-            MoaraMsg::SubCancel { sid, pred_key } => sid.encoded_len() + pred_key.encoded_len(),
-        }
     }
 }
 

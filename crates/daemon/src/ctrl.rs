@@ -20,7 +20,7 @@ use moara_attributes::Value;
 use moara_core::DeliveryPolicy;
 use moara_trace::{SpanRecord, TraceSummary};
 use moara_transport::WakeHandle;
-use moara_wire::{read_frame, write_msg, Wire, WireError};
+use moara_wire::{read_frame, write_msg, Sink, Wire, WireError};
 
 use crate::health::{AlertWire, PeerHealthRow};
 use crate::recorder::EventWire;
@@ -246,7 +246,7 @@ pub enum CtrlReply {
 }
 
 impl Wire for CtrlRequest {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         match self {
             CtrlRequest::Join { addr, prev_node } => {
                 out.push(0);
@@ -351,27 +351,10 @@ impl Wire for CtrlRequest {
             _ => return Err(WireError::Invalid("CtrlRequest tag")),
         })
     }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            CtrlRequest::Join { addr, prev_node } => addr.encoded_len() + prev_node.encoded_len(),
-            CtrlRequest::Query { text } => text.encoded_len(),
-            CtrlRequest::SetAttr { attr, value } => attr.encoded_len() + value.encoded_len(),
-            CtrlRequest::Status => 0,
-            CtrlRequest::Watch { text, policy, .. } => {
-                text.encoded_len() + policy.encoded_len() + 8
-            }
-            CtrlRequest::TraceFetch { .. } | CtrlRequest::TraceGet { .. } => 8,
-            CtrlRequest::TraceList { .. } => 4,
-            CtrlRequest::ClusterHealth | CtrlRequest::MetricsFetch | CtrlRequest::HealthFetch => 0,
-            CtrlRequest::HistoryFetch { metric, .. }
-            | CtrlRequest::ClusterHistory { metric, .. } => metric.encoded_len() + 4,
-            CtrlRequest::EventsFetch { kind, .. } => kind.encoded_len() + 4,
-        }
-    }
 }
 
 impl Wire for CtrlReply {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         match self {
             CtrlReply::Joined { node, members } => {
                 out.push(0);
@@ -531,37 +514,6 @@ impl Wire for CtrlReply {
             },
             _ => return Err(WireError::Invalid("CtrlReply tag")),
         })
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            CtrlReply::Joined { members, .. } => 4 + members.encoded_len(),
-            CtrlReply::Answer { result, .. } => result.encoded_len() + 1,
-            CtrlReply::Ok => 0,
-            CtrlReply::Status {
-                dead,
-                metrics,
-                exemplars,
-                ..
-            } => 20 + dead.encoded_len() + metrics.encoded_len() + exemplars.encoded_len(),
-            CtrlReply::Error(e) => e.encoded_len(),
-            CtrlReply::Update { result, .. } => result.encoded_len() + 2,
-            CtrlReply::Spans(spans) => spans.encoded_len(),
-            CtrlReply::Trace { spans, missing } => spans.encoded_len() + missing.encoded_len(),
-            CtrlReply::Traces(ts) => ts.encoded_len(),
-            CtrlReply::ClusterHealth { rows, alerts, .. } => {
-                4 + rows.encoded_len() + alerts.encoded_len()
-            }
-            CtrlReply::MetricsText(text) => text.encoded_len(),
-            CtrlReply::History { points, .. } => 8 + points.encoded_len(),
-            CtrlReply::ClusterHistory {
-                metric,
-                series,
-                missing,
-                ..
-            } => metric.encoded_len() + 4 + series.encoded_len() + missing.encoded_len(),
-            CtrlReply::Events(events) => events.encoded_len(),
-            CtrlReply::Health { sample, firing } => sample.encoded_len() + firing.encoded_len(),
-        }
     }
 }
 

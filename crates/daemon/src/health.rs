@@ -5,13 +5,13 @@
 //! `sample` rows) plus the alert rules it has firing; the
 //! `HealthFetch` leaf read answers with both. `ClusterHealth` is a
 //! gather of that read over the peer plane, like `ClusterHistory`, and
-//! [`cluster_health`] folds the answers into one row per member of the
+//! `cluster_health` folds the answers into one row per member of the
 //! serving daemon's member table. Nothing moves until someone asks.
 //!
 //! This module also holds the two `/proc` samplers behind the
 //! `rss_bytes` and `open_fds` rows.
 
-use moara_wire::{Wire, WireError};
+use moara_wire::{Sink, Wire, WireError};
 
 use crate::{CtrlReply, Member};
 
@@ -41,7 +41,7 @@ impl HealthStatus {
 }
 
 impl Wire for HealthStatus {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         (*self as u8).encode(out);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -51,9 +51,6 @@ impl Wire for HealthStatus {
             2 => HealthStatus::Dead,
             _ => return Err(WireError::Invalid("health status tag")),
         })
-    }
-    fn encoded_len(&self) -> usize {
-        1
     }
 }
 
@@ -73,7 +70,7 @@ pub struct PeerHealthRow {
 }
 
 impl Wire for PeerHealthRow {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         self.node.encode(out);
         self.status.encode(out);
         self.incarnation.encode(out);
@@ -86,9 +83,6 @@ impl Wire for PeerHealthRow {
             incarnation: Wire::decode(buf)?,
             summary: Wire::decode(buf)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        4 + 1 + 8 + self.summary.encoded_len()
     }
 }
 
@@ -109,7 +103,7 @@ pub struct AlertWire {
 }
 
 impl Wire for AlertWire {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         self.rule.encode(out);
         self.metric.encode(out);
         self.value.encode(out);
@@ -124,9 +118,6 @@ impl Wire for AlertWire {
             threshold: Wire::decode(buf)?,
             since_s: Wire::decode(buf)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        self.rule.encoded_len() + self.metric.encoded_len() + 8 + 8 + 8
     }
 }
 

@@ -11,7 +11,7 @@ use moara_membership::{SwimDetector, SwimMsg};
 use moara_simnet::{Message, NodeId, SimDuration, SimTime, TimerId, TimerTag};
 use moara_trace::{Phase, SpanRecord, SpanStore, TRACE_NS_SWIM};
 use moara_transport::{NetCtx, NetProtocol};
-use moara_wire::{Wire, WireError};
+use moara_wire::{Sink, Wire, WireError};
 
 use crate::{CtrlReply, CtrlRequest};
 
@@ -39,7 +39,7 @@ pub struct Member {
 }
 
 impl Wire for Member {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         self.node.encode(out);
         self.ring_id.encode(out);
         self.addr.encode(out);
@@ -54,9 +54,6 @@ impl Wire for Member {
             incarnation: Wire::decode(buf)?,
             alive: Wire::decode(buf)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        4 + 8 + self.addr.encoded_len() + 8 + 1
     }
 }
 
@@ -81,7 +78,7 @@ pub enum DaemonMsg {
 }
 
 impl Wire for DaemonMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         match self {
             DaemonMsg::Moara(m) => {
                 out.push(0);
@@ -118,15 +115,6 @@ impl Wire for DaemonMsg {
             5 => DaemonMsg::Told(Wire::decode(buf)?, Wire::decode(buf)?),
             _ => return Err(WireError::Invalid("DaemonMsg tag")),
         })
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            DaemonMsg::Moara(m) => m.encoded_len(),
-            DaemonMsg::Membership(ms) => ms.encoded_len(),
-            DaemonMsg::Swim(s) => s.encoded_len(),
-            DaemonMsg::Ask(_, req) => 8 + req.encoded_len(),
-            DaemonMsg::Told(_, reply) => 8 + reply.encoded_len(),
-        }
     }
 }
 

@@ -33,7 +33,7 @@ use std::sync::Mutex;
 
 use moara_gateway::json::JsonLine;
 use moara_trace::Ring;
-use moara_wire::{Wire, WireError};
+use moara_wire::{Sink, Wire, WireError};
 
 use crate::Member;
 
@@ -236,7 +236,7 @@ pub struct EventWire {
 }
 
 impl Wire for EventWire {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         self.seq.encode(out);
         self.ts_ms.encode(out);
         self.node.encode(out);
@@ -251,9 +251,6 @@ impl Wire for EventWire {
             kind: Wire::decode(buf)?,
             detail: Wire::decode(buf)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        8 + 8 + 4 + self.kind.encoded_len() + self.detail.encoded_len()
     }
 }
 

@@ -85,14 +85,11 @@ impl fmt::Display for Id {
 }
 
 impl moara_wire::Wire for Id {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl moara_wire::Sink) {
         moara_wire::Wire::encode(&self.0, out);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, moara_wire::WireError> {
         <u64 as moara_wire::Wire>::decode(buf).map(Id)
-    }
-    fn encoded_len(&self) -> usize {
-        8
     }
 }
 

@@ -17,7 +17,7 @@
 //! rules).
 
 use moara_simnet::{Message, NodeId};
-use moara_wire::{Wire, WireError};
+use moara_wire::{Sink, Wire, WireError};
 
 /// Liveness claim states carried by gossip.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,7 +31,7 @@ pub enum PeerState {
 }
 
 impl Wire for PeerState {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         out.push(match self {
             PeerState::Alive => 0,
             PeerState::Suspect => 1,
@@ -45,9 +45,6 @@ impl Wire for PeerState {
             2 => PeerState::Dead,
             _ => return Err(WireError::Invalid("PeerState tag")),
         })
-    }
-    fn encoded_len(&self) -> usize {
-        1
     }
 }
 
@@ -66,7 +63,7 @@ pub struct Update {
 }
 
 impl Wire for Update {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         self.node.encode(out);
         self.incarnation.encode(out);
         self.state.encode(out);
@@ -77,9 +74,6 @@ impl Wire for Update {
             incarnation: Wire::decode(buf)?,
             state: Wire::decode(buf)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        4 + 8 + 1
     }
 }
 
@@ -117,7 +111,7 @@ pub enum SwimMsg {
 }
 
 impl Wire for SwimMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         match self {
             SwimMsg::Ping {
                 seq,
@@ -164,21 +158,6 @@ impl Wire for SwimMsg {
             },
             _ => return Err(WireError::Invalid("SwimMsg tag")),
         })
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            SwimMsg::Ping {
-                seq,
-                reply_to,
-                updates,
-            } => seq.encoded_len() + reply_to.encoded_len() + updates.encoded_len(),
-            SwimMsg::Ack { seq, updates } => seq.encoded_len() + updates.encoded_len(),
-            SwimMsg::PingReq {
-                seq,
-                target,
-                updates,
-            } => seq.encoded_len() + target.encoded_len() + updates.encoded_len(),
-        }
     }
 }
 

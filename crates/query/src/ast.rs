@@ -261,12 +261,12 @@ mod wire {
     //! Wire-format impls: queries travel whole inside `QueryDown` messages
     //! (every node evaluates the full composite predicate, Section 7.2).
 
-    use moara_wire::{Wire, WireError};
+    use moara_wire::{Sink, Wire, WireError};
 
     use super::{CmpOp, Predicate, Query, SimplePredicate};
 
     impl Wire for CmpOp {
-        fn encode(&self, out: &mut Vec<u8>) {
+        fn encode(&self, out: &mut impl Sink) {
             out.push(match self {
                 CmpOp::Lt => 0,
                 CmpOp::Le => 1,
@@ -287,13 +287,10 @@ mod wire {
                 _ => return Err(WireError::Invalid("CmpOp tag")),
             })
         }
-        fn encoded_len(&self) -> usize {
-            1
-        }
     }
 
     impl Wire for SimplePredicate {
-        fn encode(&self, out: &mut Vec<u8>) {
+        fn encode(&self, out: &mut impl Sink) {
             self.attr.encode(out);
             self.op.encode(out);
             self.value.encode(out);
@@ -304,9 +301,6 @@ mod wire {
                 op: Wire::decode(buf)?,
                 value: Wire::decode(buf)?,
             })
-        }
-        fn encoded_len(&self) -> usize {
-            self.attr.encoded_len() + self.op.encoded_len() + self.value.encoded_len()
         }
     }
 
@@ -339,7 +333,7 @@ mod wire {
     }
 
     impl Wire for Predicate {
-        fn encode(&self, out: &mut Vec<u8>) {
+        fn encode(&self, out: &mut impl Sink) {
             match self {
                 Predicate::All => out.push(0),
                 Predicate::Atom(a) => {
@@ -359,17 +353,10 @@ mod wire {
         fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
             decode_pred_at(buf, 0)
         }
-        fn encoded_len(&self) -> usize {
-            1 + match self {
-                Predicate::All => 0,
-                Predicate::Atom(a) => a.encoded_len(),
-                Predicate::And(ps) | Predicate::Or(ps) => ps.encoded_len(),
-            }
-        }
     }
 
     impl Wire for Query {
-        fn encode(&self, out: &mut Vec<u8>) {
+        fn encode(&self, out: &mut impl Sink) {
             self.attr.encode(out);
             self.agg.encode(out);
             self.predicate.encode(out);
@@ -380,9 +367,6 @@ mod wire {
                 agg: Wire::decode(buf)?,
                 predicate: Wire::decode(buf)?,
             })
-        }
-        fn encoded_len(&self) -> usize {
-            self.attr.encoded_len() + self.agg.encoded_len() + self.predicate.encoded_len()
         }
     }
 }

@@ -33,14 +33,11 @@ impl fmt::Display for NodeId {
 }
 
 impl moara_wire::Wire for NodeId {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl moara_wire::Sink) {
         moara_wire::Wire::encode(&self.0, out);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, moara_wire::WireError> {
         <u32 as moara_wire::Wire>::decode(buf).map(NodeId)
-    }
-    fn encoded_len(&self) -> usize {
-        4
     }
 }
 

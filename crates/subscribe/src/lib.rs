@@ -42,7 +42,7 @@ use moara_aggregation::{AggResult, AggState, DeltaFold, LOCAL_SOURCE};
 use moara_dht::Id;
 use moara_query::Query;
 use moara_simnet::{NodeId, SimDuration, SimTime};
-use moara_wire::{Wire, WireError};
+use moara_wire::{Sink, Wire, WireError};
 
 /// Identifies one subscription end-to-end: (origin front-end, per-origin
 /// counter). Distinct from `QueryId` — subscriptions are standing state,
@@ -56,7 +56,7 @@ pub struct SubId {
 }
 
 impl Wire for SubId {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         self.origin.encode(out);
         self.n.encode(out);
     }
@@ -65,9 +65,6 @@ impl Wire for SubId {
             origin: Wire::decode(buf)?,
             n: Wire::decode(buf)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        12
     }
 }
 
@@ -92,7 +89,7 @@ pub enum DeliveryPolicy {
 }
 
 impl Wire for DeliveryPolicy {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         match self {
             DeliveryPolicy::OnChange => out.push(0),
             DeliveryPolicy::Periodic(d) => {
@@ -127,12 +124,6 @@ impl Wire for DeliveryPolicy {
             _ => return Err(WireError::Invalid("DeliveryPolicy tag")),
         })
     }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            DeliveryPolicy::OnChange => 0,
-            DeliveryPolicy::Periodic(_) | DeliveryPolicy::Threshold { .. } => 8,
-        }
-    }
 }
 
 /// Everything a node needs to host (or re-install) a subscription: the
@@ -162,7 +153,7 @@ pub struct SubSpec {
 }
 
 impl Wire for SubSpec {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         self.id.encode(out);
         self.query.encode(out);
         self.policy.encode(out);
@@ -179,14 +170,6 @@ impl Wire for SubSpec {
             owner: Wire::decode(buf)?,
             cover: Wire::decode(buf)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len()
-            + self.query.encoded_len()
-            + self.policy.encoded_len()
-            + 8
-            + self.owner.encoded_len()
-            + self.cover.encoded_len()
     }
 }
 

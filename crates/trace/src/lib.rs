@@ -33,7 +33,7 @@
 //! recording node and a local counter, partitioned by the top two bits
 //! so the id spaces cannot collide.
 
-use moara_wire::{Wire, WireError};
+use moara_wire::{Sink, Wire, WireError};
 
 mod histogram;
 mod ring;
@@ -103,7 +103,7 @@ impl TraceCtx {
 }
 
 impl Wire for TraceCtx {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         self.trace_id.encode(out);
         self.span_id.encode(out);
         self.parent_span_id.encode(out);
@@ -116,9 +116,6 @@ impl Wire for TraceCtx {
             parent_span_id: u64::decode(buf)?,
             flags: u8::decode(buf)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        8 + 8 + 8 + 1
     }
 }
 
@@ -188,14 +185,11 @@ impl Phase {
 }
 
 impl Wire for Phase {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         (*self as u8).encode(out);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Phase::from_u8(u8::decode(buf)?)
-    }
-    fn encoded_len(&self) -> usize {
-        1
     }
 }
 
@@ -234,7 +228,7 @@ pub struct SpanRecord {
 }
 
 impl Wire for SpanRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         self.trace_id.encode(out);
         self.span_id.encode(out);
         self.parent_span_id.encode(out);
@@ -262,9 +256,6 @@ impl Wire for SpanRecord {
             detail: String::decode(buf)?,
         })
     }
-    fn encoded_len(&self) -> usize {
-        8 + 8 + 8 + 4 + 1 + 4 + 8 + 8 + 8 + 8 + self.detail.encoded_len()
-    }
 }
 
 /// One line of the recent-trace index (`GET /v1/traces`).
@@ -285,7 +276,7 @@ pub struct TraceSummary {
 }
 
 impl Wire for TraceSummary {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         self.trace_id.encode(out);
         self.phase.encode(out);
         self.node.encode(out);
@@ -302,9 +293,6 @@ impl Wire for TraceSummary {
             duration_us: u64::decode(buf)?,
             spans: u32::decode(buf)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        8 + 1 + 4 + 8 + 8 + 4
     }
 }
 

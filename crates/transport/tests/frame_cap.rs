@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use moara_simnet::{NodeId, TimerTag};
 use moara_transport::{NetCtx, NetProtocol, TcpTransport, Transport};
-use moara_wire::{write_frame, Wire, MAX_FRAME};
+use moara_wire::{append_frame, Wire, MAX_FRAME};
 
 #[derive(Default)]
 struct Count(u32);
@@ -51,10 +51,12 @@ fn a_thousand_max_frame_prefixes_reserve_nothing() {
     // connection accepted before it has had the loop's attention too
     // (plus a few rounds for those the last batch left readable).
     let mut honest = TcpStream::connect(addr).unwrap();
-    let mut payload = 7u32.to_bytes();
-    42u32.encode(&mut payload);
     let mut frame = Vec::new();
-    write_frame(&mut frame, &payload).unwrap();
+    append_frame(&mut frame, |out| {
+        7u32.encode(out);
+        42u32.encode(out);
+    })
+    .unwrap();
     honest.write_all(&frame).unwrap();
     let deadline = Instant::now() + Duration::from_secs(30);
     while t.node(a).0 == 0 {

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use moara_simnet::{NodeId, SimDuration, TimerTag};
 use moara_transport::{NetCtx, NetProtocol, TcpConfig, TcpTransport, Transport};
-use moara_wire::{read_frame, write_frame, Wire, MAX_FRAME};
+use moara_wire::{append_frame, read_frame, Wire, MAX_FRAME};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -32,10 +32,12 @@ impl NetProtocol for Sink {
 
 /// A peer-plane frame as a node with id `from` would send it.
 fn frame(from: u32, msg: u32) -> Vec<u8> {
-    let mut payload = from.to_bytes();
-    msg.encode(&mut payload);
     let mut out = Vec::new();
-    write_frame(&mut out, &payload).unwrap();
+    append_frame(&mut out, |out| {
+        from.encode(out);
+        msg.encode(out);
+    })
+    .unwrap();
     out
 }
 

@@ -15,14 +15,14 @@
 //! * `Option<T>` is a one-byte tag followed by the payload if present;
 //! * enums are a one-byte variant tag followed by the variant's fields.
 //!
-//! Every type also reports an exact [`Wire::encoded_len`] computed
-//! arithmetically (no allocation), which the simulator uses for honest
-//! bandwidth accounting — `MoaraMsg::size_bytes` is defined as
-//! `FRAME_HDR + encoded_len()`, i.e. exactly what [`write_frame`] puts on
-//! a TCP socket.
+//! A type writes its layout once, in [`Wire::encode`], against a
+//! [`Sink`]. [`Wire::encoded_len`] is that same encoder run into a byte
+//! counter (no allocation), which the simulator uses for honest
+//! bandwidth accounting — `MoaraMsg::size_bytes` is
+//! [`peer_framed_len`], exactly what the TCP transport puts on a socket.
 //!
 //! Frames on a stream transport are `u32` little-endian payload length,
-//! then the payload ([`write_frame`] / [`read_frame`]).
+//! then the payload ([`append_frame`] / [`read_frame`]).
 
 use std::io::{self, Read, Write};
 
@@ -56,10 +56,46 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Where [`Wire::encode`] writes: a byte buffer, or the counter behind
+/// [`Wire::encoded_len`].
+pub trait Sink {
+    /// Appends one byte.
+    fn push(&mut self, byte: u8);
+    /// Appends `bytes`.
+    fn extend_from_slice(&mut self, bytes: &[u8]);
+}
+
+// The four methods are `#[inline]`: the workspace builds without LTO, and
+// a cross-crate call per byte would cost more than the byte.
+impl Sink for Vec<u8> {
+    #[inline]
+    fn push(&mut self, byte: u8) {
+        Vec::push(self, byte);
+    }
+    #[inline]
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+}
+
+/// A [`Sink`] that keeps only the number of bytes written.
+struct Counter(usize);
+
+impl Sink for Counter {
+    #[inline]
+    fn push(&mut self, _: u8) {
+        self.0 += 1;
+    }
+    #[inline]
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
 /// Binary encoding to/from the Moara wire format.
 pub trait Wire: Sized {
     /// Appends this value's encoding to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
+    fn encode(&self, out: &mut impl Sink);
 
     /// Decodes one value from the front of `buf`, advancing it.
     ///
@@ -69,16 +105,19 @@ pub trait Wire: Sized {
     /// tags/lengths.
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError>;
 
-    /// Exact number of bytes [`Wire::encode`] will append. Implementations
-    /// compute this arithmetically; it feeds bandwidth accounting on hot
-    /// paths, so it must not allocate.
-    fn encoded_len(&self) -> usize;
+    /// Exact number of bytes [`Wire::encode`] will append: the encoder
+    /// run into a byte counter, so the two agree by construction. It
+    /// feeds bandwidth accounting on hot paths and does not allocate.
+    fn encoded_len(&self) -> usize {
+        let mut n = Counter(0);
+        self.encode(&mut n);
+        n.0
+    }
 
     /// Encodes into a fresh buffer.
     fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         self.encode(&mut out);
-        debug_assert_eq!(out.len(), self.encoded_len(), "encoded_len out of sync");
         out
     }
 
@@ -111,15 +150,12 @@ pub fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
 macro_rules! impl_wire_int {
     ($($t:ty),*) => {$(
         impl Wire for $t {
-            fn encode(&self, out: &mut Vec<u8>) {
+            fn encode(&self, out: &mut impl Sink) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
             fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
                 let raw = take(buf, std::mem::size_of::<$t>())?;
                 Ok(<$t>::from_le_bytes(raw.try_into().expect("sized take")))
-            }
-            fn encoded_len(&self) -> usize {
-                std::mem::size_of::<$t>()
             }
         }
     )*};
@@ -128,20 +164,17 @@ impl_wire_int!(u8, u16, u32, u64, i8, i16, i32, i64);
 
 impl Wire for usize {
     /// `usize` travels as `u64` so 32- and 64-bit peers interoperate.
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         (*self as u64).encode(out);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let v = u64::decode(buf)?;
         usize::try_from(v).map_err(|_| WireError::Invalid("usize overflow"))
     }
-    fn encoded_len(&self) -> usize {
-        8
-    }
 }
 
 impl Wire for bool {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         out.push(u8::from(*self));
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -151,24 +184,18 @@ impl Wire for bool {
             _ => Err(WireError::Invalid("bool tag")),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1
-    }
 }
 
 impl Wire for f64 {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         out.extend_from_slice(&self.to_bits().to_le_bytes());
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(f64::from_bits(u64::decode(buf)?))
     }
-    fn encoded_len(&self) -> usize {
-        8
-    }
 }
 
-fn encode_len_prefix(len: usize, out: &mut Vec<u8>) {
+fn encode_len_prefix(len: usize, out: &mut impl Sink) {
     u32::try_from(len)
         .expect("collection too large for wire format")
         .encode(out);
@@ -179,7 +206,7 @@ fn decode_len_prefix(buf: &mut &[u8]) -> Result<usize, WireError> {
 }
 
 impl Wire for String {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         encode_len_prefix(self.len(), out);
         out.extend_from_slice(self.as_bytes());
     }
@@ -188,14 +215,11 @@ impl Wire for String {
         let raw = take(buf, n)?;
         String::from_utf8(raw.to_vec()).map_err(|_| WireError::Invalid("utf-8"))
     }
-    fn encoded_len(&self) -> usize {
-        4 + self.len()
-    }
 }
 
 /// Shared text (the engine's predicate keys): the same bytes as `String`.
 impl Wire for std::sync::Arc<str> {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         encode_len_prefix(self.len(), out);
         out.extend_from_slice(self.as_bytes());
     }
@@ -206,13 +230,10 @@ impl Wire for std::sync::Arc<str> {
             .map(Into::into)
             .map_err(|_| WireError::Invalid("utf-8"))
     }
-    fn encoded_len(&self) -> usize {
-        4 + self.len()
-    }
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         encode_len_prefix(self.len(), out);
         for item in self {
             item.encode(out);
@@ -227,13 +248,10 @@ impl<T: Wire> Wire for Vec<T> {
         }
         Ok(v)
     }
-    fn encoded_len(&self) -> usize {
-        4 + self.iter().map(Wire::encoded_len).sum::<usize>()
-    }
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         match self {
             None => out.push(0),
             Some(v) => {
@@ -249,49 +267,28 @@ impl<T: Wire> Wire for Option<T> {
             _ => Err(WireError::Invalid("option tag")),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Wire::encoded_len)
-    }
 }
 
 impl<T: Wire> Wire for Box<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         (**self).encode(out);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(Box::new(T::decode(buf)?))
     }
-    fn encoded_len(&self) -> usize {
-        (**self).encoded_len()
-    }
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl Sink) {
         self.0.encode(out);
         self.1.encode(out);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok((A::decode(buf)?, B::decode(buf)?))
     }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len() + self.1.encoded_len()
-    }
 }
 
 // ----- stream framing ----------------------------------------------------
-
-/// Writes one length-prefixed frame (`u32` LE length, then `payload`).
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)
-}
 
 /// Reads one length-prefixed frame. `Ok(None)` means the stream closed
 /// cleanly at a frame boundary.
@@ -373,23 +370,12 @@ impl FrameBuf {
     }
 }
 
-/// Builds one whole frame — length prefix and payload — in a single
-/// buffer: `encode` appends the payload after a reserved prefix, which is
-/// filled in afterwards. A sender then needs one `write_all` per frame,
-/// which on a `TCP_NODELAY` socket is one syscall and one segment where
-/// [`write_frame`]'s prefix-then-payload is two of each.
-///
-/// # Errors
-///
-/// `InvalidInput` when the payload does not fit the `u32` prefix.
-pub fn encode_frame(payload_hint: usize, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<Vec<u8>> {
-    let mut frame = Vec::with_capacity(FRAME_HDR + payload_hint);
-    append_frame(&mut frame, encode)?;
-    Ok(frame)
-}
-
-/// [`encode_frame`] onto the end of a buffer that may already hold
-/// frames: a sender that batches builds its whole `write` in place.
+/// Appends one whole frame — length prefix and payload — to a buffer
+/// that may already hold frames: `encode` appends the payload after a
+/// reserved prefix, which is filled in afterwards. A sender then needs
+/// one `write_all` per frame (or per batch of frames), which on a
+/// `TCP_NODELAY` socket is one syscall and one segment where
+/// prefix-then-payload would be two of each.
 ///
 /// # Errors
 ///
@@ -410,13 +396,9 @@ pub fn append_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> io:
 ///
 /// Propagates the underlying I/O error.
 pub fn write_msg<M: Wire>(w: &mut impl Write, msg: &M) -> io::Result<()> {
-    w.write_all(&encode_frame(msg.encoded_len(), |out| msg.encode(out))?)
-}
-
-/// Total bytes a value occupies on a stream transport (frame header plus
-/// payload).
-pub fn framed_len<M: Wire>(msg: &M) -> usize {
-    FRAME_HDR + msg.encoded_len()
+    let mut frame = Vec::with_capacity(FRAME_HDR + msg.encoded_len());
+    append_frame(&mut frame, |out| msg.encode(out))?;
+    w.write_all(&frame)
 }
 
 /// Bytes of sender identification inside every peer-plane frame (the
@@ -505,24 +487,10 @@ mod tests {
         let mut r = stream.as_slice();
         let f1 = read_frame(&mut r).unwrap().unwrap();
         assert_eq!(String::from_bytes(&f1).unwrap(), "abc");
-        assert_eq!(f1.len() + FRAME_HDR, framed_len(&String::from("abc")));
+        assert_eq!(f1.len(), String::from("abc").encoded_len());
         let f2 = read_frame(&mut r).unwrap().unwrap();
         assert_eq!(u64::from_bytes(&f2).unwrap(), 42);
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
-    }
-
-    #[test]
-    fn encode_frame_is_byte_identical_to_write_frame() {
-        let msg = String::from("abc");
-        let mut two_writes = Vec::new();
-        write_frame(&mut two_writes, &msg.to_bytes()).unwrap();
-        // A wrong capacity hint costs a reallocation, never a wrong prefix.
-        for hint in [0, msg.encoded_len(), 1000] {
-            assert_eq!(
-                encode_frame(hint, |out| msg.encode(out)).unwrap(),
-                two_writes
-            );
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::io::ErrorKind;
 
-use moara_wire::{read_frame, write_frame, FrameBuf, MAX_FRAME};
+use moara_wire::{append_frame, read_frame, FrameBuf, MAX_FRAME};
 use proptest::prelude::*;
 
 /// The reference: blocking reads over the whole stream. True when it
@@ -54,7 +54,7 @@ fn reassembled(stream: &[u8], cuts: &[usize]) -> (Vec<Vec<u8>>, bool) {
 fn stream_of(payloads: &[Vec<u8>]) -> Vec<u8> {
     let mut stream = Vec::new();
     for p in payloads {
-        write_frame(&mut stream, p).unwrap();
+        append_frame(&mut stream, |out| out.extend_from_slice(p)).unwrap();
     }
     stream
 }
