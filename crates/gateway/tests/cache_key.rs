@@ -39,7 +39,8 @@ impl Draw {
     }
 }
 
-/// ASCII and Unicode whitespace: every one is `char::is_whitespace`.
+/// ASCII and Unicode whitespace, every one `char::is_whitespace`; the
+/// plain space twice, as the commonest.
 const SPACES: &[char] = &[
     ' ', ' ', '\t', '\n', '\r', '\u{0b}', '\u{0c}', '\u{85}', '\u{a0}', '\u{2003}', '\u{2028}',
     '\u{3000}',
