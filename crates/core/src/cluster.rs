@@ -953,14 +953,12 @@ mod tests {
     }
 
     #[test]
-    fn tcp_loopback_cluster_answers_queries() {
-        // Deterministic TCP-path (loopback mode): same protocol, same
-        // codec, no sockets. The socket path proper is covered by the
-        // `tcp_cluster` integration test and example.
+    fn tcp_cluster_answers_queries() {
+        // The same protocol and codec over real loopback sockets.
         let mut c = Cluster::builder()
             .nodes(8)
             .seed(11)
-            .build_tcp(TcpConfig::loopback(11));
+            .build_tcp(TcpConfig::seeded(11));
         for i in 0..8u32 {
             c.set_attr(NodeId(i), "ServiceX", i % 2 == 0);
         }

@@ -239,6 +239,12 @@ impl MoaraNode {
         self.sched.cache.len()
     }
 
+    /// The overlay this node routes by; every handle on it sees a change
+    /// made through any other.
+    pub fn directory(&self) -> &Directory {
+        &self.dir
+    }
+
     /// The probe cache's churn epoch (tests/inspection).
     pub fn probe_cache_epoch(&self) -> u64 {
         self.sched.cache.epoch()

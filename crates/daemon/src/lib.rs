@@ -32,8 +32,9 @@
 //! to its protocol node. Detectors ping each other over the peer plane
 //! ([`DaemonMsg::Swim`]), escalate unanswered probes through random
 //! relays, gossip suspicions and confirmations with incarnation numbers,
-//! and hand confirmed failures to the daemon — which removes the peer
-//! from its [`Directory`] (DHT ring repair), tells its `MoaraNode`
+//! and hand confirmed failures to the daemon — whose node
+//! ([`DaemonNode::apply_verdict`], shared with [`SimSwarm`]) removes the
+//! peer from its [`Directory`] (DHT ring repair), tells its `MoaraNode`
 //! (`on_peer_failed` + `reconcile`), and marks the member dead in its
 //! view. A crashed peer therefore disappears from query answers and from
 //! `moara-cli status` without any omniscient help. Crash-recovery is the
@@ -234,7 +235,6 @@ pub fn parse_value(v: &str) -> Value {
 /// A running daemon: one Moara node, its transport, and both planes.
 pub struct Daemon {
     transport: TcpTransport<DaemonNode>,
-    dir: Directory,
     me: NodeId,
     members: Vec<Member>,
     cfg: MoaraConfig,
@@ -449,7 +449,7 @@ impl Daemon {
         load_overlay(&dir, &members, opts.cfg.bits_per_digit);
         let tracer = (opts.trace_sample > 0)
             .then(|| Arc::new(SpanStore::new(TRACE_STORE_CAP, opts.trace_sample)));
-        let mut moara = MoaraNode::new(dir.clone(), opts.cfg.clone());
+        let mut moara = MoaraNode::new(dir, opts.cfg.clone());
         // A rejoin revives our id under a higher incarnation while peers
         // still remember the previous life's query ids.
         let my_slot = members.iter().find(|m| m.node == me.0);
@@ -542,7 +542,6 @@ impl Daemon {
 
         let mut daemon = Daemon {
             transport,
-            dir,
             me,
             members: members.clone(),
             cfg: opts.cfg,
@@ -641,8 +640,8 @@ impl Daemon {
         did |= ctrl_jobs + gw_jobs > 0;
         did |= self.start_queued_walks();
         did |= self.finish_queries();
-        did |= self.pump_watches();
         did |= self.pump_query_cache();
+        did |= self.pump_watches();
         // SubDelta frames pumped this step have now been folded and (if
         // watched here) handed to their watchers: close their lag spans.
         let stamps = std::mem::take(&mut self.transport.node_mut(self.me).pending_delta_stamps);
@@ -873,11 +872,11 @@ impl Daemon {
     }
 
     /// The event-loop side of the result cache: installs standing
-    /// subscriptions for keys the workers flagged hot, folds their
-    /// pending SubUpdates into the cached entries (arming fresh entries,
-    /// staling served ones), releases evicted entries' subscriptions,
-    /// and periodically sweeps idle entries. Workers never touch the
-    /// protocol node; everything here runs on the single loop thread.
+    /// subscriptions for keys the workers flagged hot, releases evicted
+    /// entries' subscriptions, and periodically sweeps idle entries
+    /// (`pump_watches` folds their SubUpdates into the entries). Workers
+    /// never touch the protocol node; everything here runs on the single
+    /// loop thread.
     fn pump_query_cache(&mut self) -> bool {
         let Some(cache) = self.query_cache.clone() else {
             return false;
@@ -902,24 +901,6 @@ impl Daemon {
                 // Unparseable text can never have walked successfully
                 // either, but keep the entry honest rather than wedged.
                 Err(_) => cache.promotion_failed(&key),
-            }
-        }
-        // Poll only watches that actually emitted since the last tick
-        // (the node's dirty hints) — idle cost stays O(1) however many
-        // entries are promoted. Hints for client watches (ctrl/SSE) are
-        // skipped; their updates stay queued for their own pollers.
-        for token in self.transport.node_mut(self.me).moara.take_dirty_watches() {
-            if !cache.has_token(token) {
-                continue;
-            }
-            let updates = self
-                .transport
-                .node_mut(self.me)
-                .moara
-                .take_sub_updates(token);
-            for u in updates {
-                did = true;
-                cache.on_update(token, u.result.to_string(), u.complete);
             }
         }
         for token in cache.take_pending_demotions() {

@@ -3,6 +3,7 @@
 //! verdicts and each broadcast do to the overlay [`Directory`] and the
 //! engine.
 
+use std::collections::HashSet;
 use std::time::Instant;
 
 use rand::Rng;
@@ -49,36 +50,44 @@ impl Daemon {
         self.last_announce = Instant::now();
     }
 
-    /// Acts on what this daemon's failure detector concluded: confirmed
-    /// failures prune the peer from the member view and the overlay
-    /// (ring repair + `on_peer_failed` + `reconcile`); revivals undo the
+    /// Acts on what this daemon's failure detector concluded, through
+    /// [`crate::DaemonNode::apply_verdict`]: confirmed failures prune the
+    /// peer from the member view and the overlay, revivals undo the
     /// pruning. This is the path that replaces the harness-level
-    /// `Cluster::fail_node` oracle in real deployments.
+    /// `Cluster::fail_node` oracle in real deployments. Each verdict is
+    /// journalled; the seed broadcasts the member list when it changed.
+    ///
+    /// A revival needs *some* address for the peer. A refuted false
+    /// confirmation (the peer never actually died) kept its address valid,
+    /// and that revival must work seed-less — with the seed down, deferring
+    /// would prune a healthy peer forever. A peer that really restarted
+    /// carries a new address we may not have yet; then this re-inserts it
+    /// against the stale one for a moment — bounded and self-healing,
+    /// because a rejoin requires a live seed whose broadcast (which carries
+    /// the fresh address) is at most one anti-entropy interval away. Only a
+    /// daemon with *no* address at all (it joined after the death) must
+    /// wait for that broadcast.
     pub(crate) fn apply_swim_events(&mut self) -> bool {
         let events = self.transport.node_mut(self.me).swim.take_events();
         if events.is_empty() {
             return false;
         }
+        let peers: HashSet<NodeId> = self.transport.peers().map(|(id, _)| id).collect();
         let mut changed = false;
         for ev in events {
-            match ev {
-                SwimEvent::Suspected(n) => {
-                    self.recorder
-                        .record_event(kind::SWIM_SUSPECT, format!("peer={}", n.0));
-                }
-                SwimEvent::Confirmed(n) => {
-                    self.recorder
-                        .record_event(kind::SWIM_CONFIRM, format!("peer={}", n.0));
-                    changed |= self.mark_member_dead(n);
-                }
-                SwimEvent::Revived { node, incarnation } => {
-                    self.recorder.record_event(
-                        kind::SWIM_REFUTE,
-                        format!("peer={} incarnation={incarnation}", node.0),
-                    );
-                    changed |= self.mark_member_alive(node, incarnation);
-                }
-            }
+            let (what, detail) = match ev {
+                SwimEvent::Suspected(n) => (kind::SWIM_SUSPECT, format!("peer={}", n.0)),
+                SwimEvent::Confirmed(n) => (kind::SWIM_CONFIRM, format!("peer={}", n.0)),
+                SwimEvent::Revived { node, incarnation } => (
+                    kind::SWIM_REFUTE,
+                    format!("peer={} incarnation={incarnation}", node.0),
+                ),
+            };
+            self.recorder.record_event(what, detail);
+            let members = &mut self.members;
+            changed |= self.transport.with_node(self.me, |dn, ctx| {
+                dn.apply_verdict(ctx, members, ev, |n| peers.contains(&n))
+            });
         }
         if changed && self.is_seed {
             // Spread the news eagerly; the periodic anti-entropy
@@ -86,50 +95,6 @@ impl Daemon {
             self.broadcast_membership();
         }
         changed
-    }
-
-    fn mark_member_dead(&mut self, n: NodeId) -> bool {
-        let Some(m) = self.members.iter_mut().find(|m| m.node == n.0) else {
-            return false;
-        };
-        if !m.alive || n == self.me {
-            return false;
-        }
-        m.alive = false;
-        self.dir.remove_member(n);
-        self.with_moara(|moara, ctx| {
-            moara.on_peer_failed(ctx, n);
-            moara.reconcile(ctx);
-        });
-        true
-    }
-
-    fn mark_member_alive(&mut self, n: NodeId, incarnation: u64) -> bool {
-        let Some(m) = self.members.iter_mut().find(|m| m.node == n.0) else {
-            return false;
-        };
-        m.incarnation = m.incarnation.max(incarnation);
-        if m.alive {
-            return false;
-        }
-        // Reintegrate only if we hold *some* address for the peer.
-        // A refuted false confirmation (the peer never actually died)
-        // kept its address valid, and that revival must work seed-less —
-        // with the seed down, deferring would prune a healthy peer
-        // forever. A peer that really restarted carries a new address we
-        // may not have yet; then this re-inserts it against the stale one
-        // for a moment — bounded and self-healing, because a rejoin
-        // requires a live seed whose broadcast (which carries the fresh
-        // address) is at most one anti-entropy interval away. Only a
-        // daemon with *no* address at all (it joined after the death)
-        // must wait for that broadcast.
-        if !self.transport.peers().any(|(id, _)| id == n) {
-            return false;
-        }
-        m.alive = true;
-        self.dir.revive_member(n);
-        self.reconcile_local();
-        true
     }
 
     pub(crate) fn apply_pending_membership(&mut self) -> bool {
@@ -206,7 +171,8 @@ impl Daemon {
         if !claimed_dead && members == self.members {
             return;
         }
-        load_overlay(&self.dir, &members, self.cfg.bits_per_digit);
+        let dir = self.transport.node(self.me).moara.directory();
+        load_overlay(dir, &members, self.cfg.bits_per_digit);
         for m in members.iter().filter(|m| m.alive && m.node != self.me.0) {
             if let Ok(addr) = resolve(&m.addr) {
                 self.transport.register_peer(NodeId(m.node), addr);

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use moara_core::{MoaraMsg, MoaraNode};
-use moara_membership::{SwimDetector, SwimMsg};
+use moara_membership::{SwimDetector, SwimEvent, SwimMsg};
 use moara_simnet::{Message, NodeId, SimDuration, SimTime, TimerId, TimerTag};
 use moara_trace::{Phase, SpanRecord, SpanStore, TRACE_NS_SWIM};
 use moara_transport::{NetCtx, NetProtocol};
@@ -219,6 +219,50 @@ impl DaemonNode {
             federation: Vec::new(),
         }
     }
+
+    /// Acts on one failure-detector verdict against this node's member
+    /// view `members`, the one reaction every host of the node shares. A
+    /// confirmation prunes the peer from the overlay (ring repair), then
+    /// tells the engine (`on_peer_failed` + `reconcile`); this node is
+    /// never pruned. A revival merges the peer's incarnation and, if the
+    /// host can reach it (`addressable`), puts it back and reconciles.
+    /// Returns whether the member view changed.
+    pub fn apply_verdict(
+        &mut self,
+        ctx: &mut dyn NetCtx<DaemonMsg>,
+        members: &mut [Member],
+        verdict: SwimEvent,
+        addressable: impl FnOnce(NodeId) -> bool,
+    ) -> bool {
+        match verdict {
+            SwimEvent::Suspected(_) => false,
+            SwimEvent::Confirmed(peer) => {
+                let live = members.iter_mut().find(|m| m.node == peer.0 && m.alive);
+                let Some(m) = live.filter(|_| peer != ctx.me()) else {
+                    return false;
+                };
+                m.alive = false;
+                self.moara.directory().remove_member(peer);
+                let ctx = &mut moara_ctx(ctx);
+                self.moara.on_peer_failed(ctx, peer);
+                self.moara.reconcile(ctx);
+                true
+            }
+            SwimEvent::Revived { node, incarnation } => {
+                let Some(m) = members.iter_mut().find(|m| m.node == node.0) else {
+                    return false;
+                };
+                m.incarnation = m.incarnation.max(incarnation);
+                if m.alive || !addressable(node) {
+                    return false;
+                }
+                m.alive = true;
+                self.moara.directory().revive_member(node);
+                self.moara.reconcile(&mut moara_ctx(ctx));
+                true
+            }
+        }
+    }
 }
 
 impl NetProtocol for DaemonNode {
@@ -293,5 +337,109 @@ impl NetProtocol for DaemonNode {
         } else {
             self.moara.on_timer(&mut moara_ctx(ctx), tag);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use moara_core::{Directory, MoaraConfig};
+    use moara_membership::SwimConfig;
+    use moara_simnet::latency;
+    use moara_transport::{SimTransport, Transport};
+
+    use crate::membership::load_overlay;
+
+    /// Three daemons' nodes on the simulator, and node 0's member view.
+    fn three() -> (SimTransport<DaemonNode>, Vec<Member>) {
+        let members: Vec<Member> = (0..3u32)
+            .map(|i| Member {
+                node: i,
+                ring_id: u64::from(i + 1) << 60,
+                addr: String::new(),
+                incarnation: 0,
+                alive: true,
+            })
+            .collect();
+        let cfg = MoaraConfig::default();
+        let mut t = SimTransport::new(latency::Constant::from_millis(1), 1);
+        for i in 0..3u32 {
+            let dir = Directory::from_members(&[], cfg.bits_per_digit);
+            load_overlay(&dir, &members, cfg.bits_per_digit);
+            let swim = SwimDetector::new(NodeId(i), SwimConfig::default(), u64::from(i));
+            t.add_node(DaemonNode::new(MoaraNode::new(dir, cfg.clone()), swim));
+        }
+        (t, members)
+    }
+
+    /// Node 0 acts on `verdict`; every peer is `addressable` or none is.
+    fn apply(
+        t: &mut SimTransport<DaemonNode>,
+        members: &mut [Member],
+        verdict: SwimEvent,
+        addressable: bool,
+    ) -> bool {
+        t.with_node(NodeId(0), |dn, ctx| {
+            dn.apply_verdict(ctx, members, verdict, |_| addressable)
+        })
+    }
+
+    /// Node 0's ring size and probe-cache epoch (each `reconcile` bumps it).
+    fn seen(t: &SimTransport<DaemonNode>) -> (usize, u64) {
+        let moara = &t.node(NodeId(0)).moara;
+        (moara.directory().ring_size(), moara.probe_cache_epoch())
+    }
+
+    const CONFIRMED: SwimEvent = SwimEvent::Confirmed(NodeId(2));
+    const REVIVED: SwimEvent = SwimEvent::Revived {
+        node: NodeId(2),
+        incarnation: 4,
+    };
+
+    #[test]
+    fn a_second_confirmation_is_a_no_op() {
+        let (mut t, mut members) = three();
+        let (_, epoch) = seen(&t);
+        assert!(apply(&mut t, &mut members, CONFIRMED, true));
+        assert!(!members[2].alive);
+        let pruned = seen(&t);
+        assert_eq!(pruned.0, 2, "off the ring");
+        assert!(pruned.1 > epoch, "reconciled");
+        assert!(!apply(&mut t, &mut members, CONFIRMED, true));
+        assert_eq!(seen(&t), pruned);
+    }
+
+    #[test]
+    fn a_confirmation_of_itself_is_ignored() {
+        let (mut t, mut members) = three();
+        let before = seen(&t);
+        let me = SwimEvent::Confirmed(NodeId(0));
+        assert!(!apply(&mut t, &mut members, me, true));
+        assert!(members[0].alive);
+        assert_eq!(seen(&t), before);
+    }
+
+    #[test]
+    fn an_unaddressable_revival_only_merges_the_incarnation() {
+        let (mut t, mut members) = three();
+        apply(&mut t, &mut members, CONFIRMED, true);
+        let pruned = seen(&t);
+        assert!(!apply(&mut t, &mut members, REVIVED, false));
+        assert_eq!(members[2].incarnation, 4);
+        assert!(!members[2].alive);
+        assert_eq!(seen(&t), pruned, "still off the ring, nothing reconciled");
+    }
+
+    #[test]
+    fn an_addressable_revival_puts_the_peer_back_and_reconciles() {
+        let (mut t, mut members) = three();
+        apply(&mut t, &mut members, CONFIRMED, true);
+        let (_, epoch) = seen(&t);
+        assert!(apply(&mut t, &mut members, REVIVED, true));
+        assert!(members[2].alive);
+        assert_eq!(members[2].incarnation, 4);
+        let (ring, after) = seen(&t);
+        assert_eq!(ring, 3);
+        assert!(after > epoch, "reconciled");
     }
 }

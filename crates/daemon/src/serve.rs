@@ -716,40 +716,51 @@ impl Daemon {
         !done.is_empty()
     }
 
-    /// Streams pending subscription updates to their watchers; a
-    /// hung-up watcher's subscription is cancelled (its standing state
-    /// then tears down along the trees). Quiescent streams are
-    /// liveness-probed every [`WATCH_KEEPALIVE_EVERY`] so a silent
-    /// hang-up cannot hold a subscription alive through endless lease
-    /// renewals.
+    /// Hands each update the engine queued since the last step to its
+    /// reader, in one pass over the engine's dirty-watch hints: a client
+    /// watch streams it, a cache-promoted one folds it into its entry
+    /// (`on_update` ignores tokens the cache does not hold). A hung-up
+    /// watcher's subscription is cancelled (its standing state then
+    /// tears down along the trees). Client streams are liveness-probed
+    /// every [`WATCH_KEEPALIVE_EVERY`] so a silent hang-up cannot hold a
+    /// subscription alive through endless lease renewals.
     pub(crate) fn pump_watches(&mut self) -> bool {
-        if self.watches.is_empty() {
-            return false;
-        }
-        let probe = self.last_keepalive.elapsed() >= WATCH_KEEPALIVE_EVERY;
-        if probe {
-            self.last_keepalive = Instant::now();
-        }
+        let moara = &mut self.transport.node_mut(self.me).moara;
         let mut did = false;
         let mut gone: Vec<u64> = Vec::new();
-        for (&wid, to) in &self.watches {
-            let updates = self.transport.node_mut(self.me).moara.take_sub_updates(wid);
+        for wid in moara.take_dirty_watches() {
+            let updates = moara.take_sub_updates(wid);
             did |= !updates.is_empty();
-            let delivered = updates.into_iter().all(|u| {
-                let update = CtrlReply::Update {
-                    result: u.result.to_string(),
-                    initial: u.initial,
-                    complete: u.complete,
-                };
-                to.send(update).is_ok()
-            });
-            if !delivered || (probe && to.keepalive().is_err()) {
-                gone.push(wid);
+            if let Some(to) = self.watches.get(&wid) {
+                let delivered = updates.into_iter().all(|u| {
+                    let update = CtrlReply::Update {
+                        result: u.result.to_string(),
+                        initial: u.initial,
+                        complete: u.complete,
+                    };
+                    to.send(update).is_ok()
+                });
+                if !delivered {
+                    gone.push(wid);
+                }
+            } else if let Some(cache) = &self.query_cache {
+                for u in updates {
+                    cache.on_update(wid, u.result.to_string(), u.complete);
+                }
+            }
+        }
+        if self.last_keepalive.elapsed() >= WATCH_KEEPALIVE_EVERY {
+            self.last_keepalive = Instant::now();
+            for (&wid, to) in &self.watches {
+                if to.keepalive().is_err() {
+                    gone.push(wid);
+                }
             }
         }
         for wid in gone {
-            self.watches.remove(&wid);
-            self.unsubscribe(wid);
+            if self.watches.remove(&wid).is_some() {
+                self.unsubscribe(wid);
+            }
         }
         did
     }

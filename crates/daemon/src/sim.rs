@@ -10,11 +10,12 @@
 //! byte-for-byte. Unlike `moara_core::Cluster`, nothing here is
 //! omniscient: a crash is `fail_node` on the *transport* (frames stop
 //! flowing), and every structural reaction happens because some node's
-//! detector concluded something.
+//! detector concluded something — through the daemon's own
+//! [`DaemonNode::apply_verdict`].
 
 use moara_core::{DeliveryPolicy, Directory, MoaraConfig, MoaraNode, QueryOutcome, SubUpdate};
 use moara_dht::Id;
-use moara_membership::{SwimConfig, SwimDetector, SwimEvent};
+use moara_membership::{SwimConfig, SwimDetector};
 use moara_query::parse_query;
 use moara_simnet::{latency, NodeId, SimDuration, Stats};
 use moara_transport::{SimTransport, Transport};
@@ -26,17 +27,11 @@ use crate::membership::load_overlay;
 use crate::node::{moara_ctx, swim_ctx};
 use crate::{DaemonNode, Member};
 
-/// One simulated daemon's private world-view: its overlay directory and
-/// which members it currently believes alive.
-struct SwarmView {
-    dir: Directory,
-    alive: Vec<bool>,
-}
-
 /// A cluster of simulated daemons (see module docs).
 pub struct SimSwarm {
     transport: SimTransport<DaemonNode>,
-    views: Vec<SwarmView>,
+    /// Each daemon's private member view, as a `moarad` keeps it.
+    members: Vec<Vec<Member>>,
     swim_period: SimDuration,
 }
 
@@ -66,36 +61,31 @@ impl SimSwarm {
             .collect();
         let mut transport: SimTransport<DaemonNode> =
             SimTransport::new(latency::Constant::from_millis(1), seed.wrapping_add(1));
-        let mut views = Vec::with_capacity(n);
         for i in 0..n as u32 {
             let dir = Directory::from_members(&[], cfg.bits_per_digit);
             load_overlay(&dir, &members, cfg.bits_per_digit);
-            let moara = MoaraNode::new(dir.clone(), cfg.clone());
+            let moara = MoaraNode::new(dir, cfg.clone());
             let mut det = SwimDetector::new(NodeId(i), swim.clone(), seed ^ u64::from(i));
             for m in members.iter().filter(|m| m.node != i) {
                 det.sync_peer(NodeId(m.node), 0, true, moara_simnet::SimTime::ZERO);
             }
             transport.add_node(DaemonNode::new(moara, det));
-            views.push(SwarmView {
-                dir,
-                alive: vec![true; n],
-            });
         }
         SimSwarm {
             transport,
-            views,
+            members: vec![members; n],
             swim_period: swim.period,
         }
     }
 
     /// Number of daemons (alive or crashed).
     pub fn len(&self) -> usize {
-        self.views.len()
+        self.members.len()
     }
 
     /// True if the swarm is empty (never: the constructor requires one).
     pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
+        self.members.is_empty()
     }
 
     /// Read access to one daemon's node (engine + detector).
@@ -147,7 +137,7 @@ impl SimSwarm {
 
     /// Total per-tree subscription entries across the *alive* daemons.
     pub fn sub_entries_total(&self) -> usize {
-        (0..self.views.len() as u32)
+        (0..self.members.len() as u32)
             .map(NodeId)
             .filter(|&n| self.transport.is_alive(n))
             .map(|n| self.transport.node(n).moara.sub_entry_count())
@@ -156,7 +146,7 @@ impl SimSwarm {
 
     /// Whether daemon `at` currently believes member `about` is alive.
     pub fn believes_alive(&self, at: NodeId, about: NodeId) -> bool {
-        self.views[at.index()].alive[about.index()]
+        self.members[at.index()][about.index()].alive
     }
 
     /// Sets a local attribute at one daemon (group churn).
@@ -198,45 +188,18 @@ impl SimSwarm {
         ));
     }
 
-    /// Drains every live daemon's detector events and performs the same
-    /// repairs the real daemon loop does: confirmed failure ⇒ prune from
-    /// the directory (ring repair) + `on_peer_failed` + `reconcile`;
-    /// revival ⇒ re-insert + `reconcile`.
+    /// Drains every live daemon's detector events and acts on each the
+    /// way a `moarad` does ([`DaemonNode::apply_verdict`]); every peer
+    /// is addressable here.
     pub fn apply_events(&mut self) {
-        for i in 0..self.views.len() {
+        for (i, members) in self.members.iter_mut().enumerate() {
             let me = NodeId(i as u32);
             if !self.transport.is_alive(me) {
                 continue;
             }
-            let events = self.transport.node_mut(me).swim.take_events();
-            for ev in events {
-                match ev {
-                    SwimEvent::Suspected(_) => {}
-                    SwimEvent::Confirmed(n) => {
-                        let view = &mut self.views[i];
-                        if !view.alive[n.index()] {
-                            continue;
-                        }
-                        view.alive[n.index()] = false;
-                        view.dir.remove_member(n);
-                        self.transport.with_node(me, |dn, ctx| {
-                            let ctx = &mut moara_ctx(ctx);
-                            dn.moara.on_peer_failed(ctx, n);
-                            dn.moara.reconcile(ctx);
-                        });
-                    }
-                    SwimEvent::Revived { node, .. } => {
-                        let view = &mut self.views[i];
-                        if view.alive[node.index()] {
-                            continue;
-                        }
-                        view.alive[node.index()] = true;
-                        view.dir.revive_member(node);
-                        self.transport.with_node(me, |dn, ctx| {
-                            dn.moara.reconcile(&mut moara_ctx(ctx));
-                        });
-                    }
-                }
+            for ev in self.transport.node_mut(me).swim.take_events() {
+                self.transport
+                    .with_node(me, |dn, ctx| dn.apply_verdict(ctx, members, ev, |_| true));
             }
         }
     }

@@ -382,17 +382,6 @@ impl QueryCache {
             .collect()
     }
 
-    /// Whether `token` is a live cache-held standing subscription (the
-    /// event loop filters its dirty-watch hints through this before
-    /// draining, so it never steals a client watch's updates).
-    pub fn has_token(&self, token: u64) -> bool {
-        self.inner
-            .lock()
-            .expect("cache lock")
-            .by_token
-            .contains_key(&token)
-    }
-
     /// Counts one coalesced (single-flight) waiter.
     pub fn note_coalesced(&self) {
         self.coalesced.fetch_add(1, Ordering::Relaxed);
@@ -659,8 +648,7 @@ mod tests {
         assert_eq!(cache.promoted_len(), 0);
         // A surviving key's install still lands normally.
         assert!(cache.promoted("q7", 2));
-        assert!(cache.has_token(2));
-        assert!(!cache.has_token(1));
+        assert_eq!(cache.tokens(), vec![2]);
         assert_eq!(cache.promoted_len(), 1);
     }
 

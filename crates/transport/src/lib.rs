@@ -21,10 +21,10 @@
 //!    [`moara_simnet::Simulator`] (virtual time, seeded latency models,
 //!    perfect determinism), and [`TcpTransport`] runs the same protocol
 //!    over real sockets (length-prefixed [`moara_wire`] frames, per-peer
-//!    pooled connections with reconnect, a real-time timer wheel), plus a
-//!    deterministic seedable loopback mode for tests. The `moarad` daemon
-//!    (`moara-daemon` crate) hosts one node per process on
-//!    [`TcpTransport`] and stitches processes into a cluster.
+//!    pooled connections with reconnect, a real-time timer wheel), in
+//!    tests as in deployment. The `moarad` daemon (`moara-daemon`
+//!    crate) hosts one node per process on [`TcpTransport`] and stitches
+//!    processes into a cluster.
 
 use moara_simnet::{Message, NodeId, SimDuration, SimTime, Stats, TimerId, TimerTag};
 

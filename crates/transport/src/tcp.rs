@@ -2,8 +2,8 @@
 //!
 //! Wire format: every message travels as one `moara-wire` frame whose
 //! payload is `sender NodeId (u32 LE)` followed by the message encoding.
-//! Each hosted node binds its own listener on `127.0.0.1` (port 0 by
-//! default); outbound connections are pooled per destination.
+//! Each hosted node binds its own listener on `127.0.0.1`, port 0;
+//! outbound connections are pooled per destination.
 //!
 //! Threading model: **one thread, one `epoll` set.** The thread that calls
 //! [`TcpTransport::pump`] (usually via the [`Transport`] trait's `run_*`
@@ -28,11 +28,11 @@
 //!
 //! A peer that cannot be reached never stalls the loop: connects are
 //! non-blocking, its frames wait in its (bounded) buffer, and the retry
-//! ladder — [`TcpConfig::connect_retries`] attempts, jittered backoff
-//! between them, then a doubling [`TcpConfig::suspect_cooldown`] during
-//! which sends to it drop at once — is a set of deadlines looked at on
-//! the next flush. Frames still waiting when the ladder runs out are
-//! counted dropped and logged undeliverable, one by one.
+//! ladder — `CONNECT_RETRIES` attempts, jittered backoff between them,
+//! then a doubling `SUSPECT_COOLDOWN` during which sends to it drop at
+//! once — is a set of deadlines looked at on the next flush. Frames
+//! still waiting when the ladder runs out are counted dropped and logged
+//! undeliverable, one by one.
 //!
 //! Time: [`NetCtx::now`] reports real elapsed microseconds since the
 //! transport was created, so `SimTime`/`SimDuration` bookkeeping in
@@ -45,16 +45,14 @@
 //! stops crashes, not spoofing; deploy listeners on loopback or a trusted
 //! network until an authenticated transport lands.
 //!
-//! Loopback mode: [`TcpConfig::loopback`] skips sockets entirely and
-//! delivers through an in-process FIFO — single-threaded, deterministic
-//! delivery order, seedable — for tests that want TCP-path code without
-//! socket nondeterminism. The seed also drives reconnect jitter in socket
-//! mode.
+//! Every frame crosses a socket, tests included: delivery order across
+//! peers is the kernel's, so the deterministic backend is the simulator.
+//! [`TcpConfig::seed`] fixes the reconnect jitter.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
 use std::marker::PhantomData;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,69 +69,17 @@ use crate::epoll::{
 };
 use crate::{NetCtx, NetProtocol, Transport};
 
-/// Tuning knobs for [`TcpTransport`].
+/// What a [`TcpTransport`] is built from.
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
-    /// Seed for reconnect jitter (and any future randomized choices);
-    /// fixes the transport's random stream for reproducible tests.
+    /// Seed for reconnect jitter; fixes the transport's random stream.
     pub seed: u64,
-    /// Deliver through an in-process deterministic FIFO instead of
-    /// sockets (see module docs).
-    pub loopback_only: bool,
-    /// Interface the per-node listeners bind on.
-    pub bind_ip: std::net::IpAddr,
-    /// Connection attempts per peer, after the first, before what waits
-    /// for it is counted dropped.
-    pub connect_retries: u32,
-    /// Base backoff between reconnect attempts (jittered up to 2×).
-    pub retry_backoff: Duration,
-    /// Per-attempt connect timeout.
-    pub connect_timeout: Duration,
-    /// After every reconnect attempt to a peer fails, further sends to it
-    /// are dropped immediately for this long instead of queueing behind a
-    /// crashed peer.
-    pub suspect_cooldown: Duration,
-    /// How long the system must stay idle before
-    /// `run_to_quiescence` declares it quiescent.
-    pub idle_grace: Duration,
-    /// Hard wall-clock cap on one `run_to_quiescence` call (a safety net
-    /// against lost frames; generous because protocol timeouts are real
-    /// seconds here).
-    pub quiesce_cap: Duration,
-}
-
-impl Default for TcpConfig {
-    fn default() -> TcpConfig {
-        TcpConfig {
-            seed: 0,
-            loopback_only: false,
-            bind_ip: std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-            connect_retries: 5,
-            retry_backoff: Duration::from_millis(20),
-            connect_timeout: Duration::from_millis(500),
-            suspect_cooldown: Duration::from_secs(1),
-            idle_grace: Duration::from_millis(40),
-            quiesce_cap: Duration::from_secs(60),
-        }
-    }
 }
 
 impl TcpConfig {
-    /// Socket-backed config with a fixed seed.
+    /// A config with a fixed seed.
     pub fn seeded(seed: u64) -> TcpConfig {
-        TcpConfig {
-            seed,
-            ..TcpConfig::default()
-        }
-    }
-
-    /// Deterministic in-process loopback config (no sockets).
-    pub fn loopback(seed: u64) -> TcpConfig {
-        TcpConfig {
-            seed,
-            loopback_only: true,
-            ..TcpConfig::default()
-        }
+        TcpConfig { seed }
     }
 }
 
@@ -165,6 +111,30 @@ const READ_CHUNK: usize = 64 * 1024;
 /// Most unsent bytes held for one peer (connecting, or not reading)
 /// before further frames to it are dropped and counted.
 const OUT_BUF_CAP: usize = 4 * 1024 * 1024;
+
+/// Connection attempts per peer, after the first, before what waits for
+/// it is counted dropped.
+const CONNECT_RETRIES: u32 = 5;
+
+/// Base backoff between reconnect attempts (jittered up to 2×).
+const RETRY_BACKOFF: Duration = Duration::from_millis(20);
+
+/// Per-attempt connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// After every reconnect attempt to a peer fails, sends to it drop at
+/// once for this long (doubling per failed cycle) instead of queueing
+/// behind a crashed peer.
+const SUSPECT_COOLDOWN: Duration = Duration::from_secs(1);
+
+/// How long the system must stay idle before `run_to_quiescence`
+/// declares it quiescent.
+const IDLE_GRACE: Duration = Duration::from_millis(40);
+
+/// Hard wall-clock cap on one `run_to_quiescence` call (a safety net
+/// against lost frames; generous because protocol timeouts are real
+/// seconds here).
+const QUIESCE_CAP: Duration = Duration::from_secs(60);
 
 /// One accepted peer connection: frames for hosted node `to`.
 struct Inbound {
@@ -198,7 +168,7 @@ struct Link {
     /// Has an entry in [`TcpCore::pending`].
     listed: bool,
     /// Attempts failed in a row; a write that goes through zeroes it. Up
-    /// to [`TcpConfig::connect_retries`], each is a rung of the backoff
+    /// to [`CONNECT_RETRIES`], each is a rung of the backoff
     /// ladder. Each one past that drops what waits and leaves the peer
     /// *suspect* — sends to it drop at once — for a cooldown that doubles
     /// (capped), after which it gets one probe, not the ladder again.
@@ -254,7 +224,6 @@ struct TimerEntry {
 /// Everything the event loop owns besides the nodes themselves, so a node
 /// and its [`NetCtx`] can be borrowed simultaneously.
 struct TcpCore<M> {
-    cfg: TcpConfig,
     epoch: Instant,
     /// Where every known node (local or remote) listens.
     peers: HashMap<u32, SocketAddr>,
@@ -272,9 +241,7 @@ struct TcpCore<M> {
     /// Timer seq → due micros, for finding an entry by its [`TimerId`].
     timer_due: HashMap<u64, u64>,
     next_timer: u64,
-    /// Loopback-mode delivery queue (strict FIFO): destination, payload.
-    local_queue: VecDeque<(u32, Vec<u8>)>,
-    /// Frames sent to local nodes but not yet dispatched (socket mode).
+    /// Frames sent to local nodes but not yet dispatched.
     inflight: i64,
     /// The one readiness set: `wake`, the listeners, every connection.
     epoll: Epoll,
@@ -321,20 +288,12 @@ impl<M: Message + Wire> TcpCore<M> {
         if !self.is_alive(to.0) {
             return self.drop_send(from, to);
         }
-        if self.cfg.loopback_only {
-            // Through the same codec as sockets, minus the length prefix.
-            let mut payload = Vec::with_capacity(size - FRAME_HDR);
-            Wire::encode(&from.0, &mut payload);
-            msg.encode(&mut payload);
-            self.local_queue.push_back((to.0, payload));
-            return;
-        }
         if !self.peers.contains_key(&to.0) {
             return self.drop_send(from, to);
         }
         let link = self.links.entry(to.0).or_default();
         let queued = link.out.len() - link.sent;
-        let suspect = link.failures > self.cfg.connect_retries
+        let suspect = link.failures > CONNECT_RETRIES
             && matches!(link.conn, Conn::Down)
             && link.retry_at.is_some_and(|at| Instant::now() < at);
         if suspect || (queued > 0 && queued + size > OUT_BUF_CAP) {
@@ -411,7 +370,7 @@ impl<M: Message + Wire> TcpCore<M> {
                     match self.peers.get(&to).map(connect_nonblocking) {
                         Some(Ok(s)) if self.epoll.add(s.as_raw_fd(), wants, token).is_ok() => {
                             link.conn = Conn::Connecting(s);
-                            link.retry_at = Some(now + self.cfg.connect_timeout);
+                            link.retry_at = Some(now + CONNECT_TIMEOUT);
                             true
                         }
                         _ => false,
@@ -438,13 +397,13 @@ impl<M: Message + Wire> TcpCore<M> {
             return;
         };
         link.failures = link.failures.saturating_add(1);
-        let Some(streak) = link.failures.checked_sub(self.cfg.connect_retries + 1) else {
-            let base = self.cfg.retry_backoff.as_micros() as u64 * u64::from(link.failures);
+        let Some(streak) = link.failures.checked_sub(CONNECT_RETRIES + 1) else {
+            let base = RETRY_BACKOFF.as_micros() as u64 * u64::from(link.failures);
             let jitter = self.rng.gen_range(0..=base.max(1));
             return link.hang_up(Some(now + Duration::from_micros(base + jitter)));
         };
         // Exponential cooldown, capped at 32× the base.
-        let cooldown = self.cfg.suspect_cooldown * 2u32.pow(streak.min(5));
+        let cooldown = SUSPECT_COOLDOWN * 2u32.pow(streak.min(5));
         self.fail_queued(to, Some(now + cooldown));
     }
 
@@ -621,7 +580,7 @@ impl ReservedListener {
     }
 }
 
-/// Hosts [`NetProtocol`] nodes over TCP (or deterministic loopback).
+/// Hosts [`NetProtocol`] nodes over TCP.
 ///
 /// Supports two deployment shapes:
 ///
@@ -630,7 +589,7 @@ impl ReservedListener {
 ///   real loopback sockets. `Cluster::builder().build_tcp()` in
 ///   `moara-core` uses this.
 /// * **one node per process** — the `moarad` daemon adds its single node
-///   with [`TcpTransport::add_node_with_id`] and points at the rest of the
+///   with [`TcpTransport::add_node_with_listener`] and points at the rest of the
 ///   cluster with [`TcpTransport::register_peer`].
 pub struct TcpTransport<P: NetProtocol> {
     nodes: HashMap<u32, Option<P>>,
@@ -652,7 +611,6 @@ where
             nodes: HashMap::new(),
             core: TcpCore {
                 rng: StdRng::seed_from_u64(cfg.seed),
-                cfg,
                 epoch: Instant::now(),
                 peers: HashMap::new(),
                 locals: HashSet::new(),
@@ -662,7 +620,6 @@ where
                 timers: BTreeMap::new(),
                 timer_due: HashMap::new(),
                 next_timer: 0,
-                local_queue: VecDeque::new(),
                 inflight: 0,
                 epoll,
                 wake,
@@ -694,7 +651,7 @@ where
     ///
     /// Propagates the bind failure.
     pub fn reserve_listener(&self) -> std::io::Result<ReservedListener> {
-        let listener = TcpListener::bind((self.core.cfg.bind_ip, 0))?;
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         Ok(ReservedListener { listener, addr })
@@ -719,30 +676,6 @@ where
         added.expect("listener joins the epoll set");
         self.core.listeners.insert(id.0, listener);
         self.core.peers.insert(id.0, addr);
-        self.host(id, node);
-        addr
-    }
-
-    /// Hosts `node` under an explicit id (daemon deployments, where the
-    /// cluster — not this process — assigns ids). Binds a listener unless
-    /// in loopback mode. Returns the listen address, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is already hosted here or the listener cannot
-    /// bind.
-    pub fn add_node_with_id(&mut self, id: NodeId, node: P) -> Option<SocketAddr> {
-        if self.core.cfg.loopback_only {
-            self.host(id, node);
-            None
-        } else {
-            let reserved = self.reserve_listener().expect("bind listener on loopback");
-            Some(self.add_node_with_listener(id, node, reserved))
-        }
-    }
-
-    /// The part of hosting a node that both modes share.
-    fn host(&mut self, id: NodeId, node: P) {
         assert!(
             !self.nodes.contains_key(&id.0),
             "node {id} already hosted on this transport"
@@ -753,6 +686,7 @@ where
         self.nodes.insert(id.0, Some(node));
         self.next_id = self.next_id.max(id.0 + 1);
         self.with_node_inner(id, |n, ctx| n.on_start(ctx));
+        addr
     }
 
     /// Registers where a *remote* node (hosted by another process)
@@ -786,8 +720,8 @@ where
         self.core.links.remove(&id.0);
     }
 
-    /// The listen address of a locally hosted node (None in loopback
-    /// mode or for unknown ids).
+    /// The listen address of a locally hosted node (None for ids not
+    /// hosted here).
     pub fn local_addr(&self, id: NodeId) -> Option<SocketAddr> {
         if self.core.locals.contains(&id.0) {
             self.core.peers.get(&id.0).copied()
@@ -815,10 +749,6 @@ where
     /// waiting for `EPOLLOUT`) on return.
     pub fn pump(&mut self, max_wait: Duration) -> bool {
         let mut did = self.fire_due_timers();
-        while let Some((to, payload)) = self.core.local_queue.pop_front() {
-            self.deliver(to, &payload);
-            did = true;
-        }
         self.core.flush();
         // The loop's one blocking call; a look without waiting when this
         // call has already done something.
@@ -900,7 +830,7 @@ where
         let from = u32::from_le_bytes(*from);
         // Frames from our own nodes stop being "in flight" the moment the
         // event loop takes them, whatever happens next.
-        if self.core.locals.contains(&from) && !self.core.cfg.loopback_only {
+        if self.core.locals.contains(&from) {
             self.core.inflight -= 1;
         }
         if !self.core.is_alive(to) || !self.nodes.contains_key(&to) {
@@ -940,13 +870,9 @@ where
     }
 
     /// Frames sent to local nodes that the event loop has not yet
-    /// dispatched (socket mode; loopback mode uses its queue length).
+    /// dispatched.
     pub fn in_flight(&self) -> i64 {
-        if self.core.cfg.loopback_only {
-            self.core.local_queue.len() as i64
-        } else {
-            self.core.inflight
-        }
+        self.core.inflight
     }
 
     /// Whether any timers are pending.
@@ -961,7 +887,8 @@ where
 {
     fn add_node(&mut self, node: P) -> NodeId {
         let id = NodeId(self.next_id);
-        self.add_node_with_id(id, node);
+        let reserved = self.reserve_listener().expect("bind listener on loopback");
+        self.add_node_with_listener(id, node, reserved);
         id
     }
 
@@ -1011,12 +938,12 @@ where
 
     /// Real-time quiescence: drains events until nothing is in flight, no
     /// timers are pending, and the system has been idle for
-    /// [`TcpConfig::idle_grace`]. Pending timers are *waited out* (they
+    /// `IDLE_GRACE`. Pending timers are *waited out* (they
     /// fire at their real deadline), matching the simulator's semantics at
     /// wall-clock speed — so configure short protocol timeouts in tests
     /// that exercise failures.
     fn run_to_quiescence(&mut self) -> SimTime {
-        let cap = Instant::now() + self.core.cfg.quiesce_cap;
+        let cap = Instant::now() + QUIESCE_CAP;
         let mut idle_since: Option<Instant> = None;
         while Instant::now() < cap {
             let did = self.pump(Duration::from_millis(5));
@@ -1038,7 +965,7 @@ where
             }
             let now = Instant::now();
             let since = *idle_since.get_or_insert(now);
-            if now.duration_since(since) >= self.core.cfg.idle_grace {
+            if now.duration_since(since) >= IDLE_GRACE {
                 break;
             }
         }
@@ -1104,7 +1031,7 @@ mod tests {
         // A finished query cancels its 60 s front timeout, but a short
         // re-arming timer (SWIM's period) is always due first, so nothing
         // that only cleans up from the front ever reaches it.
-        let mut t: TcpTransport<Echo> = TcpTransport::new(TcpConfig::loopback(9));
+        let mut t: TcpTransport<Echo> = TcpTransport::seeded(9);
         let a = t.add_node(Echo::default());
         let mut tick = t.with_node(a, |_n, ctx| ctx.set_timer(SimDuration::from_millis(10), 1));
         for i in 0..100_000u32 {

@@ -8,7 +8,7 @@ use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use moara_simnet::{NodeId, SimDuration, TimerTag};
-use moara_transport::{NetCtx, NetProtocol, TcpConfig, TcpTransport, Transport};
+use moara_transport::{NetCtx, NetProtocol, TcpTransport, Transport};
 use moara_wire::{append_frame, read_frame, Wire, MAX_FRAME};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -136,7 +136,7 @@ fn a_timer_300_us_out_fires_before_the_millisecond() {
     // Not at 1 ms+, which is where a whole-millisecond `epoll_wait`
     // timeout would put it. The best of a few tries, so that a busy
     // machine's scheduling does not decide the test.
-    let mut t: TcpTransport<Sink> = TcpTransport::new(TcpConfig::loopback(23));
+    let mut t: TcpTransport<Sink> = TcpTransport::seeded(23);
     let a = t.add_node(Sink::default());
     let mut best = Duration::MAX;
     for round in 1..=25 {
@@ -350,25 +350,8 @@ fn ping_pong_over_real_sockets() {
 }
 
 #[test]
-fn loopback_mode_is_deterministic_and_socket_free() {
-    let run = || {
-        let mut t: TcpTransport<Echo> = TcpTransport::new(TcpConfig::loopback(7));
-        let a = t.add_node(Echo::default());
-        let b = t.add_node(Echo::default());
-        assert!(t.local_addr(a).is_none(), "loopback binds no sockets");
-        t.with_node(a, |_n, ctx| ctx.send(b, 5));
-        t.run_to_quiescence();
-        (t.node(a).got.clone(), t.node(b).got.clone())
-    };
-    assert_eq!(run(), run());
-    let (a_got, b_got) = run();
-    assert_eq!(b_got.len(), 3);
-    assert_eq!(a_got.len(), 3);
-}
-
-#[test]
 fn timers_fire_and_cancel_on_real_clock() {
-    let mut t: TcpTransport<Echo> = TcpTransport::new(TcpConfig::loopback(3));
+    let mut t: TcpTransport<Echo> = TcpTransport::seeded(3);
     let a = t.add_node(Echo::default());
     let cancelled = t.with_node(a, |_n, ctx| {
         ctx.set_timer(SimDuration::from_millis(5), 1);
@@ -393,7 +376,7 @@ fn timers_fire_in_due_then_arming_order() {
             self.0.push(tag);
         }
     }
-    let mut t: TcpTransport<Tags> = TcpTransport::new(TcpConfig::loopback(10));
+    let mut t: TcpTransport<Tags> = TcpTransport::seeded(10);
     let a = t.add_node(Tags::default());
     t.with_node(a, |_n, ctx| {
         ctx.set_timer(SimDuration::from_millis(2), 1);
@@ -490,7 +473,8 @@ fn unreachable_peer_goes_suspect_without_ever_stalling_the_loop() {
         t.pump(Duration::from_millis(1));
         slowest = slowest.max(at.elapsed());
     }
-    assert!(ladder.elapsed() >= TcpConfig::default().retry_backoff * 15);
+    // Five rungs, each at least 20 ms (the base backoff) × its attempt.
+    assert!(ladder.elapsed() >= Duration::from_millis(20) * 15);
     assert_eq!(t.take_undeliverable(), vec![(a, ghost)]);
     // Within the cooldown, further sends drop on the spot.
     let at = Instant::now();

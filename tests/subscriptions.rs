@@ -2,7 +2,7 @@
 //! initial sync, delta propagation, suppression (a quiescent subtree
 //! sends zero frames), lease-expiry GC, explicit cancel, partition/heal
 //! convergence, and crash/restart churn — on the deterministic simulator
-//! plus one TCP-loopback twin of the basic lifecycle.
+//! plus one TCP twin of the basic lifecycle over real sockets.
 
 use moara::core::Cluster;
 use moara::simnet::{NodeId, SimDuration};
@@ -541,14 +541,13 @@ fn unsatisfiable_subscription_answers_locally() {
 }
 
 #[test]
-fn tcp_loopback_twin_runs_the_basic_lifecycle() {
-    // Same protocol over the TCP-path code (deterministic loopback
-    // mode): subscribe → initial → delta → crash shrink → restart
-    // restore. Real-socket coverage lives in the daemon crate.
+fn tcp_twin_runs_the_basic_lifecycle() {
+    // Same protocol over real loopback sockets: subscribe → initial →
+    // delta → crash shrink → restart restore.
     let mut c = Cluster::builder()
         .nodes(12)
         .seed(59)
-        .build_tcp(TcpConfig::loopback(59));
+        .build_tcp(TcpConfig::seeded(59));
     for i in 0..12u32 {
         c.set_attr(NodeId(i), "A", i < 4);
     }

@@ -47,18 +47,18 @@ fn three_node_cluster_over_real_sockets_answers_the_quickstart_query() {
     assert_eq!(out.result, AggResult::Value(Value::Int(2)));
 }
 
-/// Probe-cache invalidation over the TCP loopback transport: two
+/// Probe-cache invalidation over TCP sockets: two
 /// identical composite queries share cached probe costs; a group
 /// membership change at the front-end between queries bumps the churn
 /// epoch, so the next query re-probes and returns the updated count.
 #[test]
-fn tcp_loopback_probe_cache_invalidation_reprobes_after_churn() {
-    // Deterministic loopback mode: same codec and framing as sockets,
-    // virtual clock, no real I/O — so probe counters are exact.
+fn tcp_probe_cache_invalidation_reprobes_after_churn() {
+    // Real sockets and the real clock: each query runs to quiescence, so
+    // the probe counters read the same whatever order frames arrive in.
     let mut c = Cluster::builder()
         .nodes(16)
         .seed(31)
-        .build_tcp(TcpConfig::loopback(31));
+        .build_tcp(TcpConfig::seeded(31));
     for i in 0..16u32 {
         c.set_attr(NodeId(i), "a", i % 2 == 0); // 8 nodes, includes 0
         c.set_attr(NodeId(i), "c", i % 4 == 0); // 4 nodes, includes 0
