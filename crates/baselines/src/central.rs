@@ -15,8 +15,8 @@ use moara_aggregation::{AggKind, AggResult, AggState, NodeRef};
 use moara_attributes::{AttrStore, Value};
 use moara_query::{parse_query, ParseError, Query};
 use moara_simnet::{
-    Context, LatencyModel, Message, NodeId, Protocol, SimDuration, SimTime, Simulator, Stats,
-    TimerTag,
+    LatencyModel, Message, NetCtx, NetProtocol, NodeId, SimDuration, SimTime, SimTransport, Stats,
+    TimerTag, Transport,
 };
 
 /// Wire messages of the centralized aggregator.
@@ -99,10 +99,10 @@ impl CentralNode {
     }
 }
 
-impl Protocol for CentralNode {
+impl NetProtocol for CentralNode {
     type Msg = CentralMsg;
 
-    fn on_message(&mut self, ctx: &mut Context<'_, CentralMsg>, from: NodeId, msg: CentralMsg) {
+    fn on_message(&mut self, ctx: &mut dyn NetCtx<CentralMsg>, from: NodeId, msg: CentralMsg) {
         match msg {
             CentralMsg::Ask { qn, query } => {
                 let state = if query.predicate.eval(&self.store) {
@@ -150,12 +150,12 @@ impl Protocol for CentralNode {
         }
     }
 
-    fn on_timer(&mut self, _ctx: &mut Context<'_, CentralMsg>, _tag: TimerTag) {}
+    fn on_timer(&mut self, _ctx: &mut dyn NetCtx<CentralMsg>, _tag: TimerTag) {}
 }
 
 /// A centralized-aggregator deployment (Figure 15's "Central").
 pub struct CentralCluster {
-    sim: Simulator<CentralNode>,
+    sim: SimTransport<CentralNode>,
     aggregator: NodeId,
 }
 
@@ -163,7 +163,7 @@ impl CentralCluster {
     /// Builds `n` nodes; node 0 is the aggregating front-end.
     pub fn new(n: usize, seed: u64, latency: impl LatencyModel + 'static) -> CentralCluster {
         assert!(n > 0);
-        let mut sim = Simulator::new(latency, seed);
+        let mut sim = SimTransport::new(latency, seed);
         for _ in 0..n {
             sim.add_node(CentralNode::new());
         }

@@ -853,6 +853,9 @@ mod tests {
             self.timers.push(tag);
             TimerId::from_raw(tag)
         }
+        fn set_maintenance_timer(&mut self, delay: SimDuration, tag: TimerTag) -> TimerId {
+            self.set_timer(delay, tag)
+        }
         fn cancel_timer(&mut self, _id: TimerId) {}
         fn count(&mut self, _name: &'static str) {}
     }

@@ -153,6 +153,9 @@ impl<M, F: FnMut(M) -> DaemonMsg> NetCtx<M> for Envelope<'_, F> {
     fn set_timer(&mut self, delay: SimDuration, tag: TimerTag) -> TimerId {
         self.inner.set_timer(delay, tag)
     }
+    fn set_maintenance_timer(&mut self, delay: SimDuration, tag: TimerTag) -> TimerId {
+        self.inner.set_maintenance_timer(delay, tag)
+    }
     fn cancel_timer(&mut self, id: TimerId) {
         self.inner.cancel_timer(id);
     }
@@ -388,6 +391,52 @@ mod tests {
     fn seen(t: &SimTransport<DaemonNode>) -> (usize, u64) {
         let moara = &t.node(NodeId(0)).moara;
         (moara.directory().ring_size(), moara.probe_cache_epoch())
+    }
+
+    /// A `NetCtx<DaemonMsg>` that records which arm method each timer
+    /// came through.
+    #[derive(Default)]
+    struct ArmSpy {
+        arms: Vec<(&'static str, TimerTag)>,
+    }
+
+    impl NetCtx<DaemonMsg> for ArmSpy {
+        fn now(&self) -> SimTime {
+            SimTime(0)
+        }
+        fn me(&self) -> NodeId {
+            NodeId(0)
+        }
+        fn send(&mut self, _to: NodeId, _msg: DaemonMsg) {}
+        fn set_timer(&mut self, _delay: SimDuration, tag: TimerTag) -> TimerId {
+            self.arms.push(("plain", tag));
+            TimerId::from_raw(tag)
+        }
+        fn set_maintenance_timer(&mut self, _delay: SimDuration, tag: TimerTag) -> TimerId {
+            self.arms.push(("maintenance", tag));
+            TimerId::from_raw(tag)
+        }
+        fn cancel_timer(&mut self, _id: TimerId) {}
+        fn count(&mut self, _name: &'static str) {}
+    }
+
+    #[test]
+    fn envelopes_keep_maintenance_timers_maintenance() {
+        let mut spy = ArmSpy::default();
+        let d = SimDuration::from_millis(5);
+        moara_ctx(&mut spy).set_maintenance_timer(d, 1);
+        moara_ctx(&mut spy).set_timer(d, 2);
+        swim_ctx(&mut spy).set_maintenance_timer(d, 3);
+        swim_ctx(&mut spy).set_timer(d, 4);
+        assert_eq!(
+            spy.arms,
+            vec![
+                ("maintenance", 1),
+                ("plain", 2),
+                ("maintenance", 3),
+                ("plain", 4)
+            ]
+        );
     }
 
     const CONFIRMED: SwimEvent = SwimEvent::Confirmed(NodeId(2));

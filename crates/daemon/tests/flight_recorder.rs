@@ -14,81 +14,30 @@
 //! * `moara-cli top --once` and `events` exit non-zero with a clear
 //!   message when the daemon is unreachable.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Kills the child on drop so failed asserts don't leak daemons.
-struct Guard(Child);
-
-impl Drop for Guard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-fn free_port() -> String {
-    TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap()
-        .to_string()
-}
+mod support;
+use support::Guard;
 
 /// Spawns a daemon with the gateway enabled plus any extra flags;
-/// returns (guard, http addr, collected stderr lines). The control
-/// address is the `listen` argument itself.
+/// returns (guard, control addr, http addr, collected stderr lines).
 fn spawn_moarad(
-    listen: &str,
     join: Option<&str>,
     extra: &[&str],
-) -> (Guard, String, Arc<Mutex<Vec<String>>>) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_moarad"));
-    cmd.args([
-        "--listen",
-        listen,
-        "--http",
-        "127.0.0.1:0",
-        "--attrs",
-        "ServiceX=true",
-    ])
-    .args(extra)
-    .stdout(Stdio::piped())
-    .stderr(Stdio::piped());
+) -> (Guard, String, String, Arc<Mutex<Vec<String>>>) {
+    let mut args = vec!["--http", "127.0.0.1:0", "--attrs", "ServiceX=true"];
+    args.extend(extra);
     if let Some(seed) = join {
-        cmd.args(["--join", seed]);
+        args.extend(["--join", seed]);
     }
-    let mut child = cmd.spawn().expect("spawn moarad");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let stderr = child.stderr.take().expect("piped stderr");
-    let logs = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&logs);
-    std::thread::spawn(move || {
-        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
-            sink.lock().unwrap().push(line);
-        }
-    });
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let mut lines = BufReader::new(stdout).lines();
-        if let Some(Ok(line)) = lines.next() {
-            let _ = tx.send(line);
-        }
-        for _ in lines {}
-    });
-    let banner = rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("moarad prints its banner");
-    let http_addr = banner
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("http="))
-        .expect("banner carries http=")
-        .to_owned();
+    let (guard, banner, logs) = support::spawn(&args);
+    let http_addr = support::field(&banner, "http=");
     assert_ne!(http_addr, "-", "gateway must be enabled: {banner}");
-    (Guard(child), http_addr, logs)
+    (guard, support::field(&banner, "ctrl="), http_addr, logs)
 }
 
 /// One raw HTTP round trip on a fresh connection.
@@ -159,10 +108,9 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 /// renders both.
 #[test]
 fn history_and_events_endpoints_serve_recorded_data() {
-    let a_ctrl = free_port();
     let swim = ["--swim-period-ms", "200"];
-    let (_a, a_http, _) = spawn_moarad(&a_ctrl, None, &swim);
-    let (_b, b_http, _) = spawn_moarad(&free_port(), Some(&a_ctrl), &swim);
+    let (_a, a_ctrl, a_http, _) = spawn_moarad(None, &swim);
+    let (_b, _, b_http, _) = spawn_moarad(Some(&a_ctrl), &swim);
     for addr in [&a_http, &b_http] {
         wait_alive(addr, 2);
     }
@@ -250,14 +198,13 @@ fn history_and_events_endpoints_serve_recorded_data() {
 #[test]
 fn kill_dash_nine_leaves_a_renderable_blackbox_dump() {
     let dump_dir = scratch_dir("dump");
-    let a_ctrl = free_port();
     let swim = ["--swim-period-ms", "200", "--swim-suspect-periods", "25"];
-    let (_a, a_http, _) = spawn_moarad(&a_ctrl, None, &swim);
-    let (mut b, b_http, _) = spawn_moarad(&free_port(), Some(&a_ctrl), &swim);
+    let (_a, a_ctrl, a_http, _) = spawn_moarad(None, &swim);
+    let (mut b, _, b_http, _) = spawn_moarad(Some(&a_ctrl), &swim);
     let dump_flag = dump_dir.to_str().unwrap().to_owned();
     let mut victim_flags: Vec<&str> = swim.to_vec();
     victim_flags.extend(["--crash-dump-dir", &dump_flag]);
-    let (mut c, c_http, _) = spawn_moarad(&free_port(), Some(&a_ctrl), &victim_flags);
+    let (mut c, _, c_http, _) = spawn_moarad(Some(&a_ctrl), &victim_flags);
     for addr in [&a_http, &b_http, &c_http] {
         wait_alive(addr, 3);
     }
@@ -332,14 +279,13 @@ fn for_hold_down_suppresses_blips_but_fires_when_sustained() {
     let rules_dir = scratch_dir("rules");
     let rules_path = rules_dir.join("alerts.rules");
     std::fs::write(&rules_path, "standing_watch: watches > 0 for 3s\n").unwrap();
-    let a_ctrl = free_port();
     let extra = [
         "--swim-period-ms",
         "200",
         "--alert-rules",
         rules_path.to_str().unwrap(),
     ];
-    let (_a, a_http, a_logs) = spawn_moarad(&a_ctrl, None, &extra);
+    let (_a, a_ctrl, a_http, a_logs) = spawn_moarad(None, &extra);
     wait_alive(&a_http, 1);
 
     let watch_args = |lease: &str| {
@@ -417,7 +363,11 @@ fn for_hold_down_suppresses_blips_but_fires_when_sustained() {
 #[test]
 fn cli_exits_nonzero_with_clear_message_when_daemon_unreachable() {
     // Bound then dropped: nothing listens here.
-    let gone = free_port();
+    let gone = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .to_string();
     for cmd in [&["top", "--once"][..], &["events"][..]] {
         let out = Command::new(env!("CARGO_BIN_EXE_moara-cli"))
             .args(["--connect", &gone, "--timeout", "5"])

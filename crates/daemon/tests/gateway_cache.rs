@@ -4,68 +4,26 @@
 //! SubDelta, not TTL) and single-flight request coalescing (N identical
 //! concurrent queries cost one tree walk).
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-/// Kills the child on drop so failed asserts don't leak daemons.
-struct Guard(Child);
-
-impl Drop for Guard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-fn free_port() -> String {
-    TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap()
-        .to_string()
-}
+mod support;
+use support::Guard;
 
 /// Spawns a daemon with the gateway enabled plus extra flags; returns
-/// (guard, http addr).
-fn spawn_moarad(listen: &str, join: Option<&str>, attrs: &str, extra: &[&str]) -> (Guard, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_moarad"));
-    cmd.args([
-        "--listen",
-        listen,
-        "--http",
-        "127.0.0.1:0",
-        "--attrs",
-        attrs,
-    ])
-    .args(extra)
-    .stdout(Stdio::piped())
-    .stderr(Stdio::inherit());
+/// (guard, control addr, http addr).
+fn spawn_moarad(join: Option<&str>, attrs: &str, extra: &[&str]) -> (Guard, String, String) {
+    let mut args = vec!["--http", "127.0.0.1:0", "--attrs", attrs];
+    args.extend(extra);
     if let Some(seed) = join {
-        cmd.args(["--join", seed]);
+        args.extend(["--join", seed]);
     }
-    let mut child = cmd.spawn().expect("spawn moarad");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let mut lines = BufReader::new(stdout).lines();
-        if let Some(Ok(line)) = lines.next() {
-            let _ = tx.send(line);
-        }
-        for _ in lines {}
-    });
-    let banner = rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("moarad prints its banner");
-    let http_addr = banner
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("http="))
-        .expect("banner carries http=")
-        .to_owned();
+    let (guard, banner, _) = support::spawn(&args);
+    let http_addr = support::field(&banner, "http=");
     assert_ne!(http_addr, "-", "gateway must be enabled: {banner}");
-    (Guard(child), http_addr)
+    (guard, support::field(&banner, "ctrl="), http_addr)
 }
 
 /// One raw HTTP round trip on a fresh connection; returns (status code,
@@ -152,25 +110,13 @@ fn metric(addr: &str, name: &str) -> u64 {
 /// point may a cache hit carry a value the cluster never held.
 #[test]
 fn write_via_peer_invalidates_cached_read() {
-    let a_ctrl = free_port();
-    let (_a, a_http) = spawn_moarad(
-        &a_ctrl,
+    let (_a, a_ctrl, a_http) = spawn_moarad(
         None,
         "ServiceX=true,CPU-Util=10",
         &["--cache-promote-after", "2"],
     );
-    let (_b, b_http) = spawn_moarad(
-        &free_port(),
-        Some(&a_ctrl),
-        "ServiceX=false,CPU-Util=90",
-        &[],
-    );
-    let (_c, c_http) = spawn_moarad(
-        &free_port(),
-        Some(&a_ctrl),
-        "ServiceX=true,CPU-Util=30",
-        &[],
-    );
+    let (_b, _, b_http) = spawn_moarad(Some(&a_ctrl), "ServiceX=false,CPU-Util=90", &[]);
+    let (_c, _, c_http) = spawn_moarad(Some(&a_ctrl), "ServiceX=true,CPU-Util=30", &[]);
     for addr in [&a_http, &b_http, &c_http] {
         wait_alive(addr, 3);
     }
@@ -259,25 +205,13 @@ fn write_via_peer_invalidates_cached_read() {
 /// volley exercises dedup, not the cache.
 #[test]
 fn concurrent_identical_queries_walk_once() {
-    let a_ctrl = free_port();
-    let (_a, a_http) = spawn_moarad(
-        &a_ctrl,
+    let (_a, a_ctrl, a_http) = spawn_moarad(
         None,
         "ServiceX=true,CPU-Util=10",
         &["--cache-promote-after", "1000"],
     );
-    let (_b, b_http) = spawn_moarad(
-        &free_port(),
-        Some(&a_ctrl),
-        "ServiceX=false,CPU-Util=90",
-        &[],
-    );
-    let (_c, c_http) = spawn_moarad(
-        &free_port(),
-        Some(&a_ctrl),
-        "ServiceX=true,CPU-Util=30",
-        &[],
-    );
+    let (_b, _, b_http) = spawn_moarad(Some(&a_ctrl), "ServiceX=false,CPU-Util=90", &[]);
+    let (_c, _, c_http) = spawn_moarad(Some(&a_ctrl), "ServiceX=true,CPU-Util=30", &[]);
     for addr in [&a_http, &b_http, &c_http] {
         wait_alive(addr, 3);
     }

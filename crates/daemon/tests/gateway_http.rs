@@ -5,57 +5,22 @@
 //! No HTTP client library, no curl: CI runs this as the gateway gate.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Kills the child on drop so failed asserts don't leak daemons.
-struct Guard(Child);
+mod support;
 
-impl Drop for Guard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-fn free_port() -> String {
-    TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap()
-        .to_string()
-}
-
-/// Spawns a daemon with the gateway enabled; returns (guard, http addr).
-fn spawn_moarad(listen: &str, http: &str, join: Option<&str>, attrs: &str) -> (Guard, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_moarad"));
-    cmd.args(["--listen", listen, "--http", http, "--attrs", attrs])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit());
+/// Spawns a daemon with the gateway enabled; returns (guard, control
+/// addr, http addr).
+fn spawn_moarad(http: &str, join: Option<&str>, attrs: &str) -> (support::Guard, String, String) {
+    let mut args = vec!["--http", http, "--attrs", attrs];
     if let Some(seed) = join {
-        cmd.args(["--join", seed]);
+        args.extend(["--join", seed]);
     }
-    let mut child = cmd.spawn().expect("spawn moarad");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let mut lines = BufReader::new(stdout).lines();
-        if let Some(Ok(line)) = lines.next() {
-            let _ = tx.send(line);
-        }
-        for _ in lines {}
-    });
-    let banner = rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("moarad prints its banner");
-    let http_addr = banner
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("http="))
-        .expect("banner carries http=")
-        .to_owned();
+    let (guard, banner, _) = support::spawn(&args);
+    let http_addr = support::field(&banner, "http=");
     assert_ne!(http_addr, "-", "gateway must be enabled: {banner}");
-    (Guard(child), http_addr)
+    (guard, support::field(&banner, "ctrl="), http_addr)
 }
 
 /// One raw HTTP round trip on a fresh connection; returns the full
@@ -110,20 +75,9 @@ fn enc(q: &str) -> String {
 
 #[test]
 fn http_cluster_serves_query_attrs_watch_and_metrics() {
-    let a_ctrl = free_port();
-    let (_a, a_http) = spawn_moarad(&a_ctrl, "127.0.0.1:0", None, "ServiceX=true,CPU-Util=10");
-    let (_b, b_http) = spawn_moarad(
-        &free_port(),
-        "127.0.0.1:0",
-        Some(&a_ctrl),
-        "ServiceX=false,CPU-Util=90",
-    );
-    let (_c, c_http) = spawn_moarad(
-        &free_port(),
-        "127.0.0.1:0",
-        Some(&a_ctrl),
-        "ServiceX=true,CPU-Util=30",
-    );
+    let (_a, a_ctrl, a_http) = spawn_moarad("127.0.0.1:0", None, "ServiceX=true,CPU-Util=10");
+    let (_b, _, b_http) = spawn_moarad("127.0.0.1:0", Some(&a_ctrl), "ServiceX=false,CPU-Util=90");
+    let (_c, _, c_http) = spawn_moarad("127.0.0.1:0", Some(&a_ctrl), "ServiceX=true,CPU-Util=30");
     for addr in [&a_http, &b_http, &c_http] {
         wait_alive(addr, 3);
     }

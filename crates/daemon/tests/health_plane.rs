@@ -11,81 +11,30 @@
 //! * `moara-cli top --once` renders the dashboard; `status --json`
 //!   carries the latency-bucket trace exemplars.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::process::Command;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Kills the child on drop so failed asserts don't leak daemons.
-struct Guard(Child);
-
-impl Drop for Guard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-fn free_port() -> String {
-    TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap()
-        .to_string()
-}
+mod support;
+use support::Guard;
 
 /// Spawns a daemon with the gateway enabled plus any extra flags;
-/// returns (guard, http addr, collected stderr lines). The control
-/// address is the `listen` argument itself.
+/// returns (guard, control addr, http addr, collected stderr lines).
 fn spawn_moarad(
-    listen: &str,
     join: Option<&str>,
     extra: &[&str],
-) -> (Guard, String, Arc<Mutex<Vec<String>>>) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_moarad"));
-    cmd.args([
-        "--listen",
-        listen,
-        "--http",
-        "127.0.0.1:0",
-        "--attrs",
-        "ServiceX=true",
-    ])
-    .args(extra)
-    .stdout(Stdio::piped())
-    .stderr(Stdio::piped());
+) -> (Guard, String, String, Arc<Mutex<Vec<String>>>) {
+    let mut args = vec!["--http", "127.0.0.1:0", "--attrs", "ServiceX=true"];
+    args.extend(extra);
     if let Some(seed) = join {
-        cmd.args(["--join", seed]);
+        args.extend(["--join", seed]);
     }
-    let mut child = cmd.spawn().expect("spawn moarad");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let stderr = child.stderr.take().expect("piped stderr");
-    let logs = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&logs);
-    std::thread::spawn(move || {
-        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
-            sink.lock().unwrap().push(line);
-        }
-    });
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let mut lines = BufReader::new(stdout).lines();
-        if let Some(Ok(line)) = lines.next() {
-            let _ = tx.send(line);
-        }
-        for _ in lines {}
-    });
-    let banner = rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("moarad prints its banner");
-    let http_addr = banner
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("http="))
-        .expect("banner carries http=")
-        .to_owned();
+    let (guard, banner, logs) = support::spawn(&args);
+    let http_addr = support::field(&banner, "http=");
     assert_ne!(http_addr, "-", "gateway must be enabled: {banner}");
-    (Guard(child), http_addr, logs)
+    (guard, support::field(&banner, "ctrl="), http_addr, logs)
 }
 
 /// One raw HTTP round trip on a fresh connection.
@@ -163,11 +112,10 @@ fn wait_health_table_ok(addr: &str, members: &[u32]) {
 /// --json` carries trace exemplars.
 #[test]
 fn single_daemon_serves_cluster_wide_health_and_metrics() {
-    let a_ctrl = free_port();
     let swim = ["--swim-period-ms", "200"];
-    let (_a, a_http, _) = spawn_moarad(&a_ctrl, None, &swim);
-    let (_b, b_http, _) = spawn_moarad(&free_port(), Some(&a_ctrl), &swim);
-    let (_c, c_http, _) = spawn_moarad(&free_port(), Some(&a_ctrl), &swim);
+    let (_a, a_ctrl, a_http, _) = spawn_moarad(None, &swim);
+    let (_b, _, b_http, _) = spawn_moarad(Some(&a_ctrl), &swim);
+    let (_c, _, c_http, _) = spawn_moarad(Some(&a_ctrl), &swim);
     for addr in [&a_http, &b_http, &c_http] {
         wait_alive(addr, 3);
     }
@@ -250,15 +198,14 @@ fn single_daemon_serves_cluster_wide_health_and_metrics() {
 /// a `moara_federation_missing` series instead of silence.
 #[test]
 fn kill_dash_nine_goes_stale_then_dead_and_fires_the_alert() {
-    let a_ctrl = free_port();
     // Suspicion long enough (200 ms × 25) that the table reads the
     // silent member before the confirm: the table must demonstrably
     // pass through `stale` on its way to `dead`, exactly the ordering an
     // operator watching `top` sees.
     let swim = ["--swim-period-ms", "200", "--swim-suspect-periods", "25"];
-    let (_a, a_http, a_logs) = spawn_moarad(&a_ctrl, None, &swim);
-    let (_b, b_http, _) = spawn_moarad(&free_port(), Some(&a_ctrl), &swim);
-    let (mut c, c_http, _) = spawn_moarad(&free_port(), Some(&a_ctrl), &swim);
+    let (_a, a_ctrl, a_http, a_logs) = spawn_moarad(None, &swim);
+    let (_b, _, b_http, _) = spawn_moarad(Some(&a_ctrl), &swim);
+    let (mut c, _, c_http, _) = spawn_moarad(Some(&a_ctrl), &swim);
     for addr in [&a_http, &b_http, &c_http] {
         wait_alive(addr, 3);
     }

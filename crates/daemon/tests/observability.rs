@@ -11,81 +11,31 @@
 //! * A trace cut by a crashed daemon still renders, with the lost
 //!   subtree in the `missing` list, within bounded time — no hang.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::process::Command;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Kills the child on drop so failed asserts don't leak daemons.
-struct Guard(Child);
-
-impl Drop for Guard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-fn free_port() -> String {
-    TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap()
-        .to_string()
-}
+mod support;
+use support::Guard;
 
 /// Spawns a daemon with the gateway enabled plus any extra flags;
-/// returns (guard, http addr, collected stderr lines).
+/// returns (guard, control addr, http addr, collected stderr lines).
 fn spawn_moarad(
-    listen: &str,
     join: Option<&str>,
     attrs: &str,
     extra: &[&str],
-) -> (Guard, String, Arc<Mutex<Vec<String>>>) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_moarad"));
-    cmd.args([
-        "--listen",
-        listen,
-        "--http",
-        "127.0.0.1:0",
-        "--attrs",
-        attrs,
-    ])
-    .args(extra)
-    .stdout(Stdio::piped())
-    .stderr(Stdio::piped());
+) -> (Guard, String, String, Arc<Mutex<Vec<String>>>) {
+    let mut args = vec!["--http", "127.0.0.1:0", "--attrs", attrs];
+    args.extend(extra);
     if let Some(seed) = join {
-        cmd.args(["--join", seed]);
+        args.extend(["--join", seed]);
     }
-    let mut child = cmd.spawn().expect("spawn moarad");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let stderr = child.stderr.take().expect("piped stderr");
-    let logs = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&logs);
-    std::thread::spawn(move || {
-        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
-            sink.lock().unwrap().push(line);
-        }
-    });
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let mut lines = BufReader::new(stdout).lines();
-        if let Some(Ok(line)) = lines.next() {
-            let _ = tx.send(line);
-        }
-        for _ in lines {}
-    });
-    let banner = rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("moarad prints its banner");
-    let http_addr = banner
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("http="))
-        .expect("banner carries http=")
-        .to_owned();
+    let (guard, banner, logs) = support::spawn(&args);
+    let http_addr = support::field(&banner, "http=");
     assert_ne!(http_addr, "-", "gateway must be enabled: {banner}");
-    (Guard(child), http_addr, logs)
+    (guard, support::field(&banner, "ctrl="), http_addr, logs)
 }
 
 /// One raw HTTP round trip on a fresh connection.
@@ -162,11 +112,9 @@ fn run_traced_query(http_addr: &str, expect_count: &str) -> String {
 
 #[test]
 fn composite_query_trace_spans_all_three_daemons() {
-    let a_ctrl = free_port();
-    let b_ctrl = free_port();
-    let (_a, _a_http, _) = spawn_moarad(&a_ctrl, None, "a=true,b=true", &[]);
-    let (_b, b_http, _) = spawn_moarad(&b_ctrl, Some(&a_ctrl), "a=true,b=true", &[]);
-    let (_c, c_http, _) = spawn_moarad(&free_port(), Some(&a_ctrl), "a=true,b=true", &[]);
+    let (_a, a_ctrl, _a_http, _) = spawn_moarad(None, "a=true,b=true", &[]);
+    let (_b, b_ctrl, b_http, _) = spawn_moarad(Some(&a_ctrl), "a=true,b=true", &[]);
+    let (_c, _, c_http, _) = spawn_moarad(Some(&a_ctrl), "a=true,b=true", &[]);
     for addr in [&_a_http, &b_http, &c_http] {
         wait_alive(addr, 3);
     }
@@ -243,7 +191,7 @@ fn composite_query_trace_spans_all_three_daemons() {
 
 #[test]
 fn metrics_exposition_is_conformant_and_has_histograms() {
-    let (_a, a_http, _) = spawn_moarad(&free_port(), None, "a=true,b=true", &[]);
+    let (_a, _, a_http, _) = spawn_moarad(None, "a=true,b=true", &[]);
     wait_alive(&a_http, 1);
     // Drive every latency family at least once before scraping.
     let q = enc("SELECT count(*) WHERE a = true");
@@ -298,8 +246,7 @@ fn metrics_exposition_is_conformant_and_has_histograms() {
 
 #[test]
 fn slow_query_and_access_logs_emit_json_lines() {
-    let (_a, a_http, logs) = spawn_moarad(
-        &free_port(),
+    let (_a, _, a_http, logs) = spawn_moarad(
         None,
         "a=true,b=true",
         &["--slow-query-ms", "0", "--access-log"],
@@ -337,10 +284,9 @@ fn slow_query_and_access_logs_emit_json_lines() {
 
 #[test]
 fn crashed_daemon_marks_trace_subtree_missing_without_hanging() {
-    let a_ctrl = free_port();
-    let (_a, a_http, _) = spawn_moarad(&a_ctrl, None, "a=true,b=true", &[]);
-    let (_b, b_http, _) = spawn_moarad(&free_port(), Some(&a_ctrl), "a=true,b=true", &[]);
-    let (c, c_http, _) = spawn_moarad(&free_port(), Some(&a_ctrl), "a=true,b=true", &[]);
+    let (_a, a_ctrl, a_http, _) = spawn_moarad(None, "a=true,b=true", &[]);
+    let (_b, _, b_http, _) = spawn_moarad(Some(&a_ctrl), "a=true,b=true", &[]);
+    let (c, _, c_http, _) = spawn_moarad(Some(&a_ctrl), "a=true,b=true", &[]);
     for addr in [&a_http, &b_http, &c_http] {
         wait_alive(addr, 3);
     }

@@ -6,66 +6,24 @@
 //! state across a cluster.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Kills the child on drop so failed asserts don't leak daemons.
-struct Guard(Child);
-
-impl Drop for Guard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-fn free_port() -> String {
-    TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap()
-        .to_string()
-}
+mod support;
+use support::Guard;
 
 /// Spawns a daemon with the gateway enabled plus any extra flags;
-/// returns (guard, http addr).
-fn spawn_moarad(listen: &str, join: Option<&str>, extra: &[&str]) -> (Guard, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_moarad"));
-    cmd.args([
-        "--listen",
-        listen,
-        "--http",
-        "127.0.0.1:0",
-        "--attrs",
-        "ServiceX=true",
-    ])
-    .args(extra)
-    .stdout(Stdio::piped())
-    .stderr(Stdio::inherit());
+/// returns (guard, control addr, http addr).
+fn spawn_moarad(join: Option<&str>, extra: &[&str]) -> (Guard, String, String) {
+    let mut args = vec!["--http", "127.0.0.1:0", "--attrs", "ServiceX=true"];
+    args.extend(extra);
     if let Some(seed) = join {
-        cmd.args(["--join", seed]);
+        args.extend(["--join", seed]);
     }
-    let mut child = cmd.spawn().expect("spawn moarad");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let mut lines = BufReader::new(stdout).lines();
-        if let Some(Ok(line)) = lines.next() {
-            let _ = tx.send(line);
-        }
-        for _ in lines {}
-    });
-    let banner = rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("moarad prints its banner");
-    let http_addr = banner
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("http="))
-        .expect("banner carries http=")
-        .to_owned();
+    let (guard, banner, _) = support::spawn(&args);
+    let http_addr = support::field(&banner, "http=");
     assert_ne!(http_addr, "-", "gateway must be enabled: {banner}");
-    (Guard(child), http_addr)
+    (guard, support::field(&banner, "ctrl="), http_addr)
 }
 
 /// One raw HTTP round trip on a fresh connection; returns the full
@@ -136,7 +94,7 @@ fn metric(exposition: &str, name: &str) -> Option<f64> {
 /// request's body is drained so the keep-alive connection stays in sync.
 #[test]
 fn smuggling_vectors_are_rejected_end_to_end() {
-    let (_d, addr) = spawn_moarad(&free_port(), None, &[]);
+    let (_d, _, addr) = spawn_moarad(None, &[]);
 
     // TE desync proof: with the old ignore-the-header behavior, the
     // chunked body stayed in the buffer and the embedded
@@ -188,7 +146,7 @@ fn smuggling_vectors_are_rejected_end_to_end() {
 /// rejection is counted in `/metrics`.
 #[test]
 fn rate_limit_answers_429_over_real_daemon() {
-    let (_d, addr) = spawn_moarad(&free_port(), None, &["--gw-rate-limit", "5"]);
+    let (_d, _, addr) = spawn_moarad(None, &["--gw-rate-limit", "5"]);
 
     // Burst auto-sizes to 2×rate = 10 tokens; 14 rapid requests must
     // spill past it.
@@ -235,10 +193,9 @@ fn rate_limit_answers_429_over_real_daemon() {
 /// well under a millisecond; no deadline a flag can express catches it.)
 #[test]
 fn request_deadline_answers_408_over_real_daemon() {
-    let seed_ctrl = free_port();
     let flags = ["--gw-request-timeout-ms", "100", "--no-query-cache"];
-    let (_a, a_http) = spawn_moarad(&seed_ctrl, None, &flags);
-    let (mut b, _) = spawn_moarad(&free_port(), Some(&seed_ctrl), &[]);
+    let (_a, seed_ctrl, a_http) = spawn_moarad(None, &flags);
+    let (mut b, _, _) = spawn_moarad(Some(&seed_ctrl), &[]);
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let resp = get(&a_http, "/healthz");
@@ -271,7 +228,7 @@ fn ten_thousand_idle_connections_stay_responsive() {
     // machine cannot get the early waves reaped before the sample; cache
     // off so that every query below is a walk through the event loop.
     let flags = ["--gw-idle-timeout-ms", "600000", "--no-query-cache"];
-    let (_d, addr) = spawn_moarad(&free_port(), None, &flags);
+    let (_d, _, addr) = spawn_moarad(None, &flags);
 
     let mut idle: Vec<TcpStream> = Vec::with_capacity(10_000);
     for wave in 0..20 {
@@ -327,12 +284,11 @@ fn ten_thousand_idle_connections_stay_responsive() {
 /// and peers GC their entries.
 #[test]
 fn sse_hangup_drains_watch_state_across_the_cluster() {
-    let seed_ctrl = free_port();
     // --no-query-cache so cache-promoted standing subscriptions cannot
     // muddy the zero-watches assertion.
-    let (_a, a_http) = spawn_moarad(&seed_ctrl, None, &["--no-query-cache"]);
-    let (_b, b_http) = spawn_moarad(&free_port(), Some(&seed_ctrl), &["--no-query-cache"]);
-    let (_c, c_http) = spawn_moarad(&free_port(), Some(&seed_ctrl), &["--no-query-cache"]);
+    let (_a, seed_ctrl, a_http) = spawn_moarad(None, &["--no-query-cache"]);
+    let (_b, _, b_http) = spawn_moarad(Some(&seed_ctrl), &["--no-query-cache"]);
+    let (_c, _, c_http) = spawn_moarad(Some(&seed_ctrl), &["--no-query-cache"]);
     let daemons = [&a_http, &b_http, &c_http];
 
     // Wait for full membership.

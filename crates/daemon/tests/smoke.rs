@@ -5,68 +5,29 @@
 //! boundaries.
 
 use std::io::{BufRead, BufReader};
-use std::net::TcpListener;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// Kills the child on drop so failed asserts don't leak daemons.
-struct Guard(Child);
+mod support;
+use support::Guard;
 
-impl Drop for Guard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
+/// Spawns a daemon; returns its guard and control address.
+fn spawn_moarad(join: Option<&str>, attrs: &str) -> (Guard, String) {
+    let (guard, banner) = spawn_moarad_with(join, attrs, &[]);
+    (guard, support::field(&banner, "ctrl="))
 }
 
-fn free_port() -> String {
-    // Bind-then-drop: the kernel hands out a free ephemeral port. A small
-    // race window exists but is fine for CI-scale tests.
-    TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap()
-        .to_string()
-}
-
-fn spawn_moarad(listen: &str, join: Option<&str>, attrs: &str) -> Guard {
-    spawn_moarad_with(listen, join, attrs, &[]).0
-}
-
-/// Like [`spawn_moarad`] with extra flags; also returns the boot banner
-/// (it carries `http=ADDR` when the gateway is enabled).
-fn spawn_moarad_with(
-    listen: &str,
-    join: Option<&str>,
-    attrs: &str,
-    extra: &[&str],
-) -> (Guard, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_moarad"));
-    cmd.args(["--listen", listen, "--attrs", attrs])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit());
+/// Like [`spawn_moarad`] with extra flags; returns the boot banner (it
+/// carries `http=ADDR` when the gateway is enabled). The banner means
+/// the control plane is up.
+fn spawn_moarad_with(join: Option<&str>, attrs: &str, extra: &[&str]) -> (Guard, String) {
+    let mut args = vec!["--attrs", attrs];
+    args.extend(extra);
     if let Some(seed) = join {
-        cmd.args(["--join", seed]);
+        args.extend(["--join", seed]);
     }
-    let mut child = cmd.spawn().expect("spawn moarad");
-
-    // Wait for the boot banner so the control plane is definitely up.
-    let stdout = child.stdout.take().expect("piped stdout");
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let mut lines = BufReader::new(stdout).lines();
-        if let Some(Ok(line)) = lines.next() {
-            let _ = tx.send(line);
-        }
-        // Keep draining so the daemon never blocks on a full pipe.
-        for _ in lines {}
-    });
-    let banner = rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("moarad prints its banner");
-    assert!(banner.starts_with("MOARAD"), "unexpected banner: {banner}");
-    (Guard(child), banner)
+    let (guard, banner, _) = support::spawn(&args);
+    (guard, banner)
 }
 
 /// One raw HTTP GET on a fresh connection; returns the whole response
@@ -115,13 +76,9 @@ fn wait_for_members(ctrl: &str, want: u32) {
 
 #[test]
 fn three_moarad_processes_answer_a_query_via_moara_cli() {
-    let a_ctrl = free_port();
-    let b_ctrl = free_port();
-    let c_ctrl = free_port();
-
-    let _a = spawn_moarad(&a_ctrl, None, "ServiceX=true,CPU-Util=10");
-    let _b = spawn_moarad(&b_ctrl, Some(&a_ctrl), "ServiceX=false,CPU-Util=90");
-    let _c = spawn_moarad(&c_ctrl, Some(&a_ctrl), "ServiceX=true,CPU-Util=30");
+    let (_a, a_ctrl) = spawn_moarad(None, "ServiceX=true,CPU-Util=10");
+    let (_b, b_ctrl) = spawn_moarad(Some(&a_ctrl), "ServiceX=false,CPU-Util=90");
+    let (_c, c_ctrl) = spawn_moarad(Some(&a_ctrl), "ServiceX=true,CPU-Util=30");
 
     for ctrl in [&a_ctrl, &b_ctrl, &c_ctrl] {
         wait_for_members(ctrl, 3);
@@ -212,23 +169,17 @@ fn three_moarad_processes_answer_a_query_via_moara_cli() {
 /// default or strand sub state on the survivors.
 #[test]
 fn sigterm_shuts_a_daemon_down_cleanly() {
-    let a_ctrl = free_port();
-    let b_ctrl = free_port();
     // A carries the gateway with a hair-trigger promotion threshold so
     // the test can warm its result cache with two GETs.
     let (mut a, banner) = spawn_moarad_with(
-        &a_ctrl,
         None,
         "ServiceX=true",
         &["--http", "127.0.0.1:0", "--cache-promote-after", "2"],
     );
-    let a_http = banner
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("http="))
-        .expect("banner carries http=")
-        .to_owned();
+    let a_ctrl = support::field(&banner, "ctrl=");
+    let a_http = support::field(&banner, "http=");
     assert_ne!(a_http, "-", "gateway must be enabled: {banner}");
-    let _b = spawn_moarad(&b_ctrl, Some(&a_ctrl), "ServiceX=true");
+    let (_b, b_ctrl) = spawn_moarad(Some(&a_ctrl), "ServiceX=true");
     wait_for_members(&a_ctrl, 2);
     wait_for_members(&b_ctrl, 2);
 
@@ -355,7 +306,7 @@ fn refused_alert_rules(tag: &str, rules: &str, code: i32) -> String {
     let path = std::env::temp_dir().join(format!("moara-{tag}-rules-{}", std::process::id()));
     std::fs::write(&path, rules).unwrap();
     let path_arg = path.to_str().expect("a UTF-8 temp path");
-    let (got, _, stderr) = moarad_exit(&["--listen", &free_port(), "--alert-rules", path_arg]);
+    let (got, _, stderr) = moarad_exit(&["--listen", "127.0.0.1:0", "--alert-rules", path_arg]);
     let _ = std::fs::remove_file(&path);
     assert_eq!(got, Some(code), "{stderr}");
     stderr
@@ -365,7 +316,7 @@ fn refused_alert_rules(tag: &str, rules: &str, code: i32) -> String {
 /// in-process callers go through too: exit 1, the reason on stderr.
 #[test]
 fn moarad_refuses_rejoin_as_without_join() {
-    let (code, _, stderr) = moarad_exit(&["--listen", &free_port(), "--rejoin-as", "3"]);
+    let (code, _, stderr) = moarad_exit(&["--listen", "127.0.0.1:0", "--rejoin-as", "3"]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("--rejoin-as requires --join"), "{stderr}");
 }
@@ -454,25 +405,23 @@ fn assert_only_resident_threads(names: &[String]) {
 /// on the stopped one.
 #[test]
 fn a_moarad_has_no_peer_plane_threads() {
-    let ctrls = [free_port(), free_port(), free_port()];
     let flags = |http: &'static str| ["--http", http, "--no-query-cache"];
     let mut fleet = Vec::new();
-    for (i, ctrl) in ctrls.iter().enumerate() {
-        let join = (i > 0).then_some(ctrls[0].as_str());
+    let mut ctrls: Vec<String> = Vec::new();
+    for i in 0..3 {
+        let join = ctrls.first().map(String::as_str);
         let attrs = format!("ServiceX=true,CPU-Util={}", 10 * (i + 1));
-        fleet.push(spawn_moarad_with(ctrl, join, &attrs, &flags("127.0.0.1:0")));
+        let (guard, banner) = spawn_moarad_with(join, &attrs, &flags("127.0.0.1:0"));
+        ctrls.push(support::field(&banner, "ctrl="));
+        fleet.push((guard, banner));
     }
     for ctrl in &ctrls {
         wait_for_members(ctrl, 3);
     }
-    let field = |banner: &str, key: &str| {
-        let value = banner.split(key).nth(1).expect("field in banner");
-        value.split_whitespace().next().unwrap().to_owned()
-    };
     // Uncached queries through every front-end: every peer link is up
     // in both directions.
     for (_, banner) in &fleet {
-        let http = field(banner, "http=");
+        let http = support::field(banner, "http=");
         for _ in 0..3 {
             let reply = http_get(
                 &http,
@@ -497,7 +446,7 @@ fn a_moarad_has_no_peer_plane_threads() {
         assert!(sent.expect("run kill").success(), "kill {sig}");
     };
     signal("-STOP");
-    let http = field(&asker.1, "http=");
+    let http = support::field(&asker.1, "http=");
     let scrape = std::thread::spawn(move || http_get(&http, "/v1/cluster/metrics"));
     // Looked at for as long as the scrape waits: neither side has a
     // thread waiting on the stopped peer.
@@ -514,7 +463,7 @@ fn a_moarad_has_no_peer_plane_threads() {
     signal("-CONT");
     let missing = format!(
         "moara_federation_missing{{instance=\"{}\"}} 1",
-        field(&stopped.1, "node=")
+        support::field(&stopped.1, "node=")
     );
     assert!(fed.contains(&missing), "no {missing} in:\n{fed}");
 }

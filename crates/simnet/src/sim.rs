@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::latency::LatencyModel;
+use crate::net::{NetCtx, NetProtocol, Transport};
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 
@@ -75,7 +76,7 @@ impl Message for String {
 /// Opaque tag carried by a timer back to the protocol that armed it.
 pub type TimerTag = u64;
 
-/// Handle to a pending timer, usable with [`Context::cancel_timer`].
+/// Handle to a pending timer, usable with [`NetCtx::cancel_timer`].
 ///
 /// The simulator mints it from the timer's queue slot and that slot's
 /// generation (high 32 bits), so a handle outliving its timer matches
@@ -108,25 +109,6 @@ impl TimerId {
     fn gen(self) -> u32 {
         (self.0 >> 32) as u32
     }
-}
-
-/// A message-passing state machine hosted by the simulator.
-///
-/// This is the seam that would be replaced by a socket-facing runtime in a
-/// real deployment: protocol logic written against this trait is oblivious
-/// to whether it runs over the simulator or a network.
-pub trait Protocol {
-    /// The protocol's wire message type.
-    type Msg: Message;
-
-    /// Called once when the node is added to the simulator.
-    fn on_start(&mut self, _ctx: &mut Context<'_, Self::Msg>) {}
-
-    /// Called when a message addressed to this node is delivered.
-    fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeId, msg: Self::Msg);
-
-    /// Called when a timer armed via [`Context::set_timer`] fires.
-    fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, tag: TimerTag);
 }
 
 /// What a queue slot holds.
@@ -189,7 +171,7 @@ impl Ord for Key {
 ///
 /// This is the simulator's fault-injection surface for churn scenarios
 /// the paper only gestures at: lossy links, netsplits, and (together with
-/// [`Simulator::fail_node`] / [`Simulator::recover_node`], which preserve
+/// [`Transport::fail_node`] / [`Transport::recover_node`], which preserve
 /// node state) crash-then-restart. Drops are counted under the
 /// `"faults_dropped"` stats counter.
 #[derive(Debug, Default)]
@@ -341,37 +323,39 @@ impl<M: Message> Core<M> {
     }
 }
 
-/// Handle passed to protocol callbacks for interacting with the simulated
-/// world: sending messages, arming timers, reading the clock, randomness.
-pub struct Context<'a, M> {
+/// The [`NetCtx`] a callback on the simulator gets: sends, timers and
+/// the clock act on the event loop's [`Core`].
+struct Context<'a, M> {
     core: &'a mut Core<M>,
     me: NodeId,
 }
 
 impl<M: Message> Context<'_, M> {
-    /// The current virtual time.
-    pub fn now(&self) -> SimTime {
+    fn arm_timer(&mut self, delay: SimDuration, tag: TimerTag, maintenance: bool) -> TimerId {
+        let at = self.core.now + delay;
+        let (slot, gen) = self
+            .core
+            .push(at, self.me, Payload::Timer(tag), maintenance);
+        TimerId::from_slot(slot, gen)
+    }
+}
+
+impl<M: Message> NetCtx<M> for Context<'_, M> {
+    fn now(&self) -> SimTime {
         self.core.now
     }
 
-    /// The id of the node this callback runs on.
-    pub fn me(&self) -> NodeId {
+    fn me(&self) -> NodeId {
         self.me
     }
 
-    /// The simulation's deterministic random-number generator.
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.core.rng
-    }
-
-    /// Sends `msg` to `to`; it will be delivered after a sampled one-way
-    /// network delay. Messages to failed nodes are dropped (and recorded in
-    /// the undeliverable log).
+    /// Delivers `msg` after a sampled one-way network delay. Messages to
+    /// failed nodes are dropped (and recorded in the undeliverable log).
     ///
     /// Sending to oneself is allowed and delivered with the same sampled
     /// latency (loopback messages in the prototype still crossed the
     /// FreePastry dispatch path).
-    pub fn send(&mut self, to: NodeId, msg: M) {
+    fn send(&mut self, to: NodeId, msg: M) {
         let bytes = msg.size_bytes();
         self.core.stats.record_send(self.me, bytes);
         if let Some(tag) = msg.query_tag() {
@@ -400,34 +384,18 @@ impl<M: Message> Context<'_, M> {
             .push(at, to, Payload::Deliver { from, msg }, false);
     }
 
-    /// Arms a one-shot timer that fires on this node after `delay`.
-    pub fn set_timer(&mut self, delay: SimDuration, tag: TimerTag) -> TimerId {
+    fn set_timer(&mut self, delay: SimDuration, tag: TimerTag) -> TimerId {
         self.arm_timer(delay, tag, false)
     }
 
-    /// Arms a one-shot *maintenance* timer: it fires during `run_for`
-    /// like any other, but does not gate quiescence —
-    /// [`Simulator::run_to_quiescence`] neither waits for nor fires it.
-    /// For standing periodic work (lease clocks, subscription renewals)
-    /// that would otherwise make a quiescence drain re-arm itself
-    /// forever. A maintenance timer skipped by a drain may consequently
-    /// fire *late* (at the clock position the drain reached).
-    pub fn set_maintenance_timer(&mut self, delay: SimDuration, tag: TimerTag) -> TimerId {
+    fn set_maintenance_timer(&mut self, delay: SimDuration, tag: TimerTag) -> TimerId {
         self.arm_timer(delay, tag, true)
     }
 
-    fn arm_timer(&mut self, delay: SimDuration, tag: TimerTag, maintenance: bool) -> TimerId {
-        let at = self.core.now + delay;
-        let (slot, gen) = self
-            .core
-            .push(at, self.me, Payload::Timer(tag), maintenance);
-        TimerId::from_slot(slot, gen)
-    }
-
-    /// Cancels a pending timer. Cancelling an already-fired (or already
-    /// cancelled) timer is a no-op: its slot has moved to a new
-    /// generation, so the id matches nothing.
-    pub fn cancel_timer(&mut self, id: TimerId) {
+    /// Cancelling an already-fired (or already cancelled) timer is a
+    /// no-op: its slot has moved to a new generation, so the id matches
+    /// nothing.
+    fn cancel_timer(&mut self, id: TimerId) {
         if let Some(s) = self.core.slots.get_mut(id.slot() as usize) {
             if s.gen == id.gen() && matches!(s.payload, Payload::Timer(_)) {
                 s.payload = Payload::Cancelled;
@@ -435,26 +403,25 @@ impl<M: Message> Context<'_, M> {
         }
     }
 
-    /// Increments a named experiment counter (see [`Stats::counter`]).
-    pub fn count(&mut self, name: &'static str) {
+    fn count(&mut self, name: &'static str) {
         self.core.stats.bump(name, 1);
     }
 }
 
-/// The deterministic discrete-event simulator.
+/// The deterministic discrete-event simulator: a [`Transport`] on a
+/// virtual clock, with seeded latency models and randomness.
 ///
-/// Generic over the hosted [`Protocol`]; all nodes in one simulator run the
-/// same protocol type (heterogeneous roles are expressed as states of that
-/// type, exactly as a single deployed binary would).
-pub struct Simulator<P: Protocol> {
+/// Generic over the hosted [`NetProtocol`]; all nodes in one simulator
+/// run the same protocol type.
+pub struct SimTransport<P: NetProtocol> {
     nodes: Vec<P>,
     core: Core<P::Msg>,
 }
 
-impl<P: Protocol> Simulator<P> {
+impl<P: NetProtocol> SimTransport<P> {
     /// Creates an empty simulator with the given latency model and RNG seed.
-    pub fn new(latency: impl LatencyModel + 'static, seed: u64) -> Simulator<P> {
-        Simulator {
+    pub fn new(latency: impl LatencyModel + 'static, seed: u64) -> SimTransport<P> {
+        SimTransport {
             nodes: Vec::new(),
             core: Core {
                 now: SimTime::ZERO,
@@ -473,99 +440,11 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// The scriptable network-fault plan (lossy links, partitions).
+    /// The scriptable network-fault plan (lossy links, partitions) — the
+    /// fault-injection surface for churn and netsplit scenarios. Real
+    /// transports get their faults from the real network.
     pub fn faults_mut(&mut self) -> &mut FaultPlan {
         &mut self.core.faults
-    }
-
-    /// Read access to the fault plan.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.core.faults
-    }
-
-    /// Adds a node and invokes its [`Protocol::on_start`]. Returns its id.
-    pub fn add_node(&mut self, node: P) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(node);
-        self.core.alive.push(true);
-        self.core.stats.ensure_node(id);
-        self.with_node(id, |n, ctx| n.on_start(ctx));
-        id
-    }
-
-    /// Number of nodes ever added (including failed ones).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if no nodes have been added.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Immutable access to a node's state (for assertions/inspection).
-    pub fn node(&self, id: NodeId) -> &P {
-        &self.nodes[id.index()]
-    }
-
-    /// Mutable access to a node's state *without* a context. Prefer
-    /// [`Simulator::with_node`] when the mutation needs to send messages.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        &mut self.nodes[id.index()]
-    }
-
-    /// Runs `f` against node `id` with a live [`Context`], so the closure
-    /// can send messages and arm timers. This is how experiment drivers
-    /// inject external stimuli (queries, attribute changes).
-    pub fn with_node<R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>) -> R,
-    ) -> R {
-        let mut ctx = Context {
-            core: &mut self.core,
-            me: id,
-        };
-        f(&mut self.nodes[id.index()], &mut ctx)
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.core.now
-    }
-
-    /// Message/byte accounting.
-    pub fn stats(&self) -> &Stats {
-        &self.core.stats
-    }
-
-    /// Mutable accounting access (e.g. to reset between experiment phases).
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.core.stats
-    }
-
-    /// Marks a node failed: pending deliveries and timers for it are
-    /// discarded, and future sends to it are dropped.
-    pub fn fail_node(&mut self, id: NodeId) {
-        self.core.alive[id.index()] = false;
-    }
-
-    /// Brings a failed node back (its in-memory state is retained, modeling
-    /// a transient partition; for a cold restart, replace the state via
-    /// [`Simulator::node_mut`] first).
-    pub fn recover_node(&mut self, id: NodeId) {
-        self.core.alive[id.index()] = true;
-    }
-
-    /// Whether the node is currently alive.
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.core.alive[id.index()]
-    }
-
-    /// Drains the log of (sender, dead-destination) pairs accumulated since
-    /// the last call — a stand-in for FreePastry's failure notifications.
-    pub fn take_undeliverable(&mut self) -> Vec<(NodeId, NodeId)> {
-        std::mem::take(&mut self.core.undeliverable)
     }
 
     /// Frees the key's slot, then runs its payload on the node in place.
@@ -590,23 +469,6 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Processes events until no *foreground* events remain: pending
-    /// deliveries and ordinary timers drain; maintenance timers stay
-    /// queued (they would re-arm themselves forever). Returns the final
-    /// time.
-    ///
-    /// # Panics
-    ///
-    /// Panics after 200 million events, which in practice indicates a
-    /// protocol livelock (e.g. a self-rearming foreground timer).
-    pub fn run_to_quiescence(&mut self) -> SimTime {
-        assert!(
-            self.run_events(200_000_000),
-            "simulation did not quiesce within the event budget"
-        );
-        self.core.now
-    }
-
     /// True when `key` is a cancelled timer, whose slot it then frees.
     /// Cancelled timers are purged *without advancing the clock*:
     /// letting them drag `now` forward used to make every synchronous
@@ -627,7 +489,7 @@ impl<P: Protocol> Simulator<P> {
     /// foreground drained. Maintenance timers encountered on the way are
     /// set aside (unfired, clock untouched) and re-queued at the end with
     /// their original `(time, seq)`.
-    pub fn run_events(&mut self, budget: u64) -> bool {
+    fn run_events(&mut self, budget: u64) -> bool {
         let mut stash: Vec<Key> = Vec::new();
         for _ in 0..budget {
             if self.core.fg_events == 0 {
@@ -648,10 +510,50 @@ impl<P: Protocol> Simulator<P> {
         self.core.queue.extend(stash.into_iter().map(Reverse));
         self.core.fg_events == 0
     }
+}
 
-    /// Processes all events with `time <= until`, then advances the clock to
-    /// `until` (even if idle). Later events stay queued.
-    pub fn run_until(&mut self, until: SimTime) {
+impl<P: NetProtocol> Transport<P> for SimTransport<P> {
+    fn add_node(&mut self, node: P) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
+        self.nodes.push(node);
+        self.core.alive.push(true);
+        self.core.stats.ensure_node(id);
+        self.with_node(id, |n, ctx| n.on_start(ctx));
+        id
+    }
+
+    fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn node(&self, id: NodeId) -> &P {
+        &self.nodes[id.index()]
+    }
+
+    fn node_mut(&mut self, id: NodeId) -> &mut P {
+        &mut self.nodes[id.index()]
+    }
+
+    fn with_node<R>(
+        &mut self,
+        id: NodeId,
+        f: impl FnOnce(&mut P, &mut dyn NetCtx<P::Msg>) -> R,
+    ) -> R {
+        let mut ctx = Context {
+            core: &mut self.core,
+            me: id,
+        };
+        f(&mut self.nodes[id.index()], &mut ctx)
+    }
+
+    fn now(&self) -> SimTime {
+        self.core.now
+    }
+
+    /// Processes all events due by `now + d`, then advances the clock
+    /// there even if idle. Later events stay queued.
+    fn run_for(&mut self, d: SimDuration) {
+        let until = self.core.now + d;
         loop {
             let due = matches!(self.core.queue.peek(),
                 Some(Reverse(key)) if key.time <= until);
@@ -674,15 +576,44 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Runs the clock forward by `d` (see [`Simulator::run_until`]).
-    pub fn run_for(&mut self, d: SimDuration) {
-        let until = self.core.now + d;
-        self.run_until(until);
+    /// Processes events until no *foreground* events remain: pending
+    /// deliveries and ordinary timers drain; maintenance timers stay
+    /// queued (they would re-arm themselves forever).
+    ///
+    /// # Panics
+    ///
+    /// Panics after 200 million events, which in practice indicates a
+    /// protocol livelock (e.g. a self-rearming foreground timer).
+    fn run_to_quiescence(&mut self) -> SimTime {
+        assert!(
+            self.run_events(200_000_000),
+            "simulation did not quiesce within the event budget"
+        );
+        self.core.now
     }
 
-    /// Number of events currently queued (pending deliveries + timers).
-    pub fn pending_events(&self) -> usize {
-        self.core.queue.len()
+    fn stats(&self) -> &Stats {
+        &self.core.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut Stats {
+        &mut self.core.stats
+    }
+
+    fn fail_node(&mut self, id: NodeId) {
+        self.core.alive[id.index()] = false;
+    }
+
+    fn recover_node(&mut self, id: NodeId) {
+        self.core.alive[id.index()] = true;
+    }
+
+    fn is_alive(&self, id: NodeId) -> bool {
+        self.core.alive[id.index()]
+    }
+
+    fn take_undeliverable(&mut self) -> Vec<(NodeId, NodeId)> {
+        std::mem::take(&mut self.core.undeliverable)
     }
 }
 
@@ -697,21 +628,21 @@ mod tests {
         timer_fired: u32,
     }
 
-    impl Protocol for Echo {
+    impl NetProtocol for Echo {
         type Msg = u32;
-        fn on_message(&mut self, ctx: &mut Context<'_, u32>, from: NodeId, msg: u32) {
+        fn on_message(&mut self, ctx: &mut dyn NetCtx<u32>, from: NodeId, msg: u32) {
             self.got.push((from, msg));
             if msg > 0 {
                 ctx.send(from, msg - 1);
             }
         }
-        fn on_timer(&mut self, _ctx: &mut Context<'_, u32>, _tag: TimerTag) {
+        fn on_timer(&mut self, _ctx: &mut dyn NetCtx<u32>, _tag: TimerTag) {
             self.timer_fired += 1;
         }
     }
 
-    fn sim() -> Simulator<Echo> {
-        Simulator::new(Constant::from_millis(10), 1)
+    fn sim() -> SimTransport<Echo> {
+        SimTransport::new(Constant::from_millis(10), 1)
     }
 
     #[test]
@@ -745,7 +676,7 @@ mod tests {
 
     /// Slots holding a cancelled timer: the simulator's whole
     /// cancellation state.
-    fn cancellation_state<P: Protocol>(s: &Simulator<P>) -> usize {
+    fn cancellation_state<P: NetProtocol>(s: &SimTransport<P>) -> usize {
         s.core
             .slots
             .iter()
@@ -807,7 +738,7 @@ mod tests {
             ctx.send(b, 3); // foreground until 40 ms
             ctx.set_maintenance_timer(SimDuration::from_millis(15), 3);
         });
-        let keys = |s: &Simulator<Echo>| {
+        let keys = |s: &SimTransport<Echo>| {
             let mut k: Vec<(SimTime, u64)> = s
                 .core
                 .queue
@@ -833,27 +764,27 @@ mod tests {
         struct Pinger {
             deadline: Option<TimerId>,
         }
-        impl Protocol for Pinger {
+        impl NetProtocol for Pinger {
             type Msg = u32;
-            fn on_message(&mut self, ctx: &mut Context<'_, u32>, from: NodeId, msg: u32) {
+            fn on_message(&mut self, ctx: &mut dyn NetCtx<u32>, from: NodeId, msg: u32) {
                 if let Some(t) = self.deadline.take() {
                     ctx.cancel_timer(t);
                 }
                 self.deadline = Some(ctx.set_timer(SimDuration::from_secs(1), 0));
                 ctx.send(from, msg.wrapping_add(1));
             }
-            fn on_timer(&mut self, _ctx: &mut Context<'_, u32>, _tag: TimerTag) {}
+            fn on_timer(&mut self, _ctx: &mut dyn NetCtx<u32>, _tag: TimerTag) {}
         }
-        let mut s: Simulator<Pinger> = Simulator::new(Constant::from_millis(10), 4);
+        let mut s: SimTransport<Pinger> = SimTransport::new(Constant::from_millis(10), 4);
         let a = s.add_node(Pinger::default());
         let b = s.add_node(Pinger::default());
         s.with_node(a, |_n, ctx| ctx.send(b, 0));
-        let mut peak = s.pending_events();
+        let mut peak = s.core.queue.len();
         let mut events = 0u32;
         while events < 100_000 {
             s.run_events(1);
             events += 1;
-            peak = peak.max(s.pending_events());
+            peak = peak.max(s.core.queue.len());
             assert!(s.core.slots.len() <= peak, "after {events} events");
         }
         assert!(peak > 2, "the deadlines are queued as tombstones");
@@ -902,10 +833,10 @@ mod tests {
         let a = s.add_node(Echo::default());
         let b = s.add_node(Echo::default());
         s.with_node(a, |_n, ctx| ctx.send(b, 10)); // would run 110 ms
-        s.run_until(SimTime(35_000));
+        s.run_for(SimDuration::from_micros(35_000));
         assert_eq!(s.now(), SimTime(35_000));
         assert_eq!(s.stats().total_messages(), 4); // 3 delivered+1 queued? sent: at 0,10,20,30
-        assert!(s.pending_events() > 0);
+        assert!(!s.core.queue.is_empty());
         s.run_to_quiescence();
         assert_eq!(s.stats().total_messages(), 11);
     }
@@ -913,7 +844,7 @@ mod tests {
     #[test]
     fn determinism_same_seed_same_trace() {
         let run = || {
-            let mut s: Simulator<Echo> = Simulator::new(crate::latency::Lan::emulab(), 99);
+            let mut s: SimTransport<Echo> = SimTransport::new(crate::latency::Lan::emulab(), 99);
             let a = s.add_node(Echo::default());
             let b = s.add_node(Echo::default());
             s.with_node(a, |_n, ctx| ctx.send(b, 20));
@@ -938,7 +869,7 @@ mod tests {
         let a = s.add_node(Echo::default());
         let b = s.add_node(Echo::default());
         s.faults_mut().partition(&[a], &[b]);
-        assert!(s.faults().partitioned(a, b) && s.faults().partitioned(b, a));
+        assert!(s.core.faults.partitioned(a, b) && s.core.faults.partitioned(b, a));
         s.with_node(a, |_n, ctx| ctx.send(b, 0));
         s.with_node(b, |_n, ctx| ctx.send(a, 0));
         s.run_to_quiescence();
@@ -976,7 +907,7 @@ mod tests {
     fn fault_free_runs_keep_their_exact_trace() {
         // Guard: an inactive FaultPlan must not disturb the RNG stream.
         let run = |touch_faults: bool| {
-            let mut s: Simulator<Echo> = Simulator::new(crate::latency::Lan::emulab(), 5);
+            let mut s: SimTransport<Echo> = SimTransport::new(crate::latency::Lan::emulab(), 5);
             let a = s.add_node(Echo::default());
             let b = s.add_node(Echo::default());
             if touch_faults {
@@ -995,19 +926,19 @@ mod tests {
         struct Renewer {
             fired: u32,
         }
-        impl Protocol for Renewer {
+        impl NetProtocol for Renewer {
             type Msg = u32;
-            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            fn on_start(&mut self, ctx: &mut dyn NetCtx<u32>) {
                 ctx.set_maintenance_timer(SimDuration::from_millis(10), 0);
             }
-            fn on_message(&mut self, _ctx: &mut Context<'_, u32>, _from: NodeId, _msg: u32) {}
-            fn on_timer(&mut self, ctx: &mut Context<'_, u32>, _tag: TimerTag) {
+            fn on_message(&mut self, _ctx: &mut dyn NetCtx<u32>, _from: NodeId, _msg: u32) {}
+            fn on_timer(&mut self, ctx: &mut dyn NetCtx<u32>, _tag: TimerTag) {
                 // Standing periodic work: re-arms itself forever.
                 self.fired += 1;
                 ctx.set_maintenance_timer(SimDuration::from_millis(10), 0);
             }
         }
-        let mut s: Simulator<Renewer> = Simulator::new(Constant::from_millis(1), 3);
+        let mut s: SimTransport<Renewer> = SimTransport::new(Constant::from_millis(1), 3);
         let a = s.add_node(Renewer::default());
         // Quiescence terminates immediately and fires nothing.
         let end = s.run_to_quiescence();

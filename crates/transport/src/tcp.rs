@@ -60,14 +60,15 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use moara_simnet::{Message, NodeId, SimDuration, SimTime, Stats, TimerId, TimerTag};
+use moara_simnet::{
+    Message, NetCtx, NetProtocol, NodeId, SimDuration, SimTime, Stats, TimerId, TimerTag, Transport,
+};
 use moara_wire::{append_frame, peer_framed_len, FrameBuf, Wire, FRAME_HDR, SENDER_HDR};
 
 use crate::epoll::{
     connect_nonblocking, Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
     EPOLLRDHUP,
 };
-use crate::{NetCtx, NetProtocol, Transport};
 
 /// What a [`TcpTransport`] is built from.
 #[derive(Clone, Debug)]
@@ -1005,8 +1006,7 @@ where
 mod tests {
     use super::*;
 
-    /// Echo protocol over the seam (same as the sim adapter's tests, so
-    /// both backends are exercised by one protocol definition).
+    /// Echo protocol over the seam.
     #[derive(Debug, Default)]
     struct Echo {
         got: Vec<(NodeId, u32)>,

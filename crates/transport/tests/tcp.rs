@@ -313,8 +313,7 @@ fn a_reannounced_peer_gets_the_cut_frame_again_from_its_start() {
 // The seam's own tests, from outside: `tcp.rs` keeps only the two that
 // look inside the transport.
 
-/// Echo protocol over the seam (same as the sim adapter's tests, so
-/// both backends are exercised by one protocol definition).
+/// Echo protocol over the seam.
 #[derive(Debug, Default)]
 struct Echo {
     got: Vec<(NodeId, u32)>,

@@ -23,15 +23,16 @@
 //!
 //! # Transports
 //!
-//! The protocol engine is written against `moara_transport`'s I/O seam —
+//! The protocol engine is written against one I/O seam, defined in
+//! `moara-simnet` and re-exported by `moara-transport` —
 //! [`NetCtx`] (send / timers / clock) and
 //! [`NetProtocol`] (the node state machine)
 //! — and deployments drive it through the
-//! [`Transport`] host trait. Two backends
-//! ship:
+//! [`Transport`] host trait. Two hosts
+//! implement it:
 //!
-//! * [`SimTransport`] wraps the
-//!   deterministic `moara-simnet` simulator; `Cluster::builder().build()`
+//! * [`SimTransport`] is the deterministic
+//!   `moara-simnet` simulator itself; `Cluster::builder().build()`
 //!   uses it, and every experiment/figure harness runs on it.
 //! * [`TcpTransport`] moves the same
 //!   messages over real sockets as length-prefixed `moara-wire` frames
