@@ -522,8 +522,9 @@ pub(crate) enum CtrlOut {
     /// A reply frame to write to the socket.
     Reply(CtrlReply),
     /// Liveness probe for a quiescent watch stream: never written to the
-    /// socket — it only fails (telling the loop to unsubscribe) once
-    /// this connection's thread has noticed the hang-up and gone.
+    /// socket, but the connection's thread probes the socket on it. It
+    /// fails (telling the loop to unsubscribe) once that thread has
+    /// noticed the hang-up and gone.
     Keepalive,
 }
 
@@ -591,14 +592,17 @@ fn ctrl_conn_loop(mut stream: TcpStream, tx: Sender<CtrlJob>, wake: WakeHandle) 
         // unsubscribes).
         loop {
             let reply = match reply_rx.recv_timeout(wait) {
-                Ok(CtrlOut::Keepalive) => continue,
                 Ok(CtrlOut::Reply(reply)) => reply,
-                Err(RecvTimeoutError::Timeout) if streaming => {
+                // A keepalive probes the socket too: the loop sends one
+                // about every `wait`, so a probe only on timeout could be
+                // put off again and again while the client is gone.
+                Ok(CtrlOut::Keepalive) | Err(RecvTimeoutError::Timeout) if streaming => {
                     if !moara_gateway::http::socket_alive(&mut stream) {
                         return;
                     }
                     continue;
                 }
+                Ok(CtrlOut::Keepalive) => continue,
                 Err(RecvTimeoutError::Timeout) => error("daemon did not answer in time"),
                 // The daemon dropped the reply end without answering: it
                 // is shutting down (a stream that already started just

@@ -300,8 +300,9 @@ fn for_hold_down_suppresses_blips_but_fires_when_sustained() {
     };
 
     // Blip: the watch exists for well under the 3s hold (the client
-    // dies and its 1500ms lease expires unrenewed), so the rule's
-    // pending state must drain without ever firing.
+    // dies and the daemon, probing the stream about once a second,
+    // drops the watch), so the rule's pending state must drain without
+    // ever firing.
     let mut blip = Guard(
         Command::new(env!("CARGO_BIN_EXE_moara-cli"))
             .args(watch_args("1500"))
@@ -347,11 +348,23 @@ fn for_hold_down_suppresses_blips_but_fires_when_sustained() {
         "\"rule\":\"standing_watch\"",
         "sustained watch never fired the held rule",
     );
-    let lines = a_logs.lock().unwrap().clone();
-    let fired = lines
-        .iter()
-        .find(|l| l.contains("\"alert\":\"firing\"") && l.contains("\"rule\":\"standing_watch\""))
-        .unwrap_or_else(|| panic!("no firing line on stderr: {lines:#?}"));
+    // The line is on its way through the stderr pipe when the alert
+    // shows: wait for the drain thread to pass it on.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let fired = loop {
+        let lines = a_logs.lock().unwrap().clone();
+        let firing = |l: &&String| {
+            l.contains("\"alert\":\"firing\"") && l.contains("\"rule\":\"standing_watch\"")
+        };
+        if let Some(line) = lines.iter().find(firing) {
+            break line.clone();
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no firing line on stderr: {lines:#?}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
     assert!(fired.contains("\"ts_ms\":"), "{fired}");
 
     let _ = std::fs::remove_dir_all(&rules_dir);

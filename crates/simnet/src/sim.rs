@@ -964,4 +964,42 @@ mod tests {
         assert_eq!(s.stats().counter("probes"), 2);
         assert_eq!(s.stats().counter("absent"), 0);
     }
+
+    /// Two echo nodes added through nothing but the `Transport` seam,
+    /// as code generic over its host sees them.
+    fn pair(t: &mut impl Transport<Echo>) -> (NodeId, NodeId) {
+        (t.add_node(Echo::default()), t.add_node(Echo::default()))
+    }
+
+    #[test]
+    fn hosts_netprotocol_on_the_simulator() {
+        let mut t = sim();
+        let (a, b) = pair(&mut t);
+        t.with_node(a, |_n, ctx| ctx.send(b, 3));
+        let end = t.run_to_quiescence();
+        assert_eq!(t.stats().total_messages(), 4);
+        assert_eq!(end, SimDuration::from_millis(40).as_time());
+        assert_eq!(t.node(b).got, vec![(a, 3), (a, 1)]);
+        assert_eq!(t.node(a).got, vec![(b, 2), (b, 0)]);
+    }
+
+    #[test]
+    fn timers_and_failures_flow_through_the_trait() {
+        let mut t = SimTransport::new(Constant::from_millis(1), 2);
+        let (a, b) = pair(&mut t);
+        let cancelled = t.with_node(a, |_n, ctx| {
+            ctx.set_timer(SimDuration::from_millis(5), 1);
+            ctx.set_timer(SimDuration::from_millis(6), 2)
+        });
+        t.with_node(a, |_n, ctx| ctx.cancel_timer(cancelled));
+        t.fail_node(b);
+        t.with_node(a, |_n, ctx| ctx.send(b, 9));
+        t.run_to_quiescence();
+        assert_eq!(t.node(a).timer_fired, 1);
+        assert!(t.node(b).got.is_empty());
+        assert!(!t.is_alive(b));
+        assert_eq!(t.take_undeliverable(), vec![(a, b)]);
+        t.recover_node(b);
+        assert!(t.is_alive(b));
+    }
 }
