@@ -67,7 +67,7 @@ use rand::{Rng, SeedableRng};
 
 use moara_attributes::Value;
 use moara_core::{DeliveryPolicy, Directory, MoaraConfig, MoaraMsg, MoaraNode};
-use moara_gateway::{CacheConfig, GatewayHandle, GatewayOpts, GwJob, QueryCache};
+use moara_gateway::{CacheConfig, GatewayHandle, GatewayOpts, GatewayStats, LoopEdge, QueryCache};
 use moara_membership::{SwimConfig, SwimDetector};
 use moara_query::{parse_query, Query};
 use moara_simnet::{NodeId, SimDuration, SimTime};
@@ -246,8 +246,8 @@ pub struct Daemon {
     ctrl_stop: Arc<AtomicBool>,
     /// The embedded HTTP gateway, when `--http` asked for one.
     gw_handle: Option<GatewayHandle>,
-    /// Gateway jobs funnel into the event loop through this.
-    gw_rx: Option<Receiver<GwJob>>,
+    /// The HTTP connections this loop hosts (moved from the shards).
+    gw_edge: Option<LoopEdge>,
     /// Tree walks in flight: front id → everyone waiting on that walk
     /// (single-flight: identical concurrent HTTP queries share one) plus
     /// cache bookkeeping.
@@ -259,9 +259,9 @@ pub struct Daemon {
     /// the walk already running for it. Identical queries arriving
     /// while it runs join its waiter list instead of walking again.
     gw_inflight: HashMap<String, u64>,
-    /// The gateway result cache, shared with the worker pool (workers
-    /// serve hits; this loop installs promotions, folds SubUpdates in,
-    /// and demotes). `None` when disabled or the gateway is off.
+    /// The gateway result cache, shared with the gateway (it serves hits;
+    /// this loop installs promotions, folds SubUpdates in, and demotes).
+    /// `None` when disabled or the gateway is off.
     query_cache: Option<Arc<QueryCache>>,
     /// When idle cache entries were last swept.
     last_cache_sweep: Instant,
@@ -316,8 +316,7 @@ pub struct Daemon {
     /// shards never see them.
     gw_latency_exemplars: Histogram,
     /// The flight recorder: metrics history rings + event journal +
-    /// crash-dump writer. `Arc` so the panic hook and the gateway's
-    /// worker threads could share it.
+    /// crash-dump writer. `Arc` so the panic hook can share it.
     recorder: Arc<Recorder>,
     /// `sub_expired` counter at the last maintenance tick (journal
     /// lease-GC events are emitted as diffs).
@@ -388,7 +387,7 @@ impl Daemon {
         }
 
         // The loop blocks in exactly one place, the transport's inbox;
-        // both request planes enqueue their job and then wake it.
+        // both request planes enqueue their work and then wake it.
         let wake = transport.wake_handle();
 
         // Control plane: bound before joining, so a taken port fails the
@@ -480,34 +479,28 @@ impl Daemon {
 
         // The HTTP edge: any client that can speak HTTP/1.1 (a browser, a
         // load balancer's health checks, a Prometheus scraper) enters
-        // through here; jobs funnel into the same single-threaded loop as
-        // control requests. See `docs/gateway.md`.
-        let (gw_handle, gw_rx, query_cache) = match opts.http {
+        // through here; a connection that needs the daemon moves onto the
+        // same single-threaded loop as control requests. See
+        // `docs/gateway.md`.
+        let (gw_handle, gw_edge, query_cache) = match opts.http {
             None => (None, None, None),
             Some(addr) => {
                 let listener = TcpListener::bind(addr)
                     .map_err(|e| format!("bind http listener {addr}: {e}"))?;
-                let (gw_tx, gw_rx) = std::sync::mpsc::channel();
                 let sink: Option<moara_gateway::AccessLogSink> = opts
                     .access_log
                     .then(|| Arc::new(|line: &str| eprintln!("{line}")) as _);
-                // The cache is shared between the worker pool (which
-                // serves hits inline, never entering this loop) and the
-                // event loop (which owns every mutation that needs the
-                // protocol node: promotion installs, SubUpdate folds,
-                // demotion lease releases).
+                // The cache is shared between the hosts that serve hits
+                // inline and the event loop, which owns every mutation that
+                // needs the protocol node: promotion installs, SubUpdate
+                // folds, demotion lease releases.
                 let cache = opts
                     .query_cache
                     .clone()
                     .map(|cfg| Arc::new(QueryCache::new(cfg)));
-                let jobs: moara_gateway::JobSink = Arc::new(move |job| {
-                    gw_tx.send(job).map_err(|e| e.0)?;
-                    wake.wake();
-                    Ok(())
-                });
-                let handle = moara_gateway::spawn_gateway_opts(
+                let (handle, edge) = moara_gateway::spawn_gateway_opts(
                     listener,
-                    jobs,
+                    Arc::new(move || wake.wake()),
                     GatewayOpts {
                         rate_limit: opts.gw_rate_limit,
                         request_timeout: Duration::from_millis(opts.gw_request_timeout_ms.max(1)),
@@ -517,7 +510,8 @@ impl Daemon {
                         ..GatewayOpts::default()
                     },
                 );
-                (Some(handle), Some(gw_rx), cache)
+                transport.add_host_fd(edge.fd());
+                (Some(handle), Some(edge), cache)
             }
         };
 
@@ -551,7 +545,7 @@ impl Daemon {
             ctrl_rx,
             ctrl_stop,
             gw_handle,
-            gw_rx,
+            gw_edge,
             walks: HashMap::new(),
             queued_walks: Vec::new(),
             gw_inflight: HashMap::new(),
@@ -597,6 +591,11 @@ impl Daemon {
         self.gw_handle.as_ref().map(|h| h.addr())
     }
 
+    /// The HTTP gateway's own counters, when one is enabled.
+    pub fn gateway_stats(&self) -> Option<&Arc<GatewayStats>> {
+        self.gw_handle.as_ref().map(GatewayHandle::stats)
+    }
+
     /// This daemon's node id.
     pub fn id(&self) -> NodeId {
         self.me
@@ -626,17 +625,18 @@ impl Daemon {
     /// membership updates, serves control requests, finishes queries.
     /// Returns true if anything happened.
     pub fn step(&mut self, max_wait: Duration) -> bool {
-        // The next gather deadline is the one besides the transport's own
-        // timers that the loop must not sleep through.
-        let wait = self.gather_wait().map_or(max_wait, |w| w.min(max_wait));
-        let mut did = self.transport.pump(wait);
+        // Besides the transport's own timers, the loop must not sleep
+        // through a gather deadline or its HTTP connections' next turn.
+        let edge = self.gw_edge.as_ref().and_then(LoopEdge::wait_bound);
+        let wait = [self.gather_wait(), edge].into_iter().flatten();
+        let mut did = self.transport.pump(wait.fold(max_wait, Duration::min));
         // Tick timing starts after the poll: it measures how long one
         // loop iteration's *work* takes, not how long the loop idled.
         let tick_start = Instant::now();
         did |= self.apply_pending_membership();
         did |= self.apply_swim_events();
         let ctrl_jobs = self.drain_ctrl();
-        let gw_jobs = self.drain_gateway();
+        let gw_jobs = self.pump_http();
         did |= ctrl_jobs + gw_jobs > 0;
         did |= self.start_queued_walks();
         did |= self.finish_queries();
@@ -698,11 +698,6 @@ impl Daemon {
             }
         }
         did
-    }
-
-    /// Total sends dropped because their peer was unreachable or dead.
-    pub fn undeliverable_total(&self) -> u64 {
-        self.undeliverable_total
     }
 
     /// Runs the daemon loop forever (the `moarad` main).
@@ -872,11 +867,11 @@ impl Daemon {
     }
 
     /// The event-loop side of the result cache: installs standing
-    /// subscriptions for keys the workers flagged hot, releases evicted
+    /// subscriptions for keys the gateway flagged hot, releases evicted
     /// entries' subscriptions, and periodically sweeps idle entries
-    /// (`pump_watches` folds their SubUpdates into the entries). Workers
-    /// never touch the protocol node; everything here runs on the single
-    /// loop thread.
+    /// (`pump_watches` folds their SubUpdates into the entries). The
+    /// shards never touch the protocol node; everything here runs on the
+    /// single loop thread.
     fn pump_query_cache(&mut self) -> bool {
         let Some(cache) = self.query_cache.clone() else {
             return false;
@@ -932,6 +927,8 @@ impl Daemon {
         if let Some(gw) = &self.gw_handle {
             gw.stop();
         }
+        // Closing the loop's HTTP connections ends every SSE stream.
+        self.gw_edge = None;
         let mut wids: Vec<u64> = self.watches.keys().copied().collect();
         // Cache-promoted standing subscriptions die with the daemon too:
         // they ride the same SubCancel flush, so peers GC their leases

@@ -19,7 +19,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
 use moara_gateway::reactor::Endpoint;
-use moara_gateway::{GatewayStats, MetricsRegistry};
+use moara_gateway::MetricsRegistry;
 use moara_trace::Snapshot;
 use moara_transport::Transport;
 
@@ -101,10 +101,6 @@ fn dead_members(d: &Daemon) -> usize {
     d.members.len() - d.alive_member_count()
 }
 
-fn gw(d: &Daemon) -> Option<&GatewayStats> {
-    d.gw_handle.as_ref().map(|gw| &**gw.stats())
-}
-
 /// Result-cache hit ratio in percent at basis-point resolution. With the
 /// cache off or unused this is a gap (`NaN`), not 0 %.
 fn cache_hit_pct(d: &Daemon) -> Option<f64> {
@@ -116,7 +112,7 @@ fn cache_hit_pct(d: &Daemon) -> Option<f64> {
 }
 
 fn requests_by_endpoint(d: &Daemon, m: &Metric, reg: &mut MetricsRegistry) {
-    let Some(s) = gw(d) else { return };
+    let Some(s) = d.gateway_stats() else { return };
     for class in Endpoint::ALL {
         if let Some(endpoint) = class.counter_label() {
             reg.counter_with(m.name, m.help, &[("endpoint", endpoint)], s.requests(class));
@@ -132,7 +128,7 @@ fn histogram(m: &Metric, reg: &mut MetricsRegistry, labels: &[(&str, &str)], s: 
 }
 
 fn request_latency(d: &Daemon, m: &Metric, reg: &mut MetricsRegistry) {
-    let Some(s) = gw(d) else { return };
+    let Some(s) = d.gateway_stats() else { return };
     for (endpoint, hist) in s.latency.families() {
         // The gateway compiles its own copy of the histogram type.
         let s = hist.snapshot();
@@ -220,17 +216,16 @@ pub(crate) static CATALOGUE: &[Metric] = &[
     // The gateway's own traffic, then the reactor + middleware picture:
     // connection churn and what the production-concern layers rejected.
     row("moara_gateway_requests_total", "HTTP requests accepted, by endpoint.", Series(requests_by_endpoint)),
-    row("moara_gateway_errors_total", "HTTP responses with a 4xx/5xx status.", Counter(|d| Some(gw(d)?.errors.load(Relaxed) as f64))),
-    row("moara_gateway_sse_frames_total", "Server-Sent Events data frames written.", Counter(|d| Some(gw(d)?.sse_frames.load(Relaxed) as f64))),
-    row("moara_gateway_open_streams", "SSE watch streams currently open.", Gauge(|d| Some(gw(d)?.open_streams.load(Relaxed) as f64))).sample("open_streams"),
-    row("moara_gateway_connections_accepted_total", "HTTP connections accepted by the gateway.", Counter(|d| Some(gw(d)?.conns_accepted.load(Relaxed) as f64))),
-    row("moara_gateway_connections_rejected_total", "HTTP connections refused at the connection cap.", Counter(|d| Some(gw(d)?.conns_rejected.load(Relaxed) as f64))),
-    row("moara_gateway_open_connections", "HTTP connections currently registered with reactor shards.", Gauge(|d| Some(gw(d)?.open_conns.load(Relaxed) as f64))).sample("open_conns"),
-    // Shards bump the depth after the hand-off, so a drain can get there first: never below zero.
-    row("moara_gateway_queued_jobs", "Gateway jobs handed to the daemon and not yet drained.", Gauge(|d| Some(gw(d)?.queued_jobs.load(Relaxed).max(0) as f64))).sample("queued_jobs"),
-    row("moara_gateway_rate_limited_total", "Requests answered 429 by the per-peer-IP token bucket.", Counter(|d| Some(gw(d)?.rate_limited.load(Relaxed) as f64))).sample("rate_limited"),
-    row("moara_gateway_request_timeouts_total", "Requests answered 408 (deadline exceeded or slowloris header timeout).", Counter(|d| Some(gw(d)?.request_timeouts.load(Relaxed) as f64))),
-    row("moara_gateway_panics_total", "Panics caught by per-connection isolation.", Counter(|d| Some(gw(d)?.panics_caught.load(Relaxed) as f64))),
+    row("moara_gateway_errors_total", "HTTP responses with a 4xx/5xx status.", Counter(|d| Some(d.gateway_stats()?.errors.load(Relaxed) as f64))),
+    row("moara_gateway_sse_frames_total", "Server-Sent Events data frames written.", Counter(|d| Some(d.gateway_stats()?.sse_frames.load(Relaxed) as f64))),
+    row("moara_gateway_open_streams", "SSE watch streams currently open.", Gauge(|d| Some(d.gateway_stats()?.open_streams.load(Relaxed) as f64))).sample("open_streams"),
+    row("moara_gateway_connections_accepted_total", "HTTP connections accepted by the gateway.", Counter(|d| Some(d.gateway_stats()?.conns_accepted.load(Relaxed) as f64))),
+    row("moara_gateway_connections_rejected_total", "HTTP connections refused at the connection cap.", Counter(|d| Some(d.gateway_stats()?.conns_rejected.load(Relaxed) as f64))),
+    row("moara_gateway_open_connections", "HTTP connections currently registered with reactor shards.", Gauge(|d| Some(d.gateway_stats()?.open_conns.load(Relaxed) as f64))).sample("open_conns"),
+    row("moara_gateway_queued_jobs", "Gateway jobs handed to the daemon and not yet drained.", Gauge(|d| Some(d.gateway_stats()?.queued_jobs.load(Relaxed) as f64))).sample("queued_jobs"),
+    row("moara_gateway_rate_limited_total", "Requests answered 429 by the per-peer-IP token bucket.", Counter(|d| Some(d.gateway_stats()?.rate_limited.load(Relaxed) as f64))).sample("rate_limited"),
+    row("moara_gateway_request_timeouts_total", "Requests answered 408 (deadline exceeded or slowloris header timeout).", Counter(|d| Some(d.gateway_stats()?.request_timeouts.load(Relaxed) as f64))),
+    row("moara_gateway_panics_total", "Panics caught by per-connection isolation.", Counter(|d| Some(d.gateway_stats()?.panics_caught.load(Relaxed) as f64))),
     row("moara_gateway_request_latency_us", "HTTP request service time in microseconds, by endpoint.", Series(request_latency)),
     // The result cache (docs/gateway.md, "Result cache"). It only exists behind a gateway, so these are off whenever the gateway's are.
     row("moara_gateway_cache_hits_total", "Queries answered from the materialized standing result.", Counter(|d| Some(d.query_cache.as_ref()?.hits() as f64))).status("gateway_cache_hits_total"),

@@ -1,17 +1,17 @@
 //! The daemon's one request path. Whichever port an operation arrived
 //! on, it is a [`CtrlRequest`] that [`Daemon::serve`] answers into a
 //! [`ReplyTo`]: the control port hands requests over and takes
-//! [`CtrlReply`]s back verbatim, the HTTP port goes through two pure
-//! functions — [`gw_request`] (parsed HTTP request → operation) and
-//! [`gw_reply`] (reply → HTTP body and status). Tree walks in flight,
-//! standing watches, and the cluster-wide scatter-gathers each have one
-//! table here, shared by both ports.
+//! [`CtrlReply`]s back verbatim, the HTTP port (connections this loop
+//! hosts) goes through two pure functions — [`gw_request`] (parsed HTTP
+//! request → operation) and [`gw_reply`] (reply → HTTP body and status).
+//! Tree walks in flight, standing watches, and the cluster-wide
+//! scatter-gathers each have one table here, shared by both ports.
 
 use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
 use moara_core::{DeliveryPolicy, QueryOutcome};
-use moara_gateway::{GwJob, GwReply, GwRequest, ReplySink, SinkClosed, WatchPolicy};
+use moara_gateway::{GwReply, GwRequest, LoopEdge, SinkClosed, WatchPolicy};
 use moara_query::parse_query;
 use moara_simnet::{NodeId, SimDuration};
 use moara_transport::Transport;
@@ -33,30 +33,30 @@ pub const GATHER_TIMEOUT: Duration = Duration::from_secs(2);
 const WATCH_KEEPALIVE_EVERY: Duration = Duration::from_secs(1);
 
 /// Where an operation's replies go: down a control connection as they
-/// are, or out through the gateway rendered as HTTP.
+/// are, or rendered as HTTP onto one of this loop's connections.
 pub(crate) enum ReplyTo {
     /// A control connection's thread, blocked on this channel.
     Ctrl(Sender<CtrlOut>),
-    /// A gateway connection, plus what [`gw_reply`] renders it with.
-    Http(ReplySink, HttpView),
+    /// One of the loop's HTTP connections, and what [`gw_reply`] renders.
+    Http(u64, HttpView),
 }
 
 impl ReplyTo {
-    /// Delivers one reply; `Err` means the receiving side hung up (for a
-    /// watch: cancel the subscription).
-    pub(crate) fn send(&self, reply: CtrlReply) -> Result<(), SinkClosed> {
+    /// Delivers one reply (an HTTP one is written now); `Err` means the
+    /// receiving side hung up (for a watch: cancel the subscription).
+    fn send(&self, http: &mut Option<LoopEdge>, reply: CtrlReply) -> Result<(), SinkClosed> {
         match self {
             ReplyTo::Ctrl(tx) => tx.send(CtrlOut::Reply(reply)).map_err(|_| SinkClosed),
-            ReplyTo::Http(sink, view) => sink.send(gw_reply(view, reply)),
+            ReplyTo::Http(conn, view) => write(http, *conn, gw_reply(view, reply)),
         }
     }
 
     /// Liveness-probes a quiescent watch stream: a control connection
     /// swallows the probe, an SSE stream renders it as `: keepalive`.
-    fn keepalive(&self) -> Result<(), SinkClosed> {
+    fn keepalive(&self, http: &mut Option<LoopEdge>) -> Result<(), SinkClosed> {
         match self {
             ReplyTo::Ctrl(tx) => tx.send(CtrlOut::Keepalive).map_err(|_| SinkClosed),
-            ReplyTo::Http(sink, _) => sink.send(GwReply::Keepalive),
+            ReplyTo::Http(conn, _) => write(http, *conn, GwReply::Keepalive),
         }
     }
 
@@ -67,6 +67,11 @@ impl ReplyTo {
         }
         self
     }
+}
+
+/// Writes `reply` to connection `conn` of the loop's.
+fn write(http: &mut Option<LoopEdge>, conn: u64, reply: GwReply) -> Result<(), SinkClosed> {
+    http.as_mut().ok_or(SinkClosed)?.write(conn, reply)
 }
 
 /// What an HTTP waiter keeps for [`gw_reply`]: who serves it, its cache
@@ -289,39 +294,37 @@ impl Daemon {
         jobs
     }
 
-    /// Drains HTTP gateway jobs into [`Daemon::serve`]. The batch is
-    /// taken first, so a flood of requests cannot hold the loop here:
-    /// what arrives while it is served waits for the next step.
-    pub(crate) fn drain_gateway(&mut self) -> usize {
-        let jobs: Vec<GwJob> = match &self.gw_rx {
-            Some(rx) => rx.try_iter().collect(),
-            None => return 0,
+    /// The HTTP connections' turn in a step ([`LoopEdge::pump`]): serves
+    /// every request for the daemon. Returns how many it served.
+    pub(crate) fn pump_http(&mut self) -> usize {
+        let Some(edge) = self.gw_edge.as_mut() else {
+            return 0;
         };
-        let count = jobs.len();
-        // The reactor bumped the queue-depth gauge on submit; this drain
-        // is the matching decrement.
-        if let Some(gw) = self.gw_handle.as_ref().filter(|_| count > 0) {
-            let queued = &gw.stats().queued_jobs;
-            queued.fetch_sub(count as i64, std::sync::atomic::Ordering::Relaxed);
-        }
-        for job in jobs {
-            match gw_request(job.req, || self.exemplar_entries()) {
+        let mut asks = Vec::new();
+        let adopted = edge.pump(|conn, req| asks.push((conn, req)));
+        // The matching decrement of the shards' hand-over count.
+        let queued = &self.gateway_stats().expect("an edge's gateway").queued_jobs;
+        queued.fetch_sub(adopted as i64, std::sync::atomic::Ordering::Relaxed);
+        let count = asks.len();
+        for (conn, req) in asks {
+            match gw_request(req, || self.exemplar_entries()) {
                 Ok((mut ops, mut view)) => {
                     view.node = self.me.0;
-                    let to = ReplyTo::Http(job.reply, view);
+                    let to = ReplyTo::Http(conn, view);
                     let Some(last) = ops.pop() else {
                         self.federate_metrics(to);
                         continue;
                     };
+                    // A `/v1/attrs` body's pairs: the last one answers.
                     for op in ops {
-                        // Nobody listens for these: the send fails,
-                        // which `serve` ignores.
-                        self.serve(op, ReplyTo::Ctrl(std::sync::mpsc::channel().0));
+                        if let CtrlRequest::SetAttr { attr, value } = op {
+                            self.set_attr(attr, value);
+                        }
                     }
                     self.serve(last, to);
                 }
                 Err(reply) => {
-                    let _ = job.reply.send(reply);
+                    let _ = write(&mut self.gw_edge, conn, reply);
                 }
             }
         }
@@ -344,10 +347,7 @@ impl Daemon {
                 Err(e) => CtrlReply::Error(format!("parse error: {e}")),
             },
             CtrlRequest::SetAttr { attr, value } => {
-                self.with_moara(|moara, ctx| {
-                    moara.store.set(attr.as_str(), value);
-                    moara.on_local_change(ctx, &attr);
-                });
+                self.set_attr(attr, value);
                 CtrlReply::Ok
             }
             CtrlRequest::Watch {
@@ -437,7 +437,15 @@ impl Daemon {
                 CtrlReply::Events(journal.snapshot(kind.as_deref(), limit as usize))
             }
         };
-        let _ = to.send(reply);
+        let _ = to.send(&mut self.gw_edge, reply);
+    }
+
+    /// Sets one local attribute and lets the engine react to the change.
+    fn set_attr(&mut self, attr: String, value: moara_attributes::Value) {
+        self.with_moara(|moara, ctx| {
+            moara.store.set(attr.as_str(), value);
+            moara.on_local_change(ctx, &attr);
+        });
     }
 
     /// The reads a peer may ask of this daemon — its own spans, scrape,
@@ -490,7 +498,7 @@ impl Daemon {
     ) {
         let local = self.leaf_read(leaf.clone());
         if let CtrlReply::Error(_) = local {
-            let _ = to.send(local);
+            let _ = to.send(&mut self.gw_edge, local);
             return;
         }
         let answers = vec![(self.me.0, local)];
@@ -498,7 +506,7 @@ impl Daemon {
         let waiting: Vec<u32> = others().filter(|m| m.alive).map(|m| m.node).collect();
         let missing: Vec<u32> = others().filter(|m| !m.alive).map(|m| m.node).collect();
         if waiting.is_empty() {
-            let _ = to.send(finish(answers, missing));
+            let _ = to.send(&mut self.gw_edge, finish(answers, missing));
             return;
         }
         self.last_ask += 1;
@@ -586,7 +594,8 @@ impl Daemon {
             let mut g = self.gathers.remove(id).expect("listed above");
             g.answers[1..].sort_by_key(|(node, _)| *node);
             g.missing.extend(g.waiting);
-            let _ = g.to.send((g.finish)(g.answers, g.missing));
+            let reply = (g.finish)(g.answers, g.missing);
+            let _ = g.to.send(&mut self.gw_edge, reply);
         }
         did || !done.is_empty()
     }
@@ -694,10 +703,11 @@ impl Daemon {
             }
             let result = outcome.result.to_string();
             for to in walk.waiters {
-                let _ = to.send(CtrlReply::Answer {
+                let answer = CtrlReply::Answer {
                     result: result.clone(),
                     complete: outcome.complete,
-                });
+                };
+                let _ = to.send(&mut self.gw_edge, answer);
             }
             if let Some(key) = walk.cache_key {
                 // A newer identical query may have re-registered the
@@ -738,7 +748,7 @@ impl Daemon {
                         initial: u.initial,
                         complete: u.complete,
                     };
-                    to.send(update).is_ok()
+                    to.send(&mut self.gw_edge, update).is_ok()
                 });
                 if !delivered {
                     gone.push(wid);
@@ -752,7 +762,7 @@ impl Daemon {
         if self.last_keepalive.elapsed() >= WATCH_KEEPALIVE_EVERY {
             self.last_keepalive = Instant::now();
             for (&wid, to) in &self.watches {
-                if to.keepalive().is_err() {
+                if to.keepalive(&mut self.gw_edge).is_err() {
                     gone.push(wid);
                 }
             }
@@ -817,7 +827,7 @@ mod tests {
             })
             .collect();
         let queued = || {
-            let stats = d.gw_handle.as_ref().expect("gateway").stats();
+            let stats = d.gateway_stats().expect("gateway");
             stats.queued_jobs.load(std::sync::atomic::Ordering::Relaxed)
         };
         while queued() < K as i64 {
@@ -827,7 +837,7 @@ mod tests {
             );
             std::thread::yield_now();
         }
-        assert_eq!(d.drain_gateway(), K);
+        assert_eq!(d.pump_http(), K);
         assert_eq!(d.queued_walks.len(), K);
         assert!(d.start_queued_walks());
         assert_eq!(d.walks.len(), 1, "one walk for one text");

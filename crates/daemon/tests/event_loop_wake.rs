@@ -10,8 +10,14 @@
 //! cluster is polled until it has converged, every request is a timed
 //! round trip, and the idle check compares two readings of the loop
 //! threads' own CPU clocks taken a measured window apart.
+//!
+//! And the HTTP edge costs a walk no thread crossing: a keep-alive
+//! connection moves to the loop once, with its first walk, and its later
+//! walks wake no shard — counted in hand-overs and in the shard threads'
+//! context switches, not in time.
 
-use std::io::{Read, Write};
+use std::collections::BTreeSet;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -19,6 +25,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use moara_daemon::{ctrl_roundtrip, parse_attrs, CtrlReply, CtrlRequest, Daemon, DaemonOpts};
+use moara_gateway::GatewayStats;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -62,6 +69,7 @@ struct Host {
     stop: Arc<AtomicBool>,
     cpu_ns: Arc<AtomicU64>,
     steps: Arc<AtomicU64>,
+    gateway: Arc<GatewayStats>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -78,13 +86,20 @@ impl Drop for Host {
 
 fn host(join: Option<&str>) -> Host {
     let any = "127.0.0.1:0".parse().unwrap();
-    let opts = DaemonOpts {
+    host_with(DaemonOpts {
         join: join.map(str::to_owned),
-        attrs: parse_attrs("ServiceX=true").unwrap(),
-        http: Some(any),
         // Every query walks the tree: none is answered on a shard.
         query_cache: None,
         ..DaemonOpts::new(any)
+    })
+}
+
+fn host_with(opts: DaemonOpts) -> Host {
+    let any = "127.0.0.1:0".parse().unwrap();
+    let opts = DaemonOpts {
+        attrs: parse_attrs("ServiceX=true").unwrap(),
+        http: Some(any),
+        ..opts
     };
     let stop = Arc::new(AtomicBool::new(false));
     let cpu_ns = Arc::new(AtomicU64::new(0));
@@ -94,7 +109,8 @@ fn host(join: Option<&str>) -> Host {
     let thread = std::thread::spawn(move || {
         let mut d = Daemon::start(opts).expect("daemon boots");
         let http = d.http_addr().expect("gateway enabled");
-        tx.send((d.ctrl_addr().to_string(), http.to_string()))
+        let gateway = Arc::clone(d.gateway_stats().expect("gateway enabled"));
+        tx.send((d.ctrl_addr().to_string(), http.to_string(), gateway))
             .unwrap();
         while !stopped.load(Ordering::SeqCst) {
             d.step(LOOP_WAIT);
@@ -103,13 +119,14 @@ fn host(join: Option<&str>) -> Host {
         }
         d.shutdown();
     });
-    let (ctrl, http) = rx.recv_timeout(TIMEOUT).expect("daemon reports its ports");
+    let (ctrl, http, gateway) = rx.recv_timeout(TIMEOUT).expect("daemon reports its ports");
     Host {
         ctrl,
         http,
         stop,
         cpu_ns,
         steps,
+        gateway,
         thread: Some(thread),
     }
 }
@@ -275,4 +292,123 @@ fn no_request_waits_for_a_clock() {
         slowest < Duration::from_millis(100),
         "a walk waited {slowest:?} on a loop that was not woken"
     );
+}
+
+/// This process's threads: task id → name.
+fn threads() -> Vec<(u64, String)> {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("/proc/self/task");
+    (tasks.flatten())
+        .filter_map(|t| {
+            let tid = t.file_name().to_str()?.parse().ok()?;
+            let name = std::fs::read_to_string(t.path().join("comm")).ok()?;
+            Some((tid, name.trim_end().to_owned()))
+        })
+        .collect()
+}
+
+/// Voluntary context switches of thread `tid` so far (0 once it is gone).
+fn voluntary_switches(tid: u64) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/self/task/{tid}/status"));
+    let status = status.unwrap_or_default();
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+    line.map_or(0, |n| n.trim().parse().expect("a count"))
+}
+
+/// Writes one `GET` on a keep-alive connection and reads its response:
+/// the head and the body, by `Content-Length`.
+fn keep_alive_get(
+    s: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    path: &str,
+) -> (String, String) {
+    write!(s, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    let (mut head, mut len) = (String::new(), 0);
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+            len = v.trim().parse().unwrap();
+        }
+        if line == "\r\n" || line.is_empty() {
+            break;
+        }
+        head.push_str(&line);
+    }
+    let mut body = vec![0u8; len];
+    reader.read_exact(&mut body).unwrap();
+    (head, String::from_utf8(body).unwrap())
+}
+
+fn keep_alive(h: &Host) -> (TcpStream, BufReader<TcpStream>) {
+    let s = TcpStream::connect(&h.http).expect("connect gateway");
+    s.set_nodelay(true).unwrap();
+    s.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let reader = BufReader::new(s.try_clone().unwrap());
+    (s, reader)
+}
+
+/// The hand-over as a count, on a lone daemon without the result cache.
+/// A keep-alive connection moves to the loop with its first walk, once;
+/// its next `K` walks are read, parsed and answered there, so the shard
+/// threads sleep through them: none makes K/4 voluntary context switches
+/// (a walk that crossed to the loop and back would cost its shard about
+/// two; what is left is each shard's 100 ms sweep). A connection that
+/// only ever gets cache hits, on a caching daemon, never moves.
+#[test]
+fn a_keep_alive_connection_moves_to_the_loop_once() {
+    const K: u64 = 200;
+    const WALK: &str = "/v1/query?q=SELECT%20count(*)%20WHERE%20ServiceX%20%3D%20true";
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let earlier: BTreeSet<u64> = threads().into_iter().map(|(tid, _)| tid).collect();
+    let h = host(None);
+    // Thread names are cut to 15 bytes: `moara-gw-shard-`, any shard.
+    let shards: Vec<u64> = (threads().into_iter())
+        .filter(|(tid, name)| !earlier.contains(tid) && name.starts_with("moara-gw-shard"))
+        .map(|(tid, _)| tid)
+        .collect();
+    assert!(!shards.is_empty(), "no shard thread of the daemon's found");
+    let switches = || shards.iter().map(|&tid| voluntary_switches(tid));
+    let handovers = |h: &Host| h.gateway.handovers.load(Ordering::SeqCst);
+    let expected = "{\"result\":\"1\",\"complete\":true}\n";
+
+    let (mut s, mut reader) = keep_alive(&h);
+    assert_eq!(keep_alive_get(&mut s, &mut reader, WALK).1, expected);
+    assert_eq!(handovers(&h), 1, "the first walk moves the connection");
+    let before: Vec<u64> = switches().collect();
+    for _ in 0..K {
+        assert_eq!(keep_alive_get(&mut s, &mut reader, WALK).1, expected);
+    }
+    let woken: Vec<u64> = switches().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(handovers(&h), 1, "a connection moves once");
+    assert!(
+        woken.iter().all(|&n| n < K / 4),
+        "shards were woken {woken:?} times over {K} walks on a connection the loop hosts"
+    );
+
+    // A caching daemon: a hot text, warmed on throwaway connections
+    // (its misses move them), then asked over one keep-alive connection
+    // that only ever gets hits.
+    drop(h);
+    let any = "127.0.0.1:0".parse().unwrap();
+    let h = host_with(DaemonOpts::new(any));
+    let deadline = Instant::now() + TIMEOUT;
+    loop {
+        let (mut s, mut reader) = keep_alive(&h);
+        let (head, body) = keep_alive_get(&mut s, &mut reader, WALK);
+        assert_eq!(body, expected);
+        if head.contains("X-Moara-Cache: hit") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the text never got hot");
+    }
+    let moved = handovers(&h);
+    let (mut s, mut reader) = keep_alive(&h);
+    for _ in 0..K {
+        let (head, body) = keep_alive_get(&mut s, &mut reader, WALK);
+        assert!(head.contains("X-Moara-Cache: hit"), "{head}");
+        assert_eq!(body, expected);
+    }
+    assert_eq!(handovers(&h), moved, "a connection of cache hits moved");
 }

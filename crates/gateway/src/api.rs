@@ -1,15 +1,14 @@
 //! The gateway's API: what a request asks of the daemon ([`GwRequest`]),
-//! what the daemon answers ([`GwReply`]) and where it answers
-//! ([`ReplySink`]), how an HTTP request maps onto the first (`route`)
-//! and how the second renders as HTTP (`render_reply`, [`sse_frame`]).
+//! what the daemon answers ([`GwReply`]), how an HTTP request maps onto
+//! the first (`route`) and how the second renders as HTTP
+//! (`render_reply`, [`sse_frame`]).
 //!
-//! Hang-up plumbing: every job carries a [`ReplySink`]. When the
-//! connection closes, the sink's sends start failing, which the daemon
-//! observes on its next update or keepalive probe and cancels the
-//! standing subscription — peers GC the watch's in-network state
-//! promptly. Symmetrically, when the *daemon* drops a sink without a
-//! terminal reply (subscription cancelled, shutdown), the sink's `Drop`
-//! posts a hang-up to the reactor and the SSE stream ends.
+//! Hang-up plumbing: the daemon answers by writing to the connection
+//! ([`crate::LoopEdge::write`]). Once it is gone the write fails with
+//! [`SinkClosed`] — on the next update or keepalive probe — and the
+//! daemon cancels the standing subscription, so peers GC the watch's
+//! in-network state promptly. A daemon going away drops its loop edge,
+//! which closes every connection on it and ends the SSE streams.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -19,7 +18,7 @@ use std::time::Duration;
 use crate::cache::QueryCache;
 use crate::http::{HttpRequest, HttpResponse};
 use crate::json;
-use crate::reactor::{AccessLogSink, GatewayStats, Mail, Mailbox};
+use crate::reactor::{AccessLogSink, Door, GatewayStats};
 
 /// How a watch's updates surface to the SSE client (string-typed twin of
 /// the subscription plane's `DeliveryPolicy`; the daemon converts).
@@ -173,9 +172,8 @@ pub enum GwReply {
     },
 }
 
-/// The receiving side of a [`ReplySink`] is gone: the connection was
-/// closed. The caller should stop producing — for a watch, cancel the
-/// subscription.
+/// The connection a reply was for is gone (or closing). The caller
+/// should stop producing — for a watch, cancel the subscription.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SinkClosed;
 
@@ -186,74 +184,6 @@ impl std::fmt::Display for SinkClosed {
 }
 
 impl std::error::Error for SinkClosed {}
-
-/// Where gateway replies go: the owning reactor shard's mailbox,
-/// addressed by connection id and request generation. The daemon holds
-/// a sink for the life of a request (or, for watches, the life of the
-/// subscription) and calls [`ReplySink::send`] once per reply.
-///
-/// Hang-up semantics, both directions:
-/// * client gone → `send` returns `Err` (the reactor marked the
-///   connection closed), which tells the daemon to cancel the watch;
-/// * daemon gone → dropping the sink without a terminal reply posts a
-///   hang-up to the reactor and the SSE stream ends.
-///
-/// Deliberately not `Clone`: the drop of *the* sink is a protocol
-/// signal, and copies would fire it spuriously.
-pub struct ReplySink {
-    pub(crate) mailbox: Arc<Mailbox>,
-    pub(crate) conn: u64,
-    pub(crate) gen: u64,
-    pub(crate) closed: Arc<AtomicBool>,
-}
-
-impl std::fmt::Debug for ReplySink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ReplySink { conn, gen, .. } = self;
-        write!(f, "ReplySink {{ conn: {conn}, gen: {gen} }}")
-    }
-}
-
-impl ReplySink {
-    /// Delivers one reply; `Err(SinkClosed)` means the connection is
-    /// gone and the caller should stop producing — for a watch, cancel
-    /// the subscription.
-    pub fn send(&self, reply: GwReply) -> Result<(), SinkClosed> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(SinkClosed);
-        }
-        self.mailbox.post(self.conn, self.gen, Mail::Reply(reply));
-        Ok(())
-    }
-}
-
-impl Drop for ReplySink {
-    fn drop(&mut self) {
-        // The reactor ignores hang-ups for requests that already got
-        // their terminal reply (the mailbox preserves order), so this
-        // only ends streams whose daemon side went away.
-        if !self.closed.load(Ordering::Acquire) {
-            self.mailbox.post(self.conn, self.gen, Mail::Hangup);
-        }
-    }
-}
-
-/// One in-flight gateway request: the parsed request plus the sink the
-/// daemon answers into.
-pub struct GwJob {
-    /// What to do.
-    pub req: GwRequest,
-    /// Where replies go. For watches the daemon holds this sink for
-    /// the life of the subscription.
-    pub reply: ReplySink,
-}
-
-/// Where the shards hand parsed requests: the daemon's side of the job
-/// queue. It enqueues the job and then does whatever makes its consumer
-/// look (the daemon wakes its event loop), or gives the job back when
-/// the consumer is gone. A closure, so the gateway needs to know neither
-/// the queue nor the loop.
-pub type JobSink = Arc<dyn Fn(GwJob) -> Result<(), GwJob> + Send + Sync>;
 
 /// Tuning and middleware knobs for [`crate::spawn_gateway_opts`]. Start from
 /// `GatewayOpts::default()` and override what the deployment needs.
@@ -280,10 +210,9 @@ pub struct GatewayOpts {
     /// Optional access-log sink: one JSON line per finished request (and
     /// per ended SSE stream).
     pub access_log: Option<AccessLogSink>,
-    /// Optional shared result cache — when present, shards answer
-    /// `/v1/query` hits from it inline, never entering the daemon's
-    /// event loop (the cache's mutating side stays with the daemon,
-    /// which shares the same `Arc`).
+    /// Optional shared result cache — when present, `/v1/query` hits are
+    /// answered from it inline, never asking the daemon (the cache's
+    /// mutating side stays with the daemon, which shares the same `Arc`).
     pub cache: Option<Arc<QueryCache>>,
 }
 
@@ -302,12 +231,12 @@ impl Default for GatewayOpts {
     }
 }
 
-/// A running gateway: address, stats, and the stop switch.
+/// A running gateway's acceptor and shards: address, stats, stop switch.
 pub struct GatewayHandle {
     pub(crate) addr: SocketAddr,
     pub(crate) stats: Arc<GatewayStats>,
     pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) wakes: Vec<Arc<Mailbox>>,
+    pub(crate) inboxes: Vec<Arc<Door>>,
 }
 
 impl GatewayHandle {
@@ -321,16 +250,16 @@ impl GatewayHandle {
         &self.stats
     }
 
-    /// Stops accepting new connections and tears down the shards; open
-    /// connections (SSE streams included) are closed, which fails the
-    /// daemon's next send into their sinks.
+    /// Stops accepting new connections and tears down the shards, which
+    /// close their connections. The ones on the event loop close with
+    /// its [`crate::LoopEdge`].
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the acceptor blocked in accept() so it observes the flag.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(50));
         // And every shard blocked in epoll_wait.
-        for wake in &self.wakes {
-            wake.wake();
+        for inbox in &self.inboxes {
+            inbox.wake();
         }
     }
 }
@@ -513,8 +442,8 @@ pub(crate) fn parse_attr_body(body: &str) -> Result<Vec<(String, String)>, &'sta
     pairs.into_iter().map(|(k, v)| decode(k, v)).collect()
 }
 
-/// The `/v1/query` answer body (shared by the daemon round-trip path and
-/// the reactor-side cache-hit path, so both render byte-identically).
+/// The `/v1/query` answer body (shared by the daemon's answer and the
+/// cache-hit path, so both render byte-identically).
 pub(crate) fn answer_body(result: &str, complete: bool) -> String {
     format!(
         "{{\"result\":{},\"complete\":{complete}}}\n",

@@ -1,9 +1,9 @@
 //! Materialized-view query cache: hot `GET /v1/query` texts are promoted
 //! to standing subscriptions and served straight from memory.
 //!
-//! The cache sits between the gateway worker pool and the daemon event
-//! loop. Workers call [`QueryCache::lookup`] before pushing a job — a hit
-//! is answered in the worker thread without touching the event loop at
+//! The cache sits between the gateway's connections and the daemon. Their
+//! host calls [`QueryCache::lookup`] before asking the daemon — a hit is
+//! answered on the spot, on a shard without touching the event loop at
 //! all, which is what buys sub-millisecond reads. Everything that owns
 //! protocol state (installing the standing subscription, draining its
 //! updates, releasing leases) stays on the daemon's single-threaded loop,
@@ -105,7 +105,7 @@ struct Inner {
 }
 
 /// The shared materialized-view cache (see the module docs). All methods
-/// take `&self`; gateway workers and the daemon loop share one `Arc`.
+/// take `&self`; the gateway's hosts and the daemon loop share one `Arc`.
 pub struct QueryCache {
     cfg: CacheConfig,
     inner: Mutex<Inner>,

@@ -28,14 +28,14 @@
 //! threads never touch protocol state, and a [`GwRequest`] is only "a
 //! parsed HTTP request" — the daemon translates it into the operation
 //! its one dispatcher serves; [`api`] holds those types, the routing and
-//! the rendering. A sharded `epoll` reactor ([`reactor`]) owns every
-//! socket in nonblocking mode and drives per-connection state machines —
-//! incremental request parsing ([`http`]), buffered response writes, SSE
-//! streaming — so one daemon holds tens of thousands of keep-alive
-//! connections on a handful of threads. Parsed requests become
-//! [`GwRequest`]s pushed as [`GwJob`]s through an MPSC channel into the
-//! daemon's single-threaded event loop; replies return through per-shard
-//! mailboxes. Cache hits never leave the reactor. The reactor's
+//! the rendering. A sharded `epoll` reactor ([`reactor`]) drives every
+//! socket as a nonblocking state machine — incremental request parsing
+//! ([`http`]), buffered response writes, SSE streaming — so one daemon
+//! holds tens of thousands of keep-alive connections on a handful of
+//! threads. Answers that need no daemon (cache hits among them) never
+//! leave the shard; the first request that does moves its connection,
+//! once, to the daemon's single-threaded event loop ([`LoopEdge`]), which
+//! answers it from then on. Both hosts run one state machine, whose
 //! `handle_request` applies the middleware in order — per-connection
 //! panic isolation, per-peer-IP token-bucket rate limiting (429,
 //! [`middleware`]), per-request deadlines (408) — and every answer is
@@ -64,16 +64,13 @@ pub mod reactor;
 #[path = "socket_tests.rs"]
 mod server;
 
-pub use api::{
-    GatewayHandle, GatewayOpts, GwJob, GwReply, GwRequest, JobSink, ReplySink, SinkClosed,
-    WatchPolicy,
-};
+pub use api::{GatewayHandle, GatewayOpts, GwReply, GwRequest, SinkClosed, WatchPolicy};
 pub use cache::{normalize, CacheConfig, QueryCache};
 pub use histogram::{Histogram, Snapshot};
 pub use http::{HttpRequest, HttpResponse};
 pub use metrics::{federate_expositions, lint_exposition, MetricsRegistry};
 pub use middleware::TokenBuckets;
 pub use reactor::{
-    access_log_line, spawn_gateway_opts, AccessLogSink, EndpointLatency, GatewayStats,
-    REQUEST_LATENCY_BOUNDS_US,
+    access_log_line, spawn_gateway_opts, AccessLogSink, EndpointLatency, GatewayStats, LoopEdge,
+    Wake, REQUEST_LATENCY_BOUNDS_US,
 };

@@ -1,46 +1,44 @@
-//! The gateway's event-driven core: a sharded `epoll` readiness loop.
+//! The gateway's event-driven core: `epoll` readiness loops over
+//! nonblocking sockets, each connection a small state machine
+//! (incremental request parse → route → answer, or await the daemon →
+//! buffered response write → back to parsing, or flip into an SSE
+//! stream), so one daemon holds tens of thousands of open connections on
+//! a handful of threads. `epoll` and the wake `eventfd` come from
+//! `crate::epoll`, the one raw syscall layer this edge shares with the
+//! peer transport.
 //!
-//! The previous edge pinned one blocking worker thread per connection —
-//! a 16-thread hard ceiling on concurrent keep-alive and SSE clients.
-//! This module replaces it with reactors: every accepted socket is put
-//! in nonblocking mode and registered with one of a few shard threads,
-//! each running `epoll_wait` over thousands of connections and driving
-//! a small per-connection state machine (incremental request parse →
-//! route → await daemon reply → buffered response write → back to
-//! parsing, or flip into an SSE stream). One daemon now holds tens of
-//! thousands of open connections with a handful of threads.
-//!
-//! `epoll` and the wake `eventfd` come from `crate::epoll` — the one raw
-//! syscall layer this edge shares with the peer transport's event loop.
-//!
-//! What blocks where:
+//! What runs where:
 //! * the **acceptor** thread blocks in `accept()`, applies the
 //!   connection cap, and round-robins sockets to shards;
-//! * **shards** never block except in `epoll_wait` (bounded by the
-//!   sweep interval). Cache hits, OPTIONS, routing errors, 429s are
-//!   answered inline on the shard; everything needing protocol state
-//!   crosses the existing [`GwJob`] channel into the daemon's event
-//!   loop, which posts replies back through a per-shard `Mailbox`
-//!   whose eventfd wakes the shard immediately;
-//! * the **daemon** is unchanged: single-threaded, sole owner of
-//!   protocol state.
+//! * **shards** block only in `epoll_wait` (bounded by the sweep
+//!   interval) and answer what needs no daemon: cache hits, OPTIONS,
+//!   routing errors, 429s, the stream cap, the 503 for a daemon that is
+//!   gone. The first request that needs the daemon moves its whole
+//!   connection through a `Door` to the event loop, once;
+//! * the **event loop** hosts the connections that moved in a
+//!   [`LoopEdge`], whose `epoll` fd sits in the loop's one wait, and
+//!   reads, parses, answers and writes them itself: no request crosses a
+//!   thread.
 //!
-//! Middleware rides the same state machine; `handle_request` applies it
-//! in order. Every one-shot answer leaves through `answer`, which counts,
-//! times and access-logs it.
+//! Both hosts drive one state machine (`Conns`): the parse loop, the
+//! middleware in `handle_request`'s order, the 408 deadline, the idle,
+//! slowloris and write-stall sweeps, SSE framing. They differ in what
+//! becomes of a request for the daemon (`Conns::finalize`). Every
+//! one-shot answer leaves through `answer`, which counts, times and
+//! access-logs it.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{IpAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsRawFd, RawFd};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::api::{
-    answer_body, render_reply, route, sse_frame, GatewayHandle, GatewayOpts, GwJob, GwReply,
-    GwRequest, JobSink, ReplySink, ALLOWED_METHODS,
+    answer_body, render_reply, route, sse_frame, GatewayHandle, GatewayOpts, GwReply, GwRequest,
+    SinkClosed, ALLOWED_METHODS,
 };
 use crate::epoll::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::histogram::Histogram;
@@ -56,7 +54,7 @@ const WAKE_TOKEN: u64 = 0;
 /// connections; also bounds `epoll_wait` so the stop flag is observed.
 const SWEEP_EVERY: Duration = Duration::from_millis(100);
 
-/// Read chunk per readiness event.
+/// Most bytes read from a connection per readiness event.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Most buffered-but-unread input per connection (a full body plus
@@ -69,8 +67,7 @@ const IN_BUF_CAP: usize = crate::http::MAX_BODY + 64 * 1024;
 const OUT_BUF_CAP: usize = 1024 * 1024;
 
 /// How long a connection with pending output may make zero write
-/// progress before it is closed (the reactor's version of the old
-/// worker-pool write timeout).
+/// progress before it is closed.
 const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// What a request is counted and timed as: one closed set, in scrape
@@ -203,16 +200,19 @@ pub struct GatewayStats {
     pub conns_accepted: AtomicU64,
     /// Connections refused at accept because the connection cap was hit.
     pub conns_rejected: AtomicU64,
-    /// Connections currently registered with a shard (gauge).
+    /// Connections currently open, on a shard or on the event loop
+    /// (gauge).
     pub open_conns: AtomicI64,
     /// SSE streams currently holding a slot (reserved at routing time,
     /// released when the stream ends — so mid-setup streams count, and
     /// the cap cannot be raced past).
     pub open_streams: AtomicI64,
-    /// GwJobs handed to the daemon channel and not yet drained (gauge:
-    /// shards increment at send, the daemon decrements per drained
-    /// batch). The health plane's event-loop backpressure signal.
+    /// Connections handed to the event loop and still at its door (gauge:
+    /// shards increment at each hand-over, the daemon decrements as it
+    /// adopts). The health plane's event-loop backpressure signal.
     pub queued_jobs: AtomicI64,
+    /// Connections the shards have handed to the event loop (each once).
+    pub handovers: AtomicU64,
     /// Request latency by endpoint class.
     pub latency: EndpointLatency,
 }
@@ -226,8 +226,8 @@ impl GatewayStats {
 
 /// Where access-log lines go: the daemon passes a sink (stderr, a file)
 /// and the gateway calls it once per finished request with one JSON line
-/// (no trailing newline). Must be cheap and non-blocking-ish: shards
-/// call it inline.
+/// (no trailing newline). Must be cheap and non-blocking-ish: shards and
+/// the event loop call it inline.
 pub type AccessLogSink = Arc<dyn Fn(&str) + Send + Sync>;
 
 /// Renders one access-log line as a single JSON object via the shared
@@ -254,45 +254,50 @@ pub fn access_log_line(
         .finish()
 }
 
-/// One message from the daemon (or a dropped [`ReplySink`]) to a shard.
-#[derive(Debug)]
-pub(crate) enum Mail {
-    /// A reply for connection `conn`'s request generation `gen`.
-    Reply(GwReply),
-    /// The daemon dropped the sink without a terminal reply — for an
-    /// SSE stream this is the cancel signal (mirrors the old worker
-    /// noticing its reply channel disconnect).
-    Hangup,
+/// What makes a door's host look: the daemon's loop wake, or a shard's
+/// eventfd.
+pub type Wake = Arc<dyn Fn() + Send + Sync>;
+
+/// Connections moving into a host, plus its wake: from the acceptor to a
+/// shard, from a shard to the event loop. Closed once its host is gone.
+pub(crate) struct Door {
+    /// `None` once closed.
+    queue: Mutex<Option<Vec<Conn>>>,
+    wake: Wake,
 }
 
-/// A shard's inbound queue: the daemon's event loop posts replies here
-/// and the eventfd wakes the shard out of `epoll_wait`, so reply
-/// latency is syscall-bounded, not poll-interval-bounded.
-#[derive(Debug)]
-pub(crate) struct Mailbox {
-    queue: Mutex<Vec<(u64, u64, Mail)>>,
-    wake: WakeFd,
-}
-
-impl Mailbox {
-    fn new() -> Arc<Mailbox> {
-        Arc::new(Mailbox {
-            queue: Mutex::new(Vec::new()),
-            wake: WakeFd::new(),
-        })
+impl Door {
+    fn new(wake: Wake) -> Arc<Door> {
+        let queue = Mutex::new(Some(Vec::new()));
+        Arc::new(Door { queue, wake })
     }
 
-    pub(crate) fn post(&self, conn: u64, gen: u64, mail: Mail) {
-        self.queue.lock().unwrap().push((conn, gen, mail));
-        self.wake.wake();
+    /// Enqueues what `conn` makes and wakes the host; false, `conn` never
+    /// called, when closed (one step, so nothing is left behind a door).
+    fn enter(&self, conn: impl FnOnce() -> Conn) -> bool {
+        let mut queue = self.queue.lock().unwrap();
+        let Some(waiting) = queue.as_mut() else {
+            return false;
+        };
+        waiting.push(conn());
+        drop(queue);
+        self.wake();
+        true
     }
 
     pub(crate) fn wake(&self) {
-        self.wake.wake();
+        (self.wake)();
     }
 
-    fn take(&self) -> Vec<(u64, u64, Mail)> {
-        std::mem::take(&mut *self.queue.lock().unwrap())
+    /// Everything waiting, oldest first.
+    fn take(&self) -> Vec<Conn> {
+        let mut queue = self.queue.lock().unwrap();
+        queue.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+
+    /// Closes the door; returns what was still waiting.
+    fn close(&self) -> Vec<Conn> {
+        self.queue.lock().unwrap().take().unwrap_or_default()
     }
 }
 
@@ -300,11 +305,9 @@ impl Mailbox {
 enum Phase {
     /// Parsing (or waiting for) the next request.
     Ready,
-    /// A one-shot request is with the daemon.
+    /// A request is with the daemon. For a watch (it holds a stream
+    /// slot) the first reply decides between SSE headers and an error.
     Await(Pending),
-    /// A watch request is with the daemon; the first reply decides
-    /// between SSE headers and an error status.
-    SseAwait(Pending),
     /// Streaming Server-Sent Events until either side hangs up; the
     /// request it grew out of is kept for the access log.
     Sse(Pending),
@@ -374,9 +377,8 @@ impl Drop for StreamSlot {
     }
 }
 
-/// A request handed to the daemon.
+/// A request with the daemon.
 struct Pending {
-    gen: u64,
     deadline: Instant,
     req: Req,
     /// A watch's stream slot.
@@ -391,11 +393,9 @@ impl Pending {
     }
 }
 
-/// One connection owned by a shard.
-struct Conn {
-    /// This connection's key in the shard map — [`ReplySink`]s address
-    /// mailbox posts with it.
-    id: u64,
+/// One connection, on a shard or — once a request of its needed the
+/// daemon — on the event loop, where all of it moves.
+pub(crate) struct Conn {
     stream: TcpStream,
     peer: String,
     ip: IpAddr,
@@ -403,15 +403,11 @@ struct Conn {
     buf_out: Vec<u8>,
     out_pos: usize,
     phase: Phase,
-    /// Bumped per request handed to the daemon; a reply whose gen does
-    /// not match the live request is stale (e.g. arrived after its 408)
-    /// and is dropped.
-    gen: u64,
-    /// Shared with [`ReplySink`]s: once true, daemon sends fail, which
-    /// is the hang-up signal that GCs watch subscriptions.
-    closed: Arc<AtomicBool>,
+    /// A routed request for the daemon, until its host acts on it.
+    ask: Option<GwRequest>,
     close_after_write: bool,
     dead: bool,
+    /// Registered for `EPOLLOUT` in its host's set.
     interest_out: bool,
     last_activity: Instant,
     /// When the currently-buffered partial request head started
@@ -421,15 +417,14 @@ struct Conn {
     write_stalled_since: Option<Instant>,
 }
 
-/// Shard context shared by the connection-handling helpers (split from
-/// the connection map so helpers can borrow a `Conn` mutably alongside
-/// it).
+/// What the connection helpers share on one host (split from the
+/// connection map so they can borrow a `Conn` mutably alongside it).
 struct Ctx {
-    jobs: JobSink,
     stats: Arc<GatewayStats>,
-    mailbox: Arc<Mailbox>,
     limiter: Option<Arc<TokenBuckets>>,
     opts: GatewayOpts,
+    /// A shard's way to the event loop; `None` on the loop itself.
+    to_loop: Option<Arc<Door>>,
 }
 
 impl Ctx {
@@ -443,194 +438,76 @@ impl Ctx {
     }
 }
 
-struct Shard {
+/// The connections one thread drives: a shard's, or the event loop's
+/// ([`LoopEdge`]).
+struct Conns {
     epoll: Epoll,
-    incoming: Arc<Mutex<Vec<TcpStream>>>,
-    conns: HashMap<u64, Conn>,
+    map: HashMap<u64, Conn>,
     next_id: u64,
-    stop: Arc<AtomicBool>,
+    next_sweep: Instant,
     ctx: Ctx,
+    inbox: Arc<Door>,
+    /// On the loop: requests for the daemon, oldest first, by connection.
+    asks: Vec<(u64, GwRequest)>,
 }
 
-/// Spawns the gateway's acceptor and reactor shards (one a core, at most
-/// eight) on `listener`. Each parsed request goes to `jobs`; the daemon's
-/// sink enqueues it and wakes the event loop.
-///
-/// # Panics
-///
-/// Panics if the listener address cannot be read, `epoll`/`eventfd`
-/// creation fails, or threads cannot spawn — all boot-time process
-/// failures.
-pub fn spawn_gateway_opts(
-    listener: TcpListener,
-    jobs: JobSink,
-    opts: GatewayOpts,
-) -> GatewayHandle {
-    let addr = listener.local_addr().expect("gateway listener addr");
-    let stats = Arc::new(GatewayStats::default());
-    let stop = Arc::new(AtomicBool::new(false));
-    let shard_count = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
-    let limiter = (opts.rate_limit > 0.0)
-        .then(|| Arc::new(TokenBuckets::new(opts.rate_limit, opts.rate_limit * 2.0)));
-
-    let mut mailboxes = Vec::with_capacity(shard_count);
-    let mut queues = Vec::with_capacity(shard_count);
-    for i in 0..shard_count {
-        let mailbox = Mailbox::new();
-        let incoming: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let shard = Shard {
+impl Conns {
+    fn new(ctx: Ctx, wake: Wake) -> Conns {
+        Conns {
             epoll: Epoll::new(),
-            incoming: Arc::clone(&incoming),
-            conns: HashMap::new(),
-            next_id: 1,
-            stop: Arc::clone(&stop),
-            ctx: Ctx {
-                jobs: Arc::clone(&jobs),
-                stats: Arc::clone(&stats),
-                mailbox: Arc::clone(&mailbox),
-                limiter: limiter.clone(),
-                opts: opts.clone(),
-            },
-        };
-        mailboxes.push(mailbox);
-        queues.push(incoming);
-        std::thread::Builder::new()
-            .name(format!("moara-gw-shard-{i}"))
-            .spawn(move || shard.run())
-            .expect("spawn gateway shard");
-    }
-
-    {
-        let stop = Arc::clone(&stop);
-        let stats = Arc::clone(&stats);
-        let mailboxes = mailboxes.clone();
-        let queues = queues.clone();
-        let max_conns = opts.max_conns;
-        std::thread::Builder::new()
-            .name("moara-gw-accept".into())
-            .spawn(move || {
-                let mut next = 0usize;
-                for conn in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    if stats.open_conns.load(Ordering::SeqCst) >= max_conns {
-                        // Over the cap: close immediately. Cheaper and
-                        // clearer to the client than letting the fd
-                        // table fill and accept() start failing.
-                        stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    stats.open_conns.fetch_add(1, Ordering::SeqCst);
-                    stats.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                    queues[next].lock().unwrap().push(stream);
-                    mailboxes[next].wake();
-                    next = (next + 1) % queues.len();
-                }
-                // Wake every shard so it observes the stop flag.
-                for m in &mailboxes {
-                    m.wake();
-                }
-            })
-            .expect("spawn gateway acceptor");
-    }
-
-    GatewayHandle {
-        addr,
-        stats,
-        stop,
-        wakes: mailboxes,
-    }
-}
-
-impl Shard {
-    fn run(mut self) {
-        self.ctx.mailbox.wake.register(&self.epoll, WAKE_TOKEN);
-        let mut events = vec![EpollEvent::default(); 512];
-        let mut next_sweep = Instant::now() + SWEEP_EVERY;
-        loop {
-            let timeout = next_sweep
-                .saturating_duration_since(Instant::now())
-                .clamp(Duration::from_millis(1), SWEEP_EVERY);
-            let ready = self.epoll.wait(&mut events, timeout);
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            for ev in ready {
-                let (bits, id) = (ev.events, ev.data);
-                if id == WAKE_TOKEN {
-                    self.adopt_incoming();
-                    self.drain_mailbox();
-                    continue;
-                }
-                self.conn_event(id, bits);
-            }
-            if Instant::now() >= next_sweep {
-                self.sweep();
-                next_sweep = Instant::now() + SWEEP_EVERY;
-            }
-        }
-        // Stopping: mark every connection closed so daemon-held sinks
-        // fail their next send (watch subscriptions GC), then drop the
-        // sockets.
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
-        for id in ids {
-            self.close(id);
+            map: HashMap::new(),
+            next_id: WAKE_TOKEN + 1,
+            next_sweep: Instant::now() + SWEEP_EVERY,
+            ctx,
+            inbox: Door::new(wake),
+            asks: Vec::new(),
         }
     }
 
-    /// Registers connections the acceptor handed over.
-    fn adopt_incoming(&mut self) {
-        let fresh = std::mem::take(&mut *self.incoming.lock().unwrap());
-        for stream in fresh {
-            let id = self.next_id;
-            self.next_id += 1;
-            let added = self.epoll.add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, id);
-            let (Ok(peer_addr), Ok(())) = (stream.peer_addr(), added) else {
-                // Dropped: a connection nobody would hear from.
-                self.ctx.stats.open_conns.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            };
-            self.conns.insert(
-                id,
-                Conn {
-                    id,
-                    stream,
-                    peer: peer_addr.to_string(),
-                    ip: peer_addr.ip(),
-                    buf_in: Vec::new(),
-                    buf_out: Vec::new(),
-                    out_pos: 0,
-                    phase: Phase::Ready,
-                    gen: 0,
-                    closed: Arc::new(AtomicBool::new(false)),
-                    close_after_write: false,
-                    dead: false,
-                    interest_out: false,
-                    last_activity: Instant::now(),
-                    header_started: None,
-                    write_stalled_since: None,
-                },
-            );
+    /// One turn: waits up to `timeout`, adopts what is at the door, reads
+    /// each ready connection once and handles the requests that read
+    /// completes, sweeps when due. Returns how many it adopted.
+    fn turn(&mut self, events: &mut [EpollEvent], timeout: Duration) -> usize {
+        let ready = self.epoll.wait(events, timeout);
+        let moved = self.inbox.take();
+        let adopted = moved.len();
+        for conn in moved {
+            self.adopt(conn);
         }
+        for ev in ready.iter().filter(|ev| ev.data != WAKE_TOKEN) {
+            self.conn_event(ev.data, ev.events);
+        }
+        self.sweep_if_due();
+        adopted
+    }
+
+    /// Registers `conn` in this host's set (a refused one is closed).
+    fn adopt(&mut self, mut conn: Conn) {
+        let (id, fd) = (self.next_id, conn.stream.as_raw_fd());
+        self.next_id += 1;
+        // In for input; `finalize` adds output if some waits.
+        conn.interest_out = false;
+        if self.epoll.add(fd, EPOLLIN | EPOLLRDHUP, id).is_err() {
+            // Dropped: a connection nobody would hear from.
+            self.ctx.stats.open_conns.fetch_sub(1, Ordering::SeqCst);
+            return;
+        }
+        self.map.insert(id, conn);
+        // A connection that moved brings its request for the daemon.
+        self.finalize(id);
     }
 
     /// Runs `f` on connection `id` with panic isolation — a panic while
     /// parsing or handling kills this connection only — then the
     /// post-event bookkeeping.
     fn on_conn(&mut self, id: u64, f: impl FnOnce(&Ctx, &mut Conn)) {
-        let Some(conn) = self.conns.get_mut(&id) else {
+        let Some(conn) = self.map.get_mut(&id) else {
             return;
         };
         let ctx = &self.ctx;
         if std::panic::catch_unwind(AssertUnwindSafe(|| f(ctx, conn))).is_err() {
             self.ctx.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
-            if let Some(conn) = self.conns.get_mut(&id) {
+            if let Some(conn) = self.map.get_mut(&id) {
                 conn.dead = true;
             }
         }
@@ -655,15 +532,21 @@ impl Shard {
         });
     }
 
-    /// Post-event bookkeeping: closes dead connections, syncs EPOLLOUT
-    /// interest with pending output.
+    /// Post-event bookkeeping: closes a dead connection, acts on a
+    /// request for the daemon (a shard hands the connection over, the
+    /// loop queues the request), syncs `EPOLLOUT` interest.
     fn finalize(&mut self, id: u64) {
-        let Some(conn) = self.conns.get_mut(&id) else {
+        let Some(conn) = self.map.get_mut(&id) else {
             return;
         };
         if conn.dead {
-            self.close(id);
-            return;
+            return self.close(id);
+        }
+        if let Some(req) = conn.ask.take() {
+            match self.ctx.to_loop.clone() {
+                Some(door) => return self.hand_over(id, req, &door),
+                None => self.asks.push((id, req)),
+            }
         }
         let want_out = conn.out_pos < conn.buf_out.len();
         if want_out != conn.interest_out {
@@ -676,38 +559,64 @@ impl Shard {
         }
     }
 
-    /// Delivers daemon replies (and sink hang-ups) to their connections.
-    fn drain_mailbox(&mut self) {
-        for (id, gen, mail) in self.ctx.mailbox.take() {
-            self.on_conn(id, |ctx, conn| deliver(ctx, conn, gen, mail));
+    /// Moves connection `id`, with `req`, to the event loop for good; when
+    /// the loop is gone, answers 503 here instead.
+    fn hand_over(&mut self, id: u64, req: GwRequest, door: &Door) {
+        let (epoll, map) = (&self.epoll, &mut self.map);
+        let stats = &self.ctx.stats;
+        let moved = door.enter(|| {
+            let mut conn = map.remove(&id).expect("a connection being finalized");
+            // It leaves this set, not the process.
+            let _ = epoll.delete(conn.stream.as_raw_fd());
+            conn.ask = Some(req);
+            stats.queued_jobs.fetch_add(1, Ordering::Relaxed);
+            stats.handovers.fetch_add(1, Ordering::Relaxed);
+            conn
+        });
+        if !moved {
+            self.on_conn(id, |ctx, conn| {
+                if let Phase::Await(p) = std::mem::replace(&mut conn.phase, Phase::Ready) {
+                    let response = HttpResponse::error(503, "daemon shut down");
+                    answer(ctx, conn, &p.finish(), response, false);
+                }
+            });
         }
     }
 
-    /// The periodic scan: idle keep-alive closes, slowloris header
-    /// timeouts, per-request deadlines, stalled writes.
-    fn sweep(&mut self) {
+    /// How long the host may wait before the next sweep is due.
+    fn until_sweep(&self) -> Duration {
+        self.next_sweep.saturating_duration_since(Instant::now())
+    }
+
+    /// The periodic scan, when due: idle keep-alive closes, slowloris
+    /// header timeouts, per-request deadlines, stalled writes.
+    fn sweep_if_due(&mut self) {
         let now = Instant::now();
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
+        if now < self.next_sweep {
+            return;
+        }
+        self.next_sweep = now + SWEEP_EVERY;
+        let ids: Vec<u64> = self.map.keys().copied().collect();
         for id in ids {
-            let Some(conn) = self.conns.get_mut(&id) else {
+            let Some(conn) = self.map.get_mut(&id) else {
                 continue;
             };
+            let ctx = &self.ctx;
             if let Some(p) = conn.overdue(now) {
-                time_out(&self.ctx, conn, p);
+                time_out(ctx, conn, p);
             } else if matches!(conn.phase, Phase::Ready) && !conn.close_after_write {
                 if let Some(t0) = conn.header_started {
-                    if now.saturating_duration_since(t0) > self.ctx.opts.header_timeout {
-                        // Slowloris: answer 408 and close. The shard
-                        // never blocked on these bytes; the timeout just
+                    if now.saturating_duration_since(t0) > ctx.opts.header_timeout {
+                        // Slowloris: answer 408 and close. The host never
+                        // blocked on these bytes; the timeout just
                         // reclaims the fd.
                         conn.header_started = None;
                         let req = Req::unparsed(&conn.buf_in, t0);
                         let response = HttpResponse::error(408, "header timeout");
-                        answer(&self.ctx, conn, &req, response, false);
+                        answer(ctx, conn, &req, response, false);
                     }
                 } else if conn.buf_out.is_empty()
-                    && now.saturating_duration_since(conn.last_activity)
-                        > self.ctx.opts.idle_timeout
+                    && now.saturating_duration_since(conn.last_activity) > ctx.opts.idle_timeout
                 {
                     conn.dead = true;
                 }
@@ -721,13 +630,12 @@ impl Shard {
         }
     }
 
-    /// Tears one connection down: the closed flag for daemon-held sinks,
-    /// the stream slot, stream-lifetime accounting.
+    /// Tears one connection down: the stream slot, stream-lifetime
+    /// accounting, the socket.
     fn close(&mut self, id: u64) {
-        let Some(mut conn) = self.conns.remove(&id) else {
+        let Some(mut conn) = self.map.remove(&id) else {
             return;
         };
-        conn.closed.store(true, Ordering::Release);
         self.ctx.stats.open_conns.fetch_sub(1, Ordering::SeqCst);
         // The phase goes first, and with it any stream slot. A stream
         // has one access-log line, at its end, timed over its whole life.
@@ -736,14 +644,208 @@ impl Shard {
         }
         // `conn.stream` drops here: the fd closes and leaves the set.
     }
+
+    fn close_all(&mut self) {
+        let ids: Vec<u64> = self.map.keys().copied().collect();
+        for id in ids {
+            self.close(id);
+        }
+    }
+}
+
+/// Spawns the gateway's acceptor and reactor shards (one a core, at most
+/// eight) on `listener`; returns the handle and the event loop's side,
+/// the [`LoopEdge`]. A shard calls `wake` after each hand-over.
+///
+/// # Panics
+///
+/// Panics if the listener address cannot be read, `epoll`/`eventfd`
+/// creation fails, or threads cannot spawn — all boot-time process
+/// failures.
+pub fn spawn_gateway_opts(
+    listener: TcpListener,
+    wake: Wake,
+    opts: GatewayOpts,
+) -> (GatewayHandle, LoopEdge) {
+    let addr = listener.local_addr().expect("gateway listener addr");
+    let stats = Arc::new(GatewayStats::default());
+    let stop = Arc::new(AtomicBool::new(false));
+    let shard_count = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
+    let limiter = (opts.rate_limit > 0.0)
+        .then(|| Arc::new(TokenBuckets::new(opts.rate_limit, opts.rate_limit * 2.0)));
+    let ctx = |to_loop| Ctx {
+        stats: Arc::clone(&stats),
+        limiter: limiter.clone(),
+        opts: opts.clone(),
+        to_loop,
+    };
+    let edge = LoopEdge {
+        conns: Conns::new(ctx(None), wake),
+    };
+
+    let mut inboxes = Vec::with_capacity(shard_count);
+    for i in 0..shard_count {
+        let (fd, to_loop) = (Arc::new(WakeFd::new()), Arc::clone(&edge.conns.inbox));
+        let wake = Arc::clone(&fd);
+        let mut conns = Conns::new(ctx(Some(to_loop)), Arc::new(move || wake.wake()));
+        fd.register(&conns.epoll, WAKE_TOKEN);
+        inboxes.push(Arc::clone(&conns.inbox));
+        let stop = Arc::clone(&stop);
+        std::thread::Builder::new()
+            .name(format!("moara-gw-shard-{i}"))
+            .spawn(move || {
+                let mut events = vec![EpollEvent::default(); 512];
+                while !stop.load(Ordering::SeqCst) {
+                    let timeout = conns.until_sweep().max(Duration::from_millis(1));
+                    conns.turn(&mut events, timeout);
+                }
+                // Stopping: the sockets close.
+                conns.close_all();
+            })
+            .expect("spawn gateway shard");
+    }
+
+    {
+        let stop = Arc::clone(&stop);
+        let stats = Arc::clone(&stats);
+        let inboxes = inboxes.clone();
+        let max_conns = opts.max_conns;
+        std::thread::Builder::new()
+            .name("moara-gw-accept".into())
+            .spawn(move || {
+                let mut next = 0usize;
+                for conn in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = conn else { continue };
+                    if stats.open_conns.load(Ordering::SeqCst) >= max_conns {
+                        // Over the cap: close immediately. Cheaper and
+                        // clearer to the client than letting the fd
+                        // table fill and accept() start failing.
+                        stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    // Dropped: a connection nobody would hear from.
+                    let Some(conn) = Conn::new(stream) else {
+                        continue;
+                    };
+                    stats.open_conns.fetch_add(1, Ordering::SeqCst);
+                    stats.conns_accepted.fetch_add(1, Ordering::Relaxed);
+                    // A shard's inbox never closes.
+                    inboxes[next].enter(|| conn);
+                    next = (next + 1) % inboxes.len();
+                }
+                // Wake every shard so it observes the stop flag.
+                for inbox in &inboxes {
+                    inbox.wake();
+                }
+            })
+            .expect("spawn gateway acceptor");
+    }
+
+    let handle = GatewayHandle {
+        addr,
+        stats,
+        stop,
+        inboxes,
+    };
+    (handle, edge)
+}
+
+/// The event loop's side of the gateway: the connections that moved off
+/// the shards, in an `epoll` set whose fd ([`LoopEdge::fd`]) joins the
+/// loop's one wait. Only the loop's thread touches them. Dropping it
+/// closes the door (later hand-overs get 503) and every connection here.
+pub struct LoopEdge {
+    conns: Conns,
+}
+
+impl LoopEdge {
+    /// The set's fd: readable while a connection here is ready.
+    pub fn fd(&self) -> RawFd {
+        self.conns.epoll.as_raw_fd()
+    }
+
+    /// One turn of the loop's connections, never blocking; hands each
+    /// request for the daemon to `serve`, under its connection's panic
+    /// isolation. Returns how many connections it adopted.
+    pub fn pump(&mut self, mut serve: impl FnMut(u64, GwRequest)) -> usize {
+        let mut events = [EpollEvent::default(); 64];
+        let adopted = self.conns.turn(&mut events, Duration::ZERO);
+        for (id, req) in std::mem::take(&mut self.conns.asks) {
+            self.conns.on_conn(id, |_, _| serve(id, req));
+        }
+        adopted
+    }
+
+    /// How long the loop may block before this edge needs a turn: none
+    /// when a reply let a pipelined request through, else until the next
+    /// sweep while it hosts connections.
+    pub fn wait_bound(&self) -> Option<Duration> {
+        if !self.conns.asks.is_empty() {
+            return Some(Duration::ZERO);
+        }
+        (!self.conns.map.is_empty()).then(|| self.conns.until_sweep())
+    }
+
+    /// Writes one reply to connection `conn` now (a one-shot answer, a
+    /// stream's headers or frame, a keepalive). `Err(SinkClosed)` when it
+    /// is gone or closing: for a watch, cancel the subscription.
+    pub fn write(&mut self, conn: u64, reply: GwReply) -> Result<(), SinkClosed> {
+        match self.conns.map.get(&conn) {
+            Some(c) if !c.close_after_write => {
+                self.conns.on_conn(conn, |ctx, c| respond(ctx, c, reply));
+                Ok(())
+            }
+            _ => Err(SinkClosed),
+        }
+    }
+
+    /// Hangs up on connection `conn` (ends its stream).
+    pub fn close(&mut self, conn: u64) {
+        self.conns.close(conn);
+    }
+}
+
+impl Drop for LoopEdge {
+    fn drop(&mut self) {
+        for conn in self.conns.inbox.close() {
+            self.conns.adopt(conn);
+        }
+        self.conns.close_all();
+    }
 }
 
 impl Conn {
+    /// A fresh connection; `None` when its peer is already gone.
+    fn new(stream: TcpStream) -> Option<Conn> {
+        let peer = stream.peer_addr().ok()?;
+        stream.set_nonblocking(true).ok()?;
+        Some(Conn {
+            stream,
+            peer: peer.to_string(),
+            ip: peer.ip(),
+            buf_in: Vec::new(),
+            buf_out: Vec::new(),
+            out_pos: 0,
+            phase: Phase::Ready,
+            ask: None,
+            close_after_write: false,
+            dead: false,
+            interest_out: false,
+            last_activity: Instant::now(),
+            header_started: None,
+            write_stalled_since: None,
+        })
+    }
+
     /// The request this connection waits on, taken out (the connection
     /// goes `Ready`) if its deadline has passed by `now`.
     fn overdue(&mut self, now: Instant) -> Option<Pending> {
         match std::mem::replace(&mut self.phase, Phase::Ready) {
-            Phase::Await(p) | Phase::SseAwait(p) if now >= p.deadline => Some(p),
+            Phase::Await(p) if now >= p.deadline => Some(p),
             phase => {
                 self.phase = phase;
                 None
@@ -751,37 +853,24 @@ impl Conn {
         }
     }
 
-    /// Reads until `WouldBlock`, appending to the input buffer.
+    /// One read, appended to the input buffer; what it leaves keeps the
+    /// connection ready for its host's next turn.
     fn fill(&mut self) {
         let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
+        match self.stream.read(&mut chunk) {
+            Ok(0) => self.dead = true,
+            Ok(n) => {
+                self.last_activity = Instant::now();
+                match self.phase {
+                    // Mid-stream client bytes on an SSE connection carry
+                    // no meaning; discard instead of buffering.
+                    Phase::Sse(_) => {}
+                    _ => self.buf_in.extend_from_slice(&chunk[..n]),
                 }
-                Ok(n) => {
-                    self.last_activity = Instant::now();
-                    match self.phase {
-                        // Mid-stream client bytes on an SSE connection
-                        // carry no meaning; discard instead of buffering.
-                        Phase::Sse(_) => {}
-                        _ => self.buf_in.extend_from_slice(&chunk[..n]),
-                    }
-                    if self.buf_in.len() > IN_BUF_CAP {
-                        self.dead = true;
-                        return;
-                    }
-                    if n < chunk.len() {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
+                self.dead |= self.buf_in.len() > IN_BUF_CAP;
+            }
+            Err(e) => {
+                self.dead = !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted)
             }
         }
     }
@@ -852,7 +941,7 @@ fn answer(ctx: &Ctx, conn: &mut Conn, req: &Req, response: HttpResponse, keep_al
 
 /// Times a finished request into its class's histogram and, when a sink
 /// is configured, writes its access-log line. [`answer`] calls it for
-/// every one-shot; `Shard::close` for a stream, at its end.
+/// every one-shot; `Conns::close` for a stream, at its end.
 fn account(ctx: &Ctx, conn: &Conn, req: &Req, status: u16, bytes: usize) {
     let duration_us = u64::try_from(req.started.elapsed().as_micros()).unwrap_or(u64::MAX);
     ctx.stats.latency.of(req.class).observe(duration_us);
@@ -901,30 +990,13 @@ fn advance(ctx: &Ctx, conn: &mut Conn) {
     }
 }
 
-/// Hands `req` to the daemon under a fresh request generation of
-/// `conn`'s. False: the daemon is gone.
-fn hand_off(ctx: &Ctx, conn: &mut Conn, req: GwRequest) -> bool {
-    conn.gen += 1;
-    let reply = ReplySink {
-        mailbox: Arc::clone(&ctx.mailbox),
-        conn: conn.id,
-        gen: conn.gen,
-        closed: Arc::clone(&conn.closed),
-    };
-    let sent = (ctx.jobs)(GwJob { req, reply }).is_ok();
-    if sent {
-        ctx.stats.queued_jobs.fetch_add(1, Ordering::Relaxed);
-    }
-    sent
-}
-
 /// Routes one parsed request through the middleware, outside in, one
-/// step a line. Panic isolation wraps the whole call (`Shard::on_conn`);
-/// then the rate limit; then the answers the shard gives itself
-/// (OPTIONS, routing errors, the stream cap, cache hits); then the
-/// hand-off to the daemon under the request deadline, enforced by
-/// `Shard::sweep` and [`deliver`]. Each answer is [`answer`]ed, which
-/// counts, times and logs it.
+/// step a line. Panic isolation wraps the whole call (`Conns::on_conn`);
+/// then the rate limit; then the answers the host gives itself (OPTIONS,
+/// routing errors, the stream cap, cache hits); then the request goes to
+/// the daemon (`Conns::finalize`) under the request deadline, enforced
+/// by `Conns::sweep_if_due` and [`respond`]. Each answer is [`answer`]ed,
+/// which counts, times and logs it.
 fn handle_request(ctx: &Ctx, conn: &mut Conn, http: HttpRequest) {
     let started = Instant::now();
     let routed = if !ctx.admit(conn.ip, started) {
@@ -951,8 +1023,8 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, http: HttpRequest) {
     }
     ctx.stats.requests[req.class as usize].fetch_add(1, Ordering::Relaxed);
     // The materialized-view fast path: a fresh standing result answers
-    // right here on the shard — the daemon's event loop is never
-    // entered, which is what keeps hits sub-millisecond.
+    // right here — the daemon is never asked, which is what keeps hits
+    // sub-millisecond.
     if let (GwRequest::Query { q }, Some(cache)) = (&gw_req, &ctx.opts.cache) {
         if let Some((result, complete)) = cache.lookup(q, started) {
             let response =
@@ -960,84 +1032,58 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, http: HttpRequest) {
             return answer(ctx, conn, &req, response, req.keep_alive);
         }
     }
-    if !hand_off(ctx, conn, gw_req) {
-        let response = HttpResponse::error(503, "daemon shut down");
-        return answer(ctx, conn, &req, response, false);
-    }
-    let pending = Pending {
-        gen: conn.gen,
-        deadline: started + ctx.opts.request_timeout,
+    conn.ask = Some(gw_req);
+    let deadline = started + ctx.opts.request_timeout;
+    conn.phase = Phase::Await(Pending {
+        deadline,
         req,
         slot,
-    };
-    conn.phase = match watch {
-        true => Phase::SseAwait(pending),
-        false => Phase::Await(pending),
-    };
+    });
 }
 
 /// Answers 408 for a request whose deadline passed (middleware: the
 /// per-request deadline). The connection closes — a late daemon reply
-/// for it can no longer be correlated by the client — and the closed
-/// flag guarantees the daemon notices on its next send.
+/// for it can no longer be correlated by the client.
 fn time_out(ctx: &Ctx, conn: &mut Conn, pending: Pending) {
     ctx.stats.request_timeouts.fetch_add(1, Ordering::Relaxed);
-    conn.closed.store(true, Ordering::Release);
     let response = HttpResponse::error(408, "daemon did not answer in time");
     answer(ctx, conn, &pending.finish(), response, false);
 }
 
-/// Applies one mailbox message to its connection.
-fn deliver(ctx: &Ctx, conn: &mut Conn, gen: u64, mail: Mail) {
-    match mail {
-        Mail::Reply(reply) => match std::mem::replace(&mut conn.phase, Phase::Ready) {
-            // The reply exists but missed its deadline: the middleware
-            // answer is still 408, whether or not a sweep got to the
-            // connection first.
-            Phase::Await(p) | Phase::SseAwait(p)
-                if p.gen == gen && Instant::now() >= p.deadline =>
-            {
-                time_out(ctx, conn, p);
-            }
-            Phase::Await(p) if p.gen == gen => {
-                let req = p.finish();
-                answer(ctx, conn, &req, render_reply(reply), req.keep_alive);
-                // Pipelined requests may be waiting behind the reply.
-                advance(ctx, conn);
-            }
-            Phase::SseAwait(p) if p.gen == gen => {
-                if let GwReply::Error { status, msg } = reply {
-                    conn.closed.store(true, Ordering::Release);
-                    let response = HttpResponse::error(status, &msg);
-                    return answer(ctx, conn, &p.finish(), response, false);
-                }
-                // Stream opens: SSE headers, then the first frame.
-                conn.buf_out.extend_from_slice(
-                    b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
-                      Cache-Control: no-cache\r\nConnection: close\r\n\r\n",
-                );
-                conn.phase = Phase::Sse(p);
-                sse_forward(ctx, conn, reply);
-                conn.flush();
-            }
-            Phase::Sse(p) if gen == conn.gen => {
-                conn.phase = Phase::Sse(p);
-                sse_forward(ctx, conn, reply);
-                conn.flush();
-            }
-            // Stale: a reply for a request that already timed out or a
-            // connection that moved on.
-            phase => conn.phase = phase,
-        },
-        Mail::Hangup => {
-            // The daemon dropped the sink without a terminal reply —
-            // subscription cancelled (or daemon shutting down). Only
-            // meaningful for streams; one-shot sinks are dropped right
-            // after their reply, which was already delivered above.
-            if gen == conn.gen && matches!(conn.phase, Phase::Sse(_) | Phase::SseAwait(_)) {
-                conn.dead = true;
-            }
+/// Applies one daemon reply to its connection.
+fn respond(ctx: &Ctx, conn: &mut Conn, reply: GwReply) {
+    match std::mem::replace(&mut conn.phase, Phase::Ready) {
+        // The reply exists but missed its deadline: the middleware
+        // answer is still 408, whether or not a sweep got to the
+        // connection first.
+        Phase::Await(p) if Instant::now() >= p.deadline => time_out(ctx, conn, p),
+        Phase::Await(p) if p.slot.is_none() => {
+            let req = p.finish();
+            answer(ctx, conn, &req, render_reply(reply), req.keep_alive);
+            // Pipelined requests may be waiting behind the reply.
+            advance(ctx, conn);
         }
+        Phase::Await(p) => {
+            if let GwReply::Error { status, msg } = reply {
+                let response = HttpResponse::error(status, &msg);
+                return answer(ctx, conn, &p.finish(), response, false);
+            }
+            // Stream opens: SSE headers, then the first frame.
+            conn.buf_out.extend_from_slice(
+                b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
+                  Cache-Control: no-cache\r\nConnection: close\r\n\r\n",
+            );
+            conn.phase = Phase::Sse(p);
+            sse_forward(ctx, conn, reply);
+            conn.flush();
+        }
+        Phase::Sse(p) => {
+            conn.phase = Phase::Sse(p);
+            sse_forward(ctx, conn, reply);
+            conn.flush();
+        }
+        // Nothing asked: a stray reply has no request to answer.
+        Phase::Ready => {}
     }
 }
 

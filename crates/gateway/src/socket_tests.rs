@@ -1,49 +1,131 @@
 //! The gateway as a client sees it: a running gateway, a scripted daemon
-//! behind it, and real sockets in front.
+//! hosting the loop's side of it, and real sockets in front.
 
 #[cfg(test)]
 mod tests {
     use std::io::{BufRead as _, BufReader, Read as _, Write as _};
     use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::mpsc::Sender;
+    use std::sync::mpsc::{Sender, SyncSender};
     use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
     use std::time::Duration;
 
     use crate::api::{parse_attr_body, parse_policy};
+    use crate::epoll::{Epoll, EpollEvent, WakeFd, EPOLLIN};
     use crate::reactor::Endpoint;
     use crate::{
         access_log_line, spawn_gateway_opts, AccessLogSink, EndpointLatency, GatewayHandle,
-        GatewayOpts, GwJob, GwReply, GwRequest, ReplySink, WatchPolicy, REQUEST_LATENCY_BOUNDS_US,
+        GatewayOpts, GwReply, GwRequest, LoopEdge, SinkClosed, WatchPolicy,
+        REQUEST_LATENCY_BOUNDS_US,
     };
 
-    /// Boots a gateway backed by a scripted responder thread.
-    fn test_gateway(respond: impl Fn(GwRequest, ReplySink) + Send + 'static) -> GatewayHandle {
+    /// What the scripted daemon does to one of the loop's connections.
+    enum Cmd {
+        /// Write a reply; a sender off the loop thread waits for the
+        /// outcome.
+        Write(u64, GwReply, Option<SyncSender<Result<(), SinkClosed>>>),
+        /// Hang up: the daemon side of a stream went away.
+        Close(u64),
+    }
+
+    /// The scripted daemon's hold on one request. It answers through
+    /// `send`; dropping a watch's ends the stream, as a daemon whose
+    /// subscription is gone.
+    struct Reply {
+        conn: u64,
+        stream: bool,
+        cmds: Sender<Cmd>,
+        wake: Arc<WakeFd>,
+        /// The loop thread: inside the responder a write is queued and
+        /// made when the responder returns; from any other thread it is
+        /// made at once and its outcome returned.
+        host: ThreadId,
+    }
+
+    impl Reply {
+        fn send(&self, reply: GwReply) -> Result<(), SinkClosed> {
+            if std::thread::current().id() == self.host {
+                let _ = self.cmds.send(Cmd::Write(self.conn, reply, None));
+                return Ok(());
+            }
+            let (done, outcome) = std::sync::mpsc::sync_channel(1);
+            let _ = self.cmds.send(Cmd::Write(self.conn, reply, Some(done)));
+            self.wake.wake();
+            outcome.recv().unwrap_or(Err(SinkClosed))
+        }
+    }
+
+    impl Drop for Reply {
+        fn drop(&mut self) {
+            if self.stream {
+                let _ = self.cmds.send(Cmd::Close(self.conn));
+                self.wake.wake();
+            }
+        }
+    }
+
+    /// Boots a gateway whose loop side a scripted daemon thread hosts.
+    fn test_gateway(respond: impl Fn(GwRequest, Reply) + Send + 'static) -> GatewayHandle {
         test_gateway_opts(GatewayOpts::default(), respond)
     }
 
+    /// The daemon's part, scripted: one thread waits on the loop edge's
+    /// fd and its own wake, as a daemon's loop does, takes each turn of
+    /// the edge, hands every request for the daemon to `respond`, and
+    /// makes the writes the responder asks for.
     fn test_gateway_opts(
         opts: GatewayOpts,
-        respond: impl Fn(GwRequest, ReplySink) + Send + 'static,
+        respond: impl Fn(GwRequest, Reply) + Send + 'static,
     ) -> GatewayHandle {
-        let (tx, rx) = std::sync::mpsc::channel::<GwJob>();
+        let wake = Arc::new(WakeFd::new());
+        let (gw, mut edge) = spawn_waking(&wake, opts);
+        let (cmds, todo) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            for job in rx {
-                respond(job.req, job.reply);
+            let epoll = Epoll::new();
+            wake.register(&epoll, 0);
+            epoll.add(edge.fd(), EPOLLIN, 1).unwrap();
+            let host = std::thread::current().id();
+            let mut events = [EpollEvent::default(); 4];
+            loop {
+                let idle = Duration::from_secs(1);
+                epoll.wait(&mut events, edge.wait_bound().unwrap_or(idle));
+                edge.pump(|conn, req| {
+                    let stream = matches!(req, GwRequest::Watch { .. });
+                    let (cmds, wake) = (cmds.clone(), Arc::clone(&wake));
+                    let reply = Reply {
+                        conn,
+                        stream,
+                        cmds,
+                        wake,
+                        host,
+                    };
+                    respond(req, reply);
+                });
+                while let Ok(cmd) = todo.try_recv() {
+                    match cmd {
+                        Cmd::Write(conn, reply, done) => {
+                            let outcome = edge.write(conn, reply);
+                            done.map(|d| d.send(outcome));
+                        }
+                        Cmd::Close(conn) => edge.close(conn),
+                    }
+                }
             }
         });
-        spawn_on_channel(tx, opts)
+        gw
     }
 
-    /// The one entry point, fed through a channel whose consumer blocks
-    /// on it and so needs no waking.
-    fn spawn_on_channel(tx: Sender<GwJob>, opts: GatewayOpts) -> GatewayHandle {
+    /// The one entry point, its door waking `wake`.
+    fn spawn_waking(wake: &Arc<WakeFd>, opts: GatewayOpts) -> (GatewayHandle, LoopEdge) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        spawn_gateway_opts(
-            listener,
-            Arc::new(move |job| tx.send(job).map_err(|e| e.0)),
-            opts,
-        )
+        let wake = Arc::clone(wake);
+        spawn_gateway_opts(listener, Arc::new(move || wake.wake()), opts)
+    }
+
+    /// A gateway whose daemon is gone: its loop edge is dropped at once.
+    fn spawn_daemonless(opts: GatewayOpts) -> GatewayHandle {
+        spawn_waking(&Arc::new(WakeFd::new()), opts).0
     }
 
     fn roundtrip(addr: SocketAddr, raw: &str) -> String {
@@ -236,7 +318,7 @@ mod tests {
     /// reachable under watcher overload).
     #[test]
     fn watch_streams_beyond_the_cap_answer_503() {
-        let held: Arc<Mutex<Vec<ReplySink>>> = Arc::new(Mutex::new(Vec::new()));
+        let held: Arc<Mutex<Vec<Reply>>> = Arc::new(Mutex::new(Vec::new()));
         let held2 = Arc::clone(&held);
         let gw = test_gateway_opts(
             GatewayOpts {
@@ -469,7 +551,7 @@ mod tests {
     /// after `request_timeout`, counted in `request_timeouts`.
     #[test]
     fn unanswered_request_times_out_with_408() {
-        let held: Arc<Mutex<Vec<ReplySink>>> = Arc::new(Mutex::new(Vec::new()));
+        let held: Arc<Mutex<Vec<Reply>>> = Arc::new(Mutex::new(Vec::new()));
         let held2 = Arc::clone(&held);
         let gw = test_gateway_opts(
             GatewayOpts {
@@ -492,34 +574,26 @@ mod tests {
     }
 
     /// Middleware: a poisoned request kills its own connection only —
-    /// the shard survives and keeps serving others. The poison is a job
-    /// sink that panics, which the shard calls inside its isolation.
+    /// its host survives and keeps serving others. The poison is a
+    /// request whose handler panics, which the loop calls inside the
+    /// connection's isolation.
     #[test]
     fn panics_are_isolated_to_their_connection() {
-        let (tx, rx) = std::sync::mpsc::channel::<GwJob>();
-        std::thread::spawn(move || {
-            for job in rx {
-                if let GwRequest::Health = job.req {
-                    let _ = job.reply.send(GwReply::Health {
-                        node: 0,
-                        members: 1,
-                        alive: 1,
-                    });
-                }
+        let gw = test_gateway(|req, reply| match req {
+            GwRequest::Query { q } if q == "boom" => panic!("poisoned request"),
+            GwRequest::Health => {
+                let _ = reply.send(GwReply::Health {
+                    node: 0,
+                    members: 1,
+                    alive: 1,
+                });
             }
+            _ => {}
         });
-        let gw = spawn_gateway_opts(
-            TcpListener::bind("127.0.0.1:0").unwrap(),
-            Arc::new(move |job: GwJob| match &job.req {
-                GwRequest::Query { q } if q == "boom" => panic!("poisoned request"),
-                _ => tx.send(job).map_err(|e| e.0),
-            }),
-            GatewayOpts::default(),
-        );
         let poisoned = roundtrip(gw.addr(), "GET /v1/query?q=boom HTTP/1.1\r\n\r\n");
         assert!(poisoned.is_empty(), "poisoned conn just closes: {poisoned}");
         assert_eq!(gw.stats().panics_caught.load(Ordering::Relaxed), 1);
-        // The shard is alive and serving.
+        // The host is alive and serving.
         let resp = roundtrip(
             gw.addr(),
             "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
@@ -839,15 +913,15 @@ mod tests {
         assert_eq!(health_count, 2);
         let metrics_count = gw.stats().latency.of(Endpoint::Metrics).snapshot().count();
         assert_eq!(metrics_count, 1);
-        // The test harness never decrements (that's the daemon's drain
-        // loop), so the gauge equals the jobs handed over.
+        // The test harness never decrements (that's the daemon's step),
+        // so the gauge equals the connections handed over.
         assert_eq!(gw.stats().queued_jobs.load(Ordering::Relaxed), 3);
     }
 
     #[test]
     fn daemon_shutdown_503_lands_in_histogram_and_access_log() {
-        // A gateway whose daemon is gone: the job channel's receiver is
-        // dropped, so every hand-off fails and the shard answers 503
+        // A gateway whose daemon is gone: the loop edge is dropped, so
+        // every hand-over finds the door closed and the shard answers 503
         // inline. Those inline answers must still be timed and logged —
         // the regression this pins down.
         let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
@@ -855,15 +929,10 @@ mod tests {
         let sink: AccessLogSink = Arc::new(move |line: &str| {
             sink_lines.lock().unwrap().push(line.to_owned());
         });
-        let (tx, rx) = std::sync::mpsc::channel::<GwJob>();
-        drop(rx);
-        let gw = spawn_on_channel(
-            tx,
-            GatewayOpts {
-                access_log: Some(sink),
-                ..GatewayOpts::default()
-            },
-        );
+        let gw = spawn_daemonless(GatewayOpts {
+            access_log: Some(sink),
+            ..GatewayOpts::default()
+        });
         let resp = roundtrip(
             gw.addr(),
             "GET /v1/query?q=SELECT%20count(*) HTTP/1.1\r\nConnection: close\r\n\r\n",
@@ -935,7 +1004,7 @@ mod tests {
         let (key, _) = cache.take_pending_promotions().remove(0);
         assert!(cache.promoted(&key, 1));
         cache.on_update(1, "42".into(), true);
-        let held: Arc<Mutex<Vec<ReplySink>>> = Arc::new(Mutex::new(Vec::new()));
+        let held: Arc<Mutex<Vec<Reply>>> = Arc::new(Mutex::new(Vec::new()));
         let held2 = Arc::clone(&held);
         let (sink, lines) = log_sink();
         let gw = test_gateway_opts(
@@ -973,15 +1042,10 @@ mod tests {
             |_req, _reply| {},
         );
         let (gone_sink, gone_lines) = log_sink();
-        let (tx, rx) = std::sync::mpsc::channel::<GwJob>();
-        drop(rx);
-        let gone = spawn_on_channel(
-            tx,
-            GatewayOpts {
-                access_log: Some(gone_sink),
-                ..GatewayOpts::default()
-            },
-        );
+        let gone = spawn_daemonless(GatewayOpts {
+            access_log: Some(gone_sink),
+            ..GatewayOpts::default()
+        });
         for _ in 0..2 {
             let raw = "OPTIONS / HTTP/1.1\r\nConnection: close\r\n\r\n";
             assert_eq!(status_and_body(limited.addr(), raw).0, 200); // spend the burst
@@ -1100,6 +1164,225 @@ mod tests {
         let raw = "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
         assert_eq!(status_and_body(gw.addr(), raw).0, 408);
         assert_eq!(gw.stats().request_timeouts.load(Ordering::Relaxed), 1);
+    }
+
+    /// A keep-alive connection whose first request, `/healthz`, moved it
+    /// to the loop, and a reader on it.
+    fn moved_conn(gw: &GatewayHandle) -> (TcpStream, BufReader<TcpStream>) {
+        let s = TcpStream::connect(gw.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = BufReader::new(s.try_clone().unwrap());
+        (&s).write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(read_response(&mut reader, false).0, 200);
+        (s, reader)
+    }
+
+    /// Reads one response off a keep-alive connection: its status and
+    /// body, which a `HEAD` answer has none of.
+    fn read_response(reader: &mut BufReader<TcpStream>, head_only: bool) -> (u16, String) {
+        let (mut status, mut len) = (0, 0);
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            if let Some(code) = line.strip_prefix("HTTP/1.1 ") {
+                status = code[..3].parse().unwrap();
+            }
+            if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+                len = v.trim().parse().unwrap();
+            }
+            if line == "\r\n" || line.is_empty() {
+                break;
+            }
+        }
+        let mut body = vec![0u8; if head_only { 0 } else { len }];
+        reader.read_exact(&mut body).unwrap();
+        (status, String::from_utf8(body).unwrap())
+    }
+
+    fn health(reply: &Reply) {
+        let _ = reply.send(GwReply::Health {
+            node: 0,
+            members: 1,
+            alive: 1,
+        });
+    }
+
+    /// The deadline on a connection the loop hosts: a request never
+    /// answered and one answered late both get 408, and the late reply
+    /// finds the connection gone.
+    #[test]
+    fn on_the_loop_a_deadline_and_a_late_reply_answer_408() {
+        let held: Arc<Mutex<Vec<Reply>>> = Arc::new(Mutex::new(Vec::new()));
+        let held2 = Arc::clone(&held);
+        let gw = test_gateway_opts(
+            GatewayOpts {
+                request_timeout: Duration::from_millis(300),
+                ..GatewayOpts::default()
+            },
+            move |req, reply| match req {
+                GwRequest::Health => health(&reply),
+                GwRequest::Query { q } if q == "late" => {
+                    std::thread::sleep(Duration::from_millis(400));
+                    health(&reply);
+                }
+                _ => held2.lock().unwrap().push(reply), // never answered
+            },
+        );
+        let (s, mut reader) = moved_conn(&gw);
+        (&s).write_all(b"GET /v1/query?q=never HTTP/1.1\r\n\r\n")
+            .unwrap();
+        assert_eq!(read_response(&mut reader, false).0, 408);
+        let sink = held.lock().unwrap().pop().unwrap();
+        assert!(sink.send(GwReply::Keepalive).is_err());
+        let (s, mut reader) = moved_conn(&gw);
+        (&s).write_all(b"GET /v1/query?q=late HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let mut late = String::new();
+        let _ = reader.read_to_string(&mut late);
+        assert!(late.starts_with("HTTP/1.1 408 "), "{late}");
+        assert_eq!(gw.stats().request_timeouts.load(Ordering::Relaxed), 2);
+        // Each connection moved once, with its first request.
+        assert_eq!(gw.stats().handovers.load(Ordering::Relaxed), 2);
+    }
+
+    /// Slowloris on a connection the loop hosts: a head that dribbles in
+    /// after a served request is answered 408 by the loop's sweep.
+    #[test]
+    fn on_the_loop_slowloris_headers_time_out() {
+        let gw = test_gateway_opts(
+            GatewayOpts {
+                header_timeout: Duration::from_millis(200),
+                ..GatewayOpts::default()
+            },
+            |req, reply| {
+                if let GwRequest::Health = req {
+                    health(&reply);
+                }
+            },
+        );
+        let (s, mut reader) = moved_conn(&gw);
+        (&s).write_all(b"GET /healthz HT").unwrap(); // dribble, never finish
+        let mut out = String::new();
+        let _ = reader.read_to_string(&mut out);
+        assert!(out.starts_with("HTTP/1.1 408 "), "{out}");
+        assert_eq!(gw.stats().handovers.load(Ordering::Relaxed), 1);
+    }
+
+    /// A request pipelined behind a walk on a connection the loop hosts
+    /// waits for the walk's answer, then is answered after it, in order.
+    #[test]
+    fn on_the_loop_a_pipelined_request_waits_behind_a_walk() {
+        let walks: Arc<Mutex<Vec<Reply>>> = Arc::new(Mutex::new(Vec::new()));
+        let walks2 = Arc::clone(&walks);
+        let gw = test_gateway(move |req, reply| match req {
+            GwRequest::Health => health(&reply),
+            _ => walks2.lock().unwrap().push(reply),
+        });
+        let (s, mut reader) = moved_conn(&gw);
+        (&s).write_all(
+            b"GET /v1/query?q=walk HTTP/1.1\r\n\r\n\
+              GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        .unwrap();
+        let walk = loop {
+            if let Some(walk) = walks.lock().unwrap().pop() {
+                break walk;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        // Nothing comes before the walk's answer.
+        s.set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        assert!(reader.get_mut().read(&mut byte).is_err(), "answered early");
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let answer = GwReply::Answer {
+            result: "7".into(),
+            complete: true,
+            cache: None,
+        };
+        assert_eq!(walk.send(answer), Ok(()));
+        let mut rest = String::new();
+        let _ = reader.read_to_string(&mut rest);
+        let answers = rest
+            .strip_prefix("HTTP/1.1 200 OK\r\n")
+            .expect("the walk's answer");
+        let (first, second) = answers
+            .split_once("HTTP/1.1 200 OK\r\n")
+            .expect("then health");
+        assert!(
+            first.contains("{\"result\":\"7\",\"complete\":true}"),
+            "{rest}"
+        );
+        assert!(second.contains("\"status\":\"ok\""), "{rest}");
+        assert_eq!(gw.stats().requests(Endpoint::Health), 2);
+        assert_eq!(gw.stats().handovers.load(Ordering::Relaxed), 1);
+    }
+
+    /// Every answer the loop gives a connection it hosts, asked by `GET`
+    /// and by `HEAD`: the access log's `bytes` is the body the client
+    /// received — none for a `HEAD` — and the deadline's 408 ends it.
+    #[test]
+    fn on_the_loop_every_answer_logs_the_body_bytes_it_wrote_and_head_gets_none() {
+        use crate::cache::{CacheConfig, QueryCache};
+        let cache = Arc::new(QueryCache::new(CacheConfig {
+            promote_after: 1,
+            ..CacheConfig::default()
+        }));
+        assert!(cache.lookup("hot", std::time::Instant::now()).is_none());
+        let (key, _) = cache.take_pending_promotions().remove(0);
+        assert!(cache.promoted(&key, 1));
+        cache.on_update(1, "42".into(), true);
+        let held: Arc<Mutex<Vec<Reply>>> = Arc::new(Mutex::new(Vec::new()));
+        let held2 = Arc::clone(&held);
+        let (sink, lines) = log_sink();
+        let gw = test_gateway_opts(
+            GatewayOpts {
+                access_log: Some(sink),
+                cache: Some(cache),
+                request_timeout: Duration::from_millis(300),
+                ..GatewayOpts::default()
+            },
+            move |req, reply| match req {
+                GwRequest::Health => health(&reply),
+                _ => held2.lock().unwrap().push(reply), // never answered
+            },
+        );
+        let (s, mut reader) = moved_conn(&gw);
+        // A keep-alive answer can reach the client before its line is
+        // logged: wait for the `n`th line.
+        let nth_logged = |n: usize| {
+            while lines.lock().unwrap().len() < n {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            last_logged(&lines)
+        };
+        let mut n = 1;
+        let paths = [
+            ("/healthz", 200),
+            ("/v1/query?q=hot", 200),
+            ("/nope", 404),
+            ("/v1/query", 400),
+        ];
+        for (path, status) in paths {
+            for method in ["GET", "HEAD"] {
+                let raw = format!("{method} {path} HTTP/1.1\r\n\r\n");
+                (&s).write_all(raw.as_bytes()).unwrap();
+                let (got, body) = read_response(&mut reader, method == "HEAD");
+                assert_eq!(got, status, "{raw}");
+                n += 1;
+                assert_eq!(nth_logged(n), (status, body.len()), "{raw}");
+                assert!(method == "GET" || body.is_empty(), "{raw} has a body");
+            }
+        }
+        (&s).write_all(b"HEAD /v1/query?q=cold HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let mut rest = String::new();
+        let _ = reader.read_to_string(&mut rest);
+        assert!(rest.starts_with("HTTP/1.1 408 "), "{rest}");
+        assert!(rest.ends_with("\r\n\r\n"), "no body after headers: {rest}");
+        assert_eq!(last_logged(&lines), (408, 0));
+        assert_eq!(gw.stats().handovers.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::os::fd::{FromRawFd, RawFd};
+use std::os::fd::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -21,6 +21,7 @@ pub const EPOLLRDHUP: u32 = 0x2000;
 const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: i32 = 1;
+const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
 /// `O_CLOEXEC` and `O_NONBLOCK`, which `epoll_create1`, `eventfd` and
 /// `socket` all take under their own names.
@@ -97,6 +98,12 @@ impl Epoll {
         }
     }
 
+    /// Takes `fd` out of the set, open (the HTTP edge moves sockets).
+    #[allow(dead_code)]
+    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
+    }
+
     /// Waits up to `timeout` for members to become ready and returns the
     /// ready ones (none on a timeout or a signal). `epoll_pwait2`, so the
     /// timeout keeps its nanoseconds; where the kernel does not have it,
@@ -136,6 +143,13 @@ impl Epoll {
             return &[];
         }
         &events[..n as usize]
+    }
+}
+
+/// The set's own fd: a set can be a member of another.
+impl AsRawFd for Epoll {
+    fn as_raw_fd(&self) -> RawFd {
+        self.0
     }
 }
 

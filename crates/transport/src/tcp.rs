@@ -18,6 +18,8 @@
 //! to a millisecond), and a host that feeds its loop from other threads
 //! (the daemon's control and HTTP planes) has them call a [`WakeHandle`]
 //! after enqueueing their work; `pump` returns as if a frame had arrived.
+//! A host with sockets of its own on the loop's thread (the daemon's HTTP
+//! connections) adds one fd for them all ([`TcpTransport::add_host_fd`]).
 //!
 //! Sending: [`NetCtx::send`] encodes the frame into its destination's
 //! output buffer and returns. Buffers are flushed — one `write` per peer,
@@ -53,7 +55,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
 use std::marker::PhantomData;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -98,9 +100,10 @@ impl WakeHandle {
     }
 }
 
-/// Epoll tokens: the wake eventfd, then three disjoint id spaces. An
+/// Epoll tokens: the wake eventfd, then four disjoint id spaces. An
 /// inbound connection's token is its plain sequence number.
 const WAKE: u64 = 0;
+const HOST: u64 = 1 << 61;
 const LISTENER: u64 = 1 << 62;
 const OUTBOUND: u64 = 1 << 63;
 
@@ -405,12 +408,12 @@ impl<M: Message + Wire> TcpCore<M> {
         };
         // Exponential cooldown, capped at 32× the base.
         let cooldown = SUSPECT_COOLDOWN * 2u32.pow(streak.min(5));
-        self.fail_queued(to, Some(now + cooldown));
+        self.fail_queued(to, Some(now + cooldown), true);
     }
 
     /// Hangs up on `to` and counts every frame still waiting for it
-    /// dropped and undeliverable.
-    fn fail_queued(&mut self, to: u32, retry_at: Option<Instant>) {
+    /// dropped and, when `logged`, undeliverable.
+    fn fail_queued(&mut self, to: u32, retry_at: Option<Instant>, logged: bool) {
         let Some(link) = self.links.get_mut(&to) else {
             return;
         };
@@ -419,7 +422,9 @@ impl<M: Message + Wire> TcpCore<M> {
         for (_, from) in frames(&std::mem::take(&mut link.out)) {
             self.inflight -= i64::from(local);
             self.stats.record_drop();
-            self.undeliverable.push((NodeId(from), NodeId(to)));
+            if logged {
+                self.undeliverable.push((NodeId(from), NodeId(to)));
+            }
         }
     }
 
@@ -713,14 +718,6 @@ where
         }
     }
 
-    /// Forgets a peer (it left the cluster).
-    pub fn unregister_peer(&mut self, id: NodeId) {
-        self.core.peers.remove(&id.0);
-        self.core.alive.remove(&id.0);
-        self.core.fail_queued(id.0, None);
-        self.core.links.remove(&id.0);
-    }
-
     /// The listen address of a locally hosted node (None for ids not
     /// hosted here).
     pub fn local_addr(&self, id: NodeId) -> Option<SocketAddr> {
@@ -740,6 +737,15 @@ where
     /// short (see [`WakeHandle`]).
     pub fn wake_handle(&self) -> WakeHandle {
         WakeHandle(Arc::clone(&self.core.wake))
+    }
+
+    /// Adds a readiness source of the host's own to the loop's one wait:
+    /// while `fd` is readable `pump` does not block, as after a
+    /// [`WakeHandle::wake`]; the host, not the transport, reads it.
+    /// Panics if the kernel is out of epoll watches (boot time).
+    pub fn add_host_fd(&mut self, fd: RawFd) {
+        let added = self.core.epoll.add(fd, EPOLLIN, HOST);
+        added.expect("host fd joins the epoll set");
     }
 
     /// Fires due timers and delivers queued/incoming frames. Blocks up to
@@ -765,7 +771,7 @@ where
             let (bits, token) = (ev.events, ev.data);
             match token {
                 // Only ends the wait. Not a message: never counted.
-                WAKE => {}
+                WAKE | HOST => {}
                 t if t & OUTBOUND != 0 => self.core.link_event(t as u32, bits),
                 t if t & LISTENER != 0 => self.core.accept(t as u32),
                 conn => did |= self.read_inbound(conn),
@@ -983,7 +989,8 @@ where
 
     fn fail_node(&mut self, id: NodeId) {
         self.core.alive.insert(id.0, false);
-        self.core.fail_queued(id.0, None);
+        // What is on its way to it is dropped unlogged, as in the simulator.
+        self.core.fail_queued(id.0, None, false);
     }
 
     fn recover_node(&mut self, id: NodeId) {

@@ -88,6 +88,22 @@ fn contract<T: Transport<Echo>>(mut t: T) {
     assert!(t.take_undeliverable().is_empty());
 }
 
+/// A message still on its way when its destination fails is dropped and
+/// counted, as at delivery, and logged undeliverable by neither host: it
+/// was sent. On TCP the first frame of a fresh transport still waits in
+/// its buffer behind the non-blocking connect.
+fn in_flight_to_a_failed_node_is_dropped_unlogged<T: Transport<Echo>>(mut t: T) {
+    let a = t.add_node(Echo::default());
+    let b = t.add_node(Echo::default());
+    let dropped = t.stats().dropped();
+    t.with_node(a, |_n, ctx| ctx.send(b, 0));
+    t.fail_node(b);
+    t.run_to_quiescence();
+    assert!(t.node(b).got.is_empty());
+    assert_eq!(t.stats().dropped(), dropped + 1);
+    assert!(t.take_undeliverable().is_empty());
+}
+
 #[test]
 fn sim_transport_keeps_the_contract() {
     contract(SimTransport::new(Constant::from_millis(1), 1));
@@ -96,4 +112,14 @@ fn sim_transport_keeps_the_contract() {
 #[test]
 fn tcp_transport_keeps_the_contract() {
     contract(TcpTransport::seeded(1));
+}
+
+#[test]
+fn sim_drops_in_flight_to_a_failed_node_unlogged() {
+    in_flight_to_a_failed_node_is_dropped_unlogged(SimTransport::new(Constant::from_millis(1), 1));
+}
+
+#[test]
+fn tcp_drops_in_flight_to_a_failed_node_unlogged() {
+    in_flight_to_a_failed_node_is_dropped_unlogged(TcpTransport::seeded(1));
 }
