@@ -301,10 +301,7 @@ impl Daemon {
             return 0;
         };
         let mut asks = Vec::new();
-        let adopted = edge.pump(|conn, req| asks.push((conn, req)));
-        // The matching decrement of the shards' hand-over count.
-        let queued = &self.gateway_stats().expect("an edge's gateway").queued_jobs;
-        queued.fetch_sub(adopted as i64, std::sync::atomic::Ordering::Relaxed);
+        edge.pump(|conn, req| asks.push((conn, req)));
         let count = asks.len();
         for (conn, req) in asks {
             match gw_request(req, || self.exemplar_entries()) {

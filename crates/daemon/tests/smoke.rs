@@ -372,9 +372,10 @@ fn thread_names(pid: u32) -> Vec<String> {
         .collect()
 }
 
-/// Asserts `names` are main (the loop), the gateway's shards and
-/// acceptor, and the control plane's acceptor, plus whatever
-/// per-connection control thread happens to be alive at the look.
+/// Asserts `names` are main (the loop), the gateway's shards (which
+/// accept their own connections) and the control plane's acceptor, plus
+/// whatever per-connection control thread happens to be alive at the
+/// look.
 fn assert_only_resident_threads(names: &[String]) {
     let shards = names
         .iter()
@@ -387,14 +388,11 @@ fn assert_only_resident_threads(names: &[String]) {
         .collect();
     assert!(
         resident.iter().all(|n| {
-            *n == "moarad"
-                || n.starts_with("moara-gw-shard")
-                || *n == "moara-gw-accept"
-                || *n == "moarad-ctrl-acc"
+            *n == "moarad" || n.starts_with("moara-gw-shard") || *n == "moarad-ctrl-acc"
         }),
         "a thread that should not exist: {names:?}"
     );
-    assert_eq!(resident.len(), 1 + shards + 2, "{names:?}");
+    assert_eq!(resident.len(), 1 + shards + 1, "{names:?}");
 }
 
 /// The peer plane has one thread per daemon: peer sockets are members of

@@ -10,15 +10,16 @@
 //! in-network state promptly. A daemon going away drops its loop edge,
 //! which closes every connection on it and ends the SSE streams.
 
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::cache::QueryCache;
+use crate::epoll::WakeFd;
 use crate::http::{HttpRequest, HttpResponse};
 use crate::json;
-use crate::reactor::{AccessLogSink, Door, GatewayStats};
+use crate::reactor::{AccessLogSink, GatewayStats};
 
 /// How a watch's updates surface to the SSE client (string-typed twin of
 /// the subscription plane's `DeliveryPolicy`; the daemon converts).
@@ -231,12 +232,13 @@ impl Default for GatewayOpts {
     }
 }
 
-/// A running gateway's acceptor and shards: address, stats, stop switch.
+/// A running gateway's shards, which accept for themselves: address,
+/// stats, and the stop switch with each shard's wake.
 pub struct GatewayHandle {
     pub(crate) addr: SocketAddr,
     pub(crate) stats: Arc<GatewayStats>,
     pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) inboxes: Vec<Arc<Door>>,
+    pub(crate) wakes: Vec<Arc<WakeFd>>,
 }
 
 impl GatewayHandle {
@@ -250,16 +252,13 @@ impl GatewayHandle {
         &self.stats
     }
 
-    /// Stops accepting new connections and tears down the shards, which
-    /// close their connections. The ones on the event loop close with
-    /// its [`crate::LoopEdge`].
+    /// Stops the shards: each wakes, closes its connections and lets go
+    /// of the listener, and the last one out closes the port. The
+    /// connections on the event loop close with its [`crate::LoopEdge`].
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Wake the acceptor blocked in accept() so it observes the flag.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(50));
-        // And every shard blocked in epoll_wait.
-        for inbox in &self.inboxes {
-            inbox.wake();
+        for wake in &self.wakes {
+            wake.wake();
         }
     }
 }

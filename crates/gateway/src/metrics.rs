@@ -111,24 +111,29 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         value: f64,
     ) {
-        let sample = Sample {
-            labels: labels
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .collect(),
-            value,
-        };
-        if let Some(f) = self.families.iter_mut().find(|f| f.name == name) {
-            f.samples.push(sample);
-            return;
-        }
-        self.families.push(Family {
-            name: name.to_owned(),
-            help,
-            kind,
-            samples: vec![sample],
-            hists: Vec::new(),
+        let labels = owned(labels);
+        self.family(name, help, kind)
+            .samples
+            .push(Sample { labels, value });
+    }
+
+    /// The family called `name`, appended (with `help` and `kind`) if it
+    /// is new: samples of one name share one family header.
+    fn family(&mut self, name: &str, help: &'static str, kind: MetricKind) -> &mut Family {
+        let at = self.families.iter().position(|f| f.name == name);
+        let at = at.unwrap_or_else(|| {
+            let name = name.to_owned();
+            let (samples, hists) = (Vec::new(), Vec::new());
+            (self.families).push(Family {
+                name,
+                help,
+                kind,
+                samples,
+                hists,
+            });
+            self.families.len() - 1
         });
+        &mut self.families[at]
     }
 
     /// Records a histogram series from pre-aggregated data: ascending
@@ -164,26 +169,15 @@ impl MetricsRegistry {
     ) {
         debug_assert_eq!(cumulative.len(), bounds.len() + 1, "need a +Inf bucket");
         let hist = HistSample {
-            labels: labels
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .collect(),
+            labels: owned(labels),
             bounds: bounds.to_vec(),
             cumulative: cumulative.to_vec(),
             sum,
             count,
         };
-        if let Some(f) = self.families.iter_mut().find(|f| f.name == name) {
-            f.hists.push(hist);
-            return;
-        }
-        self.families.push(Family {
-            name: name.to_owned(),
-            help,
-            kind: MetricKind::Histogram,
-            samples: Vec::new(),
-            hists: vec![hist],
-        });
+        self.family(name, help, MetricKind::Histogram)
+            .hists
+            .push(hist);
     }
 
     /// How many samples the registry holds (tests, sanity gates).
@@ -199,16 +193,7 @@ impl MetricsRegistry {
             let _ = writeln!(out, "# TYPE {} {}", f.name, f.kind.as_str());
             for s in &f.samples {
                 out.push_str(&f.name);
-                if !s.labels.is_empty() {
-                    out.push('{');
-                    for (i, (k, v)) in s.labels.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{k}=\"{}\"", escape_label(v));
-                    }
-                    out.push('}');
-                }
+                write_labels(&mut out, &s.labels, None);
                 // Prometheus accepts integer or float renderings; keep
                 // integers exact (counters are u64-sourced).
                 if s.value.fract() == 0.0 && s.value.abs() < 9e15 {
@@ -218,40 +203,17 @@ impl MetricsRegistry {
                 }
             }
             for h in &f.hists {
-                let extra = |out: &mut String, le: Option<&str>| {
-                    let mut first = true;
-                    if le.is_some() || !h.labels.is_empty() {
-                        out.push('{');
-                        for (k, v) in &h.labels {
-                            if !first {
-                                out.push(',');
-                            }
-                            first = false;
-                            let _ = write!(out, "{k}=\"{}\"", escape_label(v));
-                        }
-                        if let Some(le) = le {
-                            if !first {
-                                out.push(',');
-                            }
-                            let _ = write!(out, "le=\"{le}\"");
-                        }
-                        out.push('}');
-                    }
+                let mut series = |suffix: &str, le: Option<&str>, value: u64| {
+                    let _ = write!(out, "{}{suffix}", f.name);
+                    write_labels(&mut out, &h.labels, le);
+                    let _ = writeln!(out, " {value}");
                 };
-                for (i, b) in h.bounds.iter().enumerate() {
-                    let _ = write!(out, "{}_bucket", f.name);
-                    extra(&mut out, Some(&b.to_string()));
-                    let _ = writeln!(out, " {}", h.cumulative[i]);
+                for (b, n) in h.bounds.iter().zip(&h.cumulative) {
+                    series("_bucket", Some(&b.to_string()), *n);
                 }
-                let _ = write!(out, "{}_bucket", f.name);
-                extra(&mut out, Some("+Inf"));
-                let _ = writeln!(out, " {}", h.cumulative[h.bounds.len()]);
-                let _ = write!(out, "{}_sum", f.name);
-                extra(&mut out, None);
-                let _ = writeln!(out, " {}", h.sum);
-                let _ = write!(out, "{}_count", f.name);
-                extra(&mut out, None);
-                let _ = writeln!(out, " {}", h.count);
+                series("_bucket", Some("+Inf"), h.cumulative[h.bounds.len()]);
+                series("_sum", None, h.sum);
+                series("_count", None, h.count);
             }
         }
         out
@@ -587,6 +549,27 @@ fn parse_sample_line(line: &str) -> Option<((String, Vec<(String, String)>), f64
         return None;
     }
     Some(((name, labels), value))
+}
+
+/// Labels as a registry keeps them.
+fn owned(labels: &[(&str, &str)]) -> Vec<(String, String)> {
+    labels
+        .iter()
+        .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
+        .collect()
+}
+
+/// Writes a series' label set, `{k="v",…}`, with a histogram bucket's
+/// `le` last; nothing when there is neither.
+fn write_labels(out: &mut String, labels: &[(String, String)], le: Option<&str>) {
+    let pairs = labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+    for (i, (k, v)) in pairs.chain(le.map(|le| ("le", le))).enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
+        let _ = write!(out, "{k}=\"{}\"", escape_label(v));
+    }
+    if !labels.is_empty() || le.is_some() {
+        out.push('}');
+    }
 }
 
 /// Label-value escaping per the exposition format: backslash, quote,

@@ -8,13 +8,16 @@
 //! peer transport.
 //!
 //! What runs where:
-//! * the **acceptor** thread blocks in `accept()`, applies the
-//!   connection cap, and round-robins sockets to shards;
 //! * **shards** block only in `epoll_wait` (bounded by the sweep
-//!   interval) and answer what needs no daemon: cache hits, OPTIONS,
-//!   routing errors, 429s, the stream cap, the 503 for a daemon that is
-//!   gone. The first request that needs the daemon moves its whole
-//!   connection through a `Door` to the event loop, once;
+//!   interval). Each has the one non-blocking listener in its own set
+//!   with `EPOLLEXCLUSIVE`, so a connection wakes one waiting shard, not
+//!   all of them. That shard accepts up to `ACCEPT_BATCH` a turn, applies
+//!   the connection cap and keeps what it accepts; the kernel queues up
+//!   to `BACKLOG` connections until a shard gets to them. Shards answer
+//!   what needs no daemon: cache hits, OPTIONS, routing errors, 429s, the
+//!   stream cap, the 503 for a daemon that is gone. The first request
+//!   that needs the daemon moves its whole connection through a `Door`
+//!   to the event loop, once;
 //! * the **event loop** hosts the connections that moved in a
 //!   [`LoopEdge`], whose `epoll` fd sits in the loop's one wait, and
 //!   reads, parses, answers and writes them itself: no request crosses a
@@ -22,10 +25,10 @@
 //!
 //! Both hosts drive one state machine (`Conns`): the parse loop, the
 //! middleware in `handle_request`'s order, the 408 deadline, the idle,
-//! slowloris and write-stall sweeps, SSE framing. They differ in what
-//! becomes of a request for the daemon (`Conns::finalize`). Every
-//! one-shot answer leaves through `answer`, which counts, times and
-//! access-logs it.
+//! slowloris and write-stall sweeps, SSE framing. They differ (`Host`) in
+//! where new connections come from and what becomes of a request for the
+//! daemon. Every one-shot answer leaves through `answer`, which counts,
+//! times and access-logs it.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -40,15 +43,30 @@ use crate::api::{
     answer_body, render_reply, route, sse_frame, GatewayHandle, GatewayOpts, GwReply, GwRequest,
     SinkClosed, ALLOWED_METHODS,
 };
-use crate::epoll::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::epoll::{
+    listen_nonblocking, Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN,
+    EPOLLOUT, EPOLLRDHUP,
+};
 use crate::histogram::Histogram;
 use crate::http::{parse_request, HttpRequest, HttpResponse, ParseStep};
 use crate::json;
 use crate::middleware::TokenBuckets;
 
-/// The epoll data value reserved for a shard's wake eventfd (connection
-/// ids start at 1).
+/// The epoll data value reserved for a shard's wake eventfd.
 const WAKE_TOKEN: u64 = 0;
+
+/// The epoll data value reserved for a shard's listener (connection ids
+/// start after it).
+const LISTENER_TOKEN: u64 = 1;
+
+/// How many connections the kernel queues on the listener for the shards
+/// to accept (it caps this at its own `somaxconn`). A burst beyond the
+/// queue has its SYNs dropped, and those clients wait out a retransmit.
+pub(crate) const BACKLOG: i32 = 4096;
+
+/// Most connections a shard accepts in one turn; what is left keeps the
+/// listener ready, for its next turn or another shard.
+const ACCEPT_BATCH: usize = 64;
 
 /// How often a shard sweeps for idle/stalled/deadline-passed
 /// connections; also bounds `epoll_wait` so the stop flag is observed.
@@ -208,8 +226,8 @@ pub struct GatewayStats {
     /// the cap cannot be raced past).
     pub open_streams: AtomicI64,
     /// Connections handed to the event loop and still at its door (gauge:
-    /// shards increment at each hand-over, the daemon decrements as it
-    /// adopts). The health plane's event-loop backpressure signal.
+    /// up at each hand-over, down as the loop takes them). The health
+    /// plane's event-loop backpressure signal.
     pub queued_jobs: AtomicI64,
     /// Connections the shards have handed to the event loop (each once).
     pub handovers: AtomicU64,
@@ -254,25 +272,25 @@ pub fn access_log_line(
         .finish()
 }
 
-/// What makes a door's host look: the daemon's loop wake, or a shard's
-/// eventfd.
+/// What makes the event loop look at its door: the daemon's loop wake.
 pub type Wake = Arc<dyn Fn() + Send + Sync>;
 
-/// Connections moving into a host, plus its wake: from the acceptor to a
-/// shard, from a shard to the event loop. Closed once its host is gone.
-pub(crate) struct Door {
+/// Connections moving from the shards to the event loop (counted in
+/// `handovers` and `queued_jobs`), plus its wake. Closed once it is gone.
+struct Door {
     /// `None` once closed.
     queue: Mutex<Option<Vec<Conn>>>,
     wake: Wake,
+    stats: Arc<GatewayStats>,
 }
 
 impl Door {
-    fn new(wake: Wake) -> Arc<Door> {
-        let queue = Mutex::new(Some(Vec::new()));
-        Arc::new(Door { queue, wake })
+    fn new(wake: Wake, stats: &Arc<GatewayStats>) -> Arc<Door> {
+        let (queue, stats) = (Mutex::new(Some(Vec::new())), Arc::clone(stats));
+        Arc::new(Door { queue, wake, stats })
     }
 
-    /// Enqueues what `conn` makes and wakes the host; false, `conn` never
+    /// Enqueues what `conn` makes and wakes the loop; false, `conn` never
     /// called, when closed (one step, so nothing is left behind a door).
     fn enter(&self, conn: impl FnOnce() -> Conn) -> bool {
         let mut queue = self.queue.lock().unwrap();
@@ -280,24 +298,27 @@ impl Door {
             return false;
         };
         waiting.push(conn());
+        // Counted under the lock, so `take` never subtracts it first.
+        self.stats.queued_jobs.fetch_add(1, Ordering::Relaxed);
+        self.stats.handovers.fetch_add(1, Ordering::Relaxed);
         drop(queue);
-        self.wake();
-        true
-    }
-
-    pub(crate) fn wake(&self) {
         (self.wake)();
+        true
     }
 
     /// Everything waiting, oldest first.
     fn take(&self) -> Vec<Conn> {
         let mut queue = self.queue.lock().unwrap();
-        queue.as_mut().map(std::mem::take).unwrap_or_default()
+        let taken = queue.as_mut().map(std::mem::take).unwrap_or_default();
+        self.stats
+            .queued_jobs
+            .fetch_sub(taken.len() as i64, Ordering::Relaxed);
+        taken
     }
 
-    /// Closes the door; returns what was still waiting.
-    fn close(&self) -> Vec<Conn> {
-        self.queue.lock().unwrap().take().unwrap_or_default()
+    /// Closes the door; what still waits there drops, closed.
+    fn close(&self) {
+        self.queue.lock().unwrap().take();
     }
 }
 
@@ -358,22 +379,30 @@ impl Req {
     }
 }
 
-/// One SSE stream's hold on `max_sse_streams`: taken when a watch routes,
-/// given back when it drops, however the stream ends.
-struct StreamSlot(Arc<GatewayStats>);
+/// Which of the capped gauges a [`Slot`] holds on.
+type Gauge = fn(&GatewayStats) -> &AtomicI64;
 
-impl StreamSlot {
-    /// A slot, or `None` at the cap. Increment-then-check, so a burst of
-    /// simultaneous watches cannot race past the cap.
-    fn take(stats: &Arc<GatewayStats>, cap: i64) -> Option<StreamSlot> {
-        let slot = StreamSlot(Arc::clone(stats));
-        (stats.open_streams.fetch_add(1, Ordering::SeqCst) < cap).then_some(slot)
+/// A hold on one unit of a capped gauge: a connection's in `open_conns`
+/// (`max_conns`), an SSE stream's in `open_streams` (`max_sse_streams`).
+/// Given back when it drops, however the connection or stream ends.
+struct Slot(Arc<GatewayStats>, Gauge);
+
+impl Slot {
+    /// A slot, or `None` at `cap`. The gauge counts it only while under
+    /// the cap, in one atomic step: threads taking slots at once cannot
+    /// race past the cap, and the gauge never reads above it.
+    fn take(stats: &Arc<GatewayStats>, gauge: Gauge, cap: i64) -> Option<Slot> {
+        let under_cap = |n: i64| (n < cap).then_some(n + 1);
+        gauge(stats)
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, under_cap)
+            .ok()?;
+        Some(Slot(Arc::clone(stats), gauge))
     }
 }
 
-impl Drop for StreamSlot {
+impl Drop for Slot {
     fn drop(&mut self) {
-        self.0.open_streams.fetch_sub(1, Ordering::SeqCst);
+        (self.1)(&self.0).fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -382,21 +411,22 @@ struct Pending {
     deadline: Instant,
     req: Req,
     /// A watch's stream slot.
-    slot: Option<StreamSlot>,
+    slot: Option<Slot>,
 }
 
 impl Pending {
     /// The request, its stream slot (if any) given back.
     fn finish(self) -> Req {
-        drop(self.slot);
         self.req
     }
 }
 
 /// One connection, on a shard or — once a request of its needed the
 /// daemon — on the event loop, where all of it moves.
-pub(crate) struct Conn {
+struct Conn {
     stream: TcpStream,
+    /// Its hold on `open_conns`.
+    _slot: Slot,
     peer: String,
     ip: IpAddr,
     buf_in: Vec<u8>,
@@ -417,14 +447,22 @@ pub(crate) struct Conn {
     write_stalled_since: Option<Instant>,
 }
 
+/// Which host a [`Conns`] is, by its one source of new connections.
+enum Host {
+    /// A shard: it accepts from the listener all shards share, and moves
+    /// a connection that needs the daemon through the loop's door.
+    Shard(Arc<TcpListener>, Arc<Door>),
+    /// The event loop: its connections come in at its door.
+    Loop(Arc<Door>),
+}
+
 /// What the connection helpers share on one host (split from the
 /// connection map so they can borrow a `Conn` mutably alongside it).
 struct Ctx {
     stats: Arc<GatewayStats>,
     limiter: Option<Arc<TokenBuckets>>,
     opts: GatewayOpts,
-    /// A shard's way to the event loop; `None` on the loop itself.
-    to_loop: Option<Arc<Door>>,
+    host: Host,
 }
 
 impl Ctx {
@@ -446,39 +484,32 @@ struct Conns {
     next_id: u64,
     next_sweep: Instant,
     ctx: Ctx,
-    inbox: Arc<Door>,
     /// On the loop: requests for the daemon, oldest first, by connection.
     asks: Vec<(u64, GwRequest)>,
 }
 
 impl Conns {
-    fn new(ctx: Ctx, wake: Wake) -> Conns {
-        Conns {
-            epoll: Epoll::new(),
-            map: HashMap::new(),
-            next_id: WAKE_TOKEN + 1,
-            next_sweep: Instant::now() + SWEEP_EVERY,
-            ctx,
-            inbox: Door::new(wake),
-            asks: Vec::new(),
-        }
-    }
-
-    /// One turn: waits up to `timeout`, adopts what is at the door, reads
-    /// each ready connection once and handles the requests that read
-    /// completes, sweeps when due. Returns how many it adopted.
-    fn turn(&mut self, events: &mut [EpollEvent], timeout: Duration) -> usize {
+    /// One turn: waits up to `timeout`, adopts what came in (what a shard
+    /// accepts, what is at the loop's door), reads each ready connection
+    /// once and handles the requests that read completes, sweeps when due.
+    fn turn(&mut self, events: &mut [EpollEvent], timeout: Duration) {
         let ready = self.epoll.wait(events, timeout);
-        let moved = self.inbox.take();
-        let adopted = moved.len();
-        for conn in moved {
+        let arrived = match &self.ctx.host {
+            Host::Loop(door) => door.take(),
+            Host::Shard(..) if !ready.iter().any(|ev| ev.data == LISTENER_TOKEN) => Vec::new(),
+            // Until `WouldBlock` (a `map_while` stop) or a full batch.
+            Host::Shard(listener, _) => (listener.incoming().take(ACCEPT_BATCH))
+                .map_while(Result::ok)
+                .filter_map(|stream| Conn::accept(&self.ctx, stream))
+                .collect(),
+        };
+        for conn in arrived {
             self.adopt(conn);
         }
-        for ev in ready.iter().filter(|ev| ev.data != WAKE_TOKEN) {
+        for ev in ready.iter().filter(|ev| ev.data > LISTENER_TOKEN) {
             self.conn_event(ev.data, ev.events);
         }
         self.sweep_if_due();
-        adopted
     }
 
     /// Registers `conn` in this host's set (a refused one is closed).
@@ -489,7 +520,6 @@ impl Conns {
         conn.interest_out = false;
         if self.epoll.add(fd, EPOLLIN | EPOLLRDHUP, id).is_err() {
             // Dropped: a connection nobody would hear from.
-            self.ctx.stats.open_conns.fetch_sub(1, Ordering::SeqCst);
             return;
         }
         self.map.insert(id, conn);
@@ -543,9 +573,9 @@ impl Conns {
             return self.close(id);
         }
         if let Some(req) = conn.ask.take() {
-            match self.ctx.to_loop.clone() {
-                Some(door) => return self.hand_over(id, req, &door),
-                None => self.asks.push((id, req)),
+            match &self.ctx.host {
+                Host::Shard(_, door) => return self.hand_over(id, req, &Arc::clone(door)),
+                Host::Loop(_) => self.asks.push((id, req)),
             }
         }
         let want_out = conn.out_pos < conn.buf_out.len();
@@ -563,14 +593,11 @@ impl Conns {
     /// the loop is gone, answers 503 here instead.
     fn hand_over(&mut self, id: u64, req: GwRequest, door: &Door) {
         let (epoll, map) = (&self.epoll, &mut self.map);
-        let stats = &self.ctx.stats;
         let moved = door.enter(|| {
             let mut conn = map.remove(&id).expect("a connection being finalized");
             // It leaves this set, not the process.
             let _ = epoll.delete(conn.stream.as_raw_fd());
             conn.ask = Some(req);
-            stats.queued_jobs.fetch_add(1, Ordering::Relaxed);
-            stats.handovers.fetch_add(1, Ordering::Relaxed);
             conn
         });
         if !moved {
@@ -610,6 +637,7 @@ impl Conns {
                         // Slowloris: answer 408 and close. The host never
                         // blocked on these bytes; the timeout just
                         // reclaims the fd.
+                        ctx.stats.request_timeouts.fetch_add(1, Ordering::Relaxed);
                         conn.header_started = None;
                         let req = Req::unparsed(&conn.buf_in, t0);
                         let response = HttpResponse::error(408, "header timeout");
@@ -636,13 +664,13 @@ impl Conns {
         let Some(mut conn) = self.map.remove(&id) else {
             return;
         };
-        self.ctx.stats.open_conns.fetch_sub(1, Ordering::SeqCst);
         // The phase goes first, and with it any stream slot. A stream
         // has one access-log line, at its end, timed over its whole life.
         if let Phase::Sse(stream) = std::mem::replace(&mut conn.phase, Phase::Ready) {
             account(&self.ctx, &conn, &stream.finish(), 200, 0);
         }
-        // `conn.stream` drops here: the fd closes and leaves the set.
+        // `conn` drops here: the fd closes and leaves the set, and the
+        // connection's slot is given back.
     }
 
     fn close_all(&mut self) {
@@ -653,43 +681,54 @@ impl Conns {
     }
 }
 
-/// Spawns the gateway's acceptor and reactor shards (one a core, at most
-/// eight) on `listener`; returns the handle and the event loop's side,
-/// the [`LoopEdge`]. A shard calls `wake` after each hand-over.
+/// Spawns the gateway's reactor shards (one a core, at most eight), each
+/// accepting from `listener` itself; returns the handle and the event
+/// loop's side, the [`LoopEdge`]. A shard calls `wake` after each
+/// hand-over.
 ///
 /// # Panics
 ///
-/// Panics if the listener address cannot be read, `epoll`/`eventfd`
-/// creation fails, or threads cannot spawn — all boot-time process
-/// failures.
+/// Panics if the listener cannot be readied or its address read,
+/// `epoll`/`eventfd` creation fails, or threads cannot spawn — all
+/// boot-time process failures.
 pub fn spawn_gateway_opts(
     listener: TcpListener,
     wake: Wake,
     opts: GatewayOpts,
 ) -> (GatewayHandle, LoopEdge) {
+    listen_nonblocking(&listener, BACKLOG).expect("gateway listener");
     let addr = listener.local_addr().expect("gateway listener addr");
+    let listener = Arc::new(listener);
     let stats = Arc::new(GatewayStats::default());
     let stop = Arc::new(AtomicBool::new(false));
     let shard_count = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
     let limiter = (opts.rate_limit > 0.0)
         .then(|| Arc::new(TokenBuckets::new(opts.rate_limit, opts.rate_limit * 2.0)));
-    let ctx = |to_loop| Ctx {
-        stats: Arc::clone(&stats),
-        limiter: limiter.clone(),
-        opts: opts.clone(),
-        to_loop,
+    let conns = |host| Conns {
+        epoll: Epoll::new(),
+        map: HashMap::new(),
+        next_id: LISTENER_TOKEN + 1,
+        next_sweep: Instant::now() + SWEEP_EVERY,
+        ctx: Ctx {
+            stats: Arc::clone(&stats),
+            limiter: limiter.clone(),
+            opts: opts.clone(),
+            host,
+        },
+        asks: Vec::new(),
     };
+    let door = Door::new(wake, &stats);
     let edge = LoopEdge {
-        conns: Conns::new(ctx(None), wake),
+        conns: conns(Host::Loop(Arc::clone(&door))),
     };
 
-    let mut inboxes = Vec::with_capacity(shard_count);
-    for i in 0..shard_count {
-        let (fd, to_loop) = (Arc::new(WakeFd::new()), Arc::clone(&edge.conns.inbox));
-        let wake = Arc::clone(&fd);
-        let mut conns = Conns::new(ctx(Some(to_loop)), Arc::new(move || wake.wake()));
-        fd.register(&conns.epoll, WAKE_TOKEN);
-        inboxes.push(Arc::clone(&conns.inbox));
+    let wakes = (0..shard_count).map(|i| {
+        let mut conns = conns(Host::Shard(Arc::clone(&listener), Arc::clone(&door)));
+        let wake = Arc::new(WakeFd::new());
+        wake.register(&conns.epoll, WAKE_TOKEN);
+        let (fd, events) = (listener.as_raw_fd(), EPOLLIN | EPOLLEXCLUSIVE);
+        let added = conns.epoll.add(fd, events, LISTENER_TOKEN);
+        added.expect("the listener joins a shard's epoll set");
         let stop = Arc::clone(&stop);
         std::thread::Builder::new()
             .name(format!("moara-gw-shard-{i}"))
@@ -699,57 +738,20 @@ pub fn spawn_gateway_opts(
                     let timeout = conns.until_sweep().max(Duration::from_millis(1));
                     conns.turn(&mut events, timeout);
                 }
-                // Stopping: the sockets close.
+                // Stopping: the sockets close, and with the last shard's
+                // hold, the listener.
                 conns.close_all();
             })
             .expect("spawn gateway shard");
-    }
-
-    {
-        let stop = Arc::clone(&stop);
-        let stats = Arc::clone(&stats);
-        let inboxes = inboxes.clone();
-        let max_conns = opts.max_conns;
-        std::thread::Builder::new()
-            .name("moara-gw-accept".into())
-            .spawn(move || {
-                let mut next = 0usize;
-                for conn in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    if stats.open_conns.load(Ordering::SeqCst) >= max_conns {
-                        // Over the cap: close immediately. Cheaper and
-                        // clearer to the client than letting the fd
-                        // table fill and accept() start failing.
-                        stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    // Dropped: a connection nobody would hear from.
-                    let Some(conn) = Conn::new(stream) else {
-                        continue;
-                    };
-                    stats.open_conns.fetch_add(1, Ordering::SeqCst);
-                    stats.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                    // A shard's inbox never closes.
-                    inboxes[next].enter(|| conn);
-                    next = (next + 1) % inboxes.len();
-                }
-                // Wake every shard so it observes the stop flag.
-                for inbox in &inboxes {
-                    inbox.wake();
-                }
-            })
-            .expect("spawn gateway acceptor");
-    }
+        wake
+    });
+    let wakes = wakes.collect();
 
     let handle = GatewayHandle {
         addr,
         stats,
         stop,
-        inboxes,
+        wakes,
     };
     (handle, edge)
 }
@@ -770,14 +772,13 @@ impl LoopEdge {
 
     /// One turn of the loop's connections, never blocking; hands each
     /// request for the daemon to `serve`, under its connection's panic
-    /// isolation. Returns how many connections it adopted.
-    pub fn pump(&mut self, mut serve: impl FnMut(u64, GwRequest)) -> usize {
+    /// isolation.
+    pub fn pump(&mut self, mut serve: impl FnMut(u64, GwRequest)) {
         let mut events = [EpollEvent::default(); 64];
-        let adopted = self.conns.turn(&mut events, Duration::ZERO);
+        self.conns.turn(&mut events, Duration::ZERO);
         for (id, req) in std::mem::take(&mut self.conns.asks) {
             self.conns.on_conn(id, |_, _| serve(id, req));
         }
-        adopted
     }
 
     /// How long the loop may block before this edge needs a turn: none
@@ -811,20 +812,30 @@ impl LoopEdge {
 
 impl Drop for LoopEdge {
     fn drop(&mut self) {
-        for conn in self.conns.inbox.close() {
-            self.conns.adopt(conn);
+        if let Host::Loop(door) = &self.conns.ctx.host {
+            door.close();
         }
         self.conns.close_all();
     }
 }
 
 impl Conn {
-    /// A fresh connection; `None` when its peer is already gone.
-    fn new(stream: TcpStream) -> Option<Conn> {
+    /// A socket a shard accepted, under the connection cap; `None`, the
+    /// socket closed, when over the cap (counted) or its peer is gone.
+    fn accept(ctx: &Ctx, stream: TcpStream) -> Option<Conn> {
+        let Some(slot) = Slot::take(&ctx.stats, |s| &s.open_conns, ctx.opts.max_conns) else {
+            // Over the cap: closed at once. Cheaper and clearer to the
+            // client than letting the fd table fill and accept() fail.
+            ctx.stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        let _ = stream.set_nodelay(true);
         let peer = stream.peer_addr().ok()?;
         stream.set_nonblocking(true).ok()?;
+        ctx.stats.conns_accepted.fetch_add(1, Ordering::Relaxed);
         Some(Conn {
             stream,
+            _slot: slot,
             peer: peer.to_string(),
             ip: peer.ip(),
             buf_in: Vec::new(),
@@ -1014,7 +1025,7 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, http: HttpRequest) {
     req.class = Endpoint::of(&gw_req);
     let watch = matches!(gw_req, GwRequest::Watch { .. });
     let slot = match watch {
-        true => StreamSlot::take(&ctx.stats, ctx.opts.max_sse_streams),
+        true => Slot::take(&ctx.stats, |s| &s.open_streams, ctx.opts.max_sse_streams),
         false => None,
     };
     if watch && slot.is_none() {

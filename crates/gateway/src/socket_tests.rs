@@ -5,15 +5,15 @@
 mod tests {
     use std::io::{BufRead as _, BufReader, Read as _, Write as _};
     use std::net::{SocketAddr, TcpListener, TcpStream};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::mpsc::{Sender, SyncSender};
     use std::sync::{Arc, Mutex};
     use std::thread::ThreadId;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     use crate::api::{parse_attr_body, parse_policy};
-    use crate::epoll::{Epoll, EpollEvent, WakeFd, EPOLLIN};
-    use crate::reactor::Endpoint;
+    use crate::epoll::{listen_nonblocking, Epoll, EpollEvent, WakeFd, EPOLLIN};
+    use crate::reactor::{Endpoint, BACKLOG};
     use crate::{
         access_log_line, spawn_gateway_opts, AccessLogSink, EndpointLatency, GatewayHandle,
         GatewayOpts, GwReply, GwRequest, LoopEdge, SinkClosed, WatchPolicy,
@@ -636,6 +636,7 @@ mod tests {
         let mut out = String::new();
         let _ = slow.read_to_string(&mut out);
         assert!(out.starts_with("HTTP/1.1 408 "), "{out}");
+        assert_eq!(gw.stats().request_timeouts.load(Ordering::Relaxed), 1);
     }
 
     /// Hundreds of idle keep-alive connections coexist with live traffic
@@ -695,12 +696,85 @@ mod tests {
         assert!(gw.stats().conns_rejected.load(Ordering::Relaxed) >= 1);
     }
 
+    /// The cap holds while connections reach the shards at once: with two
+    /// held open at `max_conns = 2`, two threads connect ten more each,
+    /// every one of them is closed unserved and counted, and the gauge
+    /// never reads above the cap.
+    #[test]
+    fn connection_cap_holds_under_concurrent_connects() {
+        let gw = test_gateway_opts(
+            GatewayOpts {
+                max_conns: 2,
+                ..GatewayOpts::default()
+            },
+            |_req, _reply| {},
+        );
+        let (addr, stats) = (gw.addr(), Arc::clone(gw.stats()));
+        let _held = [0, 1].map(|_| TcpStream::connect(addr).unwrap());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while stats.open_conns.load(Ordering::SeqCst) < 2 {
+            assert!(Instant::now() < deadline, "the held two never opened");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let done = Arc::new(AtomicBool::new(false));
+        let most = {
+            let (stats, done) = (Arc::clone(&stats), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut most = 0;
+                while !done.load(Ordering::SeqCst) {
+                    most = most.max(stats.open_conns.load(Ordering::SeqCst));
+                    std::thread::yield_now();
+                }
+                most
+            })
+        };
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    for _ in 0..10 {
+                        let mut s = TcpStream::connect(addr).unwrap();
+                        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                        let mut out = Vec::new();
+                        let _ = s.read_to_end(&mut out);
+                        assert!(out.is_empty(), "over-cap conn is closed, not served");
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().unwrap();
+        }
+        done.store(true, Ordering::SeqCst);
+        assert!(most.join().unwrap() <= 2, "open_conns read above the cap");
+        assert_eq!(stats.conns_rejected.load(Ordering::Relaxed), 20);
+        assert_eq!(stats.open_conns.load(Ordering::SeqCst), 2);
+    }
+
+    /// A listener readied as the gateway readies its own, and never
+    /// accepted on, queues a burst of 1 000 connects: each completes within
+    /// 500 ms. Past a full accept queue (`bind` leaves it at 128) the
+    /// kernel drops a SYN, and its client waits out a 1 s retransmit.
+    #[test]
+    fn a_connect_burst_fits_the_listeners_backlog() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listen_nonblocking(&listener, BACKLOG).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let held: Vec<TcpStream> = (0..1_000)
+            .map(|i| {
+                TcpStream::connect_timeout(&addr, Duration::from_millis(500))
+                    .unwrap_or_else(|e| panic!("connect {i}: {e}"))
+            })
+            .collect();
+        assert_eq!(held.len(), 1_000);
+    }
+
     #[test]
     fn stop_refuses_new_connections() {
         let gw = test_gateway(|_req, _reply| {});
         gw.stop();
         std::thread::sleep(Duration::from_millis(100));
-        // The acceptor has exited; a fresh connection is never served.
+        // The shards have exited, the last one closing the listener: a
+        // fresh connection is refused, or never served.
         let mut s = match TcpStream::connect(gw.addr()) {
             Ok(s) => s,
             Err(_) => return, // listener already closed: also fine
@@ -913,9 +987,10 @@ mod tests {
         assert_eq!(health_count, 2);
         let metrics_count = gw.stats().latency.of(Endpoint::Metrics).snapshot().count();
         assert_eq!(metrics_count, 1);
-        // The test harness never decrements (that's the daemon's step),
-        // so the gauge equals the connections handed over.
-        assert_eq!(gw.stats().queued_jobs.load(Ordering::Relaxed), 3);
+        // Each connection moved once; the loop's door counted it in and,
+        // as the loop took it, out again.
+        assert_eq!(gw.stats().handovers.load(Ordering::Relaxed), 3);
+        assert_eq!(gw.stats().queued_jobs.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -1265,6 +1340,7 @@ mod tests {
         let mut out = String::new();
         let _ = reader.read_to_string(&mut out);
         assert!(out.starts_with("HTTP/1.1 408 "), "{out}");
+        assert_eq!(gw.stats().request_timeouts.load(Ordering::Relaxed), 1);
         assert_eq!(gw.stats().handovers.load(Ordering::Relaxed), 1);
     }
 

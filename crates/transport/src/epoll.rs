@@ -2,13 +2,13 @@
 //! transport's (`tcp.rs`) and the HTTP edge's (`moara-gateway`'s
 //! `reactor.rs`, which includes this file by `#[path]`: the two crates
 //! share no dependency edge, and one copy is the point). `epoll`,
-//! `eventfd` and a non-blocking `connect` through `extern "C"`
+//! `eventfd`, a non-blocking `connect` and `listen` through `extern "C"`
 //! declarations, the same no-new-deps pattern as `signal()` in `moarad`;
 //! Linux-only, like the rest of the deployment story. Nothing here may
 //! name an item of the including crate.
 
 use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -18,6 +18,10 @@ pub const EPOLLOUT: u32 = 0x004;
 pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
+/// A readiness wakes one (or a few) of the waiting sets that hold the fd
+/// under this flag, not all of them.
+#[allow(dead_code)]
+pub const EPOLLEXCLUSIVE: u32 = 1 << 28;
 const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: i32 = 1;
@@ -54,6 +58,7 @@ extern "C" {
     fn eventfd(initval: u32, flags: i32) -> i32;
     fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
     fn connect(fd: i32, addr: *const u8, len: u32) -> i32;
+    fn listen(fd: i32, backlog: i32) -> i32;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
 }
@@ -232,4 +237,17 @@ pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
     }
     let _ = stream.set_nodelay(true);
     Ok(stream)
+}
+
+/// Readies a bound listener for an epoll loop: non-blocking, with an
+/// accept queue `backlog` connections deep. `TcpListener::bind` leaves
+/// 128, and a second `listen` resizes the queue; the kernel caps it at
+/// its own `somaxconn`.
+#[allow(dead_code)]
+pub fn listen_nonblocking(listener: &TcpListener, backlog: i32) -> io::Result<()> {
+    listener.set_nonblocking(true)?;
+    match unsafe { listen(listener.as_raw_fd(), backlog) } {
+        0 => Ok(()),
+        _ => Err(io::Error::last_os_error()),
+    }
 }
