@@ -1,26 +1,32 @@
 //! The control plane's wire side: the daemon's operation set as framed
-//! [`CtrlRequest`]/[`CtrlReply`] messages, their codec, the accept and
-//! per-connection loops that feed the event loop, and the client-side
-//! [`ctrl_roundtrip`].
+//! [`CtrlRequest`]/[`CtrlReply`] messages, their codec, the port that
+//! hosts control connections on the event loop's thread
+//! ([`CtrlPort`]), and the client-side [`ctrl_roundtrip`].
 //!
 //! `CtrlRequest`/`CtrlReply` are the daemon's *one* operation set: the
 //! event loop's dispatcher (`serve.rs`) speaks nothing else, and the
 //! HTTP gateway reaches it through two adapter functions over the same
 //! types. This module is their framed-TCP codec; the same encodings ride
 //! the peer plane inside `DaemonMsg::Ask`/`Told` for federation.
+//!
+//! The port is one more `epoll` set on the loop, next to the peer
+//! sockets and the HTTP connections that moved there: no thread of its
+//! own, and no thread per connection.
 
-use std::io::Write;
+use std::collections::HashMap;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::os::fd::{AsRawFd, RawFd};
 use std::time::{Duration, Instant};
 
 use moara_attributes::Value;
 use moara_core::DeliveryPolicy;
+use moara_gateway::SinkClosed;
 use moara_trace::{SpanRecord, TraceSummary};
-use moara_transport::WakeHandle;
-use moara_wire::{read_frame, write_msg, Sink, Wire, WireError};
+use moara_transport::epoll::{
+    Epoll, EpollEvent, Listening, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+};
+use moara_wire::{append_frame, read_frame, wire_enum, write_msg, FrameBuf, Wire};
 
 use crate::health::{AlertWire, PeerHealthRow};
 use crate::recorder::EventWire;
@@ -245,379 +251,286 @@ pub enum CtrlReply {
     },
 }
 
-impl Wire for CtrlRequest {
-    fn encode(&self, out: &mut impl Sink) {
-        match self {
-            CtrlRequest::Join { addr, prev_node } => {
-                out.push(0);
-                addr.encode(out);
-                prev_node.encode(out);
-            }
-            CtrlRequest::Query { text } => {
-                out.push(1);
-                text.encode(out);
-            }
-            CtrlRequest::SetAttr { attr, value } => {
-                out.push(2);
-                attr.encode(out);
-                value.encode(out);
-            }
-            CtrlRequest::Status => out.push(3),
-            CtrlRequest::Watch {
-                text,
-                policy,
-                lease_us,
-            } => {
-                out.push(4);
-                text.encode(out);
-                policy.encode(out);
-                lease_us.encode(out);
-            }
-            CtrlRequest::TraceFetch { trace_id } => {
-                out.push(5);
-                trace_id.encode(out);
-            }
-            CtrlRequest::TraceGet { trace_id } => {
-                out.push(6);
-                trace_id.encode(out);
-            }
-            CtrlRequest::TraceList { limit } => {
-                out.push(7);
-                limit.encode(out);
-            }
-            CtrlRequest::ClusterHealth => out.push(8),
-            CtrlRequest::MetricsFetch => out.push(9),
-            CtrlRequest::HistoryFetch { metric, range_s } => {
-                out.push(10);
-                metric.encode(out);
-                range_s.encode(out);
-            }
-            CtrlRequest::ClusterHistory { metric, range_s } => {
-                out.push(11);
-                metric.encode(out);
-                range_s.encode(out);
-            }
-            CtrlRequest::EventsFetch { kind, limit } => {
-                out.push(12);
-                kind.encode(out);
-                limit.encode(out);
-            }
-            CtrlRequest::HealthFetch => out.push(13),
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => CtrlRequest::Join {
-                addr: Wire::decode(buf)?,
-                prev_node: Wire::decode(buf)?,
-            },
-            1 => CtrlRequest::Query {
-                text: Wire::decode(buf)?,
-            },
-            2 => CtrlRequest::SetAttr {
-                attr: Wire::decode(buf)?,
-                value: Wire::decode(buf)?,
-            },
-            3 => CtrlRequest::Status,
-            4 => CtrlRequest::Watch {
-                text: Wire::decode(buf)?,
-                policy: Wire::decode(buf)?,
-                lease_us: Wire::decode(buf)?,
-            },
-            5 => CtrlRequest::TraceFetch {
-                trace_id: Wire::decode(buf)?,
-            },
-            6 => CtrlRequest::TraceGet {
-                trace_id: Wire::decode(buf)?,
-            },
-            7 => CtrlRequest::TraceList {
-                limit: Wire::decode(buf)?,
-            },
-            8 => CtrlRequest::ClusterHealth,
-            9 => CtrlRequest::MetricsFetch,
-            10 => CtrlRequest::HistoryFetch {
-                metric: Wire::decode(buf)?,
-                range_s: Wire::decode(buf)?,
-            },
-            11 => CtrlRequest::ClusterHistory {
-                metric: Wire::decode(buf)?,
-                range_s: Wire::decode(buf)?,
-            },
-            12 => CtrlRequest::EventsFetch {
-                kind: Wire::decode(buf)?,
-                limit: Wire::decode(buf)?,
-            },
-            13 => CtrlRequest::HealthFetch,
-            _ => return Err(WireError::Invalid("CtrlRequest tag")),
-        })
-    }
+wire_enum!(CtrlRequest {
+    0 => Join { addr, prev_node },
+    1 => Query { text },
+    2 => SetAttr { attr, value },
+    3 => Status,
+    4 => Watch { text, policy, lease_us },
+    5 => TraceFetch { trace_id },
+    6 => TraceGet { trace_id },
+    7 => TraceList { limit },
+    8 => ClusterHealth,
+    9 => MetricsFetch,
+    10 => HistoryFetch { metric, range_s },
+    11 => ClusterHistory { metric, range_s },
+    12 => EventsFetch { kind, limit },
+    13 => HealthFetch,
+});
+
+wire_enum!(CtrlReply {
+    0 => Joined { node, members },
+    1 => Answer { result, complete },
+    2 => Ok,
+    3 => Status { node, members, alive, dead, watches, sub_entries, metrics, exemplars },
+    4 => Error(msg),
+    5 => Update { result, initial, complete },
+    6 => Spans(spans),
+    7 => Trace { spans, missing },
+    8 => Traces(summaries),
+    9 => ClusterHealth { node, rows, alerts },
+    10 => MetricsText(text),
+    11 => History { node, res_s, points },
+    12 => ClusterHistory { metric, res_s, series, missing },
+    13 => Events(events),
+    14 => Health { sample, firing },
+});
+
+/// The control listener's token in the port's set; connections count up
+/// from 1.
+const LISTENER: u64 = 0;
+
+/// Where one control connection is.
+#[derive(PartialEq)]
+enum Phase {
+    /// Waiting for its next request.
+    Idle,
+    /// One request is with the daemon; its reply goes out next.
+    Asked,
+    /// A watch: update frames until either side hangs up.
+    Watching,
 }
 
-impl Wire for CtrlReply {
-    fn encode(&self, out: &mut impl Sink) {
-        match self {
-            CtrlReply::Joined { node, members } => {
-                out.push(0);
-                node.encode(out);
-                members.encode(out);
-            }
-            CtrlReply::Answer { result, complete } => {
-                out.push(1);
-                result.encode(out);
-                complete.encode(out);
-            }
-            CtrlReply::Ok => out.push(2),
-            CtrlReply::Status {
-                node,
-                members,
-                alive,
-                dead,
-                watches,
-                sub_entries,
-                metrics,
-                exemplars,
-            } => {
-                out.push(3);
-                node.encode(out);
-                members.encode(out);
-                alive.encode(out);
-                dead.encode(out);
-                watches.encode(out);
-                sub_entries.encode(out);
-                metrics.encode(out);
-                exemplars.encode(out);
-            }
-            CtrlReply::Error(e) => {
-                out.push(4);
-                e.encode(out);
-            }
-            CtrlReply::Update {
-                result,
-                initial,
-                complete,
-            } => {
-                out.push(5);
-                result.encode(out);
-                initial.encode(out);
-                complete.encode(out);
-            }
-            CtrlReply::Spans(spans) => {
-                out.push(6);
-                spans.encode(out);
-            }
-            CtrlReply::Trace { spans, missing } => {
-                out.push(7);
-                spans.encode(out);
-                missing.encode(out);
-            }
-            CtrlReply::Traces(ts) => {
-                out.push(8);
-                ts.encode(out);
-            }
-            CtrlReply::ClusterHealth { node, rows, alerts } => {
-                out.push(9);
-                node.encode(out);
-                rows.encode(out);
-                alerts.encode(out);
-            }
-            CtrlReply::MetricsText(text) => {
-                out.push(10);
-                text.encode(out);
-            }
-            CtrlReply::History {
-                node,
-                res_s,
-                points,
-            } => {
-                out.push(11);
-                node.encode(out);
-                res_s.encode(out);
-                points.encode(out);
-            }
-            CtrlReply::ClusterHistory {
-                metric,
-                res_s,
-                series,
-                missing,
-            } => {
-                out.push(12);
-                metric.encode(out);
-                res_s.encode(out);
-                series.encode(out);
-                missing.encode(out);
-            }
-            CtrlReply::Events(events) => {
-                out.push(13);
-                events.encode(out);
-            }
-            CtrlReply::Health { sample, firing } => {
-                out.push(14);
-                sample.encode(out);
-                firing.encode(out);
+/// One control connection. It reads only while idle, so what a client
+/// sends behind a request in flight waits in the kernel.
+struct CtrlConn {
+    stream: TcpStream,
+    frames: FrameBuf,
+    /// Reply bytes the socket has not taken yet.
+    out: Vec<u8>,
+    phase: Phase,
+    /// Closes once its output is written: the client hung up, sent a bad
+    /// frame, or had its watch ended by an `Error`.
+    closing: bool,
+}
+
+impl CtrlConn {
+    /// Appends `reply` to the output as one frame.
+    fn queue(&mut self, reply: &CtrlReply) {
+        let appended = append_frame(&mut self.out, |out| reply.encode(out));
+        appended.expect("a reply over 4 GiB was never built");
+    }
+
+    /// Writes what the socket takes. False when the connection is
+    /// finished with: the socket failed, or it is closing and has
+    /// nothing left to write.
+    fn flush(&mut self) -> bool {
+        while !self.out.is_empty() {
+            match self.stream.write(&self.out) {
+                Ok(n) if n > 0 => drop(self.out.drain(..n)),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Ok(_) | Err(_) => return false,
             }
         }
+        !(self.closing && self.out.is_empty())
     }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => CtrlReply::Joined {
-                node: Wire::decode(buf)?,
-                members: Wire::decode(buf)?,
-            },
-            1 => CtrlReply::Answer {
-                result: Wire::decode(buf)?,
-                complete: Wire::decode(buf)?,
-            },
-            2 => CtrlReply::Ok,
-            3 => CtrlReply::Status {
-                node: Wire::decode(buf)?,
-                members: Wire::decode(buf)?,
-                alive: Wire::decode(buf)?,
-                dead: Wire::decode(buf)?,
-                watches: Wire::decode(buf)?,
-                sub_entries: Wire::decode(buf)?,
-                metrics: Wire::decode(buf)?,
-                exemplars: Wire::decode(buf)?,
-            },
-            4 => CtrlReply::Error(Wire::decode(buf)?),
-            5 => CtrlReply::Update {
-                result: Wire::decode(buf)?,
-                initial: Wire::decode(buf)?,
-                complete: Wire::decode(buf)?,
-            },
-            6 => CtrlReply::Spans(Wire::decode(buf)?),
-            7 => CtrlReply::Trace {
-                spans: Wire::decode(buf)?,
-                missing: Wire::decode(buf)?,
-            },
-            8 => CtrlReply::Traces(Wire::decode(buf)?),
-            9 => CtrlReply::ClusterHealth {
-                node: Wire::decode(buf)?,
-                rows: Wire::decode(buf)?,
-                alerts: Wire::decode(buf)?,
-            },
-            10 => CtrlReply::MetricsText(Wire::decode(buf)?),
-            11 => CtrlReply::History {
-                node: Wire::decode(buf)?,
-                res_s: Wire::decode(buf)?,
-                points: Wire::decode(buf)?,
-            },
-            12 => CtrlReply::ClusterHistory {
-                metric: Wire::decode(buf)?,
-                res_s: Wire::decode(buf)?,
-                series: Wire::decode(buf)?,
-                missing: Wire::decode(buf)?,
-            },
-            13 => CtrlReply::Events(Wire::decode(buf)?),
-            14 => CtrlReply::Health {
-                sample: Wire::decode(buf)?,
-                firing: Wire::decode(buf)?,
-            },
-            _ => return Err(WireError::Invalid("CtrlReply tag")),
-        })
-    }
-}
 
-/// What the event loop sends down a control connection's channel.
-pub(crate) enum CtrlOut {
-    /// A reply frame to write to the socket.
-    Reply(CtrlReply),
-    /// Liveness probe for a quiescent watch stream: never written to the
-    /// socket, but the connection's thread probes the socket on it. It
-    /// fails (telling the loop to unsubscribe) once that thread has
-    /// noticed the hang-up and gone.
-    Keepalive,
-}
-
-/// One in-flight control request: the parsed request plus the channel the
-/// control thread blocks on for the reply.
-pub(crate) struct CtrlJob {
-    pub(crate) req: CtrlRequest,
-    pub(crate) reply: Sender<CtrlOut>,
-}
-
-pub(crate) fn spawn_accept_loop(
-    listener: TcpListener,
-    tx: Sender<CtrlJob>,
-    wake: WakeHandle,
-    stop: Arc<AtomicBool>,
-) {
-    std::thread::Builder::new()
-        .name("moarad-ctrl-accept".into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let (tx, wake) = (tx.clone(), wake.clone());
-                let _ = std::thread::Builder::new()
-                    .name("moarad-ctrl-conn".into())
-                    .spawn(move || ctrl_conn_loop(stream, tx, wake));
-            }
-        })
-        .expect("spawn ctrl accept thread");
-}
-
-/// Serves one control connection: framed request in, framed reply out,
-/// repeated until the client hangs up. A `Watch` request flips the
-/// connection into streaming mode: update frames flow until the client
-/// disconnects (detected by a failed write) or the daemon drops the
-/// stream. Every job handed to the event loop is followed by a wake.
-fn ctrl_conn_loop(mut stream: TcpStream, tx: Sender<CtrlJob>, wake: WakeHandle) {
-    let _ = stream.set_nodelay(true);
-    let error = |msg: &str| CtrlReply::Error(msg.into());
-    loop {
-        let Ok(Some(payload)) = read_frame(&mut stream) else {
-            return;
-        };
-        let Ok(req) = CtrlRequest::from_bytes(&payload) else {
-            let _ = write_msg(&mut stream, &error("bad request frame"));
-            return;
-        };
-        // Queries can legitimately take a while (front timeout bounds
-        // them); everything else answers within one loop iteration. A
-        // quiescent watch emits nothing for long stretches, so its wait
-        // is short: each timeout probes the socket, and a hung-up client
-        // releases the stream promptly.
-        let streaming = matches!(req, CtrlRequest::Watch { .. });
-        let wait = Duration::from_secs(if streaming { 1 } else { 120 });
-        let (reply, reply_rx) = std::sync::mpsc::channel();
-        if tx.send(CtrlJob { req, reply }).is_err() {
-            return; // daemon shut down
-        }
-        wake.wake();
-        // One reply, or — streaming — update frames until either side
-        // hangs up. Dropping `reply_rx` on a write failure is the signal
-        // the daemon's pump observes (its next send errs and it
-        // unsubscribes).
-        loop {
-            let reply = match reply_rx.recv_timeout(wait) {
-                Ok(CtrlOut::Reply(reply)) => reply,
-                // A keepalive probes the socket too: the loop sends one
-                // about every `wait`, so a probe only on timeout could be
-                // put off again and again while the client is gone.
-                Ok(CtrlOut::Keepalive) | Err(RecvTimeoutError::Timeout) if streaming => {
-                    if !moara_gateway::http::socket_alive(&mut stream) {
-                        return;
+    /// Takes the connection as far as it goes without waiting: while
+    /// idle, reads until a request is whole (returned) or nothing more
+    /// has come, then writes what it owes. `Err` when it is finished
+    /// with.
+    fn advance(&mut self, chunk: &mut [u8]) -> Result<Option<CtrlRequest>, ()> {
+        let mut req = None;
+        while self.phase == Phase::Idle && !self.closing {
+            // A prefix over the cap: the stream cannot be resynchronised.
+            match self.frames.next_frame().map_err(drop)? {
+                Some(payload) => match CtrlRequest::from_bytes(payload) {
+                    Ok(r) => {
+                        let watch = matches!(r, CtrlRequest::Watch { .. });
+                        self.phase = if watch { Phase::Watching } else { Phase::Asked };
+                        req = Some(r);
                     }
-                    continue;
+                    Err(_) => {
+                        self.closing = true;
+                        self.queue(&CtrlReply::Error("bad request frame".into()));
+                    }
+                },
+                None => match self.stream.read(chunk) {
+                    Ok(0) => self.closing = true,
+                    Ok(n) => self.frames.extend(&chunk[..n]),
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(_) => return Err(()),
+                },
+            }
+        }
+        self.flush().then_some(req).ok_or(())
+    }
+}
+
+/// What a turn of the control port hands the daemon.
+pub(crate) enum CtrlEvent {
+    /// A request from connection `.0`, answered into `ReplyTo::Ctrl(.0)`.
+    Request(u64, CtrlRequest),
+    /// Connection `.0` closed while it streamed a watch: cancel the watch.
+    Closed(u64),
+}
+
+/// The control port on the event loop's thread: the listener and every
+/// connection are members of one `epoll` set, whose fd sits in the
+/// loop's one wait (`TcpTransport::add_host_fd`). Connections are
+/// edge-triggered, for input, output and hang-up alike, so none is ever
+/// re-registered. A turn accepts, reads, and reassembles frames
+/// ([`FrameBuf`]), handing each request to the daemon as a
+/// [`CtrlEvent`]; a reply is appended to its connection's output and
+/// written then, `EPOLLOUT` finishing a partial write. A connection has
+/// one request in flight at a time; a watch streams until either side
+/// hangs up, an `Error` ending it; a bad frame gets `Error("bad request
+/// frame")` and a close.
+pub(crate) struct CtrlPort {
+    epoll: Epoll,
+    listening: Listening<TcpListener>,
+    conns: HashMap<u64, CtrlConn>,
+    next_id: u64,
+    /// Connections answered back to idle: the next turn reads on, for a
+    /// request the client already sent or its hang-up.
+    resume: Vec<u64>,
+    chunk: Vec<u8>,
+}
+
+impl CtrlPort {
+    /// The port over a bound `listener`.
+    ///
+    /// # Errors
+    ///
+    /// The listener cannot be made non-blocking or join the set.
+    pub(crate) fn new(listener: TcpListener) -> std::io::Result<CtrlPort> {
+        listener.set_nonblocking(true)?;
+        let epoll = Epoll::new();
+        let listening = Listening::new(&epoll, listener, EPOLLIN, LISTENER)?;
+        Ok(CtrlPort {
+            epoll,
+            listening,
+            conns: HashMap::new(),
+            next_id: LISTENER + 1,
+            resume: Vec::new(),
+            chunk: vec![0; 16 * 1024],
+        })
+    }
+
+    /// The set's fd: readable while the listener or a connection is.
+    pub(crate) fn fd(&self) -> RawFd {
+        self.epoll.as_raw_fd()
+    }
+
+    /// How long the loop may block before the port needs a turn its fd
+    /// does not signal: none while an answered connection waits to read
+    /// on, the rest of the pause while the listener sits one out.
+    pub(crate) fn wait_bound(&self) -> Option<Duration> {
+        match self.resume.is_empty() {
+            false => Some(Duration::ZERO),
+            true => self.listening.paused_for(),
+        }
+    }
+
+    /// One turn, never blocking: reads on where an answer left a
+    /// connection idle and — when the loop saw the port's fd `ready` —
+    /// accepts and serves what is ready. No syscall unless there is
+    /// something to do.
+    pub(crate) fn turn(&mut self, ready: bool) -> Vec<CtrlEvent> {
+        let mut events = Vec::new();
+        self.listening.resume(&self.epoll);
+        for id in std::mem::take(&mut self.resume) {
+            self.advance(id, 0, &mut events);
+        }
+        if ready {
+            let mut buf = [EpollEvent::default(); 64];
+            for ev in self.epoll.wait(&mut buf, Duration::ZERO) {
+                match ev.data {
+                    LISTENER => self.accept(),
+                    id => self.advance(id, ev.events, &mut events),
                 }
-                Ok(CtrlOut::Keepalive) => continue,
-                Err(RecvTimeoutError::Timeout) => error("daemon did not answer in time"),
-                // The daemon dropped the reply end without answering: it
-                // is shutting down (a stream that already started just
-                // ends).
-                Err(RecvTimeoutError::Disconnected) if streaming => return,
-                Err(RecvTimeoutError::Disconnected) => error("daemon shutting down"),
-            };
-            if write_msg(&mut stream, &reply).is_err() || stream.flush().is_err() {
-                return;
             }
-            if !streaming {
-                break;
+        }
+        events
+    }
+
+    /// Takes every queued connection into the set.
+    fn accept(&mut self) {
+        let wants = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
+        while let Some(stream) = self.listening.accept(&self.epoll) {
+            let (id, fd) = (self.next_id, stream.as_raw_fd());
+            self.next_id += 1;
+            let _ = stream.set_nodelay(true);
+            // Else the stream drops: a connection nobody would hear from.
+            if stream.set_nonblocking(true).is_ok() && self.epoll.add(fd, wants, id).is_ok() {
+                let conn = CtrlConn {
+                    stream,
+                    frames: FrameBuf::default(),
+                    out: Vec::new(),
+                    phase: Phase::Idle,
+                    closing: false,
+                };
+                self.conns.insert(id, conn);
             }
-            if matches!(reply, CtrlReply::Error(_)) {
-                return;
+        }
+    }
+
+    /// Moves connection `id` on after readiness `bits` (none: an answer
+    /// left it idle), closing it when it is finished with. A hang-up ends
+    /// a watch there and then.
+    fn advance(&mut self, id: u64, bits: u32, events: &mut Vec<CtrlEvent>) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let watching = conn.phase == Phase::Watching;
+        let gone = bits & (EPOLLERR | EPOLLHUP) != 0 || (watching && bits & EPOLLRDHUP != 0);
+        match conn.advance(&mut self.chunk) {
+            Ok(req) if !gone => events.extend(req.map(|req| CtrlEvent::Request(id, req))),
+            _ => {
+                self.conns.remove(&id);
+                if watching {
+                    events.push(CtrlEvent::Closed(id));
+                }
+            }
+        }
+    }
+
+    /// Writes one reply to connection `id`. `Err(SinkClosed)` when it is
+    /// gone, or the reply ended it: for a watch, cancel the subscription.
+    pub(crate) fn reply(&mut self, id: u64, reply: &CtrlReply) -> Result<(), SinkClosed> {
+        let conn = self.conns.get_mut(&id).ok_or(SinkClosed)?;
+        match conn.phase {
+            Phase::Asked => {
+                conn.phase = Phase::Idle;
+                self.resume.push(id);
+            }
+            Phase::Watching => conn.closing |= matches!(reply, CtrlReply::Error(_)),
+            Phase::Idle => {}
+        }
+        conn.queue(reply);
+        if conn.flush() {
+            return Ok(());
+        }
+        self.conns.remove(&id);
+        Err(SinkClosed)
+    }
+
+    /// Whether connection `id` is still open (a watch's keepalive: a
+    /// hang-up is seen by the port itself).
+    pub(crate) fn is_open(&self, id: u64) -> bool {
+        self.conns.contains_key(&id)
+    }
+
+    /// Answers every request still in flight with `Error("daemon
+    /// shutting down")`, then closes every connection and the listener.
+    pub(crate) fn shutdown(mut self) {
+        let bye = CtrlReply::Error("daemon shutting down".into());
+        for conn in self.conns.values_mut() {
+            if conn.phase == Phase::Asked {
+                conn.queue(&bye);
+                conn.flush();
             }
         }
     }
@@ -664,34 +577,79 @@ pub fn ctrl_roundtrip(
 mod tests {
     use super::*;
 
-    /// A client whose request is in flight when the daemon drops the
-    /// reply end (shutdown clears the waiter table) is told so at once —
-    /// not that the daemon "did not answer in time".
+    /// A request the loop has read but not answered when
+    /// `Daemon::shutdown` runs is told so at once — not left to time
+    /// out, and not a bare close.
     #[test]
-    fn dropped_reply_end_reads_as_shutdown_not_timeout() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let (tx, rx) = std::sync::mpsc::channel();
-        // No loop to wake here: the test takes the job off `rx` itself.
-        let wake = moara_transport::TcpTransport::<crate::DaemonNode>::seeded(0).wake_handle();
-        let conn = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            ctrl_conn_loop(stream, tx, wake);
-        });
-        let client = std::thread::spawn(move || {
-            let req = CtrlRequest::Query {
-                text: "SELECT count(*)".into(),
-            };
-            ctrl_roundtrip(&addr, &req, Duration::from_secs(10))
-        });
-        // The event loop took the job, then shut down before answering.
-        let job: CtrlJob = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        drop(job);
+    fn a_request_in_flight_at_shutdown_reads_shutting_down() {
+        let any = "127.0.0.1:0".parse().unwrap();
+        let mut d = crate::Daemon::start(crate::DaemonOpts::new(any)).expect("daemon boots");
+        let mut client = TcpStream::connect(d.ctrl_addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let query = CtrlRequest::Query {
+            text: "SELECT count(*)".into(),
+        };
+        write_msg(&mut client, &query).unwrap();
+        // The walk starts in the step that reads the request; its answer
+        // crosses a socket, so it needs a later one.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while d.walks.is_empty() {
+            assert!(Instant::now() < deadline, "the query never started");
+            d.step(Duration::from_millis(1));
+        }
+        d.shutdown();
+        let reply = read_frame(&mut client)
+            .unwrap()
+            .expect("a reply, not a bare close");
         assert_eq!(
-            client.join().unwrap(),
-            Ok(CtrlReply::Error("daemon shutting down".into()))
+            CtrlReply::from_bytes(&reply).unwrap(),
+            CtrlReply::Error("daemon shutting down".into())
         );
-        // The client's socket closes with `ctrl_roundtrip`; the loop ends.
-        conn.join().unwrap();
+        assert_eq!(read_frame(&mut client).unwrap(), None, "then a close");
+    }
+
+    /// Requests sent back to back and then a half-close are answered one
+    /// at a time, in order — the next is read once the last is answered —
+    /// and the connection closes after the last answer.
+    #[test]
+    fn pipelined_requests_and_a_half_close_are_answered_in_order() {
+        let any = "127.0.0.1:0".parse().unwrap();
+        let mut d = crate::Daemon::start(crate::DaemonOpts::new(any)).expect("daemon boots");
+        let mut client = TcpStream::connect(d.ctrl_addr()).unwrap();
+        let query = CtrlRequest::Query {
+            text: "SELECT count(*)".into(),
+        };
+        for req in [&CtrlRequest::Status, &query, &CtrlRequest::Status] {
+            write_msg(&mut client, req).unwrap();
+        }
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        client.set_nonblocking(true).unwrap();
+        let (mut frames, mut chunk, mut replies) = (FrameBuf::default(), [0; 4096], Vec::new());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            assert!(Instant::now() < deadline, "closed after {replies:?}?");
+            d.step(Duration::from_millis(1));
+            match client.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => frames.extend(&chunk[..n]),
+                Err(e) => assert_eq!(e.kind(), ErrorKind::WouldBlock),
+            }
+            while let Some(frame) = frames.next_frame().unwrap() {
+                replies.push(CtrlReply::from_bytes(frame).unwrap());
+            }
+        }
+        assert!(
+            matches!(
+                replies[..],
+                [
+                    CtrlReply::Status { .. },
+                    CtrlReply::Answer { .. },
+                    CtrlReply::Status { .. }
+                ]
+            ),
+            "{replies:?}"
+        );
     }
 }

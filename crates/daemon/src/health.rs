@@ -11,7 +11,7 @@
 //! This module also holds the two `/proc` samplers behind the
 //! `rss_bytes` and `open_fds` rows.
 
-use moara_wire::{Sink, Wire, WireError};
+use moara_wire::{wire_struct, Sink, Wire, WireError};
 
 use crate::{CtrlReply, Member};
 
@@ -69,22 +69,7 @@ pub struct PeerHealthRow {
     pub summary: Option<Vec<(String, f64)>>,
 }
 
-impl Wire for PeerHealthRow {
-    fn encode(&self, out: &mut impl Sink) {
-        self.node.encode(out);
-        self.status.encode(out);
-        self.incarnation.encode(out);
-        self.summary.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(PeerHealthRow {
-            node: Wire::decode(buf)?,
-            status: Wire::decode(buf)?,
-            incarnation: Wire::decode(buf)?,
-            summary: Wire::decode(buf)?,
-        })
-    }
-}
+wire_struct!(PeerHealthRow: node, status, incarnation, summary);
 
 /// One firing alert, as carried on the control plane (`moara-cli top`)
 /// and rendered at `GET /v1/alerts`.
@@ -102,24 +87,7 @@ pub struct AlertWire {
     pub since_s: u64,
 }
 
-impl Wire for AlertWire {
-    fn encode(&self, out: &mut impl Sink) {
-        self.rule.encode(out);
-        self.metric.encode(out);
-        self.value.encode(out);
-        self.threshold.encode(out);
-        self.since_s.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(AlertWire {
-            rule: Wire::decode(buf)?,
-            metric: Wire::decode(buf)?,
-            value: Wire::decode(buf)?,
-            threshold: Wire::decode(buf)?,
-            since_s: Wire::decode(buf)?,
-        })
-    }
-}
+wire_struct!(AlertWire: rule, metric, value, threshold, since_s);
 
 /// The `ClusterHealth` fold: the serving daemon `me`'s member table
 /// (snapshotted when the gather started) joined with the `HealthFetch`

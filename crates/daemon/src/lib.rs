@@ -55,10 +55,8 @@
 //! lives") maps the others to their planes.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -91,12 +89,12 @@ pub use serve::GATHER_TIMEOUT;
 pub use sim::SimSwarm;
 
 use alerts::{AlertEngine, AlertEvent, AlertRule};
-use ctrl::{spawn_accept_loop, CtrlJob};
+use ctrl::CtrlPort;
 use membership::load_overlay;
 use moara_gateway::json::JsonLine;
 use node::moara_ctx;
 use recorder::{kind, now_unix_ms, Recorder};
-use serve::{Gather, ReplyTo, Walk};
+use serve::{Gather, Ports, ReplyTo, Walk};
 
 /// Startup options for a daemon; `moarad`'s flags set them
 /// ([`flags::parse`]).
@@ -241,13 +239,11 @@ pub struct Daemon {
     rng: StdRng,
     is_seed: bool,
     ctrl_addr: SocketAddr,
-    ctrl_rx: Receiver<CtrlJob>,
-    /// Shared with the control accept loop; set by [`Daemon::shutdown`].
-    ctrl_stop: Arc<AtomicBool>,
     /// The embedded HTTP gateway, when `--http` asked for one.
     gw_handle: Option<GatewayHandle>,
-    /// The HTTP connections this loop hosts (moved from the shards).
-    gw_edge: Option<LoopEdge>,
+    /// The client sockets this loop hosts: the control port, and the HTTP
+    /// connections moved from the shards.
+    ports: Ports,
     /// Tree walks in flight: front id → everyone waiting on that walk
     /// (single-flight: identical concurrent HTTP queries share one) plus
     /// cache bookkeeping.
@@ -386,21 +382,20 @@ impl Daemon {
             return Err("--rejoin-as requires --join (the seed revives identities)".into());
         }
 
-        // The loop blocks in exactly one place, the transport's inbox;
-        // both request planes enqueue their work and then wake it.
+        // The loop blocks in exactly one place, the transport's `epoll`
+        // set; the HTTP shards hand connections over and then wake it.
         let wake = transport.wake_handle();
 
         // Control plane: bound before joining, so a taken port fails the
-        // start before the seed admits us. Jobs queue in the channel until
-        // the loop starts draining.
+        // start before the seed admits us. Connections queue in the
+        // kernel until the loop takes its first step.
         let ctrl_listener = TcpListener::bind(opts.listen)
             .map_err(|e| format!("bind control listener {}: {e}", opts.listen))?;
         let ctrl_addr = ctrl_listener
             .local_addr()
             .map_err(|e| format!("control addr: {e}"))?;
-        let (ctrl_tx, ctrl_rx) = std::sync::mpsc::channel();
-        let ctrl_stop = Arc::new(AtomicBool::new(false));
-        spawn_accept_loop(ctrl_listener, ctrl_tx, wake.clone(), Arc::clone(&ctrl_stop));
+        let ctrl = CtrlPort::new(ctrl_listener).map_err(|e| format!("control port: {e}"))?;
+        transport.add_host_fd(ctrl.fd());
 
         let (me, members) = match &opts.join {
             None => {
@@ -542,10 +537,11 @@ impl Daemon {
             rng,
             is_seed: opts.join.is_none(),
             ctrl_addr,
-            ctrl_rx,
-            ctrl_stop,
             gw_handle,
-            gw_edge,
+            ports: Ports {
+                ctrl: Some(ctrl),
+                http: gw_edge,
+            },
             walks: HashMap::new(),
             queued_walks: Vec::new(),
             gw_inflight: HashMap::new(),
@@ -626,16 +622,17 @@ impl Daemon {
     /// Returns true if anything happened.
     pub fn step(&mut self, max_wait: Duration) -> bool {
         // Besides the transport's own timers, the loop must not sleep
-        // through a gather deadline or its HTTP connections' next turn.
-        let edge = self.gw_edge.as_ref().and_then(LoopEdge::wait_bound);
-        let wait = [self.gather_wait(), edge].into_iter().flatten();
+        // through a gather deadline or its client sockets' next turn.
+        let ctrl = self.ports.ctrl.as_ref().and_then(CtrlPort::wait_bound);
+        let edge = self.ports.http.as_ref().and_then(LoopEdge::wait_bound);
+        let wait = [self.gather_wait(), ctrl, edge].into_iter().flatten();
         let mut did = self.transport.pump(wait.fold(max_wait, Duration::min));
         // Tick timing starts after the poll: it measures how long one
         // loop iteration's *work* takes, not how long the loop idled.
         let tick_start = Instant::now();
         did |= self.apply_pending_membership();
         did |= self.apply_swim_events();
-        let ctrl_jobs = self.drain_ctrl();
+        let ctrl_jobs = self.pump_ctrl();
         let gw_jobs = self.pump_http();
         did |= ctrl_jobs + gw_jobs > 0;
         did |= self.start_queued_walks();
@@ -916,19 +913,21 @@ impl Daemon {
         did
     }
 
-    /// Graceful shutdown: stop accepting control and HTTP connections,
-    /// cancel every active watch and SSE stream (so peers GC the standing
-    /// state promptly instead of waiting out leases), and flush the
-    /// cancel frames. The caller exits afterwards.
+    /// Graceful shutdown: answer every control request in flight with
+    /// `Error("daemon shutting down")`, stop accepting control and HTTP
+    /// connections, cancel every active watch and SSE stream (so peers GC
+    /// the standing state promptly instead of waiting out leases), and
+    /// flush the cancel frames. The caller exits afterwards.
     pub fn shutdown(&mut self) {
-        self.ctrl_stop.store(true, Ordering::SeqCst);
-        // Wake the control acceptor blocked in accept().
-        let _ = TcpStream::connect_timeout(&self.ctrl_addr, Duration::from_millis(50));
+        // Closing the control connections ends every watch stream.
+        if let Some(port) = self.ports.ctrl.take() {
+            port.shutdown();
+        }
         if let Some(gw) = &self.gw_handle {
             gw.stop();
         }
         // Closing the loop's HTTP connections ends every SSE stream.
-        self.gw_edge = None;
+        self.ports.http = None;
         let mut wids: Vec<u64> = self.watches.keys().copied().collect();
         // Cache-promoted standing subscriptions die with the daemon too:
         // they ride the same SubCancel flush, so peers GC their leases
@@ -936,8 +935,6 @@ impl Daemon {
         if let Some(cache) = &self.query_cache {
             wids.extend(cache.tokens());
         }
-        // Dropping the reply ends finishes the per-connection streaming
-        // loops, and tells every waiter the daemon is going away.
         self.watches.clear();
         for wid in wids {
             self.unsubscribe(wid);

@@ -11,7 +11,7 @@ use moara_membership::{SwimDetector, SwimEvent, SwimMsg};
 use moara_simnet::{Message, NodeId, SimDuration, SimTime, TimerId, TimerTag};
 use moara_trace::{Phase, SpanRecord, SpanStore, TRACE_NS_SWIM};
 use moara_transport::{NetCtx, NetProtocol};
-use moara_wire::{Sink, Wire, WireError};
+use moara_wire::{wire_enum, wire_struct};
 
 use crate::{CtrlReply, CtrlRequest};
 
@@ -38,24 +38,7 @@ pub struct Member {
     pub alive: bool,
 }
 
-impl Wire for Member {
-    fn encode(&self, out: &mut impl Sink) {
-        self.node.encode(out);
-        self.ring_id.encode(out);
-        self.addr.encode(out);
-        self.incarnation.encode(out);
-        self.alive.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Member {
-            node: Wire::decode(buf)?,
-            ring_id: Wire::decode(buf)?,
-            addr: Wire::decode(buf)?,
-            incarnation: Wire::decode(buf)?,
-            alive: Wire::decode(buf)?,
-        })
-    }
-}
+wire_struct!(Member: node, ring_id, addr, incarnation, alive);
 
 /// What daemons exchange on the peer plane.
 #[derive(Clone, Debug, PartialEq)]
@@ -77,46 +60,15 @@ pub enum DaemonMsg {
     Told(u64, CtrlReply),
 }
 
-impl Wire for DaemonMsg {
-    fn encode(&self, out: &mut impl Sink) {
-        match self {
-            DaemonMsg::Moara(m) => {
-                out.push(0);
-                m.encode(out);
-            }
-            DaemonMsg::Membership(ms) => {
-                out.push(1);
-                ms.encode(out);
-            }
-            DaemonMsg::Swim(s) => {
-                out.push(2);
-                s.encode(out);
-            }
-            DaemonMsg::Ask(id, req) => {
-                out.push(4);
-                id.encode(out);
-                req.encode(out);
-            }
-            DaemonMsg::Told(id, reply) => {
-                out.push(5);
-                id.encode(out);
-                reply.encode(out);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => DaemonMsg::Moara(Wire::decode(buf)?),
-            1 => DaemonMsg::Membership(Wire::decode(buf)?),
-            2 => DaemonMsg::Swim(Wire::decode(buf)?),
-            // Tag 3 is not reused: an older peer's SWIM frame with a health
-            // digest must fail to decode, not read as another frame.
-            4 => DaemonMsg::Ask(Wire::decode(buf)?, Wire::decode(buf)?),
-            5 => DaemonMsg::Told(Wire::decode(buf)?, Wire::decode(buf)?),
-            _ => return Err(WireError::Invalid("DaemonMsg tag")),
-        })
-    }
-}
+// Tag 3 is not reused: an older peer's SWIM frame with a health digest
+// must fail to decode, not read as another frame.
+wire_enum!(DaemonMsg {
+    0 => Moara(msg),
+    1 => Membership(members),
+    2 => Swim(msg),
+    4 => Ask(id, req),
+    5 => Told(id, reply),
+});
 
 impl Message for DaemonMsg {
     fn size_bytes(&self) -> usize {

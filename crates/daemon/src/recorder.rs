@@ -33,7 +33,7 @@ use std::sync::Mutex;
 
 use moara_gateway::json::JsonLine;
 use moara_trace::Ring;
-use moara_wire::{Sink, Wire, WireError};
+use moara_wire::wire_struct;
 
 use crate::Member;
 
@@ -235,24 +235,7 @@ pub struct EventWire {
     pub detail: String,
 }
 
-impl Wire for EventWire {
-    fn encode(&self, out: &mut impl Sink) {
-        self.seq.encode(out);
-        self.ts_ms.encode(out);
-        self.node.encode(out);
-        self.kind.encode(out);
-        self.detail.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(EventWire {
-            seq: Wire::decode(buf)?,
-            ts_ms: Wire::decode(buf)?,
-            node: Wire::decode(buf)?,
-            kind: Wire::decode(buf)?,
-            detail: Wire::decode(buf)?,
-        })
-    }
-}
+wire_struct!(EventWire: seq, ts_ms, node, kind, detail);
 
 /// The journal's event-kind vocabulary (stable strings: filters, JSON,
 /// and dumps all carry these verbatim).
@@ -515,6 +498,7 @@ pub fn peer_context_line(m: &Member) -> String {
 mod tests {
     use super::*;
     use moara_gateway::json::parse_flat_json;
+    use moara_wire::Wire;
 
     fn sample(v: f64) -> Vec<(&'static str, f64)> {
         vec![("a", v), ("b", v * 2.0), ("c", f64::NAN)]

@@ -1,13 +1,13 @@
 //! The daemon's one request path. Whichever port an operation arrived
 //! on, it is a [`CtrlRequest`] that [`Daemon::serve`] answers into a
-//! [`ReplyTo`]: the control port hands requests over and takes
-//! [`CtrlReply`]s back verbatim, the HTTP port (connections this loop
-//! hosts) goes through two pure functions — [`gw_request`] (parsed HTTP
-//! request → operation) and [`gw_reply`] (reply → HTTP body and status).
-//! Tree walks in flight, standing watches, and the cluster-wide
-//! scatter-gathers each have one table here, shared by both ports.
+//! [`ReplyTo`]. Both ports are sockets this loop hosts ([`Ports`]): the
+//! control port hands requests over and writes [`CtrlReply`]s back
+//! verbatim, the HTTP port goes through two pure functions —
+//! [`gw_request`] (parsed HTTP request → operation) and [`gw_reply`]
+//! (reply → HTTP body and status). Tree walks in flight, standing
+//! watches, and the cluster-wide scatter-gathers each have one table
+//! here, shared by both ports.
 
-use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
 use moara_core::{DeliveryPolicy, QueryOutcome};
@@ -16,7 +16,7 @@ use moara_query::parse_query;
 use moara_simnet::{NodeId, SimDuration};
 use moara_transport::Transport;
 
-use crate::ctrl::{CtrlOut, CtrlReply, CtrlRequest};
+use crate::ctrl::{CtrlEvent, CtrlPort, CtrlReply, CtrlRequest};
 use crate::node::moara_ctx;
 use crate::recorder::{kind, now_unix_ms};
 use crate::{health, parse_value, render, Daemon, DaemonMsg};
@@ -32,31 +32,43 @@ pub const GATHER_TIMEOUT: Duration = Duration::from_secs(2);
 /// never changes.
 const WATCH_KEEPALIVE_EVERY: Duration = Duration::from_secs(1);
 
+/// The client sockets this loop hosts: the control port, and the HTTP
+/// connections that moved here from the gateway's shards. Each is `None`
+/// once shut down (HTTP: or never enabled).
+pub(crate) struct Ports {
+    pub(crate) ctrl: Option<CtrlPort>,
+    pub(crate) http: Option<LoopEdge>,
+}
+
 /// Where an operation's replies go: down a control connection as they
 /// are, or rendered as HTTP onto one of this loop's connections.
 pub(crate) enum ReplyTo {
-    /// A control connection's thread, blocked on this channel.
-    Ctrl(Sender<CtrlOut>),
+    /// One of the control port's connections.
+    Ctrl(u64),
     /// One of the loop's HTTP connections, and what [`gw_reply`] renders.
     Http(u64, HttpView),
 }
 
 impl ReplyTo {
-    /// Delivers one reply (an HTTP one is written now); `Err` means the
-    /// receiving side hung up (for a watch: cancel the subscription).
-    fn send(&self, http: &mut Option<LoopEdge>, reply: CtrlReply) -> Result<(), SinkClosed> {
+    /// Delivers one reply, written now; `Err` means the receiving side
+    /// hung up (for a watch: cancel the subscription).
+    fn send(&self, ports: &mut Ports, reply: CtrlReply) -> Result<(), SinkClosed> {
         match self {
-            ReplyTo::Ctrl(tx) => tx.send(CtrlOut::Reply(reply)).map_err(|_| SinkClosed),
-            ReplyTo::Http(conn, view) => write(http, *conn, gw_reply(view, reply)),
+            ReplyTo::Ctrl(conn) => ports.ctrl.as_mut().ok_or(SinkClosed)?.reply(*conn, &reply),
+            ReplyTo::Http(conn, view) => write(&mut ports.http, *conn, gw_reply(view, reply)),
         }
     }
 
-    /// Liveness-probes a quiescent watch stream: a control connection
-    /// swallows the probe, an SSE stream renders it as `: keepalive`.
-    fn keepalive(&self, http: &mut Option<LoopEdge>) -> Result<(), SinkClosed> {
+    /// Liveness-probes a quiescent watch stream: a control connection's
+    /// hang-up is seen by the port itself, an SSE stream renders the
+    /// probe as `: keepalive`.
+    fn keepalive(&self, ports: &mut Ports) -> Result<(), SinkClosed> {
         match self {
-            ReplyTo::Ctrl(tx) => tx.send(CtrlOut::Keepalive).map_err(|_| SinkClosed),
-            ReplyTo::Http(conn, _) => write(http, *conn, GwReply::Keepalive),
+            ReplyTo::Ctrl(conn) => match &ports.ctrl {
+                Some(port) if port.is_open(*conn) => Ok(()),
+                _ => Err(SinkClosed),
+            },
+            ReplyTo::Http(conn, _) => write(&mut ports.http, *conn, GwReply::Keepalive),
         }
     }
 
@@ -284,20 +296,40 @@ pub(crate) struct Gather {
 }
 
 impl Daemon {
-    /// Drains control-port jobs into [`Daemon::serve`].
-    pub(crate) fn drain_ctrl(&mut self) -> usize {
-        let mut jobs = 0;
-        while let Ok(job) = self.ctrl_rx.try_recv() {
-            jobs += 1;
-            self.serve(job.req, ReplyTo::Ctrl(job.reply));
+    /// The control port's turn in a step ([`CtrlPort::turn`], which does
+    /// nothing on a step whose pump did not see its fd ready): serves
+    /// every request that came in, and cancels the watch of a connection
+    /// that hung up mid-stream there and then. Returns how many requests
+    /// it served.
+    pub(crate) fn pump_ctrl(&mut self) -> usize {
+        let Some(port) = self.ports.ctrl.as_mut() else {
+            return 0;
+        };
+        let ready = self.transport.host_ready(port.fd());
+        let mut served = 0;
+        for event in port.turn(ready) {
+            match event {
+                CtrlEvent::Request(conn, req) => {
+                    served += 1;
+                    self.serve(req, ReplyTo::Ctrl(conn));
+                }
+                CtrlEvent::Closed(conn) => {
+                    let watching = |to: &ReplyTo| matches!(to, ReplyTo::Ctrl(c) if *c == conn);
+                    let wid = self.watches.iter().find(|(_, to)| watching(to));
+                    if let Some(wid) = wid.map(|(&wid, _)| wid) {
+                        self.watches.remove(&wid);
+                        self.unsubscribe(wid);
+                    }
+                }
+            }
         }
-        jobs
+        served
     }
 
     /// The HTTP connections' turn in a step ([`LoopEdge::pump`]): serves
     /// every request for the daemon. Returns how many it served.
     pub(crate) fn pump_http(&mut self) -> usize {
-        let Some(edge) = self.gw_edge.as_mut() else {
+        let Some(edge) = self.ports.http.as_mut() else {
             return 0;
         };
         let mut asks = Vec::new();
@@ -321,7 +353,7 @@ impl Daemon {
                     self.serve(last, to);
                 }
                 Err(reply) => {
-                    let _ = write(&mut self.gw_edge, conn, reply);
+                    let _ = write(&mut self.ports.http, conn, reply);
                 }
             }
         }
@@ -434,7 +466,7 @@ impl Daemon {
                 CtrlReply::Events(journal.snapshot(kind.as_deref(), limit as usize))
             }
         };
-        let _ = to.send(&mut self.gw_edge, reply);
+        let _ = to.send(&mut self.ports, reply);
     }
 
     /// Sets one local attribute and lets the engine react to the change.
@@ -495,7 +527,7 @@ impl Daemon {
     ) {
         let local = self.leaf_read(leaf.clone());
         if let CtrlReply::Error(_) = local {
-            let _ = to.send(&mut self.gw_edge, local);
+            let _ = to.send(&mut self.ports, local);
             return;
         }
         let answers = vec![(self.me.0, local)];
@@ -503,7 +535,7 @@ impl Daemon {
         let waiting: Vec<u32> = others().filter(|m| m.alive).map(|m| m.node).collect();
         let missing: Vec<u32> = others().filter(|m| !m.alive).map(|m| m.node).collect();
         if waiting.is_empty() {
-            let _ = to.send(&mut self.gw_edge, finish(answers, missing));
+            let _ = to.send(&mut self.ports, finish(answers, missing));
             return;
         }
         self.last_ask += 1;
@@ -592,7 +624,7 @@ impl Daemon {
             g.answers[1..].sort_by_key(|(node, _)| *node);
             g.missing.extend(g.waiting);
             let reply = (g.finish)(g.answers, g.missing);
-            let _ = g.to.send(&mut self.gw_edge, reply);
+            let _ = g.to.send(&mut self.ports, reply);
         }
         did || !done.is_empty()
     }
@@ -704,7 +736,7 @@ impl Daemon {
                     result: result.clone(),
                     complete: outcome.complete,
                 };
-                let _ = to.send(&mut self.gw_edge, answer);
+                let _ = to.send(&mut self.ports, answer);
             }
             if let Some(key) = walk.cache_key {
                 // A newer identical query may have re-registered the
@@ -745,7 +777,7 @@ impl Daemon {
                         initial: u.initial,
                         complete: u.complete,
                     };
-                    to.send(&mut self.gw_edge, update).is_ok()
+                    to.send(&mut self.ports, update).is_ok()
                 });
                 if !delivered {
                     gone.push(wid);
@@ -759,7 +791,7 @@ impl Daemon {
         if self.last_keepalive.elapsed() >= WATCH_KEEPALIVE_EVERY {
             self.last_keepalive = Instant::now();
             for (&wid, to) in &self.watches {
-                if to.keepalive(&mut self.gw_edge).is_err() {
+                if to.keepalive(&mut self.ports).is_err() {
                     gone.push(wid);
                 }
             }
@@ -776,6 +808,32 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moara_wire::{read_frame, Wire};
+    use std::net::TcpStream;
+
+    /// A client on `d`'s control port, once the port holds its
+    /// connection: the daemon's first, id 1.
+    fn ctrl_client(d: &mut Daemon) -> TcpStream {
+        let client = TcpStream::connect(d.ctrl_addr()).expect("connect control port");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !d.ports.ctrl.as_ref().is_some_and(|port| port.is_open(1)) {
+            assert!(
+                Instant::now() < deadline,
+                "the port never took the connection"
+            );
+            d.step(Duration::from_millis(1));
+        }
+        client
+    }
+
+    /// The next reply on `client`'s connection.
+    fn read_reply(client: &mut TcpStream) -> CtrlReply {
+        let frame = read_frame(client).expect("a reply frame").expect("open");
+        CtrlReply::from_bytes(&frame).expect("a reply")
+    }
 
     /// Every query a step parses starts at the end of that step, in the
     /// one dispatch `start_queued_walks` makes: distinct texts each walk,
@@ -792,11 +850,11 @@ mod tests {
         let mut d = Daemon::start(opts).expect("daemon boots");
 
         // K distinct control-port texts: queued as served, walking after
-        // the one call.
-        let (tx, _rx) = std::sync::mpsc::channel();
+        // the one call. Connection 0 is none of the port's: the answers
+        // are dropped.
         for i in 0..K {
             let text = format!("SELECT count(*) WHERE Load > {i}");
-            d.serve(CtrlRequest::Query { text }, ReplyTo::Ctrl(tx.clone()));
+            d.serve(CtrlRequest::Query { text }, ReplyTo::Ctrl(0));
         }
         assert_eq!((d.queued_walks.len(), d.walks.len()), (K, 0));
         assert!(d.start_queued_walks());
@@ -877,13 +935,10 @@ mod tests {
     fn history_knows_its_metrics_before_the_first_sample() {
         let any = "127.0.0.1:0".parse().unwrap();
         let mut d = Daemon::start(crate::DaemonOpts::new(any)).expect("daemon boots");
+        let mut client = ctrl_client(&mut d);
         let mut ask = |op: CtrlRequest| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            d.serve(op, ReplyTo::Ctrl(tx));
-            match rx.recv_timeout(Duration::from_secs(10)) {
-                Ok(CtrlOut::Reply(reply)) => reply,
-                _ => panic!("no reply"),
-            }
+            d.serve(op, ReplyTo::Ctrl(1));
+            read_reply(&mut client)
         };
         let (metric, range_s) = ("tick_p99_us".to_owned(), 60);
         let local = ask(CtrlRequest::HistoryFetch {
@@ -923,6 +978,7 @@ mod tests {
     fn alerts_read_the_local_leaf_and_ask_no_peer() {
         let any = "127.0.0.1:0".parse().unwrap();
         let mut d = Daemon::start(crate::DaemonOpts::new(any)).expect("daemon boots");
+        let mut client = ctrl_client(&mut d);
         d.members.push(crate::Member {
             node: 1,
             ring_id: 7,
@@ -933,12 +989,9 @@ mod tests {
         let (mut ops, view) = gw_request(GwRequest::Alerts, Vec::new).expect("a valid route");
         assert_eq!(ops, [CtrlRequest::HealthFetch]);
         let sent = d.transport.stats().total_messages();
-        let (tx, rx) = std::sync::mpsc::channel();
-        d.serve(ops.pop().expect("one operation"), ReplyTo::Ctrl(tx));
-        let reply = match rx.try_recv() {
-            Ok(CtrlOut::Reply(reply)) => reply,
-            _ => panic!("answered on the spot"),
-        };
+        // Answered on the spot: on the socket before the loop steps again.
+        d.serve(ops.pop().expect("one operation"), ReplyTo::Ctrl(1));
+        let reply = read_reply(&mut client);
         assert!(d.gathers.is_empty());
         assert_eq!(d.transport.stats().total_messages(), sent);
         let body = match gw_reply(&view, reply) {
@@ -946,8 +999,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_eq!(body, "{\"node\":0,\"firing\":[]}\n");
-        let (tx, _rx) = std::sync::mpsc::channel();
-        d.serve(CtrlRequest::ClusterHealth, ReplyTo::Ctrl(tx));
+        d.serve(CtrlRequest::ClusterHealth, ReplyTo::Ctrl(1));
         assert_eq!(d.gathers.len(), 1);
         assert_eq!(d.transport.stats().total_messages(), sent + 1);
     }

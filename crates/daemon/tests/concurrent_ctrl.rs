@@ -5,13 +5,14 @@
 //! standing watch or subscription entry left anywhere after the hang-up
 //! is noticed and lease GC runs.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use moara_attributes::Value;
 use moara_core::DeliveryPolicy;
 use moara_daemon::{ctrl_roundtrip, CtrlReply, CtrlRequest, Daemon, DaemonOpts};
-use moara_wire::{read_frame, write_msg, Wire};
+use moara_wire::{read_frame, write_msg, Wire, MAX_FRAME};
 
 fn free_port() -> SocketAddr {
     TcpListener::bind("127.0.0.1:0")
@@ -191,4 +192,65 @@ fn many_clients_and_a_mid_stream_hangup_leak_nothing() {
     )
     .expect("daemon healthy after the storm");
     assert!(matches!(reply, CtrlReply::Answer { .. }));
+}
+
+/// The engine's own thread reads the control port, so hostile bytes there
+/// must cost their connection and nothing else: a length prefix over
+/// `MAX_FRAME` is closed, an undecodable payload is answered
+/// `Error("bad request frame")` and closed, and half a frame followed by
+/// a hang-up is closed. After each, a `Status` on another connection is
+/// answered, and a query still walks: the daemon keeps stepping.
+#[test]
+fn hostile_bytes_on_the_control_port_cost_only_their_connection() {
+    let ctrl = free_port();
+    spawn_daemon(ctrl, None, vec![("ServiceX".to_owned(), Value::Bool(true))]);
+    wait_members(&ctrl.to_string(), 1);
+    let open = |bytes: &[u8]| {
+        let mut s = TcpStream::connect(ctrl).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(bytes).unwrap();
+        s
+    };
+    let still_serving = || {
+        let (members, _, _) = status(&ctrl.to_string()).expect("status on another connection");
+        assert_eq!(members, 1);
+    };
+
+    let mut over_cap = open(&(MAX_FRAME as u32 + 1).to_le_bytes());
+    assert_eq!(
+        read_frame(&mut over_cap).unwrap(),
+        None,
+        "closed unanswered"
+    );
+    still_serving();
+
+    let mut undecodable = open(&[1, 0, 0, 0, 0xff]);
+    let reply = read_frame(&mut undecodable).unwrap().expect("an answer");
+    assert_eq!(
+        CtrlReply::from_bytes(&reply).unwrap(),
+        CtrlReply::Error("bad request frame".into())
+    );
+    assert_eq!(read_frame(&mut undecodable).unwrap(), None, "then a close");
+    still_serving();
+
+    let mut half = open(&[100, 0, 0, 0, 1, 2, 3]);
+    half.shutdown(Shutdown::Write).unwrap();
+    assert_eq!(read_frame(&mut half).unwrap(), None, "closed unanswered");
+    drop(half);
+    still_serving();
+
+    let reply = ctrl_roundtrip(
+        &ctrl.to_string(),
+        &CtrlRequest::Query {
+            text: "SELECT count(*) WHERE ServiceX = true".into(),
+        },
+        Duration::from_secs(30),
+    );
+    assert_eq!(
+        reply,
+        Ok(CtrlReply::Answer {
+            result: "1".into(),
+            complete: true
+        })
+    );
 }

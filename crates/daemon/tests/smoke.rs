@@ -5,8 +5,13 @@
 //! boundaries.
 
 use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
+
+use moara_core::DeliveryPolicy;
+use moara_daemon::{CtrlReply, CtrlRequest};
+use moara_wire::{read_frame, write_msg, Wire};
 
 mod support;
 use support::Guard;
@@ -372,27 +377,22 @@ fn thread_names(pid: u32) -> Vec<String> {
         .collect()
 }
 
-/// Asserts `names` are main (the loop), the gateway's shards (which
-/// accept their own connections) and the control plane's acceptor, plus
-/// whatever per-connection control thread happens to be alive at the
-/// look.
+/// Asserts `names` are main (the loop, which also hosts the control
+/// port) and the gateway's shards (which accept their own connections),
+/// and nothing else.
 fn assert_only_resident_threads(names: &[String]) {
     let shards = names
         .iter()
         .filter(|n| n.starts_with("moara-gw-shard"))
         .count();
     assert!(shards >= 1, "{names:?}");
-    let resident: Vec<&String> = names
-        .iter()
-        .filter(|n| !n.starts_with("moarad-ctrl-con"))
-        .collect();
     assert!(
-        resident.iter().all(|n| {
-            *n == "moarad" || n.starts_with("moara-gw-shard") || *n == "moarad-ctrl-acc"
-        }),
+        names
+            .iter()
+            .all(|n| n == "moarad" || n.starts_with("moara-gw-shard")),
         "a thread that should not exist: {names:?}"
     );
-    assert_eq!(resident.len(), 1 + shards + 1, "{names:?}");
+    assert_eq!(names.len(), 1 + shards, "{names:?}");
 }
 
 /// The peer plane has one thread per daemon: peer sockets are members of
@@ -446,15 +446,10 @@ fn a_moarad_has_no_peer_plane_threads() {
     signal("-STOP");
     let http = support::field(&asker.1, "http=");
     let scrape = std::thread::spawn(move || http_get(&http, "/v1/cluster/metrics"));
-    // Looked at for as long as the scrape waits: neither side has a
+    // Looked at for as long as the scrape waits: the asking side has no
     // thread waiting on the stopped peer.
     while !scrape.is_finished() {
         assert_only_resident_threads(&thread_names(asker.0 .0.id()));
-        let stopped_side = thread_names(stopped.0 .0.id());
-        let conn = stopped_side
-            .iter()
-            .any(|n| n.starts_with("moarad-ctrl-con"));
-        assert!(!conn, "{stopped_side:?}");
         std::thread::sleep(Duration::from_millis(50));
     }
     let fed = scrape.join().unwrap();
@@ -464,4 +459,153 @@ fn a_moarad_has_no_peer_plane_threads() {
         support::field(&stopped.1, "node=")
     );
     assert!(fed.contains(&missing), "no {missing} in:\n{fed}");
+}
+
+/// Without `--http` a `moarad` is one thread: the event loop hosts the
+/// peer plane and the control port alike.
+#[test]
+fn a_moarad_without_http_has_one_thread() {
+    let (guard, ctrl) = spawn_moarad(None, "ServiceX=true");
+    let (out, ok) = cli(&["--connect", &ctrl, "status"]);
+    assert!(ok, "{out}");
+    assert_eq!(thread_names(guard.0.id()), ["moarad"]);
+}
+
+/// Control connections live on the loop's thread: a daemon holding 64
+/// idle ones has the loop and the shards, as without them, and still
+/// answers on a 65th.
+#[test]
+fn idle_control_connections_add_no_thread() {
+    let (guard, banner) = spawn_moarad_with(None, "ServiceX=true", &["--http", "127.0.0.1:0"]);
+    let ctrl = support::field(&banner, "ctrl=");
+    let idle: Vec<TcpStream> = (0..64)
+        .map(|_| TcpStream::connect(&ctrl).expect("connect control port"))
+        .collect();
+    // A request on a fresh connection comes after the 64 in the accept
+    // queue: once it is answered, the loop holds them all.
+    let (out, ok) = cli(&["--connect", &ctrl, "status"]);
+    assert!(ok, "{out}");
+    assert_only_resident_threads(&thread_names(guard.0.id()));
+    drop(idle);
+}
+
+/// CPU ticks (user + system) process `pid` has used: fields 14 and 15 of
+/// `/proc/<pid>/stat`, counted after the parenthesised command name.
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("procfs");
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..]
+        .split_whitespace()
+        .collect();
+    let ticks = |i: usize| fields[i - 3].parse::<u64>().expect("a tick count");
+    ticks(14) + ticks(15)
+}
+
+/// A daemon out of descriptors does not spin: with `RLIMIT_NOFILE` at 64
+/// and about 100 connections held over its HTTP, control and peer ports,
+/// each listener with a connection it cannot take leaves its set for a
+/// pause instead of staying ready. Once the clients close, every port
+/// answers again.
+#[test]
+fn running_out_of_descriptors_spins_no_listener() {
+    let moarad = env!("CARGO_BIN_EXE_moarad");
+    let mut limited = Command::new("sh");
+    limited.args(["-c", "ulimit -n 64 && exec \"$0\" \"$@\"", moarad]);
+    limited.args(["--listen", "127.0.0.1:0", "--http", "127.0.0.1:0"]);
+    limited.args(["--attrs", "ServiceX=true"]);
+    let (guard, banner, _) = support::spawn_command(limited);
+    let (pid, field) = (guard.0.id(), |key| support::field(&banner, key));
+    let (ctrl, http, peer) = (field("ctrl="), field("http="), field("peer="));
+    let held: Vec<TcpStream> = [&ctrl, &http, &peer]
+        .iter()
+        .flat_map(|addr| (0..34).map(move |_| TcpStream::connect(addr).expect("connect")))
+        .collect();
+    // The daemon takes what it can and runs out.
+    std::thread::sleep(Duration::from_millis(300));
+    let before = cpu_ticks(pid);
+    std::thread::sleep(Duration::from_secs(2));
+    let burnt = cpu_ticks(pid) - before;
+    assert!(burnt < 50, "{burnt} CPU ticks in 2 s out of descriptors");
+    drop(held);
+
+    // A fresh request on each port: HTTP, control, and the peer plane (a
+    // joiner's frames, which a query fronted by it needs answered).
+    let health = http_get(&http, "/healthz");
+    assert!(health.starts_with("HTTP/1.1 200 "), "{health}");
+    let (_joiner, joiner_ctrl) = spawn_moarad(Some(&ctrl), "ServiceX=true");
+    wait_for_members(&ctrl, 2);
+    wait_for_members(&joiner_ctrl, 2);
+    let query = "SELECT count(*) WHERE ServiceX = true";
+    let (answer, ok) = cli(&["--connect", &joiner_ctrl, "query", query]);
+    assert!(ok, "{answer}");
+    assert_eq!(answer, "2");
+}
+
+/// A watcher that goes away is let go at once: the loop sees the hang-up
+/// of its control connection (a killed `moara-cli watch`, a raw socket
+/// closed mid-stream) in the step it happens and cancels the watch,
+/// rather than at a later keepalive.
+#[test]
+fn a_dead_watcher_is_let_go_at_once() {
+    let (_guard, banner) = spawn_moarad_with(None, "ServiceX=true", &["--http", "127.0.0.1:0"]);
+    let (ctrl, http) = (
+        support::field(&banner, "ctrl="),
+        support::field(&banner, "http="),
+    );
+    let watches = || {
+        let scrape = http_get(&http, "/metrics");
+        let line = scrape
+            .lines()
+            .find_map(|l| l.strip_prefix("moara_subscribe_watches "));
+        line.expect("the watch gauge")
+            .parse::<f64>()
+            .expect("a number")
+    };
+    // Waits for the gauge to read `want`; returns how long it took.
+    let settle = |want: f64| {
+        let started = Instant::now();
+        while watches() != want {
+            assert!(started.elapsed() < Duration::from_secs(10), "never {want}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        started.elapsed()
+    };
+    let query = "SELECT count(*) WHERE ServiceX = true";
+
+    let mut cli_watch = Command::new(env!("CARGO_BIN_EXE_moara-cli"))
+        .args(["--connect", &ctrl, "watch", query])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn watch");
+    let mut first = String::new();
+    let mut out = BufReader::new(cli_watch.stdout.take().expect("piped stdout"));
+    out.read_line(&mut first).expect("the first update");
+    settle(1.0);
+    cli_watch.kill().expect("kill the watcher");
+    let _ = cli_watch.wait();
+    let gone = settle(0.0);
+    assert!(
+        gone < Duration::from_millis(500),
+        "a killed watcher held on {gone:?}"
+    );
+
+    let mut raw = TcpStream::connect(&ctrl).expect("connect control port");
+    let watch = CtrlRequest::Watch {
+        text: query.into(),
+        policy: DeliveryPolicy::OnChange,
+        lease_us: 30_000_000,
+    };
+    write_msg(&mut raw, &watch).expect("send the watch");
+    let first = read_frame(&mut raw).expect("a frame").expect("open");
+    let first = CtrlReply::from_bytes(&first).expect("a reply");
+    assert!(
+        matches!(first, CtrlReply::Update { initial: true, .. }),
+        "{first:?}"
+    );
+    settle(1.0);
+    drop(raw);
+    let gone = settle(0.0);
+    assert!(
+        gone < Duration::from_millis(500),
+        "a closed socket held on {gone:?}"
+    );
 }

@@ -26,9 +26,15 @@ impl Drop for Guard {
 /// that exits or stays silent fails the test with its exit status and
 /// stderr.
 pub fn spawn(args: &[&str]) -> (Guard, String, Arc<Mutex<Vec<String>>>) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_moarad"))
-        .args(["--listen", "127.0.0.1:0"])
-        .args(args)
+    let mut moarad = Command::new(env!("CARGO_BIN_EXE_moarad"));
+    moarad.args(["--listen", "127.0.0.1:0"]).args(args);
+    spawn_command(moarad)
+}
+
+/// [`spawn`] for a command of the caller's that ends up as a `moarad`
+/// (a shell that sets a limit, then `exec`s it).
+pub fn spawn_command(mut command: Command) -> (Guard, String, Arc<Mutex<Vec<String>>>) {
+    let mut child = command
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()

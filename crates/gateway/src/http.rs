@@ -410,29 +410,6 @@ impl HttpResponse {
     }
 }
 
-/// Probes whether the peer of a streaming (write-mostly) socket is still
-/// connected: reads one byte with a 1 ms timeout. EOF or a hard error
-/// means the peer hung up; a timeout (nothing to read) or stray bytes
-/// mean it is still there. Used by the daemon's control-plane watch
-/// loop — quiescent streams have no writes to fail, so this is their
-/// only hang-up signal. Leaves the socket's read timeout at 1 ms.
-pub fn socket_alive(stream: &mut std::net::TcpStream) -> bool {
-    use std::io::Read;
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(1)));
-    let mut probe = [0u8; 1];
-    match stream.read(&mut probe) {
-        Ok(0) => false, // EOF: peer gone
-        Ok(_) => true,  // stray bytes: ignore
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            true
-        }
-        Err(_) => false,
-    }
-}
-
 /// Decodes `%XX` escapes and `+`-as-space — the `x-www-form-urlencoded`
 /// rules, correct for query strings and form bodies only. For request
 /// paths use [`percent_decode_path`].
@@ -694,17 +671,6 @@ mod tests {
             parse(&many),
             Err(HttpError::Bad { status: 400, .. })
         ));
-    }
-
-    #[test]
-    fn socket_alive_detects_peer_hangup() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = std::net::TcpStream::connect(addr).unwrap();
-        let (mut server, _) = listener.accept().unwrap();
-        assert!(socket_alive(&mut server), "connected peer reads alive");
-        drop(client);
-        assert!(!socket_alive(&mut server), "hung-up peer reads dead");
     }
 
     #[test]

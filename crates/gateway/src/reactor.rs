@@ -13,7 +13,9 @@
 //!   with `EPOLLEXCLUSIVE`, so a connection wakes one waiting shard, not
 //!   all of them. That shard accepts up to `ACCEPT_BATCH` a turn, applies
 //!   the connection cap and keeps what it accepts; the kernel queues up
-//!   to `BACKLOG` connections until a shard gets to them. Shards answer
+//!   to `BACKLOG` connections until a shard gets to them. Out of
+//!   descriptors, a shard's set lets the listener go for a pause
+//!   (`Listening`) rather than spin on it. Shards answer
 //!   what needs no daemon: cache hits, OPTIONS, routing errors, 429s, the
 //!   stream cap, the 503 for a daemon that is gone. The first request
 //!   that needs the daemon moves its whole connection through a `Door`
@@ -44,8 +46,8 @@ use crate::api::{
     SinkClosed, ALLOWED_METHODS,
 };
 use crate::epoll::{
-    listen_nonblocking, Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN,
-    EPOLLOUT, EPOLLRDHUP,
+    listen_nonblocking, Epoll, EpollEvent, Listening, WakeFd, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP,
+    EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use crate::histogram::Histogram;
 use crate::http::{parse_request, HttpRequest, HttpResponse, ParseStep};
@@ -449,9 +451,11 @@ struct Conn {
 
 /// Which host a [`Conns`] is, by its one source of new connections.
 enum Host {
-    /// A shard: it accepts from the listener all shards share, and moves
-    /// a connection that needs the daemon through the loop's door.
-    Shard(Arc<TcpListener>, Arc<Door>),
+    /// A shard: it accepts from the listener all shards share (in its
+    /// own set, which the listener leaves for a pause when descriptors
+    /// run out), and moves a connection that needs the daemon through the
+    /// loop's door.
+    Shard(Listening<Arc<TcpListener>>, Arc<Door>),
     /// The event loop: its connections come in at its door.
     Loop(Arc<Door>),
 }
@@ -494,14 +498,23 @@ impl Conns {
     /// once and handles the requests that read completes, sweeps when due.
     fn turn(&mut self, events: &mut [EpollEvent], timeout: Duration) {
         let ready = self.epoll.wait(events, timeout);
-        let arrived = match &self.ctx.host {
+        let arrived = match &mut self.ctx.host {
             Host::Loop(door) => door.take(),
-            Host::Shard(..) if !ready.iter().any(|ev| ev.data == LISTENER_TOKEN) => Vec::new(),
-            // Until `WouldBlock` (a `map_while` stop) or a full batch.
-            Host::Shard(listener, _) => (listener.incoming().take(ACCEPT_BATCH))
-                .map_while(Result::ok)
-                .filter_map(|stream| Conn::accept(&self.ctx, stream))
-                .collect(),
+            Host::Shard(listening, _) => {
+                listening.resume(&self.epoll);
+                let mut streams = Vec::new();
+                if ready.iter().any(|ev| ev.data == LISTENER_TOKEN) {
+                    // Until there is none to take (a `from_fn` stop) or a
+                    // full batch.
+                    let accept = || listening.accept(&self.epoll);
+                    streams.extend(std::iter::from_fn(accept).take(ACCEPT_BATCH));
+                }
+                let ctx = &self.ctx;
+                streams
+                    .into_iter()
+                    .filter_map(|s| Conn::accept(ctx, s))
+                    .collect()
+            }
         };
         for conn in arrived {
             self.adopt(conn);
@@ -704,8 +717,8 @@ pub fn spawn_gateway_opts(
     let shard_count = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
     let limiter = (opts.rate_limit > 0.0)
         .then(|| Arc::new(TokenBuckets::new(opts.rate_limit, opts.rate_limit * 2.0)));
-    let conns = |host| Conns {
-        epoll: Epoll::new(),
+    let conns = |epoll, host| Conns {
+        epoll,
         map: HashMap::new(),
         next_id: LISTENER_TOKEN + 1,
         next_sweep: Instant::now() + SWEEP_EVERY,
@@ -719,16 +732,17 @@ pub fn spawn_gateway_opts(
     };
     let door = Door::new(wake, &stats);
     let edge = LoopEdge {
-        conns: conns(Host::Loop(Arc::clone(&door))),
+        conns: conns(Epoll::new(), Host::Loop(Arc::clone(&door))),
     };
 
     let wakes = (0..shard_count).map(|i| {
-        let mut conns = conns(Host::Shard(Arc::clone(&listener), Arc::clone(&door)));
+        let epoll = Epoll::new();
+        let (listener, events) = (Arc::clone(&listener), EPOLLIN | EPOLLEXCLUSIVE);
+        let listening = Listening::new(&epoll, listener, events, LISTENER_TOKEN);
+        let listening = listening.expect("the listener joins a shard's epoll set");
+        let mut conns = conns(epoll, Host::Shard(listening, Arc::clone(&door)));
         let wake = Arc::new(WakeFd::new());
         wake.register(&conns.epoll, WAKE_TOKEN);
-        let (fd, events) = (listener.as_raw_fd(), EPOLLIN | EPOLLEXCLUSIVE);
-        let added = conns.epoll.add(fd, events, LISTENER_TOKEN);
-        added.expect("the listener joins a shard's epoll set");
         let stop = Arc::clone(&stop);
         std::thread::Builder::new()
             .name(format!("moara-gw-shard-{i}"))

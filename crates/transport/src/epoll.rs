@@ -1,5 +1,6 @@
-//! The raw Linux readiness layer under both event loops — the peer
-//! transport's (`tcp.rs`) and the HTTP edge's (`moara-gateway`'s
+//! The raw Linux readiness layer under every event loop in a daemon —
+//! the peer transport's (`tcp.rs`), the control port's (`moara-daemon`'s
+//! `ctrl.rs`, through this crate) and the HTTP edge's (`moara-gateway`'s
 //! `reactor.rs`, which includes this file by `#[path]`: the two crates
 //! share no dependency edge, and one copy is the point). `epoll`,
 //! `eventfd`, a non-blocking `connect` and `listen` through `extern "C"`
@@ -7,11 +8,12 @@
 //! Linux-only, like the rest of the deployment story. Nothing here may
 //! name an item of the including crate.
 
+use std::borrow::Borrow;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 pub const EPOLLIN: u32 = 0x001;
 pub const EPOLLOUT: u32 = 0x004;
@@ -20,9 +22,10 @@ pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
 /// A readiness wakes one (or a few) of the waiting sets that hold the fd
 /// under this flag, not all of them.
-#[allow(dead_code)]
 pub const EPOLLEXCLUSIVE: u32 = 1 << 28;
-const EPOLLET: u32 = 1 << 31;
+/// Reports a member's readiness once per change, not for as long as it
+/// lasts.
+pub const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
@@ -36,6 +39,8 @@ const NONBLOCK: i32 = 0o4000;
 const SYS_EPOLL_PWAIT2: i64 = 441;
 const EPERM: i32 = 1;
 const EINTR: i32 = 4;
+const ENFILE: i32 = 23;
+const EMFILE: i32 = 24;
 const ENOSYS: i32 = 38;
 const EINPROGRESS: i32 = 115;
 
@@ -73,7 +78,8 @@ pub struct Epoll(RawFd);
 
 impl Epoll {
     /// Panics if the kernel refuses an epoll instance (fd exhaustion at
-    /// boot).
+    /// boot); a `Default` must not panic, so there is none.
+    #[allow(clippy::new_without_default)]
     pub fn new() -> Epoll {
         let fd = unsafe { epoll_create1(CLOEXEC) };
         assert!(fd >= 0, "epoll_create1: {}", io::Error::last_os_error());
@@ -104,7 +110,6 @@ impl Epoll {
     }
 
     /// Takes `fd` out of the set, open (the HTTP edge moves sockets).
-    #[allow(dead_code)]
     pub fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
@@ -173,7 +178,8 @@ impl Drop for Epoll {
 pub struct WakeFd(RawFd);
 
 impl WakeFd {
-    /// Panics if the kernel refuses an eventfd.
+    /// Panics if the kernel refuses an eventfd (so, no `Default`).
+    #[allow(clippy::new_without_default)]
     pub fn new() -> WakeFd {
         let fd = unsafe { eventfd(0, NONBLOCK | CLOEXEC) };
         assert!(fd >= 0, "eventfd: {}", io::Error::last_os_error());
@@ -243,11 +249,79 @@ pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
 /// accept queue `backlog` connections deep. `TcpListener::bind` leaves
 /// 128, and a second `listen` resizes the queue; the kernel caps it at
 /// its own `somaxconn`.
-#[allow(dead_code)]
 pub fn listen_nonblocking(listener: &TcpListener, backlog: i32) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     match unsafe { listen(listener.as_raw_fd(), backlog) } {
         0 => Ok(()),
         _ => Err(io::Error::last_os_error()),
+    }
+}
+
+/// How long a listener stays out of its set once `accept` found no
+/// descriptor for a waiting connection.
+pub const ACCEPT_PAUSE: Duration = Duration::from_millis(100);
+
+/// A non-blocking listener's membership of one epoll set, which it leaves
+/// for [`ACCEPT_PAUSE`] when the process or the system is out of
+/// descriptors (`EMFILE`, `ENFILE`). The connection `accept` could not
+/// take stays queued, so a level-triggered listener would stay ready and
+/// its owner spin until a descriptor frees; out of the set, it waits out
+/// the pause and then tries again. A member under `EPOLLEXCLUSIVE`
+/// cannot be modified, so it leaves by a delete and comes back by an add.
+pub struct Listening<L> {
+    listener: L,
+    events: u32,
+    token: u64,
+    /// While it is out of the set: when it goes back.
+    back_at: Option<Instant>,
+}
+
+impl<L: Borrow<TcpListener>> Listening<L> {
+    /// Makes `listener` a member of `epoll` for `events` under `token`.
+    pub fn new(epoll: &Epoll, listener: L, events: u32, token: u64) -> io::Result<Listening<L>> {
+        epoll.add(listener.borrow().as_raw_fd(), events, token)?;
+        Ok(Listening {
+            listener,
+            events,
+            token,
+            back_at: None,
+        })
+    }
+
+    /// The next queued connection; `None` when there is none to take now:
+    /// the queue is empty, `accept` failed, or the descriptors ran out and
+    /// the listener has left `epoll` for the pause.
+    pub fn accept(&mut self, epoll: &Epoll) -> Option<TcpStream> {
+        let listener = self.listener.borrow();
+        match listener.accept() {
+            Ok((stream, _)) => Some(stream),
+            Err(e) => {
+                if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) {
+                    let _ = epoll.delete(listener.as_raw_fd());
+                    self.back_at = Some(Instant::now() + ACCEPT_PAUSE);
+                }
+                None
+            }
+        }
+    }
+
+    /// How long until the listener goes back into its set; `None` while
+    /// it is in.
+    pub fn paused_for(&self) -> Option<Duration> {
+        Some(self.back_at?.saturating_duration_since(Instant::now()))
+    }
+
+    /// Puts the listener back into `epoll` once its pause is over (one
+    /// syscall then, none before). A set that refuses it (out of memory
+    /// or watches) gets it back after another pause.
+    pub fn resume(&mut self, epoll: &Epoll) {
+        if self.paused_for() != Some(Duration::ZERO) {
+            return;
+        }
+        let fd = self.listener.borrow().as_raw_fd();
+        self.back_at = match epoll.add(fd, self.events, self.token) {
+            Ok(()) => None,
+            Err(_) => Some(Instant::now() + ACCEPT_PAUSE),
+        };
     }
 }

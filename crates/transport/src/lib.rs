@@ -26,7 +26,7 @@
 //! (`moara-daemon` crate) hosts one node per process on [`TcpTransport`]
 //! and stitches processes into a cluster.
 
-mod epoll;
+pub mod epoll;
 pub mod tcp;
 
 pub use moara_simnet::{NetCtx, NetProtocol, SimTransport, Transport};

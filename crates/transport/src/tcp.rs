@@ -16,10 +16,16 @@
 //! The set is also the host's one wake source: `pump` blocks in
 //! `epoll_pwait2` and nowhere else (so a 300 µs timer is not rounded up
 //! to a millisecond), and a host that feeds its loop from other threads
-//! (the daemon's control and HTTP planes) has them call a [`WakeHandle`]
-//! after enqueueing their work; `pump` returns as if a frame had arrived.
-//! A host with sockets of its own on the loop's thread (the daemon's HTTP
-//! connections) adds one fd for them all ([`TcpTransport::add_host_fd`]).
+//! (the daemon's HTTP shards) has them call a [`WakeHandle`] after
+//! enqueueing their work; `pump` returns as if a frame had arrived. A
+//! host with sockets of its own on the loop's thread (the daemon's
+//! control port, its HTTP connections) adds one fd for each set of them
+//! ([`TcpTransport::add_host_fd`]) and learns from
+//! [`TcpTransport::host_ready`] whether the set needs a turn.
+//!
+//! A listener whose `accept` runs out of descriptors leaves the set for
+//! a pause ([`crate::epoll::Listening`]) instead of keeping the loop
+//! awake until one frees.
 //!
 //! Sending: [`NetCtx::send`] encodes the frame into its destination's
 //! output buffer and returns. Buffers are flushed — one `write` per peer,
@@ -68,8 +74,8 @@ use moara_simnet::{
 use moara_wire::{append_frame, peer_framed_len, FrameBuf, Wire, FRAME_HDR, SENDER_HDR};
 
 use crate::epoll::{
-    connect_nonblocking, Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
-    EPOLLRDHUP,
+    connect_nonblocking, Epoll, EpollEvent, Listening, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN,
+    EPOLLOUT, EPOLLRDHUP,
 };
 
 /// What a [`TcpTransport`] is built from.
@@ -101,7 +107,8 @@ impl WakeHandle {
 }
 
 /// Epoll tokens: the wake eventfd, then four disjoint id spaces. An
-/// inbound connection's token is its plain sequence number.
+/// inbound connection's token is its plain sequence number; a host fd's,
+/// `HOST` with the fd in its low bits.
 const WAKE: u64 = 0;
 const HOST: u64 = 1 << 61;
 const LISTENER: u64 = 1 << 62;
@@ -250,7 +257,9 @@ struct TcpCore<M> {
     /// The one readiness set: `wake`, the listeners, every connection.
     epoll: Epoll,
     wake: Arc<WakeFd>,
-    listeners: HashMap<u32, TcpListener>,
+    listeners: HashMap<u32, Listening<TcpListener>>,
+    /// The host's own fds the last `pump` saw ready.
+    host_ready: Vec<RawFd>,
     inbound: HashMap<u64, Inbound>,
     next_conn: u64,
     /// Outbound side, by destination.
@@ -468,11 +477,11 @@ impl<M: Message + Wire> TcpCore<M> {
 
     /// Takes what `node`'s listener has queued into the set.
     fn accept(&mut self, node: u32) {
-        let Some(listener) = self.listeners.get(&node) else {
+        let Some(listening) = self.listeners.get_mut(&node) else {
             return;
         };
         // Until `WouldBlock`: that was all of them.
-        while let Ok((stream, _)) = listener.accept() {
+        while let Some(stream) = listening.accept(&self.epoll) {
             self.next_conn += 1;
             let (id, fd, wants) = (self.next_conn, stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP);
             // Else the stream drops: a connection nobody would hear from.
@@ -630,6 +639,7 @@ where
                 epoll,
                 wake,
                 listeners: HashMap::new(),
+                host_ready: Vec::new(),
                 inbound: HashMap::new(),
                 next_conn: 0,
                 links: HashMap::new(),
@@ -678,9 +688,9 @@ where
     ) -> SocketAddr {
         let ReservedListener { listener, addr } = reserved;
         let token = LISTENER | u64::from(id.0);
-        let added = self.core.epoll.add(listener.as_raw_fd(), EPOLLIN, token);
-        added.expect("listener joins the epoll set");
-        self.core.listeners.insert(id.0, listener);
+        let listening = Listening::new(&self.core.epoll, listener, EPOLLIN, token);
+        let listening = listening.expect("listener joins the epoll set");
+        self.core.listeners.insert(id.0, listening);
         self.core.peers.insert(id.0, addr);
         assert!(
             !self.nodes.contains_key(&id.0),
@@ -741,11 +751,19 @@ where
 
     /// Adds a readiness source of the host's own to the loop's one wait:
     /// while `fd` is readable `pump` does not block, as after a
-    /// [`WakeHandle::wake`]; the host, not the transport, reads it.
-    /// Panics if the kernel is out of epoll watches (boot time).
+    /// [`WakeHandle::wake`], and [`TcpTransport::host_ready`] says so;
+    /// the host, not the transport, reads it. Panics if the kernel is out
+    /// of epoll watches (boot time).
     pub fn add_host_fd(&mut self, fd: RawFd) {
-        let added = self.core.epoll.add(fd, EPOLLIN, HOST);
+        let added = self.core.epoll.add(fd, EPOLLIN, HOST | fd as u64);
         added.expect("host fd joins the epoll set");
+    }
+
+    /// Whether the last [`TcpTransport::pump`] saw host fd `fd` ready: a
+    /// host that looks at its sockets only then makes no syscall for them
+    /// in a pump that did not.
+    pub fn host_ready(&self, fd: RawFd) -> bool {
+        self.core.host_ready.contains(&fd)
     }
 
     /// Fires due timers and delivers queued/incoming frames. Blocks up to
@@ -766,14 +784,21 @@ where
         if let Some(at) = self.core.next_link_deadline() {
             wait = wait.min(at.saturating_duration_since(Instant::now()));
         }
+        let core = &mut self.core;
+        for listening in core.listeners.values_mut() {
+            listening.resume(&core.epoll);
+            wait = wait.min(listening.paused_for().unwrap_or(wait));
+        }
+        core.host_ready.clear();
         let mut events = std::mem::take(&mut self.events);
         for ev in self.core.epoll.wait(&mut events, wait) {
             let (bits, token) = (ev.events, ev.data);
             match token {
                 // Only ends the wait. Not a message: never counted.
-                WAKE | HOST => {}
+                WAKE => {}
                 t if t & OUTBOUND != 0 => self.core.link_event(t as u32, bits),
                 t if t & LISTENER != 0 => self.core.accept(t as u32),
+                t if t & HOST != 0 => self.core.host_ready.push(t as RawFd),
                 conn => did |= self.read_inbound(conn),
             }
         }

@@ -137,6 +137,57 @@ pub trait Wire: Sized {
     }
 }
 
+/// Implements [`Wire`] for a struct as its fields in the order listed,
+/// decoded in that order too: `wire_struct!(Member: node, addr);`.
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident: $($field:ident),* $(,)?) => {
+        impl $crate::Wire for $ty {
+            fn encode(&self, out: &mut impl $crate::Sink) {
+                $($crate::Wire::encode(&self.$field, out);)*
+            }
+            fn decode(buf: &mut &[u8]) -> Result<Self, $crate::WireError> {
+                Ok($ty { $($field: $crate::Wire::decode(buf)?),* })
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for an enum: a one-byte tag, then the variant's
+/// fields in the order listed. Each variant is `tag => Unit`,
+/// `tag => Tuple(a, b)` (names for the fields, in order) or
+/// `tag => Struct { x, y }`; an unlisted tag decodes to
+/// `WireError::Invalid("<Type> tag")`.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident {
+        $($tag:literal => $var:ident $(($($pos:ident),*))? $({$($named:ident),*})?),* $(,)?
+    }) => {
+        impl $crate::Wire for $ty {
+            fn encode(&self, out: &mut impl $crate::Sink) {
+                match self {
+                    $($ty::$var $(($($pos),*))? $({$($named),*})? => {
+                        out.push($tag);
+                        $($($crate::Wire::encode($pos, out);)*)?
+                        $($($crate::Wire::encode($named, out);)*)?
+                    })*
+                }
+            }
+            fn decode(buf: &mut &[u8]) -> Result<Self, $crate::WireError> {
+                Ok(match <u8 as $crate::Wire>::decode(buf)? {
+                    $($tag => $ty::$var
+                        $(($({
+                            let $pos = $crate::Wire::decode(buf)?;
+                            $pos
+                        }),*))?
+                        $({$($named: $crate::Wire::decode(buf)?),*})?,)*
+                    _ => return Err($crate::WireError::Invalid(concat!(stringify!($ty), " tag"))),
+                })
+            }
+        }
+    };
+}
+
 /// Takes `n` bytes off the front of `buf`.
 pub fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
     if buf.len() < n {
