@@ -326,14 +326,16 @@ impl Daemon {
         served
     }
 
-    /// The HTTP connections' turn in a step ([`LoopEdge::pump`]): serves
-    /// every request for the daemon. Returns how many it served.
+    /// The HTTP connections' turn in a step ([`LoopEdge::pump`], which
+    /// does nothing on a step without work for it): serves every request
+    /// for the daemon. Returns how many it served.
     pub(crate) fn pump_http(&mut self) -> usize {
         let Some(edge) = self.ports.http.as_mut() else {
             return 0;
         };
+        let ready = self.transport.host_ready(edge.fd());
         let mut asks = Vec::new();
-        edge.pump(|conn, req| asks.push((conn, req)));
+        edge.pump(ready, |conn, req| asks.push((conn, req)));
         let count = asks.len();
         for (conn, req) in asks {
             match gw_request(req, || self.exemplar_entries()) {
@@ -924,6 +926,53 @@ mod tests {
         let mut want = vec!["coalesced"; K - 1];
         want.push("miss");
         assert_eq!(seen, want);
+        d.shutdown();
+    }
+
+    /// A daemon's step gives its HTTP edge a turn only when the edge has
+    /// work: steps with no HTTP traffic take none, and a connection
+    /// handed over at the door is answered by the steps it wakes.
+    #[test]
+    fn steps_without_http_work_give_the_edge_no_turn() {
+        let any = "127.0.0.1:0".parse().unwrap();
+        let opts = crate::DaemonOpts {
+            http: Some(any),
+            ..crate::DaemonOpts::new(any)
+        };
+        let mut d = Daemon::start(opts).expect("daemon boots");
+        let turns = |d: &Daemon| d.ports.http.as_ref().expect("gateway").turns();
+        for _ in 0..200 {
+            d.step(Duration::ZERO);
+        }
+        assert_eq!(turns(&d), 0);
+
+        let http = d.http_addr().expect("gateway enabled");
+        let mut s = std::net::TcpStream::connect(http).expect("connect gateway");
+        s.set_nonblocking(true).unwrap();
+        std::io::Write::write_all(
+            &mut s,
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        )
+        .unwrap();
+        let (mut out, mut buf) = (Vec::new(), [0u8; 512]);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            assert!(Instant::now() < deadline, "no answer: {out:?}");
+            d.step(Duration::from_millis(5));
+            match std::io::Read::read(&mut s, &mut buf) {
+                Ok(0) => break,
+                Ok(n) => out.extend_from_slice(&buf[..n]),
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock),
+            }
+        }
+        assert!(out.starts_with(b"HTTP/1.1 200 "), "{out:?}");
+        assert!(turns(&d) >= 1);
+        // Answered and closed: the edge hosts nothing, and idles again.
+        let after = turns(&d);
+        for _ in 0..200 {
+            d.step(Duration::ZERO);
+        }
+        assert_eq!(turns(&d), after);
         d.shutdown();
     }
 

@@ -308,6 +308,15 @@ impl Door {
         true
     }
 
+    /// Whether a connection waits to be taken.
+    fn waiting(&self) -> bool {
+        self.queue
+            .lock()
+            .unwrap()
+            .as_ref()
+            .is_some_and(|q| !q.is_empty())
+    }
+
     /// Everything waiting, oldest first.
     fn take(&self) -> Vec<Conn> {
         let mut queue = self.queue.lock().unwrap();
@@ -733,6 +742,7 @@ pub fn spawn_gateway_opts(
     let door = Door::new(wake, &stats);
     let edge = LoopEdge {
         conns: conns(Epoll::new(), Host::Loop(Arc::clone(&door))),
+        turns: 0,
     };
 
     let wakes = (0..shard_count).map(|i| {
@@ -776,6 +786,8 @@ pub fn spawn_gateway_opts(
 /// closes the door (later hand-overs get 503) and every connection here.
 pub struct LoopEdge {
     conns: Conns,
+    /// Turns taken ([`LoopEdge::turns`]).
+    turns: u64,
 }
 
 impl LoopEdge {
@@ -784,15 +796,28 @@ impl LoopEdge {
         self.conns.epoll.as_raw_fd()
     }
 
-    /// One turn of the loop's connections, never blocking; hands each
-    /// request for the daemon to `serve`, under its connection's panic
-    /// isolation.
-    pub fn pump(&mut self, mut serve: impl FnMut(u64, GwRequest)) {
+    /// One turn of the loop's connections, never blocking, when it has
+    /// work: the loop saw the set's fd `ready`, a connection waits at
+    /// the door, or [`LoopEdge::wait_bound`] is zero (a reply let a
+    /// pipelined request through, or the sweep is due). A step with none
+    /// of these makes no syscall here. Hands each request for the daemon
+    /// to `serve`, under its connection's panic isolation.
+    pub fn pump(&mut self, ready: bool, mut serve: impl FnMut(u64, GwRequest)) {
+        let arrived = matches!(&self.conns.ctx.host, Host::Loop(door) if door.waiting());
+        if !(ready || arrived || self.wait_bound() == Some(Duration::ZERO)) {
+            return;
+        }
+        self.turns += 1;
         let mut events = [EpollEvent::default(); 64];
         self.conns.turn(&mut events, Duration::ZERO);
         for (id, req) in std::mem::take(&mut self.conns.asks) {
             self.conns.on_conn(id, |_, _| serve(id, req));
         }
+    }
+
+    /// How many turns [`LoopEdge::pump`] has taken.
+    pub fn turns(&self) -> u64 {
+        self.turns
     }
 
     /// How long the loop may block before this edge needs a turn: none

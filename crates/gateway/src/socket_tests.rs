@@ -89,8 +89,9 @@ mod tests {
             let mut events = [EpollEvent::default(); 4];
             loop {
                 let idle = Duration::from_secs(1);
-                epoll.wait(&mut events, edge.wait_bound().unwrap_or(idle));
-                edge.pump(|conn, req| {
+                let woke = epoll.wait(&mut events, edge.wait_bound().unwrap_or(idle));
+                let ready = woke.iter().any(|ev| ev.data == 1);
+                edge.pump(ready, |conn, req| {
                     let stream = matches!(req, GwRequest::Watch { .. });
                     let (cmds, wake) = (cmds.clone(), Arc::clone(&wake));
                     let reply = Reply {
@@ -1392,6 +1393,72 @@ mod tests {
         );
         assert!(second.contains("\"status\":\"ok\""), "{rest}");
         assert_eq!(gw.stats().requests(Endpoint::Health), 2);
+        assert_eq!(gw.stats().handovers.load(Ordering::Relaxed), 1);
+    }
+
+    /// The loop's edge takes a turn only when it has work. With its set
+    /// not ready, nobody at the door, no pipelined request and no sweep
+    /// due, a step makes no turn; a connection handed over at the door
+    /// is served in the step its wake ends; a request pipelined behind a
+    /// reply is served in the next step.
+    #[test]
+    fn the_loop_edge_turns_only_when_it_has_work() {
+        let wake = Arc::new(WakeFd::new());
+        let (gw, mut edge) = spawn_waking(&wake, GatewayOpts::default());
+        let epoll = Epoll::new();
+        wake.register(&epoll, 0);
+        epoll.add(edge.fd(), EPOLLIN, 1).unwrap();
+        let mut events = [EpollEvent::default(); 4];
+        let mut asks = Vec::new();
+        let mut step = |edge: &mut LoopEdge, wait: Duration| {
+            let woke = epoll.wait(&mut events, wait);
+            let ready = woke.iter().any(|ev| ev.data == 1);
+            let before = edge.turns();
+            edge.pump(ready, |conn, req| asks.push((conn, req)));
+            (edge.turns() - before, std::mem::take(&mut asks))
+        };
+        for _ in 0..100 {
+            assert_eq!(step(&mut edge, Duration::ZERO), (0, Vec::new()));
+        }
+
+        // A request for the daemon moves its connection through the door,
+        // whose wake ends the step that serves it.
+        let s = TcpStream::connect(gw.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = BufReader::new(s.try_clone().unwrap());
+        (&s).write_all(
+            b"GET /v1/query?q=a HTTP/1.1\r\n\r\n\
+              GET /v1/query?q=b HTTP/1.1\r\n\r\n",
+        )
+        .unwrap();
+        let (turns, served) = step(&mut edge, Duration::from_secs(10));
+        assert_eq!(turns, 1);
+        let [(conn, GwRequest::Query { q })] = &served[..] else {
+            panic!("{served:?}");
+        };
+        assert_eq!(q, "a");
+        let answer = |result: &str| GwReply::Answer {
+            result: result.into(),
+            complete: true,
+            cache: None,
+        };
+        assert_eq!(edge.write(*conn, answer("1")), Ok(()));
+        assert_eq!(read_response(&mut reader, false).0, 200);
+
+        // The reply let the pipelined request through: served next step.
+        assert_eq!(edge.wait_bound(), Some(Duration::ZERO));
+        let (turns, served) = step(&mut edge, Duration::ZERO);
+        assert_eq!(turns, 1);
+        assert!(matches!(&served[..], [(c, GwRequest::Query { q })] if c == conn && q == "b"));
+        assert_eq!(edge.write(*conn, answer("2")), Ok(()));
+        assert_eq!(read_response(&mut reader, false).0, 200);
+
+        // An idle keep-alive connection: no turn until its sweep is due
+        // (at most one falls due in a burst of steps), then one.
+        let turns: u64 = (0..100).map(|_| step(&mut edge, Duration::ZERO).0).sum();
+        assert!(turns <= 1, "{turns} turns");
+        std::thread::sleep(edge.wait_bound().expect("a hosted connection"));
+        assert_eq!(step(&mut edge, Duration::ZERO).0, 1);
         assert_eq!(gw.stats().handovers.load(Ordering::Relaxed), 1);
     }
 

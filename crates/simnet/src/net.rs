@@ -107,10 +107,10 @@ pub trait Transport<P: NetProtocol> {
 
     /// Processes events until the system goes idle: no queued deliveries,
     /// no in-flight frames, no pending foreground timers. Maintenance
-    /// timers do not gate it: the simulator leaves them queued (one the
-    /// drain passed fires late, at the clock the drain reached), and TCP
-    /// fires those that come due while it drains. Returns the time
-    /// reached.
+    /// timers neither gate it nor fire in it: both hosts set aside those
+    /// that come due while it drains, keeping their time and order, and
+    /// they fire, late, at the first `run_for` after it (on TCP, the
+    /// first `pump`). Returns the time reached.
     fn run_to_quiescence(&mut self) -> SimTime;
 
     /// Message/byte accounting.

@@ -227,8 +227,8 @@ struct TimerEntry {
     node: u32,
     tag: TimerTag,
     /// Does not gate quiescence (lease clocks, renewal ticks): fires at
-    /// its deadline like any other, but `run_to_quiescence` does not
-    /// wait it out.
+    /// its deadline like any other outside a `run_to_quiescence`, which
+    /// neither waits for nor fires it.
     maintenance: bool,
 }
 
@@ -252,6 +252,9 @@ struct TcpCore<M> {
     /// Timer seq → due micros, for finding an entry by its [`TimerId`].
     timer_due: HashMap<u64, u64>,
     next_timer: u64,
+    /// Inside `run_to_quiescence`: maintenance timers are set aside,
+    /// keeping their place in `timers`, and fire at the next `pump`.
+    draining: bool,
     /// Frames sent to local nodes but not yet dispatched.
     inflight: i64,
     /// The one readiness set: `wake`, the listeners, every connection.
@@ -525,29 +528,28 @@ impl<M: Message + Wire> TcpCore<M> {
         }
     }
 
-    /// Takes the earliest timer out if it is due.
+    /// The key of the earliest timer that may fire now: while draining,
+    /// the earliest foreground one. Walks past the maintenance timers in
+    /// front of it; those are a handful per node.
+    fn next_timer(&self) -> Option<(u64, u64)> {
+        let firing = |t: &TimerEntry| !(self.draining && t.maintenance);
+        let (&key, _) = self.timers.iter().find(|(_, t)| firing(t))?;
+        Some(key)
+    }
+
+    /// Takes the earliest timer that may fire out if it is due.
     fn pop_due_timer(&mut self) -> Option<TimerEntry> {
-        let now = self.now_us();
-        let first = self.timers.first_entry()?;
-        let (due, seq) = *first.key();
-        if due > now {
+        let (due, seq) = self.next_timer()?;
+        if due > self.now_us() {
             return None;
         }
         self.timer_due.remove(&seq);
-        Some(first.remove())
+        self.timers.remove(&(due, seq))
     }
 
-    /// Micros until the next timer, if any.
+    /// Micros until the next timer that may fire, if any.
     fn next_timer_in(&self) -> Option<u64> {
-        let (&(due, _), _) = self.timers.first_key_value()?;
-        Some(due.saturating_sub(self.now_us()))
-    }
-
-    /// Micros until the next *foreground* (non-maintenance) timer — the
-    /// quiescence condition. Walks past the maintenance timers in front
-    /// of it; those are a handful per node.
-    fn next_fg_timer_in(&self) -> Option<u64> {
-        let (&(due, _), _) = self.timers.iter().find(|(_, t)| !t.maintenance)?;
+        let (due, _) = self.next_timer()?;
         Some(due.saturating_sub(self.now_us()))
     }
 }
@@ -635,6 +637,7 @@ where
                 timers: BTreeMap::new(),
                 timer_due: HashMap::new(),
                 next_timer: 0,
+                draining: false,
                 inflight: 0,
                 epoll,
                 wake,
@@ -969,14 +972,17 @@ where
     }
 
     /// Real-time quiescence: drains events until nothing is in flight, no
-    /// timers are pending, and the system has been idle for
-    /// `IDLE_GRACE`. Pending timers are *waited out* (they
+    /// foreground timers are pending, and the system has been idle for
+    /// `IDLE_GRACE`. Pending foreground timers are *waited out* (they
     /// fire at their real deadline), matching the simulator's semantics at
     /// wall-clock speed — so configure short protocol timeouts in tests
-    /// that exercise failures.
+    /// that exercise failures. Maintenance timers that come due meanwhile
+    /// are set aside, as on the simulator: they fire, late and in their
+    /// order, at the first `pump` after it.
     fn run_to_quiescence(&mut self) -> SimTime {
         let cap = Instant::now() + QUIESCE_CAP;
         let mut idle_since: Option<Instant> = None;
+        self.core.draining = true;
         while Instant::now() < cap {
             let did = self.pump(Duration::from_millis(5));
             if did {
@@ -987,11 +993,12 @@ where
                 idle_since = None;
                 continue;
             }
-            if let Some(us) = self.core.next_fg_timer_in() {
+            if let Some(us) = self.core.next_timer_in() {
                 // Idle but a foreground timer is due later: wait for it
                 // (pump blocks until then, bounded to keep checking the
                 // cap). Maintenance timers — standing lease/renewal
-                // clocks that re-arm forever — are not waited out.
+                // clocks that re-arm forever — are neither waited out
+                // nor fired.
                 self.pump(Duration::from_micros(us).min(Duration::from_millis(50)));
                 continue;
             }
@@ -1001,6 +1008,7 @@ where
                 break;
             }
         }
+        self.core.draining = false;
         self.core.now()
     }
 

@@ -62,6 +62,17 @@ fn contract<T: Transport<Echo>>(mut t: T) {
     assert_eq!(t.node(a).fired, vec![1]);
     t.with_node(a, |_n, ctx| ctx.cancel_timer(standing));
 
+    // One that comes due during a drain is set aside, not fired, and
+    // fires at the first `run_for` after it.
+    t.with_node(a, |_n, ctx| {
+        ctx.set_maintenance_timer(ms(0), 7);
+        ctx.set_timer(ms(5), 8);
+    });
+    t.run_to_quiescence();
+    assert_eq!(t.node(a).fired, vec![1, 8]);
+    t.run_for(ms(1));
+    assert_eq!(t.node(a).fired, vec![1, 8, 7]);
+
     // A send to a failed node is logged undeliverable.
     assert!(t.take_undeliverable().is_empty());
     t.fail_node(b);

@@ -382,10 +382,13 @@ fn timers_fire_in_due_then_arming_order() {
         ctx.set_maintenance_timer(SimDuration::ZERO, 2);
         ctx.set_timer(SimDuration::ZERO, 3);
     });
-    // The maintenance timer does not gate quiescence but fires in
-    // its place; equal deadlines fire in arming order.
+    // Equal deadlines fire in arming order. The maintenance timer
+    // neither gates quiescence nor fires in it: it is set aside and
+    // fires at the next pump.
     t.run_to_quiescence();
-    assert_eq!(t.node(a).0, vec![2, 3, 1]);
+    assert_eq!(t.node(a).0, vec![3, 1]);
+    t.pump(Duration::ZERO);
+    assert_eq!(t.node(a).0, vec![3, 1, 2]);
 }
 
 #[test]
