@@ -12,7 +12,7 @@
 //!   single-tick blip (one slow maintenance pass, one GC-ish hiccup)
 //!   no longer pages anyone.
 //!
-//! The engine evaluates all rules on the maintenance timer, tracks
+//! The engine evaluates all rules on the maintenance tick, tracks
 //! firing state across evaluations, and reports transitions so the
 //! daemon can journal them and log them as JSON lines next to the
 //! slow-query log. For every raw sample key the engine also derives

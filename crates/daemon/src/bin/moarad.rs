@@ -22,17 +22,26 @@
 //! promptly), flushes the cancels, and exits 0.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use moara_daemon::{flags, Daemon};
+use moara_transport::WakeHandle;
 
 /// Flipped by the SIGINT/SIGTERM handler; the main loop notices and
-/// shuts down gracefully. A store is all the handler does — the only
-/// async-signal-safe thing it could do.
+/// shuts down gracefully.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
+/// The loop's wake: the handler ends the loop's wait with it, whichever
+/// thread the signal lands on.
+static WAKE: OnceLock<WakeHandle> = OnceLock::new();
+
+/// A store and one `write(2)` to the wake eventfd: both async-signal-safe.
 extern "C" fn on_signal(_sig: i32) {
     SHUTDOWN.store(true, Ordering::SeqCst);
+    if let Some(wake) = WAKE.get() {
+        wake.wake();
+    }
 }
 
 /// Registers the shutdown handler via libc's `signal` (linked into every
@@ -93,18 +102,18 @@ fn main() {
             .map(|a| a.to_string())
             .unwrap_or_else(|| "-".into()),
     );
+    let _ = WAKE.set(daemon.wake_handle());
     let mut last_members = daemon.member_count();
-    loop {
-        daemon.step(Duration::from_millis(5));
-        if SHUTDOWN.load(Ordering::SeqCst) {
-            daemon.shutdown();
-            println!("MOARAD shutdown");
-            return;
-        }
+    while !SHUTDOWN.load(Ordering::SeqCst) {
+        // The step's own deadlines (the tick, at most a second away) end
+        // its wait; a signal or a gateway shard's hand-off, at once.
+        daemon.step(Duration::from_secs(60));
         let members = daemon.member_count();
         if members != last_members {
             println!("MOARAD members={members}");
             last_members = members;
         }
     }
+    daemon.shutdown();
+    println!("MOARAD shutdown");
 }

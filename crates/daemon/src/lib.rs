@@ -70,7 +70,7 @@ use moara_membership::{SwimConfig, SwimDetector};
 use moara_query::{parse_query, Query};
 use moara_simnet::{NodeId, SimDuration, SimTime};
 use moara_trace::{format_trace_id, Histogram, SpanStore};
-use moara_transport::{NetCtx, TcpConfig, TcpTransport, Transport};
+use moara_transport::{NetCtx, TcpConfig, TcpTransport, Transport, WakeHandle};
 
 pub mod alerts;
 mod ctrl;
@@ -259,16 +259,10 @@ pub struct Daemon {
     /// this loop installs promotions, folds SubUpdates in, and demotes).
     /// `None` when disabled or the gateway is off.
     query_cache: Option<Arc<QueryCache>>,
-    /// When idle cache entries were last swept.
-    last_cache_sweep: Instant,
     /// Standing watches streaming to control connections and gateway
     /// SSE streams: watch id → reply end. A failed send means the
     /// watcher hung up; the daemon then cancels the subscription.
     watches: HashMap<u64, ReplyTo>,
-    /// When watch streams were last liveness-probed (a quiescent watch
-    /// sends nothing, so a hung-up client would otherwise hold its
-    /// subscription until something changes).
-    last_keepalive: Instant,
     /// Cluster-wide reads waiting on their peers' answers, by ask id.
     gathers: HashMap<u64, Gather>,
     /// The last ask id handed out.
@@ -277,10 +271,6 @@ pub struct Daemon {
     /// bounded by draining every step; the count feeds future failure
     /// detection).
     undeliverable_total: u64,
-    /// Seed only: when membership was last re-broadcast. A periodic
-    /// re-broadcast heals members that missed a join announcement (the
-    /// peer plane is fire-and-forget).
-    last_announce: Instant,
     /// This daemon's span store (shared with the engine and, for SWIM
     /// spans, the protocol node); `None` when `--trace-sample 0`.
     tracer: Option<Arc<SpanStore>>,
@@ -294,15 +284,19 @@ pub struct Daemon {
     depth_hist: Histogram,
     /// SubDelta receive → fold-finished lag per hop, µs.
     delta_lag_hist: Histogram,
-    /// When the daemon booted (uptime, alert `since` stamps).
+    /// The step's one clock reading, taken right after its pump: every
+    /// deadline, hold-down and duration the step decides on reads it.
+    now: Instant,
+    /// When the daemon booted (uptime).
     started: Instant,
+    /// When the maintenance tick ([`Daemon::tick`]) next runs.
+    next_tick: Instant,
+    /// Maintenance ticks run since boot.
+    ticks: u64,
     /// Stall-watchdog threshold in microseconds.
     stall_threshold_us: u64,
     /// Ticks whose work time crossed the threshold since boot.
     stalled_ticks: u64,
-    /// When the maintenance timer (self-sample + alert evaluation)
-    /// last ran.
-    last_health_sample: Instant,
     /// The alert engine (built-ins merged with `--alert-rules`).
     alert_engine: AlertEngine,
     /// Most recent sampled trace id per gateway-latency bucket (only
@@ -314,13 +308,9 @@ pub struct Daemon {
     /// The flight recorder: metrics history rings + event journal +
     /// crash-dump writer. `Arc` so the panic hook can share it.
     recorder: Arc<Recorder>,
-    /// `sub_expired` counter at the last maintenance tick (journal
-    /// lease-GC events are emitted as diffs).
-    last_sub_expired: u64,
-    /// Gateway error counter at the last maintenance tick.
-    last_gw_errors: u64,
-    /// Gateway panics-caught counter at the last maintenance tick.
-    last_gw_panics: u64,
+    /// The `sub_expired`, gateway error and gateway panic counters at the
+    /// last tick: the journal records their growth.
+    last_counts: [u64; 3],
     /// When a stall-watchdog crash dump was last written (rate limit).
     last_stall_dump: Option<Instant>,
 }
@@ -335,9 +325,6 @@ const TRACE_STORE_CAP: usize = 8_192;
 const TRACE_STORE_BYTES: usize = TRACE_STORE_CAP * SpanStore::SPAN_BYTES;
 const _: () = assert!(TRACE_STORE_BYTES <= 512 << 10);
 
-/// How often the seed re-broadcasts the member list.
-const ANNOUNCE_EVERY: Duration = Duration::from_secs(2);
-
 /// Lease on cache-promoted standing subscriptions. Auto-renewed by the
 /// subscription plane while the watch exists, so the length only bounds
 /// how long peers hold orphaned state after an ungraceful death
@@ -346,13 +333,8 @@ fn cache_sub_lease() -> SimDuration {
     SimDuration::from_micros(30_000_000)
 }
 
-/// How often the result cache sweeps for idle promoted entries.
-const CACHE_SWEEP_EVERY: Duration = Duration::from_secs(5);
-
-/// How often the maintenance timer samples this daemon's health into the
-/// history rings (and re-evaluates the alert rules against the fresh
-/// sample).
-const HEALTH_SAMPLE_EVERY: Duration = Duration::from_secs(1);
+/// The maintenance tick's period ([`Daemon::tick`]).
+const TICK: Duration = Duration::from_secs(1);
 
 /// Minimum spacing between stall-watchdog crash dumps (a sustained
 /// stall would otherwise rewrite the dump every tick).
@@ -410,10 +392,10 @@ impl Daemon {
                 (NodeId(0), members)
             }
             Some(seed_ctrl) => {
-                // A rejoin racing its own failure detection ("node N is
-                // still believed alive") is retried until the seed's
-                // detector catches up — a quickly restarted daemon would
-                // otherwise have to be relaunched by hand.
+                // A rejoin racing its own failure detection is retried
+                // until the seed's detector catches up — a quickly
+                // restarted daemon would otherwise have to be relaunched
+                // by hand.
                 let deadline = Instant::now() + Duration::from_secs(30);
                 loop {
                     let reply = ctrl_roundtrip(
@@ -428,7 +410,7 @@ impl Daemon {
                     match reply {
                         CtrlReply::Joined { node, members } => break (NodeId(node), members),
                         CtrlReply::Error(e)
-                            if e.contains("still believed alive") && Instant::now() < deadline =>
+                            if e.contains(membership::STILL_ALIVE) && Instant::now() < deadline =>
                         {
                             std::thread::sleep(Duration::from_millis(250));
                         }
@@ -529,6 +511,7 @@ impl Daemon {
             }));
         }
 
+        let now = Instant::now();
         let mut daemon = Daemon {
             transport,
             me,
@@ -546,29 +529,26 @@ impl Daemon {
             queued_walks: Vec::new(),
             gw_inflight: HashMap::new(),
             query_cache,
-            last_cache_sweep: Instant::now(),
             watches: HashMap::new(),
-            last_keepalive: Instant::now(),
             gathers: HashMap::new(),
             last_ask: 0,
             undeliverable_total: 0,
-            last_announce: Instant::now(),
             tracer,
             slow_query_ms: opts.slow_query_ms,
             slow_queries_total: 0,
             tick_hist: Histogram::latency_us(),
             depth_hist: Histogram::depth(),
             delta_lag_hist: Histogram::latency_us(),
-            started: Instant::now(),
+            now,
+            started: now,
+            next_tick: now + TICK,
+            ticks: 0,
             stall_threshold_us: opts.stall_threshold_ms.saturating_mul(1_000).max(1),
             stalled_ticks: 0,
-            last_health_sample: Instant::now(),
             alert_engine: AlertEngine::new(alert_rules),
             gw_latency_exemplars: Histogram::new(&moara_gateway::REQUEST_LATENCY_BOUNDS_US),
             recorder,
-            last_sub_expired: 0,
-            last_gw_errors: 0,
-            last_gw_panics: 0,
+            last_counts: [0; 3],
             last_stall_dump: None,
         };
         // A joiner's presence is already in `members`; make the overlay
@@ -585,6 +565,12 @@ impl Daemon {
     /// The HTTP gateway address, when one is enabled.
     pub fn http_addr(&self) -> Option<SocketAddr> {
         self.gw_handle.as_ref().map(|h| h.addr())
+    }
+
+    /// Ends a blocked [`Daemon::step`]'s wait from any thread or signal
+    /// handler: a wake is one `write(2)`.
+    pub fn wake_handle(&self) -> WakeHandle {
+        self.transport.wake_handle()
     }
 
     /// The HTTP gateway's own counters, when one is enabled.
@@ -618,19 +604,32 @@ impl Daemon {
     }
 
     /// Runs one event-loop iteration: pumps the transport, applies
-    /// membership updates, serves control requests, finishes queries.
+    /// membership updates, serves control requests, finishes queries, and
+    /// runs the maintenance tick when it is due. The clock is read once
+    /// after the pump; every decision the step makes reads that `now`.
     /// Returns true if anything happened.
     pub fn step(&mut self, max_wait: Duration) -> bool {
-        // Besides the transport's own timers, the loop must not sleep
-        // through a gather deadline or its client sockets' next turn.
+        let pumped = self.pump(max_wait, Instant::now());
+        self.work(Instant::now()) | pumped
+    }
+
+    /// The step's one blocking call: the transport's pump, its wait cut
+    /// short by the next tick, the next gather deadline and the client
+    /// sockets' next turn, all measured from `now`.
+    fn pump(&mut self, max_wait: Duration, now: Instant) -> bool {
         let ctrl = self.ports.ctrl.as_ref().and_then(CtrlPort::wait_bound);
         let edge = self.ports.http.as_ref().and_then(LoopEdge::wait_bound);
-        let wait = [self.gather_wait(), ctrl, edge].into_iter().flatten();
-        let mut did = self.transport.pump(wait.fold(max_wait, Duration::min));
-        // Tick timing starts after the poll: it measures how long one
-        // loop iteration's *work* takes, not how long the loop idled.
-        let tick_start = Instant::now();
-        did |= self.apply_pending_membership();
+        let gathers = self.gathers.values().map(|g| g.deadline);
+        let next = gathers.fold(self.next_tick, Instant::min);
+        let wait = [Some(next.saturating_duration_since(now)), ctrl, edge];
+        let wait = wait.into_iter().flatten().fold(max_wait, Duration::min);
+        self.transport.pump(wait)
+    }
+
+    /// Everything a step does after its pump, at time `now`.
+    fn work(&mut self, now: Instant) -> bool {
+        self.now = now;
+        let mut did = self.apply_pending_membership();
         did |= self.apply_swim_events();
         let ctrl_jobs = self.pump_ctrl();
         let gw_jobs = self.pump_http();
@@ -652,42 +651,23 @@ impl Daemon {
         let undeliverable = self.transport.take_undeliverable();
         self.undeliverable_total += undeliverable.len() as u64;
         did |= self.pump_gathers(&undeliverable);
-        if self.is_seed && self.members.len() > 1 && self.last_announce.elapsed() >= ANNOUNCE_EVERY
-        {
-            self.broadcast_membership();
-        }
-        // Maintenance timer: self-sample into the flight recorder's
-        // history rings, re-evaluate the alert rules against the fresh
-        // sample (rate() rules read the rings), and — when dumps are on —
-        // rewrite the blackbox dump so a kill -9 still leaves the final
-        // window on disk.
-        if self.last_health_sample.elapsed() >= HEALTH_SAMPLE_EVERY {
-            self.last_health_sample = Instant::now();
-            let sample = self.health_sample();
-            let now_ms = now_unix_ms();
-            if let Ok(mut h) = self.recorder.history.lock() {
-                h.record(now_ms, &sample);
-            }
-            self.evaluate_alerts(&sample, now_ms);
-            self.journal_subsystem_diffs();
-            self.refresh_recorder_context();
-            if self.recorder.dumps_enabled() {
-                self.recorder.write_dump("blackbox", now_ms);
-            }
+        if now >= self.next_tick {
+            self.next_tick = now + TICK;
+            self.tick();
         }
         self.depth_hist.observe((ctrl_jobs + gw_jobs) as u64);
-        let tick_us = u64::try_from(tick_start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        // The stall watchdog times the step's work, not its wait.
+        let tick_us = u64::try_from(now.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.tick_hist.observe(tick_us);
         if tick_us >= self.stall_threshold_us {
             self.stalled_ticks += 1;
             self.recorder
                 .record_event(kind::STALL, format!("tick_us={tick_us}"));
             if self.recorder.dumps_enabled()
-                && self
-                    .last_stall_dump
-                    .is_none_or(|t| t.elapsed() >= STALL_DUMP_EVERY)
+                && (self.last_stall_dump)
+                    .is_none_or(|t| now.saturating_duration_since(t) >= STALL_DUMP_EVERY)
             {
-                self.last_stall_dump = Some(Instant::now());
+                self.last_stall_dump = Some(now);
                 let ts = now_unix_ms();
                 self.recorder
                     .record_event(kind::CRASH_DUMP, "reason=crash-stall".to_owned());
@@ -697,10 +677,35 @@ impl Daemon {
         did
     }
 
-    /// Runs the daemon loop forever (the `moarad` main).
-    pub fn run_forever(&mut self) -> ! {
-        loop {
-            self.step(Duration::from_millis(5));
+    /// The daemon's chores, once a second of the step's `now`: the health
+    /// sample into the history rings, the alert rules (`rate()` reads the
+    /// rings), journal diffs, dump context, the blackbox rewrite (so a
+    /// kill -9 still leaves the last window on disk), the watch streams'
+    /// liveness probe, the cache's idle sweep and, on the seed every other
+    /// tick, the member list's re-broadcast for anyone who missed one.
+    fn tick(&mut self) {
+        self.ticks += 1;
+        let sample = self.health_sample();
+        let now_ms = now_unix_ms();
+        if let Ok(mut h) = self.recorder.history.lock() {
+            h.record(now_ms, &sample);
+        }
+        self.evaluate_alerts(&sample, now_ms);
+        self.journal_subsystem_diffs();
+        self.refresh_recorder_context();
+        if self.recorder.dumps_enabled() {
+            self.recorder.write_dump("blackbox", now_ms);
+        }
+        self.probe_watches();
+        if let Some(cache) = self.query_cache.clone() {
+            for token in cache.demote_idle(self.now) {
+                self.recorder
+                    .record_event(kind::CACHE_DEMOTE, format!("wid={token} idle=true"));
+                self.unsubscribe(token);
+            }
+        }
+        if self.is_seed && self.members.len() > 1 && self.ticks.is_multiple_of(2) {
+            self.broadcast_membership();
         }
     }
 
@@ -722,11 +727,10 @@ impl Daemon {
     /// logging each firing/resolved transition as one JSON line on
     /// stderr (next to the slow-query log) and into the event journal.
     fn evaluate_alerts(&mut self, sample: &[(&'static str, f64)], now_ms: u64) {
-        let now = Instant::now();
         let events = {
             let history = self.recorder.history.lock().ok();
             self.alert_engine
-                .evaluate(sample, history.as_deref(), now, now_ms)
+                .evaluate(sample, history.as_deref(), self.now, now_ms)
         };
         for ev in &events {
             eprintln!("{}", AlertEngine::event_line(self.me.0, ev, now_ms));
@@ -751,29 +755,18 @@ impl Daemon {
     /// lease-GC expiries on the subscription plane, and errors/panics
     /// the gateway's reactor shards caught since the last tick.
     fn journal_subsystem_diffs(&mut self) {
-        let expired = self.transport.stats().counter("sub_expired");
-        if expired > self.last_sub_expired {
-            let n = expired - self.last_sub_expired;
-            self.last_sub_expired = expired;
-            self.recorder
-                .record_event(kind::SUB_LEASE_GC, format!("count={n}"));
-        }
-        if let Some(gw) = &self.gw_handle {
-            use std::sync::atomic::Ordering::Relaxed;
-            let s = gw.stats();
-            let errors = s.errors.load(Relaxed);
-            if errors > self.last_gw_errors {
-                let n = errors - self.last_gw_errors;
-                self.last_gw_errors = errors;
-                self.recorder
-                    .record_event(kind::GW_ERROR, format!("count={n}"));
-            }
-            let panics = s.panics_caught.load(Relaxed);
-            if panics > self.last_gw_panics {
-                let n = panics - self.last_gw_panics;
-                self.last_gw_panics = panics;
-                self.recorder
-                    .record_event(kind::GW_PANIC, format!("count={n}"));
+        use std::sync::atomic::Ordering::Relaxed;
+        let gw = self.gw_handle.as_ref().map(GatewayHandle::stats);
+        let counts = [
+            Some(self.transport.stats().counter("sub_expired")),
+            gw.map(|s| s.errors.load(Relaxed)),
+            gw.map(|s| s.panics_caught.load(Relaxed)),
+        ];
+        let kinds = [kind::SUB_LEASE_GC, kind::GW_ERROR, kind::GW_PANIC];
+        for ((what, last), count) in kinds.into_iter().zip(&mut self.last_counts).zip(counts) {
+            if let Some(count) = count.filter(|&c| c > *last) {
+                let n = count - std::mem::replace(last, count);
+                self.recorder.record_event(what, format!("count={n}"));
             }
         }
     }
@@ -791,8 +784,7 @@ impl Daemon {
             ctx.push_str(&recorder::peer_context_line(m));
             ctx.push('\n');
         }
-        let now = Instant::now();
-        for a in self.alert_engine.firing(now) {
+        for a in self.alert_engine.firing(self.now) {
             ctx.push_str(
                 &JsonLine::new()
                     .str("t", "alert")
@@ -864,9 +856,9 @@ impl Daemon {
     }
 
     /// The event-loop side of the result cache: installs standing
-    /// subscriptions for keys the gateway flagged hot, releases evicted
-    /// entries' subscriptions, and periodically sweeps idle entries
-    /// (`pump_watches` folds their SubUpdates into the entries). The
+    /// subscriptions for keys the gateway flagged hot and releases evicted
+    /// entries' subscriptions (`pump_watches` folds their SubUpdates into
+    /// the entries; the tick sweeps idle ones). The
     /// shards never touch the protocol node; everything here runs on the
     /// single loop thread.
     fn pump_query_cache(&mut self) -> bool {
@@ -900,15 +892,6 @@ impl Daemon {
             self.recorder
                 .record_event(kind::CACHE_DEMOTE, format!("wid={token}"));
             self.unsubscribe(token);
-        }
-        if self.last_cache_sweep.elapsed() >= CACHE_SWEEP_EVERY {
-            self.last_cache_sweep = Instant::now();
-            for token in cache.demote_idle(Instant::now()) {
-                did = true;
-                self.recorder
-                    .record_event(kind::CACHE_DEMOTE, format!("wid={token} idle=true"));
-                self.unsubscribe(token);
-            }
         }
         did
     }
@@ -966,6 +949,159 @@ mod tests {
     use moara_trace::{Phase, SpanRecord, TraceSummary};
     use moara_wire::Wire;
     use recorder::EventWire;
+
+    impl Daemon {
+        /// [`Daemon::step`] at a `now` the caller sets: the loop's unit
+        /// tests drive its time with this and never sleep.
+        pub(crate) fn step_at(&mut self, max_wait: Duration, now: Instant) -> bool {
+            let pumped = self.pump(max_wait, now);
+            self.work(now) | pumped
+        }
+
+        /// The journal's events of one kind, oldest first.
+        fn journal(&self, kind: &str) -> Vec<EventWire> {
+            self.recorder.journal.snapshot(Some(kind), 64)
+        }
+    }
+
+    fn boot(opts: impl FnOnce(DaemonOpts) -> DaemonOpts) -> Daemon {
+        let any = "127.0.0.1:0".parse().unwrap();
+        Daemon::start(opts(DaemonOpts::new(any))).expect("daemon boots")
+    }
+
+    fn secs(s: f64) -> Duration {
+        Duration::from_secs_f64(s)
+    }
+
+    /// The maintenance tick runs once per second of the step's `now` and
+    /// never in between, however often the loop steps, and each tick
+    /// records one history sample, its uptime read from that `now`.
+    #[test]
+    fn the_tick_runs_once_a_second_of_now() {
+        let mut d = boot(|o| o);
+        let t0 = d.now;
+        let steps = [0.0, 0.5, 0.999, 1.0, 1.2, 1.999, 2.0, 2.0, 2.7, 3.0];
+        let ticks = [0, 0, 0, 1, 1, 1, 2, 2, 2, 3];
+        for (at, want) in steps.into_iter().zip(ticks) {
+            d.step_at(Duration::ZERO, t0 + secs(at));
+            assert_eq!(d.ticks, want, "ticks at {at} s");
+            let (_, points) = d.local_history("uptime_s", 120).expect("a sampled metric");
+            assert_eq!(points.len() as u64, want, "samples at {at} s");
+        }
+        let (_, points) = d.local_history("uptime_s", 120).expect("a sampled metric");
+        let uptimes: Vec<f64> = points.iter().map(|&(_, v)| v).collect();
+        assert_eq!(uptimes, [1.0, 2.0, 3.0]);
+    }
+
+    /// A `for 3s` hold-down, on the tick's clock: a watch seen for two
+    /// seconds of ticks never fires the rule, and one held for three
+    /// does, in the journal and in the firing list.
+    #[test]
+    fn a_hold_down_ignores_a_blip_and_fires_once_the_breach_lasts() {
+        let rules = alerts::parse_rules("standing_watch: watches > 0 for 3s").unwrap();
+        let mut d = boot(|o| DaemonOpts {
+            alert_rules: rules,
+            ..o
+        });
+        let t0 = d.now;
+        let watch = |d: &mut Daemon| {
+            let query = parse_query("SELECT count(*)").unwrap();
+            let (policy, lease) = (DeliveryPolicy::OnChange, cache_sub_lease());
+            d.with_moara(|moara, ctx| moara.subscribe(ctx, query, policy, lease))
+        };
+        let firing = |d: &Daemon| d.alert_engine.firing(d.now).len();
+        // The blip: seen by the ticks at 1, 2 and 3 s, gone by 4 s.
+        let wid = watch(&mut d);
+        for at in [1.0, 2.0, 3.0, 3.5] {
+            d.step_at(Duration::ZERO, t0 + secs(at));
+        }
+        d.unsubscribe(wid);
+        for at in [4.0, 5.0, 5.5] {
+            d.step_at(Duration::ZERO, t0 + secs(at));
+        }
+        assert_eq!(firing(&d), 0, "a 2 s blip fired a 3 s hold-down");
+        assert!(d.journal(kind::ALERT_FIRING).is_empty());
+        // Sustained: first seen at 6 s, held through 9 s.
+        watch(&mut d);
+        for at in [6.0, 7.0, 8.0, 8.9] {
+            d.step_at(Duration::ZERO, t0 + secs(at));
+            assert_eq!(firing(&d), 0, "fired before the hold elapsed, at {at} s");
+        }
+        d.step_at(Duration::ZERO, t0 + secs(9.0));
+        assert_eq!(firing(&d), 1);
+        let fired = d.journal(kind::ALERT_FIRING);
+        assert_eq!(fired.len(), 1);
+        assert!(fired[0].detail.contains("rule=standing_watch"), "{fired:?}");
+    }
+
+    /// A promoted cache entry nobody reads is demoted by the first tick
+    /// past `idle_after`, and its standing subscription released.
+    #[test]
+    fn an_idle_promoted_entry_is_demoted_once_idle_after_has_passed() {
+        let cache = CacheConfig {
+            promote_after: 1,
+            idle_after: Duration::from_secs(5),
+            ..CacheConfig::default()
+        };
+        let mut d = boot(|o| DaemonOpts {
+            http: Some(o.listen),
+            query_cache: Some(cache),
+            ..o
+        });
+        let t0 = d.now;
+        let cache = d.query_cache.clone().expect("a caching daemon");
+        assert!(cache.lookup("SELECT count(*)", t0).is_none());
+        d.step_at(Duration::ZERO, t0);
+        assert_eq!(cache.promoted_len(), 1);
+        assert_eq!(d.transport.node(d.me).moara.active_watches(), 1);
+        for at in [1.0, 2.0, 5.0, 5.9] {
+            d.step_at(Duration::ZERO, t0 + secs(at));
+            assert_eq!(cache.promoted_len(), 1, "demoted early, at {at} s");
+        }
+        d.step_at(Duration::ZERO, t0 + secs(6.0));
+        assert_eq!(cache.promoted_len(), 0);
+        assert_eq!(d.transport.node(d.me).moara.active_watches(), 0);
+        let demoted = d.journal(kind::CACHE_DEMOTE);
+        assert_eq!(demoted.len(), 1);
+        assert!(demoted[0].detail.ends_with("idle=true"), "{demoted:?}");
+    }
+
+    /// A walk's duration is the step clock's: one answered within
+    /// `--slow-query-ms` of `now` is not slow, one answered past it is
+    /// counted and journalled with that duration.
+    #[test]
+    fn a_walk_spanning_the_slow_query_threshold_is_slow() {
+        let mut d = boot(|o| DaemonOpts {
+            slow_query_ms: Some(100),
+            ..o
+        });
+        // Connection 0 is none of the port's: the answers are dropped.
+        let walk = |d: &mut Daemon, start: Instant, end: Instant| {
+            let text = "SELECT count(*)".to_owned();
+            d.serve(CtrlRequest::Query { text }, ReplyTo::Ctrl(0));
+            d.step_at(Duration::ZERO, start);
+            assert_eq!(d.walks.len(), 1, "the walk started");
+            for _ in 0..10_000 {
+                d.step_at(Duration::from_millis(1), end);
+                if d.walks.is_empty() {
+                    return;
+                }
+            }
+            panic!("the walk never finished");
+        };
+        let t0 = d.now;
+        walk(&mut d, t0, t0 + secs(0.099));
+        assert_eq!(d.slow_queries_total, 0);
+        assert!(d.journal(kind::SLOW_QUERY).is_empty());
+        walk(&mut d, t0 + secs(0.2), t0 + secs(0.35));
+        assert_eq!(d.slow_queries_total, 1);
+        let slow = d.journal(kind::SLOW_QUERY);
+        assert_eq!(slow.len(), 1);
+        assert!(
+            slow[0].detail.starts_with("duration_us=150000 "),
+            "{slow:?}"
+        );
+    }
 
     #[test]
     fn attrs_parse_into_typed_values() {

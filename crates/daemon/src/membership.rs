@@ -4,7 +4,6 @@
 //! engine.
 
 use std::collections::HashSet;
-use std::time::Instant;
 
 use rand::Rng;
 
@@ -17,6 +16,10 @@ use moara_transport::Transport;
 use crate::node::{moara_ctx, DaemonMsg, Member};
 use crate::recorder::kind;
 use crate::{resolve, CtrlReply, Daemon};
+
+/// What the seed's refusal to revive a live member's id says; a rejoining
+/// [`Daemon::start`] retries on a refusal that contains it.
+pub(crate) const STILL_ALIVE: &str = "still believed alive";
 
 /// Points `dir` — and every handle on it, the engine's included — at the
 /// overlay `members` describe: each member on the ring under its ring id,
@@ -47,7 +50,6 @@ impl Daemon {
                 }
             }
         });
-        self.last_announce = Instant::now();
     }
 
     /// Acts on what this daemon's failure detector concluded, through
@@ -260,7 +262,7 @@ impl Daemon {
                     !m.alive || detector_view.is_some_and(|p| p.state == PeerState::Dead);
                 if !confirmed_dead {
                     return CtrlReply::Error(format!(
-                        "node {prev} is still believed alive; retry after its failure is detected"
+                        "node {prev} is {STILL_ALIVE}; retry after its failure is detected"
                     ));
                 }
                 let detector_inc = detector_view.map_or(0, |p| p.incarnation);
@@ -291,5 +293,32 @@ impl Daemon {
         // heals anyone who misses this broadcast).
         self.broadcast_membership();
         CtrlReply::Joined { node, members }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::DaemonOpts;
+
+    /// The seed refuses to hand out a live member's id with the text a
+    /// rejoining daemon retries on; a rewording breaks this test, not
+    /// rejoin.
+    #[test]
+    fn refusing_a_live_members_id_says_it_is_still_alive() {
+        let any = "127.0.0.1:0".parse().unwrap();
+        let mut d = Daemon::start(DaemonOpts::new(any)).expect("daemon boots");
+        d.members.push(Member {
+            node: 1,
+            ring_id: 7,
+            addr: "127.0.0.1:1".into(),
+            incarnation: 0,
+            alive: true,
+        });
+        let reply = d.handle_join("127.0.0.1:2".into(), Some(1));
+        assert!(
+            matches!(&reply, CtrlReply::Error(e) if e.contains(STILL_ALIVE)),
+            "{reply:?}"
+        );
     }
 }

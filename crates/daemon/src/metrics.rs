@@ -16,7 +16,6 @@
 //! surface the previous, hand-written views had.
 
 use std::sync::atomic::Ordering::Relaxed;
-use std::time::Instant;
 
 use moara_gateway::reactor::Endpoint;
 use moara_gateway::MetricsRegistry;
@@ -161,7 +160,7 @@ fn build_info(_: &Daemon, m: &Metric, reg: &mut MetricsRegistry) {
 /// One 0/1 gauge per rule, so a flat scrape shows which rules exist as
 /// well as which fire.
 fn alerts_firing(d: &Daemon, m: &Metric, reg: &mut MetricsRegistry) {
-    let firing = d.alert_engine.firing(Instant::now());
+    let firing = d.alert_engine.firing(d.now);
     for rule in d.alert_engine.rules() {
         let lit = u8::from(firing.iter().any(|a| a.rule == rule.name));
         reg.gauge_with(m.name, m.help, &[("rule", &rule.name)], lit.into());
@@ -256,7 +255,7 @@ pub(crate) static CATALOGUE: &[Metric] = &[
     row("moara_events_dropped_total", "Journal events evicted from the bounded ring.", Counter(|d| Some(d.recorder.journal.dropped() as f64))),
     // Process / build identity (the health plane's raw inputs).
     row("moara_build_info", "Build identity; always 1, the information is in the labels.", Series(build_info)),
-    row("moara_uptime_seconds", "Seconds since this daemon booted.", Gauge(|d| Some(d.started.elapsed().as_secs() as f64))).sample("uptime_s"),
+    row("moara_uptime_seconds", "Seconds since this daemon booted.", Gauge(|d| Some(d.now.saturating_duration_since(d.started).as_secs() as f64))).sample("uptime_s"),
     row("moara_process_resident_bytes", "Resident set size in bytes (/proc/self/statm).", Gauge(|_| Some(health::rss_bytes() as f64))).sample("rss_bytes"),
     row("moara_open_fds", "Open file descriptors (/proc/self/fd).", Gauge(|_| Some(f64::from(health::open_fds())))).sample("open_fds"),
     row("moara_alerts_firing", "1 while the named alert rule is firing, 0 otherwise.", Series(alerts_firing)),

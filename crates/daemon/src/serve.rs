@@ -27,11 +27,6 @@ use crate::{health, parse_value, render, Daemon, DaemonMsg};
 /// instead of hanging them).
 pub const GATHER_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// How often quiescent watch streams are liveness-probed; a hung-up
-/// watcher is unsubscribed within this bound even if its standing query
-/// never changes.
-const WATCH_KEEPALIVE_EVERY: Duration = Duration::from_secs(1);
-
 /// The client sockets this loop hosts: the control port, and the HTTP
 /// connections that moved here from the gateway's shards. Each is `None`
 /// once shut down (HTTP: or never enabled).
@@ -282,7 +277,7 @@ type Finish = Box<dyn FnOnce(Vec<(u32, CtrlReply)>, Vec<u32>) -> CtrlReply>;
 /// One cluster-wide read waiting on its peers, filed by ask id.
 pub(crate) struct Gather {
     to: ReplyTo,
-    deadline: Instant,
+    pub(crate) deadline: Instant,
     /// Members confirmed dead when it started; the peers still silent
     /// join them when it finishes.
     missing: Vec<u32>,
@@ -316,10 +311,7 @@ impl Daemon {
                 CtrlEvent::Closed(conn) => {
                     let watching = |to: &ReplyTo| matches!(to, ReplyTo::Ctrl(c) if *c == conn);
                     let wid = self.watches.iter().find(|(_, to)| watching(to));
-                    if let Some(wid) = wid.map(|(&wid, _)| wid) {
-                        self.watches.remove(&wid);
-                        self.unsubscribe(wid);
-                    }
+                    self.drop_watches(wid.map(|(&wid, _)| wid));
                 }
             }
         }
@@ -504,7 +496,7 @@ impl Daemon {
                 sample: (self.health_sample().into_iter())
                     .map(|(key, value)| (key.to_owned(), value))
                     .collect(),
-                firing: self.alert_engine.firing(Instant::now()),
+                firing: self.alert_engine.firing(self.now),
             },
             other => CtrlReply::Error(format!("not a peer read: {other:?}")),
         }
@@ -549,7 +541,7 @@ impl Daemon {
         });
         let gather = Gather {
             to,
-            deadline: Instant::now() + GATHER_TIMEOUT,
+            deadline: self.now + GATHER_TIMEOUT,
             missing,
             waiting,
             lost: Vec::new(),
@@ -614,7 +606,7 @@ impl Daemon {
             let lost = undeliverable.iter().map(|(_, to)| to.0);
             g.lost.extend(lost.filter(|n| g.waiting.contains(n)));
         }
-        let now = Instant::now();
+        let now = self.now;
         let done: Vec<u64> = self
             .gathers
             .iter()
@@ -631,13 +623,6 @@ impl Daemon {
         did || !done.is_empty()
     }
 
-    /// How long the loop may sleep before the next gather's deadline;
-    /// `None` when no gather waits.
-    pub(crate) fn gather_wait(&self) -> Option<Duration> {
-        let deadline = self.gathers.values().map(|g| g.deadline).min()?;
-        Some(deadline.saturating_duration_since(Instant::now()))
-    }
-
     /// Starts every query parsed this step — or, on a caching daemon,
     /// joins it to the identical query already walking — in arrival
     /// order. The whole batch is one transport dispatch, so however many
@@ -648,7 +633,7 @@ impl Daemon {
         }
         let queued = std::mem::take(&mut self.queued_walks);
         let (walks, inflight) = (&mut self.walks, &mut self.gw_inflight);
-        let query_cache = self.query_cache.as_deref();
+        let (query_cache, now) = (self.query_cache.as_deref(), self.now);
         self.transport.with_node(self.me, |n, ctx| {
             let ctx = &mut moara_ctx(ctx);
             for (text, query, to) in queued {
@@ -681,7 +666,7 @@ impl Daemon {
                     cache_key: key,
                     cache_gen,
                     text,
-                    submitted: Instant::now(),
+                    submitted: now,
                     trace_id: n.moara.front_trace_id(fid),
                 };
                 walks.insert(fid, walk);
@@ -704,7 +689,7 @@ impl Daemon {
             .collect();
         for (fid, outcome) in &done {
             let walk = self.walks.remove(fid).expect("listed above");
-            let elapsed = walk.submitted.elapsed();
+            let elapsed = self.now.saturating_duration_since(walk.submitted);
             let dur_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
             if self
                 .slow_query_ms
@@ -762,9 +747,7 @@ impl Daemon {
     /// watch streams it, a cache-promoted one folds it into its entry
     /// (`on_update` ignores tokens the cache does not hold). A hung-up
     /// watcher's subscription is cancelled (its standing state then
-    /// tears down along the trees). Client streams are liveness-probed
-    /// every [`WATCH_KEEPALIVE_EVERY`] so a silent hang-up cannot hold a
-    /// subscription alive through endless lease renewals.
+    /// tears down along the trees).
     pub(crate) fn pump_watches(&mut self) -> bool {
         let moara = &mut self.transport.node_mut(self.me).moara;
         let mut did = false;
@@ -790,20 +773,29 @@ impl Daemon {
                 }
             }
         }
-        if self.last_keepalive.elapsed() >= WATCH_KEEPALIVE_EVERY {
-            self.last_keepalive = Instant::now();
-            for (&wid, to) in &self.watches {
-                if to.keepalive(&mut self.ports).is_err() {
-                    gone.push(wid);
-                }
-            }
-        }
+        self.drop_watches(gone);
+        did
+    }
+
+    /// The tick's liveness probe of every client watch stream: a
+    /// quiescent watch sends nothing, so without it a silent hang-up
+    /// would hold its subscription alive through endless lease renewals.
+    pub(crate) fn probe_watches(&mut self) {
+        let ports = &mut self.ports;
+        let gone: Vec<u64> = (self.watches.iter())
+            .filter(|(_, to)| to.keepalive(ports).is_err())
+            .map(|(&wid, _)| wid)
+            .collect();
+        self.drop_watches(gone);
+    }
+
+    /// Cancels the subscriptions of watches whose watcher hung up.
+    fn drop_watches(&mut self, gone: impl IntoIterator<Item = u64>) {
         for wid in gone {
             if self.watches.remove(&wid).is_some() {
                 self.unsubscribe(wid);
             }
         }
-        did
     }
 }
 
@@ -814,7 +806,8 @@ mod tests {
     use std::net::TcpStream;
 
     /// A client on `d`'s control port, once the port holds its
-    /// connection: the daemon's first, id 1.
+    /// connection: the daemon's first, id 1. The steps that take it in
+    /// leave the loop's clock where it was.
     fn ctrl_client(d: &mut Daemon) -> TcpStream {
         let client = TcpStream::connect(d.ctrl_addr()).expect("connect control port");
         client
@@ -826,7 +819,7 @@ mod tests {
                 Instant::now() < deadline,
                 "the port never took the connection"
             );
-            d.step(Duration::from_millis(1));
+            d.step_at(Duration::from_millis(1), d.now);
         }
         client
     }
@@ -1077,5 +1070,44 @@ mod tests {
         assert_eq!(d.transport.take_undeliverable(), [(d.me, NodeId(9))]);
         let store = &d.transport.node(d.me).moara.store;
         assert_eq!(store.get("ServiceX"), None);
+    }
+
+    /// A member that takes the ask and never answers holds a gather until
+    /// `GATHER_TIMEOUT` of the step's clock has passed, not a moment
+    /// longer, and is then reported missing.
+    #[test]
+    fn a_gather_reports_a_silent_member_missing_at_its_deadline() {
+        let any = "127.0.0.1:0".parse().unwrap();
+        let mut d = Daemon::start(crate::DaemonOpts::new(any)).expect("daemon boots");
+        let mut client = ctrl_client(&mut d);
+        // The kernel accepts the connection for it; nobody reads.
+        let silent = std::net::TcpListener::bind(any).unwrap();
+        let addr = silent.local_addr().unwrap();
+        d.members.push(crate::Member {
+            node: 1,
+            ring_id: 7,
+            addr: addr.to_string(),
+            incarnation: 0,
+            alive: true,
+        });
+        d.transport.register_peer(NodeId(1), addr);
+        let t0 = d.now;
+        let (metric, range_s) = ("tick_p99_us".to_owned(), 60);
+        d.serve(
+            CtrlRequest::ClusterHistory { metric, range_s },
+            ReplyTo::Ctrl(1),
+        );
+        for late in [0, 1_000, 1_999] {
+            d.step_at(Duration::ZERO, t0 + Duration::from_millis(late));
+            assert_eq!(d.gathers.len(), 1, "gave up after {late} ms");
+        }
+        d.step_at(Duration::ZERO, t0 + GATHER_TIMEOUT);
+        assert!(d.gathers.is_empty());
+        let reply = read_reply(&mut client);
+        assert!(
+            matches!(&reply, CtrlReply::ClusterHistory { series, missing, .. }
+                if series == &[(0, vec![])] && missing == &[1]),
+            "{reply:?}"
+        );
     }
 }

@@ -44,7 +44,10 @@
 //!
 //! Time: [`NetCtx::now`] reports real elapsed microseconds since the
 //! transport was created, so `SimTime`/`SimDuration` bookkeeping in
-//! protocol code (timeouts, latencies) carries over unchanged.
+//! protocol code (timeouts, latencies) carries over unchanged. The clock
+//! is read when `pump` starts, when its wait returns and on entering
+//! [`Transport::with_node`]: handlers, timers and link deadlines in
+//! between see that one time, as on the simulator.
 //!
 //! Trust model: the peer plane carries **no authentication** — the
 //! sender id in each frame is self-declared, and anything that can reach
@@ -236,6 +239,9 @@ struct TimerEntry {
 /// and its [`NetCtx`] can be borrowed simultaneously.
 struct TcpCore<M> {
     epoch: Instant,
+    /// The clock as last read: when `pump` starts, when its wait returns,
+    /// and on entering `with_node` or hosting a node.
+    now: Instant,
     /// Where every known node (local or remote) listens.
     peers: HashMap<u32, SocketAddr>,
     /// Locally hosted node ids (the ones whose frames count as in-flight).
@@ -277,11 +283,7 @@ struct TcpCore<M> {
 
 impl<M: Message + Wire> TcpCore<M> {
     fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    fn now(&self) -> SimTime {
-        SimTime(self.now_us())
+        self.now.duration_since(self.epoch).as_micros() as u64
     }
 
     fn is_alive(&self, id: u32) -> bool {
@@ -311,7 +313,7 @@ impl<M: Message + Wire> TcpCore<M> {
         let queued = link.out.len() - link.sent;
         let suspect = link.failures > CONNECT_RETRIES
             && matches!(link.conn, Conn::Down)
-            && link.retry_at.is_some_and(|at| Instant::now() < at);
+            && link.retry_at.is_some_and(|at| self.now < at);
         if suspect || (queued > 0 && queued + size > OUT_BUF_CAP) {
             // In the post-failure cooldown, or the buffer is full.
             return self.drop_send(from, to);
@@ -337,7 +339,7 @@ impl<M: Message + Wire> TcpCore<M> {
         if self.pending.is_empty() {
             return;
         }
-        let now = Instant::now();
+        let now = self.now;
         let mut ids = std::mem::take(&mut self.pending);
         for to in ids.drain(..) {
             if let Some(link) = self.links.get_mut(&to) {
@@ -443,7 +445,7 @@ impl<M: Message + Wire> TcpCore<M> {
     /// Readiness on `to`'s outbound socket: the connect finished, the
     /// socket drained, or the peer hung up.
     fn link_event(&mut self, to: u32, bits: u32) {
-        let now = Instant::now();
+        let now = self.now;
         let Some(link) = self.links.get_mut(&to) else {
             return;
         };
@@ -562,7 +564,7 @@ struct TcpCtx<'a, M> {
 
 impl<M: Message + Wire> NetCtx<M> for TcpCtx<'_, M> {
     fn now(&self) -> SimTime {
-        self.core.now()
+        SimTime(self.core.now_us())
     }
     fn me(&self) -> NodeId {
         self.me
@@ -624,11 +626,13 @@ where
     pub fn new(cfg: TcpConfig) -> TcpTransport<P> {
         let (epoll, wake) = (Epoll::new(), Arc::new(WakeFd::new()));
         wake.register(&epoll, WAKE);
+        let now = Instant::now();
         TcpTransport {
             nodes: HashMap::new(),
             core: TcpCore {
                 rng: StdRng::seed_from_u64(cfg.seed),
-                epoch: Instant::now(),
+                epoch: now,
+                now,
                 peers: HashMap::new(),
                 locals: HashSet::new(),
                 alive: HashMap::new(),
@@ -704,6 +708,7 @@ where
         self.core.stats.ensure_node(id);
         self.nodes.insert(id.0, Some(node));
         self.next_id = self.next_id.max(id.0 + 1);
+        self.core.now = Instant::now();
         self.with_node_inner(id, |n, ctx| n.on_start(ctx));
         addr
     }
@@ -776,6 +781,7 @@ where
     /// a wake is not one. Everything sent meanwhile is on its socket (or
     /// waiting for `EPOLLOUT`) on return.
     pub fn pump(&mut self, max_wait: Duration) -> bool {
+        self.core.now = Instant::now();
         let mut did = self.fire_due_timers();
         self.core.flush();
         // The loop's one blocking call; a look without waiting when this
@@ -785,7 +791,7 @@ where
             wait = wait.min(Duration::from_micros(us));
         }
         if let Some(at) = self.core.next_link_deadline() {
-            wait = wait.min(at.saturating_duration_since(Instant::now()));
+            wait = wait.min(at.saturating_duration_since(self.core.now));
         }
         let core = &mut self.core;
         for listening in core.listeners.values_mut() {
@@ -794,7 +800,9 @@ where
         }
         core.host_ready.clear();
         let mut events = std::mem::take(&mut self.events);
-        for ev in self.core.epoll.wait(&mut events, wait) {
+        let ready = self.core.epoll.wait(&mut events, wait);
+        self.core.now = Instant::now();
+        for ev in ready {
             let (bits, token) = (ev.events, ev.data);
             match token {
                 // Only ends the wait. Not a message: never counted.
@@ -951,13 +959,15 @@ where
         id: NodeId,
         f: impl FnOnce(&mut P, &mut dyn NetCtx<P::Msg>) -> R,
     ) -> R {
+        self.core.now = Instant::now();
         let r = self.with_node_inner(id, f);
         self.core.flush();
         r
     }
 
+    /// A fresh reading, unlike a handler's [`NetCtx::now`].
     fn now(&self) -> SimTime {
-        self.core.now()
+        SimTime(self.core.epoch.elapsed().as_micros() as u64)
     }
 
     fn run_for(&mut self, d: SimDuration) {
@@ -1009,7 +1019,7 @@ where
             }
         }
         self.core.draining = false;
-        self.core.now()
+        SimTime(self.core.now_us())
     }
 
     fn stats(&self) -> &Stats {

@@ -1,6 +1,8 @@
 //! One contract, both hosts: what the `Transport` trait promises, checked
 //! by the same generic test on the simulator and over real sockets.
 
+use std::time::{Duration, Instant};
+
 use moara_simnet::latency::Constant;
 use moara_simnet::{NodeId, SimDuration, TimerTag};
 use moara_transport::{NetCtx, NetProtocol, SimTransport, TcpTransport, Transport};
@@ -115,6 +117,45 @@ fn in_flight_to_a_failed_node_is_dropped_unlogged<T: Transport<Echo>>(mut t: T) 
     assert!(t.take_undeliverable().is_empty());
 }
 
+/// Records, for each dispatch it gets, whether `ctx.now()` read the same
+/// time before and after a busy wait of at least 2 µs of real time.
+#[derive(Debug, Default)]
+struct Still(Vec<bool>);
+
+impl Still {
+    fn check(&mut self, ctx: &mut dyn NetCtx<u32>) {
+        let before = ctx.now();
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_micros(2) {}
+        self.0.push(ctx.now() == before);
+    }
+}
+
+impl NetProtocol for Still {
+    type Msg = u32;
+    fn on_message(&mut self, ctx: &mut dyn NetCtx<u32>, _from: NodeId, _msg: u32) {
+        self.check(ctx);
+    }
+    fn on_timer(&mut self, ctx: &mut dyn NetCtx<u32>, _tag: TimerTag) {
+        self.check(ctx);
+    }
+}
+
+/// Time holds still while a handler runs, whatever it costs: on a
+/// message, on a timer and inside `with_node`.
+fn now_holds_still_within_a_handler<T: Transport<Still>>(mut t: T) {
+    let a = t.add_node(Still::default());
+    let b = t.add_node(Still::default());
+    t.with_node(a, |n, ctx| {
+        ctx.send(b, 0);
+        ctx.set_timer(ms(1), 1);
+        n.check(ctx);
+    });
+    t.run_to_quiescence();
+    assert_eq!(t.node(a).0, [true, true]);
+    assert_eq!(t.node(b).0, [true]);
+}
+
 #[test]
 fn sim_transport_keeps_the_contract() {
     contract(SimTransport::new(Constant::from_millis(1), 1));
@@ -133,4 +174,14 @@ fn sim_drops_in_flight_to_a_failed_node_unlogged() {
 #[test]
 fn tcp_drops_in_flight_to_a_failed_node_unlogged() {
     in_flight_to_a_failed_node_is_dropped_unlogged(TcpTransport::seeded(1));
+}
+
+#[test]
+fn sim_now_holds_still_within_a_handler() {
+    now_holds_still_within_a_handler(SimTransport::new(Constant::from_millis(1), 1));
+}
+
+#[test]
+fn tcp_now_holds_still_within_a_handler() {
+    now_holds_still_within_a_handler(TcpTransport::seeded(1));
 }
