@@ -489,6 +489,39 @@ fn idle_control_connections_add_no_thread() {
     drop(idle);
 }
 
+/// Every file a running `moarad` maps, other than the binary itself, is
+/// libc, libgcc_s (unwinding) or the dynamic loader. Each shared object
+/// costs its resident pages once per daemon, on every host: a float call
+/// such as `log2` anywhere in the daemon's dependencies pulls in libm,
+/// ≈ 500 KiB a daemon, and fails here.
+#[test]
+fn moarad_maps_only_libc_libgcc_s_and_the_loader() {
+    let (guard, ctrl) = spawn_moarad(None, "ServiceX=true");
+    let (out, ok) = cli(&["--connect", &ctrl, "status"]);
+    assert!(ok, "{out}");
+    let pid = guard.0.id();
+    let exe = std::fs::read_link(format!("/proc/{pid}/exe")).expect("procfs");
+    let maps = std::fs::read_to_string(format!("/proc/{pid}/maps")).expect("procfs");
+    let mut files: Vec<&str> = maps
+        .lines()
+        .filter_map(|line| line.split_whitespace().nth(5))
+        .filter(|path| path.starts_with('/') && std::path::Path::new(path) != exe)
+        .collect();
+    files.dedup();
+    assert!(!files.is_empty(), "no shared object mapped:\n{maps}");
+    let allowed = |path: &&str| {
+        let name = path.rsplit('/').next().unwrap_or(path);
+        ["libc.so.", "libgcc_s.so.", "ld-linux"]
+            .iter()
+            .any(|lib| name.starts_with(lib))
+    };
+    let stray: Vec<&&str> = files.iter().filter(|path| !allowed(path)).collect();
+    assert!(
+        stray.is_empty(),
+        "moarad maps {stray:?}; all files: {files:?}"
+    );
+}
+
 /// CPU ticks (user + system) process `pid` has used: fields 14 and 15 of
 /// `/proc/<pid>/stat`, counted after the parenthesised command name.
 fn cpu_ticks(pid: u32) -> u64 {

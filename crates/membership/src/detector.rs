@@ -60,9 +60,10 @@ pub struct SwimConfig {
     /// Maximum piggybacked updates per message (the sender's own alive
     /// claim rides along for free on top).
     pub gossip_max: usize,
-    /// Each queued update is piggybacked on roughly
-    /// `retransmit_factor × log₂(peers)` outgoing messages before it is
-    /// dropped from the dissemination queue.
+    /// Each queued update is piggybacked on
+    /// `retransmit_factor × ⌈log₂(n + 1)⌉` outgoing messages, n =
+    /// max(1, peers) (at least one), before it is dropped from the
+    /// dissemination queue.
     pub retransmit_factor: u32,
 }
 
@@ -655,8 +656,7 @@ impl SwimDetector {
     /// worth spreading).
     fn gossip_push(&mut self, u: Update) {
         self.gossip.retain(|(q, _)| q.node != u.node);
-        let n = self.peers.len().max(1) as f64;
-        let budget = (self.cfg.retransmit_factor as f64 * (n + 1.0).log2().ceil()).max(1.0) as u32;
+        let budget = retransmit_budget(self.cfg.retransmit_factor, self.peers.len());
         self.gossip.push_back((u, budget));
     }
 
@@ -682,6 +682,16 @@ impl SwimDetector {
     }
 }
 
+/// How many outgoing messages carry one queued update:
+/// `factor × ⌈log₂(n + 1)⌉`, n = max(1, peers), and at least one. In
+/// integers, ⌈log₂(n + 1)⌉ is the exponent of the least power of two at
+/// or above n + 1, so the daemon calls no float math (and links no
+/// libm).
+fn retransmit_budget(factor: u32, peers: usize) -> u32 {
+    let rounds = (peers.max(1) + 1).next_power_of_two().trailing_zeros();
+    factor.saturating_mul(rounds).max(1)
+}
+
 impl std::fmt::Debug for SwimDetector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SwimDetector")
@@ -690,5 +700,27 @@ impl std::fmt::Debug for SwimDetector {
             .field("peers", &self.peers)
             .field("outstanding", &self.outstanding)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::retransmit_budget;
+
+    /// The integer budget is the float formula it replaced, for every
+    /// factor up to 8 and every peer count up to 2^20.
+    #[test]
+    fn the_budget_is_the_float_formula() {
+        for factor in 0..=8u32 {
+            for peers in 0..=1usize << 20 {
+                let n = peers.max(1) as f64;
+                let float = (factor as f64 * (n + 1.0).log2().ceil()).max(1.0) as u32;
+                assert_eq!(
+                    retransmit_budget(factor, peers),
+                    float,
+                    "{factor} × {peers}"
+                );
+            }
+        }
     }
 }

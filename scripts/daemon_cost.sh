@@ -19,7 +19,12 @@
 # nothing else meanwhile. A request is one the command's `qps` line
 # counts: per request = the window's delta / (qps × window). The mapping
 # rows are each daemon's Rss at the window's end, averaged over the
-# daemons.
+# daemons: one row per shared object (`moarad` and libc split by
+# permissions), and the stack and the kernel's [vdso] and [vvar] pages
+# apart from the files.
+# Beside them, from /proc/<pid>/status at the same moment: RssAnon and
+# RssFile averaged, and VmHWM (the peak resident set) averaged and
+# summed; the benchmark's `rss_mb` is that sum.
 set -eu
 
 [ $# -gt 0 ] || { sed -n '2,/^set/p' "$0" | sed '$d'; exit 2; }
@@ -71,12 +76,22 @@ maps=$(for pid in $(daemons); do cat "/proc/$pid/smaps" 2>/dev/null || true; don
         key = "anon"
         if ($6 ~ /\/moarad$/) key = "moarad " $2
         else if ($6 ~ /\/libc[.-]/) key = "libc " $2
-        else if ($6 == "[heap]") key = "[heap]"
+        else if ($6 ~ /\/libm[.-]/) key = "libm"
+        else if ($6 ~ /\/libgcc_s[.-]/) key = "libgcc_s"
+        else if ($6 ~ /\/ld-linux/) key = "ld.so"
+        else if ($6 == "[heap]" || $6 == "[stack]") key = $6
+        else if ($6 ~ /^\[/) key = "[vdso], [vvar]"
         else if ($6 != "") key = "other files"
         next
     }
     $1 == "Rss:" { kb[key] += $2; total += $2 }
     END { for (k in kb) printf "%s\t%d\n", k, kb[k]; printf "all\t%d\n", total }
+')
+status=$(for pid in $(daemons); do cat "/proc/$pid/status" 2>/dev/null || true; done | awk '
+    $1 == "VmHWM:" { hwm += $2 }
+    $1 == "RssAnon:" { anon += $2 }
+    $1 == "RssFile:" { file += $2 }
+    END { printf "%d %d %d\n", hwm, anon, file }
 ')
 wait "$run" || { cat "$out"; echo "the command failed" >&2; exit 1; }
 
@@ -94,4 +109,15 @@ awk -v u="$((u1 - u0))" -v s="$((s1 - s0))" -v o="$((o1 - o0))" -v d="$((d1 - d0
     printf "  carrying none        %8.2f /req\n", (o - d) / req
 }'
 echo "resident per daemon (KiB, smaps Rss at the window end):"
-echo "$maps" | sort | awk -F '\t' -v n="$n" '{ printf "  %-16s %8.0f\n", $1, $2 / n }'
+echo "$maps" | sort | awk -F '\t' -v n="$n" '
+    $1 == "all" { all = $2; next }
+    { printf "  %-16s %8.0f\n", $1, $2 / n }
+    END { printf "  %-16s %8.0f\n", "all", all / n }
+'
+echo "per daemon (KiB, /proc/<pid>/status at the window end):"
+set -- $status
+awk -v hwm="$1" -v anon="$2" -v file="$3" -v n="$n" 'BEGIN {
+    printf "  %-16s %8.0f\n", "RssAnon", anon / n
+    printf "  %-16s %8.0f\n", "RssFile", file / n
+    printf "  %-16s %8.0f (summed: %.2f MB, as rss_mb counts)\n", "VmHWM", hwm / n, hwm * 1024 / 1e6
+}'

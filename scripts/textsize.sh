@@ -11,8 +11,10 @@
 # counts as `core`; methods of primitive types (`<str>::…`, `<[u8]>::…`)
 # count as `core` too. C symbols without a path (libc's, the
 # allocator's) are `(no path)`. The first line is the symbols' sum; the
-# last two are the `.text` section and `size`'s text, the segment that
-# also holds read-only data and unwind tables.
+# next two are the `.text` section and `size`'s text, the segment that
+# also holds read-only data and unwind tables. Last come the shared
+# objects the binary needs (`readelf -d`'s NEEDED entries): each one is
+# mapped, and partly resident, in every process that runs it.
 set -eu
 
 if [ $# -eq 0 ]; then
@@ -46,3 +48,4 @@ nm -C -S -t d "$bin" | awk '
 ' | sort -rn
 size -A -d "$bin" | awk '$1 == ".text" { printf "%10d %s\n", $2, "(.text section, size -A)" }'
 size "$bin" | awk 'NR == 2 { printf "%10d %s\n", $1, "(text, size)" }'
+readelf -d "$bin" | awk '$2 == "(NEEDED)" { gsub(/[][]/, "", $5); printf "%10s %s\n", "NEEDED", $5 }'
