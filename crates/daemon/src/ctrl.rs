@@ -424,23 +424,23 @@ impl CtrlPort {
         self.epoll.as_raw_fd()
     }
 
-    /// How long the loop may block before the port needs a turn its fd
-    /// does not signal: none while an answered connection waits to read
-    /// on, the rest of the pause while the listener sits one out.
-    pub(crate) fn wait_bound(&self) -> Option<Duration> {
+    /// How long past `now` the loop may block before the port needs a
+    /// turn its fd does not signal: none while an answered connection
+    /// waits to read on, the rest of the pause the listener sits out.
+    pub(crate) fn wait_bound(&self, now: Instant) -> Option<Duration> {
         match self.resume.is_empty() {
             false => Some(Duration::ZERO),
-            true => self.listening.paused_for(),
+            true => self.listening.paused_for(now),
         }
     }
 
-    /// One turn, never blocking: reads on where an answer left a
+    /// One turn at `now`, never blocking: reads on where an answer left a
     /// connection idle and — when the loop saw the port's fd `ready` —
     /// accepts and serves what is ready. No syscall unless there is
     /// something to do.
-    pub(crate) fn turn(&mut self, ready: bool) -> Vec<CtrlEvent> {
+    pub(crate) fn turn(&mut self, ready: bool, now: Instant) -> Vec<CtrlEvent> {
         let mut events = Vec::new();
-        self.listening.resume(&self.epoll);
+        self.listening.resume(&self.epoll, now);
         for id in std::mem::take(&mut self.resume) {
             self.advance(id, 0, &mut events);
         }
@@ -448,7 +448,7 @@ impl CtrlPort {
             let mut buf = [EpollEvent::default(); 64];
             for ev in self.epoll.wait(&mut buf, Duration::ZERO) {
                 match ev.data {
-                    LISTENER => self.accept(),
+                    LISTENER => self.accept(now),
                     id => self.advance(id, ev.events, &mut events),
                 }
             }
@@ -457,9 +457,9 @@ impl CtrlPort {
     }
 
     /// Takes every queued connection into the set.
-    fn accept(&mut self) {
+    fn accept(&mut self, now: Instant) {
         let wants = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
-        while let Some(stream) = self.listening.accept(&self.epoll) {
+        while let Some(stream) = self.listening.accept(&self.epoll, now) {
             let (id, fd) = (self.next_id, stream.as_raw_fd());
             self.next_id += 1;
             let _ = stream.set_nodelay(true);

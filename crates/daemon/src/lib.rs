@@ -65,7 +65,7 @@ use rand::{Rng, SeedableRng};
 
 use moara_attributes::Value;
 use moara_core::{DeliveryPolicy, Directory, MoaraConfig, MoaraMsg, MoaraNode};
-use moara_gateway::{CacheConfig, GatewayHandle, GatewayOpts, GatewayStats, LoopEdge, QueryCache};
+use moara_gateway::{CacheConfig, GatewayHandle, GatewayOpts, GatewayStats, QueryCache};
 use moara_membership::{SwimConfig, SwimDetector};
 use moara_query::{parse_query, Query};
 use moara_simnet::{NodeId, SimDuration, SimTime};
@@ -454,11 +454,12 @@ impl Daemon {
             }
         }
 
+        let now = Instant::now();
         // The HTTP edge: any client that can speak HTTP/1.1 (a browser, a
         // load balancer's health checks, a Prometheus scraper) enters
         // through here; a connection that needs the daemon moves onto the
         // same single-threaded loop as control requests. See
-        // `docs/gateway.md`.
+        // `docs/gateway.md`. Its sweeps count from the daemon's `now`.
         let (gw_handle, gw_edge, query_cache) = match opts.http {
             None => (None, None, None),
             Some(addr) => {
@@ -478,6 +479,7 @@ impl Daemon {
                 let (handle, edge) = moara_gateway::spawn_gateway_opts(
                     listener,
                     Arc::new(move || wake.wake()),
+                    now,
                     GatewayOpts {
                         rate_limit: opts.gw_rate_limit,
                         request_timeout: Duration::from_millis(opts.gw_request_timeout_ms.max(1)),
@@ -511,7 +513,6 @@ impl Daemon {
             }));
         }
 
-        let now = Instant::now();
         let mut daemon = Daemon {
             transport,
             me,
@@ -617,8 +618,8 @@ impl Daemon {
     /// short by the next tick, the next gather deadline and the client
     /// sockets' next turn, all measured from `now`.
     fn pump(&mut self, max_wait: Duration, now: Instant) -> bool {
-        let ctrl = self.ports.ctrl.as_ref().and_then(CtrlPort::wait_bound);
-        let edge = self.ports.http.as_ref().and_then(LoopEdge::wait_bound);
+        let ctrl = self.ports.ctrl.as_ref().and_then(|p| p.wait_bound(now));
+        let edge = self.ports.http.as_ref().and_then(|e| e.wait_bound(now));
         let gathers = self.gathers.values().map(|g| g.deadline);
         let next = gathers.fold(self.next_tick, Instant::min);
         let wait = [Some(next.saturating_duration_since(now)), ctrl, edge];

@@ -300,9 +300,8 @@ impl Daemon {
         let Some(port) = self.ports.ctrl.as_mut() else {
             return 0;
         };
-        let ready = self.transport.host_ready(port.fd());
         let mut served = 0;
-        for event in port.turn(ready) {
+        for event in port.turn(self.transport.host_ready(port.fd()), self.now) {
             match event {
                 CtrlEvent::Request(conn, req) => {
                     served += 1;
@@ -327,7 +326,7 @@ impl Daemon {
         };
         let ready = self.transport.host_ready(edge.fd());
         let mut asks = Vec::new();
-        edge.pump(ready, |conn, req| asks.push((conn, req)));
+        edge.pump(ready, self.now, |conn, req| asks.push((conn, req)));
         let count = asks.len();
         for (conn, req) in asks {
             match gw_request(req, || self.exemplar_entries()) {
@@ -804,6 +803,8 @@ mod tests {
     use super::*;
     use moara_wire::{read_frame, Wire};
     use std::net::TcpStream;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
 
     /// A client on `d`'s control port, once the port holds its
     /// connection: the daemon's first, id 1. The steps that take it in
@@ -1109,5 +1110,81 @@ mod tests {
                 if series == &[(0, vec![])] && missing == &[1]),
             "{reply:?}"
         );
+    }
+
+    /// The daemon's HTTP edge on the step's clock. With a 500 ms request
+    /// deadline, a `/v1/cluster/history` waiting on a silent member, read
+    /// on the loop at t1, has no 408 at t1 + 499 ms and has it at t1 +
+    /// 600 ms, one sweep later. The gather still ends at its own
+    /// `GATHER_TIMEOUT`, and its reply, for a connection gone, is dropped.
+    #[test]
+    fn the_edge_answers_408_on_the_steps_clock() {
+        use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+        let ms = Duration::from_millis;
+        let any = "127.0.0.1:0".parse().unwrap();
+        let opts = crate::DaemonOpts {
+            http: Some(any),
+            gw_request_timeout_ms: 500,
+            ..crate::DaemonOpts::new(any)
+        };
+        let mut d = Daemon::start(opts).expect("daemon boots");
+        let silent = std::net::TcpListener::bind(any).unwrap();
+        let addr = silent.local_addr().unwrap();
+        d.members.push(crate::Member {
+            node: 1,
+            ring_id: 7,
+            addr: addr.to_string(),
+            incarnation: 0,
+            alive: true,
+        });
+        d.transport.register_peer(NodeId(1), addr);
+        let stats = Arc::clone(d.gateway_stats().expect("gateway enabled"));
+        let mut client = TcpStream::connect(d.http_addr().expect("gateway enabled")).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+
+        // A `/healthz` moves the connection to the loop, and the step that
+        // takes it from the door answers it.
+        let t0 = d.now;
+        client.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let at_door = |stats: &moara_gateway::GatewayStats| {
+            let (moved, queued) = (&stats.handovers, &stats.queued_jobs);
+            moved.load(Ordering::Relaxed) == 0 || queued.load(Ordering::Relaxed) > 0
+        };
+        while at_door(&stats) {
+            assert!(Instant::now() < deadline, "never handed over");
+            d.step_at(ms(1), t0);
+        }
+        let mut health = String::new();
+        while !health.ends_with("}\n") {
+            assert!(reader.read_line(&mut health).unwrap() > 0, "{health}");
+        }
+        assert!(health.starts_with("HTTP/1.1 200 "), "{health}");
+
+        // Read on the loop at t1: the gather asks the silent member.
+        let t1 = t0 + ms(200);
+        let history = "GET /v1/cluster/history?metric=tick_p99_us HTTP/1.1\r\n\r\n";
+        client.write_all(history.as_bytes()).unwrap();
+        while d.gathers.is_empty() {
+            assert!(Instant::now() < deadline, "the read never asked");
+            d.step_at(ms(1), t1);
+        }
+        let timeouts = || stats.request_timeouts.load(Ordering::Relaxed);
+        d.step_at(Duration::ZERO, t1 + ms(499));
+        assert_eq!(timeouts(), 0);
+        d.step_at(Duration::ZERO, t1 + ms(600));
+        assert_eq!(timeouts(), 1);
+        let mut late = String::new();
+        reader.read_to_string(&mut late).expect("the 408 closes it");
+        assert!(late.starts_with("HTTP/1.1 408 "), "{late}");
+
+        d.step_at(Duration::ZERO, t1 + GATHER_TIMEOUT - ms(1));
+        assert_eq!(d.gathers.len(), 1);
+        d.step_at(Duration::ZERO, t1 + GATHER_TIMEOUT);
+        assert!(d.gathers.is_empty());
+        assert_eq!(stats.handovers.load(Ordering::Relaxed), 1);
     }
 }

@@ -30,7 +30,11 @@
 //! slowloris and write-stall sweeps, SSE framing. They differ (`Host`) in
 //! where new connections come from and what becomes of a request for the
 //! daemon. Every one-shot answer leaves through `answer`, which counts,
-//! times and access-logs it.
+//! times and access-logs it on the wall clock. A shard reads the clock
+//! once a turn, after its `epoll_wait`; the loop passes its step's. Every
+//! rule reads that `now` (the 408 deadline, the header, idle and
+//! write-stall timeouts, the rate limit, the cache's freshness); a
+//! timeout acts at the first sweep at or after it, ≤ 100 ms late.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -84,11 +88,11 @@ const IN_BUF_CAP: usize = crate::http::MAX_BODY + 64 * 1024;
 /// Most unsent output buffered per connection before it is declared a
 /// dead slow consumer (an SSE client that stopped reading must not
 /// grow a frame queue without bound).
-const OUT_BUF_CAP: usize = 1024 * 1024;
+pub(crate) const OUT_BUF_CAP: usize = 1024 * 1024;
 
 /// How long a connection with pending output may make zero write
 /// progress before it is closed.
-const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(10);
+pub(crate) const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// What a request is counted and timed as: one closed set, in scrape
 /// order. `Other` takes every request answered before it routes (404,
@@ -472,6 +476,8 @@ enum Host {
 /// What the connection helpers share on one host (split from the
 /// connection map so they can borrow a `Conn` mutably alongside it).
 struct Ctx {
+    /// The turn's one clock reading, which every rule reads.
+    now: Instant,
     stats: Arc<GatewayStats>,
     limiter: Option<Arc<TokenBuckets>>,
     opts: GatewayOpts,
@@ -480,8 +486,8 @@ struct Ctx {
 
 impl Ctx {
     /// The rate-limit step: false, and counted, when `ip` has no token.
-    fn admit(&self, ip: IpAddr, now: Instant) -> bool {
-        let admitted = self.limiter.as_ref().is_none_or(|l| l.allow(ip, now));
+    fn admit(&self, ip: IpAddr) -> bool {
+        let admitted = self.limiter.as_ref().is_none_or(|l| l.allow(ip, self.now));
         if !admitted {
             self.stats.rate_limited.fetch_add(1, Ordering::Relaxed);
         }
@@ -502,20 +508,20 @@ struct Conns {
 }
 
 impl Conns {
-    /// One turn: waits up to `timeout`, adopts what came in (what a shard
-    /// accepts, what is at the loop's door), reads each ready connection
-    /// once and handles the requests that read completes, sweeps when due.
-    fn turn(&mut self, events: &mut [EpollEvent], timeout: Duration) {
-        let ready = self.epoll.wait(events, timeout);
+    /// One turn at `ctx.now` on what a wait found `ready`: adopts what came
+    /// in (what a shard accepts, what is at the loop's door), reads each
+    /// ready connection once, handles what that completes, sweeps if due.
+    fn turn(&mut self, ready: &[EpollEvent]) {
+        let now = self.ctx.now;
         let arrived = match &mut self.ctx.host {
             Host::Loop(door) => door.take(),
             Host::Shard(listening, _) => {
-                listening.resume(&self.epoll);
+                listening.resume(&self.epoll, now);
                 let mut streams = Vec::new();
                 if ready.iter().any(|ev| ev.data == LISTENER_TOKEN) {
                     // Until there is none to take (a `from_fn` stop) or a
                     // full batch.
-                    let accept = || listening.accept(&self.epoll);
+                    let accept = || listening.accept(&self.epoll, now);
                     streams.extend(std::iter::from_fn(accept).take(ACCEPT_BATCH));
                 }
                 let ctx = &self.ctx;
@@ -573,10 +579,10 @@ impl Conns {
                 conn.dead = true;
             }
             if !conn.dead && bits & EPOLLOUT != 0 {
-                conn.flush();
+                conn.flush(ctx.now);
             }
             if !conn.dead && bits & (EPOLLIN | EPOLLHUP | EPOLLRDHUP) != 0 {
-                conn.fill();
+                conn.fill(ctx.now);
                 if !conn.dead {
                     advance(ctx, conn);
                 }
@@ -632,15 +638,10 @@ impl Conns {
         }
     }
 
-    /// How long the host may wait before the next sweep is due.
-    fn until_sweep(&self) -> Duration {
-        self.next_sweep.saturating_duration_since(Instant::now())
-    }
-
-    /// The periodic scan, when due: idle keep-alive closes, slowloris
-    /// header timeouts, per-request deadlines, stalled writes.
+    /// The periodic scan, when due by `ctx.now`: idle keep-alive closes,
+    /// slowloris header timeouts, per-request deadlines, stalled writes.
     fn sweep_if_due(&mut self) {
-        let now = Instant::now();
+        let now = self.ctx.now;
         if now < self.next_sweep {
             return;
         }
@@ -672,9 +673,7 @@ impl Conns {
                 }
             }
             if let Some(t0) = conn.write_stalled_since {
-                if now.saturating_duration_since(t0) > WRITE_STALL_TIMEOUT {
-                    conn.dead = true;
-                }
+                conn.dead |= now.saturating_duration_since(t0) > WRITE_STALL_TIMEOUT;
             }
             self.finalize(id);
         }
@@ -706,7 +705,7 @@ impl Conns {
 /// Spawns the gateway's reactor shards (one a core, at most eight), each
 /// accepting from `listener` itself; returns the handle and the event
 /// loop's side, the [`LoopEdge`]. A shard calls `wake` after each
-/// hand-over.
+/// hand-over. Every host's first sweep falls due `SWEEP_EVERY` past `now`.
 ///
 /// # Panics
 ///
@@ -716,6 +715,7 @@ impl Conns {
 pub fn spawn_gateway_opts(
     listener: TcpListener,
     wake: Wake,
+    now: Instant,
     opts: GatewayOpts,
 ) -> (GatewayHandle, LoopEdge) {
     listen_nonblocking(&listener, BACKLOG).expect("gateway listener");
@@ -730,8 +730,9 @@ pub fn spawn_gateway_opts(
         epoll,
         map: HashMap::new(),
         next_id: LISTENER_TOKEN + 1,
-        next_sweep: Instant::now() + SWEEP_EVERY,
+        next_sweep: now + SWEEP_EVERY,
         ctx: Ctx {
+            now,
             stats: Arc::clone(&stats),
             limiter: limiter.clone(),
             opts: opts.clone(),
@@ -759,8 +760,11 @@ pub fn spawn_gateway_opts(
             .spawn(move || {
                 let mut events = vec![EpollEvent::default(); 512];
                 while !stop.load(Ordering::SeqCst) {
-                    let timeout = conns.until_sweep().max(Duration::from_millis(1));
-                    conns.turn(&mut events, timeout);
+                    // Never zero: a due sweep moves `next_sweep` past `now`.
+                    let wait = conns.next_sweep.saturating_duration_since(conns.ctx.now);
+                    let ready = conns.epoll.wait(&mut events, wait);
+                    conns.ctx.now = Instant::now(); // the turn's one clock reading
+                    conns.turn(ready);
                 }
                 // Stopping: the sockets close, and with the last shard's
                 // hold, the listener.
@@ -796,20 +800,22 @@ impl LoopEdge {
         self.conns.epoll.as_raw_fd()
     }
 
-    /// One turn of the loop's connections, never blocking, when it has
-    /// work: the loop saw the set's fd `ready`, a connection waits at
-    /// the door, or [`LoopEdge::wait_bound`] is zero (a reply let a
-    /// pipelined request through, or the sweep is due). A step with none
-    /// of these makes no syscall here. Hands each request for the daemon
-    /// to `serve`, under its connection's panic isolation.
-    pub fn pump(&mut self, ready: bool, mut serve: impl FnMut(u64, GwRequest)) {
+    /// One turn of the loop's connections at the step's `now`, which
+    /// [`LoopEdge::write`] then answers at too, never blocking, when it has
+    /// work: the set's fd was `ready`, a connection waits at the door, or
+    /// [`LoopEdge::wait_bound`] is zero (a reply let a pipelined request
+    /// through, or the sweep is due); else no syscall. Hands each request
+    /// for the daemon to `serve`, under its connection's panic isolation.
+    pub fn pump(&mut self, ready: bool, now: Instant, mut serve: impl FnMut(u64, GwRequest)) {
+        self.conns.ctx.now = now;
         let arrived = matches!(&self.conns.ctx.host, Host::Loop(door) if door.waiting());
-        if !(ready || arrived || self.wait_bound() == Some(Duration::ZERO)) {
+        if !(ready || arrived || self.wait_bound(now) == Some(Duration::ZERO)) {
             return;
         }
         self.turns += 1;
         let mut events = [EpollEvent::default(); 64];
-        self.conns.turn(&mut events, Duration::ZERO);
+        let ready = self.conns.epoll.wait(&mut events, Duration::ZERO);
+        self.conns.turn(ready);
         for (id, req) in std::mem::take(&mut self.conns.asks) {
             self.conns.on_conn(id, |_, _| serve(id, req));
         }
@@ -820,14 +826,15 @@ impl LoopEdge {
         self.turns
     }
 
-    /// How long the loop may block before this edge needs a turn: none
-    /// when a reply let a pipelined request through, else until the next
-    /// sweep while it hosts connections.
-    pub fn wait_bound(&self) -> Option<Duration> {
+    /// How long past `now` the loop may block before this edge needs a
+    /// turn: none when a reply let a pipelined request through, else
+    /// until the next sweep while it hosts connections.
+    pub fn wait_bound(&self, now: Instant) -> Option<Duration> {
         if !self.conns.asks.is_empty() {
             return Some(Duration::ZERO);
         }
-        (!self.conns.map.is_empty()).then(|| self.conns.until_sweep())
+        let until_sweep = self.conns.next_sweep.saturating_duration_since(now);
+        (!self.conns.map.is_empty()).then_some(until_sweep)
     }
 
     /// Writes one reply to connection `conn` now (a one-shot answer, a
@@ -885,7 +892,7 @@ impl Conn {
             close_after_write: false,
             dead: false,
             interest_out: false,
-            last_activity: Instant::now(),
+            last_activity: ctx.now,
             header_started: None,
             write_stalled_since: None,
         })
@@ -903,14 +910,14 @@ impl Conn {
         }
     }
 
-    /// One read, appended to the input buffer; what it leaves keeps the
-    /// connection ready for its host's next turn.
-    fn fill(&mut self) {
+    /// One read at `now`, appended to the input buffer; what it leaves
+    /// keeps the connection ready for its host's next turn.
+    fn fill(&mut self, now: Instant) {
         let mut chunk = [0u8; READ_CHUNK];
         match self.stream.read(&mut chunk) {
             Ok(0) => self.dead = true,
             Ok(n) => {
-                self.last_activity = Instant::now();
+                self.last_activity = now;
                 match self.phase {
                     // Mid-stream client bytes on an SSE connection carry
                     // no meaning; discard instead of buffering.
@@ -925,8 +932,8 @@ impl Conn {
         }
     }
 
-    /// Writes buffered output until `WouldBlock` or drained.
-    fn flush(&mut self) {
+    /// Writes buffered output at `now` until `WouldBlock` or drained.
+    fn flush(&mut self, now: Instant) {
         while self.out_pos < self.buf_out.len() {
             match self.stream.write(&self.buf_out[self.out_pos..]) {
                 Ok(0) => {
@@ -936,12 +943,10 @@ impl Conn {
                 Ok(n) => {
                     self.out_pos += n;
                     self.write_stalled_since = None;
-                    self.last_activity = Instant::now();
+                    self.last_activity = now;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if self.write_stalled_since.is_none() {
-                        self.write_stalled_since = Some(Instant::now());
-                    }
+                    self.write_stalled_since.get_or_insert(now);
                     break;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -985,7 +990,7 @@ fn answer(ctx: &Ctx, conn: &mut Conn, req: &Req, response: HttpResponse, keep_al
     if !keep_alive {
         conn.close_after_write = true;
     }
-    conn.flush();
+    conn.flush(ctx.now);
     account(ctx, conn, req, response.status, bytes);
 }
 
@@ -1015,18 +1020,13 @@ fn advance(ctx: &Ctx, conn: &mut Conn) {
         }
         match parse_request(&conn.buf_in) {
             ParseStep::Incomplete => {
-                conn.header_started = if conn.buf_in.is_empty() {
-                    None
-                } else if conn.header_started.is_none() {
-                    Some(Instant::now())
-                } else {
-                    conn.header_started
-                };
+                let started = conn.header_started.unwrap_or(ctx.now);
+                conn.header_started = (!conn.buf_in.is_empty()).then_some(started);
                 return;
             }
             ParseStep::Reject { status, msg } => {
                 // The body boundary is unknowable: answer and close.
-                let req = Req::unparsed(&conn.buf_in, Instant::now());
+                let req = Req::unparsed(&conn.buf_in, ctx.now);
                 conn.buf_in.clear();
                 conn.header_started = None;
                 return answer(ctx, conn, &req, HttpResponse::error(status, msg), false);
@@ -1048,8 +1048,8 @@ fn advance(ctx: &Ctx, conn: &mut Conn) {
 /// by `Conns::sweep_if_due` and [`respond`]. Each answer is [`answer`]ed,
 /// which counts, times and logs it.
 fn handle_request(ctx: &Ctx, conn: &mut Conn, http: HttpRequest) {
-    let started = Instant::now();
-    let routed = if !ctx.admit(conn.ip, started) {
+    let started = ctx.now;
+    let routed = if !ctx.admit(conn.ip) {
         Err(HttpResponse::error(429, "rate limit exceeded"))
     } else if http.method == "OPTIONS" {
         Err(HttpResponse::text(200, "text/plain; charset=utf-8", "").with_allow(ALLOWED_METHODS))
@@ -1106,7 +1106,7 @@ fn respond(ctx: &Ctx, conn: &mut Conn, reply: GwReply) {
         // The reply exists but missed its deadline: the middleware
         // answer is still 408, whether or not a sweep got to the
         // connection first.
-        Phase::Await(p) if Instant::now() >= p.deadline => time_out(ctx, conn, p),
+        Phase::Await(p) if ctx.now >= p.deadline => time_out(ctx, conn, p),
         Phase::Await(p) if p.slot.is_none() => {
             let req = p.finish();
             answer(ctx, conn, &req, render_reply(reply), req.keep_alive);
@@ -1125,12 +1125,12 @@ fn respond(ctx: &Ctx, conn: &mut Conn, reply: GwReply) {
             );
             conn.phase = Phase::Sse(p);
             sse_forward(ctx, conn, reply);
-            conn.flush();
+            conn.flush(ctx.now);
         }
         Phase::Sse(p) => {
             conn.phase = Phase::Sse(p);
             sse_forward(ctx, conn, reply);
-            conn.flush();
+            conn.flush(ctx.now);
         }
         // Nothing asked: a stray reply has no request to answer.
         Phase::Ready => {}

@@ -11,9 +11,9 @@ mod tests {
     use std::thread::ThreadId;
     use std::time::{Duration, Instant};
 
-    use crate::api::{parse_attr_body, parse_policy};
+    use crate::api::{parse_attr_body, parse_policy, render_reply, sse_frame};
     use crate::epoll::{listen_nonblocking, Epoll, EpollEvent, WakeFd, EPOLLIN};
-    use crate::reactor::{Endpoint, BACKLOG};
+    use crate::reactor::{Endpoint, BACKLOG, OUT_BUF_CAP, WRITE_STALL_TIMEOUT};
     use crate::{
         access_log_line, spawn_gateway_opts, AccessLogSink, EndpointLatency, GatewayHandle,
         GatewayOpts, GwReply, GwRequest, LoopEdge, SinkClosed, WatchPolicy,
@@ -79,7 +79,7 @@ mod tests {
         respond: impl Fn(GwRequest, Reply) + Send + 'static,
     ) -> GatewayHandle {
         let wake = Arc::new(WakeFd::new());
-        let (gw, mut edge) = spawn_waking(&wake, opts);
+        let (gw, mut edge) = spawn_waking(&wake, Instant::now(), opts);
         let (cmds, todo) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let epoll = Epoll::new();
@@ -89,9 +89,10 @@ mod tests {
             let mut events = [EpollEvent::default(); 4];
             loop {
                 let idle = Duration::from_secs(1);
-                let woke = epoll.wait(&mut events, edge.wait_bound().unwrap_or(idle));
+                let bound = edge.wait_bound(Instant::now());
+                let woke = epoll.wait(&mut events, bound.unwrap_or(idle));
                 let ready = woke.iter().any(|ev| ev.data == 1);
-                edge.pump(ready, |conn, req| {
+                edge.pump(ready, Instant::now(), |conn, req| {
                     let stream = matches!(req, GwRequest::Watch { .. });
                     let (cmds, wake) = (cmds.clone(), Arc::clone(&wake));
                     let reply = Reply {
@@ -117,16 +118,20 @@ mod tests {
         gw
     }
 
-    /// The one entry point, its door waking `wake`.
-    fn spawn_waking(wake: &Arc<WakeFd>, opts: GatewayOpts) -> (GatewayHandle, LoopEdge) {
+    /// The one entry point at `now`, its door waking `wake`.
+    fn spawn_waking(
+        wake: &Arc<WakeFd>,
+        now: Instant,
+        opts: GatewayOpts,
+    ) -> (GatewayHandle, LoopEdge) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let wake = Arc::clone(wake);
-        spawn_gateway_opts(listener, Arc::new(move || wake.wake()), opts)
+        spawn_gateway_opts(listener, Arc::new(move || wake.wake()), now, opts)
     }
 
     /// A gateway whose daemon is gone: its loop edge is dropped at once.
     fn spawn_daemonless(opts: GatewayOpts) -> GatewayHandle {
-        spawn_waking(&Arc::new(WakeFd::new()), opts).0
+        spawn_waking(&Arc::new(WakeFd::new()), Instant::now(), opts).0
     }
 
     fn roundtrip(addr: SocketAddr, raw: &str) -> String {
@@ -546,32 +551,6 @@ mod tests {
         assert_eq!(statuses[2], "429", "{statuses:?}");
         assert_eq!(gw.stats().rate_limited.load(Ordering::Relaxed), 1);
         assert!(gw.stats().errors.load(Ordering::Relaxed) >= 1);
-    }
-
-    /// Middleware: a request the daemon never answers times out with 408
-    /// after `request_timeout`, counted in `request_timeouts`.
-    #[test]
-    fn unanswered_request_times_out_with_408() {
-        let held: Arc<Mutex<Vec<Reply>>> = Arc::new(Mutex::new(Vec::new()));
-        let held2 = Arc::clone(&held);
-        let gw = test_gateway_opts(
-            GatewayOpts {
-                request_timeout: Duration::from_millis(50),
-                ..GatewayOpts::default()
-            },
-            move |_req, reply| {
-                held2.lock().unwrap().push(reply); // never answer
-            },
-        );
-        let resp = roundtrip(
-            gw.addr(),
-            "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
-        );
-        assert!(resp.starts_with("HTTP/1.1 408 "), "{resp}");
-        assert_eq!(gw.stats().request_timeouts.load(Ordering::Relaxed), 1);
-        // The daemon's held sink now fails its sends: hang-up observed.
-        let sink = held.lock().unwrap().pop().unwrap();
-        assert!(sink.send(GwReply::Keepalive).is_err());
     }
 
     /// Middleware: a poisoned request kills its own connection only —
@@ -1220,28 +1199,6 @@ mod tests {
         assert_eq!(jobs.load(Ordering::SeqCst), 0, "nothing reached the daemon");
     }
 
-    /// The deadline holds for a reply that does come, only late.
-    #[test]
-    fn a_reply_after_its_deadline_answers_408() {
-        let gw = test_gateway_opts(
-            GatewayOpts {
-                request_timeout: Duration::from_millis(1),
-                ..GatewayOpts::default()
-            },
-            |_req, reply| {
-                std::thread::sleep(Duration::from_millis(20));
-                let _ = reply.send(GwReply::Health {
-                    node: 0,
-                    members: 1,
-                    alive: 1,
-                });
-            },
-        );
-        let raw = "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
-        assert_eq!(status_and_body(gw.addr(), raw).0, 408);
-        assert_eq!(gw.stats().request_timeouts.load(Ordering::Relaxed), 1);
-    }
-
     /// A keep-alive connection whose first request, `/healthz`, moved it
     /// to the loop, and a reader on it.
     fn moved_conn(gw: &GatewayHandle) -> (TcpStream, BufReader<TcpStream>) {
@@ -1276,73 +1233,363 @@ mod tests {
     }
 
     fn health(reply: &Reply) {
-        let _ = reply.send(GwReply::Health {
-            node: 0,
-            members: 1,
-            alive: 1,
-        });
+        let _ = reply.send(HEALTH);
     }
 
-    /// The deadline on a connection the loop hosts: a request never
-    /// answered and one answered late both get 408, and the late reply
-    /// finds the connection gone.
-    #[test]
-    fn on_the_loop_a_deadline_and_a_late_reply_answer_408() {
-        let held: Arc<Mutex<Vec<Reply>>> = Arc::new(Mutex::new(Vec::new()));
-        let held2 = Arc::clone(&held);
-        let gw = test_gateway_opts(
-            GatewayOpts {
-                request_timeout: Duration::from_millis(300),
-                ..GatewayOpts::default()
-            },
-            move |req, reply| match req {
-                GwRequest::Health => health(&reply),
-                GwRequest::Query { q } if q == "late" => {
-                    std::thread::sleep(Duration::from_millis(400));
-                    health(&reply);
-                }
-                _ => held2.lock().unwrap().push(reply), // never answered
-            },
-        );
-        let (s, mut reader) = moved_conn(&gw);
-        (&s).write_all(b"GET /v1/query?q=never HTTP/1.1\r\n\r\n")
-            .unwrap();
-        assert_eq!(read_response(&mut reader, false).0, 408);
-        let sink = held.lock().unwrap().pop().unwrap();
-        assert!(sink.send(GwReply::Keepalive).is_err());
-        let (s, mut reader) = moved_conn(&gw);
-        (&s).write_all(b"GET /v1/query?q=late HTTP/1.1\r\n\r\n")
-            .unwrap();
-        let mut late = String::new();
-        let _ = reader.read_to_string(&mut late);
-        assert!(late.starts_with("HTTP/1.1 408 "), "{late}");
-        assert_eq!(gw.stats().request_timeouts.load(Ordering::Relaxed), 2);
-        // Each connection moved once, with its first request.
-        assert_eq!(gw.stats().handovers.load(Ordering::Relaxed), 2);
+    /// What the tests below answer `/healthz` with.
+    const HEALTH: GwReply = GwReply::Health {
+        node: 0,
+        members: 1,
+        alive: 1,
+    };
+
+    /// A gateway whose loop edge the test thread hosts at times the test
+    /// sets, the way `Daemon::step_at` drives a daemon: the edge's rules
+    /// read those times alone, so a test pins each rule's boundary to the
+    /// millisecond and never sleeps. A step waits only for a socket to be
+    /// ready, and only when asked to.
+    struct Clocked {
+        gw: GatewayHandle,
+        edge: LoopEdge,
+        /// The edge's fd (token 1) and the door's wake (token 0).
+        epoll: Epoll,
+        _wake: Arc<WakeFd>,
     }
 
-    /// Slowloris on a connection the loop hosts: a head that dribbles in
-    /// after a served request is answered 408 by the loop's sweep.
-    #[test]
-    fn on_the_loop_slowloris_headers_time_out() {
-        let gw = test_gateway_opts(
-            GatewayOpts {
-                header_timeout: Duration::from_millis(200),
-                ..GatewayOpts::default()
-            },
-            |req, reply| {
-                if let GwRequest::Health = req {
-                    health(&reply);
+    /// A client, and a reader on its connection.
+    type Client = (TcpStream, BufReader<TcpStream>);
+
+    impl Clocked {
+        /// A gateway spawned at `t0`: its first sweep falls due 100 ms on.
+        fn spawn(t0: Instant, opts: GatewayOpts) -> Clocked {
+            let wake = Arc::new(WakeFd::new());
+            let (gw, edge) = spawn_waking(&wake, t0, opts);
+            let epoll = Epoll::new();
+            wake.register(&epoll, 0);
+            epoll.add(edge.fd(), EPOLLIN, 1).unwrap();
+            Clocked {
+                gw,
+                edge,
+                epoll,
+                _wake: wake,
+            }
+        }
+
+        /// One step at `now`: waits up to `wait` for the edge's fd or the
+        /// door, then pumps the edge. The turns it took (0 or 1) and the
+        /// requests it handed to the daemon.
+        fn step(&mut self, now: Instant, wait: Duration) -> (u64, Vec<(u64, GwRequest)>) {
+            let mut events = [EpollEvent::default(); 4];
+            let woke = self.epoll.wait(&mut events, wait);
+            let ready = woke.iter().any(|ev| ev.data == 1);
+            let (before, mut asks) = (self.edge.turns(), Vec::new());
+            self.edge
+                .pump(ready, now, |conn, req| asks.push((conn, req)));
+            (self.edge.turns() - before, asks)
+        }
+
+        /// Steps at `now` until the edge hands the daemon a request: one a
+        /// client just wrote, or a connection's at the door.
+        fn ask(&mut self, now: Instant) -> (u64, GwRequest) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while Instant::now() < deadline {
+                let (_, mut asks) = self.step(now, Duration::from_secs(10));
+                if let Some(ask) = asks.pop() {
+                    assert!(asks.is_empty(), "{asks:?}");
+                    return ask;
                 }
-            },
+            }
+            panic!("no request for the daemon");
+        }
+
+        /// The step at `now` that reads what a client just wrote: no
+        /// request for the daemon.
+        fn read(&mut self, now: Instant) {
+            assert_eq!(self.step(now, Duration::from_secs(10)), (1, Vec::new()));
+        }
+
+        /// A step at `now` that sweeps, and reads nothing.
+        fn sweep(&mut self, now: Instant) {
+            assert_eq!(
+                self.edge.wait_bound(now),
+                Some(Duration::ZERO),
+                "no sweep due"
+            );
+            assert_eq!(self.step(now, Duration::ZERO), (1, Vec::new()));
+        }
+
+        /// A keep-alive client whose first request, `/healthz`, moved its
+        /// connection here, answered at `now`; the connection's id.
+        fn moved(&mut self, now: Instant) -> (u64, Client) {
+            let s = TcpStream::connect(self.gw.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut reader = BufReader::new(s.try_clone().unwrap());
+            (&s).write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+            let (conn, req) = self.ask(now);
+            assert_eq!(req, GwRequest::Health);
+            assert_eq!(self.edge.write(conn, HEALTH), Ok(()));
+            assert_eq!(read_response(&mut reader, false).0, 200);
+            (conn, (s, reader))
+        }
+
+        /// `raw` from `client`, read at `now`: the request it makes of the
+        /// daemon, which must be connection `conn`'s.
+        fn asked(&mut self, conn: u64, client: &Client, raw: &str, now: Instant) -> GwRequest {
+            (&client.0).write_all(raw.as_bytes()).unwrap();
+            let (id, req) = self.ask(now);
+            assert_eq!(id, conn, "{req:?}");
+            req
+        }
+
+        /// `request_timeouts` and `open_conns`.
+        fn timeouts_and_open(&self) -> (u64, i64) {
+            let stats = self.gw.stats();
+            let timeouts = stats.request_timeouts.load(Ordering::Relaxed);
+            (timeouts, stats.open_conns.load(Ordering::SeqCst))
+        }
+
+        fn handovers(&self) -> u64 {
+            self.gw.stats().handovers.load(Ordering::Relaxed)
+        }
+    }
+
+    /// Everything `client` reads until the gateway closes its connection.
+    fn to_close(client: &mut Client) -> Vec<u8> {
+        let mut out = Vec::new();
+        client.1.read_to_end(&mut out).expect("the gateway closes");
+        out
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// The request deadline on connections the loop hosts, by the sweep.
+    /// Of two requests read 1 ms apart, the sweep at the first one's
+    /// deadline answers it 408 and closes it, and leaves the second, 1 ms
+    /// short of its own, to the next sweep. The daemon's late replies
+    /// then find both connections gone.
+    #[test]
+    fn on_the_loop_a_deadline_answers_408_at_the_first_sweep_at_or_after_it() {
+        let t0 = Instant::now();
+        let timeout = ms(500);
+        let opts = GatewayOpts {
+            request_timeout: timeout,
+            ..GatewayOpts::default()
+        };
+        let mut lp = Clocked::spawn(t0, opts);
+        let (a, mut ca) = lp.moved(t0);
+        let (b, mut cb) = lp.moved(t0);
+        // Past every sweep so far: from here on, the test's clock alone.
+        let t1 = t0 + Duration::from_secs(1);
+        lp.asked(a, &ca, "GET /v1/query?q=a HTTP/1.1\r\n\r\n", t1);
+        lp.asked(b, &cb, "GET /v1/query?q=b HTTP/1.1\r\n\r\n", t1 + ms(1));
+        for k in 1..5 {
+            lp.sweep(t1 + ms(100 * k));
+        }
+        assert_eq!(lp.timeouts_and_open(), (0, 2));
+        lp.sweep(t1 + timeout);
+        assert_eq!(lp.timeouts_and_open(), (1, 1));
+        assert!(to_close(&mut ca).starts_with(b"HTTP/1.1 408 "));
+        assert_eq!(lp.edge.write(a, HEALTH), Err(SinkClosed));
+        lp.sweep(t1 + timeout + ms(100));
+        assert_eq!(lp.timeouts_and_open(), (2, 0));
+        assert!(to_close(&mut cb).starts_with(b"HTTP/1.1 408 "));
+        assert_eq!(lp.edge.write(b, HEALTH), Err(SinkClosed));
+        assert_eq!(lp.handovers(), 2);
+    }
+
+    /// The request deadline on connections the loop hosts, for a reply
+    /// that does come. Of two requests read 1 ms apart, a reply written
+    /// at the first one's deadline, before any sweep, answers it 408 and
+    /// closes it; one written at the same `now`, 1 ms short of the
+    /// second's deadline, answers the second.
+    #[test]
+    fn on_the_loop_a_reply_at_its_deadline_answers_408() {
+        let t0 = Instant::now();
+        let timeout = ms(500);
+        let opts = GatewayOpts {
+            request_timeout: timeout,
+            ..GatewayOpts::default()
+        };
+        let mut lp = Clocked::spawn(t0, opts);
+        let (a, mut ca) = lp.moved(t0);
+        let (b, mut cb) = lp.moved(t0);
+        let t1 = t0 + Duration::from_secs(1);
+        lp.asked(a, &ca, "GET /v1/query?q=a HTTP/1.1\r\n\r\n", t1);
+        lp.asked(b, &cb, "GET /v1/query?q=b HTTP/1.1\r\n\r\n", t1 + ms(1));
+        // The last sweep before the deadline: the step at it takes no turn.
+        lp.sweep(t1 + ms(450));
+        assert_eq!(lp.step(t1 + timeout, Duration::ZERO), (0, Vec::new()));
+        assert_eq!(lp.edge.write(a, HEALTH), Ok(()));
+        assert_eq!(lp.edge.write(b, HEALTH), Ok(()));
+        assert_eq!(lp.timeouts_and_open(), (1, 1));
+        assert!(to_close(&mut ca).starts_with(b"HTTP/1.1 408 "));
+        assert_eq!(read_response(&mut cb.1, false).0, 200);
+        assert_eq!(lp.handovers(), 2);
+    }
+
+    /// Slowloris on connections the loop hosts. Of two heads that start
+    /// dribbling in 1 ms apart, the sweep that finds the first one
+    /// `header_timeout` + 1 ms old answers it 408 and closes it, and
+    /// leaves the second, exactly `header_timeout` old, to the next.
+    #[test]
+    fn on_the_loop_slowloris_answers_408_at_the_first_sweep_past_the_header_timeout() {
+        let t0 = Instant::now();
+        let timeout = ms(500);
+        let opts = GatewayOpts {
+            header_timeout: timeout,
+            ..GatewayOpts::default()
+        };
+        let mut lp = Clocked::spawn(t0, opts);
+        let (_, mut ca) = lp.moved(t0);
+        let (_, mut cb) = lp.moved(t0);
+        let t1 = t0 + Duration::from_secs(1);
+        (&ca.0).write_all(b"GET /healthz HT").unwrap(); // never finished
+        lp.read(t1);
+        (&cb.0).write_all(b"GET /healthz HT").unwrap();
+        lp.read(t1 + ms(1));
+        for k in 1..5 {
+            lp.sweep(t1 + ms(100 * k + 1));
+        }
+        assert_eq!(lp.timeouts_and_open(), (0, 2));
+        lp.sweep(t1 + timeout + ms(1));
+        assert_eq!(lp.timeouts_and_open(), (1, 1));
+        assert!(to_close(&mut ca).starts_with(b"HTTP/1.1 408 "));
+        lp.sweep(t1 + timeout + ms(101));
+        assert_eq!(lp.timeouts_and_open(), (2, 0));
+        assert!(to_close(&mut cb).starts_with(b"HTTP/1.1 408 "));
+        assert_eq!(lp.handovers(), 2);
+    }
+
+    /// The idle close on connections the loop hosts. Of two keep-alive
+    /// connections last active 1 ms apart, the sweep that finds the first
+    /// idle `idle_timeout` + 1 ms closes it, and leaves the second, idle
+    /// exactly `idle_timeout`, to the next. An SSE stream that carries
+    /// nothing all the while is never closed for it.
+    #[test]
+    fn on_the_loop_an_idle_connection_closes_at_the_first_sweep_past_the_timeout() {
+        let t0 = Instant::now();
+        let idle = Duration::from_secs(1);
+        let opts = GatewayOpts {
+            idle_timeout: idle,
+            ..GatewayOpts::default()
+        };
+        let mut lp = Clocked::spawn(t0, opts);
+        let (a, mut ca) = lp.moved(t0);
+        let (b, mut cb) = lp.moved(t0);
+        let (w, cw) = lp.moved(t0);
+        let t1 = t0 + ms(500);
+        let watch = lp.asked(w, &cw, "GET /v1/watch?q=x HTTP/1.1\r\n\r\n", t1);
+        assert!(matches!(watch, GwRequest::Watch { .. }), "{watch:?}");
+        let update = GwReply::Update {
+            result: "1".into(),
+            initial: true,
+            complete: true,
+        };
+        assert_eq!(lp.edge.write(w, update), Ok(()));
+        for (conn, client, at) in [(a, &mut ca, t1), (b, &mut cb, t1 + ms(1))] {
+            lp.asked(conn, client, "GET /healthz HTTP/1.1\r\n\r\n", at);
+            assert_eq!(lp.edge.write(conn, HEALTH), Ok(()));
+            assert_eq!(read_response(&mut client.1, false).0, 200);
+        }
+        for k in 1..10 {
+            lp.sweep(t1 + ms(100 * k + 1));
+        }
+        assert_eq!(lp.timeouts_and_open(), (0, 3));
+        lp.sweep(t1 + idle + ms(1));
+        assert_eq!(lp.timeouts_and_open(), (0, 2));
+        assert!(to_close(&mut ca).is_empty());
+        lp.sweep(t1 + idle + ms(101));
+        assert_eq!(lp.timeouts_and_open(), (0, 1));
+        assert!(to_close(&mut cb).is_empty());
+        lp.sweep(t1 + Duration::from_secs(600));
+        assert_eq!(lp.timeouts_and_open(), (0, 1));
+        assert_eq!(lp.edge.write(w, GwReply::Keepalive), Ok(()));
+    }
+
+    /// A one-shot answer of `len` bytes of result.
+    fn big(len: usize) -> GwReply {
+        GwReply::Answer {
+            result: "x".repeat(len),
+            complete: true,
+            cache: None,
+        }
+    }
+
+    /// The write-stall close on a connection the loop hosts. Its client
+    /// never reads, and is answered more than its socket takes, but by
+    /// less than `OUT_BUF_CAP`: with its output pending, the connection
+    /// outlives `idle_timeout`; the sweep `WRITE_STALL_TIMEOUT` after the
+    /// write stalled leaves it open, and the next one closes it. How much
+    /// a socket takes is the kernel's to say: a first client, answered 8
+    /// MiB and cut as a slow consumer, measures it.
+    #[test]
+    fn on_the_loop_a_stalled_write_closes_at_the_first_sweep_past_ten_seconds() {
+        let t0 = Instant::now();
+        let opts = GatewayOpts {
+            idle_timeout: Duration::from_secs(1),
+            ..GatewayOpts::default()
+        };
+        let mut lp = Clocked::spawn(t0, opts);
+        let (k, mut ck) = lp.moved(t0);
+        lp.asked(k, &ck, "GET /v1/query?q=k HTTP/1.1\r\n\r\n", t0);
+        assert_eq!(lp.edge.write(k, big(8 << 20)), Ok(()));
+        let taken = to_close(&mut ck).len();
+        let (w, mut cw) = lp.moved(t0);
+        let t1 = t0 + Duration::from_secs(1);
+        lp.asked(w, &cw, "GET /v1/query?q=w HTTP/1.1\r\n\r\n", t1);
+        let reply = big(taken + 512 * 1024);
+        let mut sent = Vec::new();
+        render_reply(reply.clone())
+            .write_to(&mut sent, true)
+            .unwrap();
+        assert_eq!(lp.edge.write(w, reply), Ok(()));
+        for k in 1..=100 {
+            lp.sweep(t1 + ms(100 * k));
+            assert_eq!(lp.timeouts_and_open(), (0, 1), "closed {k}00 ms on");
+        }
+        lp.sweep(t1 + WRITE_STALL_TIMEOUT + ms(100));
+        assert_eq!(lp.timeouts_and_open(), (0, 0));
+        let got = to_close(&mut cw).len();
+        let pending = sent.len().checked_sub(got).filter(|&n| n > 0);
+        let pending = pending.expect("the socket took the whole answer");
+        assert!(pending <= OUT_BUF_CAP, "{pending} bytes pending");
+    }
+
+    /// The slow-consumer cut on a connection the loop hosts: a stream
+    /// whose client never reads keeps its connection while its unsent
+    /// output is `OUT_BUF_CAP` or less, and loses it with the frame that
+    /// takes it past.
+    #[test]
+    fn on_the_loop_a_stream_is_cut_once_its_unsent_output_passes_the_cap() {
+        let t0 = Instant::now();
+        let mut lp = Clocked::spawn(t0, GatewayOpts::default());
+        let (c, mut cc) = lp.moved(t0);
+        let watch = lp.asked(c, &cc, "GET /v1/watch?q=x HTTP/1.1\r\n\r\n", t0);
+        assert!(matches!(watch, GwRequest::Watch { .. }), "{watch:?}");
+        let result = "x".repeat(64 * 1024);
+        let frame = sse_frame(&result, false, true).len();
+        let mut frames = 0;
+        while lp.timeouts_and_open().1 == 1 {
+            assert!(frames < 1_000, "never cut");
+            let update = GwReply::Update {
+                result: result.clone(),
+                initial: false,
+                complete: true,
+            };
+            assert_eq!(lp.edge.write(c, update), Ok(()));
+            frames += 1;
+        }
+        let got = to_close(&mut cc);
+        let head = got.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+        let unsent = |frames: usize| head + frames * frame - got.len();
+        assert!(unsent(frames) > OUT_BUF_CAP, "cut at {}", unsent(frames));
+        assert!(
+            unsent(frames - 1) <= OUT_BUF_CAP,
+            "kept {}",
+            unsent(frames - 1)
         );
-        let (s, mut reader) = moved_conn(&gw);
-        (&s).write_all(b"GET /healthz HT").unwrap(); // dribble, never finish
-        let mut out = String::new();
-        let _ = reader.read_to_string(&mut out);
-        assert!(out.starts_with("HTTP/1.1 408 "), "{out}");
-        assert_eq!(gw.stats().request_timeouts.load(Ordering::Relaxed), 1);
-        assert_eq!(gw.stats().handovers.load(Ordering::Relaxed), 1);
     }
 
     /// A request pipelined behind a walk on a connection the loop hosts
@@ -1400,30 +1647,19 @@ mod tests {
     /// not ready, nobody at the door, no pipelined request and no sweep
     /// due, a step makes no turn; a connection handed over at the door
     /// is served in the step its wake ends; a request pipelined behind a
-    /// reply is served in the next step.
+    /// reply is served in the next step; an idle connection is next
+    /// turned at the step its sweep falls due, and not 1 ms before.
     #[test]
     fn the_loop_edge_turns_only_when_it_has_work() {
-        let wake = Arc::new(WakeFd::new());
-        let (gw, mut edge) = spawn_waking(&wake, GatewayOpts::default());
-        let epoll = Epoll::new();
-        wake.register(&epoll, 0);
-        epoll.add(edge.fd(), EPOLLIN, 1).unwrap();
-        let mut events = [EpollEvent::default(); 4];
-        let mut asks = Vec::new();
-        let mut step = |edge: &mut LoopEdge, wait: Duration| {
-            let woke = epoll.wait(&mut events, wait);
-            let ready = woke.iter().any(|ev| ev.data == 1);
-            let before = edge.turns();
-            edge.pump(ready, |conn, req| asks.push((conn, req)));
-            (edge.turns() - before, std::mem::take(&mut asks))
-        };
+        let t0 = Instant::now();
+        let mut lp = Clocked::spawn(t0, GatewayOpts::default());
         for _ in 0..100 {
-            assert_eq!(step(&mut edge, Duration::ZERO), (0, Vec::new()));
+            assert_eq!(lp.step(t0, Duration::ZERO), (0, Vec::new()));
         }
 
         // A request for the daemon moves its connection through the door,
         // whose wake ends the step that serves it.
-        let s = TcpStream::connect(gw.addr()).unwrap();
+        let s = TcpStream::connect(lp.gw.addr()).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         let mut reader = BufReader::new(s.try_clone().unwrap());
         (&s).write_all(
@@ -1431,7 +1667,7 @@ mod tests {
               GET /v1/query?q=b HTTP/1.1\r\n\r\n",
         )
         .unwrap();
-        let (turns, served) = step(&mut edge, Duration::from_secs(10));
+        let (turns, served) = lp.step(t0, Duration::from_secs(10));
         assert_eq!(turns, 1);
         let [(conn, GwRequest::Query { q })] = &served[..] else {
             panic!("{served:?}");
@@ -1442,24 +1678,25 @@ mod tests {
             complete: true,
             cache: None,
         };
-        assert_eq!(edge.write(*conn, answer("1")), Ok(()));
+        assert_eq!(lp.edge.write(*conn, answer("1")), Ok(()));
         assert_eq!(read_response(&mut reader, false).0, 200);
 
         // The reply let the pipelined request through: served next step.
-        assert_eq!(edge.wait_bound(), Some(Duration::ZERO));
-        let (turns, served) = step(&mut edge, Duration::ZERO);
+        assert_eq!(lp.edge.wait_bound(t0), Some(Duration::ZERO));
+        let (turns, served) = lp.step(t0, Duration::ZERO);
         assert_eq!(turns, 1);
         assert!(matches!(&served[..], [(c, GwRequest::Query { q })] if c == conn && q == "b"));
-        assert_eq!(edge.write(*conn, answer("2")), Ok(()));
+        assert_eq!(lp.edge.write(*conn, answer("2")), Ok(()));
         assert_eq!(read_response(&mut reader, false).0, 200);
 
-        // An idle keep-alive connection: no turn until its sweep is due
-        // (at most one falls due in a burst of steps), then one.
-        let turns: u64 = (0..100).map(|_| step(&mut edge, Duration::ZERO).0).sum();
-        assert!(turns <= 1, "{turns} turns");
-        std::thread::sleep(edge.wait_bound().expect("a hosted connection"));
-        assert_eq!(step(&mut edge, Duration::ZERO).0, 1);
-        assert_eq!(gw.stats().handovers.load(Ordering::Relaxed), 1);
+        // An idle keep-alive connection: no turn until its sweep is due,
+        // then one.
+        let due = t0 + lp.edge.wait_bound(t0).expect("a hosted connection");
+        for _ in 0..100 {
+            assert_eq!(lp.step(due - ms(1), Duration::ZERO), (0, Vec::new()));
+        }
+        assert_eq!(lp.step(due, Duration::ZERO), (1, Vec::new()));
+        assert_eq!(lp.handovers(), 1);
     }
 
     /// Every answer the loop gives a connection it hosts, asked by `GET`

@@ -290,38 +290,38 @@ impl<L: Borrow<TcpListener>> Listening<L> {
 
     /// The next queued connection; `None` when there is none to take now:
     /// the queue is empty, `accept` failed, or the descriptors ran out and
-    /// the listener has left `epoll` for the pause.
-    pub fn accept(&mut self, epoll: &Epoll) -> Option<TcpStream> {
+    /// the listener has left `epoll` for a pause that starts at `now`.
+    pub fn accept(&mut self, epoll: &Epoll, now: Instant) -> Option<TcpStream> {
         let listener = self.listener.borrow();
         match listener.accept() {
             Ok((stream, _)) => Some(stream),
             Err(e) => {
                 if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) {
                     let _ = epoll.delete(listener.as_raw_fd());
-                    self.back_at = Some(Instant::now() + ACCEPT_PAUSE);
+                    self.back_at = Some(now + ACCEPT_PAUSE);
                 }
                 None
             }
         }
     }
 
-    /// How long until the listener goes back into its set; `None` while
-    /// it is in.
-    pub fn paused_for(&self) -> Option<Duration> {
-        Some(self.back_at?.saturating_duration_since(Instant::now()))
+    /// How long from `now` until the listener goes back into its set;
+    /// `None` while it is in.
+    pub fn paused_for(&self, now: Instant) -> Option<Duration> {
+        Some(self.back_at?.saturating_duration_since(now))
     }
 
-    /// Puts the listener back into `epoll` once its pause is over (one
-    /// syscall then, none before). A set that refuses it (out of memory
-    /// or watches) gets it back after another pause.
-    pub fn resume(&mut self, epoll: &Epoll) {
-        if self.paused_for() != Some(Duration::ZERO) {
+    /// Puts the listener back into `epoll` once its pause is over by
+    /// `now` (one syscall then, none before). A set that refuses it (out
+    /// of memory or watches) gets it back after another pause.
+    pub fn resume(&mut self, epoll: &Epoll, now: Instant) {
+        if self.paused_for(now) != Some(Duration::ZERO) {
             return;
         }
         let fd = self.listener.borrow().as_raw_fd();
         self.back_at = match epoll.add(fd, self.events, self.token) {
             Ok(()) => None,
-            Err(_) => Some(Instant::now() + ACCEPT_PAUSE),
+            Err(_) => Some(now + ACCEPT_PAUSE),
         };
     }
 }

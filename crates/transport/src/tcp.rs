@@ -486,7 +486,7 @@ impl<M: Message + Wire> TcpCore<M> {
             return;
         };
         // Until `WouldBlock`: that was all of them.
-        while let Some(stream) = listening.accept(&self.epoll) {
+        while let Some(stream) = listening.accept(&self.epoll, self.now) {
             self.next_conn += 1;
             let (id, fd, wants) = (self.next_conn, stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP);
             // Else the stream drops: a connection nobody would hear from.
@@ -795,8 +795,8 @@ where
         }
         let core = &mut self.core;
         for listening in core.listeners.values_mut() {
-            listening.resume(&core.epoll);
-            wait = wait.min(listening.paused_for().unwrap_or(wait));
+            listening.resume(&core.epoll, core.now);
+            wait = wait.min(listening.paused_for(core.now).unwrap_or(wait));
         }
         core.host_ready.clear();
         let mut events = std::mem::take(&mut self.events);
