@@ -1364,6 +1364,72 @@ mod tests {
         Duration::from_millis(n)
     }
 
+    /// Middleware: a first request the daemon never answers times out
+    /// with 408 at the first sweep past `request_timeout`, counted in
+    /// `request_timeouts`, and the daemon's held write then fails. Its
+    /// `started` is its shard's reading, taken before the test's next one.
+    #[test]
+    fn unanswered_request_times_out_with_408() {
+        let t0 = Instant::now();
+        let opts = GatewayOpts {
+            request_timeout: ms(50),
+            ..GatewayOpts::default()
+        };
+        let mut lp = Clocked::spawn(t0, opts);
+        let s = TcpStream::connect(lp.gw.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut client = (s.try_clone().unwrap(), BufReader::new(s));
+        (&client.0)
+            .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let (conn, req) = lp.ask(t0);
+        assert_eq!(req, GwRequest::Health); // never answered
+        lp.sweep(Instant::now() + ms(100));
+        assert_eq!(lp.timeouts_and_open(), (1, 0));
+        assert!(to_close(&mut client).starts_with(b"HTTP/1.1 408 "));
+        assert_eq!(lp.edge.write(conn, HEALTH), Err(SinkClosed));
+    }
+
+    /// The deadline on connections the loop hosts: a request never
+    /// answered gets 408 at the sweep at its deadline, and its held write
+    /// fails; one answered after its deadline, before the next sweep,
+    /// gets 408 from the late reply.
+    #[test]
+    fn on_the_loop_a_deadline_and_a_late_reply_answer_408() {
+        let t0 = Instant::now();
+        let timeout = ms(300);
+        let opts = GatewayOpts {
+            request_timeout: timeout,
+            ..GatewayOpts::default()
+        };
+        let mut lp = Clocked::spawn(t0, opts);
+        let (never, mut cn) = lp.moved(t0);
+        let (late, mut cl) = lp.moved(t0);
+        let t1 = t0 + Duration::from_secs(1);
+        lp.asked(never, &cn, "GET /v1/query?q=never HTTP/1.1\r\n\r\n", t1);
+        lp.asked(
+            late,
+            &cl,
+            "GET /v1/query?q=late HTTP/1.1\r\n\r\n",
+            t1 + ms(50),
+        );
+        for k in 1..4 {
+            lp.sweep(t1 + ms(100 * k));
+        }
+        assert!(to_close(&mut cn).starts_with(b"HTTP/1.1 408 "));
+        assert_eq!(lp.edge.write(never, HEALTH), Err(SinkClosed));
+        // Past the late one's deadline, 50 ms short of the next sweep.
+        assert_eq!(
+            lp.step(t1 + timeout + ms(50), Duration::ZERO),
+            (0, Vec::new())
+        );
+        assert_eq!(lp.edge.write(late, HEALTH), Ok(()));
+        assert!(to_close(&mut cl).starts_with(b"HTTP/1.1 408 "));
+        assert_eq!(lp.timeouts_and_open(), (2, 0));
+        // Each connection moved once, with its first request.
+        assert_eq!(lp.handovers(), 2);
+    }
+
     /// The request deadline on connections the loop hosts, by the sweep.
     /// Of two requests read 1 ms apart, the sweep at the first one's
     /// deadline answers it 408 and closes it, and leaves the second, 1 ms
